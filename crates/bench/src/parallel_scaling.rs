@@ -1,12 +1,16 @@
-//! Serial vs. parallel executor comparison: a multi-GOP,
-//! decode-heavy query (SCAN → DECODE → MAP(BLUR) → ENCODE) run with
-//! one worker thread and with `LIGHTDB_THREADS`-many (default 8).
+//! Serial vs. parallel executor comparison over two queries, each run
+//! with one worker thread and with `LIGHTDB_THREADS`-many (default 8):
+//!
+//! * a multi-GOP, decode-heavy pipeline (SCAN → DECODE → MAP(BLUR) →
+//!   ENCODE), where GOPs are the independent units;
+//! * the Fig 11a predictive-tiling query (PARTITION 4×4 → SUBQUERY
+//!   per-tile ENCODE → TILEUNION → STORE), where partitions are.
 //!
 //! Besides wall-clock speedup, the harness asserts the parallel
 //! output is byte-identical to the serial output — the ordering
 //! guarantee of `exec::parallel` — and reports per-operator busy vs.
-//! wall time so overlap is visible (busy/wall ≈ effective
-//! parallelism).
+//! wall time of the parallel run so overlap is visible (busy/wall ≈
+//! effective parallelism).
 
 use lightdb::prelude::*;
 use std::path::PathBuf;
@@ -76,26 +80,40 @@ pub fn run(db: &mut LightDb, threads: usize) -> Measurement {
     Measurement { threads, secs, bytes: streams.iter().map(|s| s.to_bytes()).collect(), frames }
 }
 
-/// Regenerates the serial-vs-parallel scaling table.
-pub fn print() {
-    let threads = lightdb_core::envknob::read_usize("LIGHTDB_THREADS")
-        .filter(|&n| n > 1)
-        .unwrap_or(8);
-    // Decode-heavy: many GOPs, modest frames — DECODE+MAP+ENCODE all
-    // scale per chunk.
-    let (gops, gop_length, w, h) = (24, 8, 256, 128);
-    let mut db = build_db(gops, gop_length, w, h);
-    // Warm the buffer pool so both timed runs read from cache.
-    let _ = run(&mut db, 1);
+/// Runs the Fig 11a tiling query (4×4 tiles, the predicted tile at
+/// high quality) at the given thread count; `bytes` is the stored,
+/// stitched stream.
+pub fn run_tiling(db: &mut LightDb, threads: usize) -> Measurement {
+    db.set_parallelism(Parallelism::new(threads));
+    let out = "pscale_tiled";
+    let (secs, stats) =
+        crate::timed(|| lightdb_apps::workloads::lightdb_q::tiling(db, "pscale", out, 4, 4));
+    let stats = stats.expect("tiling query");
+    let stored = db.catalog().read(out, None).expect("stored tiling output");
+    let stream = stored
+        .media()
+        .read_stream(&stored.metadata.tracks[0].media_path)
+        .expect("readable tiling output");
+    Measurement { threads, secs, bytes: vec![stream.to_bytes()], frames: stats.frames }
+}
 
-    let serial = run(&mut db, 1);
-    let parallel = run(&mut db, threads);
+/// One query's serial-vs-parallel rows plus the parallel run's
+/// per-operator busy/wall table.
+fn section(
+    title: &str,
+    db: &mut LightDb,
+    threads: usize,
+    run: fn(&mut LightDb, usize) -> Measurement,
+) {
+    // Warm the buffer pool so both timed runs read from cache.
+    let _ = run(db, 1);
+    let serial = run(db, 1);
+    db.metrics().reset();
+    let parallel = run(db, threads);
     let identical = serial.bytes == parallel.bytes;
     let speedup = serial.secs / parallel.secs.max(1e-9);
 
-    println!(
-        "\nParallel scaling — SCAN>DECODE>MAP(BLUR)>ENCODE, {gops} GOPs × {gop_length} frames @ {w}x{h}\n"
-    );
+    println!("\nParallel scaling — {title}\n");
     crate::row("config", &["secs".into(), "fps".into(), "speedup".into()]);
     crate::row(
         "serial (1 thread)",
@@ -117,9 +135,8 @@ pub fn print() {
         "\noutput byte-identical to serial: {}",
         if identical { "yes" } else { "NO (BUG)" }
     );
-    let m = db.metrics();
-    println!("\nper-operator busy vs wall (busy/wall ~ effective parallelism):");
-    for (op, busy, wall, count) in m.report_wall() {
+    println!("\nper-operator busy vs wall, parallel run (busy/wall ~ effective parallelism):");
+    for (op, busy, wall, count) in db.metrics().report_wall() {
         if count == 0 || busy.as_secs_f64() < 1e-4 {
             continue;
         }
@@ -131,10 +148,30 @@ pub fn print() {
         );
     }
     assert!(identical, "parallel output must be byte-identical to serial");
-    let _ = std::fs::remove_dir_all(dataset_root());
     if speedup < 2.0 {
         println!("\nWARNING: speedup {speedup:.2}x below the 2x target (machine may lack cores)");
     }
+}
+
+/// Regenerates the serial-vs-parallel scaling tables.
+pub fn print() {
+    let threads = lightdb_core::envknob::read_usize("LIGHTDB_THREADS")
+        .filter(|&n| n > 1)
+        .unwrap_or(8);
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    // Decode-heavy: many GOPs, modest frames — DECODE+MAP+ENCODE all
+    // scale per chunk, and each GOP's 4×4 tiles encode independently.
+    let (gops, gop_length, w, h) = (24, 8, 256, 128);
+    let mut db = build_db(gops, gop_length, w, h);
+    let shape = format!("{gops} GOPs × {gop_length} frames @ {w}x{h}, {cores} core(s)");
+    section(&format!("SCAN>DECODE>MAP(BLUR)>ENCODE, {shape}"), &mut db, threads, run);
+    section(
+        &format!("Fig 11a tiling: PARTITION 4x4>SUBQUERY(ENCODE)>TILEUNION>STORE, {shape}"),
+        &mut db,
+        threads,
+        run_tiling,
+    );
+    let _ = std::fs::remove_dir_all(dataset_root());
 }
 
 #[cfg(test)]
@@ -144,11 +181,15 @@ mod tests {
     /// Small-scale smoke: parallel output matches serial bytes.
     #[test]
     fn parallel_output_matches_serial() {
-        let mut db = build_db(4, 2, 64, 32);
+        // 4×4 tiles of 32×16: whole macroblocks, so TILEUNION stitches.
+        let mut db = build_db(4, 2, 128, 64);
         let serial = run(&mut db, 1);
         let parallel = run(&mut db, 4);
         assert_eq!(serial.bytes, parallel.bytes);
         assert_eq!(serial.frames, 8);
+        let serial = run_tiling(&mut db, 1);
+        let parallel = run_tiling(&mut db, 4);
+        assert_eq!(serial.bytes, parallel.bytes);
         let _ = std::fs::remove_dir_all(dataset_root());
     }
 }

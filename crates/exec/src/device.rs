@@ -39,38 +39,11 @@ pub fn gpu_workers() -> usize {
     }
 }
 
-/// Runs `f(index, item)` over `items` on the simulated GPU (a scoped
-/// thread pool), preserving output order.
+/// Runs `f(index, item)` over `items` on the simulated GPU — the
+/// executor's one work queue ([`crate::parallel::scatter`]) sized by
+/// [`gpu_workers`] — preserving output order.
 pub fn gpu_map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(usize, T) -> U + Sync) -> Vec<U> {
-    let workers = gpu_workers();
-    if workers <= 1 || items.len() <= 1 {
-        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let n = items.len();
-    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    let jobs: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let queue = parking_lot::Mutex::new(jobs);
-    let results = parking_lot::Mutex::new(Vec::<(usize, U)>::with_capacity(n));
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|| loop {
-                let job = queue.lock().pop();
-                match job {
-                    Some((i, t)) => {
-                        let out = f(i, t);
-                        results.lock().push((i, out));
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-    for (i, u) in results.into_inner() {
-        slots[i] = Some(u);
-    }
-    // lint: allow(R1): every index 0..n is pushed exactly once by the worker loop above
-    #[allow(clippy::expect_used)]
-    slots.into_iter().map(|s| s.expect("gpu job lost")).collect()
+    crate::parallel::scatter(items, gpu_workers(), f)
 }
 
 /// Splits the luma rows of a frame into `gpu_workers()` bands and

@@ -303,43 +303,12 @@ impl Executor {
                 let exec = self.clone();
                 let body = body.clone();
                 let label = label.clone();
-                let input = self.build(input, sub)?;
-                let mut outbox: Vec<Chunk> = Vec::new();
-                let mut input = input;
-                Box::new(std::iter::from_fn(move || loop {
-                    if let Some(c) = outbox.pop() {
-                        return Some(Ok(c));
-                    }
-                    let chunk = match input.next()? {
-                        Err(e) => return Some(Err(e)),
-                        Ok(c) => c,
-                    };
-                    let part = chunk.part;
-                    let body_plan = match body(&chunk.volume) {
-                        Err(e) => {
-                            return Some(Err(ExecError::Other(format!(
-                                "subquery {label}: {e}"
-                            ))))
-                        }
-                        Ok(p) => p,
-                    };
-                    let stream = match exec.build(&body_plan, Some(&chunk)) {
-                        Err(e) => return Some(Err(e)),
-                        Ok(s) => s,
-                    };
-                    let mut produced: Vec<Chunk> = Vec::new();
-                    for r in stream {
-                        match r {
-                            Err(e) => return Some(Err(e)),
-                            Ok(mut out) => {
-                                out.part = part; // keep the partition's identity
-                                produced.push(out);
-                            }
-                        }
-                    }
-                    produced.reverse();
-                    outbox = produced;
-                }))
+                crate::parallel::par_flat_map_chunks_ctx(
+                    self.build(input, sub)?,
+                    self.parallelism,
+                    self.ctx.clone(),
+                    move |partition, budget| exec.subquery_body(&body, &label, partition, budget),
+                )
             }
             PhysicalPlan::Store { .. }
             | PhysicalPlan::CreateTlf { .. }
@@ -356,6 +325,25 @@ impl Executor {
 
     fn build_all(&self, plans: &[PhysicalPlan], sub: Option<&Chunk>) -> Result<Vec<ChunkStream>> {
         plans.iter().map(|p| self.build(p, sub)).collect()
+    }
+
+    /// Runs a `SUBQUERY` body over one partition chunk, start to
+    /// finish, on the calling thread: compile the body for the
+    /// partition's volume, build its pipeline with `budget` worker
+    /// threads, drain it. Every output keeps the partition's identity.
+    fn subquery_body(
+        &self,
+        body: &crate::plan::CompiledSubquery,
+        label: &str,
+        partition: Chunk,
+        budget: Parallelism,
+    ) -> Result<Vec<Chunk>> {
+        let plan = body(&partition.volume)
+            .map_err(|e| ExecError::Other(format!("subquery {label}: {e}")))?;
+        let exec = Executor { parallelism: budget, ..self.clone() };
+        exec.build(&plan, Some(&partition))?
+            .map(|out| out.map(|c| Chunk { part: partition.part, ..c }))
+            .collect()
     }
 
     // ------------------------------------------------------------- sinks

@@ -111,14 +111,8 @@ pub fn scatter<T: Send, U: Send>(
 }
 
 /// Applies a fallible per-chunk transform across worker threads while
-/// preserving stream order and error positions.
-///
-/// Batches of up to `threads × 2` chunks are pulled from `input` on
-/// the calling thread (the stream itself is not `Send`), transformed
-/// concurrently with [`scatter`], and replayed in input order. When
-/// the stream yields an `Err`, the batch ends there and the error is
-/// emitted after the chunks that preceded it — the same prefix a
-/// serial consumer would observe.
+/// preserving stream order and error positions: the one-output-per-
+/// chunk case of [`par_flat_map_chunks_ctx`].
 pub fn par_map_chunks(
     input: ChunkStream,
     par: Parallelism,
@@ -127,22 +121,58 @@ pub fn par_map_chunks(
     par_map_chunks_ctx(input, par, QueryCtx::unbounded(), f)
 }
 
-/// [`par_map_chunks`] under a [`QueryCtx`]: cancellation and deadline
-/// are checked on the caller thread before each batch refill and on
-/// every worker before each chunk, so an abort is observed within one
-/// chunk's worth of work. Chunks already transformed when the abort
-/// lands are replayed first (output stays a well-ordered prefix), then
-/// the abort error is emitted and the stream ends.
+/// [`par_map_chunks`] under a [`QueryCtx`] (see
+/// [`par_flat_map_chunks_ctx`] for the abort contract).
 pub fn par_map_chunks_ctx(
     input: ChunkStream,
     par: Parallelism,
     ctx: QueryCtx,
     f: impl Fn(Chunk) -> Result<Chunk> + Sync + 'static,
 ) -> ChunkStream {
+    par_flat_map_chunks_ctx(input, par, ctx, move |c, _| f(c).map(Some))
+}
+
+/// The batch/scatter/reassemble driver behind every chunk-parallel
+/// operator: `f(chunk, budget)` turns one chunk into zero or more
+/// chunks, and the outputs of chunk *i* are emitted contiguously,
+/// before chunk *i + 1*'s — the order a serial `flat_map` gives.
+///
+/// Batches of up to `threads × 2` chunks are pulled from `input` on
+/// the calling thread (the stream itself is not `Send`), transformed
+/// concurrently with [`scatter`], and replayed in input order. When
+/// the stream yields an `Err`, the batch ends there and the error is
+/// emitted after the chunks that preceded it; an `Err` from `f` takes
+/// the place of its item's outputs — either way the consumer sees the
+/// same well-ordered prefix a serial run would.
+///
+/// Cancellation and deadline are checked on the caller thread before
+/// each batch refill and on every worker before each item, so an abort
+/// is observed within one item's worth of work. Items already
+/// transformed when the abort lands are replayed first, then the abort
+/// error is emitted and the stream ends.
+///
+/// `budget` is the parallelism `f` may use for nested work: the whole
+/// of `par` when its item is alone in the batch (nothing else competes
+/// for the workers), [`Parallelism::SERIAL`] when the batch fans out
+/// (the fan-out already owns the thread budget). `SUBQUERY` bodies run
+/// under it; one-to-one transforms ignore it.
+pub fn par_flat_map_chunks_ctx<I>(
+    input: ChunkStream,
+    par: Parallelism,
+    ctx: QueryCtx,
+    f: impl Fn(Chunk, Parallelism) -> Result<I> + Sync + 'static,
+) -> ChunkStream
+where
+    I: IntoIterator<Item = Chunk> + Send + 'static,
+{
     if par.is_serial() {
-        return Box::new(input.map(move |c| {
-            ctx.check()?;
-            c.and_then(&f)
+        return Box::new(input.flat_map(move |c| {
+            let produced = ctx.check().and(c).and_then(|c| f(c, Parallelism::SERIAL));
+            let (produced, err) = match produced {
+                Ok(produced) => (Some(produced), None),
+                Err(e) => (None, Some(Err(e))),
+            };
+            produced.into_iter().flatten().map(Ok).chain(err)
         }));
     }
     let threads = par.threads();
@@ -180,14 +210,20 @@ pub fn par_map_chunks_ctx(
         if batch.is_empty() && tail_err.is_none() && done {
             return None;
         }
+        let budget = if batch.len() > 1 { Parallelism::SERIAL } else { par };
         let ctx_ref = &ctx;
-        outbox.extend(scatter(batch, threads, |_, c| {
+        for r in scatter(batch, threads, |_, c| {
             // Workers re-check before each item: a cancel that lands
             // mid-batch stops the remaining items, not just the next
             // batch.
             ctx_ref.check()?;
-            f(c)
-        }));
+            f(c, budget)
+        }) {
+            match r {
+                Ok(produced) => outbox.extend(produced.into_iter().map(Ok)),
+                Err(e) => outbox.push_back(Err(e)),
+            }
+        }
         // Reassembly failpoint: fires once per replayed batch, on the
         // caller thread (so thread-local arming works in tests).
         if let Err(e) = lightdb_storage::faults::fail_point(
@@ -313,6 +349,71 @@ mod tests {
         for (i, r) in out.iter().enumerate() {
             assert_eq!(r.is_err(), i == 3, "slot {i}");
         }
+    }
+
+    /// Chunk `t` fans out to `t % 3` copies tagged by `part`.
+    fn fan_out(c: Chunk) -> Vec<Chunk> {
+        (0..c.t_index % 3).map(|part| Chunk { part, ..c.clone() }).collect()
+    }
+
+    fn tags(stream: ChunkStream) -> Vec<std::result::Result<(usize, usize), String>> {
+        stream.map(|r| r.map(|c| (c.t_index, c.part)).map_err(|e| e.to_string())).collect()
+    }
+
+    #[test]
+    fn par_flat_map_matches_the_serial_flat_map() {
+        // 0, 1 and 2 outputs per item, and a failing item mid-stream:
+        // each item's outputs stay contiguous and in input order, and
+        // the error stands where its item's outputs would have.
+        let run = |threads| {
+            tags(par_flat_map_chunks_ctx(
+                Box::new((0..23).map(chunk).map(Ok)),
+                Parallelism::new(threads),
+                QueryCtx::unbounded(),
+                |c, _| match c.t_index {
+                    7 => Err(ExecError::Other("bad chunk".into())),
+                    _ => Ok(fan_out(c)),
+                },
+            ))
+        };
+        let serial = run(1);
+        let expected: Vec<_> = (0..23)
+            .flat_map(|t| match t {
+                7 => vec![Err("bad chunk".to_string())],
+                _ => (0..t % 3).map(|part| Ok((t, part))).collect(),
+            })
+            .collect();
+        assert_eq!(serial, expected);
+        for threads in [2, 3, 8] {
+            assert_eq!(run(threads), serial, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn nested_budget_is_serial_inside_a_batch_and_whole_when_alone() {
+        let budgets = |chunks: usize, threads: usize| -> Vec<usize> {
+            let seen = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let sink = seen.clone();
+            let n = par_flat_map_chunks_ctx(
+                Box::new((0..chunks).map(chunk).map(Ok)),
+                Parallelism::new(threads),
+                QueryCtx::unbounded(),
+                move |c, budget| {
+                    sink.lock().push((c.t_index, budget.threads()));
+                    Ok(Some(c))
+                },
+            )
+            .count();
+            assert_eq!(n, chunks);
+            let mut seen = seen.lock().clone();
+            seen.sort_unstable();
+            seen.into_iter().map(|(_, b)| b).collect()
+        };
+        assert_eq!(budgets(1, 4), [4], "a lone chunk keeps the whole budget");
+        assert_eq!(budgets(5, 4), [1; 5], "a fanned-out batch owns the workers");
+        // Batches hold threads × 2 chunks: eight fan out, the ninth is alone.
+        assert_eq!(budgets(9, 4), [1, 1, 1, 1, 1, 1, 1, 1, 4]);
+        assert_eq!(budgets(3, 1), [1; 3]);
     }
 
     #[test]

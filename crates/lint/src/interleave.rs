@@ -11,7 +11,9 @@
 //! 2. **Batch reassembly** (`exec::parallel::scatter`): workers pull
 //!    jobs from a shared queue and push `(index, result)` pairs in
 //!    completion order; reassembly must reproduce the serial output
-//!    byte-identically for *every* completion interleaving.
+//!    byte-identically for *every* completion interleaving — also
+//!    when one job yields no, one or many outputs, as the `SUBQUERY`
+//!    bodies `par_flat_map_chunks_ctx` fans out do.
 //!
 //! The stress tests in those crates sample a handful of OS-scheduler
 //! interleavings per run. This harness instead *enumerates* them: the
@@ -382,10 +384,16 @@ pub struct ScatterState {
     /// Reversed `(index, item)` jobs; `pop()` hands out input order
     /// (parallel.rs lines 88–90).
     queue: Vec<(usize, u32)>,
-    /// `(index, f(item))` pushed in completion order (line 99).
-    results: Vec<(usize, Result<u32, u32>)>,
+    /// `(index, f(item))` pushed in completion order (line 99). One
+    /// item yields any number of outputs: the chunk drivers built on
+    /// `scatter` are flat-maps (`par_flat_map_chunks_ctx`), with the
+    /// one-to-one operators as the single-output case.
+    results: Vec<(usize, ItemResult)>,
     jobs: usize,
 }
+
+/// What `f` returns for one item: its outputs, or the failed item.
+type ItemResult = Result<Vec<u32>, u32>;
 
 impl ScatterState {
     /// Seeds the queue with `items` in reversed order, exactly as
@@ -401,10 +409,13 @@ impl ScatterState {
     }
 }
 
-/// The model transform: a cheap injective function so wrong/duplicate
-/// outputs are detectable.
-fn kernel(item: u32) -> u32 {
-    item.wrapping_mul(2).wrapping_add(1)
+/// The model transform: `item % 10` outputs per item, each a cheap
+/// injective function of the item and its position so wrong, duplicate
+/// or misplaced outputs are detectable.
+fn kernel(item: u32) -> Vec<u32> {
+    (0..item % 10)
+        .map(|k| item.wrapping_mul(16).wrapping_add(k))
+        .collect()
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -419,7 +430,7 @@ enum WorkerPc {
     /// Locked results push (line 99).
     Push {
         index: usize,
-        value: Result<u32, u32>,
+        value: ItemResult,
     },
     Done,
 }
@@ -474,20 +485,25 @@ impl ModelThread<ScatterState> for WorkerThread {
 }
 
 /// The reassembly contract: scattering the results back into
-/// index-ordered slots reproduces the serial output exactly —
-/// byte-identical, with errors in their input positions.
+/// index-ordered slots and replaying them reproduces the serial
+/// flat-map exactly — byte-identical, every item's outputs contiguous
+/// and ahead of the next item's, errors in their input positions.
 pub fn scatter_invariants(s: &ScatterState, items: &[u32], fail: &[usize]) -> Result<(), String> {
     if s.results.len() != s.jobs {
         return Err(format!("{} results for {} jobs", s.results.len(), s.jobs));
     }
     // Reassemble exactly as parallel.rs lines 106–110 do.
-    let mut slots: Vec<Option<Result<u32, u32>>> = vec![None; s.jobs];
+    let mut slots: Vec<Option<&ItemResult>> = vec![None; s.jobs];
     for (i, v) in &s.results {
         if slots[*i].is_some() {
             return Err(format!("slot {i} produced twice"));
         }
-        slots[*i] = Some(*v);
+        slots[*i] = Some(v);
     }
+    // Replay the slots as `par_flat_map_chunks_ctx` fills its outbox —
+    // an item's outputs in order, or its error in their place — noting
+    // which item each replayed entry came from.
+    let mut replayed_from: Vec<usize> = Vec::new();
     for (i, slot) in slots.iter().enumerate() {
         let expected = if fail.contains(&i) {
             Err(items[i])
@@ -496,13 +512,23 @@ pub fn scatter_invariants(s: &ScatterState, items: &[u32], fail: &[usize]) -> Re
         };
         match slot {
             None => return Err(format!("slot {i} missing")),
-            Some(v) if *v != expected => {
+            Some(v) if **v != expected => {
                 return Err(format!(
                     "slot {i}: got {v:?}, serial path gives {expected:?}"
                 ))
             }
-            _ => {}
+            Some(v) => {
+                let entries = v.as_ref().map_or(1, Vec::len);
+                replayed_from.extend(std::iter::repeat_n(i, entries));
+            }
         }
+    }
+    // Outputs of item i are contiguous and precede item i + 1's.
+    if let Some(w) = replayed_from.windows(2).find(|w| w[0] > w[1]) {
+        return Err(format!(
+            "item {}'s output replayed after item {}'s",
+            w[1], w[0]
+        ));
     }
     Ok(())
 }
@@ -1140,9 +1166,10 @@ pub fn run_all() -> Vec<Scenario> {
         });
     }
 
-    // Scatter reassembly: 2 and 3 workers over 4 jobs; output must be
-    // byte-identical to the serial map under every completion order.
-    let items = [10u32, 20, 30, 40];
+    // Scatter reassembly: 2 and 3 workers over 4 one-output jobs;
+    // output must be byte-identical to the serial map under every
+    // completion order.
+    let items = [11u32, 21, 31, 41];
     for workers in [2usize, 3] {
         let state = ScatterState::new(&items);
         let threads: Vec<WorkerThread> = (0..workers).map(|_| WorkerThread::new(None)).collect();
@@ -1167,6 +1194,37 @@ pub fn run_all() -> Vec<Scenario> {
         });
         out.push(Scenario {
             name: "scatter/error-in-position",
+            outcome,
+        });
+    }
+
+    // Flat-map reassembly (SUBQUERY bodies): items that fan out to no,
+    // one and three outputs, on 2 and 3 workers — every item's outputs
+    // replay contiguously, in input order.
+    let uneven = [30u32, 11, 23];
+    for workers in [2usize, 3] {
+        let state = ScatterState::new(&uneven);
+        let threads: Vec<WorkerThread> = (0..workers).map(|_| WorkerThread::new(None)).collect();
+        let outcome = explore(&state, &threads, &|s, _| scatter_invariants(s, &uneven, &[]));
+        out.push(Scenario {
+            name: if workers == 2 {
+                "scatter/flat-map-uneven-2w"
+            } else {
+                "scatter/flat-map-uneven-3w"
+            },
+            outcome,
+        });
+    }
+
+    // A failed item mid-batch: its error stands where its outputs
+    // would have, between its neighbours' outputs.
+    {
+        let items = [12u32, 23, 30, 11];
+        let state = ScatterState::new(&items);
+        let threads = vec![WorkerThread::new(Some(1)), WorkerThread::new(Some(1))];
+        let outcome = explore(&state, &threads, &|s, _| scatter_invariants(s, &items, &[1]));
+        out.push(Scenario {
+            name: "scatter/flat-map-failed-item",
             outcome,
         });
     }
@@ -1476,6 +1534,31 @@ mod tests {
             total >= 100,
             "only {total} schedules explored across the harness"
         );
+    }
+
+    #[test]
+    fn scatter_invariants_catch_misplaced_outputs() {
+        let items = [30u32, 11, 23];
+        let mut s = ScatterState::new(&items);
+        s.queue.clear();
+        // Completion order is free …
+        s.results = vec![
+            (2, Ok(kernel(23))),
+            (0, Ok(kernel(30))),
+            (1, Ok(kernel(11))),
+        ];
+        assert_eq!(scatter_invariants(&s, &items, &[]), Ok(()));
+        // … but an item's outputs filed under its neighbour's index
+        // would replay out of input order.
+        s.results = vec![
+            (0, Ok(kernel(30))),
+            (2, Ok(kernel(11))),
+            (1, Ok(kernel(23))),
+        ];
+        assert!(scatter_invariants(&s, &items, &[]).is_err());
+        // An error must stand in its own item's place.
+        s.results = vec![(0, Ok(kernel(30))), (1, Ok(kernel(11))), (2, Err(23))];
+        assert!(scatter_invariants(&s, &items, &[1]).is_err());
     }
 
     #[test]

@@ -253,14 +253,7 @@ impl Catalog {
                     )));
                 }
                 validate_name(&name)?;
-                let mut versions = self.versions.write();
-                let e = versions.entry(name.clone()).or_default();
-                if !e.contains(&version) {
-                    e.push(version);
-                    e.sort_unstable();
-                }
-                drop(versions);
-                self.overlay.write().insert((name, version), Arc::new(file));
+                self.make_visible(&name, version, file);
                 Ok(())
             }
             WalOp::Drop { name } => {
@@ -520,20 +513,29 @@ impl Catalog {
             })
             .map_err(StorageError::Io)?;
             // Committed. Make it visible before the ack returns.
-            let mut versions = self.versions.write();
-            let e = versions.entry(name.to_string()).or_default();
-            if !e.contains(&version) {
-                e.push(version);
-                e.sort_unstable();
-            }
-            drop(versions);
-            self.overlay.write().insert((name.to_string(), version), Arc::new(file));
+            self.make_visible(name, version, file);
         }
         if self.checkpoint_bytes > 0 && wal.log_bytes() >= self.checkpoint_bytes {
             // Also best-effort: the WAL still holds everything.
             let _ = self.checkpoint();
         }
         Ok(())
+    }
+
+    /// Makes a WAL-committed version readable: its metadata goes into
+    /// the overlay *before* its number joins the version list. An
+    /// unversioned read resolves "latest" from the list and then looks
+    /// the metadata up, so the other order lets it fall between the
+    /// two and go looking for a metadata file no checkpoint has
+    /// written yet.
+    fn make_visible(&self, name: &str, version: u64, file: MetadataFile) {
+        self.overlay.write().insert((name.to_string(), version), Arc::new(file));
+        let mut versions = self.versions.write();
+        let e = versions.entry(name.to_string()).or_default();
+        if !e.contains(&version) {
+            e.push(version);
+            e.sort_unstable();
+        }
     }
 
     /// Durably materialises every overlay version (crash-consistent
@@ -910,6 +912,48 @@ mod tests {
         let cat2 = Catalog::open(&root).unwrap();
         assert_eq!(cat2.all_versions("demo").unwrap(), vec![1, 2, 3]);
         assert!(cat2.overlay.read().is_empty());
+        fs::remove_dir_all(root).unwrap();
+    }
+
+    /// PR 11 finding 1: an unversioned read beside a busy publisher
+    /// must never fall between "version listed" and "metadata
+    /// reachable". Every resolution of "latest" reads a fully-formed
+    /// version, versions only move forward, and the small checkpoint
+    /// threshold also moves versions from overlay to disk under the
+    /// reader's feet.
+    #[test]
+    fn latest_resolves_beside_a_busy_publisher() {
+        const PUBLISHES: u64 = 5_000;
+        let root = temp_root("latestrace");
+        let opts = CatalogOptions {
+            durability: Durability::Wal {
+                group_window: Duration::ZERO,
+                segment_bytes: 8 << 20,
+                checkpoint_bytes: 64 << 10,
+            },
+        };
+        let cat = Catalog::open_with(&root, opts).unwrap();
+        cat.store("demo", vec![], empty_tlfd()).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let (mut reads, mut last) = (0u64, 0u64);
+                while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                    let stored = cat.read("demo", None).expect("latest must always resolve");
+                    assert_eq!(stored.metadata.version, stored.version, "half-formed version");
+                    assert!(stored.version >= last, "latest went backwards");
+                    last = stored.version;
+                    reads += 1;
+                }
+                reads
+            });
+            for _ in 0..PUBLISHES {
+                cat.store("demo", vec![], empty_tlfd()).unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+            assert!(reader.join().unwrap() > 0);
+        });
+        assert_eq!(cat.read("demo", None).unwrap().version, PUBLISHES + 1);
         fs::remove_dir_all(root).unwrap();
     }
 

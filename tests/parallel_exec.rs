@@ -1,11 +1,21 @@
 //! Parallel-execution integration tests: determinism across thread
 //! counts, the engine-level knob, wall-vs-busy metrics under overlap,
-//! and buffer-pool accounting invariants under concurrent scans.
+//! buffer-pool accounting invariants under concurrent scans, and the
+//! chunk-parallel `SUBQUERY` (overlap, error position, aborts, the
+//! nesting rule).
 
 use lightdb::prelude::*;
+use lightdb_apps::predictor::is_important;
+use lightdb_exec::ExecError;
+use lightdb_geom::Point6;
+use std::collections::{BTreeSet, HashSet};
+use std::f64::consts::PI;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 fn temp_root(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("lightdb-par-{tag}-{}", std::process::id()));
@@ -14,11 +24,15 @@ fn temp_root(tag: &str) -> PathBuf {
 }
 
 fn seed(db: &LightDb, name: &str, gops: usize, gop_length: usize) {
+    seed_sized(db, name, gops, gop_length, 64, 32);
+}
+
+fn seed_sized(db: &LightDb, name: &str, gops: usize, gop_length: usize, w: usize, h: usize) {
     let frames: Vec<Frame> = (0..gops * gop_length)
         .map(|i| {
-            let mut f = Frame::new(64, 32);
-            for y in 0..32 {
-                for x in 0..64 {
+            let mut f = Frame::new(w, h);
+            for y in 0..h {
+                for x in 0..w {
                     f.set(x, y, Yuv::new(((x * 5 + y * 3 + i * 11) % 256) as u8, 128, 128));
                 }
             }
@@ -168,5 +182,348 @@ fn pool_accounting_invariant_under_concurrent_scans() {
     );
     assert!(stats.hits + stats.misses >= 6 * 4 * 5_u64);
     assert!(stats.loads <= stats.misses, "single-flight: loads never exceed misses");
+    let _ = fs::remove_dir_all(&root);
+}
+
+// ---------------------------------------------------------------- SUBQUERY
+
+/// `PARTITION` into a `cols × rows` tile grid per GOP.
+fn tiles(cols: usize, rows: usize) -> Partition {
+    Partition::along(Dimension::T, 1.0)
+        .and(Dimension::Theta, 2.0 * PI / cols as f64)
+        .and(Dimension::Phi, PI / rows as f64)
+}
+
+/// Splits one partition's own volume into `2 × 2` sub-partitions.
+fn quarters(partition: &Volume) -> Partition {
+    Partition::along(Dimension::Theta, partition.theta().length() / 2.0)
+        .and(Dimension::Phi, partition.phi().length() / 2.0)
+}
+
+/// The first video track's stored bytes.
+fn stored_bytes(db: &LightDb, name: &str) -> Vec<u8> {
+    let stored = db.catalog().read(name, None).unwrap();
+    stored.media().read_stream(&stored.metadata.tracks[0].media_path).unwrap().to_bytes()
+}
+
+fn exec_err(err: lightdb::Error) -> ExecError {
+    match err {
+        lightdb::Error::Exec(e) => e,
+        other => panic!("expected an exec error, got: {other}"),
+    }
+}
+
+/// (a) The Fig 11a predictive-tiling query — 4×4 tiles, the predicted
+/// tile at one quality and the rest at another, stitched and stored —
+/// stores the same bytes at every thread count as it does serially.
+#[test]
+fn tiling_store_is_byte_identical_across_thread_counts() {
+    let root = temp_root("tiling");
+    let mut db = LightDb::open(&root).unwrap();
+    seed_sized(&db, "vid", 2, 4, 128, 64);
+    let tiling = |out: &str| {
+        scan("vid")
+            >> tiles(4, 4)
+            >> Subquery::new("adaptive-quality", |partition, tile| {
+                let quality =
+                    if is_important(partition, 4, 4) { Quality::Medium } else { Quality::Low };
+                tile >> Encode::quality(CodecKind::HevcSim, quality)
+            })
+            >> Store::named(out)
+    };
+    db.set_parallelism(Parallelism::SERIAL);
+    db.execute(&tiling("serial")).unwrap();
+    let reference = stored_bytes(&db, "serial");
+    for threads in [1usize, 2, 4, 8] {
+        db.set_parallelism(Parallelism::new(threads));
+        let out = format!("tiled{threads}");
+        db.execute(&tiling(&out)).unwrap();
+        assert!(
+            stored_bytes(&db, &out) == reference,
+            "{threads}-thread tiling stored different bytes than the serial run"
+        );
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A point-map UDF that watches which threads evaluate it. With a
+/// `rendezvous` it is also a bounded two-party barrier: the first
+/// thread to enter waits inside `eval` until a second, different
+/// thread enters too, or the bound runs out.
+struct ThreadProbe {
+    rendezvous: Option<Duration>,
+    seen: Mutex<HashSet<ThreadId>>,
+    arrived: Condvar,
+    met: AtomicBool,
+    timed_out: AtomicBool,
+    inside: AtomicUsize,
+    max_inside: AtomicUsize,
+}
+
+impl ThreadProbe {
+    fn new(rendezvous: Option<Duration>) -> Arc<ThreadProbe> {
+        Arc::new(ThreadProbe {
+            rendezvous,
+            seen: Mutex::new(HashSet::new()),
+            arrived: Condvar::new(),
+            met: AtomicBool::new(false),
+            timed_out: AtomicBool::new(false),
+            inside: AtomicUsize::new(0),
+            max_inside: AtomicUsize::new(0),
+        })
+    }
+
+    fn threads_seen(&self) -> usize {
+        self.seen.lock().unwrap().len()
+    }
+}
+
+impl PointMapUdf for ThreadProbe {
+    fn name(&self) -> &str {
+        "thread-probe"
+    }
+
+    fn eval(&self, _p: &Point6, current: Yuv) -> Yuv {
+        let now_inside = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
+        self.max_inside.fetch_max(now_inside, Ordering::SeqCst);
+        let mut seen = self.seen.lock().unwrap();
+        seen.insert(std::thread::current().id());
+        if let Some(bound) = self.rendezvous {
+            if seen.len() >= 2 {
+                self.met.store(true, Ordering::SeqCst);
+                self.arrived.notify_all();
+            } else if !self.timed_out.load(Ordering::SeqCst) {
+                let (guard, wait) = self
+                    .arrived
+                    .wait_timeout_while(seen, bound, |_| !self.met.load(Ordering::SeqCst))
+                    .unwrap();
+                seen = guard;
+                if wait.timed_out() {
+                    self.timed_out.store(true, Ordering::SeqCst);
+                }
+            }
+        }
+        drop(seen);
+        self.inside.fetch_sub(1, Ordering::SeqCst);
+        current
+    }
+}
+
+/// (b) Proof of overlap that does not depend on timing: each body runs
+/// a MAP that will not return until a second thread is inside the same
+/// UDF. Inside a body the MAP sees a one-chunk stream and stays on the
+/// body's thread, so two threads in the UDF are two bodies in flight.
+/// With two workers the partitions meet; serially nobody ever comes.
+#[test]
+fn subquery_bodies_overlap_on_the_worker_set() {
+    let root = temp_root("overlap");
+    let mut db = LightDb::open(&root).unwrap();
+    seed(&db, "vid", 1, 2);
+    let run = |db: &LightDb, probe: &Arc<ThreadProbe>| {
+        let probe = probe.clone();
+        let q = scan("vid")
+            >> tiles(2, 2)
+            >> Subquery::new("meet", move |_, tile| tile >> Map::point_udf(probe.clone()));
+        db.execute(&q).unwrap().into_frame_parts().unwrap()
+    };
+    db.set_parallelism(Parallelism::SERIAL);
+    let lonely = ThreadProbe::new(Some(Duration::from_millis(100)));
+    let serial = run(&db, &lonely);
+    assert!(lonely.timed_out.load(Ordering::SeqCst), "a serial run has one thread");
+    assert_eq!(lonely.threads_seen(), 1);
+
+    for threads in [2usize, 8] {
+        db.set_parallelism(Parallelism::new(threads));
+        let probe = ThreadProbe::new(Some(Duration::from_secs(30)));
+        let parallel = run(&db, &probe);
+        assert!(
+            probe.met.load(Ordering::SeqCst) && !probe.timed_out.load(Ordering::SeqCst),
+            "{threads} threads: no two SUBQUERY bodies were ever in flight together"
+        );
+        assert_eq!(serial, parallel, "{threads}-thread output diverged from serial");
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Records which tiles of a `cols × rows` grid reach it.
+struct TileRecorder {
+    cols: usize,
+    rows: usize,
+    tiles: Mutex<BTreeSet<usize>>,
+}
+
+impl PointMapUdf for TileRecorder {
+    fn name(&self) -> &str {
+        "tile-recorder"
+    }
+
+    fn eval(&self, p: &Point6, current: Yuv) -> Yuv {
+        let col = (p.theta.radians() / (2.0 * PI) * self.cols as f64) as usize;
+        let row = (p.phi.radians() / PI * self.rows as f64) as usize;
+        self.tiles.lock().unwrap().insert(row * self.cols + col);
+        current
+    }
+}
+
+/// (c) A body that fails on the k-th partition: the consumer sees the
+/// k−1 partitions before it, then the error, and nothing after — the
+/// same prefix at every thread count, although the parallel run had
+/// already finished later partitions of the failing batch.
+#[test]
+fn failing_body_yields_the_serial_prefix_then_the_error() {
+    let root = temp_root("bodyerr");
+    let mut db = LightDb::open(&root).unwrap();
+    seed(&db, "vid", 1, 2);
+    const FAILING: usize = 5; // row 1, col 1 of the 4×4 grid
+    for threads in [1usize, 2, 4, 8] {
+        db.set_parallelism(Parallelism::new(threads));
+        let downstream =
+            Arc::new(TileRecorder { cols: 4, rows: 4, tiles: Mutex::new(BTreeSet::new()) });
+        let q = scan("vid")
+            >> tiles(4, 4)
+            >> Subquery::new("fails-on-6th", |partition, tile| {
+                let col = (partition.theta().lo() / (2.0 * PI) * 4.0).round() as usize;
+                let row = (partition.phi().lo() / PI * 4.0).round() as usize;
+                if row * 4 + col == FAILING {
+                    // Finer than the chunk's duration: PARTITION refuses.
+                    tile >> Partition::along(Dimension::T, 1e-3)
+                } else {
+                    tile >> Map::builtin(BuiltinMap::Identity)
+                }
+            })
+            >> Map::point_udf(downstream.clone());
+        let err = exec_err(db.execute(&q).unwrap_err());
+        assert!(matches!(err, ExecError::Domain(_)), "{threads} threads: {err}");
+        let reached: Vec<usize> = downstream.tiles.lock().unwrap().iter().copied().collect();
+        assert_eq!(
+            reached,
+            (0..FAILING).collect::<Vec<_>>(),
+            "{threads} threads: wrong prefix ahead of the failing partition"
+        );
+        assert_eq!(db.metrics().open_spans(), 0);
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Runs `trigger` once, from inside the first body to reach it.
+struct AbortMidBody {
+    trigger: Box<dyn Fn() + Send + Sync>,
+    fired: AtomicBool,
+}
+
+impl PointMapUdf for AbortMidBody {
+    fn name(&self) -> &str {
+        "abort-mid-body"
+    }
+
+    fn eval(&self, _p: &Point6, current: Yuv) -> Yuv {
+        if !self.fired.swap(true, Ordering::SeqCst) {
+            (self.trigger)();
+        }
+        current
+    }
+}
+
+/// (d) A cancel and a deadline that land while a batch of bodies is in
+/// flight: the query ends with the matching error, every span opened
+/// on the workers is closed, and the admission reservation is back.
+#[test]
+fn aborts_mid_batch_leave_no_spans_and_no_admitted_bytes() {
+    let root = temp_root("midbatch");
+    let mut db = LightDb::open(&root).unwrap();
+    seed(&db, "vid", 2, 2);
+    let query = |udf: Arc<AbortMidBody>| {
+        scan("vid")
+            >> tiles(4, 4)
+            >> Subquery::new("aborted", move |_, tile| {
+                tile >> Map::point_udf(udf.clone()) >> Encode::with(CodecKind::HevcSim)
+            })
+    };
+    for threads in [1usize, 2, 8] {
+        db.set_parallelism(Parallelism::new(threads));
+
+        let ctx = QueryCtx::unbounded().with_mem_estimate(1 << 20);
+        let token = ctx.cancel_token();
+        let cancel = Arc::new(AbortMidBody {
+            trigger: Box::new(move || token.cancel()),
+            fired: AtomicBool::new(false),
+        });
+        let err = exec_err(db.execute_with_ctx(&query(cancel), ctx).unwrap_err());
+        assert!(matches!(err, ExecError::Cancelled), "{threads} threads: {err}");
+        assert_eq!(db.metrics().open_spans(), 0, "{threads} threads: cancel leaked a span");
+        assert_eq!(db.pool().admitted(), 0, "{threads} threads: cancel leaked admission");
+
+        let ctx = QueryCtx::unbounded()
+            .with_deadline(Duration::from_millis(250))
+            .with_mem_estimate(1 << 20);
+        let expiring = ctx.clone();
+        let outlive = Arc::new(AbortMidBody {
+            // Holds the body until the deadline has passed (bounded).
+            trigger: Box::new(move || {
+                let give_up = Instant::now() + Duration::from_secs(30);
+                while expiring.check().is_ok() && Instant::now() < give_up {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }),
+            fired: AtomicBool::new(false),
+        });
+        let err = exec_err(db.execute_with_ctx(&query(outlive), ctx).unwrap_err());
+        assert!(matches!(err, ExecError::DeadlineExceeded), "{threads} threads: {err}");
+        assert_eq!(db.metrics().open_spans(), 0, "{threads} threads: deadline leaked a span");
+        assert_eq!(db.pool().admitted(), 0, "{threads} threads: deadline leaked admission");
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// (e) The nesting rule: a body that itself re-partitions (and so has
+/// chunk-parallel work of its own) runs serially when the SUBQUERY
+/// already fans out. Four partitions are one batch at two threads, so
+/// every evaluation happens on the batch's two workers: unbounded
+/// nesting would add two more threads per body.
+#[test]
+fn nested_fan_out_stays_within_the_thread_budget() {
+    let root = temp_root("nesting");
+    let mut db = LightDb::open(&root).unwrap();
+    seed(&db, "vid", 1, 2);
+    let threads = 2;
+    db.set_parallelism(Parallelism::new(threads));
+    let probe = ThreadProbe::new(None);
+    let udf = probe.clone();
+    let q = scan("vid")
+        >> tiles(2, 2)
+        >> Subquery::new("re-partitions", move |partition, tile| {
+            tile >> quarters(partition) >> Map::point_udf(udf.clone())
+        });
+    db.execute(&q).unwrap();
+    assert!(probe.max_inside.load(Ordering::SeqCst) <= threads);
+    assert!(
+        probe.threads_seen() <= threads,
+        "{} threads ran bodies under a budget of {threads}",
+        probe.threads_seen()
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// (f) A SUBQUERY over a single partition has nothing to fan out, so
+/// its body keeps the session's whole budget: the body's own four
+/// sub-partitions meet on two workers.
+#[test]
+fn one_partition_subquery_keeps_inner_parallelism() {
+    let root = temp_root("onepart");
+    let mut db = LightDb::open(&root).unwrap();
+    seed(&db, "vid", 1, 2);
+    db.set_parallelism(Parallelism::new(2));
+    let probe = ThreadProbe::new(Some(Duration::from_secs(30)));
+    let udf = probe.clone();
+    let q = scan("vid")
+        >> tiles(1, 1)
+        >> Subquery::new("whole-frame", move |partition, tile| {
+            tile >> quarters(partition) >> Map::point_udf(udf.clone())
+        });
+    db.execute(&q).unwrap();
+    assert!(
+        probe.met.load(Ordering::SeqCst) && !probe.timed_out.load(Ordering::SeqCst),
+        "the lone body ran its sub-partitions on one thread"
+    );
     let _ = fs::remove_dir_all(&root);
 }

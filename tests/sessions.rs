@@ -15,6 +15,15 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 
+/// The chaos soak arms faults in the process-global registry, where
+/// every other test's queries would trip over them: the soak holds
+/// this exclusively, every other test shares it.
+static GLOBAL_FAULTS: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+fn no_global_faults() -> std::sync::RwLockReadGuard<'static, ()> {
+    GLOBAL_FAULTS.read().unwrap_or_else(|e| e.into_inner())
+}
+
 fn temp_root(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("lightdb-sess-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&d);
@@ -46,6 +55,7 @@ fn seed_tlf(db: &LightDb, name: &str, gops: usize, gop_length: usize) {
 /// parent handle's defaults.
 #[test]
 fn session_knobs_do_not_leak_across_sessions() {
+    let _quiet = no_global_faults();
     let root = temp_root("knobs");
     let db = LightDb::open(&root).unwrap();
     let default_threads = db.parallelism().threads();
@@ -74,6 +84,7 @@ fn session_knobs_do_not_leak_across_sessions() {
 /// byte-identical to a serial reference run.
 #[test]
 fn concurrent_divergent_sessions_match_serial_reference() {
+    let _quiet = no_global_faults();
     let root = temp_root("divergent");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 4, 4);
@@ -123,6 +134,7 @@ fn concurrent_divergent_sessions_match_serial_reference() {
 /// cache, counter-verified on the session's metrics.
 #[test]
 fn prepared_statements_hit_the_plan_cache() {
+    let _quiet = no_global_faults();
     let root = temp_root("plancache");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -154,6 +166,7 @@ fn prepared_statements_hit_the_plan_cache() {
 /// of serving stale plans.
 #[test]
 fn plan_cache_is_shared_and_version_safe() {
+    let _quiet = no_global_faults();
     let root = temp_root("cachever");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -208,6 +221,7 @@ fn plan_cache_is_shared_and_version_safe() {
 /// summed across sessions equal the GOP count, everything else is hits.
 #[test]
 fn shared_scans_decode_each_gop_exactly_once() {
+    let _quiet = no_global_faults();
     let root = temp_root("sharedscan");
     let db = LightDb::open(&root).unwrap();
     const GOPS: usize = 6;
@@ -254,6 +268,7 @@ fn shared_scans_decode_each_gop_exactly_once() {
 /// working sets pass through admission, and admissions release fully.
 #[test]
 fn session_budget_applies_and_admissions_release() {
+    let _quiet = no_global_faults();
     let root = temp_root("budget");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -295,6 +310,7 @@ fn session_budget_applies_and_admissions_release() {
 /// nothing may leak.
 #[test]
 fn concurrent_session_chaos_soak() {
+    let _exclusive = GLOBAL_FAULTS.write().unwrap_or_else(|e| e.into_inner());
     let root = temp_root("soak");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 8, 2);
