@@ -9,7 +9,12 @@
 //! * entropy coding: Exp-Golomb encode/decode, Mbit/s;
 //! * transform: 8×8 forward/inverse DCT, blocks/s;
 //! * motion estimation: 16×16 SAD, macroblocks/s;
-//! * end-to-end: whole-stream encode and decode, frames/s.
+//! * end-to-end: whole-stream encode and decode, frames/s;
+//! * the encoder's exact shortcuts against the block and search paths
+//!   they replaced (`lightdb-codec`'s test oracle, included below):
+//!   quantiser blocks/s, motion searches/s with SADs measured per
+//!   macroblock, and whole tile-GOP encodes the way `ENCODE` runs
+//!   them, with the encoder's own work counters.
 //!
 //! `--smoke` shrinks every measurement window so the binary finishes
 //! in well under a second while still executing every kernel pair and
@@ -18,10 +23,22 @@
 
 use lightdb_codec::bitio::reference::{RefBitReader, RefBitWriter};
 use lightdb_codec::bitio::{BitReader, BitWriter};
-use lightdb_codec::{golomb, predict, transform, Decoder, Encoder, EncoderConfig, TileGrid};
-use lightdb_frame::{Frame, Yuv};
+use lightdb_codec::encoder::encode_gop_frame;
+use lightdb_codec::scratch::{EncoderScratch, EncoderWork};
+use lightdb_codec::{
+    golomb, predict, quant, transform, CodecKind, Decoder, Encoder, EncoderConfig, TileGrid,
+    TileRect,
+};
+use lightdb_datasets::{Dataset, DatasetSpec};
+use lightdb_frame::{Frame, PlaneKind, Yuv};
 use std::hint::black_box;
 use std::time::Instant;
+
+/// The encoder's pre-shortcut block and search paths, shared with
+/// `lightdb-codec`'s differential tests (the only other place they
+/// exist).
+#[path = "../../codec/tests/oracle/mod.rs"]
+mod oracle;
 
 /// Measures two competing passes by strictly alternating them inside
 /// one window until `target_secs` elapse; each call returns the
@@ -302,6 +319,222 @@ fn sad(target: f64, dim: usize) {
     }
 }
 
+/// Quantiser throughput on two populations: the transform
+/// benchmark's coefficient blocks, and a mix where 85 % of blocks
+/// quantise to nothing — what the encoder sees (`encode.*` counters).
+fn quantize(target: f64, n: usize) {
+    let (qp, deadzone) = (24, true);
+    let bench_mix: Vec<[i32; 64]> = residual_blocks(n).iter().map(transform::forward).collect();
+    let zero_mix: Vec<[i32; 64]> = residual_blocks(n)
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            // 17 blocks in 20 keep only a faint trace of their residual.
+            let faint = i % 20 < 17;
+            transform::forward(&b.map(|r| if faint { r / 64 } else { r }))
+        })
+        .collect();
+    for (label, blocks, zero_share) in [
+        ("quant (kblk/s)", &bench_mix, 0),
+        ("quant 85%z (kblk/s)", &zero_mix, 85),
+    ] {
+        let mut all_zero = 0;
+        for b in blocks {
+            let (mut fast, mut refr) = (*b, *b);
+            let nnz = quant::quantize(&mut fast, qp, deadzone);
+            oracle::quantize(&mut refr, qp, deadzone);
+            assert_eq!(fast, refr, "fast and oracle quantisers diverge");
+            assert_eq!(nnz as usize, refr.iter().filter(|&&l| l != 0).count());
+            all_zero += (nnz == 0) as usize;
+        }
+        assert_eq!(
+            100 * all_zero / blocks.len(),
+            zero_share,
+            "{label}: mix drifted"
+        );
+        let units = blocks.len() as u64;
+        let (fast, refr) = rate2(
+            target,
+            || {
+                for b in blocks {
+                    let mut c = *black_box(b);
+                    black_box(quant::quantize(&mut c, qp, deadzone));
+                    black_box(c);
+                }
+                units
+            },
+            || {
+                for b in blocks {
+                    let mut c = *black_box(b);
+                    oracle::quantize(&mut c, qp, deadzone);
+                    black_box(c);
+                }
+                units
+            },
+        );
+        print_row(label, fast / 1e3, refr / 1e3);
+    }
+}
+
+/// What `ENCODE` is handed in the tiling query: the sixteen tiles of a
+/// 4×4 grid over frames that have been through the codec once already
+/// (the Venice scene at 512×256, encoded at qp 22, decoded). Sky tiles
+/// barely change and canal tiles never stop, so the sixteen together
+/// are the mix the query pays for.
+fn tile_frames(n: usize) -> Vec<Vec<Frame>> {
+    let spec = DatasetSpec {
+        width: 512,
+        height: 256,
+        fps: 30,
+        seconds: 1,
+        qp: 22,
+    };
+    let frames: Vec<Frame> = (0..n)
+        .map(|i| lightdb_datasets::frame(Dataset::Venice, &spec, i))
+        .collect();
+    let enc = Encoder::new(EncoderConfig {
+        qp: spec.qp,
+        gop_length: n,
+        ..Default::default()
+    })
+    .expect("valid config");
+    let stream = enc.encode(&frames).expect("encode");
+    let decoded = Decoder::new().decode(&stream).expect("decode");
+    (0..16)
+        .map(|t| {
+            let (x0, y0) = (t % 4 * 128, t / 4 * 64);
+            decoded.iter().map(|f| f.crop(x0, y0, 128, 64)).collect()
+        })
+        .collect()
+}
+
+/// Motion search over every macroblock of a tile against the previous
+/// frame: searches per second, and how many SADs each one measured.
+fn search(target: f64, range: i32) {
+    // A tile from the middle of the picture, where things move.
+    let frames = &tile_frames(2)[5];
+    let (w, h) = (frames[0].width(), frames[0].height());
+    let reference = frames[0].plane(PlaneKind::Luma);
+    let src = frames[1].plane(PlaneKind::Luma);
+    let rect = TileRect { x0: 0, y0: 0, w, h };
+    let mbs: Vec<(usize, usize)> = (0..h)
+        .step_by(16)
+        .flat_map(|y| (0..w).step_by(16).map(move |x| (x, y)))
+        .collect();
+
+    let mut sums = predict::BlockSums::default();
+    sums.rebuild(reference, w, h);
+    let mut work = EncoderWork::default();
+    let mut walked = 0;
+    for &(x, y) in &mbs {
+        let src_sum = predict::mb_sum(src, w, x, y);
+        let (mv, sad) = predict::motion_search(
+            src, reference, w, &rect, x, y, range, src_sum, &sums, &mut work,
+        );
+        let (omv, osad, n) = oracle::motion_search(src, reference, w, &rect, x, y, range);
+        assert_eq!((mv, sad), (omv, osad), "fast and oracle searches diverge");
+        walked += n;
+    }
+    let measured = work.mv_candidates - work.mv_eliminated;
+
+    let units = mbs.len() as u64;
+    let (fast, refr) = rate2(
+        target,
+        || {
+            // The table is per reference frame: rebuilt once a pass.
+            sums.rebuild(black_box(reference), w, h);
+            let mut work = EncoderWork::default();
+            for &(x, y) in &mbs {
+                let src_sum = predict::mb_sum(src, w, x, y);
+                black_box(predict::motion_search(
+                    src, reference, w, &rect, x, y, range, src_sum, &sums, &mut work,
+                ));
+            }
+            units
+        },
+        || {
+            for &(x, y) in &mbs {
+                black_box(oracle::motion_search(src, reference, w, &rect, x, y, range));
+            }
+            units
+        },
+    );
+    print_row(&format!("search r={range} (kMB/s)"), fast / 1e3, refr / 1e3);
+    print_row(
+        &format!("search r={range} (SADs/MB)"),
+        measured as f64 / units as f64,
+        walked as f64 / units as f64,
+    );
+}
+
+/// Tile GOPs the way `exec::frameops::encode_one_gop` encodes them
+/// (narrow search, one scratch reused throughout), against the
+/// oracle's block path; then where the encoder's blocks and
+/// candidates went.
+fn tile_gops(target: f64, tiles: &[Vec<Frame>], qp: u8) {
+    let (codec, range) = (CodecKind::HevcSim, 4);
+    let mut scratch = EncoderScratch::new();
+    let mut encode = move || {
+        let mut payloads = Vec::new();
+        for frames in tiles {
+            for (i, f) in frames.iter().enumerate() {
+                payloads.push(encode_gop_frame(f, i == 0, qp, codec, range, &mut scratch));
+            }
+        }
+        (payloads, std::mem::take(&mut scratch.work))
+    };
+    let encode_oracle = || {
+        let mut payloads = Vec::new();
+        for frames in tiles {
+            let mut reference: Option<Frame> = None;
+            for f in frames {
+                let (payload, recon) =
+                    oracle::encode_tile_opts(f, reference.as_ref(), qp, codec, range);
+                payloads.push(payload);
+                reference = Some(recon);
+            }
+        }
+        payloads
+    };
+    let (payloads, work) = encode();
+    assert_eq!(
+        payloads,
+        encode_oracle(),
+        "fast and oracle tile encodes diverge"
+    );
+
+    let units = tiles.len() as u64;
+    let (fast, refr) = rate2(
+        target,
+        || {
+            black_box(encode());
+            units
+        },
+        || {
+            black_box(encode_oracle());
+            units
+        },
+    );
+    print_row(&format!("tile GOP qp{qp} (GOPs/s)"), fast, refr);
+    let pct = |part: u64, whole: u64| format!("{:.1}%", 100.0 * part as f64 / whole.max(1) as f64);
+    crate::row(
+        &format!("  qp{qp} zero blocks"),
+        &[
+            pct(work.blocks_sad_gated + work.blocks_zero_quant, work.blocks),
+            pct(work.blocks_sad_gated, work.blocks),
+            "all/gated".into(),
+        ],
+    );
+    crate::row(
+        &format!("  qp{qp} candidates"),
+        &[
+            pct(work.mv_eliminated, work.mv_candidates),
+            work.zero_sad_exits.to_string(),
+            "elim/0-SAD".into(),
+        ],
+    );
+}
+
 /// The same deterministic moving scene the codec tests use.
 pub fn scene(w: usize, h: usize, n: usize) -> Vec<Frame> {
     (0..n)
@@ -379,6 +612,12 @@ pub fn print(smoke: bool) {
     } else {
         end_to_end(1.0, 256, 128, 12);
     }
+    quantize(target, if smoke { 64 } else { 512 });
+    search(target, 4);
+    search(target, 16);
+    let tiles = tile_frames(if smoke { 3 } else { 30 });
+    tile_gops(target, &tiles, 24);
+    tile_gops(target, &tiles, 45);
     println!("ok: all fast/reference cross-checks passed");
 }
 

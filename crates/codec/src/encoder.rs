@@ -19,9 +19,11 @@
 use crate::bitio::BitWriter;
 use crate::golomb::{write_se, write_ue};
 use crate::gop::{EncodedFrame, EncodedGop, FrameType};
-use crate::predict::{dc_predictor, extract_block, motion_search, store_block, MotionVector};
-use crate::quant::{dequantize, quantize, QP_MAX};
-use crate::scratch::EncoderScratch;
+use crate::predict::{
+    dc_predictor, extract_block, mb_sum, motion_search, store_block, BlockSums, MotionVector,
+};
+use crate::quant::{dequantize, quantize, zero_block_sad_bound, QP_MAX};
+use crate::scratch::{EncoderScratch, EncoderWork};
 use crate::stream::{CodecKind, SequenceHeader, VideoStream};
 use crate::tile::{TileGrid, TileRect};
 use crate::transform::{forward, inverse, ZIGZAG};
@@ -164,6 +166,8 @@ impl Encoder {
             spare,
             recon,
             bits,
+            ref_sums,
+            work,
         } = scratch;
         let mut encoded = Vec::with_capacity(frames.len());
         for (i, frame) in frames.iter().enumerate() {
@@ -190,6 +194,8 @@ impl Encoder {
                     self.config.codec.search_range(),
                     spare,
                     bits,
+                    ref_sums,
+                    work,
                 );
                 tiles.push(payload);
                 // The fresh reconstruction becomes tile t's reference.
@@ -241,15 +247,63 @@ pub fn encode_tile_opts(
         search_range,
         &mut recon,
         &mut bits,
+        &mut BlockSums::default(),
+        &mut EncoderWork::default(),
     );
     (payload, recon)
+}
+
+/// Encodes the next frame of a single-tile GOP whose prediction state
+/// lives in `scratch` — the execution layer's tile-granular
+/// re-encoding. A `key` frame reads no reference (so a reconstruction
+/// left by another GOP can never leak in); any other is predicted from
+/// the frame before, whose reconstruction `scratch.recon[0]` holds.
+/// This frame's reconstruction replaces it, and `scratch.work` is
+/// added to, never reset.
+pub fn encode_gop_frame(
+    src: &Frame,
+    key: bool,
+    qp: u8,
+    codec: CodecKind,
+    search_range: i32,
+    scratch: &mut EncoderScratch,
+) -> Vec<u8> {
+    let EncoderScratch {
+        spare,
+        recon,
+        bits,
+        ref_sums,
+        work,
+        ..
+    } = scratch;
+    let reference = if key { None } else { recon.first() };
+    let payload = encode_tile_opts_into(
+        src,
+        reference,
+        qp,
+        codec,
+        search_range,
+        spare,
+        bits,
+        ref_sums,
+        work,
+    );
+    if recon.is_empty() {
+        recon.push(std::mem::replace(spare, Frame::empty()));
+    } else {
+        std::mem::swap(&mut recon[0], spare);
+    }
+    payload
 }
 
 /// Allocation-reusing form of [`encode_tile_opts`]: the reconstruction
 /// is built in `recon` (reshaped as needed) and the entropy bits in
 /// `bits` (cleared first); both keep their backing storage for the
-/// next call. Only the returned payload is freshly allocated.
-pub fn encode_tile_opts_into(
+/// next call, as does `ref_sums` (rebuilt here from `reference`). Only
+/// the returned payload is freshly allocated. `work` is added to,
+/// never reset.
+#[allow(clippy::too_many_arguments)]
+fn encode_tile_opts_into(
     src: &Frame,
     reference: Option<&Frame>,
     qp: u8,
@@ -257,6 +311,8 @@ pub fn encode_tile_opts_into(
     search_range: i32,
     recon: &mut Frame,
     bits: &mut BitWriter,
+    ref_sums: &mut BlockSums,
+    work: &mut EncoderWork,
 ) -> Vec<u8> {
     let (w, h) = (src.width(), src.height());
     debug_assert!(w % MB_SIZE == 0 && h % MB_SIZE == 0);
@@ -266,6 +322,9 @@ pub fn encode_tile_opts_into(
     recon.reshape(w, h);
     bits.clear();
     let deadzone = codec.deadzone();
+    if let Some(refer) = reference {
+        ref_sums.rebuild(refer.plane(PlaneKind::Luma), w, h);
+    }
 
     let (mb_cols, mb_rows) = (w / MB_SIZE, h / MB_SIZE);
     // lint: hot-loop — zero allocations per macroblock (PR 3 contract;
@@ -277,17 +336,22 @@ pub fn encode_tile_opts_into(
             let mode = match reference {
                 None => MbMode::Intra,
                 Some(refer) => {
+                    let luma = src.plane(PlaneKind::Luma);
+                    let src_sum = mb_sum(luma, w, mbx, mby);
                     let (mv, sad) = motion_search(
-                        src.plane(PlaneKind::Luma),
+                        luma,
                         refer.plane(PlaneKind::Luma),
                         w,
                         &rect,
                         mbx,
                         mby,
                         search_range,
+                        src_sum,
+                        ref_sums,
+                        work,
                     );
                     // Intra cost estimate: SAD against the macroblock mean.
-                    let intra_cost = intra_cost_estimate(src, mbx, mby);
+                    let intra_cost = intra_cost_estimate(luma, w, mbx, mby, src_sum);
                     let mv_overhead = 2 * (mv.dx.unsigned_abs() + mv.dy.unsigned_abs()) + 16;
                     if sad + mv_overhead < intra_cost {
                         MbMode::Inter(mv)
@@ -307,7 +371,7 @@ pub fn encode_tile_opts_into(
                 }
             }
             encode_macroblock(
-                src, reference, recon, &rect, mbx, mby, &mode, qp, deadzone, bits,
+                src, reference, recon, &rect, mbx, mby, &mode, qp, deadzone, bits, work,
             );
         }
     }
@@ -325,16 +389,9 @@ enum MbMode {
     Inter(MotionVector),
 }
 
-fn intra_cost_estimate(src: &Frame, mbx: usize, mby: usize) -> u32 {
-    let plane = src.plane(PlaneKind::Luma);
-    let w = src.width();
-    let mut sum = 0u32;
-    for row in 0..MB_SIZE {
-        let base = (mby + row) * w + mbx;
-        for col in 0..MB_SIZE {
-            sum += plane[base + col] as u32;
-        }
-    }
+/// SAD of the luma macroblock against its own mean; `sum` is its
+/// [`mb_sum`], which the motion search needed first.
+fn intra_cost_estimate(plane: &[u8], w: usize, mbx: usize, mby: usize, sum: u32) -> u32 {
     let mean = (sum / (MB_SIZE * MB_SIZE) as u32) as i32;
     let mut sad = 0u32;
     for row in 0..MB_SIZE {
@@ -358,6 +415,7 @@ fn encode_macroblock(
     qp: u8,
     deadzone: bool,
     bits: &mut BitWriter,
+    work: &mut EncoderWork,
 ) {
     let w = src.width();
     // Four luma 8×8 blocks in 2×2 raster order.
@@ -379,6 +437,7 @@ fn encode_macroblock(
                 qp,
                 deadzone,
                 bits,
+                work,
             );
         }
     }
@@ -404,12 +463,19 @@ fn encode_macroblock(
             qp,
             deadzone,
             bits,
+            work,
         );
     }
 }
 
 /// Encodes one 8×8 block of one plane: prediction, transform,
 /// quantisation, entropy coding, and reconstruction.
+///
+/// Most blocks quantise to all-zero levels, which the decoder
+/// reconstructs as the prediction itself (`dequantize` and `inverse`
+/// map 0 to 0). Those leave here with the uncoded flag and a copy of
+/// `pred` — without a transform either, when the residual is small
+/// enough for [`zero_block_sad_bound`] to prove the outcome.
 #[allow(clippy::too_many_arguments)]
 fn encode_block(
     src_plane: &[u8],
@@ -425,6 +491,7 @@ fn encode_block(
     qp: u8,
     deadzone: bool,
     bits: &mut BitWriter,
+    work: &mut EncoderWork,
 ) {
     let src_block: [i32; 64] = extract_block(src_plane, stride, x, y);
     // Build the prediction.
@@ -443,13 +510,28 @@ fn encode_block(
         }
     };
     let mut residual = [0i32; 64];
+    let mut sad = 0u32;
     for i in 0..64 {
         residual[i] = src_block[i] - pred[i];
+        sad += residual[i].unsigned_abs();
     }
-    let mut coeffs = forward(&residual);
-    quantize(&mut coeffs, qp, deadzone);
-
-    write_coeff_block(bits, &coeffs);
+    work.blocks += 1;
+    let mut coeffs = [0i32; 64];
+    let nnz = if sad < zero_block_sad_bound(qp, deadzone) {
+        work.blocks_sad_gated += 1;
+        0
+    } else {
+        coeffs = forward(&residual);
+        let nnz = quantize(&mut coeffs, qp, deadzone);
+        work.blocks_zero_quant += (nnz == 0) as u64;
+        nnz
+    };
+    if nnz == 0 {
+        bits.write_bit(false);
+        store_block(recon.plane_mut(plane_kind), stride, x, y, &pred);
+        return;
+    }
+    write_coeff_block(bits, &coeffs, nnz);
 
     // Reconstruct exactly as the decoder will.
     let mut levels = coeffs;
@@ -462,17 +544,14 @@ fn encode_block(
     store_block(recon.plane_mut(plane_kind), stride, x, y, &rec);
 }
 
-/// Writes one quantised coefficient block: a coded flag, the nonzero
-/// count, then zig-zag `(run, level)` pairs.
-fn write_coeff_block(bits: &mut BitWriter, coeffs: &[i32; 64]) {
-    let nnz = coeffs.iter().filter(|&&c| c != 0).count() as u32;
-    if nnz == 0 {
-        bits.write_bit(false);
-        return;
-    }
+/// Writes one quantised coefficient block with `nnz > 0` nonzero
+/// levels: the coded flag, the count, then zig-zag `(run, level)`
+/// pairs, stopping at the last nonzero level.
+fn write_coeff_block(bits: &mut BitWriter, coeffs: &[i32; 64], nnz: u32) {
     bits.write_bit(true);
     write_ue(bits, nnz - 1);
     let mut run = 0u32;
+    let mut left = nnz;
     for &idx in ZIGZAG.iter() {
         let c = coeffs[idx];
         if c == 0 {
@@ -481,6 +560,10 @@ fn write_coeff_block(bits: &mut BitWriter, coeffs: &[i32; 64]) {
             write_ue(bits, run);
             write_se(bits, c);
             run = 0;
+            left -= 1;
+            if left == 0 {
+                break;
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Prediction: intra DC predictors and motion estimation /
 //! compensation, both constrained to tile boundaries.
 
+use crate::scratch::EncoderWork;
 use crate::tile::TileRect;
 use crate::{BLOCK_SIZE, MB_SIZE};
 
@@ -175,16 +176,103 @@ pub struct MotionVector {
     pub dy: i32,
 }
 
+/// Sum of the `MB_SIZE²` luma block at `(x, y)`.
+pub fn mb_sum(plane: &[u8], stride: usize, x: usize, y: usize) -> u32 {
+    (0..MB_SIZE)
+        .map(|row| {
+            let base = (y + row) * stride + x;
+            plane[base..base + MB_SIZE]
+                .iter()
+                .map(|&p| p as u32)
+                .sum::<u32>()
+        })
+        .sum()
+}
+
+/// [`mb_sum`] of a plane at every position a macroblock fits, built by
+/// sliding windows (four adds per sample) into buffers that are reused
+/// from one reference frame to the next. `u16` holds any sum:
+/// `256·255 < 2^16`.
+#[derive(Debug, Default)]
+pub struct BlockSums {
+    /// Positions per row, `width − 15`.
+    cols: usize,
+    sums: Vec<u16>,
+    /// Sixteen-row column sums for the row of positions being built.
+    column: Vec<u16>,
+}
+
+impl BlockSums {
+    /// Recomputes the table for a `width × height` plane.
+    pub fn rebuild(&mut self, plane: &[u8], width: usize, height: usize) {
+        self.cols = width.saturating_sub(MB_SIZE - 1);
+        let rows = height.saturating_sub(MB_SIZE - 1);
+        self.sums.resize(self.cols * rows, 0); // every entry is overwritten below
+        self.column.clear();
+        self.column.resize(width, 0);
+        if self.sums.is_empty() {
+            return;
+        }
+        // lint: hot-loop — once per reference frame, inside the per-tile encode
+        for row in plane[..(MB_SIZE - 1) * width].chunks_exact(width) {
+            for (c, &p) in self.column.iter_mut().zip(row) {
+                *c += p as u16;
+            }
+        }
+        for (y, out) in self.sums.chunks_exact_mut(self.cols).enumerate() {
+            // Slide the column window down: row y+15 enters, y−1 leaves.
+            let enter = &plane[(y + MB_SIZE - 1) * width..][..width];
+            for (c, &p) in self.column.iter_mut().zip(enter) {
+                *c += p as u16;
+            }
+            if y > 0 {
+                let leave = &plane[(y - 1) * width..][..width];
+                for (c, &p) in self.column.iter_mut().zip(leave) {
+                    *c -= p as u16;
+                }
+            }
+            // Slide the 16-column window right.
+            let mut sum: u32 = self.column[..MB_SIZE].iter().map(|&c| c as u32).sum();
+            out[0] = sum as u16;
+            let (leave, enter) = (&self.column, &self.column[MB_SIZE..]);
+            for ((o, &l), &e) in out[1..].iter_mut().zip(leave).zip(enter) {
+                sum = sum + e as u32 - l as u32;
+                *o = sum as u16;
+            }
+        }
+        // lint: end-hot-loop
+    }
+
+    /// The block sum at `(x, y)`.
+    #[inline]
+    pub fn at(&self, x: usize, y: usize) -> u32 {
+        self.sums[y * self.cols + x] as u32
+    }
+}
+
 /// Full-pel motion search for the macroblock at `(mbx, mby)` (pixel
-/// coordinates) against the reconstructed reference plane.
+/// coordinates) against the reconstructed reference plane, whose
+/// block sums are `ref_sums`; `src_sum` is the macroblock's own
+/// [`mb_sum`].
 ///
 /// The search window is clamped so the referenced block lies entirely
 /// within `rect` — the motion-constrained-tile-set guarantee that
 /// makes tiles independently decodable.
 ///
-/// Uses a two-stage search: a coarse spiral over the window at stride
-/// 2 followed by a local refinement, which approximates the diamond
-/// searches real encoders use at a fraction of the cost.
+/// The result is part of the bitstream contract, and three details of
+/// the scan decide it. The incumbent starts as the zero vector and is
+/// replaced only by a *strictly* smaller SAD, so among equals the
+/// first one visited wins. Stage 1 visits the window in raster order
+/// (rows top to bottom, left to right within a row) at stride 2 from
+/// its top-left corner. Stage 2 visits the eight neighbours of the
+/// incumbent in raster order, re-reading the incumbent at every step:
+/// a neighbour that wins moves the centre, so the neighbours after it
+/// are taken around the *new* centre (and the refinement can walk
+/// further than one pixel). Everything else — returning at once when
+/// the zero vector already matches exactly, skipping candidates by
+/// their block sums — only avoids measuring candidates that could not
+/// have won.
+#[allow(clippy::too_many_arguments)]
 pub fn motion_search(
     src: &[u8],
     reference: &[u8],
@@ -193,7 +281,16 @@ pub fn motion_search(
     mbx: usize,
     mby: usize,
     range: i32,
+    src_sum: u32,
+    ref_sums: &BlockSums,
+    work: &mut EncoderWork,
 ) -> (MotionVector, u32) {
+    let mut best = MotionVector::default();
+    let mut best_sad = sad_mb(src, stride, mbx, mby, reference, stride, mbx, mby, u32::MAX);
+    if best_sad == 0 {
+        work.zero_sad_exits += 1;
+        return (best, 0);
+    }
     let min_dx = rect.x0 as i32 - mbx as i32;
     let max_dx = (rect.x0 + rect.w - MB_SIZE) as i32 - mbx as i32;
     let min_dy = rect.y0 as i32 - mby as i32;
@@ -203,8 +300,20 @@ pub fn motion_search(
     let lo_y = (-range).max(min_dy);
     let hi_y = range.min(max_dy);
 
-    let mut best = MotionVector::default();
-    let mut best_sad = sad_mb(src, stride, mbx, mby, reference, stride, mbx, mby, u32::MAX);
+    // The SAD of candidate `(dx, dy)`, or just "not below `bound`".
+    // Successive elimination: |Σsrc − Σref| ≤ Σ|src − ref| = SAD, so a
+    // candidate whose block sums already differ by the incumbent's SAD
+    // cannot pass `sad < best_sad` — the only decision the search
+    // makes — and is never measured.
+    let mut sad_below = |dx: i32, dy: i32, bound: u32| {
+        let (x, y) = ((mbx as i32 + dx) as usize, (mby as i32 + dy) as usize);
+        work.mv_candidates += 1;
+        if src_sum.abs_diff(ref_sums.at(x, y)) >= bound {
+            work.mv_eliminated += 1;
+            return bound;
+        }
+        sad_mb(src, stride, mbx, mby, reference, stride, x, y, bound)
+    };
 
     // Stage 1: coarse scan at stride 2.
     // lint: hot-loop — the motion-search window scan, no per-candidate state
@@ -213,17 +322,7 @@ pub fn motion_search(
         let mut dx = lo_x;
         while dx <= hi_x {
             if dx != 0 || dy != 0 {
-                let sad = sad_mb(
-                    src,
-                    stride,
-                    mbx,
-                    mby,
-                    reference,
-                    stride,
-                    (mbx as i32 + dx) as usize,
-                    (mby as i32 + dy) as usize,
-                    best_sad,
-                );
+                let sad = sad_below(dx, dy, best_sad);
                 if sad < best_sad {
                     best_sad = sad;
                     best = MotionVector { dx, dy };
@@ -234,7 +333,7 @@ pub fn motion_search(
         dy += 2;
     }
 
-    // Stage 2: ±1 refinement around the coarse winner.
+    // Stage 2: ±1 refinement around the (drifting) incumbent.
     for ry in -1..=1i32 {
         for rx in -1..=1i32 {
             let dx = best.dx + rx;
@@ -242,17 +341,7 @@ pub fn motion_search(
             if dx < lo_x || dx > hi_x || dy < lo_y || dy > hi_y || (rx == 0 && ry == 0) {
                 continue;
             }
-            let sad = sad_mb(
-                src,
-                stride,
-                mbx,
-                mby,
-                reference,
-                stride,
-                (mbx as i32 + dx) as usize,
-                (mby as i32 + dy) as usize,
-                best_sad,
-            );
+            let sad = sad_below(dx, dy, best_sad);
             if sad < best_sad {
                 best_sad = sad;
                 best = MotionVector { dx, dy };
@@ -325,6 +414,24 @@ mod tests {
             }
         }
         p
+    }
+
+    /// [`motion_search`] with the block sums it expects, built fresh.
+    fn search(
+        src: &[u8],
+        reference: &[u8],
+        w: usize,
+        rect: &TileRect,
+        (mbx, mby): (usize, usize),
+        range: i32,
+    ) -> (MotionVector, u32) {
+        let mut sums = BlockSums::default();
+        sums.rebuild(reference, w, reference.len() / w);
+        let src_sum = mb_sum(src, w, mbx, mby);
+        let mut work = EncoderWork::default();
+        motion_search(
+            src, reference, w, rect, mbx, mby, range, src_sum, &sums, &mut work,
+        )
     }
 
     #[test]
@@ -402,7 +509,7 @@ mod tests {
         let reference = plane_with_square(w, h, 24, 24);
         let src = plane_with_square(w, h, 28, 26); // square moved by (+4, +2)
         let rect = TileRect { x0: 0, y0: 0, w, h };
-        let (mv, sad) = motion_search(&src, &reference, w, &rect, 16, 16, 8);
+        let (mv, sad) = search(&src, &reference, w, &rect, (16, 16), 8);
         assert_eq!((mv.dx, mv.dy), (-4, -2));
         assert_eq!(sad, 0);
     }
@@ -419,7 +526,7 @@ mod tests {
             w: 32,
             h: 32,
         };
-        let (mv, _) = motion_search(&src, &reference, w, &rect, 32, 0, 8);
+        let (mv, _) = search(&src, &reference, w, &rect, (32, 0), 8);
         assert!(mv.dx >= 0, "vector {mv:?} escapes the tile on the left");
     }
 

@@ -7,6 +7,7 @@
 //! frequencies, and an optional deadzone (used by the HEVC-sim
 //! profile) biases small coefficients to zero for extra compression.
 
+use crate::transform::basis_peaks;
 use crate::BLOCK_SIZE;
 use std::sync::OnceLock;
 
@@ -17,7 +18,7 @@ pub const QP_MAX: u8 = 51;
 
 /// Frequency-weighting matrix (luma), loosely after the JPEG K.1
 /// table, normalised so the DC weight is 1.
-const WEIGHTS: [u16; N * N] = [
+pub const WEIGHTS: [u16; N * N] = [
     16, 11, 10, 16, 24, 40, 51, 61, //
     12, 12, 14, 19, 26, 58, 60, 55, //
     14, 13, 16, 24, 40, 57, 69, 56, //
@@ -38,17 +39,28 @@ pub fn qstep_x64(qp: u8) -> u32 {
     (base * 2f64.powf(qp as f64 / 6.0)).round() as u32
 }
 
+/// Slack subtracted from a zero bin's real-valued edge before the SAD
+/// gate is derived from it: a million times the reference DCT's `f64`
+/// rounding error (below `2^-37`), and far too small to move a gate.
+const GATE_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
+
 /// Per-QP quantiser tables: the weighted divisor `step·w/16` for each
-/// coefficient position and the two rounding offsets. Hoisting these
-/// out of the per-block loops removes a multiply and divide per
-/// coefficient from both hot paths; the table values are the *same*
-/// integers the loops used to compute, so output is unchanged.
+/// coefficient position, the two rounding offsets, and what follows
+/// from them about zero levels. Hoisting these out of the per-block
+/// loops removes a multiply and divide per coefficient from both hot
+/// paths; the table values are the *same* integers the loops used to
+/// compute, so output is unchanged.
 struct QpTables {
     /// `step(qp) · WEIGHTS[i] / 16` per coefficient position.
     div: [[i64; N * N]; (QP_MAX + 1) as usize],
     /// Rounding offsets, indexed by `deadzone as usize`:
     /// `[step/2, step/6]`.
     offset: [[i64; 2]; (QP_MAX + 1) as usize],
+    /// The zero bin, `[qp][deadzone][i]`: the largest `|c|` with
+    /// `|c|·64 + offset < div[i]`, i.e. `(div[i] − offset − 1) / 64`.
+    zero_max: [[[u32; N * N]; 2]; (QP_MAX + 1) as usize],
+    /// See [`zero_block_sad_bound`], `[qp][deadzone]`.
+    sad_gate: [[u32; 2]; (QP_MAX + 1) as usize],
 }
 
 fn tables() -> &'static QpTables {
@@ -56,36 +68,91 @@ fn tables() -> &'static QpTables {
     TABLES.get_or_init(|| {
         let mut div = [[0i64; N * N]; (QP_MAX + 1) as usize];
         let mut offset = [[0i64; 2]; (QP_MAX + 1) as usize];
-        for qp in 0..=QP_MAX {
-            let step = qstep_x64(qp) as i64;
-            offset[qp as usize] = [step / 2, step / 6];
-            for (i, d) in div[qp as usize].iter_mut().enumerate() {
+        let mut zero_max = [[[0u32; N * N]; 2]; (QP_MAX + 1) as usize];
+        let mut sad_gate = [[0u32; 2]; (QP_MAX + 1) as usize];
+        let peak = basis_peaks();
+        for qp in 0..=QP_MAX as usize {
+            let step = qstep_x64(qp as u8) as i64;
+            offset[qp] = [step / 2, step / 6];
+            for (i, d) in div[qp].iter_mut().enumerate() {
                 *d = step * WEIGHTS[i] as i64 / 16; // weight normalised to DC=16
             }
+            for dz in 0..2 {
+                let mut gate = f64::INFINITY;
+                for i in 0..N * N {
+                    // Every divisor exceeds both offsets (the smallest
+                    // weight is 10/16 > 1/2), so the bin holds 0.
+                    let z = (div[qp][i] - offset[qp][dz] - 1) / 64;
+                    zero_max[qp][dz][i] = z as u32;
+                    let reach = peak[i % N] * peak[i / N];
+                    gate = gate.min((z as f64 + 0.5 - GATE_MARGIN) / reach);
+                }
+                sad_gate[qp][dz] = gate.ceil() as u32;
+            }
         }
-        QpTables { div, offset }
+        QpTables {
+            div,
+            offset,
+            zero_max,
+            sad_gate,
+        }
     })
 }
 
-/// Quantises a coefficient block in place.
+/// The all-zero-block SAD gate: an 8×8 residual whose sum of absolute
+/// values is **below** this bound quantises to all-zero levels at
+/// `(qp, deadzone)`, so the encoder may skip transforming it.
 ///
-/// `deadzone` widens the zero bin (rounding offset 1/6 instead of
-/// 1/2·? — i.e. coefficients must be clearly nonzero to survive),
-/// trading quality for rate the way HEVC's RDOQ does in spirit.
-pub fn quantize(coeffs: &mut [i32; N * N], qp: u8, deadzone: bool) {
+/// Proof. The DCT basis is orthonormal and separable, so coefficient
+/// `(u, v)` of a residual `r` is `F = Σ r[x,y]·b_u[x]·b_v[y]` and
+/// `|F| ≤ Σ|r| · max|b_u| · max|b_v|`. [`crate::transform::forward`]
+/// returns `round(F)` as the `f64` reference computes it (error far
+/// below [`GATE_MARGIN`]), which lies in position `i`'s zero bin
+/// `|c| ≤ zero_max[i]` whenever `|F| < zero_max[i] + 1/2 − margin`.
+/// The bound is the smallest `Σ|r|` that could break that at any
+/// position; below it no position can produce a nonzero level.
+pub fn zero_block_sad_bound(qp: u8, deadzone: bool) -> u32 {
+    debug_assert!(qp <= QP_MAX);
+    tables().sad_gate[qp as usize][deadzone as usize]
+}
+
+/// Quantises a coefficient block in place and returns how many levels
+/// are nonzero.
+///
+/// A level is `sign(c) · (|c|·64 + offset) / div[i]` (integer
+/// division), where `offset` is `step/2` — round to nearest — or, with
+/// `deadzone`, `step/6`, which widens the zero bin so a coefficient
+/// must be clearly nonzero to survive (HEVC's RDOQ in spirit: rate for
+/// quality). So a level is zero **iff `|c|·64 + offset < div[i]`**,
+/// and since ~85 % of the blocks an encoder sees quantise to nothing
+/// at all, the zero bins are compared first (no division, no branch)
+/// and only the survivors are divided.
+pub fn quantize(coeffs: &mut [i32; N * N], qp: u8, deadzone: bool) -> u32 {
     debug_assert!(qp <= QP_MAX);
     let t = tables();
+    let zero_max = &t.zero_max[qp as usize][deadzone as usize];
+    let survivors = coeffs
+        .iter()
+        .zip(zero_max)
+        .fold(false, |any, (c, &z)| any | (c.unsigned_abs() > z));
+    if !survivors {
+        *coeffs = [0; N * N];
+        return 0;
+    }
     let div = &t.div[qp as usize];
     let offset = t.offset[qp as usize][deadzone as usize];
-    for (c, &d) in coeffs.iter_mut().zip(div.iter()) {
-        let v = *c as i64 * 64;
-        let q = if v >= 0 {
-            (v + offset) / d
+    let mut nnz = 0;
+    for ((c, &d), &z) in coeffs.iter_mut().zip(div).zip(zero_max) {
+        let mag = c.unsigned_abs();
+        *c = if mag <= z {
+            0
         } else {
-            -((-v + offset) / d)
+            let q = (mag as i64 * 64 + offset) / d;
+            (if *c < 0 { -q } else { q }) as i32
         };
-        *c = q as i32;
+        nnz += (*c != 0) as u32;
     }
+    nnz
 }
 
 /// Reconstructs coefficients from quantised levels.

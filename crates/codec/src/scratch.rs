@@ -17,11 +17,33 @@
 //! The corpus byte-identity tests pin that reasoning down.
 
 use crate::bitio::BitWriter;
+use crate::predict::BlockSums;
 use lightdb_frame::Frame;
+
+/// What the encoder attempted and how much of it reached the
+/// bitstream. Plain counters, bumped from the per-macroblock loop by
+/// whichever thread owns the scratch; callers read them between tiles
+/// and reset them with `std::mem::take`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct EncoderWork {
+    /// 8×8 blocks encoded (six per macroblock).
+    pub blocks: u64,
+    /// Blocks the SAD gate proved all-zero before the transform.
+    pub blocks_sad_gated: u64,
+    /// Blocks that were transformed and then quantised to all-zero.
+    pub blocks_zero_quant: u64,
+    /// Motion candidates considered after the zero vector.
+    pub mv_candidates: u64,
+    /// Candidates ruled out by their block sum, never measured.
+    pub mv_eliminated: u64,
+    /// Searches that ended at a zero-vector SAD of 0.
+    pub zero_sad_exits: u64,
+}
 
 /// Per-worker scratch for the encoder: a cropped-source staging frame,
 /// a reconstruction being built (double-buffered against the caller's
-/// previous reconstruction), and the entropy writer.
+/// previous reconstruction), the entropy writer, the reference
+/// frame's block sums, and the work counters.
 #[derive(Debug)]
 pub struct EncoderScratch {
     /// Cropped tile source (tile-local coordinates).
@@ -33,6 +55,9 @@ pub struct EncoderScratch {
     pub recon: Vec<Frame>,
     /// Reusable entropy writer (backing buffer survives `clear`).
     pub bits: BitWriter,
+    /// Macroblock sums of the current reference's luma plane.
+    pub ref_sums: BlockSums,
+    pub work: EncoderWork,
 }
 
 impl Default for EncoderScratch {
@@ -48,6 +73,8 @@ impl EncoderScratch {
             spare: Frame::empty(),
             recon: Vec::new(),
             bits: BitWriter::new(),
+            ref_sums: BlockSums::default(),
+            work: EncoderWork::default(),
         }
     }
 }

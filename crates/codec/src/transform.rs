@@ -100,6 +100,13 @@ fn basis() -> &'static [[f64; N]; N] {
     })
 }
 
+/// `max_x |b[u][x]|` per basis row `u`: how far one unit of residual
+/// can move a coefficient along one axis. The quantiser derives its
+/// all-zero-block SAD gate from these.
+pub(crate) fn basis_peaks() -> [f64; N] {
+    basis().map(|row| row.iter().fold(0.0, |m, v| v.abs().max(m)))
+}
+
 /// `2^44`-scaled left half of the basis. The right half follows from
 /// the cosine symmetry `b[u][7-x] = (-1)^u · b[u][x]`, which the
 /// butterfly passes exploit instead of storing it.

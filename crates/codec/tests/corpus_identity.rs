@@ -150,3 +150,163 @@ fn tiled_decode_identity_against_full_decode() {
         }
     }
 }
+
+// ------------------------------------------------------------------
+// The path the engine's default plan runs: `encode_tile_opts` on a
+// tile-sized frame with an explicit search range (the simulated GPU
+// encoder uses range 4; `Encoder::encode` uses the profile's 8/16).
+
+/// SplitMix64 — the same generator the benchmark seeds its grain with.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `-amp..=amp`.
+    fn grain(&mut self, amp: i32) -> i32 {
+        (self.next() % (2 * amp as u64 + 1)) as i32 - amp
+    }
+}
+
+/// [`scene`] made hostile: the left half carries fresh ±40 luma grain
+/// every frame (like the fleets' inputs: inter prediction barely
+/// helps, many nonzero levels), the right half a fixed grain texture
+/// that translates one pixel per frame under ±3 flicker (real motion
+/// vectors, near-threshold residuals), and the bottom macroblock row is
+/// flat (every candidate ties at SAD 0).
+fn noisy_scene(w: usize, h: usize, n: usize, seed: usize) -> Vec<Frame> {
+    let mut rng = Rng(seed as u64);
+    let texture: Vec<i32> = (0..w * h).map(|_| rng.grain(40)).collect();
+    let mut frames = scene(w, h, n, seed);
+    for (i, f) in frames.iter_mut().enumerate() {
+        let luma = f.plane_mut(PlaneKind::Luma);
+        for y in 0..h {
+            for x in 0..w {
+                let p = &mut luma[y * w + x];
+                let v = if y >= h - 16 {
+                    100
+                } else if x < w / 2 {
+                    *p as i32 + rng.grain(40)
+                } else {
+                    *p as i32 + texture[y * w + (x + i) % w] + rng.grain(3)
+                };
+                *p = v.clamp(0, 255) as u8;
+            }
+        }
+    }
+    frames
+}
+
+fn tile_path_digests() -> Vec<(String, u64, u64)> {
+    use lightdb_codec::encoder::encode_tile_opts;
+    use lightdb_codec::CodecKind::{H264Sim, HevcSim};
+    let mut out = Vec::new();
+    for (w, h) in [(128, 64), (256, 128)] {
+        for qp in [6u8, 24, 45] {
+            for codec in [H264Sim, HevcSim] {
+                for range in [4, codec.search_range()] {
+                    for noisy in [false, true] {
+                        let seed = w + h + qp as usize + range as usize;
+                        let frames = if noisy {
+                            noisy_scene(w, h, 4, seed)
+                        } else {
+                            scene(w, h, 4, seed)
+                        };
+                        let (mut bits, mut pixels) = (FNV_OFFSET, FNV_OFFSET);
+                        let mut reference: Option<Frame> = None;
+                        for f in &frames {
+                            let (payload, recon) =
+                                encode_tile_opts(f, reference.as_ref(), qp, codec, range);
+                            bits = fnv1a(&payload, bits);
+                            pixels = digest_frames(std::slice::from_ref(&recon), pixels);
+                            reference = Some(recon);
+                        }
+                        let kind = if noisy { "noisy" } else { "smooth" };
+                        out.push((
+                            format!("{w}x{h} qp={qp} {codec:?} range={range} {kind}"),
+                            bits,
+                            pixels,
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Golden digests captured at commit 3904a5c (the encoder before the
+/// zero-block short-circuits and successive elimination).
+/// (payload digest, reconstruction digest) per tile-path cell.
+const TILE_PATH_GOLDEN: &[(u64, u64)] = &[
+    (0x610dad84ed2d7e43, 0x0dd7bb5b071f425d), // 128x64 qp=6 H264Sim range=4 smooth
+    (0x016d8868e7b255f6, 0x6cc14e3e12d8898e), // 128x64 qp=6 H264Sim range=4 noisy
+    (0xff7305ffeba8d270, 0x724d121e96b4082a), // 128x64 qp=6 H264Sim range=8 smooth
+    (0x1e32d4b8c52713b6, 0x033f743a3e53292b), // 128x64 qp=6 H264Sim range=8 noisy
+    (0x19db214b913b8b0f, 0x85ed1b4bda828440), // 128x64 qp=6 HevcSim range=4 smooth
+    (0x9a45ecf0bbc88741, 0x9d77aa9754b05fd1), // 128x64 qp=6 HevcSim range=4 noisy
+    (0x0557de564a20b3c8, 0x6a08e200aba29c76), // 128x64 qp=6 HevcSim range=16 smooth
+    (0xe9070a66bdfe57de, 0x0b21c3836b5c79f4), // 128x64 qp=6 HevcSim range=16 noisy
+    (0x31c0d1723e048c10, 0xf5cb436c0dbc9e0c), // 128x64 qp=24 H264Sim range=4 smooth
+    (0xa5a9f7487af88569, 0x7c90a786a2386d51), // 128x64 qp=24 H264Sim range=4 noisy
+    (0x0550eee384970045, 0x80d08fa6d6abedfd), // 128x64 qp=24 H264Sim range=8 smooth
+    (0x641154d80c4448b9, 0x312ed7a9ea01fc54), // 128x64 qp=24 H264Sim range=8 noisy
+    (0x80a26726ff789d95, 0xb312d2ed072be9af), // 128x64 qp=24 HevcSim range=4 smooth
+    (0x0e348f40a9c20adc, 0x8eb04f6da595ec1c), // 128x64 qp=24 HevcSim range=4 noisy
+    (0x31d341f0366e7b14, 0x5c28210b17b06e30), // 128x64 qp=24 HevcSim range=16 smooth
+    (0xb8d1a0f51020ed74, 0xe51a6ec7f7b86f4b), // 128x64 qp=24 HevcSim range=16 noisy
+    (0x2fae7a66827e9b1f, 0x2f30ba4434a7dcad), // 128x64 qp=45 H264Sim range=4 smooth
+    (0x0480ebd6ac5e43fe, 0x8b354b061b9f88c9), // 128x64 qp=45 H264Sim range=4 noisy
+    (0xdc70afdec0d4e006, 0x25ecd50171fdb54a), // 128x64 qp=45 H264Sim range=8 smooth
+    (0xf1a37436148361c9, 0x5ae1e477761aecf7), // 128x64 qp=45 H264Sim range=8 noisy
+    (0xf7d94e74ace5049c, 0x0962acae3bd590d9), // 128x64 qp=45 HevcSim range=4 smooth
+    (0x8b464487054cd590, 0x6062d3563de3f8dc), // 128x64 qp=45 HevcSim range=4 noisy
+    (0xca6748a67806e309, 0xf2a42d4be78273b1), // 128x64 qp=45 HevcSim range=16 smooth
+    (0xb8f062d7cd907e77, 0x348fe59fd0f2e562), // 128x64 qp=45 HevcSim range=16 noisy
+    (0x14a5921054193b22, 0x5da5a588a98e545c), // 256x128 qp=6 H264Sim range=4 smooth
+    (0xdc3d179ad3c7642b, 0x909c8e7ee88d02e1), // 256x128 qp=6 H264Sim range=4 noisy
+    (0x6562c1fe5eaf224b, 0xea8ae178310bc3e9), // 256x128 qp=6 H264Sim range=8 smooth
+    (0x48f3a32821c8a9d5, 0xec357a0d2206f2ee), // 256x128 qp=6 H264Sim range=8 noisy
+    (0x367d936584ca912b, 0x4d3b2a5c9fb4be1d), // 256x128 qp=6 HevcSim range=4 smooth
+    (0x336c869092c1f229, 0x676d6026207a756c), // 256x128 qp=6 HevcSim range=4 noisy
+    (0xae5b8ddf960eb7af, 0x5f410edba6115067), // 256x128 qp=6 HevcSim range=16 smooth
+    (0xf663b884fa12f2ac, 0x16e2e255467e1ef7), // 256x128 qp=6 HevcSim range=16 noisy
+    (0x0674728be81b04d0, 0xc49adf7f5121fd2e), // 256x128 qp=24 H264Sim range=4 smooth
+    (0x1db5145a1829c734, 0x58ebe0eb31587a1b), // 256x128 qp=24 H264Sim range=4 noisy
+    (0x1ddb75a4ef5c98f4, 0x3126fefcd0dbcde5), // 256x128 qp=24 H264Sim range=8 smooth
+    (0x661081f0ada63c38, 0x374d6587c29ef418), // 256x128 qp=24 H264Sim range=8 noisy
+    (0x787922891550f26f, 0xc807652a1bc51a41), // 256x128 qp=24 HevcSim range=4 smooth
+    (0x0a59bd6b98e3ec30, 0x7f1d4e9355afcc36), // 256x128 qp=24 HevcSim range=4 noisy
+    (0xc8f3526dfb82dcbe, 0xd91093766345bb35), // 256x128 qp=24 HevcSim range=16 smooth
+    (0x76b144b11a0aab22, 0x13d3fa06fabbfaae), // 256x128 qp=24 HevcSim range=16 noisy
+    (0xae5b2e4886a888b1, 0x2eebab783840575c), // 256x128 qp=45 H264Sim range=4 smooth
+    (0xb2731c1be7f2c6c3, 0xca582c2250e72e88), // 256x128 qp=45 H264Sim range=4 noisy
+    (0x067489cd360daad0, 0x5bfd958452133791), // 256x128 qp=45 H264Sim range=8 smooth
+    (0x342dd7239824696d, 0x3a8a7ce38236e7b3), // 256x128 qp=45 H264Sim range=8 noisy
+    (0xe9995b69f4141066, 0x40c959ff12297449), // 256x128 qp=45 HevcSim range=4 smooth
+    (0x21ac8e752c63dc55, 0xbb49a5b283583a84), // 256x128 qp=45 HevcSim range=4 noisy
+    (0xe22f763fc5a69d47, 0x4fce9b020ee98f7a), // 256x128 qp=45 HevcSim range=16 smooth
+    (0x1883c9bdce1fd346, 0xe254a0ed3b4b8283), // 256x128 qp=45 HevcSim range=16 noisy
+];
+
+#[test]
+fn tile_path_payloads_and_reconstructions_match_golden_digests() {
+    let got = tile_path_digests();
+    let drifted = got.len() != TILE_PATH_GOLDEN.len()
+        || got
+            .iter()
+            .zip(TILE_PATH_GOLDEN)
+            .any(|((_, bits, pixels), golden)| (*bits, *pixels) != *golden);
+    if drifted {
+        for (name, bits, pixels) in &got {
+            eprintln!("    (0x{bits:016x}, 0x{pixels:016x}), // {name}");
+        }
+        panic!("tile-path digests drifted from TILE_PATH_GOLDEN (current values above)");
+    }
+}

@@ -414,6 +414,7 @@ impl Executor {
                                     *device,
                                     CodecKind::HevcSim,
                                     20,
+                                    &self.metrics,
                                 )
                             })
                         }

@@ -13,7 +13,7 @@ use crate::parallel::{par_map_chunks_ctx, Parallelism};
 use crate::query_ctx::QueryCtx;
 use crate::{ChunkStream, ExecError, Result};
 use lightdb_storage::faults::{fail_point, sites};
-use lightdb_codec::encoder::encode_tile_opts_into;
+use lightdb_codec::encoder::encode_gop_frame;
 use lightdb_codec::gop::{EncodedFrame, EncodedGop, FrameType};
 use lightdb_codec::scratch::{DecoderScratch, EncoderScratch};
 use lightdb_codec::{CodecKind, Decoder, SequenceHeader, TileGrid};
@@ -190,19 +190,21 @@ pub fn encode_chunk(
     match c.payload {
         ChunkPayload::Encoded { .. } => Ok(c), // already encoded
         ChunkPayload::Decoded { ref frames, .. } => {
-            metrics.time("ENCODE", || encode_one_gop(&c, frames, device, codec, qp))
+            metrics.time("ENCODE", || encode_one_gop(&c, frames, device, codec, qp, metrics))
         }
     }
 }
 
-/// Encodes one chunk's frames as a single GOP. Exposed for the
-/// executor's auto-encode at `STORE`.
+/// Encodes one chunk's frames as a single GOP, adding the encoder's
+/// work counters for it to `metrics` (the `encode.*` names). Exposed
+/// for the executor's auto-encode at `STORE`.
 pub fn encode_one_gop(
     c: &Chunk,
     frames: &[Frame],
     device: Device,
     codec: CodecKind,
     qp: u8,
+    metrics: &Metrics,
 ) -> Result<Chunk> {
     let first = frames
         .first()
@@ -215,31 +217,32 @@ pub fn encode_one_gop(
         codec.search_range()
     };
     let mut gop_frames = Vec::with_capacity(frames.len());
-    ENC_SCRATCH.with(|scratch| {
-        let EncoderScratch {
-            spare, recon, bits, ..
-        } = &mut *scratch.borrow_mut();
+    let work = ENC_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
         for (i, f) in frames.iter().enumerate() {
             let ftype = if i == 0 {
                 FrameType::Key
             } else {
                 FrameType::Predicted
             };
-            // Never read a reconstruction left over from another chunk.
-            let reference = if i == 0 { None } else { recon.first() };
-            let payload = encode_tile_opts_into(f, reference, qp, codec, search, spare, bits);
-            // The fresh reconstruction becomes the next frame's reference.
-            if recon.is_empty() {
-                recon.push(std::mem::replace(spare, Frame::empty()));
-            } else {
-                std::mem::swap(&mut recon[0], spare);
-            }
+            let payload = encode_gop_frame(f, i == 0, qp, codec, search, scratch);
             gop_frames.push(EncodedFrame {
                 frame_type: ftype,
                 tiles: vec![payload],
             });
         }
+        std::mem::take(&mut scratch.work)
     });
+    for (name, n) in [
+        (counters::ENCODE_BLOCKS, work.blocks),
+        (counters::ENCODE_BLOCKS_SAD_GATED, work.blocks_sad_gated),
+        (counters::ENCODE_BLOCKS_ZERO_QUANT, work.blocks_zero_quant),
+        (counters::ENCODE_MV_CANDIDATES, work.mv_candidates),
+        (counters::ENCODE_MV_ELIMINATED, work.mv_eliminated),
+        (counters::ENCODE_ZERO_SAD_EXITS, work.zero_sad_exits),
+    ] {
+        metrics.add(name, n);
+    }
     let header = SequenceHeader {
         codec,
         width: w,

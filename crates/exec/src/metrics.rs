@@ -302,6 +302,23 @@ pub mod counters {
     pub const CLUSTER_LOST_FRAGMENTS: &str = "cluster.lost_fragments";
     /// Heartbeat probes that found a worker unreachable.
     pub const CLUSTER_HEARTBEAT_FAILURES: &str = "cluster.heartbeat.failures";
+    /// 8×8 blocks `ENCODE` processed (six per macroblock). The
+    /// `encode.*` counters are the encoder's own
+    /// (`lightdb_codec::scratch::EncoderWork`), added once per GOP.
+    pub const ENCODE_BLOCKS: &str = "encode.blocks";
+    /// Blocks whose residual SAD proved them all-zero before the
+    /// transform ran.
+    pub const ENCODE_BLOCKS_SAD_GATED: &str = "encode.blocks_sad_gated";
+    /// Blocks transformed and then quantised to all-zero levels.
+    /// Gated plus zero-quant over blocks is the share of blocks that
+    /// cost no entropy coding and no reconstruction.
+    pub const ENCODE_BLOCKS_ZERO_QUANT: &str = "encode.blocks_zero_quant";
+    /// Motion candidates considered after the zero vector.
+    pub const ENCODE_MV_CANDIDATES: &str = "encode.mv_candidates";
+    /// Candidates ruled out by their block sum without a SAD.
+    pub const ENCODE_MV_ELIMINATED: &str = "encode.mv_eliminated";
+    /// Motion searches that ended at a zero-vector SAD of 0.
+    pub const ENCODE_ZERO_SAD_EXITS: &str = "encode.zero_sad_exits";
 }
 
 #[cfg(test)]

@@ -16,3 +16,21 @@ pub fn hot(n: usize) -> u32 {
     // lint: end-hot-loop
     acc
 }
+
+// A sliding-window sum table is rebuilt once per reference frame from
+// inside the per-tile encode, so its loops are fenced too: the column
+// buffer must come from the scratch arena, not be made per row.
+pub fn block_sums(plane: &[u8], w: usize, h: usize, sums: &mut [u16]) {
+    // lint: hot-loop — fixture fence
+    for y in 0..h - 15 {
+        let mut column = vec![0u16; w]; // line 26: vec! allocates
+        for row in plane[y * w..(y + 16) * w].chunks_exact(w) {
+            for (c, &p) in column.iter_mut().zip(row) {
+                *c += p as u16;
+            }
+        }
+        let windows: Vec<u16> = column.windows(16).map(|c| c.iter().sum()).collect(); // line 32
+        sums[y * (w - 15)..][..w - 15].copy_from_slice(&windows);
+    }
+    // lint: end-hot-loop
+}

@@ -36,6 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     assert!(db.metrics().count("TILEUNION") > 0, "homomorphic stitch expected");
 
+    // What the encoder attempted against what reached the bitstream.
+    println!("\nencoder work:");
+    for (name, n) in db.metrics().counters() {
+        if name.starts_with("encode.") {
+            println!("  {name:<26} {n:>10}");
+        }
+    }
+
     // Decode the adaptive output and confirm it is a full panorama.
     let parts = db.execute(&scan("coaster_tiled"))?.into_frame_parts()?;
     println!(
