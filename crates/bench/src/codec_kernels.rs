@@ -14,7 +14,12 @@
 //!   they replaced (`lightdb-codec`'s test oracle, included below):
 //!   quantiser blocks/s, motion searches/s with SADs measured per
 //!   macroblock, and whole tile-GOP encodes the way `ENCODE` runs
-//!   them, with the encoder's own work counters.
+//!   them, with the encoder's own work counters;
+//! * the read side against what it replaced: whole-GOP decodes the way
+//!   `DECODE` runs them against the oracle's block path (with the
+//!   share of uncoded blocks), `UNION … LAST` compositing against the
+//!   per-pixel compositor (`lightdb-exec`'s test oracle), and `MAP`
+//!   over one chunk at one and two threads.
 //!
 //! `--smoke` shrinks every measurement window so the binary finishes
 //! in well under a second while still executing every kernel pair and
@@ -24,21 +29,31 @@
 use lightdb_codec::bitio::reference::{RefBitReader, RefBitWriter};
 use lightdb_codec::bitio::{BitReader, BitWriter};
 use lightdb_codec::encoder::encode_gop_frame;
-use lightdb_codec::scratch::{EncoderScratch, EncoderWork};
+use lightdb_codec::scratch::{DecoderScratch, EncoderScratch, EncoderWork};
 use lightdb_codec::{
-    golomb, predict, quant, transform, CodecKind, Decoder, Encoder, EncoderConfig, TileGrid,
-    TileRect,
+    golomb, predict, quant, transform, CodecKind, Decoder, Encoder, EncoderConfig, FrameType,
+    TileGrid, TileRect,
 };
+use lightdb_core::algebra::MergeFunction;
+use lightdb_core::udf::{BuiltinMap, MapFunction};
 use lightdb_datasets::{Dataset, DatasetSpec};
+use lightdb_exec::frameops::{composite_group, map_chunk};
+use lightdb_exec::{Chunk, ChunkPayload, Device, Metrics, Parallelism, StreamInfo};
 use lightdb_frame::{Frame, PlaneKind, Yuv};
+use lightdb_geom::{Interval, Volume};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// The encoder's pre-shortcut block and search paths, shared with
-/// `lightdb-codec`'s differential tests (the only other place they
-/// exist).
+/// The encoder's pre-shortcut block and search paths and the decoder's
+/// pre-shortcut block path, shared with `lightdb-codec`'s differential
+/// tests (the only other place they exist).
 #[path = "../../codec/tests/oracle/mod.rs"]
 mod oracle;
+
+/// The per-pixel `UNION` compositor, shared with `lightdb-exec`'s
+/// identity tests (likewise).
+#[path = "../../exec/tests/oracle/mod.rs"]
+mod union_oracle;
 
 /// Measures two competing passes by strictly alternating them inside
 /// one window until `target_secs` elapse; each call returns the
@@ -382,24 +397,7 @@ fn quantize(target: f64, n: usize) {
 /// barely change and canal tiles never stop, so the sixteen together
 /// are the mix the query pays for.
 fn tile_frames(n: usize) -> Vec<Vec<Frame>> {
-    let spec = DatasetSpec {
-        width: 512,
-        height: 256,
-        fps: 30,
-        seconds: 1,
-        qp: 22,
-    };
-    let frames: Vec<Frame> = (0..n)
-        .map(|i| lightdb_datasets::frame(Dataset::Venice, &spec, i))
-        .collect();
-    let enc = Encoder::new(EncoderConfig {
-        qp: spec.qp,
-        gop_length: n,
-        ..Default::default()
-    })
-    .expect("valid config");
-    let stream = enc.encode(&frames).expect("encode");
-    let decoded = Decoder::new().decode(&stream).expect("decode");
+    let (_, decoded) = stored_gop(512, 256, n);
     (0..16)
         .map(|t| {
             let (x0, y0) = (t % 4 * 128, t / 4 * 64);
@@ -535,6 +533,165 @@ fn tile_gops(target: f64, tiles: &[Vec<Frame>], qp: u8) {
     );
 }
 
+/// `n` Venice frames at `w × h`, as ingest stores them (qp 22, one GOP,
+/// one tile), and what they decode to.
+fn stored_gop(w: usize, h: usize, n: usize) -> (lightdb_codec::VideoStream, Vec<Frame>) {
+    let spec = DatasetSpec {
+        width: w,
+        height: h,
+        fps: 30,
+        seconds: 1,
+        qp: 22,
+    };
+    let frames: Vec<Frame> = (0..n)
+        .map(|i| lightdb_datasets::frame(Dataset::Venice, &spec, i))
+        .collect();
+    let enc = Encoder::new(EncoderConfig {
+        qp: spec.qp,
+        gop_length: n,
+        ..Default::default()
+    })
+    .expect("valid config");
+    let stream = enc.encode(&frames).expect("encode");
+    let decoded = Decoder::new().decode(&stream).expect("decode");
+    (stream, decoded)
+}
+
+/// Whole-GOP decodes the way `exec::frameops::decode_one` runs them
+/// (one scratch reused throughout) against the oracle's block path,
+/// and how many of the blocks carried no residual.
+fn decode_gops(target: f64, w: usize, h: usize, n: usize) {
+    let (stream, decoded) = stored_gop(w, h, n);
+    let (header, gop) = (&stream.header, &stream.gops[0]);
+    let mut scratch = DecoderScratch::new();
+    let mut decode = move || {
+        let frames = Decoder::new()
+            .decode_gop_scratch(header, gop, &mut scratch)
+            .expect("decode");
+        (frames, std::mem::take(&mut scratch.work))
+    };
+    let decode_oracle = || {
+        let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
+        for ef in &gop.frames {
+            let reference = match ef.frame_type {
+                FrameType::Key => None,
+                FrameType::Predicted => out.last(),
+            };
+            let mut frame = Frame::empty();
+            oracle::decode_tile_payload_into(&ef.tiles[0], w, h, ef.frame_type, reference, &mut frame)
+                .expect("oracle decode");
+            out.push(frame);
+        }
+        out
+    };
+    let (frames, work) = decode();
+    assert_eq!(frames, decoded, "scratch and plain decodes diverge");
+    assert_eq!(frames, decode_oracle(), "fast and oracle decodes diverge");
+
+    let (fast, refr) = rate2(
+        target,
+        || {
+            black_box(decode());
+            1
+        },
+        || {
+            black_box(decode_oracle());
+            1
+        },
+    );
+    print_row(&format!("decode {w}x{h}x{n} (GOPs/s)"), fast, refr);
+    let uncoded = work.uncoded_inter + work.uncoded_intra;
+    crate::row(
+        "  uncoded blocks",
+        &[
+            format!("{:.1}%", 100.0 * uncoded as f64 / work.blocks.max(1) as f64),
+            format!("{:.1}%", 100.0 * work.uncoded_intra as f64 / work.blocks.max(1) as f64),
+            "all/intra".into(),
+        ],
+    );
+}
+
+/// One row of milliseconds per unit from two rates (units/s).
+fn print_ms_row(label: &str, fast: f64, reference: f64, note: &str) {
+    let [fast, reference] = [fast, reference].map(|rate| format!("{:.3}", 1e3 / rate));
+    crate::row(label, &[fast, reference, note.into()]);
+}
+
+fn sphere() -> Volume {
+    Volume::sphere_at(0.0, 0.0, 0.0, Interval::new(0.0, 1.0))
+}
+
+fn whole_sphere_chunk(frames: Vec<Frame>) -> Chunk {
+    Chunk {
+        t_index: 0,
+        part: 0,
+        volume: sphere(),
+        info: StreamInfo::origin(30),
+        payload: ChunkPayload::Decoded {
+            frames,
+            device: Device::Cpu,
+        },
+    }
+}
+
+/// The decoded-frame operators on one chunk of decoded Venice frames:
+/// `UNION … LAST` with a second clip of the same size and with the
+/// static 64×32 watermark (resized to the canvas), against the
+/// per-pixel compositor; `MAP` grayscale and blur on one thread and on
+/// two.
+fn frame_ops(target: f64, n: usize) {
+    let (_, base) = stored_gop(512, 256, n);
+    let mut second = base.clone();
+    second.rotate_left(1);
+    let mark = vec![lightdb_datasets::watermark_frame(64, 32); n];
+    for (what, overlay) in [("same size", second), ("watermark", mark)] {
+        let inputs = [(sphere(), base.clone()), (sphere(), overlay)];
+        let composite = || {
+            let group = inputs.iter().map(|(_, f)| whole_sphere_chunk(f.clone())).collect();
+            composite_group(group, &MergeFunction::Last).expect("composite")
+        };
+        let composite_oracle = || union_oracle::composite(&inputs, &MergeFunction::Last);
+        let got = composite();
+        let ChunkPayload::Decoded { frames, .. } = &got[0].payload else {
+            unreachable!("composite_group yields decoded chunks")
+        };
+        assert_eq!(frames, &composite_oracle().1, "fast and oracle {what} unions diverge");
+        let (fast, refr) = rate2(
+            target,
+            || {
+                black_box(composite());
+                n as u64
+            },
+            || {
+                black_box(composite_oracle());
+                n as u64
+            },
+        );
+        print_ms_row(&format!("union {what} (ms/frame)"), fast, refr, &format!("{:.2}x", fast / refr));
+    }
+    for (what, b) in [("gray", BuiltinMap::Grayscale), ("blur", BuiltinMap::Blur)] {
+        let f = MapFunction::Builtin(b);
+        let metrics = Metrics::new();
+        let map = |threads| {
+            map_chunk(whole_sphere_chunk(base.clone()), &f, &metrics, Parallelism::new(threads))
+                .expect("map")
+        };
+        assert_eq!(map(1), map(2), "MAP {what} differs between one thread and two");
+        let (one, two) = rate2(
+            target,
+            || {
+                black_box(map(1));
+                1
+            },
+            || {
+                black_box(map(2));
+                1
+            },
+        );
+        print_ms_row(&format!("MAP {what} 1t/2t (ms/chunk)"), one, two, &format!("{:.2}x", two / one));
+    }
+}
+
 /// The same deterministic moving scene the codec tests use.
 pub fn scene(w: usize, h: usize, n: usize) -> Vec<Frame> {
     (0..n)
@@ -618,6 +775,10 @@ pub fn print(smoke: bool) {
     let tiles = tile_frames(if smoke { 3 } else { 30 });
     tile_gops(target, &tiles, 24);
     tile_gops(target, &tiles, 45);
+    let n = if smoke { 3 } else { 30 };
+    decode_gops(target, 512, 256, n);
+    decode_gops(target, 128, 64, n);
+    frame_ops(target, n);
     println!("ok: all fast/reference cross-checks passed");
 }
 

@@ -9,9 +9,11 @@
 use crate::bitio::BitReader;
 use crate::golomb::{read_se, read_ue};
 use crate::gop::{EncodedGop, FrameType};
-use crate::predict::{dc_predictor, extract_block, store_block, MotionVector};
+use crate::predict::{
+    copy_block, dc_predictor, extract_block, fill_block, store_block, MotionVector,
+};
 use crate::quant::{dequantize, QP_MAX};
-use crate::scratch::DecoderScratch;
+use crate::scratch::{DecoderScratch, DecoderWork};
 use crate::stream::{SequenceHeader, VideoStream};
 use crate::tile::TileRect;
 use crate::transform::{inverse, ZIGZAG};
@@ -42,9 +44,12 @@ impl Decoder {
         self.decode_gop_scratch(header, gop, &mut DecoderScratch::new())
     }
 
-    /// Allocation-reusing form of [`Decoder::decode_gop`]: tile
-    /// reconstructions are double-buffered through `scratch`, so at
-    /// steady state the only allocations are the returned frames.
+    /// Allocation-reusing form of [`Decoder::decode_gop`]: at steady
+    /// state the only allocations are the returned frames. A
+    /// single-tile GOP decodes straight into them, each frame against
+    /// the one before it; a tiled one double-buffers its tile
+    /// reconstructions through `scratch` and blits. Either way the
+    /// block counts are added to `scratch.work`.
     pub fn decode_gop_scratch(
         &self,
         header: &SequenceHeader,
@@ -58,14 +63,35 @@ impl Decoder {
         let DecoderScratch {
             tiles: recon_tiles,
             spare,
+            work,
         } = scratch;
-        let mut out = Vec::with_capacity(gop.frame_count());
+        let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
         for (fi, ef) in gop.frames.iter().enumerate() {
             if ef.tiles.len() != tile_count {
                 return Err(CodecError::Corrupt("frame tile count disagrees with grid"));
             }
             if fi == 0 && ef.frame_type != FrameType::Key {
                 return Err(CodecError::Corrupt("GOP must start with a keyframe"));
+            }
+            if tile_count == 1 {
+                // The one tile is the picture, and the previous output
+                // frame is its reference: no staging frame, no blit.
+                let reference = match ef.frame_type {
+                    FrameType::Key => None,
+                    FrameType::Predicted => out.last(),
+                };
+                let mut frame = Frame::empty();
+                decode_tile_payload_into(
+                    &ef.tiles[0],
+                    w,
+                    h,
+                    ef.frame_type,
+                    reference,
+                    &mut frame,
+                    work,
+                )?;
+                out.push(frame);
+                continue;
             }
             // Output frame, pre-sized from the sequence header.
             let mut frame = Frame::new(w, h);
@@ -89,6 +115,7 @@ impl Decoder {
                     ef.frame_type,
                     reference,
                     spare,
+                    work,
                 )?;
                 frame.blit(spare, rect.x0, rect.y0);
                 // The fresh tile becomes tile t's reference.
@@ -199,14 +226,16 @@ pub fn decode_tile_payload(
     reference: Option<&Frame>,
 ) -> Result<Frame> {
     let mut recon = Frame::empty();
-    decode_tile_payload_into(payload, w, h, frame_type, reference, &mut recon)?;
+    let mut work = DecoderWork::default();
+    decode_tile_payload_into(payload, w, h, frame_type, reference, &mut recon, &mut work)?;
     Ok(recon)
 }
 
 /// Allocation-reusing form of [`decode_tile_payload`]: decodes into a
 /// caller-provided frame (reshaped as needed), whose contents are
 /// unspecified on error. No clearing is needed: every sample is stored
-/// before the DC predictor can read it.
+/// before the DC predictor can read it. Block counts are added to
+/// `work`.
 pub fn decode_tile_payload_into(
     payload: &[u8],
     w: usize,
@@ -214,6 +243,7 @@ pub fn decode_tile_payload_into(
     frame_type: FrameType,
     reference: Option<&Frame>,
     recon: &mut Frame,
+    work: &mut DecoderWork,
 ) -> Result<()> {
     if !w.is_multiple_of(MB_SIZE) || !h.is_multiple_of(MB_SIZE) {
         return Err(CodecError::Geometry(format!(
@@ -255,7 +285,7 @@ pub fn decode_tile_payload_into(
                     }
                 }
             };
-            decode_macroblock(reference, recon, &rect, mbx, mby, &mode, qp, &mut bits)?;
+            decode_macroblock(reference, recon, &rect, mbx, mby, &mode, qp, &mut bits, work)?;
         }
     }
     // lint: end-hot-loop
@@ -287,6 +317,7 @@ fn decode_macroblock(
     mode: &MbMode,
     qp: u8,
     bits: &mut BitReader<'_>,
+    work: &mut DecoderWork,
 ) -> Result<()> {
     let w = recon.width();
     for by in 0..2 {
@@ -305,6 +336,7 @@ fn decode_macroblock(
                 1,
                 qp,
                 bits,
+                work,
             )?;
         }
     }
@@ -327,11 +359,19 @@ fn decode_macroblock(
             2,
             qp,
             bits,
+            work,
         )?;
     }
     Ok(())
 }
 
+/// Decodes one 8×8 block. The coded flag decides how much there is to
+/// do: an uncoded block *is* its prediction — eight row copies from
+/// the motion-compensated reference, or a fill with the DC predictor
+/// (a rounded mean of bytes, so no clamp) — and only a coded block
+/// pays for coefficients, dequantisation and the inverse transform.
+/// The prediction source is resolved before the flag is read, so
+/// hostile input fails on the same check it always has.
 #[allow(clippy::too_many_arguments)]
 fn decode_block(
     reference: Option<&Frame>,
@@ -345,20 +385,34 @@ fn decode_block(
     mv_shift: i32,
     qp: u8,
     bits: &mut BitReader<'_>,
+    work: &mut DecoderWork,
 ) -> Result<()> {
+    work.blocks += 1;
     let pred: [i32; 64] = match mode {
         MbMode::Intra => {
             let dc = dc_predictor(recon.plane(plane_kind), stride, rect, x, y);
+            if !bits.read_bit()? {
+                work.uncoded_intra += 1;
+                fill_block(recon.plane_mut(plane_kind), stride, x, y, dc as u8);
+                return Ok(());
+            }
             [dc; 64]
         }
         MbMode::Inter(mv) => {
-            let rp = reference.ok_or(CodecError::Corrupt("inter block without reference"))?;
+            let rp = reference
+                .ok_or(CodecError::Corrupt("inter block without reference"))?
+                .plane(plane_kind);
             let rx = (x as i32 + mv.dx / mv_shift) as usize;
             let ry = (y as i32 + mv.dy / mv_shift) as usize;
-            extract_block(rp.plane(plane_kind), stride, rx, ry)
+            if !bits.read_bit()? {
+                work.uncoded_inter += 1;
+                copy_block(rp, recon.plane_mut(plane_kind), stride, (rx, ry), (x, y));
+                return Ok(());
+            }
+            extract_block(rp, stride, rx, ry)
         }
     };
-    let mut levels = read_coeff_block(bits)?;
+    let mut levels = read_coeffs(bits)?;
     dequantize(&mut levels, qp);
     let res = inverse(&levels);
     let mut rec = [0i32; 64];
@@ -369,13 +423,10 @@ fn decode_block(
     Ok(())
 }
 
-/// Reads one quantised coefficient block (inverse of the encoder's
-/// `write_coeff_block`).
-fn read_coeff_block(bits: &mut BitReader<'_>) -> Result<[i32; 64]> {
+/// Reads the coefficients of a coded block — what follows the coded
+/// flag (inverse of the encoder's `write_coeff_block`).
+fn read_coeffs(bits: &mut BitReader<'_>) -> Result<[i32; 64]> {
     let mut out = [0i32; 64];
-    if !bits.read_bit()? {
-        return Ok(out);
-    }
     let nnz = read_ue(bits)? as usize + 1;
     if nnz > 64 {
         return Err(CodecError::Corrupt("too many coefficients in block"));

@@ -45,6 +45,35 @@ pub fn store_block<const SZ: usize>(
     }
 }
 
+/// Copies the `BLOCK_SIZE²` block at `(sx, sy)` of `src` to `(dx, dy)`
+/// of `dst` (planes of one stride), a row slice at a time — what an
+/// uncoded inter block decodes to.
+pub fn copy_block(
+    src: &[u8],
+    dst: &mut [u8],
+    stride: usize,
+    (sx, sy): (usize, usize),
+    (dx, dy): (usize, usize),
+) {
+    // lint: hot-loop — runs per uncoded inter block
+    for row in 0..BLOCK_SIZE {
+        let (s, d) = ((sy + row) * stride + sx, (dy + row) * stride + dx);
+        dst[d..d + BLOCK_SIZE].copy_from_slice(&src[s..s + BLOCK_SIZE]);
+    }
+    // lint: end-hot-loop
+}
+
+/// Fills the `BLOCK_SIZE²` block at `(x, y)` with `value` — what an
+/// uncoded intra block decodes to.
+pub fn fill_block(plane: &mut [u8], stride: usize, x: usize, y: usize, value: u8) {
+    // lint: hot-loop — runs per uncoded intra block
+    for row in 0..BLOCK_SIZE {
+        let base = (y + row) * stride + x;
+        plane[base..base + BLOCK_SIZE].fill(value);
+    }
+    // lint: end-hot-loop
+}
+
 /// Integer square root of the (tiny, perfect-square) block sizes used
 /// by the const-generic block helpers.
 #[inline]

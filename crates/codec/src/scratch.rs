@@ -79,8 +79,24 @@ impl EncoderScratch {
     }
 }
 
+/// What the decoder was handed and how much of it carried no
+/// residual. Plain counters, bumped from the per-block loop by
+/// whichever thread owns the scratch; callers read them between GOPs
+/// and reset them with `std::mem::take`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DecoderWork {
+    /// 8×8 blocks decoded (six per macroblock).
+    pub blocks: u64,
+    /// Uncoded inter blocks: eight row copies from the reference.
+    pub uncoded_inter: u64,
+    /// Uncoded intra blocks: a fill with the DC predictor.
+    pub uncoded_intra: u64,
+}
+
 /// Per-worker scratch for the decoder: per-tile reference
-/// reconstructions plus the spare they double-buffer against.
+/// reconstructions plus the spare they double-buffer against (tiled
+/// grids only — a single-tile GOP decodes straight into its output
+/// frames), and the work counters.
 #[derive(Debug)]
 pub struct DecoderScratch {
     /// Per-tile reference reconstructions, reused across frames and
@@ -89,6 +105,7 @@ pub struct DecoderScratch {
     pub tiles: Vec<Frame>,
     /// The tile being decoded; swapped into `tiles` after each blit.
     pub spare: Frame,
+    pub work: DecoderWork,
 }
 
 impl Default for DecoderScratch {
@@ -102,6 +119,7 @@ impl DecoderScratch {
         DecoderScratch {
             tiles: Vec::new(),
             spare: Frame::empty(),
+            work: DecoderWork::default(),
         }
     }
 }

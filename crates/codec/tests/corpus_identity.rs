@@ -310,3 +310,96 @@ fn tile_path_payloads_and_reconstructions_match_golden_digests() {
         panic!("tile-path digests drifted from TILE_PATH_GOLDEN (current values above)");
     }
 }
+
+// ------------------------------------------------------------------
+// The read side: whole GOPs (`decode_gop`, single-tile and 2×2 grids),
+// single tiles (`decode_gop_tile`) and the prediction-only
+// `decode_gop_degraded`, at the benchmark's frame size and a tile's.
+
+fn decode_path_digests() -> Vec<(String, [u64; 3])> {
+    use lightdb_codec::CodecKind::{H264Sim, HevcSim};
+    let mut out = Vec::new();
+    for (w, h) in [(512, 256), (128, 64)] {
+        for qp in [6u8, 22, 45] {
+            for codec in [H264Sim, HevcSim] {
+                for noisy in [false, true] {
+                    let seed = w + h + qp as usize;
+                    let frames = if noisy {
+                        noisy_scene(w, h, 3, seed)
+                    } else {
+                        scene(w, h, 3, seed)
+                    };
+                    let [mut whole, mut tiles, mut degraded] = [FNV_OFFSET; 3];
+                    for grid in [TileGrid::SINGLE, TileGrid::new(2, 2)] {
+                        let enc = Encoder::new(EncoderConfig {
+                            codec,
+                            qp,
+                            grid,
+                            gop_length: 3,
+                            fps: 30,
+                        })
+                        .unwrap();
+                        let stream = enc.encode(&frames).unwrap();
+                        let (header, gop) = (&stream.header, &stream.gops[0]);
+                        let dec = Decoder::new();
+                        whole = digest_frames(&dec.decode_gop(header, gop).unwrap(), whole);
+                        for t in 0..grid.tile_count() {
+                            tiles = digest_frames(&dec.decode_gop_tile(header, gop, t).unwrap(), tiles);
+                        }
+                        degraded =
+                            digest_frames(&dec.decode_gop_degraded(header, gop).unwrap(), degraded);
+                    }
+                    let kind = if noisy { "noisy" } else { "smooth" };
+                    out.push((
+                        format!("{w}x{h} qp={qp} {codec:?} {kind}"),
+                        [whole, tiles, degraded],
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Golden digests captured at commit d3572aa (the decoder that ran the
+/// inverse transform over every block, coded or not).
+/// (whole-GOP, per-tile, degraded) decoded-frame digests per cell.
+const DECODE_PATH_GOLDEN: &[[u64; 3]] = &[
+    [0x64479bb94429a6d7, 0xf4a9ef21700cbd9f, 0xb807d86633c12613], // 512x256 qp=6 H264Sim smooth
+    [0x8591a3e1d520da3e, 0x8d6e03e42131eb32, 0x79bf66a5819d11d9], // 512x256 qp=6 H264Sim noisy
+    [0xd03c2af11c74ed93, 0xf0b1075971e4cf8b, 0x4e1560299c3d47e6], // 512x256 qp=6 HevcSim smooth
+    [0x8e54026b90647051, 0x657e3a419c244dad, 0x607011b1df0ff58c], // 512x256 qp=6 HevcSim noisy
+    [0x11421937aed4ab39, 0xa8c7e03ca19ad49d, 0x6673cc954a6c4b4c], // 512x256 qp=22 H264Sim smooth
+    [0x2cfdd77a9b18ec47, 0x221a9bcdf10d5933, 0x89e42d6673a7fc88], // 512x256 qp=22 H264Sim noisy
+    [0xbae4244d7bd1ef0f, 0x21b5ffa53d5914d7, 0xf1999de48038babb], // 512x256 qp=22 HevcSim smooth
+    [0x87482462a712fbab, 0x46fd2780ef6f720f, 0xe15c44dcc2c310da], // 512x256 qp=22 HevcSim noisy
+    [0x3aa6ac32fb6e7eed, 0x4ad78345c5e64109, 0xfb734dab85fb5814], // 512x256 qp=45 H264Sim smooth
+    [0x981e90b894ed39be, 0x036353d50191be0a, 0xb83b28e142c00877], // 512x256 qp=45 H264Sim noisy
+    [0x11b7a4f221f719ce, 0x276781eb277ef8c2, 0x9719a06c5cd65331], // 512x256 qp=45 HevcSim smooth
+    [0xca3564aeba8c4862, 0xe56181f0d83c071e, 0x7b2593489df4af9d], // 512x256 qp=45 HevcSim noisy
+    [0xee2b5811a162e2ca, 0xafb93a5f2846d47e, 0x0b1d2c653cc38e99], // 128x64 qp=6 H264Sim smooth
+    [0xea0f27b0834b5ca8, 0x856369a649f37f14, 0x98b5924c0baa601a], // 128x64 qp=6 H264Sim noisy
+    [0xd96f568f6565e563, 0xd6d0b7ffd926ddab, 0xacc45813a1d6e278], // 128x64 qp=6 HevcSim smooth
+    [0xfe0c3963c622ccdd, 0x6c88098f664d3679, 0x71b0d4cf43121fa2], // 128x64 qp=6 HevcSim noisy
+    [0xfee7dc156e57e688, 0x2998e7c6621bd484, 0xbd3a0d9b73132c52], // 128x64 qp=22 H264Sim smooth
+    [0x934899ee486e053f, 0x2324a9a2d2e41bcf, 0x37f2572cd81f9b4e], // 128x64 qp=22 H264Sim noisy
+    [0x1abb2a3072a7c290, 0x730eda48fa59b77c, 0x576ac10945e4d106], // 128x64 qp=22 HevcSim smooth
+    [0x963c7a1e1705c26b, 0xddad3ebf592fd883, 0x29b3c38224c11cbc], // 128x64 qp=22 HevcSim noisy
+    [0x5877b9ea88a31088, 0x00c8dc68693acaac, 0x39d22e00a048eded], // 128x64 qp=45 H264Sim smooth
+    [0xa25d72960061b70c, 0xd35b18ec463275a0, 0x4a03a4b0fe14868e], // 128x64 qp=45 H264Sim noisy
+    [0x432e0ca97bb3e446, 0xa223ed7573d09516, 0xf5413143ea971e44], // 128x64 qp=45 HevcSim smooth
+    [0x7fe86d886f5f8e17, 0x3b964cc85776fc67, 0x9f1b4b2186c23ae4], // 128x64 qp=45 HevcSim noisy
+];
+
+#[test]
+fn decoded_gops_tiles_and_degraded_frames_match_golden_digests() {
+    let got = decode_path_digests();
+    let drifted = got.len() != DECODE_PATH_GOLDEN.len()
+        || got.iter().zip(DECODE_PATH_GOLDEN).any(|((_, d), golden)| d != golden);
+    if drifted {
+        for (name, [whole, tiles, degraded]) in &got {
+            eprintln!("    [0x{whole:016x}, 0x{tiles:016x}, 0x{degraded:016x}], // {name}");
+        }
+        panic!("decode-path digests drifted from DECODE_PATH_GOLDEN (current values above)");
+    }
+}

@@ -2,19 +2,25 @@
 //! zero-block short-circuits and successive elimination (commit
 //! 3904a5c), kept verbatim as the differential oracle: every level is
 //! divided out, every block is transformed, dequantised and inverted,
-//! and every candidate in the window is measured.
+//! and every candidate in the window is measured. Likewise the
+//! decoder's block path before its uncoded-block short-circuit (commit
+//! d3572aa): every block, coded or not, is widened, dequantised,
+//! inverted, added, clamped and stored.
 //!
 //! Shared by this crate's integration tests and, through `#[path]`,
 //! by `lightdb-bench`'s kernel benchmark, which times the shipped
 //! encoder against it. Public API only — nothing here can reach into
 //! the codec.
 
-use lightdb_codec::bitio::BitWriter;
-use lightdb_codec::golomb::{write_se, write_ue};
+// Each includer uses its own half (encoder or decoder side).
+#![allow(dead_code)]
+
+use lightdb_codec::bitio::{BitReader, BitWriter};
+use lightdb_codec::golomb::{read_se, read_ue, write_se, write_ue};
 use lightdb_codec::predict::{dc_predictor, extract_block, sad_mb, store_block, MotionVector};
-use lightdb_codec::quant::{dequantize, qstep_x64, WEIGHTS};
+use lightdb_codec::quant::{dequantize, qstep_x64, QP_MAX, WEIGHTS};
 use lightdb_codec::transform::{forward, inverse, ZIGZAG};
-use lightdb_codec::{CodecKind, TileRect};
+use lightdb_codec::{CodecError, CodecKind, FrameType, TileRect};
 use lightdb_frame::{Frame, PlaneKind};
 
 const MB_SIZE: usize = lightdb_codec::MB_SIZE;
@@ -294,4 +300,151 @@ fn write_coeff_block(bits: &mut BitWriter, coeffs: &[i32; 64]) {
             run = 0;
         }
     }
+}
+
+/// `decoder::decode_tile_payload_into`: one tile payload into `recon`.
+pub(crate) fn decode_tile_payload_into(
+    payload: &[u8],
+    w: usize,
+    h: usize,
+    frame_type: FrameType,
+    reference: Option<&Frame>,
+    recon: &mut Frame,
+) -> Result<(), CodecError> {
+    if !w.is_multiple_of(MB_SIZE) || !h.is_multiple_of(MB_SIZE) {
+        return Err(CodecError::Geometry(format!(
+            "tile {w}×{h} not macroblock aligned"
+        )));
+    }
+    let (&qp, body) = payload
+        .split_first()
+        .ok_or(CodecError::Corrupt("empty tile payload"))?;
+    if qp > QP_MAX {
+        return Err(CodecError::Corrupt("tile QP out of range"));
+    }
+    if let Some(r) = reference {
+        if r.width() != w || r.height() != h {
+            return Err(CodecError::Corrupt("reference dimensions disagree"));
+        }
+    }
+    let rect = TileRect { x0: 0, y0: 0, w, h };
+    let crect = TileRect {
+        x0: 0,
+        y0: 0,
+        w: w / 2,
+        h: h / 2,
+    };
+    recon.reshape(w, h);
+    let mut bits = BitReader::new(body);
+    for mby in (0..h).step_by(MB_SIZE) {
+        for mbx in (0..w).step_by(MB_SIZE) {
+            let mode = match frame_type {
+                FrameType::Key => MbMode::Intra,
+                FrameType::Predicted => {
+                    if bits.read_bit()? {
+                        MbMode::Intra
+                    } else {
+                        let dx = read_se(&mut bits)?;
+                        let dy = read_se(&mut bits)?;
+                        let (rx, ry) = (mbx as i64 + dx as i64, mby as i64 + dy as i64);
+                        if rx < 0
+                            || ry < 0
+                            || rx + MB_SIZE as i64 > w as i64
+                            || ry + MB_SIZE as i64 > h as i64
+                        {
+                            return Err(CodecError::Corrupt("motion vector escapes tile"));
+                        }
+                        MbMode::Inter(MotionVector { dx, dy })
+                    }
+                }
+            };
+            for (by, bx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                let (x, y) = (mbx + bx * BLOCK_SIZE, mby + by * BLOCK_SIZE);
+                decode_block(
+                    reference,
+                    recon,
+                    PlaneKind::Luma,
+                    w,
+                    &rect,
+                    (x, y),
+                    (&mode, 1),
+                    qp,
+                    &mut bits,
+                )?;
+            }
+            for plane in [PlaneKind::Cb, PlaneKind::Cr] {
+                let at = (mbx / 2, mby / 2);
+                decode_block(
+                    reference,
+                    recon,
+                    plane,
+                    w / 2,
+                    &crect,
+                    at,
+                    (&mode, 2),
+                    qp,
+                    &mut bits,
+                )?;
+            }
+        }
+    }
+    Ok(())
+}
+
+#[allow(clippy::too_many_arguments)]
+fn decode_block(
+    reference: Option<&Frame>,
+    recon: &mut Frame,
+    plane_kind: PlaneKind,
+    stride: usize,
+    rect: &TileRect,
+    (x, y): (usize, usize),
+    (mode, mv_shift): (&MbMode, i32),
+    qp: u8,
+    bits: &mut BitReader<'_>,
+) -> Result<(), CodecError> {
+    let pred: [i32; 64] = match mode {
+        MbMode::Intra => [dc_predictor(recon.plane(plane_kind), stride, rect, x, y); 64],
+        MbMode::Inter(mv) => {
+            let rp = reference.ok_or(CodecError::Corrupt("inter block without reference"))?;
+            let rx = (x as i32 + mv.dx / mv_shift) as usize;
+            let ry = (y as i32 + mv.dy / mv_shift) as usize;
+            extract_block(rp.plane(plane_kind), stride, rx, ry)
+        }
+    };
+    let mut levels = read_coeff_block(bits)?;
+    dequantize(&mut levels, qp);
+    let res = inverse(&levels);
+    let mut rec = [0i32; 64];
+    for i in 0..64 {
+        rec[i] = pred[i] + res[i];
+    }
+    store_block(recon.plane_mut(plane_kind), stride, x, y, &rec);
+    Ok(())
+}
+
+fn read_coeff_block(bits: &mut BitReader<'_>) -> Result<[i32; 64], CodecError> {
+    let mut out = [0i32; 64];
+    if !bits.read_bit()? {
+        return Ok(out);
+    }
+    let nnz = read_ue(bits)? as usize + 1;
+    if nnz > 64 {
+        return Err(CodecError::Corrupt("too many coefficients in block"));
+    }
+    let mut scan_pos = 0usize;
+    for _ in 0..nnz {
+        let run = read_ue(bits)? as usize;
+        scan_pos += run;
+        if scan_pos >= 64 {
+            return Err(CodecError::Corrupt("coefficient run escapes block"));
+        }
+        let level = read_se(bits)?;
+        if level == 0 {
+            return Err(CodecError::Corrupt("zero level in nonzero list"));
+        }
+        out[ZIGZAG[scan_pos]] = level;
+        scan_pos += 1;
+    }
+    Ok(out)
 }

@@ -6,34 +6,18 @@ use lightdb_geom::Point6;
 use std::fmt;
 use std::sync::Arc;
 
-/// A frame-granular transformation UDF usable with `MAP`.
+/// A frame-granular transformation UDF usable with `MAP`. The
+/// executor applies it to the frames of a chunk in parallel, so it
+/// must not keep per-frame state.
 ///
-/// Implementations may additionally provide a row-range form, which
-/// lets the simulated-GPU backend parallelise the kernel, and may
-/// declare FPGA acceleration, which the optimizer's device placement
-/// considers.
+/// Implementations may declare FPGA acceleration, which the
+/// optimizer's device placement considers.
 pub trait MapUdf: Send + Sync {
     /// Stable name (used for plan display, equality, serialisation).
     fn name(&self) -> &str;
 
     /// Transforms a whole frame.
     fn apply(&self, frame: &Frame) -> Frame;
-
-    /// Transforms luma rows `[row_lo, row_hi)` of `src` into `dst`.
-    /// Only called when [`MapUdf::parallelizable`] returns true.
-    fn apply_rows(&self, src: &Frame, dst: &mut Frame, row_lo: usize, row_hi: usize) {
-        let _ = (src, dst, row_lo, row_hi);
-        // Callers must check parallelizable() first (default false); a
-        // silent no-op here would corrupt output, so fail loudly.
-        // lint: allow(R1): unreachable by the parallelizable() contract
-        unimplemented!("{} does not support row-range application", self.name());
-    }
-
-    /// True when `apply_rows` is implemented and row-parallel
-    /// execution is safe.
-    fn parallelizable(&self) -> bool {
-        false
-    }
 
     /// True when an FPGA kernel exists for this UDF.
     fn fpga_accelerated(&self) -> bool {
@@ -50,7 +34,7 @@ pub trait PointMapUdf: Send + Sync {
     fn eval(&self, p: &Point6, current: Yuv) -> Yuv;
 }
 
-/// Built-in `MAP` functions (each has CPU and row-parallel forms).
+/// Built-in `MAP` functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BuiltinMap {
     Identity,
@@ -97,27 +81,6 @@ impl MapUdf for BuiltinMap {
             BuiltinMap::Sharpen => kernels::sharpen(frame),
             BuiltinMap::Focus => kernels::focus(frame),
         }
-    }
-
-    fn apply_rows(&self, src: &Frame, dst: &mut Frame, row_lo: usize, row_hi: usize) {
-        match self {
-            BuiltinMap::Identity => {
-                let w = src.width();
-                let s = src.plane(lightdb_frame::PlaneKind::Luma)[row_lo * w..row_hi * w].to_vec();
-                dst.plane_mut(lightdb_frame::PlaneKind::Luma)[row_lo * w..row_hi * w]
-                    .copy_from_slice(&s);
-            }
-            BuiltinMap::Grayscale => kernels::grayscale_rows(src, dst, row_lo, row_hi),
-            BuiltinMap::Blur => kernels::blur_rows(src, dst, row_lo, row_hi),
-            BuiltinMap::Sharpen => kernels::sharpen_rows(src, dst, row_lo, row_hi),
-            BuiltinMap::Focus => unreachable!("FOCUS is not row-parallel"),
-        }
-    }
-
-    fn parallelizable(&self) -> bool {
-        // Focus is not row-separable; Identity's row form moves luma
-        // only (it is always eliminated by the rewriter anyway).
-        !matches!(self, BuiltinMap::Focus | BuiltinMap::Identity)
     }
 }
 
@@ -255,32 +218,6 @@ mod tests {
             assert_eq!(BuiltinMap::from_name(b.name()), Some(b));
         }
         assert_eq!(BuiltinMap::from_name("NOPE"), None);
-    }
-
-    #[test]
-    fn builtin_apply_rows_matches_apply() {
-        let mut f = Frame::new(16, 16);
-        for y in 0..16 {
-            for x in 0..16 {
-                f.set(x, y, Yuv::new((x * 16 + y) as u8, 100, 200));
-            }
-        }
-        for b in [BuiltinMap::Grayscale, BuiltinMap::Blur, BuiltinMap::Sharpen] {
-            assert!(b.parallelizable());
-            let whole = b.apply(&f);
-            let mut pieced = f.clone();
-            b.apply_rows(&f, &mut pieced, 0, 8);
-            b.apply_rows(&f, &mut pieced, 8, 16);
-            // Chroma handling differs for Identity (copies luma only
-            // in rows form) — compare luma planes, which is what the
-            // parallel backend splits.
-            assert_eq!(
-                whole.plane(lightdb_frame::PlaneKind::Luma),
-                pieced.plane(lightdb_frame::PlaneKind::Luma),
-                "{}",
-                b.name()
-            );
-        }
     }
 
     #[test]

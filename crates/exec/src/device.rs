@@ -1,12 +1,14 @@
 //! Execution devices.
 //!
-//! LightDB's physical operators come in CPU, GPU, and FPGA variants.
-//! In this reproduction the GPU is simulated by a data-parallel
-//! thread-pool backend (the real system used NVENC/NVDEC and CUDA)
-//! and the FPGA by a fixed-function kernel (see [`crate::fpga`]).
-//! `TRANSFER` operators copy buffers between devices; the copies are
-//! real `memcpy`s, so the optimizer's keep-data-on-device heuristic
-//! has a measurable effect.
+//! LightDB's physical operators come in CPU, GPU, and FPGA variants
+//! (the real system used NVENC/NVDEC and CUDA). In this reproduction a
+//! device is a *cost label* on a plan node, not a second threading
+//! policy: it decides where `TRANSFER`s are needed (real `memcpy`s, so
+//! the optimizer's keep-data-on-device heuristic has a measurable
+//! effect), which motion-search range `ENCODE` uses, and whether a
+//! *tiled* GOP decodes its tiles side by side ([`gpu_map`]); the FPGA
+//! is a fixed-function kernel (see [`crate::fpga`]). How many threads
+//! an operator runs on is the query's [`crate::Parallelism`] alone.
 
 use lightdb_frame::Frame;
 
@@ -28,10 +30,11 @@ impl Device {
     }
 }
 
-/// Number of worker threads the simulated GPU uses. Overridable via
-/// `LIGHTDB_GPU_WORKERS` for experiments; malformed values warn
-/// loudly (via [`lightdb_core::envknob`]) and fall back to the core
-/// count instead of being silently ignored.
+/// Number of workers the simulated GPU decodes the tiles of one tiled
+/// GOP on (its only use). Overridable via `LIGHTDB_GPU_WORKERS` for
+/// experiments; malformed values warn loudly (via
+/// [`lightdb_core::envknob`]) and fall back to the core count instead
+/// of being silently ignored.
 pub fn gpu_workers() -> usize {
     match lightdb_core::envknob::read_usize("LIGHTDB_GPU_WORKERS") {
         Some(n) if n >= 1 => n,
@@ -46,45 +49,6 @@ pub fn gpu_map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(usize, T) -> U + Sync
     crate::parallel::scatter(items, gpu_workers(), f)
 }
 
-/// Splits the luma rows of a frame into `gpu_workers()` bands and
-/// applies `kernel(src, dst, row_lo, row_hi)` to each band in
-/// parallel — the simulated-GPU path for row-parallel `MAP` kernels.
-pub fn gpu_row_kernel(
-    src: &Frame,
-    kernel: impl Fn(&Frame, &mut Frame, usize, usize) + Sync,
-) -> Frame {
-    let h = src.height();
-    let workers = gpu_workers().min(h / 2).max(1);
-    if workers <= 1 {
-        let mut dst = src.clone();
-        kernel(src, &mut dst, 0, h);
-        return dst;
-    }
-    // Bands are 2-aligned so chroma rows split cleanly.
-    let bands = lightdb_frame::kernels::row_bands(h, workers);
-    let outputs = gpu_map(bands, |_, (lo, hi)| {
-        // A fresh (zeroed) frame per band: the kernel writes only
-        // rows [lo, hi), so cloning the source would be wasted work.
-        let mut dst = Frame::new(src.width(), src.height());
-        kernel(src, &mut dst, lo, hi);
-        (lo, hi, dst)
-    });
-    // Stitch the bands back together.
-    let mut out = src.clone();
-    for (lo, hi, piece) in outputs {
-        let w = src.width();
-        out.plane_mut(lightdb_frame::PlaneKind::Luma)[lo * w..hi * w]
-            .copy_from_slice(&piece.plane(lightdb_frame::PlaneKind::Luma)[lo * w..hi * w]);
-        let cw = w / 2;
-        let (clo, chi) = (lo / 2, hi / 2);
-        for plane in [lightdb_frame::PlaneKind::Cb, lightdb_frame::PlaneKind::Cr] {
-            let slice = piece.plane(plane)[clo * cw..chi * cw].to_vec();
-            out.plane_mut(plane)[clo * cw..chi * cw].copy_from_slice(&slice);
-        }
-    }
-    out
-}
-
 /// Simulates a device-to-device transfer of frame buffers: a real
 /// deep copy (the PCIe cost the optimizer tries to avoid).
 pub fn transfer_frames(frames: &[Frame]) -> Vec<Frame> {
@@ -94,7 +58,7 @@ pub fn transfer_frames(frames: &[Frame]) -> Vec<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lightdb_frame::{kernels, Yuv};
+    use lightdb_frame::Yuv;
 
     #[test]
     fn gpu_map_preserves_order() {
@@ -106,19 +70,6 @@ mod tests {
     fn gpu_map_empty_and_single() {
         assert!(gpu_map(Vec::<u8>::new(), |_, v| v).is_empty());
         assert_eq!(gpu_map(vec![7], |_, v| v + 1), vec![8]);
-    }
-
-    #[test]
-    fn gpu_row_kernel_matches_sequential() {
-        let mut f = Frame::new(64, 64);
-        for y in 0..64 {
-            for x in 0..64 {
-                f.set(x, y, Yuv::new(((x * 3 + y * 5) % 256) as u8, x as u8, y as u8));
-            }
-        }
-        let seq = kernels::blur(&f);
-        let par = gpu_row_kernel(&f, kernels::blur_rows);
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Decoded-domain physical operators.
 //!
 //! These operators work on chunks whose payload is device-resident
-//! frames. CPU variants are sequential reference implementations;
-//! GPU variants parallelise across rows (row-parallel kernels) or
-//! across frames, and the GPU encoder uses a hardware-style narrow
-//! motion search.
+//! frames. The device is a cost label: the GPU encoder uses a
+//! hardware-style narrow motion search and a tiled GOP decodes its
+//! tiles side by side, but how many threads an operator runs on is the
+//! query's [`Parallelism`] — chunks fan out across it, and a chunk
+//! alone in its batch spends it on its own frames.
 
 use crate::chunk::{is_omega, Chunk, ChunkPayload, TimeGrouped};
-use crate::device::{gpu_map, gpu_row_kernel, transfer_frames, Device};
+use crate::device::{gpu_map, transfer_frames, Device};
 use crate::metrics::{counters, Metrics};
-use crate::parallel::{par_map_chunks_ctx, Parallelism};
+use crate::parallel::{par_flat_map_chunks_ctx, par_map_chunks_ctx, scatter, Parallelism};
 use crate::query_ctx::QueryCtx;
 use crate::{ChunkStream, ExecError, Result};
 use lightdb_storage::faults::{fail_point, sites};
@@ -19,7 +20,7 @@ use lightdb_codec::scratch::{DecoderScratch, EncoderScratch};
 use lightdb_codec::{CodecKind, Decoder, SequenceHeader, TileGrid};
 use lightdb_core::algebra::{MergeFunction, VolumePredicate};
 use lightdb_core::udf::{BuiltinInterp, InterpFunction, MapFunction};
-use lightdb_frame::{Frame, Yuv};
+use lightdb_frame::{kernels, Frame, Yuv};
 use lightdb_geom::{Dimension, Interval, Volume};
 
 /// Narrow motion-search range used by the simulated hardware (GPU)
@@ -90,7 +91,10 @@ pub fn decode_chunks_par_shared(
     })
 }
 
-/// Decodes one chunk (no-op when already decoded).
+/// Decodes one chunk (no-op when already decoded), adding the
+/// decoder's block counts for it to `metrics` (the `decode.*` names;
+/// the tiled fan-out decodes through `decode_gop_tile`, which keeps
+/// none).
 pub fn decode_one(c: Chunk, device: Device, metrics: &Metrics) -> Result<Chunk> {
     match c.payload {
         ChunkPayload::Decoded { .. } => Ok(c), // already decoded
@@ -114,8 +118,15 @@ pub fn decode_one(c: Chunk, device: Device, metrics: &Metrics) -> Result<Chunk> 
                     }
                     Ok(frames)
                 } else {
-                    DEC_SCRATCH
-                        .with(|s| Ok(dec.decode_gop_scratch(&header, gop, &mut s.borrow_mut())?))
+                    DEC_SCRATCH.with(|s| {
+                        let scratch = &mut *s.borrow_mut();
+                        let frames = dec.decode_gop_scratch(&header, gop, scratch);
+                        let work = std::mem::take(&mut scratch.work);
+                        metrics.add(counters::DECODE_BLOCKS, work.blocks);
+                        let uncoded = work.uncoded_inter + work.uncoded_intra;
+                        metrics.add(counters::DECODE_BLOCKS_UNCODED, uncoded);
+                        Ok(frames?)
+                    })
                 }
             })?;
             Ok(Chunk {
@@ -436,8 +447,7 @@ fn slab_point_select(
 
 // ------------------------------------------------------------------ map
 
-/// `MAP`: apply a UDF to every frame. GPU: row-parallel for kernels
-/// that support it, frame-parallel otherwise.
+/// `MAP`: apply a UDF to every frame.
 pub fn map_frames(
     input: ChunkStream,
     f: MapFunction,
@@ -447,66 +457,57 @@ pub fn map_frames(
     map_frames_par(input, f, device, metrics, Parallelism::SERIAL, QueryCtx::unbounded())
 }
 
-/// Chunk-parallel `MAP`: per-part/per-GOP UDF application fans out
-/// across up to `par.threads()` workers (UDFs are `Send + Sync` by
-/// trait bound). Point UDFs are handled by the executor via
+/// Chunk-parallel `MAP`: chunks fan out across up to `par.threads()`
+/// workers, and a chunk alone in its batch spends that budget on its
+/// own frames (UDFs are `Send + Sync` by trait bound). The device
+/// plays no part in either. Point UDFs are handled by the executor via
 /// [`apply_point_map`].
 pub fn map_frames_par(
     input: ChunkStream,
     f: MapFunction,
-    device: Device,
+    _device: Device,
     metrics: Metrics,
     par: Parallelism,
     ctx: QueryCtx,
 ) -> ChunkStream {
-    par_map_chunks_ctx(input, par, ctx, move |c| map_chunk(c, &f, device, &metrics))
+    par_flat_map_chunks_ctx(input, par, ctx, move |c, budget| {
+        map_chunk(c, &f, &metrics, budget).map(Some)
+    })
 }
 
-/// Applies a map UDF to one chunk's frames.
-pub fn map_chunk(c: Chunk, f: &MapFunction, device: Device, metrics: &Metrics) -> Result<Chunk> {
+/// Applies a map UDF to one chunk's frames, on up to
+/// `budget.threads()` threads: one fan-out over the frames, each
+/// transformed whole, none spawned under [`Parallelism::SERIAL`].
+pub fn map_chunk(
+    c: Chunk,
+    f: &MapFunction,
+    metrics: &Metrics,
+    budget: Parallelism,
+) -> Result<Chunk> {
     fail_point(sites::EXEC_CHUNK_MAP)?;
-    let ChunkPayload::Decoded { frames, device: d } = c.payload else {
+    let ChunkPayload::Decoded { frames, device } = c.payload else {
         return Err(ExecError::Domain(
             "MAP requires decoded input (planner bug)".into(),
         ));
     };
-    let out = metrics.time("MAP", || apply_map(f, frames, device));
+    let udf: Option<&dyn lightdb_core::udf::MapUdf> = match f {
+        MapFunction::Builtin(b) => Some(b),
+        MapFunction::Custom(u) => Some(u.as_ref()),
+        // Point UDFs are evaluated via apply_point_map by the executor,
+        // which knows the chunk volume; reaching here means the planner
+        // skipped that path.
+        MapFunction::Point(_) => None,
+    };
+    let frames = match udf {
+        Some(udf) => metrics.time("MAP", || {
+            scatter(frames, budget.threads(), |_, fr| udf.apply(&fr))
+        }),
+        None => frames,
+    };
     Ok(Chunk {
-        payload: ChunkPayload::Decoded {
-            frames: out,
-            device: d,
-        },
+        payload: ChunkPayload::Decoded { frames, device },
         ..c
     })
-}
-
-fn apply_map(f: &MapFunction, frames: Vec<Frame>, device: Device) -> Vec<Frame> {
-    match f {
-        MapFunction::Builtin(b) => {
-            use lightdb_core::udf::MapUdf;
-            if device == Device::Gpu && b.parallelizable() {
-                frames
-                    .iter()
-                    .map(|fr| gpu_row_kernel(fr, |s, d, lo, hi| b.apply_rows(s, d, lo, hi)))
-                    .collect()
-            } else {
-                frames.iter().map(|fr| b.apply(fr)).collect()
-            }
-        }
-        MapFunction::Custom(u) => {
-            if device == Device::Gpu && frames.len() > 1 {
-                gpu_map(frames, |_, fr| u.apply(&fr))
-            } else {
-                frames.iter().map(|fr| u.apply(fr)).collect()
-            }
-        }
-        MapFunction::Point(_) => {
-            // Point UDFs are evaluated via apply_point_map by the
-            // executor, which knows the chunk volume; reaching here
-            // means the planner skipped that path.
-            frames
-        }
-    }
 }
 
 /// Evaluates a point-granular UDF over a chunk, supplying each
@@ -816,7 +817,7 @@ pub fn composite_group(group: Vec<Chunk>, merge: &MergeFunction) -> Result<Vec<C
     Ok(out)
 }
 
-fn composite_bucket(bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chunk> {
+fn composite_bucket(mut bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chunk> {
     // The densest input (pixels per radian) sets the canvas
     // resolution; the canvas covers the hull of all inputs' angular
     // extents, and inputs are blitted *in order* so merge-function
@@ -849,15 +850,38 @@ fn composite_bucket(bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chunk> 
     }
     let canvas_w = (((density_theta * hull.theta().length()).round() as usize).max(2) + 1) & !1;
     let canvas_h = (((density_phi * hull.phi().length()).round() as usize).max(2) + 1) & !1;
-    let mut frames = vec![Frame::filled(canvas_w, canvas_h, crate::chunk::OMEGA); frame_count];
-    for c in &bucket {
-        let ChunkPayload::Decoded { frames: ov, .. } = &c.payload else {
+    let omega_canvas = || vec![Frame::filled(canvas_w, canvas_h, crate::chunk::OMEGA); frame_count];
+    // Empty until the first input lands: the canvas is still all ω.
+    let mut frames: Vec<Frame> = Vec::new();
+    for c in &mut bucket {
+        let ChunkPayload::Decoded { frames: ov, .. } = &mut c.payload else {
             unreachable!("checked above");
+        };
+        let Some((x0, y0, tw, th)) = overlay_rect(canvas_w, canvas_h, &hull, &c.volume) else {
+            continue;
         };
         if ov.is_empty() {
             continue;
         }
-        blit_overlay(&mut frames, &hull, ov, &c.volume, merge);
+        let on_omega = frames.is_empty();
+        if on_omega {
+            let fits = |f: &Frame| (f.width(), f.height()) == (canvas_w, canvas_h);
+            if (tw, th) == (canvas_w, canvas_h) && ov.iter().all(fits) {
+                // Every pixel lands on ω, which yields to it under any
+                // merge: the first input *is* the canvas (its last
+                // frame broadcast), with no fill and no copy.
+                frames = std::mem::take(ov);
+                if let Some(last) = frames.last().cloned() {
+                    frames.resize(frame_count, last);
+                }
+                continue;
+            }
+            frames = omega_canvas();
+        }
+        blit_overlay(&mut frames, (x0, y0, tw, th), ov, merge, on_omega);
+    }
+    if frames.is_empty() {
+        frames = omega_canvas();
     }
     let Some(first) = bucket.into_iter().next() else {
         return Err(ExecError::Align("union bucket is empty".into()));
@@ -869,22 +893,15 @@ fn composite_bucket(bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chunk> 
     })
 }
 
-/// Blits overlay frames into base frames at the overlay's angular
-/// position, resizing to the target pixel rect, skipping ω pixels,
-/// and resolving overlaps with the merge function. Overlay frame `i`
-/// pairs with base frame `i` (the last overlay frame broadcasts when
-/// the overlay is shorter — static watermarks).
-fn blit_overlay(
-    base: &mut [Frame],
+/// The canvas pixel rect `(x0, y0, w, h)` an input at `ov_vol` covers
+/// on a `w × h` canvas spanning `base_vol` (2-aligned, clipped), or
+/// `None` when it covers less than one chroma block.
+fn overlay_rect(
+    w: usize,
+    h: usize,
     base_vol: &Volume,
-    overlay: &[Frame],
     ov_vol: &Volume,
-    merge: &MergeFunction,
-) {
-    if base.is_empty() {
-        return;
-    }
-    let (w, h) = (base[0].width(), base[0].height());
+) -> Option<(usize, usize, usize, usize)> {
     let bth = base_vol.theta();
     let bph = base_vol.phi();
     let fx0 = ((ov_vol.theta().lo() - bth.lo()) / bth.length().max(1e-12)).clamp(0.0, 1.0);
@@ -896,29 +913,44 @@ fn blit_overlay(
     let x1 = ((((fx1 * w as f64).ceil() as usize).min(w)) + 1) & !1;
     let y1 = ((((fy1 * h as f64).ceil() as usize).min(h)) + 1) & !1;
     let (x1, y1) = (x1.min(w), y1.min(h));
-    if x1 <= x0 + 1 || y1 <= y0 + 1 {
-        return;
-    }
-    let (tw, th) = (x1 - x0, y1 - y0);
+    (x1 > x0 + 1 && y1 > y0 + 1).then(|| (x0, y0, x1 - x0, y1 - y0))
+}
+
+/// Blits overlay frames into base frames at pixel rect
+/// `(x0, y0, tw, th)`, resizing to it, skipping ω pixels, and resolving
+/// overlaps with the merge function. Overlay frame `i` pairs with base
+/// frame `i` (the last overlay frame broadcasts when the overlay is
+/// shorter — static watermarks), and an overlay frame equal to the one
+/// before it reuses that one's resize. `on_omega` says the base is
+/// still all ω, where — as under `LAST` — what is there cannot matter
+/// and the blit is a keyed copy.
+fn blit_overlay(
+    base: &mut [Frame],
+    (x0, y0, tw, th): (usize, usize, usize, usize),
+    overlay: &[Frame],
+    merge: &MergeFunction,
+    on_omega: bool,
+) {
+    let keyed = on_omega || matches!(merge, MergeFunction::Last);
+    let mut scaled: Option<(usize, Frame)> = None;
     for (i, bf) in base.iter_mut().enumerate() {
-        let ov = &overlay[i.min(overlay.len() - 1)];
-        let scaled;
+        let j = i.min(overlay.len() - 1);
+        let ov = &overlay[j];
         let src = if ov.width() == tw && ov.height() == th {
             ov
         } else {
-            scaled = ov.resize(tw, th);
-            &scaled
-        };
-        for y in 0..th {
-            for x in 0..tw {
-                let s = src.get(x, y);
-                if is_omega(s) {
-                    continue; // null ray: base wins
-                }
-                let d = bf.get(x0 + x, y0 + y);
-                let v = merge_pixels(merge, d, s);
-                bf.set(x0 + x, y0 + y, v);
+            if !matches!(&scaled, Some((k, _)) if *k == j || overlay[*k] == *ov) {
+                scaled = None;
             }
+            &scaled.get_or_insert_with(|| (j, ov.resize(tw, th))).1
+        };
+        if keyed {
+            kernels::blit_keyed(bf, src, x0, y0, crate::chunk::OMEGA);
+        } else {
+            // A null ray leaves the base alone.
+            kernels::merge_blocks(bf, src, x0, y0, |d, s| {
+                (!is_omega(s)).then(|| merge_pixels(merge, d, s))
+            });
         }
     }
 }

@@ -319,6 +319,13 @@ pub mod counters {
     pub const ENCODE_MV_ELIMINATED: &str = "encode.mv_eliminated";
     /// Motion searches that ended at a zero-vector SAD of 0.
     pub const ENCODE_ZERO_SAD_EXITS: &str = "encode.zero_sad_exits";
+    /// 8×8 blocks `DECODE` processed (six per macroblock). The
+    /// `decode.*` counters are the decoder's own
+    /// (`lightdb_codec::scratch::DecoderWork`), added once per GOP.
+    pub const DECODE_BLOCKS: &str = "decode.blocks";
+    /// Blocks with no coded residual: copied from the reference or
+    /// filled with the DC predictor, never inverse-transformed.
+    pub const DECODE_BLOCKS_UNCODED: &str = "decode.blocks_uncoded";
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use crate::frameops::decode_one;
 use crate::metrics::{counters, Metrics};
 use crate::query_ctx::QueryCtx;
 use crate::Result;
-use lightdb_codec::SequenceHeader;
+use lightdb_codec::{EncodedGop, SequenceHeader};
 use lightdb_frame::Frame;
 use lightdb_storage::bufferpool::{FlightJoin, SingleFlight};
 use parking_lot::Mutex;
@@ -41,7 +41,7 @@ use std::sync::Arc;
 pub const DEFAULT_BUDGET_BYTES: usize = 32 << 20;
 
 /// Content digest of one encoded GOP (+ its sequence parameters).
-/// Two independent FNV-1a passes plus the payload length: a collision
+/// Two independent FNV-1a digests plus the payload length: a collision
 /// requires both 64-bit digests *and* the length to agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecodeKey {
@@ -50,30 +50,44 @@ pub struct DecodeKey {
     len: usize,
 }
 
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// Two FNV-1a digests (different offsets) advanced together, one pass
+/// over the bytes for both.
+struct DoubleFnv(u64, u64);
+
+impl DoubleFnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            self.1 = (self.1 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
     }
-    h
 }
 
 impl DecodeKey {
-    fn for_gop(header: &SequenceHeader, device: Device, payload: &[u8]) -> DecodeKey {
+    fn for_gop(header: &SequenceHeader, device: Device, gop: &EncodedGop) -> DecodeKey {
         // The header participates because decode semantics depend on
         // it (codec, geometry, tile grid), and the device because the
         // tiled-GPU decode path is a distinct implementation — frames
         // are expected identical, but the cache never has to assume
         // it. Debug formatting is a stable in-process serialisation
-        // of these plain-data fields.
+        // of these plain-data fields. The GOP is folded in as it lies
+        // in memory — frame types, tile lengths (which delimit the
+        // payloads that follow them), payload slices — not through a
+        // serialised copy: the key never leaves the process.
         let head = format!("{header:?}/{device:?}");
-        let (s1, s2) = (0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142);
-        DecodeKey {
-            h1: fnv1a(fnv1a(s1, head.as_bytes()), payload),
-            h2: fnv1a(fnv1a(s2, head.as_bytes()), payload),
-            len: head.len() + payload.len(),
+        let mut h = DoubleFnv(0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142);
+        h.write(head.as_bytes());
+        let mut len = head.len();
+        for frame in &gop.frames {
+            h.write(&[frame.frame_type as u8]);
+            h.write(&(frame.tiles.len() as u64).to_le_bytes());
+            for tile in &frame.tiles {
+                h.write(&(tile.len() as u64).to_le_bytes());
+                h.write(tile);
+                len += tile.len();
+            }
         }
+        DecodeKey { h1: h.0, h2: h.1, len }
     }
 }
 
@@ -205,7 +219,7 @@ impl SharedDecode {
         let ChunkPayload::Encoded { header, ref gop } = chunk.payload else {
             return Ok(chunk); // already decoded
         };
-        let key = DecodeKey::for_gop(&header, device, &gop.to_bytes());
+        let key = DecodeKey::for_gop(&header, device, gop);
         loop {
             if let Some(frames) = self.lookup(&key) {
                 metrics.bump(counters::SHARED_SCAN_HITS);
@@ -313,6 +327,33 @@ mod tests {
         assert_eq!(m.counter(counters::SHARED_SCAN_HITS), 0);
     }
 
+    /// The key reads the GOP in place; what the serialised form told
+    /// apart — where one tile ends and the next begins, what kind of
+    /// frame the bytes belong to — it must still tell apart.
+    #[test]
+    fn key_separates_tile_boundaries_frame_types_and_devices() {
+        use lightdb_codec::{EncodedFrame, FrameType};
+        let header = match encoded_chunk(0, 40).payload {
+            ChunkPayload::Encoded { header, .. } => header,
+            _ => unreachable!(),
+        };
+        let gop = |frame_type, tiles: &[&[u8]]| EncodedGop {
+            frames: vec![EncodedFrame { frame_type, tiles: tiles.iter().map(|t| t.to_vec()).collect() }],
+        };
+        let key = |g: &EncodedGop, d| DecodeKey::for_gop(&header, d, g);
+        let base = gop(FrameType::Key, &[b"ab", b"c"]);
+        assert_eq!(key(&base, Device::Cpu), key(&base.clone(), Device::Cpu));
+        for other in [
+            gop(FrameType::Key, &[b"a", b"bc"]),
+            gop(FrameType::Key, &[b"abc"]),
+            gop(FrameType::Predicted, &[b"ab", b"c"]),
+            gop(FrameType::Key, &[b"ab", b"d"]),
+        ] {
+            assert_ne!(key(&base, Device::Cpu), key(&other, Device::Cpu), "{other:?}");
+        }
+        assert_ne!(key(&base, Device::Cpu), key(&base, Device::Gpu));
+    }
+
     #[test]
     fn concurrent_decodes_of_one_gop_coalesce() {
         use std::sync::Barrier;
@@ -381,7 +422,7 @@ mod tests {
                 grid: TileGrid::SINGLE,
             },
             Device::Cpu,
-            b"pending",
+            &EncodedGop::default(),
         );
         let ticket = match shared.flights.join(&key, &|| false) {
             FlightJoin::Leader(t) => t,

@@ -138,6 +138,13 @@ impl Frame {
         }
     }
 
+    /// Luma, Cb and Cr at once, for kernels that write a pixel's luma
+    /// and its block's chroma together.
+    #[inline]
+    pub fn planes_mut(&mut self) -> (&mut [u8], &mut [u8], &mut [u8]) {
+        (&mut self.y, &mut self.u, &mut self.v)
+    }
+
     /// Plane dimensions for `kind` (chroma planes are half-size).
     pub fn plane_dims(&self, kind: PlaneKind) -> (usize, usize) {
         match kind {
@@ -244,23 +251,12 @@ impl Frame {
             "resize target must be even"
         );
         let mut out = Frame::new(new_w, new_h);
-        for oy in 0..new_h {
-            let sy = oy * self.height / new_h;
-            for ox in 0..new_w {
-                let sx = ox * self.width / new_w;
-                out.y[oy * new_w + ox] = self.y[sy * self.width + sx];
-            }
-        }
-        let (ncw, nch) = (new_w / 2, new_h / 2);
-        let (scw, sch) = (self.width / 2, self.height / 2);
-        for oy in 0..nch {
-            let sy = oy * sch / nch;
-            for ox in 0..ncw {
-                let sx = ox * scw / ncw;
-                out.u[oy * ncw + ox] = self.u[sy * scw + sx];
-                out.v[oy * ncw + ox] = self.v[sy * scw + sx];
-            }
-        }
+        let luma = (self.width, self.height);
+        resample(&self.y, luma, &mut out.y, (new_w, new_h), &column_map(self.width, new_w));
+        let (from, to) = ((self.width / 2, self.height / 2), (new_w / 2, new_h / 2));
+        let cols = column_map(from.0, to.0);
+        resample(&self.u, from, &mut out.u, to, &cols);
+        resample(&self.v, from, &mut out.v, to, &cols);
         out
     }
 
@@ -285,6 +281,29 @@ impl Frame {
             bytes[ysz..ysz + csz].to_vec(),
             bytes[ysz + csz..].to_vec(),
         )
+    }
+}
+
+/// The source column of each of `to` output columns of a
+/// nearest-neighbour rescale from `from` columns.
+fn column_map(from: usize, to: usize) -> Vec<usize> {
+    (0..to).map(|ox| ox * from / to).collect()
+}
+
+/// Nearest-neighbour rescale of one plane: one division per output
+/// row, none per sample.
+fn resample(
+    src: &[u8],
+    (sw, sh): (usize, usize),
+    dst: &mut [u8],
+    (dw, dh): (usize, usize),
+    cols: &[usize],
+) {
+    for (oy, out) in dst.chunks_exact_mut(dw).enumerate() {
+        let row = &src[(oy * sh / dh) * sw..][..sw];
+        for (d, &sx) in out.iter_mut().zip(cols) {
+            *d = row[sx];
+        }
     }
 }
 
@@ -354,6 +373,49 @@ mod tests {
         let r = f.resize(8, 4);
         assert_eq!(r.width(), 8);
         assert_eq!(r.get(3, 2), Yuv::new(200, 90, 30));
+    }
+
+    /// `resize` as it was: two divisions per output sample.
+    fn resize_per_sample(f: &Frame, new_w: usize, new_h: usize) -> Frame {
+        let mut out = Frame::new(new_w, new_h);
+        for oy in 0..new_h {
+            let sy = oy * f.height / new_h;
+            for ox in 0..new_w {
+                let sx = ox * f.width / new_w;
+                out.y[oy * new_w + ox] = f.y[sy * f.width + sx];
+            }
+        }
+        let (ncw, nch) = (new_w / 2, new_h / 2);
+        let (scw, sch) = (f.width / 2, f.height / 2);
+        for oy in 0..nch {
+            let sy = oy * sch / nch;
+            for ox in 0..ncw {
+                let sx = ox * scw / ncw;
+                out.u[oy * ncw + ox] = f.u[sy * scw + sx];
+                out.v[oy * ncw + ox] = f.v[sy * scw + sx];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn resize_matches_the_per_sample_form_over_a_sweep_of_sizes() {
+        let sizes = [(2, 2), (6, 2), (10, 14), (16, 8), (34, 18), (64, 32)];
+        for (w, h) in sizes {
+            let mut f = Frame::new(w, h);
+            for y in 0..h {
+                for x in 0..w {
+                    f.set(x, y, Yuv::new((x * 31 + y * 17) as u8, (x * 5) as u8, (y * 9) as u8));
+                }
+            }
+            for (nw, nh) in sizes.into_iter().chain([(512, 256), (2, 64)]) {
+                assert_eq!(
+                    f.resize(nw, nh),
+                    resize_per_sample(&f, nw, nh),
+                    "{w}x{h} -> {nw}x{nh}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Pixel kernels backing LightDB's built-in `MAP` / `UNION` functions.
 //!
-//! Every kernel comes in a whole-frame form and a row-range form
+//! Every `MAP` kernel comes in a whole-frame form and a row-range form
 //! (`*_rows`) over `[row_lo, row_hi)` of the *luma* plane; chroma rows
-//! are derived (half rate). The row-range forms let the simulated-GPU
-//! backend split a kernel across worker threads without the kernels
-//! knowing anything about devices.
+//! are derived (half rate). The whole-frame form is the row-range form
+//! over every row.
+//!
+//! The `UNION` kernels ([`blit_keyed`], [`merge_blocks`]) walk 2×2
+//! pixel blocks over plane slices: the four pixels of a block share
+//! one chroma sample, so a block is the unit in which "this pixel's
+//! colour" is well defined.
 
 use crate::color::Yuv;
 use crate::frame::{Frame, PlaneKind};
@@ -213,30 +217,133 @@ pub fn draw_rect(
     }
 }
 
-/// Splits `height` luma rows into at most `workers` contiguous bands
-/// `(row_lo, row_hi)` for the `*_rows` kernels. Bands are 2-aligned
-/// (except possibly the last row of an odd-height frame) so the
-/// half-rate chroma rows split cleanly, and they tile `[0, height)`
-/// exactly — the contract the parallel backends rely on to stitch
-/// results without overlap.
-pub fn row_bands(height: usize, workers: usize) -> Vec<(usize, usize)> {
-    if height == 0 {
-        return Vec::new();
+/// The rows of one row of 2×2 blocks: two luma rows and the chroma
+/// row they share, `(y0, y1, u, v)`.
+type BlockRow<'a> = (&'a [u8], &'a [u8], &'a [u8], &'a [u8]);
+type BlockRowMut<'a> = (&'a mut [u8], &'a mut [u8], &'a mut [u8], &'a mut [u8]);
+
+/// Calls `f(src_rows, dst_rows)` for each row of 2×2 blocks of `src`
+/// and the rows of `dst` under it when `src`'s top-left corner sits at
+/// `(x0, y0)` (both even; `src` must fit). Every slice is `src`-wide.
+fn for_block_rows(
+    dst: &mut Frame,
+    src: &Frame,
+    x0: usize,
+    y0: usize,
+    mut f: impl FnMut(BlockRow<'_>, BlockRowMut<'_>),
+) {
+    let (sw, sh, dw) = (src.width(), src.height(), dst.width());
+    assert!(
+        x0.is_multiple_of(2) && y0.is_multiple_of(2),
+        "block blit must be 2-aligned"
+    );
+    assert!(
+        x0 + sw <= dw && y0 + sh <= dst.height(),
+        "block blit out of bounds"
+    );
+    let (scw, dcw) = (sw / 2, dw / 2);
+    let (sy, su, sv) = (
+        src.plane(PlaneKind::Luma),
+        src.plane(PlaneKind::Cb),
+        src.plane(PlaneKind::Cr),
+    );
+    let (dy, du, dv) = dst.planes_mut();
+    for by in 0..sh / 2 {
+        let (s0, s1) = sy[2 * by * sw..][..2 * sw].split_at(sw);
+        let (d0, d1) = dy[(y0 + 2 * by) * dw..][..2 * dw].split_at_mut(dw);
+        let sc = by * scw..(by + 1) * scw;
+        let dc = (y0 / 2 + by) * dcw + x0 / 2..(y0 / 2 + by) * dcw + x0 / 2 + scw;
+        f(
+            (s0, s1, &su[sc.clone()], &sv[sc]),
+            (
+                &mut d0[x0..x0 + sw],
+                &mut d1[x0..x0 + sw],
+                &mut du[dc.clone()],
+                &mut dv[dc],
+            ),
+        );
     }
-    let workers = workers.max(1);
-    if workers == 1 || height <= 2 {
-        return vec![(0, height)];
-    }
-    let band = (height / workers + 1) & !1;
-    let band = band.max(2);
-    let mut bands = Vec::with_capacity(height / band + 1);
-    let mut lo = 0;
-    while lo < height {
-        let hi = (lo + band).min(height);
-        bands.push((lo, hi));
-        lo = hi;
-    }
-    bands
+}
+
+/// Copies `src` onto `dst` at even `(x0, y0)`, skipping the pixels of
+/// `src` that equal `key`: luma is copied where the source pixel is
+/// not the key, a block's chroma is written iff any of its four source
+/// pixels is not. (What a raster walk of `get`/`set` leaves behind —
+/// the pixels of one source block share their chroma — at the cost of
+/// a row copy wherever no block of the row carries the key's chroma.)
+pub fn blit_keyed(dst: &mut Frame, src: &Frame, x0: usize, y0: usize, key: Yuv) {
+    for_block_rows(dst, src, x0, y0, |(s0, s1, su, sv), (d0, d1, du, dv)| {
+        // A pixel can only be the key inside a block with its chroma.
+        if !su.iter().zip(sv).any(|(&u, &v)| u == key.u && v == key.v) {
+            d0.copy_from_slice(s0);
+            d1.copy_from_slice(s1);
+            du.copy_from_slice(su);
+            dv.copy_from_slice(sv);
+            return;
+        }
+        // lint: hot-loop — per-block keyed copy under UNION
+        for bx in 0..su.len() {
+            let x = 2 * bx;
+            if su[bx] != key.u || sv[bx] != key.v {
+                d0[x..x + 2].copy_from_slice(&s0[x..x + 2]);
+                d1[x..x + 2].copy_from_slice(&s1[x..x + 2]);
+            } else {
+                // (One loop per row: chaining the rows into one
+                // iterator measured half again as slow per UNION.)
+                let mut any = false;
+                for (d, &s) in d0[x..x + 2].iter_mut().zip(&s0[x..x + 2]) {
+                    if s != key.y {
+                        (*d, any) = (s, true);
+                    }
+                }
+                for (d, &s) in d1[x..x + 2].iter_mut().zip(&s1[x..x + 2]) {
+                    if s != key.y {
+                        (*d, any) = (s, true);
+                    }
+                }
+                if !any {
+                    continue;
+                }
+            }
+            (du[bx], dv[bx]) = (su[bx], sv[bx]);
+        }
+        // lint: end-hot-loop
+    });
+}
+
+/// Composites `src` onto `dst` at even `(x0, y0)` one 2×2 block at a
+/// time: `merge(d, s)` gives a pixel's new colour, or `None` to leave
+/// it. The four destination pixels and the chroma they share are read
+/// before any is written, so every pixel is merged against what was
+/// there before the blit; pixels are merged in raster order and the
+/// block's chroma is the last merged pixel's.
+pub fn merge_blocks(
+    dst: &mut Frame,
+    src: &Frame,
+    x0: usize,
+    y0: usize,
+    merge: impl Fn(Yuv, Yuv) -> Option<Yuv>,
+) {
+    for_block_rows(dst, src, x0, y0, |(s0, s1, su, sv), (d0, d1, du, dv)| {
+        // lint: hot-loop — per-block merge under UNION
+        for bx in 0..su.len() {
+            let x = 2 * bx;
+            let (before, chroma) = ([d0[x], d0[x + 1], d1[x], d1[x + 1]], (du[bx], dv[bx]));
+            let over = [s0[x], s0[x + 1], s1[x], s1[x + 1]];
+            let mut out = before;
+            let mut out_chroma = chroma;
+            for i in 0..4 {
+                let d = Yuv::new(before[i], chroma.0, chroma.1);
+                if let Some(c) = merge(d, Yuv::new(over[i], su[bx], sv[bx])) {
+                    (out[i], out_chroma) = (c.y, (c.u, c.v));
+                }
+            }
+            d0[x..x + 2].copy_from_slice(&out[..2]);
+            d1[x..x + 2].copy_from_slice(&out[2..]);
+            (du[bx], dv[bx]) = out_chroma;
+        }
+        // lint: end-hot-loop
+    });
 }
 
 /// Synthetic "focus" kernel for light-field rendering demos: blends
@@ -440,35 +547,85 @@ mod tests {
         assert_eq!(focus(&f), focus(&f));
     }
 
+    /// A frame with key-coloured pixels at every position in a block,
+    /// whole key blocks, and near-key pixels (key luma under other
+    /// chroma, key chroma over other luma).
+    fn keyed_frame(w: usize, h: usize, key: Yuv, salt: usize) -> Frame {
+        let mut f = gradient_frame(w, h);
+        for by in 0..h / 2 {
+            for bx in 0..w / 2 {
+                let pattern = (bx * 7 + by * 5 + salt) % 24;
+                if pattern < 16 {
+                    // Key chroma; luma is the key wherever the bit is set.
+                    for i in 0..4 {
+                        let (x, y) = (2 * bx + i % 2, 2 * by + i / 2);
+                        let luma = if pattern >> i & 1 == 1 { key.y } else { 200 };
+                        f.set(x, y, Yuv::new(luma, key.u, key.v));
+                    }
+                } else if pattern < 20 {
+                    f.set(2 * bx, 2 * by, Yuv::new(key.y, key.u, key.v.wrapping_add(1)));
+                }
+            }
+        }
+        f
+    }
+
     #[test]
-    fn row_bands_tile_exactly_and_align() {
-        for height in [0usize, 1, 2, 3, 16, 17, 64, 720, 1080] {
-            for workers in [1usize, 2, 3, 4, 8, 16] {
-                let bands = row_bands(height, workers);
-                if height == 0 {
-                    assert!(bands.is_empty());
-                    continue;
+    fn blit_keyed_matches_a_raster_walk_of_get_and_set() {
+        for key in [Yuv::new(0, 0, 0), Yuv::new(7, 130, 9)] {
+            for (x0, y0, w, h) in [(0, 0, 16, 8), (2, 4, 8, 4), (6, 2, 10, 6), (0, 0, 2, 2)] {
+                for salt in 0..3 {
+                    let src = keyed_frame(w, h, key, salt);
+                    let base = keyed_frame(16, 8, key, salt + 11);
+                    let mut want = base.clone();
+                    for y in 0..h {
+                        for x in 0..w {
+                            if src.get(x, y) != key {
+                                want.set(x0 + x, y0 + y, src.get(x, y));
+                            }
+                        }
+                    }
+                    let mut got = base.clone();
+                    blit_keyed(&mut got, &src, x0, y0, key);
+                    assert_eq!(got, want, "key {key:?} at ({x0}, {y0}) {w}x{h} salt {salt}");
                 }
-                // Bands tile [0, height) exactly, in order.
-                assert_eq!(bands[0].0, 0);
-                assert_eq!(bands[bands.len() - 1].1, height);
-                for w in bands.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "gap/overlap at {w:?}");
-                }
-                // Interior boundaries are 2-aligned for chroma.
-                for &(lo, hi) in &bands {
-                    assert!(lo % 2 == 0, "band start {lo} not chroma-aligned");
-                    assert!(hi % 2 == 0 || hi == height);
-                    assert!(lo < hi);
-                }
-                // An odd final row can add one short band.
-                assert!(bands.len() <= workers.max(1) + 1);
             }
         }
     }
 
     #[test]
-    fn row_bands_single_worker_is_whole_frame() {
-        assert_eq!(row_bands(64, 1), vec![(0, 64)]);
+    fn merge_blocks_reads_a_block_before_writing_it() {
+        // Mean of two uniform frames: every pixel of every block is
+        // averaged against the colour that was there before the blit.
+        let mut dst = Frame::filled(8, 4, Yuv::new(200, 90, 160));
+        let src = Frame::filled(4, 2, Yuv::new(100, 120, 130));
+        merge_blocks(&mut dst, &src, 2, 2, |d, s| {
+            Some(Yuv::new(
+                ((d.y as u16 + s.y as u16) / 2) as u8,
+                ((d.u as u16 + s.u as u16) / 2) as u8,
+                ((d.v as u16 + s.v as u16) / 2) as u8,
+            ))
+        });
+        for y in 0..4 {
+            for x in 0..8 {
+                let inside = (2..6).contains(&x) && y >= 2;
+                let want = if inside { Yuv::new(150, 105, 145) } else { Yuv::new(200, 90, 160) };
+                assert_eq!(dst.get(x, y), want, "({x}, {y})");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_blocks_takes_chroma_from_the_last_merged_pixel() {
+        let mut dst = Frame::filled(4, 2, Yuv::new(10, 20, 30));
+        let mut src = Frame::filled(2, 2, Yuv::new(50, 60, 70));
+        src.plane_mut(PlaneKind::Luma).copy_from_slice(&[1, 2, 3, 4]);
+        // Leave the last pixel of the block alone; tag chroma with luma.
+        merge_blocks(&mut dst, &src, 2, 0, |_, s| {
+            (s.y != 4).then_some(Yuv::new(s.y, 100 + s.y, 200 + s.y))
+        });
+        assert_eq!(dst.plane(PlaneKind::Luma), &[10, 10, 1, 2, 10, 10, 3, 10]);
+        assert_eq!(dst.plane(PlaneKind::Cb), &[20, 103]);
+        assert_eq!(dst.plane(PlaneKind::Cr), &[30, 203]);
     }
 }

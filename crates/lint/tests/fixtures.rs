@@ -49,7 +49,7 @@ fn r1_skips_fixture_when_given_its_real_test_path() {
 #[test]
 fn r2_fires_inside_fence_only() {
     let src = include_str!("fixtures/r2_hot_alloc.rs");
-    assert_eq!(lines_of(Rule::R2, LIB_PATH, src), vec![11, 12, 13, 26, 32]);
+    assert_eq!(lines_of(Rule::R2, LIB_PATH, src), vec![11, 12, 13, 26, 32, 45, 46]);
 }
 
 #[test]

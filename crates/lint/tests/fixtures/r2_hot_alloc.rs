@@ -34,3 +34,22 @@ pub fn block_sums(plane: &[u8], w: usize, h: usize, sums: &mut [u16]) {
     }
     // lint: end-hot-loop
 }
+
+// A keyed 2×2 block blit runs per frame under UNION: the rows it walks
+// are slices of the planes, and a block's four samples live in arrays,
+// never in a per-block buffer.
+pub fn blit_blocks(dst: &mut [u8], src: &[u8], w: usize, key: u8) {
+    // lint: hot-loop — fixture fence
+    for (d, s) in dst.chunks_exact_mut(2 * w).zip(src.chunks_exact(2 * w)) {
+        for bx in 0..w / 2 {
+            let block = vec![s[2 * bx], s[2 * bx + 1], s[w + 2 * bx], s[w + 2 * bx + 1]]; // line 45
+            let kept: Vec<bool> = block.iter().map(|&p| p != key).collect(); // line 46
+            for (i, &keep) in kept.iter().enumerate() {
+                if keep {
+                    d[(i / 2) * w + 2 * bx + i % 2] = block[i];
+                }
+            }
+        }
+    }
+    // lint: end-hot-loop
+}

@@ -36,10 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     assert!(db.metrics().count("TILEUNION") > 0, "homomorphic stitch expected");
 
-    // What the encoder attempted against what reached the bitstream.
-    println!("\nencoder work:");
+    // What the codec was handed against what carried a residual: blocks
+    // the decoder copied or filled instead of inverse-transforming,
+    // blocks the encoder never transformed or entropy-coded.
+    println!("\ncodec work:");
     for (name, n) in db.metrics().counters() {
-        if name.starts_with("encode.") {
+        if name.starts_with("decode.") || name.starts_with("encode.") {
             println!("  {name:<26} {n:>10}");
         }
     }

@@ -7,6 +7,7 @@
 use lightdb::prelude::*;
 use lightdb_apps::predictor::is_important;
 use lightdb_exec::ExecError;
+use lightdb::frame::PlaneKind;
 use lightdb_geom::Point6;
 use std::collections::{BTreeSet, HashSet};
 use std::f64::consts::PI;
@@ -525,5 +526,143 @@ fn one_partition_subquery_keeps_inner_parallelism() {
         probe.met.load(Ordering::SeqCst) && !probe.timed_out.load(Ordering::SeqCst),
         "the lone body ran its sub-partitions on one thread"
     );
+    let _ = fs::remove_dir_all(&root);
+}
+
+// --------------------------------------------------------------------- MAP
+
+/// A frame-granular UDF that records which threads apply it and how
+/// many are inside at once. (The pause only widens overlaps; every
+/// assertion below is an upper bound.)
+struct FrameProbe {
+    seen: Mutex<HashSet<ThreadId>>,
+    inside: AtomicUsize,
+    max_inside: AtomicUsize,
+}
+
+impl FrameProbe {
+    fn new() -> Arc<FrameProbe> {
+        Arc::new(FrameProbe {
+            seen: Mutex::new(HashSet::new()),
+            inside: AtomicUsize::new(0),
+            max_inside: AtomicUsize::new(0),
+        })
+    }
+}
+
+impl MapUdf for FrameProbe {
+    fn name(&self) -> &str {
+        "frame-probe"
+    }
+
+    fn apply(&self, frame: &Frame) -> Frame {
+        let now_inside = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
+        self.max_inside.fetch_max(now_inside, Ordering::SeqCst);
+        self.seen.lock().unwrap().insert(std::thread::current().id());
+        std::thread::sleep(Duration::from_millis(1));
+        self.inside.fetch_sub(1, Ordering::SeqCst);
+        frame.clone()
+    }
+}
+
+/// (g) MAP runs on the session's thread budget, whatever device the
+/// planner labels it with: a serial session applies the UDF on the
+/// caller's thread alone, and a lone chunk at two threads spreads its
+/// frames over exactly those two.
+#[test]
+fn map_runs_on_the_sessions_thread_budget() {
+    let root = temp_root("mapbudget");
+    let mut db = LightDb::open(&root).unwrap();
+    seed(&db, "vid", 1, 8);
+
+    db.set_parallelism(Parallelism::SERIAL);
+    let probe = FrameProbe::new();
+    db.execute(&(scan("vid") >> Map::udf(probe.clone()))).unwrap();
+    let seen = probe.seen.lock().unwrap().clone();
+    assert_eq!(
+        seen,
+        HashSet::from([std::thread::current().id()]),
+        "a serial session's MAP left the caller's thread"
+    );
+
+    db.set_parallelism(Parallelism::new(2));
+    let probe = FrameProbe::new();
+    db.execute(&(scan("vid") >> Map::udf(probe.clone()))).unwrap();
+    assert!(probe.seen.lock().unwrap().len() <= 2);
+    assert!(probe.max_inside.load(Ordering::SeqCst) <= 2);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// (h) A MAP inside SUBQUERY bodies that share a batch inherits the
+/// nesting rule: four bodies on two workers apply the UDF on those two
+/// threads and no others.
+#[test]
+fn map_nested_in_a_subquery_batch_stays_within_the_thread_budget() {
+    let root = temp_root("mapnested");
+    let mut db = LightDb::open(&root).unwrap();
+    seed(&db, "vid", 1, 4);
+    let threads = 2;
+    db.set_parallelism(Parallelism::new(threads));
+    let probe = FrameProbe::new();
+    let udf = probe.clone();
+    let q = scan("vid")
+        >> tiles(2, 2)
+        >> Subquery::new("per-tile map", move |_, tile| tile >> Map::udf(udf.clone()));
+    db.execute(&q).unwrap();
+    assert!(probe.max_inside.load(Ordering::SeqCst) <= threads);
+    let seen = probe.seen.lock().unwrap().len();
+    assert!(seen <= threads, "{seen} threads applied the UDF under a budget of {threads}");
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// (i) MAP output does not depend on the thread count: built-in
+/// kernels and a custom UDF, one-frame and many-frame GOPs, on a frame
+/// height (34 rows of chroma) no band split divides evenly.
+#[test]
+fn map_output_is_identical_across_thread_counts() {
+    struct Negative;
+    impl MapUdf for Negative {
+        fn name(&self) -> &str {
+            "negative"
+        }
+        fn apply(&self, frame: &Frame) -> Frame {
+            let mut out = frame.clone();
+            out.plane_mut(PlaneKind::Luma).iter_mut().for_each(|p| *p = 255 - *p);
+            out
+        }
+    }
+    let root = temp_root("mapdet");
+    let mut db = LightDb::open(&root).unwrap();
+    // The codec wants macroblock-aligned frames; SELECT crops them to
+    // 48×34 before the MAP.
+    seed_sized(&db, "one", 3, 1, 64, 64);
+    seed_sized(&db, "many", 2, 5, 64, 64);
+    let crop = || {
+        Select::along(Dimension::Theta, 0.0, 2.0 * PI * 48.0 / 64.0).and(
+            Dimension::Phi,
+            0.0,
+            PI * 34.0 / 64.0,
+        )
+    };
+    let maps: Vec<(&str, Map)> = vec![
+        ("blur", Map::builtin(BuiltinMap::Blur)),
+        ("sharpen", Map::builtin(BuiltinMap::Sharpen)),
+        ("grayscale", Map::builtin(BuiltinMap::Grayscale)),
+        ("negative", Map::udf(Arc::new(Negative))),
+    ];
+    for (name, map) in maps {
+        for tlf in ["one", "many"] {
+            let q = scan(tlf) >> crop() >> map.clone();
+            db.set_parallelism(Parallelism::SERIAL);
+            let serial = db.execute(&q).unwrap().into_frame_parts().unwrap();
+            let (w, h) = (serial[0][0].width(), serial[0][0].height());
+            assert_eq!((w, h), (48, 34), "the crop this test is about");
+            for threads in [2usize, 3, 8] {
+                db.set_parallelism(Parallelism::new(threads));
+                let got = db.execute(&q).unwrap().into_frame_parts().unwrap();
+                assert_eq!(got, serial, "{name} over {tlf} at {threads} threads");
+            }
+        }
+    }
     let _ = fs::remove_dir_all(&root);
 }
