@@ -19,7 +19,10 @@
 //!   `DECODE` runs them against the oracle's block path (with the
 //!   share of uncoded blocks), `UNION … LAST` compositing against the
 //!   per-pixel compositor (`lightdb-exec`'s test oracle), and `MAP`
-//!   over one chunk at one and two threads.
+//!   over one chunk at one and two threads;
+//! * the serving side: `EncodedGop::extract_tile_bytes` on a serialised
+//!   4×4 GOP against parse → extract → serialise, µs and bytes copied
+//!   per tile.
 //!
 //! `--smoke` shrinks every measurement window so the binary finishes
 //! in well under a second while still executing every kernel pair and
@@ -31,8 +34,8 @@ use lightdb_codec::bitio::{BitReader, BitWriter};
 use lightdb_codec::encoder::encode_gop_frame;
 use lightdb_codec::scratch::{DecoderScratch, EncoderScratch, EncoderWork};
 use lightdb_codec::{
-    golomb, predict, quant, transform, CodecKind, Decoder, Encoder, EncoderConfig, FrameType,
-    TileGrid, TileRect,
+    golomb, predict, quant, transform, CodecKind, Decoder, EncodedGop, Encoder, EncoderConfig,
+    FrameType, TileGrid, TileRect,
 };
 use lightdb_core::algebra::MergeFunction;
 use lightdb_core::udf::{BuiltinMap, MapFunction};
@@ -611,6 +614,66 @@ fn decode_gops(target: f64, w: usize, h: usize, n: usize) {
     );
 }
 
+/// One tile out of a serialised 4×4 GOP of `n` Venice frames, every
+/// tile in turn: the tile-index walker the tile server runs against
+/// the parse → extract → serialise path it replaced there, and what
+/// each copies to produce one tile.
+fn tile_extraction(target: f64, w: usize, h: usize, n: usize) {
+    let grid = TileGrid::new(4, 4);
+    let spec = DatasetSpec { width: w, height: h, fps: 30, seconds: 1, qp: 22 };
+    let frames: Vec<Frame> =
+        (0..n).map(|i| lightdb_datasets::frame(Dataset::Venice, &spec, i)).collect();
+    let enc = Encoder::new(EncoderConfig { qp: spec.qp, gop_length: n, grid, ..Default::default() })
+        .expect("valid config");
+    let bytes = enc.encode(&frames).expect("encode").gops[0].to_bytes();
+    let tiles = grid.tile_count();
+    let walk = |t: usize| EncodedGop::extract_tile_bytes(&bytes, t).expect("walk");
+    let parse = |t: usize| {
+        let gop = EncodedGop::from_bytes(&bytes).expect("parse");
+        gop.extract_tile(t).expect("extract").to_bytes()
+    };
+    // Copied per tile: the walker writes its output and nothing else;
+    // the parsed path copies every payload in, the tile's payloads out,
+    // and those twice more on the way to bytes (frame, then GOP).
+    let (mut walked, mut parsed) = (0usize, 0usize);
+    for t in 0..tiles {
+        let out = walk(t);
+        assert_eq!(out, parse(t), "walker and parser disagree on tile {t}");
+        let gop = EncodedGop::from_bytes(&bytes).expect("parse");
+        let tile = gop.extract_tile(t).expect("extract");
+        let framed: usize = tile.frames.iter().map(|f| f.to_bytes().len()).sum();
+        walked += out.len();
+        parsed += gop.payload_bytes() + tile.payload_bytes() + framed + out.len();
+    }
+    let (fast, refr) = rate2(
+        target,
+        || {
+            (0..tiles).for_each(|t| drop(black_box(walk(black_box(t)))));
+            tiles as u64
+        },
+        || {
+            (0..tiles).for_each(|t| drop(black_box(parse(black_box(t)))));
+            tiles as u64
+        },
+    );
+    crate::row(
+        &format!("tile extract 4x4x{n} (us/tile)"),
+        &[
+            format!("{:.3}", 1e6 / fast),
+            format!("{:.3}", 1e6 / refr),
+            format!("{:.2}x", fast / refr),
+        ],
+    );
+    crate::row(
+        &format!("  bytes copied, {} B GOP", bytes.len()),
+        &[
+            (walked / tiles).to_string(),
+            (parsed / tiles).to_string(),
+            format!("{:.1}x fewer", parsed as f64 / walked as f64),
+        ],
+    );
+}
+
 /// One row of milliseconds per unit from two rates (units/s).
 fn print_ms_row(label: &str, fast: f64, reference: f64, note: &str) {
     let [fast, reference] = [fast, reference].map(|rate| format!("{:.3}", 1e3 / rate));
@@ -779,6 +842,9 @@ pub fn print(smoke: bool) {
     decode_gops(target, 512, 256, n);
     decode_gops(target, 128, 64, n);
     frame_ops(target, n);
+    let (w, h) = if smoke { (128, 64) } else { (256, 128) };
+    tile_extraction(target, w, h, 4);
+    tile_extraction(target, w, h, 30);
     println!("ok: all fast/reference cross-checks passed");
 }
 

@@ -82,11 +82,14 @@ impl EncodedFrame {
         if count == 0 || count > 4096 {
             return Err(CodecError::Corrupt("implausible tile count"));
         }
-        let mut lens = Vec::with_capacity(count);
+        // Every tile costs at least its length byte, so the bytes left
+        // bound what a hostile count may reserve.
+        let cap = count.min(buf.len().saturating_sub(*pos));
+        let mut lens = Vec::with_capacity(cap);
         for _ in 0..count {
             lens.push(read_varint(buf, pos)? as usize);
         }
-        let mut tiles = Vec::with_capacity(count);
+        let mut tiles = Vec::with_capacity(cap);
         for len in lens {
             let end = pos.checked_add(len).ok_or(CodecError::Corrupt("tile length overflow"))?;
             if end > buf.len() {
@@ -144,7 +147,8 @@ impl EncodedGop {
         if count > 1 << 20 {
             return Err(CodecError::Corrupt("implausible frame count"));
         }
-        let mut frames = Vec::with_capacity(count);
+        // Every frame costs at least its length byte.
+        let mut frames = Vec::with_capacity(count.min(buf.len().saturating_sub(*pos)));
         for _ in 0..count {
             let len = read_varint(buf, pos)? as usize;
             let end = pos.checked_add(len).ok_or(CodecError::Corrupt("frame length overflow"))?;
@@ -182,6 +186,35 @@ impl EncodedGop {
         Ok(EncodedGop { frames })
     }
 
+    /// [`from_bytes`](Self::from_bytes) → [`extract_tile`](Self::extract_tile)
+    /// → [`to_bytes`](Self::to_bytes) without materialising the GOP: walks
+    /// the frame-length and tile-length varints of `gop_bytes`, checks
+    /// everything `from_bytes` checks, and copies tile `tile`'s payload
+    /// of every frame into one exactly-sized buffer. Same bytes, and an
+    /// error of the same variant on the same inputs — the serving path's
+    /// `TILESELECT`, with the parsed form as its oracle.
+    pub fn extract_tile_bytes(gop_bytes: &[u8], tile: usize) -> Result<Vec<u8>> {
+        // One frame of the output: type, tile count 1, tile length, payload.
+        let frame_len = |payload: &[u8]| 2 + varint_len(payload.len() as u64) + payload.len();
+        let mut size = 0usize;
+        let frames = walk_tile(gop_bytes, tile, |_, payload| {
+            let len = frame_len(payload);
+            size += varint_len(len as u64) + len;
+        })? as u64;
+        // No larger than the input: each output frame is its input
+        // frame less the other tiles, under the same frame count.
+        let mut out = Vec::with_capacity(varint_len(frames) + size);
+        write_varint(&mut out, frames);
+        walk_tile(gop_bytes, tile, |frame_type, payload| {
+            write_varint(&mut out, frame_len(payload) as u64);
+            out.push(frame_type);
+            out.push(1);
+            write_varint(&mut out, payload.len() as u64);
+            out.extend_from_slice(payload);
+        })?;
+        Ok(out)
+    }
+
     /// Stitches per-tile GOPs (each single-tile, same frame count and
     /// frame types) into one multi-tile GOP **without decoding** — the
     /// byte-level primitive behind `TILEUNION`.
@@ -214,6 +247,82 @@ impl EncodedGop {
         }
         Ok(EncodedGop { frames })
     }
+}
+
+/// Bytes [`write_varint`] emits for `v`.
+fn varint_len(mut v: u64) -> usize {
+    let mut n = 1;
+    while v >= 0x80 {
+        v >>= 7;
+        n += 1;
+    }
+    n
+}
+
+/// Walks a serialised GOP with [`EncodedGop::read`]'s checks, in its
+/// order, and hands `visit` each frame's type byte and the payload of
+/// tile `tile`. `Corrupt` as soon as the parser would report it; a frame
+/// without tile `tile` is [`EncodedGop::extract_tile`]'s `Incompatible`,
+/// reported only once the whole buffer has parsed. Returns the frame
+/// count.
+fn walk_tile<'a>(
+    buf: &'a [u8],
+    tile: usize,
+    mut visit: impl FnMut(u8, &'a [u8]),
+) -> Result<usize> {
+    let mut pos = 0;
+    let frames = read_varint(buf, &mut pos)? as usize;
+    if frames > 1 << 20 {
+        return Err(CodecError::Corrupt("implausible frame count"));
+    }
+    let mut missing = false;
+    for i in 0..frames {
+        let len = read_varint(buf, &mut pos)? as usize;
+        let end = pos.checked_add(len).ok_or(CodecError::Corrupt("frame length overflow"))?;
+        if end > buf.len() {
+            return Err(CodecError::Corrupt("frame truncated"));
+        }
+        let ty = *buf.get(pos).ok_or(CodecError::Corrupt("missing frame type"))?;
+        pos += 1;
+        let frame_type = FrameType::from_byte(ty)?;
+        let tiles = read_varint(buf, &mut pos)? as usize;
+        if tiles == 0 || tiles > 4096 {
+            return Err(CodecError::Corrupt("implausible tile count"));
+        }
+        // The tile index: payloads follow the lengths back to back, so
+        // tile `tile` starts where the lengths before it sum to.
+        let (mut before, mut wanted, mut total) = (0usize, None, 0usize);
+        for t in 0..tiles {
+            let len = read_varint(buf, &mut pos)? as usize;
+            if t == tile {
+                (before, wanted) = (total, Some(len));
+            }
+            total = total.checked_add(len).ok_or(CodecError::Corrupt("tile length overflow"))?;
+        }
+        let payloads_end =
+            pos.checked_add(total).ok_or(CodecError::Corrupt("tile length overflow"))?;
+        if payloads_end > buf.len() {
+            return Err(CodecError::Corrupt("tile payload truncated"));
+        }
+        if payloads_end != end {
+            return Err(CodecError::Corrupt("frame length mismatch"));
+        }
+        if i == 0 && frame_type != FrameType::Key {
+            return Err(CodecError::Corrupt("GOP does not begin with a keyframe"));
+        }
+        match wanted {
+            Some(len) => visit(ty, &buf[pos + before..pos + before + len]),
+            None => missing = true,
+        }
+        pos = end;
+    }
+    if pos != buf.len() {
+        return Err(CodecError::Corrupt("trailing bytes after GOP"));
+    }
+    if missing {
+        return Err(CodecError::Incompatible(format!("tile {tile} out of range")));
+    }
+    Ok(frames)
 }
 
 #[cfg(test)]

@@ -187,7 +187,9 @@ impl VideoStream {
         if count > 1 << 24 {
             return Err(CodecError::Corrupt("implausible GOP count"));
         }
-        let mut gops = Vec::with_capacity(count);
+        // Every GOP costs at least its length byte, so the bytes left
+        // bound what a hostile count may reserve.
+        let mut gops = Vec::with_capacity(count.min(buf.len().saturating_sub(pos)));
         for _ in 0..count {
             let len = read_varint(buf, &mut pos)? as usize;
             let end = pos.checked_add(len).ok_or(CodecError::Corrupt("gop length overflow"))?;

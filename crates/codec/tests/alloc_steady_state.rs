@@ -11,8 +11,15 @@
 //! at most a small constant more allocations than a 32×32 stream
 //! (4 macroblocks per frame) with the same frame count and GOP/tile
 //! structure. Any per-macroblock allocation would add hundreds.
+//!
+//! The same allocator, counting bytes, pins the parsers' other
+//! contract: a length prefix reserves no more than the bytes behind it
+//! could hold.
 
-use lightdb_codec::{Decoder, Encoder, EncoderConfig, TileGrid};
+use lightdb_codec::{
+    CodecError, CodecKind, Decoder, EncodedGop, Encoder, EncoderConfig, SequenceHeader, TileGrid,
+    VideoStream,
+};
 use lightdb_frame::{Frame, Yuv};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,6 +28,7 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every method delegates to the `System` allocator unchanged;
@@ -33,6 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // try_with: the counter itself must never allocate or panic,
         // even during TLS teardown.
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
         // SAFETY: caller guarantees `layout` has non-zero size.
         unsafe { System.alloc(layout) }
     }
@@ -49,6 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // unchanged; System.realloc upholds the contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = BYTES.try_with(|c| c.set(c.get() + new_size as u64));
         // SAFETY: ptr/layout describe a live allocation from this
         // allocator and new_size is non-zero, per the caller.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -63,6 +73,13 @@ fn count<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let start = ALLOCS.with(|c| c.get());
     let r = f();
     (ALLOCS.with(|c| c.get()) - start, r)
+}
+
+/// Runs `f`, returning (bytes requested on this thread, result).
+fn count_bytes<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let start = BYTES.with(|c| c.get());
+    let r = f();
+    (BYTES.with(|c| c.get()) - start, r)
 }
 
 fn scene(w: usize, h: usize, n: usize) -> Vec<Frame> {
@@ -127,4 +144,42 @@ fn codec_allocations_do_not_scale_with_macroblock_count() {
     // Sanity: the decoded output really is 16× the pixel volume, so
     // the flat allocation profile isn't an artifact of equal work.
     assert_eq!(f_big[0].sample_count(), 16 * f_small[0].sample_count());
+}
+
+/// LEB128 of 2²⁰ and 2²⁴, the largest counts the parsers accept.
+const FRAMES_2_20: [u8; 3] = [0x80, 0x80, 0x40];
+const GOPS_2_24: [u8; 4] = [0x80, 0x80, 0x80, 0x08];
+
+#[test]
+fn a_hostile_count_reserves_no_more_than_its_input_could_hold() {
+    // 2²⁰ frames claimed by 3 bytes; the walker and the parser alike.
+    let (bytes, r) = count_bytes(|| EncodedGop::from_bytes(&FRAMES_2_20));
+    assert!(matches!(r, Err(CodecError::Corrupt(_))), "{r:?}");
+    assert!(bytes < 4096, "from_bytes requested {bytes} bytes for a 3-byte input");
+    let (bytes, r) = count_bytes(|| EncodedGop::extract_tile_bytes(&FRAMES_2_20, 0));
+    assert!(matches!(r, Err(CodecError::Corrupt(_))), "{r:?}");
+    assert!(bytes < 4096, "extract_tile_bytes requested {bytes} bytes for a 3-byte input");
+
+    // One frame claiming 4096 tiles, then nothing.
+    let frame = [1, 3, 0, 0x80, 0x20];
+    let (bytes, r) = count_bytes(|| EncodedGop::from_bytes(&frame));
+    assert!(matches!(r, Err(CodecError::Corrupt(_))), "{r:?}");
+    assert!(bytes < 4096, "from_bytes requested {bytes} bytes for a 5-byte input");
+
+    // A stream file: magic, a valid header, 2²⁴ GOPs claimed.
+    let header = SequenceHeader {
+        codec: CodecKind::H264Sim,
+        width: 32,
+        height: 32,
+        fps: 4,
+        gop_length: 4,
+        grid: TileGrid::SINGLE,
+    };
+    let mut stream = VideoStream { header, gops: vec![] }.to_bytes();
+    stream.pop(); // the GOP count, 0
+    stream.extend_from_slice(&GOPS_2_24);
+    assert!(stream.len() <= 16, "{} bytes", stream.len());
+    let (bytes, r) = count_bytes(|| VideoStream::from_bytes(&stream));
+    assert!(matches!(r, Err(CodecError::Corrupt(_))), "{r:?}");
+    assert!(bytes < 4096, "VideoStream::from_bytes requested {bytes} bytes for {} bytes", stream.len());
 }

@@ -14,8 +14,11 @@
 //! [`TileCache`](lightdb_exec::tilecache::TileCache) (unless disabled
 //! by `LIGHTDB_TILE_CACHE_MB=0` or [`TileServerConfig::use_cache`]),
 //! so a fleet of viewers staring at the same hot region costs one
-//! `extract_tile` — everyone else hits cache or coalesces onto the
-//! in-flight extraction. Served bytes are byte-identical to a direct
+//! extraction — everyone else hits cache or coalesces onto the
+//! in-flight extraction. A miss costs one bounded copy of one tile:
+//! [`EncodedGop::extract_tile_bytes`] reads the tile index straight
+//! from the buffer pool's serialised GOP, which a serve fetches at most
+//! once per tier. Served bytes are byte-identical to a direct
 //! `EncodedGop::extract_tile(..).to_bytes()` of the pinned version by
 //! construction: the cache key embeds the version and the extraction
 //! closure is a pure function of it.
@@ -35,10 +38,10 @@ use lightdb_codec::{EncodedGop, SequenceHeader, TileGrid, VideoStream};
 use lightdb_container::{GopIndexEntry, TrackRole};
 use lightdb_core::Quality;
 use lightdb_exec::metrics::counters;
-use lightdb_exec::tilecache::TileKey;
+use lightdb_exec::tilecache::{TileCache, TileCacheStats, TileKey};
 use lightdb_exec::{ExecError, Metrics};
 use lightdb_storage::bufferpool::GopKey;
-use lightdb_storage::MediaStore;
+use lightdb_storage::{BufferPool, MediaStore};
 use std::collections::HashMap;
 use std::io::Read;
 use std::sync::{Arc, Mutex};
@@ -154,9 +157,123 @@ struct StreamState {
     version: u64,
     track: usize,
     media_path: String,
+    /// The media file's name in the buffer pool ([`GopKey::media`]).
+    pool_media: String,
     media: MediaStore,
     entries: Vec<GopIndexEntry>,
     quality: Quality,
+}
+
+impl StreamState {
+    fn pool_key(&self, entry: &GopIndexEntry) -> GopKey {
+        GopKey { media: self.pool_media.clone(), gop: entry.start_frame }
+    }
+
+    fn read_gop(&self, entry: &GopIndexEntry) -> std::result::Result<Vec<u8>, ExecError> {
+        self.media.read_gop_bytes(&self.media_path, entry).map_err(ExecError::Storage)
+    }
+}
+
+/// One tier's side of one serve or prefetch: the GOP the call is
+/// about, the tile-cache key for it (only `tile` varies), and the GOP's
+/// bytes once a miss has fetched them from the pool.
+struct TierGop<'a> {
+    stream: &'a StreamState,
+    entry: GopIndexEntry,
+    key: TileKey,
+    gop: Option<Arc<Vec<u8>>>,
+}
+
+impl<'a> TierGop<'a> {
+    fn new(stream: &'a StreamState, entry_idx: usize) -> TierGop<'a> {
+        let entry = stream.entries[entry_idx];
+        let key = TileKey {
+            tlf: stream.name.clone(),
+            version: stream.version,
+            track: stream.track,
+            gop: entry.start_frame,
+            tile: 0,
+            quality: stream.quality,
+        };
+        TierGop { stream, entry, key, gop: None }
+    }
+
+    /// The encoded bytes of `tile`, through `cache` when there is one.
+    fn tile(
+        &mut self,
+        pool: &BufferPool,
+        cache: Option<&TileCache>,
+        tally: &mut TileCacheStats,
+        tile: usize,
+    ) -> Result<Arc<Vec<u8>>> {
+        let (stream, entry, gop) = (self.stream, &self.entry, &mut self.gop);
+        let mut extract = || -> std::result::Result<Vec<u8>, ExecError> {
+            let bytes = match gop {
+                Some(bytes) => bytes,
+                None => gop.insert(pool.get_gop_watch::<ExecError>(
+                    &stream.pool_key(entry),
+                    None,
+                    &|| false,
+                    || stream.read_gop(entry),
+                )?),
+            };
+            Ok(EncodedGop::extract_tile_bytes(bytes, tile)?)
+        };
+        match cache {
+            Some(cache) => {
+                self.key.tile = tile;
+                Ok(cache.get_or_extract_tallied(&self.key, tally, &|| false, extract)?)
+            }
+            None => Ok(Arc::new(extract()?)),
+        }
+    }
+}
+
+/// One serve's or prefetch's fetches: both tiers' GOP of the call, and
+/// the tile cache's counts for it, which go to the session's
+/// [`Metrics`] once, at [`ViewFetch::finish`].
+struct ViewFetch<'a> {
+    server: &'a TileServer,
+    cache: Option<&'a TileCache>,
+    high: TierGop<'a>,
+    /// `None` when the server has no low-quality stream: the ring then
+    /// comes from `high`, GOP fetch shared.
+    low: Option<TierGop<'a>>,
+    tally: TileCacheStats,
+}
+
+impl<'a> ViewFetch<'a> {
+    fn new(server: &'a TileServer, entry_idx: usize) -> ViewFetch<'a> {
+        ViewFetch {
+            server,
+            cache: server.shared.tile_cache.as_deref().filter(|_| server.config.use_cache),
+            high: TierGop::new(&server.hq, entry_idx),
+            low: server.lq.as_ref().map(|lq| TierGop::new(lq, entry_idx)),
+            tally: TileCacheStats::default(),
+        }
+    }
+
+    fn fetch(&mut self, low: bool, tile: usize) -> Result<ServedTile> {
+        let tier = self.low.as_mut().filter(|_| low).unwrap_or(&mut self.high);
+        let bytes = tier.tile(&self.server.shared.pool, self.cache, &mut self.tally, tile)?;
+        Ok(ServedTile { tile, quality: tier.stream.quality, bytes })
+    }
+
+    /// The tile the viewer looks at, at high quality.
+    fn focus(&mut self, tile: usize) -> Result<ServedTile> {
+        self.fetch(false, tile)
+    }
+
+    /// A tile of the ring around it, at low quality.
+    fn neighbor(&mut self, tile: usize) -> Result<ServedTile> {
+        self.fetch(true, tile)
+    }
+
+    /// Adds the call's `tile_cache.*` counts and its own `tile_server.*`
+    /// count to the session's metrics.
+    fn finish(self, served: (&'static str, u64)) {
+        self.server.metrics.add_all(self.tally.counters().into_iter().chain([served]));
+    }
 }
 
 /// Last observed orientations of one viewer, for prediction.
@@ -178,8 +295,12 @@ pub struct TileServer {
     fps: u32,
     hq: StreamState,
     lq: Option<StreamState>,
-    viewers: Mutex<HashMap<u64, ViewerTrack>>,
+    /// Viewer `v`'s track lives in table `v % VIEWER_TABLES`, so
+    /// clients serving different viewers seldom meet on one mutex.
+    viewers: [Mutex<HashMap<u64, ViewerTrack>>; VIEWER_TABLES],
 }
+
+const VIEWER_TABLES: usize = 16;
 
 impl std::fmt::Debug for TileServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -249,7 +370,7 @@ impl TileServer {
             fps: header.fps,
             hq,
             lq,
-            viewers: Mutex::new(HashMap::new()),
+            viewers: Default::default(),
         })
     }
 
@@ -274,6 +395,7 @@ impl TileServer {
                 name: Arc::from(name),
                 version: stored.version,
                 track,
+                pool_media: media.path_of(&media_path).display().to_string(),
                 media_path,
                 media,
                 entries,
@@ -309,11 +431,14 @@ impl TileServer {
     /// to the final GOP past end-of-stream.
     fn entry_index(&self, second: u64) -> usize {
         let frame = second.saturating_mul(u64::from(self.fps));
-        self.hq
-            .entries
-            .iter()
-            .position(|e| frame >= e.start_frame && frame < e.start_frame + e.frame_count)
-            .unwrap_or(self.hq.entries.len() - 1)
+        let entries = &self.hq.entries;
+        // The index is in playback order: the first GOP that ends past
+        // `frame` is the only one that can hold it.
+        let at = entries.partition_point(|e| e.start_frame + e.frame_count <= frame);
+        match entries.get(at) {
+            Some(e) if e.start_frame <= frame => at,
+            _ => entries.len() - 1,
+        }
     }
 
     /// The neighbor-ring cells around `focus` (Chebyshev radius from
@@ -343,54 +468,6 @@ impl TileServer {
         out
     }
 
-    /// The encoded bytes of `tile` from `stream`'s GOP `entry_idx`,
-    /// through the tile cache when enabled.
-    fn tile_bytes(
-        &self,
-        stream: &StreamState,
-        entry_idx: usize,
-        tile: usize,
-    ) -> Result<Arc<Vec<u8>>> {
-        let entry = stream.entries[entry_idx];
-        let cache = match &self.shared.tile_cache {
-            Some(cache) if self.config.use_cache => Some(cache),
-            _ => None,
-        };
-        let pool = &self.shared.pool;
-        let extract = || -> std::result::Result<Vec<u8>, ExecError> {
-            let key = GopKey {
-                media: stream
-                    .media
-                    .path_of(&stream.media_path)
-                    .display()
-                    .to_string(),
-                gop: entry.start_frame,
-            };
-            let bytes = pool.get_gop_watch::<ExecError>(&key, None, &|| false, || {
-                stream
-                    .media
-                    .read_gop_bytes(&stream.media_path, &entry)
-                    .map_err(ExecError::Storage)
-            })?;
-            let gop = EncodedGop::from_bytes(&bytes)?;
-            Ok(gop.extract_tile(tile)?.to_bytes())
-        };
-        match cache {
-            Some(cache) => {
-                let key = TileKey {
-                    tlf: stream.name.clone(),
-                    version: stream.version,
-                    track: stream.track,
-                    gop: entry.start_frame,
-                    tile,
-                    quality: stream.quality,
-                };
-                Ok(cache.get_or_extract(&key, &self.metrics, &|| false, &extract)?)
-            }
-            None => Ok(Arc::new(extract()?)),
-        }
-    }
-
     /// Serves one viewer's view for playback second `second`: the
     /// high-quality tile their orientation points at, plus the
     /// low-quality neighbor ring (from the low-quality stream when
@@ -401,23 +478,15 @@ impl TileServer {
     pub fn serve(&self, viewer: u64, second: u64, orientation: Orientation) -> Result<ServedView> {
         let start = Instant::now();
         let focus = orientation.tile_on(self.grid);
-        let entry_idx = self.entry_index(second);
-        let primary = ServedTile {
-            tile: focus,
-            quality: Quality::High,
-            bytes: self.tile_bytes(&self.hq, entry_idx, focus)?,
-        };
-        let low = self.lq.as_ref().unwrap_or(&self.hq);
-        let mut neighbors = Vec::new();
-        for tile in self.ring_of(focus) {
-            neighbors.push(ServedTile {
-                tile,
-                quality: low.quality,
-                bytes: self.tile_bytes(low, entry_idx, tile)?,
-            });
-        }
+        let mut view = ViewFetch::new(self, self.entry_index(second));
+        let tiles = view.focus(focus).and_then(|primary| {
+            let ring = self.ring_of(focus).into_iter();
+            let neighbors = ring.map(|tile| view.neighbor(tile)).collect::<Result<Vec<_>>>()?;
+            Ok((primary, neighbors))
+        });
+        view.finish((counters::TILE_SERVES, u64::from(tiles.is_ok())));
+        let (primary, neighbors) = tiles?;
         self.note(viewer, second, orientation);
-        self.metrics.bump(counters::TILE_SERVES);
         self.metrics
             .observe(counters::SERVE_LATENCY, start.elapsed());
         Ok(ServedView {
@@ -429,8 +498,13 @@ impl TileServer {
         })
     }
 
+    fn viewer_table(&self, viewer: u64) -> std::sync::MutexGuard<'_, HashMap<u64, ViewerTrack>> {
+        let table = &self.viewers[(viewer % VIEWER_TABLES as u64) as usize];
+        table.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn note(&self, viewer: u64, second: u64, orientation: Orientation) {
-        let mut viewers = self.viewers.lock().unwrap_or_else(|e| e.into_inner());
+        let mut viewers = self.viewer_table(viewer);
         let o = orientation.normalized();
         match viewers.get_mut(&viewer) {
             Some(t) => {
@@ -469,12 +543,8 @@ impl TileServer {
     /// resurface on the demand `serve` anyway). Returns the number of
     /// tiles warmed; unknown viewers warm nothing.
     pub fn prefetch(&self, viewer: u64) -> usize {
-        let track = {
-            let viewers = self.viewers.lock().unwrap_or_else(|e| e.into_inner());
-            match viewers.get(&viewer) {
-                Some(t) => *t,
-                None => return 0,
-            }
+        let Some(track) = self.viewer_table(viewer).get(&viewer).copied() else {
+            return 0;
         };
         let (second, last) = track.last;
         let predicted = match track.prev {
@@ -503,25 +573,12 @@ impl TileServer {
         for stream in &tiers {
             let until = (next_idx + self.config.prefetch_gops).min(stream.entries.len());
             for entry in &stream.entries[next_idx..until] {
-                let key = GopKey {
-                    media: stream
-                        .media
-                        .path_of(&stream.media_path)
-                        .display()
-                        .to_string(),
-                    gop: entry.start_frame,
-                };
                 // Best-effort: a failed readahead is retried (and
                 // properly surfaced) by the demand path.
                 let _loaded = self
                     .shared
                     .pool
-                    .prefetch_gop::<ExecError>(&key, || {
-                        stream
-                            .media
-                            .read_gop_bytes(&stream.media_path, entry)
-                            .map_err(ExecError::Storage)
-                    })
+                    .prefetch_gop::<ExecError>(&stream.pool_key(entry), || stream.read_gop(entry))
                     .is_ok();
             }
         }
@@ -530,17 +587,11 @@ impl TileServer {
             return 0;
         }
         let focus = predicted.tile_on(self.grid);
-        let low = self.lq.as_ref().unwrap_or(&self.hq);
-        let mut warmed = 0usize;
-        if self.tile_bytes(&self.hq, next_idx, focus).is_ok() {
-            warmed += 1;
-        }
-        for tile in self.ring_of(focus) {
-            if self.tile_bytes(low, next_idx, tile).is_ok() {
-                warmed += 1;
-            }
-        }
-        self.metrics.add(counters::TILE_PREFETCHED, warmed as u64);
+        let mut view = ViewFetch::new(self, next_idx);
+        let ring = self.ring_of(focus).into_iter();
+        let warmed = usize::from(view.focus(focus).is_ok())
+            + ring.filter(|&tile| view.neighbor(tile).is_ok()).count();
+        view.finish((counters::TILE_PREFETCHED, warmed as u64));
         warmed
     }
 }

@@ -99,42 +99,53 @@ pub fn decode_one(c: Chunk, device: Device, metrics: &Metrics) -> Result<Chunk> 
     match c.payload {
         ChunkPayload::Decoded { .. } => Ok(c), // already decoded
         ChunkPayload::Encoded { header, ref gop } => {
-            let frames = metrics.time("DECODE", || -> Result<Vec<Frame>> {
-                let dec = Decoder::new();
-                if device == Device::Gpu && header.grid.tile_count() > 1 {
-                    // Parallel per-tile decode, then blit.
-                    let tiles: Vec<usize> = (0..header.grid.tile_count()).collect();
-                    let parts = gpu_map(tiles, |_, t| {
-                        dec.decode_gop_tile(&header, gop, t).map(|fs| (t, fs))
-                    });
-                    let mut frames =
-                        vec![Frame::new(header.width, header.height); gop.frame_count()];
-                    for r in parts {
-                        let (t, fs) = r?;
-                        let rect = header.grid.tile_rect(t, header.width, header.height);
-                        for (f, tf) in frames.iter_mut().zip(fs.iter()) {
-                            f.blit(tf, rect.x0, rect.y0);
-                        }
-                    }
-                    Ok(frames)
-                } else {
-                    DEC_SCRATCH.with(|s| {
-                        let scratch = &mut *s.borrow_mut();
-                        let frames = dec.decode_gop_scratch(&header, gop, scratch);
-                        let work = std::mem::take(&mut scratch.work);
-                        metrics.add(counters::DECODE_BLOCKS, work.blocks);
-                        let uncoded = work.uncoded_inter + work.uncoded_intra;
-                        metrics.add(counters::DECODE_BLOCKS_UNCODED, uncoded);
-                        Ok(frames?)
-                    })
-                }
-            })?;
+            let frames = decode_frames(&header, gop, device, metrics)?;
             Ok(Chunk {
                 payload: ChunkPayload::Decoded { frames, device },
                 ..c
             })
         }
     }
+}
+
+/// The frames of one encoded GOP: [`decode_one`]'s work, on borrowed
+/// input (the shared-decode cache's leader decodes through this and
+/// keeps its chunk).
+pub(crate) fn decode_frames(
+    header: &SequenceHeader,
+    gop: &EncodedGop,
+    device: Device,
+    metrics: &Metrics,
+) -> Result<Vec<Frame>> {
+    metrics.time("DECODE", || -> Result<Vec<Frame>> {
+        let dec = Decoder::new();
+        if device == Device::Gpu && header.grid.tile_count() > 1 {
+            // Parallel per-tile decode, then blit.
+            let tiles: Vec<usize> = (0..header.grid.tile_count()).collect();
+            let parts = gpu_map(tiles, |_, t| {
+                dec.decode_gop_tile(header, gop, t).map(|fs| (t, fs))
+            });
+            let mut frames = vec![Frame::new(header.width, header.height); gop.frame_count()];
+            for r in parts {
+                let (t, fs) = r?;
+                let rect = header.grid.tile_rect(t, header.width, header.height);
+                for (f, tf) in frames.iter_mut().zip(fs.iter()) {
+                    f.blit(tf, rect.x0, rect.y0);
+                }
+            }
+            Ok(frames)
+        } else {
+            DEC_SCRATCH.with(|s| {
+                let scratch = &mut *s.borrow_mut();
+                let frames = dec.decode_gop_scratch(header, gop, scratch);
+                let work = std::mem::take(&mut scratch.work);
+                metrics.add(counters::DECODE_BLOCKS, work.blocks);
+                let uncoded = work.uncoded_inter + work.uncoded_intra;
+                metrics.add(counters::DECODE_BLOCKS_UNCODED, uncoded);
+                Ok(frames?)
+            })
+        }
+    })
 }
 
 /// Prediction-only decode of one chunk: the keyframe is reconstructed

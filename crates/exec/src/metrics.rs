@@ -182,6 +182,15 @@ impl Metrics {
         *self.counters.lock().entry(counter).or_insert(0) += n;
     }
 
+    /// Adds every non-zero `(counter, n)` pair under one lock — for
+    /// callers that tally a batch of events locally.
+    pub fn add_all(&self, pairs: impl IntoIterator<Item = (&'static str, u64)>) {
+        let mut counters = self.counters.lock();
+        for (counter, n) in pairs.into_iter().filter(|(_, n)| *n > 0) {
+            *counters.entry(counter).or_insert(0) += n;
+        }
+    }
+
     /// Increments the named event counter by one.
     pub fn bump(&self, counter: &'static str) {
         self.add(counter, 1);

@@ -22,6 +22,9 @@ struct ScanPart {
     part: usize,
     header: SequenceHeader,
     media_path: String,
+    /// The media file's name in the buffer pool ([`GopKey::media`]),
+    /// resolved once with the part.
+    pool_media: String,
     entries: Vec<GopIndexEntry>,
     volume: Volume,
     info: StreamInfo,
@@ -136,6 +139,7 @@ fn resolve_parts(
                     part: out.len(),
                     header,
                     media_path: track.media_path.clone(),
+                    pool_media: media.path_of(&track.media_path).display().to_string(),
                     entries,
                     volume,
                     info: StreamInfo {
@@ -173,6 +177,7 @@ fn resolve_parts(
                     part: out.len(),
                     header,
                     media_path: track.media_path.clone(),
+                    pool_media: media.path_of(&track.media_path).display().to_string(),
                     entries,
                     volume,
                     info: StreamInfo {
@@ -300,7 +305,7 @@ fn stream_parts(
                 return Some(Err(e));
             }
             let r = metrics.time("SCAN", || -> Result<Chunk> {
-                let key = GopKey { media: media.path_of(&p.media_path).display().to_string(), gop: entry.start_frame };
+                let key = GopKey { media: p.pool_media.clone(), gop: entry.start_frame };
                 let bytes = pool.get_gop_watch(&key, owner, &|| ctx.should_abort(), || {
                     media.read_gop_bytes(&p.media_path, &entry)
                 })?;

@@ -4,14 +4,23 @@
 //! The fleet-serving workload (PAPER.md §2: many headsets viewing one
 //! 360° video, head orientations clustered on the action) asks for
 //! the same hot tile thousands of times per second. Extraction is
-//! already zero-decode (`EncodedGop::extract_tile` clones the tile's
-//! slice out of every frame), but under a fleet even that memcpy —
-//! plus the buffer-pool traffic to get the GOP bytes — multiplies by
-//! the viewer count. A [`TileCache`] is the serving-layer analogue of
-//! [`crate::sharedscan::SharedDecode`]: a byte-budgeted LRU over the
-//! serialized single-tile GOPs, wrapped in the buffer pool's generic
-//! `SingleFlight` so concurrent requests for one hot tile run
-//! `extract_tile` exactly once and everyone else reuses those bytes.
+//! already zero-decode (`EncodedGop::extract_tile_bytes` walks the
+//! tile index of the pool's serialised GOP and copies the one tile's
+//! payloads out), but under a fleet even that copy — plus the
+//! buffer-pool traffic to get the GOP bytes — multiplies by the
+//! viewer count. A [`TileCache`] is the serving-layer analogue of
+//! [`crate::sharedscan::SharedDecode`]: both are instantiations of
+//! [`lightdb_storage::lru::SingleFlightLru`], here over the serialized
+//! single-tile GOPs, so concurrent requests for one hot tile extract
+//! it exactly once and everyone else reuses those bytes.
+//!
+//! ## Shards
+//!
+//! The budget is split over `min(16, budget / 64 KiB)` shards (rounded
+//! down to a power of two, at least one), each its own lock and its own
+//! exact LRU: derived from the budget, not configured. A budget under
+//! 128 KiB is one shard with cache-wide LRU order; a tile larger than
+//! one shard's share is served and never kept.
 //!
 //! ## Keys and version safety
 //!
@@ -38,16 +47,18 @@
 use crate::metrics::{counters, Metrics};
 use crate::Result;
 use lightdb_core::Quality;
-use lightdb_storage::bufferpool::{FlightJoin, SingleFlight};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use lightdb_storage::lru::{SingleFlightLru, Source};
 use std::sync::Arc;
 
 /// Default encoded-tile cache budget: 64 MiB. Encoded tiles are tiny
 /// (a tile's slice of each frame at one quality), so this holds many
 /// thousands of hot tiles. Engines read `LIGHTDB_TILE_CACHE_MB`.
 pub const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
+
+/// A shard is worth its lock only if it can hold a working set of
+/// tiles: no shard gets less than this.
+const MIN_SHARD_BYTES: usize = 64 << 10;
+const MAX_SHARDS: usize = 16;
 
 /// Provenance identity of one encoded tile at one quality.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -68,64 +79,11 @@ pub struct TileKey {
     pub quality: Quality,
 }
 
-struct CacheEntry {
-    tile: Arc<Vec<u8>>,
-    bytes: usize,
-    /// Monotonic stamp for LRU ordering.
-    stamp: u64,
-}
-
-struct CacheInner {
-    map: HashMap<TileKey, CacheEntry>,
-    bytes: usize,
-    budget: usize,
-    clock: u64,
-}
-
-impl CacheInner {
-    /// Evicts LRU entries until within budget, never touching the
-    /// just-inserted `protect` key unless it alone exceeds the budget
-    /// (in which case it is served but not retained — the same
-    /// oversized-entry rule as the buffer pool and shared-decode
-    /// cache).
-    fn evict_to_budget(&mut self, protect: &TileKey, metrics: &Metrics, stats: &CacheStats) {
-        while self.bytes > self.budget {
-            let victim = self
-                .map
-                .iter()
-                .filter(|(k, _)| *k != protect)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            if let Some(e) = self.map.remove(&victim) {
-                self.bytes -= e.bytes;
-                metrics.bump(counters::TILE_CACHE_EVICTIONS);
-                stats.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if self.bytes > self.budget {
-            if let Some(e) = self.map.remove(protect) {
-                self.bytes -= e.bytes;
-                metrics.bump(counters::TILE_CACHE_EVICTIONS);
-                stats.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Cache-wide totals, independent of any one session's [`Metrics`].
-/// Sessions see their own share through the `tile_cache.*` counters;
-/// these atomics see the whole fleet, which is what the exactly-once
-/// tests and the fleet bench assert on.
-#[derive(Debug, Default)]
-struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// A point-in-time copy of the cache-wide totals.
+/// Hit / miss / coalesced / eviction counts: a point-in-time copy of
+/// the cache-wide totals ([`TileCache::stats`]; sessions see their own
+/// share through the `tile_cache.*` counters, these see the whole
+/// fleet), or one caller's running tally
+/// ([`TileCache::get_or_extract_tallied`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileCacheStats {
     /// Requests served from cache without waiting.
@@ -164,102 +122,67 @@ impl TileCacheStats {
             evictions: self.evictions.saturating_sub(earlier.evictions),
         }
     }
+
+    /// The `tile_cache.*` counters these counts stand for.
+    pub fn counters(&self) -> [(&'static str, u64); 4] {
+        [
+            (counters::TILE_CACHE_HITS, self.hits),
+            (counters::TILE_CACHE_MISSES, self.misses),
+            (counters::TILE_CACHE_COALESCED, self.coalesced),
+            (counters::TILE_CACHE_EVICTIONS, self.evictions),
+        ]
+    }
 }
 
 /// The cross-user encoded-tile facility: single-flight extraction
 /// plus a byte-bounded LRU of serialized single-tile GOPs. One per
 /// engine, shared by every session's `TileServer`.
+#[derive(Debug)]
 pub struct TileCache {
-    flights: SingleFlight<TileKey>,
-    inner: Mutex<CacheInner>,
-    stats: CacheStats,
-}
-
-impl std::fmt::Debug for TileCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never locks: safe to call mid-critical-section.
-        f.debug_struct("TileCache").finish_non_exhaustive()
-    }
+    lru: SingleFlightLru<TileKey, Arc<Vec<u8>>>,
 }
 
 impl TileCache {
     /// A cache bounded by `budget_bytes` of serialized tile data.
     pub fn new(budget_bytes: usize) -> TileCache {
-        TileCache {
-            flights: SingleFlight::new(),
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                bytes: 0,
-                budget: budget_bytes,
-                clock: 0,
-            }),
-            stats: CacheStats::default(),
-        }
+        let shards = (budget_bytes / MIN_SHARD_BYTES).min(MAX_SHARDS);
+        TileCache { lru: SingleFlightLru::new(budget_bytes, shards) }
     }
 
     /// Encoded-tile bytes currently resident.
     pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().bytes
+        self.lru.resident_bytes()
     }
 
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> usize {
-        self.inner.lock().budget
+        self.lru.budget_bytes()
     }
 
     /// Number of cached tiles.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lru.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lru.is_empty()
     }
 
     /// Cache-wide totals since construction.
     pub fn stats(&self) -> TileCacheStats {
+        let s = self.lru.stats();
         TileCacheStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            coalesced: self.stats.coalesced.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
+            hits: s.hits,
+            misses: s.misses,
+            coalesced: s.coalesced,
+            evictions: s.evictions,
         }
     }
 
     /// Whether `key` is resident right now (no LRU touch; tests and
     /// prefetch use this to avoid redundant warming).
     pub fn contains(&self, key: &TileKey) -> bool {
-        self.inner.lock().map.contains_key(key)
-    }
-
-    fn lookup(&self, key: &TileKey) -> Option<Arc<Vec<u8>>> {
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.map.get_mut(key).map(|e| {
-            e.stamp = clock;
-            e.tile.clone()
-        })
-    }
-
-    fn publish(&self, key: TileKey, tile: Arc<Vec<u8>>, metrics: &Metrics) {
-        let bytes = tile.len();
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(old) = inner.map.remove(&key) {
-            inner.bytes -= old.bytes;
-        }
-        inner.bytes += bytes;
-        inner.map.insert(
-            key.clone(),
-            CacheEntry {
-                tile,
-                bytes,
-                stamp: clock,
-            },
-        );
-        inner.evict_to_budget(&key, metrics, &self.stats);
+        self.lru.contains(key)
     }
 
     /// Serves `key` from the cache, or runs `extract` under
@@ -269,15 +192,46 @@ impl TileCache {
     /// `extract` must be a pure function of the key (it produces the
     /// serialized single-tile GOP — `extract_tile(i).to_bytes()` — for
     /// the pinned catalog version in the key), so a cached entry is
-    /// byte-identical to a fresh extraction by construction. It may be
-    /// called more than once only if a leader fails and this request
-    /// retries into leadership; each call is still "one extraction"
-    /// for counter purposes.
+    /// byte-identical to a fresh extraction by construction. It runs at
+    /// most once per call — when this request leads, possibly after a
+    /// leader it waited on failed — and counts as a miss only if it
+    /// succeeds.
     ///
     /// Waiting on another request's in-flight extraction polls
-    /// `should_abort` each step; an aborted wait returns the abort
-    /// error produced by `on_abort` (sessions map it to their query's
-    /// cancellation/deadline error).
+    /// `should_abort` each step; an aborted wait returns
+    /// [`ExecError::Cancelled`](crate::ExecError::Cancelled).
+    ///
+    /// Exactly one of `tally`'s hits / coalesced / misses grows by one
+    /// per successful call, and evictions by what the publication
+    /// evicted: a caller serving many tiles sums locally and adds to
+    /// its [`Metrics`] once.
+    pub fn get_or_extract_tallied(
+        &self,
+        key: &TileKey,
+        tally: &mut TileCacheStats,
+        should_abort: &dyn Fn() -> bool,
+        extract: impl FnOnce() -> Result<Vec<u8>>,
+    ) -> Result<Arc<Vec<u8>>> {
+        let served = self.lru.get_or_compute(
+            key,
+            &|| should_abort().then_some(crate::ExecError::Cancelled),
+            || {
+                let tile = extract()?;
+                let bytes = tile.len();
+                Ok((Arc::new(tile), bytes))
+            },
+        )?;
+        match served.source {
+            Source::Hit => tally.hits += 1,
+            Source::Coalesced => tally.coalesced += 1,
+            Source::Miss => tally.misses += 1,
+        }
+        tally.evictions += served.evicted;
+        Ok(served.value)
+    }
+
+    /// [`get_or_extract_tallied`](Self::get_or_extract_tallied) for one
+    /// tile, counted straight into `metrics`' `tile_cache.*` counters.
     pub fn get_or_extract(
         &self,
         key: &TileKey,
@@ -285,62 +239,17 @@ impl TileCache {
         should_abort: &dyn Fn() -> bool,
         extract: &dyn Fn() -> Result<Vec<u8>>,
     ) -> Result<Arc<Vec<u8>>> {
-        // Whether we parked behind another request's flight; decides
-        // hit vs coalesced attribution when the value materialises.
-        let mut waited = false;
-        loop {
-            if let Some(tile) = self.lookup(key) {
-                if waited {
-                    metrics.bump(counters::TILE_CACHE_COALESCED);
-                    self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    metrics.bump(counters::TILE_CACHE_HITS);
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(tile);
-            }
-            match self.flights.join(key, should_abort) {
-                FlightJoin::Leader(ticket) => {
-                    // Double-check under leadership: a prior leader may
-                    // have published between our lookup and our join
-                    // (the cache and flight table are separate locks).
-                    if let Some(tile) = self.lookup(key) {
-                        if waited {
-                            metrics.bump(counters::TILE_CACHE_COALESCED);
-                            self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            metrics.bump(counters::TILE_CACHE_HITS);
-                            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        drop(ticket);
-                        return Ok(tile);
-                    }
-                    let tile = Arc::new(extract()?);
-                    metrics.bump(counters::TILE_CACHE_MISSES);
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    self.publish(key.clone(), tile.clone(), metrics);
-                    drop(ticket); // wakes followers onto the published entry
-                    return Ok(tile);
-                }
-                FlightJoin::Completed => {
-                    waited = true;
-                    continue;
-                }
-                FlightJoin::Aborted => {
-                    if should_abort() {
-                        return Err(crate::ExecError::Cancelled);
-                    }
-                    // Raced: the abort condition cleared; retry.
-                    continue;
-                }
-            }
-        }
+        let mut tally = TileCacheStats::default();
+        let tile = self.get_or_extract_tallied(key, &mut tally, should_abort, extract);
+        metrics.add_all(tally.counters());
+        tile
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
 
     fn key(tile: usize) -> TileKey {
@@ -497,16 +406,51 @@ mod tests {
         let cache = TileCache::new(DEFAULT_BUDGET_BYTES);
         // Park a leader on the key, then join it with an abort signal.
         let k = key(11);
-        let ticket = match cache.flights.join(&k, &|| false) {
-            FlightJoin::Leader(t) => t,
-            other => panic!("expected leadership, got {other:?}"),
-        };
         let m = Metrics::new();
-        let err = cache
-            .get_or_extract(&k, &m, &|| true, &|| Ok(payload(11, 10)))
-            .unwrap_err();
-        assert!(matches!(err, crate::ExecError::Cancelled));
-        drop(ticket);
+        let (leading, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let extract = || {
+                    leading.wait();
+                    release.wait();
+                    Ok(payload(11, 10))
+                };
+                cache.get_or_extract(&k, &m, &|| false, &extract).unwrap();
+            });
+            leading.wait();
+            let err = cache
+                .get_or_extract(&k, &m, &|| true, &|| panic!("a waiter must not extract"))
+                .unwrap_err();
+            assert!(matches!(err, crate::ExecError::Cancelled));
+            release.wait();
+        });
+        assert_eq!(cache.stats().misses, 1, "the leader still published");
+    }
+
+    #[test]
+    fn shard_count_follows_the_budget() {
+        for (budget, shards) in [
+            (250, 1),
+            (64 << 10, 1),
+            (128 << 10, 2),
+            (1 << 20, 16),
+            (DEFAULT_BUDGET_BYTES, 16),
+        ] {
+            assert_eq!(TileCache::new(budget).lru.shard_count(), shards, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn tally_counts_what_metrics_would() {
+        let cache = TileCache::new(250);
+        let mut tally = TileCacheStats::default();
+        for t in [0, 1, 0, 2] {
+            cache
+                .get_or_extract_tallied(&key(t), &mut tally, &|| false, || Ok(payload(t, 100)))
+                .unwrap();
+        }
+        assert_eq!(tally, TileCacheStats { hits: 1, misses: 3, coalesced: 0, evictions: 1 });
+        assert_eq!(tally, cache.stats());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A miniature loom-style deterministic interleaving explorer.
 //!
-//! Two of the workspace's concurrency contracts are load-bearing for
-//! everything PR 2 built on top of the buffer pool and the parallel
-//! executor:
+//! Three of the workspace's concurrency contracts are load-bearing for
+//! everything built on top of the buffer pool, the parallel executor
+//! and the serving caches:
 //!
 //! 1. **Single-flight loading** (`storage::bufferpool::BufferPool`):
 //!    concurrent misses on one key coalesce into one disk load, byte
@@ -14,6 +14,11 @@
 //!    byte-identically for *every* completion interleaving — also
 //!    when one job yields no, one or many outputs, as the `SUBQUERY`
 //!    bodies `par_flat_map_chunks_ctx` fans out do.
+//! 3. **The single-flight LRU** (`storage::lru::SingleFlightLru`,
+//!    behind `exec::tilecache` and `exec::sharedscan`): one lock per
+//!    shard, a lookup-or-lead step and a publish + evict + wake step,
+//!    waits outside the lock; exactly-once computation, exact counter
+//!    attribution, per-shard bytes within the shard's share.
 //!
 //! The stress tests in those crates sample a handful of OS-scheduler
 //! interleavings per run. This harness instead *enumerates* them: the
@@ -25,7 +30,7 @@
 //! no runnable thread exists.
 //!
 //! The step decomposition is kept in lock-step with
-//! `crates/storage/src/bufferpool.rs` and
+//! `crates/storage/src/bufferpool.rs`, `crates/storage/src/lru.rs` and
 //! `crates/exec/src/parallel.rs`; each step documents the source
 //! lines it models.
 
@@ -534,472 +539,245 @@ pub fn scatter_invariants(s: &ScatterState, items: &[u32], fail: &[usize]) -> Re
 }
 
 // ---------------------------------------------------------------------------
-// Model 3: shared-scan decode coalescing (exec::sharedscan::SharedDecode)
+// Model 3: single-flight LRU (storage::lru::SingleFlightLru)
 // ---------------------------------------------------------------------------
 
-/// Shared state of `SharedDecode`: the decoded-frame cache plus the
-/// generic single-flight table (`storage::bufferpool::SingleFlight`),
-/// each behind its own mutex in the real code.
+/// One shard of the cache: everything its one mutex covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedScanState {
-    /// key → decoded payload length (the model's frame cache).
-    cache: BTreeMap<u8, usize>,
-    /// key → flight id with a decode in progress.
-    flights: BTreeMap<u8, usize>,
-    /// flight id → completed (`Flight::finish`).
-    flights_done: Vec<bool>,
-    hits: u64,
-    decodes: u64,
-    /// When set, the Nth decode (1-based) fails — models a corrupt
-    /// GOP surfacing in the leader.
-    failing_decode: Option<u64>,
-}
-
-impl SharedScanState {
-    pub fn new() -> SharedScanState {
-        SharedScanState {
-            cache: BTreeMap::new(),
-            flights: BTreeMap::new(),
-            flights_done: Vec::new(),
-            hits: 0,
-            decodes: 0,
-            failing_decode: None,
-        }
-    }
-
-    pub fn failing_decode(mut self, nth: u64) -> SharedScanState {
-        self.failing_decode = Some(nth);
-        self
-    }
-}
-
-impl Default for SharedScanState {
-    fn default() -> SharedScanState {
-        SharedScanState::new()
-    }
-}
-
-/// Program counter of one `SharedDecode::decode(key)` call. The step
-/// granularity mirrors the real critical sections: the cache lookup
-/// and the `SingleFlight::join` are separate lock acquisitions, so a
-/// leader can publish *between* another thread's lookup and join.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SharedScanPc {
-    /// Locked cache lookup (sharedscan.rs `decode` loop head).
-    CheckCache,
-    /// Locked `SingleFlight::join`: register as leader or park.
-    Join,
-    /// Out-of-lock decode by the leader.
-    Decode {
-        flight: usize,
-    },
-    /// Locked publish + ticket drop (flight removal and `finish`).
-    Publish {
-        flight: usize,
-        ok: bool,
-    },
-    /// Parked on `Flight::wait_done`; wakes on completion or abort.
-    WaitFlight {
-        flight: usize,
-    },
-    Done,
-}
-
-/// One model query decoding GOP `key` (`len` decoded bytes). An
-/// `aborted` thread models a cancelled `QueryCtx`: its waits return
-/// immediately and it must exit with an error instead of parking
-/// forever on a foreign flight.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedScanThread {
-    key: u8,
-    len: usize,
-    pc: SharedScanPc,
-    aborted: bool,
-    /// What the call returned: decoded length, or error (failed own
-    /// decode / cancelled).
-    pub result: Option<Result<usize, ()>>,
-}
-
-impl SharedScanThread {
-    pub fn decode(key: u8, len: usize) -> SharedScanThread {
-        SharedScanThread {
-            key,
-            len,
-            pc: SharedScanPc::CheckCache,
-            aborted: false,
-            result: None,
-        }
-    }
-
-    pub fn aborted(mut self) -> SharedScanThread {
-        self.aborted = true;
-        self
-    }
-}
-
-impl ModelThread<SharedScanState> for SharedScanThread {
-    fn done(&self) -> bool {
-        self.pc == SharedScanPc::Done
-    }
-
-    fn runnable(&self, shared: &SharedScanState) -> bool {
-        match &self.pc {
-            // The real wait is a timed condvar loop that polls the
-            // abort flag, so an aborted waiter is always runnable.
-            SharedScanPc::WaitFlight { flight } => self.aborted || shared.flights_done[*flight],
-            SharedScanPc::Done => false,
-            _ => true,
-        }
-    }
-
-    fn step(&mut self, s: &mut SharedScanState) {
-        match self.pc.clone() {
-            SharedScanPc::CheckCache => {
-                if let Some(&len) = s.cache.get(&self.key) {
-                    s.hits += 1;
-                    self.result = Some(Ok(len));
-                    self.pc = SharedScanPc::Done;
-                    return;
-                }
-                self.pc = SharedScanPc::Join;
-            }
-            SharedScanPc::Join => {
-                if let Some(&flight) = s.flights.get(&self.key) {
-                    self.pc = SharedScanPc::WaitFlight { flight };
-                    return;
-                }
-                let flight = s.flights_done.len();
-                s.flights_done.push(false);
-                s.flights.insert(self.key, flight);
-                self.pc = SharedScanPc::Decode { flight };
-            }
-            SharedScanPc::Decode { flight } => {
-                // Leader double-check (sharedscan.rs `Leader` arm): a
-                // prior leader may have published between our lookup
-                // and our join; serve the hit instead of re-decoding.
-                if let Some(&len) = s.cache.get(&self.key) {
-                    s.hits += 1;
-                    self.result = Some(Ok(len));
-                    s.flights.remove(&self.key);
-                    s.flights_done[flight] = true;
-                    self.pc = SharedScanPc::Done;
-                    return;
-                }
-                s.decodes += 1;
-                let ok = s.failing_decode != Some(s.decodes);
-                self.pc = SharedScanPc::Publish { flight, ok };
-            }
-            SharedScanPc::Publish { flight, ok } => {
-                if ok {
-                    s.cache.insert(self.key, self.len);
-                    self.result = Some(Ok(self.len));
-                } else {
-                    // A failed leader publishes nothing; dropping the
-                    // ticket wakes waiters so one can take over.
-                    self.result = Some(Err(()));
-                }
-                s.flights.remove(&self.key);
-                s.flights_done[flight] = true;
-                self.pc = SharedScanPc::Done;
-            }
-            SharedScanPc::WaitFlight { flight } => {
-                if self.aborted && !s.flights_done[flight] {
-                    // `FlightJoin::Aborted` → `ctx.check()` fails.
-                    self.result = Some(Err(()));
-                    self.pc = SharedScanPc::Done;
-                    return;
-                }
-                // `FlightJoin::Completed`: loop back to the lookup; on
-                // a failed leader we may become the next leader.
-                self.pc = SharedScanPc::CheckCache;
-            }
-            SharedScanPc::Done => {}
-        }
-    }
-}
-
-/// Terminal invariants for every shared-scan schedule.
-pub fn shared_scan_invariants(
-    s: &SharedScanState,
-    threads: &[SharedScanThread],
-) -> Result<(), String> {
-    if !s.flights.is_empty() {
-        return Err(format!("flight table not drained: {:?}", s.flights));
-    }
-    for (i, t) in threads.iter().enumerate() {
-        match t.result {
-            None => return Err(format!("thread {i} finished without a result")),
-            Some(Ok(len)) if len != t.len => {
-                return Err(format!("thread {i} got {len} bytes, wanted {}", t.len))
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Model 4: encoded-tile cache single-flight (exec::tilecache::TileCache)
-// ---------------------------------------------------------------------------
-
-/// Shared state of `TileCache`: the byte-budgeted LRU map plus the
-/// generic single-flight table, each behind its own lock in the real
-/// code (`CacheInner` mutex and `SingleFlight`'s mutex).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TileCacheState {
-    /// key → (encoded tile length, LRU stamp).
-    cache: BTreeMap<u8, (usize, u64)>,
+struct LruShard {
+    /// Resident `(key, weight)` pairs in recency order, most recently
+    /// used first — the index-linked list; eviction pops the back.
+    entries: Vec<(u8, usize)>,
     bytes: usize,
     budget: usize,
-    clock: u64,
-    /// key → flight id with an extraction in progress.
+    /// key → flight id with a computation in progress.
     flights: BTreeMap<u8, usize>,
-    /// flight id → completed (`FlightTicket` dropped).
-    flights_done: Vec<bool>,
-    hits: u64,
-    misses: u64,
-    coalesced: u64,
-    evictions: u64,
-    /// `extract_tile` executions — the work the cache exists to avoid.
-    extracts: u64,
-    /// When set, the Nth extraction (1-based) fails — a corrupt GOP
-    /// surfacing in the leader.
-    failing_extract: Option<u64>,
 }
 
-impl TileCacheState {
-    pub fn new(budget: usize) -> TileCacheState {
-        TileCacheState {
-            cache: BTreeMap::new(),
+/// Shared state of a `SingleFlightLru` — the cache behind both
+/// `exec::tilecache::TileCache` (sharded) and
+/// `exec::sharedscan::SharedDecode` (one shard). Key `k` lives in shard
+/// `k % shards`; each shard owns `budget / shards` bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LruState {
+    shards: Vec<LruShard>,
+    /// flight id → retired (`Flight::finish`).
+    flights_done: Vec<bool>,
+    hits: u64,
+    coalesced: u64,
+    misses: u64,
+    evictions: u64,
+    /// Computations started — the work the cache exists to avoid.
+    computes: u64,
+    /// When set, the Nth computation (1-based) fails — a corrupt GOP
+    /// surfacing in the leader.
+    failing_compute: Option<u64>,
+}
+
+impl LruState {
+    pub fn new(budget: usize, shards: usize) -> LruState {
+        let shard = LruShard {
+            entries: Vec::new(),
             bytes: 0,
-            budget,
-            clock: 0,
+            budget: budget / shards,
             flights: BTreeMap::new(),
+        };
+        LruState {
+            shards: vec![shard; shards],
             flights_done: Vec::new(),
             hits: 0,
-            misses: 0,
             coalesced: 0,
+            misses: 0,
             evictions: 0,
-            extracts: 0,
-            failing_extract: None,
+            computes: 0,
+            failing_compute: None,
         }
     }
 
-    pub fn failing_extract(mut self, nth: u64) -> TileCacheState {
-        self.failing_extract = Some(nth);
+    pub fn failing_compute(mut self, nth: u64) -> LruState {
+        self.failing_compute = Some(nth);
         self
     }
 
-    /// Mirrors `CacheInner::evict_to_budget`: LRU-evict sparing the
-    /// just-published key, then drop even it if alone over budget
-    /// (oversized tiles are served but never retained).
-    fn evict_to_budget(&mut self, protect: u8) {
-        while self.bytes > self.budget {
-            let victim = self
-                .cache
-                .iter()
-                .filter(|(&k, _)| k != protect)
-                .min_by_key(|(_, &(_, stamp))| stamp)
-                .map(|(&k, _)| k);
-            let Some(v) = victim else { break };
-            if let Some((len, _)) = self.cache.remove(&v) {
-                self.bytes -= len;
-                self.evictions += 1;
-            }
-        }
-        if self.bytes > self.budget {
-            if let Some((len, _)) = self.cache.remove(&protect) {
-                self.bytes -= len;
-                self.evictions += 1;
-            }
-        }
+    fn shard_of(&mut self, key: u8) -> &mut LruShard {
+        let n = self.shards.len();
+        &mut self.shards[key as usize % n]
+    }
+
+    fn resident(&self) -> impl Iterator<Item = &(u8, usize)> {
+        self.shards.iter().flat_map(|s| s.entries.iter())
+    }
+
+    fn bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.bytes).sum()
     }
 }
 
-/// Program counter of one `TileCache::get_or_extract(key)` call. The
-/// cache lookup and the `SingleFlight::join` are separate lock
-/// acquisitions (as in the real code), so a leader can publish
-/// between another thread's lookup and join — the leader double-check
-/// covers that window.
+/// Program counter of one `get_or_compute(key)` call. Two critical
+/// sections and no more: lookup-or-lead, and publish + evict + wake.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum TileCachePc {
-    /// Locked cache lookup (tilecache.rs `get_or_extract` loop head).
-    CheckCache,
-    /// Locked `SingleFlight::join`: become leader or park.
-    Join,
-    /// Leader: locked double-check, then the out-of-lock
-    /// `extract_tile` whose success is decided here so `Publish`
-    /// stays atomic.
-    Extract {
-        flight: usize,
-    },
-    /// Locked publish + eviction + ticket drop — or, on a failed
-    /// extraction, just the ticket drop (nothing is published and
-    /// misses is *not* bumped; the error propagates).
-    Publish {
-        flight: usize,
-        ok: bool,
-    },
-    /// Parked on the flight; wakes on completion or abort.
-    WaitFlight {
-        flight: usize,
-    },
+enum LruPc {
+    /// Locked: serve a hit, or join the key's flight, or register one
+    /// and lead — one atomic step (lru.rs, the loop's locked block).
+    LookupOrLead,
+    /// Out-of-lock computation by the leader; whether it fails is
+    /// decided here so `Publish` stays atomic.
+    Compute { flight: usize },
+    /// Locked: count the miss, file the entry most recently used, pop
+    /// the list's tail down to the shard's budget, retire the flight
+    /// and wake its waiters — or, for a failed computation, only
+    /// retire and wake (`Lead`'s drop).
+    Publish { flight: usize, ok: bool },
+    /// Parked outside the lock on `Flight::wait_done`; wakes when the
+    /// flight retires or the abort condition fires.
+    WaitFlight { flight: usize },
     Done,
 }
 
-/// One model request for tile `key` (`len` encoded bytes). An
-/// `aborted` thread models a cancelled request: its waits return
-/// immediately and it must exit with an error rather than park
-/// forever.
+/// One model request for `key` (`len` bytes once computed). An
+/// `aborted` thread models a cancelled query: its waits return at once
+/// and it must exit with an error rather than park.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TileCacheThread {
+pub struct LruThread {
     key: u8,
     len: usize,
-    pc: TileCachePc,
+    pc: LruPc,
     /// Parked behind a foreign flight at least once — decides hit vs
-    /// coalesced attribution (the `waited` flag in the real code).
+    /// coalesced attribution.
     waited: bool,
     aborted: bool,
-    /// What the call returned: served length, or error (failed own
-    /// extraction / cancelled).
+    /// What the call returned: served length, or error (own
+    /// computation failed / cancelled).
     pub result: Option<Result<usize, ()>>,
 }
 
-impl TileCacheThread {
-    pub fn get(key: u8, len: usize) -> TileCacheThread {
-        TileCacheThread {
+impl LruThread {
+    pub fn get(key: u8, len: usize) -> LruThread {
+        LruThread {
             key,
             len,
-            pc: TileCachePc::CheckCache,
+            pc: LruPc::LookupOrLead,
             waited: false,
             aborted: false,
             result: None,
         }
     }
 
-    pub fn aborted(mut self) -> TileCacheThread {
+    pub fn aborted(mut self) -> LruThread {
         self.aborted = true;
         self
     }
-
-    /// Serve from cache with hit/coalesced attribution (shared by the
-    /// loop-head lookup and the leader double-check).
-    fn serve_hit(&mut self, s: &mut TileCacheState, len: usize) {
-        s.clock += 1;
-        if let Some(entry) = s.cache.get_mut(&self.key) {
-            entry.1 = s.clock; // LRU touch
-        }
-        if self.waited {
-            s.coalesced += 1;
-        } else {
-            s.hits += 1;
-        }
-        self.result = Some(Ok(len));
-        self.pc = TileCachePc::Done;
-    }
 }
 
-impl ModelThread<TileCacheState> for TileCacheThread {
+impl ModelThread<LruState> for LruThread {
     fn done(&self) -> bool {
-        self.pc == TileCachePc::Done
+        self.pc == LruPc::Done
     }
 
-    fn runnable(&self, shared: &TileCacheState) -> bool {
+    fn runnable(&self, shared: &LruState) -> bool {
         match &self.pc {
             // The real wait is the sanctioned timed-condvar loop that
-            // polls `should_abort`, so an aborted waiter always runs.
-            TileCachePc::WaitFlight { flight } => self.aborted || shared.flights_done[*flight],
-            TileCachePc::Done => false,
+            // polls the abort condition, so an aborted waiter always
+            // runs.
+            LruPc::WaitFlight { flight } => self.aborted || shared.flights_done[*flight],
+            LruPc::Done => false,
             _ => true,
         }
     }
 
-    fn step(&mut self, s: &mut TileCacheState) {
+    fn step(&mut self, s: &mut LruState) {
         match self.pc.clone() {
-            TileCachePc::CheckCache => {
-                if let Some(&(len, _)) = s.cache.get(&self.key) {
-                    self.serve_hit(s, len);
+            LruPc::LookupOrLead => {
+                let key = self.key;
+                let shard = s.shard_of(key);
+                if let Some(at) = shard.entries.iter().position(|&(k, _)| k == key) {
+                    let entry = shard.entries.remove(at);
+                    shard.entries.insert(0, entry); // move to front
+                    if self.waited {
+                        s.coalesced += 1;
+                    } else {
+                        s.hits += 1;
+                    }
+                    self.result = Some(Ok(entry.1));
+                    self.pc = LruPc::Done;
                     return;
                 }
-                self.pc = TileCachePc::Join;
-            }
-            TileCachePc::Join => {
-                if let Some(&flight) = s.flights.get(&self.key) {
-                    self.pc = TileCachePc::WaitFlight { flight };
+                if let Some(&flight) = shard.flights.get(&key) {
+                    self.pc = LruPc::WaitFlight { flight };
                     return;
                 }
                 let flight = s.flights_done.len();
+                s.shard_of(key).flights.insert(key, flight);
                 s.flights_done.push(false);
-                s.flights.insert(self.key, flight);
-                self.pc = TileCachePc::Extract { flight };
+                self.pc = LruPc::Compute { flight };
             }
-            TileCachePc::Extract { flight } => {
-                // Leader double-check: a prior leader may have
-                // published between our lookup and our join.
-                if let Some(&(len, _)) = s.cache.get(&self.key) {
-                    self.serve_hit(s, len);
-                    s.flights.remove(&self.key);
-                    s.flights_done[flight] = true;
-                    return;
-                }
-                s.extracts += 1;
-                let ok = s.failing_extract != Some(s.extracts);
-                self.pc = TileCachePc::Publish { flight, ok };
+            LruPc::Compute { flight } => {
+                s.computes += 1;
+                let ok = s.failing_compute != Some(s.computes);
+                self.pc = LruPc::Publish { flight, ok };
             }
-            TileCachePc::Publish { flight, ok } => {
+            LruPc::Publish { flight, ok } => {
+                let (key, len) = (self.key, self.len);
+                let shard = s.shard_of(key);
+                shard.flights.remove(&key);
+                let mut evicted = 0;
                 if ok {
-                    s.misses += 1;
-                    s.clock += 1;
-                    if let Some((old, _)) = s.cache.insert(self.key, (self.len, s.clock)) {
-                        s.bytes -= old;
+                    shard.entries.insert(0, (key, len));
+                    shard.bytes += len;
+                    // The new entry is the head, so it goes last, and
+                    // only if it alone exceeds the shard's budget.
+                    while shard.bytes > shard.budget {
+                        let Some((_, victim)) = shard.entries.pop() else { break };
+                        shard.bytes -= victim;
+                        evicted += 1;
                     }
-                    s.bytes += self.len;
-                    s.evict_to_budget(self.key);
-                    self.result = Some(Ok(self.len));
+                    s.misses += 1;
+                    self.result = Some(Ok(len));
                 } else {
-                    // `extract()?` propagates: nothing published, no
-                    // miss counted; the ticket drop wakes waiters so
-                    // one can take over as leader.
+                    // The error is this caller's alone: nothing
+                    // published, no miss counted; a waiter will lead.
                     self.result = Some(Err(()));
                 }
-                s.flights.remove(&self.key);
+                s.evictions += evicted;
                 s.flights_done[flight] = true;
-                self.pc = TileCachePc::Done;
+                self.pc = LruPc::Done;
             }
-            TileCachePc::WaitFlight { flight } => {
+            LruPc::WaitFlight { flight } => {
                 if self.aborted && !s.flights_done[flight] {
-                    // `FlightJoin::Aborted` → `ExecError::Cancelled`.
                     self.result = Some(Err(()));
-                    self.pc = TileCachePc::Done;
+                    self.pc = LruPc::Done;
                     return;
                 }
-                // `FlightJoin::Completed`: mark waited, re-lookup; on
-                // a failed leader we may become the next leader.
+                // The flight retired: look again; after a failed (or
+                // already evicted, or oversized) leader we may lead.
                 self.waited = true;
-                self.pc = TileCachePc::CheckCache;
+                self.pc = LruPc::LookupOrLead;
             }
-            TileCachePc::Done => {}
+            LruPc::Done => {}
         }
     }
 }
 
-/// Terminal invariants for every tile-cache schedule: exact byte
-/// accounting within budget, drained flight table, and counter
-/// attribution — every successful call is exactly one of
-/// hit/coalesced/miss, and misses equals successful extractions.
-pub fn tile_cache_invariants(
-    s: &TileCacheState,
-    threads: &[TileCacheThread],
-) -> Result<(), String> {
-    let resident: usize = s.cache.values().map(|&(len, _)| len).sum();
-    if s.bytes != resident {
-        return Err(format!("bytes {} != resident {}", s.bytes, resident));
-    }
-    if s.bytes > s.budget {
-        return Err(format!("bytes {} exceeds budget {}", s.bytes, s.budget));
-    }
-    if !s.flights.is_empty() {
-        return Err(format!("flight table not drained: {:?}", s.flights));
+/// Terminal invariants for every cache schedule: per-shard byte
+/// accounting exact and within the shard's share (so the total is
+/// within the budget), flight tables drained, every successful call
+/// exactly one of hit / coalesced / miss, misses equal to successful
+/// computations, every caller answered with its own key's bytes.
+pub fn lru_invariants(s: &LruState, threads: &[LruThread]) -> Result<(), String> {
+    for (i, shard) in s.shards.iter().enumerate() {
+        let resident: usize = shard.entries.iter().map(|&(_, len)| len).sum();
+        if shard.bytes != resident {
+            return Err(format!("shard {i}: bytes {} != resident {resident}", shard.bytes));
+        }
+        if shard.bytes > shard.budget {
+            return Err(format!("shard {i}: bytes {} exceed its share {}", shard.bytes, shard.budget));
+        }
+        if !shard.flights.is_empty() {
+            return Err(format!("shard {i}: flight table not drained: {:?}", shard.flights));
+        }
+        if let Some((k, _)) = shard.entries.iter().find(|(k, _)| *k as usize % s.shards.len() != i) {
+            return Err(format!("key {k} resident in shard {i}"));
+        }
     }
     let oks = threads
         .iter()
@@ -1010,6 +788,10 @@ pub fn tile_cache_invariants(
             "hits {} + coalesced {} + misses {} != {} successful calls",
             s.hits, s.coalesced, s.misses, oks
         ));
+    }
+    let failed = u64::from(s.failing_compute.is_some_and(|n| n <= s.computes));
+    if s.misses + failed != s.computes {
+        return Err(format!("{} misses for {} computations ({failed} failed)", s.misses, s.computes));
     }
     for (i, t) in threads.iter().enumerate() {
         match t.result {
@@ -1229,127 +1011,23 @@ pub fn run_all() -> Vec<Scenario> {
         });
     }
 
-    // Shared scans: 2, then 3 concurrent queries decoding one GOP must
-    // coalesce to exactly one decode; everyone gets the frames.
-    for n in [2usize, 3] {
-        let state = SharedScanState::new();
-        let threads: Vec<SharedScanThread> =
-            (0..n).map(|_| SharedScanThread::decode(7, 4096)).collect();
+    // The cache behind the tile cache and the shared-decode cache:
+    // 2, 3, then 4 concurrent requests for one key must compute it
+    // exactly once, with exact counter attribution — one miss,
+    // everyone else a hit or a coalesced wait.
+    for (n, name) in [
+        (2usize, "lru/exactly-once-2"),
+        (3, "lru/exactly-once-3"),
+        (4, "lru/exactly-once-4"),
+    ] {
+        let state = LruState::new(1 << 20, 1);
+        let threads: Vec<LruThread> = (0..n).map(|_| LruThread::get(7, 900)).collect();
         let outcome = explore(&state, &threads, &|s, t| {
-            shared_scan_invariants(s, t)?;
-            if s.decodes != 1 {
+            lru_invariants(s, t)?;
+            if s.computes != 1 {
                 return Err(format!(
-                    "{} decodes; concurrent scans must coalesce",
-                    s.decodes
-                ));
-            }
-            if t.iter().any(|t| t.result != Some(Ok(4096))) {
-                return Err("a query finished without the decoded frames".into());
-            }
-            Ok(())
-        });
-        out.push(Scenario {
-            name: if n == 2 {
-                "sharedscan/exactly-once-2"
-            } else {
-                "sharedscan/exactly-once-3"
-            },
-            outcome,
-        });
-    }
-
-    // Distinct GOPs never coalesce: one decode per key.
-    {
-        let state = SharedScanState::new();
-        let threads = vec![
-            SharedScanThread::decode(1, 100),
-            SharedScanThread::decode(1, 100),
-            SharedScanThread::decode(2, 200),
-        ];
-        let outcome = explore(&state, &threads, &|s, t| {
-            shared_scan_invariants(s, t)?;
-            if s.decodes != 2 {
-                return Err(format!("{} decodes for 2 distinct GOPs", s.decodes));
-            }
-            Ok(())
-        });
-        out.push(Scenario {
-            name: "sharedscan/distinct-gops",
-            outcome,
-        });
-    }
-
-    // Failed leader: the first decode errors; a follower must take
-    // over, decode, and succeed — exactly one error, one success.
-    {
-        let state = SharedScanState::new().failing_decode(1);
-        let threads = vec![
-            SharedScanThread::decode(3, 256),
-            SharedScanThread::decode(3, 256),
-        ];
-        let outcome = explore(&state, &threads, &|s, t| {
-            shared_scan_invariants(s, t)?;
-            let errs = t.iter().filter(|t| t.result == Some(Err(()))).count();
-            let oks = t.iter().filter(|t| t.result == Some(Ok(256))).count();
-            if errs + oks != 2 || oks < 1 {
-                return Err(format!(
-                    "{errs} errors / {oks} successes; want at least 1 success"
-                ));
-            }
-            if s.decodes > 2 {
-                return Err(format!(
-                    "{} decodes; handover must retry at most once",
-                    s.decodes
-                ));
-            }
-            Ok(())
-        });
-        out.push(Scenario {
-            name: "sharedscan/failed-leader-handover",
-            outcome,
-        });
-    }
-
-    // Cancelled follower: a query whose ctx is cancelled must exit
-    // with an error instead of parking on a foreign flight, while the
-    // leader still completes normally.
-    {
-        let state = SharedScanState::new();
-        let threads = vec![
-            SharedScanThread::decode(5, 512),
-            SharedScanThread::decode(5, 512).aborted(),
-        ];
-        let outcome = explore(&state, &threads, &|s, t| {
-            shared_scan_invariants(s, t)?;
-            if t[0].result != Some(Ok(512)) {
-                return Err(format!("leader failed: {:?}", t[0].result));
-            }
-            if t[1].result.is_none() {
-                return Err("cancelled follower never returned".into());
-            }
-            if s.decodes > 1 {
-                return Err(format!("{} decodes with one real query", s.decodes));
-            }
-            Ok(())
-        });
-        out.push(Scenario {
-            name: "sharedscan/cancelled-follower-unparks",
-            outcome,
-        });
-    }
-
-    // Tile cache: 2, then 3 concurrent requests for one hot tile must
-    // run extract_tile exactly once, with exact counter attribution —
-    // one miss, everyone else a hit or a coalesced wait.
-    for n in [2usize, 3] {
-        let state = TileCacheState::new(1 << 20);
-        let threads: Vec<TileCacheThread> = (0..n).map(|_| TileCacheThread::get(7, 900)).collect();
-        let outcome = explore(&state, &threads, &|s, t| {
-            tile_cache_invariants(s, t)?;
-            if s.extracts != 1 {
-                return Err(format!(
-                    "{} extractions; hot-tile requests must coalesce",
-                    s.extracts
+                    "{} computations; requests for one key must coalesce",
+                    s.computes
                 ));
             }
             if s.misses != 1 || s.hits + s.coalesced != n as u64 - 1 {
@@ -1359,122 +1037,176 @@ pub fn run_all() -> Vec<Scenario> {
                 ));
             }
             if t.iter().any(|t| t.result != Some(Ok(900))) {
-                return Err("a request finished without the tile bytes".into());
+                return Err("a request finished without the value".into());
             }
             Ok(())
         });
-        out.push(Scenario {
-            name: if n == 2 {
-                "tilecache/exactly-once-2"
-            } else {
-                "tilecache/exactly-once-3"
-            },
-            outcome,
-        });
+        out.push(Scenario { name, outcome });
     }
 
-    // Concurrent distinct keys never coalesce: one extraction per
-    // tile, both resident, exact byte accounting.
+    // Concurrent distinct keys never coalesce: one computation per
+    // key, all resident, exact byte accounting — two requests on each
+    // of two keys.
     {
-        let state = TileCacheState::new(1 << 20);
+        let state = LruState::new(1 << 20, 1);
         let threads = vec![
-            TileCacheThread::get(1, 100),
-            TileCacheThread::get(1, 100),
-            TileCacheThread::get(2, 200),
+            LruThread::get(1, 100),
+            LruThread::get(1, 100),
+            LruThread::get(2, 200),
+            LruThread::get(2, 200),
         ];
         let outcome = explore(&state, &threads, &|s, t| {
-            tile_cache_invariants(s, t)?;
-            if s.extracts != 2 {
-                return Err(format!("{} extractions for 2 distinct tiles", s.extracts));
+            lru_invariants(s, t)?;
+            if s.computes != 2 {
+                return Err(format!("{} computations for 2 distinct keys", s.computes));
             }
-            if s.bytes != 300 {
-                return Err(format!("bytes {} != 300", s.bytes));
+            if s.bytes() != 300 {
+                return Err(format!("bytes {} != 300", s.bytes()));
             }
             Ok(())
         });
         out.push(Scenario {
-            name: "tilecache/distinct-keys",
+            name: "lru/distinct-keys",
             outcome,
         });
     }
 
-    // Failed leader: the first extraction errors; the waiter must be
-    // woken, take over as leader, extract, and succeed — exactly one
-    // error, one success, one counted miss, converged cache.
+    // Failed leader: the first computation errors; a waiter must be
+    // woken, take over as leader, compute, and succeed — exactly one
+    // error, two successes, one counted miss, converged cache.
     {
-        let state = TileCacheState::new(1 << 20).failing_extract(1);
-        let threads = vec![TileCacheThread::get(3, 256), TileCacheThread::get(3, 256)];
+        let state = LruState::new(1 << 20, 1).failing_compute(1);
+        let threads: Vec<LruThread> = (0..3).map(|_| LruThread::get(3, 256)).collect();
         let outcome = explore(&state, &threads, &|s, t| {
-            tile_cache_invariants(s, t)?;
+            lru_invariants(s, t)?;
             let errs = t.iter().filter(|t| t.result == Some(Err(()))).count();
             let oks = t.iter().filter(|t| t.result == Some(Ok(256))).count();
-            if errs != 1 || oks != 1 {
-                return Err(format!("{errs} errors / {oks} successes; want 1 / 1"));
+            if errs != 1 || oks != 2 {
+                return Err(format!("{errs} errors / {oks} successes; want 1 / 2"));
             }
-            if s.extracts != 2 {
+            if s.computes != 2 {
                 return Err(format!(
-                    "{} extractions; handover must retry exactly once",
-                    s.extracts
+                    "{} computations; handover must retry exactly once",
+                    s.computes
                 ));
             }
             if s.misses != 1 {
                 return Err(format!(
-                    "{} misses; failed extractions must not count",
+                    "{} misses; failed computations must not count",
                     s.misses
                 ));
             }
-            if s.bytes != 256 {
-                return Err(format!("bytes {} != 256 after recovery", s.bytes));
+            if s.bytes() != 256 {
+                return Err(format!("bytes {} != 256 after recovery", s.bytes()));
             }
             Ok(())
         });
         out.push(Scenario {
-            name: "tilecache/failed-leader-handover",
+            name: "lru/failed-leader-handover",
             outcome,
         });
     }
 
     // Cancelled waiter: a request whose abort fires must exit instead
-    // of parking on a foreign flight; the leader still publishes.
+    // of parking on a foreign flight; the two live requests still
+    // compute once between them and both get the value.
     {
-        let state = TileCacheState::new(1 << 20);
+        let state = LruState::new(1 << 20, 1);
         let threads = vec![
-            TileCacheThread::get(5, 512),
-            TileCacheThread::get(5, 512).aborted(),
+            LruThread::get(5, 512),
+            LruThread::get(5, 512),
+            LruThread::get(5, 512).aborted(),
         ];
         let outcome = explore(&state, &threads, &|s, t| {
-            tile_cache_invariants(s, t)?;
-            if t[0].result != Some(Ok(512)) {
-                return Err(format!("leader failed: {:?}", t[0].result));
+            lru_invariants(s, t)?;
+            if t[..2].iter().any(|t| t.result != Some(Ok(512))) {
+                return Err(format!("a live request failed: {:?}", t));
             }
-            if t[1].result.is_none() {
+            if t[2].result.is_none() {
                 return Err("cancelled waiter never returned".into());
             }
-            if s.extracts > 1 {
-                return Err(format!("{} extractions with one real request", s.extracts));
+            if s.computes > 1 {
+                return Err(format!("{} computations for one key", s.computes));
             }
             Ok(())
         });
         out.push(Scenario {
-            name: "tilecache/cancelled-waiter-unparks",
+            name: "lru/cancelled-waiter-unparks",
             outcome,
         });
     }
 
-    // Budget pressure: the budget holds only one of two tiles; every
-    // publication order must evict down to budget with exact
-    // accounting (and both callers still get their bytes).
+    // Budget pressure: the budget holds only one of three entries;
+    // every publication order must evict down to budget with exact
+    // accounting (and every caller still gets its bytes).
     {
-        let state = TileCacheState::new(150);
-        let threads = vec![TileCacheThread::get(1, 100), TileCacheThread::get(2, 100)];
+        let state = LruState::new(150, 1);
+        let threads = vec![
+            LruThread::get(1, 100),
+            LruThread::get(2, 100),
+            LruThread::get(3, 100),
+        ];
         let outcome = explore(&state, &threads, &|s, t| {
-            tile_cache_invariants(s, t)?;
-            if s.cache.len() != 1 || s.bytes != 100 {
+            lru_invariants(s, t)?;
+            if s.resident().count() != 1 || s.bytes() != 100 {
                 return Err(format!(
-                    "want exactly one 100-byte tile resident, got {} entries / {} bytes",
-                    s.cache.len(),
-                    s.bytes
+                    "want exactly one 100-byte entry resident, got {:?}",
+                    s.shards
                 ));
+            }
+            if s.evictions != 2 {
+                return Err(format!("{} evictions; want 2", s.evictions));
+            }
+            Ok(())
+        });
+        out.push(Scenario {
+            name: "lru/budget-eviction",
+            outcome,
+        });
+    }
+
+    // Oversized value: bigger than the whole budget — served to all
+    // three callers (a woken waiter finds nothing and leads in turn),
+    // never retained.
+    {
+        let state = LruState::new(100, 1);
+        let threads: Vec<LruThread> = (0..3).map(|_| LruThread::get(1, 150)).collect();
+        let outcome = explore(&state, &threads, &|s, t| {
+            lru_invariants(s, t)?;
+            if s.resident().count() != 0 {
+                return Err(format!(
+                    "oversized value must not stay resident: {:?}",
+                    s.shards
+                ));
+            }
+            if t.iter().any(|t| t.result != Some(Ok(150))) {
+                return Err("a request finished without the value".into());
+            }
+            Ok(())
+        });
+        out.push(Scenario {
+            name: "lru/oversized-never-resident",
+            outcome,
+        });
+    }
+
+    // Two shards, one budget: keys 0 and 2 share shard 0, key 1 has
+    // shard 1 to itself, each shard owns half of 300 bytes. Whatever
+    // the order, the shards' bytes sum to the resident set, within the
+    // budget: shard 0 keeps one of its two 100-byte entries (its share
+    // is 150 however empty shard 1 is), shard 1 keeps its one.
+    {
+        let state = LruState::new(300, 2);
+        let threads = vec![
+            LruThread::get(0, 100),
+            LruThread::get(2, 100),
+            LruThread::get(1, 100),
+        ];
+        let outcome = explore(&state, &threads, &|s, t| {
+            lru_invariants(s, t)?;
+            let per_shard: Vec<usize> = s.shards.iter().map(|sh| sh.bytes).collect();
+            if per_shard != [100, 100] || s.bytes() > 300 {
+                return Err(format!("shard bytes {per_shard:?}; want [100, 100]"));
             }
             if s.evictions != 1 {
                 return Err(format!("{} evictions; want 1", s.evictions));
@@ -1482,28 +1214,7 @@ pub fn run_all() -> Vec<Scenario> {
             Ok(())
         });
         out.push(Scenario {
-            name: "tilecache/budget-eviction",
-            outcome,
-        });
-    }
-
-    // Oversized tile: bigger than the whole budget — served to both
-    // callers but never retained.
-    {
-        let state = TileCacheState::new(100);
-        let threads = vec![TileCacheThread::get(1, 150), TileCacheThread::get(1, 150)];
-        let outcome = explore(&state, &threads, &|s, t| {
-            tile_cache_invariants(s, t)?;
-            if !s.cache.is_empty() || s.bytes != 0 {
-                return Err(format!(
-                    "oversized tile must not stay resident: {:?}",
-                    s.cache
-                ));
-            }
-            Ok(())
-        });
-        out.push(Scenario {
-            name: "tilecache/oversized-never-resident",
+            name: "lru/two-shards-global-budget",
             outcome,
         });
     }

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 /// How often a parked waiter wakes to re-check its abort condition.
 /// Purely an abort-latency bound: successful loads and admission
 /// releases notify the condvar immediately.
-const WAIT_POLL: Duration = Duration::from_millis(2);
+pub(crate) const WAIT_POLL: Duration = Duration::from_millis(2);
 
 /// Cache key for one GOP of one media file.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -95,24 +95,33 @@ struct Entry {
 
 /// Single-flight rendezvous for one in-progress load: waiters block on
 /// the condvar until the loading thread finishes (successfully or not).
+/// Shared with [`crate::lru`], whose followers wait here too — every
+/// condvar wait stays inside this module, the workspace's one
+/// sanctioned wait site (lint rule R6).
 #[derive(Debug)]
-struct Flight {
-    done: StdMutex<bool>,
+pub(crate) struct Flight {
+    /// (finished, threads parked in [`Flight::wait_done`] right now).
+    done: StdMutex<(bool, u32)>,
     cv: Condvar,
 }
 
 impl Flight {
-    fn new() -> Flight {
+    pub(crate) fn new() -> Flight {
         Flight {
-            done: StdMutex::new(false),
+            done: StdMutex::new((false, 0)),
             cv: Condvar::new(),
         }
     }
 
-    fn finish(&self) {
+    pub(crate) fn finish(&self) {
         let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        self.cv.notify_all();
+        done.0 = true;
+        // Nearly every flight lands with nobody waiting; `notify_all`
+        // is a system call either way. The count is read under the
+        // mutex a waiter holds until it is parked, so none is missed.
+        if done.1 > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Waits up to `step` for the flight to finish; returns whether it
@@ -120,110 +129,18 @@ impl Flight {
     /// (lint rule R6): waiters loop over this, re-checking their abort
     /// condition between steps, so a cancelled query never parks
     /// forever on a load it no longer wants.
-    fn wait_done(&self, step: Duration) -> bool {
-        let done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        if *done {
+    pub(crate) fn wait_done(&self, step: Duration) -> bool {
+        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
+        if done.0 {
             return true;
         }
-        let (done, _timed_out) = self
+        done.1 += 1;
+        let (mut done, _timed_out) = self
             .cv
             .wait_timeout(done, step)
             .unwrap_or_else(|e| e.into_inner());
-        *done
-    }
-}
-
-/// A reusable single-flight group: at most one thread computes the
-/// value for a given key at a time; the rest wait (timed, abortable)
-/// and then re-check whatever cache the caller maintains.
-///
-/// This generalises the pool's per-GOP load coalescing so other
-/// layers (the executor's shared decoded-GOP cache, for one) can get
-/// exactly-once compute without re-implementing the condvar protocol
-/// — keeping every condvar wait inside this module, the workspace's
-/// one sanctioned wait site (lint rule R6). The waits are always
-/// `wait_timeout` loops re-checking an abort condition, and the
-/// leader's [`FlightTicket`] completes its flight on drop, so a
-/// failing (or panicking) leader never strands its followers.
-#[derive(Debug, Default)]
-pub struct SingleFlight<K: std::hash::Hash + Eq + Clone + std::fmt::Debug> {
-    flights: Mutex<HashMap<K, Arc<Flight>>>,
-}
-
-/// Outcome of [`SingleFlight::join`].
-#[derive(Debug)]
-pub enum FlightJoin<'f, K: std::hash::Hash + Eq + Clone + std::fmt::Debug> {
-    /// No flight was in progress: the caller is now the leader and
-    /// must compute the value, publish it to its cache, then drop the
-    /// ticket (which wakes the followers).
-    Leader(FlightTicket<'f, K>),
-    /// A concurrent leader's flight finished while we waited. The
-    /// caller should re-check its cache; if the leader failed (or the
-    /// value was already evicted) a fresh `join` may make it leader.
-    Completed,
-    /// The caller's abort condition fired while waiting.
-    Aborted,
-}
-
-/// RAII handle held by a flight's leader. Dropping it marks the
-/// flight finished and wakes every waiter — on success *and* on every
-/// error/unwind path, which is what makes the protocol strand-free.
-#[derive(Debug)]
-pub struct FlightTicket<'f, K: std::hash::Hash + Eq + Clone + std::fmt::Debug> {
-    group: &'f SingleFlight<K>,
-    key: K,
-    flight: Arc<Flight>,
-}
-
-impl<K: std::hash::Hash + Eq + Clone + std::fmt::Debug> Drop for FlightTicket<'_, K> {
-    fn drop(&mut self) {
-        self.group.flights.lock().remove(&self.key);
-        self.flight.finish();
-    }
-}
-
-impl<K: std::hash::Hash + Eq + Clone + std::fmt::Debug> SingleFlight<K> {
-    pub fn new() -> Self {
-        SingleFlight {
-            flights: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Joins the flight for `key`. Callers loop: check their cache,
-    /// `join`, and on [`FlightJoin::Completed`] check again; a
-    /// [`FlightJoin::Leader`] computes and publishes, then drops the
-    /// ticket. `should_abort` is polled once per wait step (the
-    /// [`WAIT_POLL`] abort-latency bound), so a cancelled query stops
-    /// waiting within one step.
-    pub fn join(&self, key: &K, should_abort: &dyn Fn() -> bool) -> FlightJoin<'_, K> {
-        let flight = {
-            let mut flights = self.flights.lock();
-            match flights.get(key) {
-                Some(f) => f.clone(),
-                None => {
-                    let f = Arc::new(Flight::new());
-                    flights.insert(key.clone(), f.clone());
-                    return FlightJoin::Leader(FlightTicket {
-                        group: self,
-                        key: key.clone(),
-                        flight: f,
-                    });
-                }
-            }
-        };
-        loop {
-            if flight.wait_done(WAIT_POLL) {
-                return FlightJoin::Completed;
-            }
-            if should_abort() {
-                return FlightJoin::Aborted;
-            }
-        }
-    }
-
-    /// Number of flights currently in progress (for tests).
-    pub fn in_flight(&self) -> usize {
-        self.flights.lock().len()
+        done.1 -= 1;
+        done.0
     }
 }
 
@@ -1430,113 +1347,6 @@ mod tests {
         );
         assert_eq!(pool.session_admitted(2), 0);
         assert_eq!(pool.admitted(), 0);
-    }
-
-    #[test]
-    fn single_flight_computes_exactly_once_per_generation() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Barrier;
-        const THREADS: usize = 8;
-        let sf = Arc::new(SingleFlight::<u64>::new());
-        let cache = Arc::new(Mutex::new(HashMap::<u64, u32>::new()));
-        let computes = Arc::new(AtomicUsize::new(0));
-        let barrier = Arc::new(Barrier::new(THREADS));
-        let mut handles = Vec::new();
-        for _ in 0..THREADS {
-            let (sf, cache, computes, barrier) =
-                (sf.clone(), cache.clone(), computes.clone(), barrier.clone());
-            handles.push(std::thread::spawn(move || {
-                barrier.wait();
-                loop {
-                    if let Some(v) = cache.lock().get(&7).copied() {
-                        return v;
-                    }
-                    match sf.join(&7, &|| false) {
-                        FlightJoin::Leader(ticket) => {
-                            computes.fetch_add(1, Ordering::SeqCst);
-                            std::thread::sleep(Duration::from_millis(20));
-                            cache.lock().insert(7, 42);
-                            drop(ticket);
-                        }
-                        FlightJoin::Completed => continue,
-                        FlightJoin::Aborted => panic!("abort condition never fires"),
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 42);
-        }
-        assert_eq!(
-            computes.load(Ordering::SeqCst),
-            1,
-            "concurrent joins must coalesce"
-        );
-        assert_eq!(sf.in_flight(), 0, "ticket drop must clear the flight");
-    }
-
-    /// A leader that fails (publishes nothing) must not strand its
-    /// followers: the ticket drop wakes them and one becomes the new
-    /// leader.
-    #[test]
-    fn single_flight_failed_leader_hands_over() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let sf = Arc::new(SingleFlight::<u64>::new());
-        let cache = Arc::new(Mutex::new(HashMap::<u64, u32>::new()));
-        let attempts = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let (sf, cache, attempts) = (sf.clone(), cache.clone(), attempts.clone());
-            handles.push(std::thread::spawn(move || loop {
-                if let Some(v) = cache.lock().get(&1).copied() {
-                    return v;
-                }
-                match sf.join(&1, &|| false) {
-                    FlightJoin::Leader(_ticket) => {
-                        // First leader simulates a failed compute: the
-                        // ticket drops without publishing anything.
-                        if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                            std::thread::sleep(Duration::from_millis(10));
-                            continue;
-                        }
-                        cache.lock().insert(1, 9);
-                    }
-                    FlightJoin::Completed => continue,
-                    FlightJoin::Aborted => panic!("abort condition never fires"),
-                }
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 9);
-        }
-        assert!(
-            attempts.load(Ordering::SeqCst) >= 2,
-            "a second leader must take over"
-        );
-        assert_eq!(sf.in_flight(), 0);
-    }
-
-    #[test]
-    fn single_flight_wait_honours_abort() {
-        let sf = Arc::new(SingleFlight::<u64>::new());
-        let ticket = match sf.join(&3, &|| false) {
-            FlightJoin::Leader(t) => t,
-            other => panic!("expected leadership, got {other:?}"),
-        };
-        let sf2 = sf.clone();
-        let waiter = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            let join = sf2.join(&3, &|| true);
-            (matches!(join, FlightJoin::Aborted), t0.elapsed())
-        });
-        let (aborted, took) = waiter.join().expect("waiter panicked");
-        assert!(
-            aborted,
-            "waiter with a firing abort condition must not park"
-        );
-        assert!(took < Duration::from_millis(200), "aborted in {took:?}");
-        drop(ticket);
-        assert_eq!(sf.in_flight(), 0);
     }
 
     /// An eviction-forced reload of the same key must release the

@@ -50,6 +50,7 @@ pub mod bufferpool;
 pub mod catalog;
 mod durable;
 pub mod faults;
+pub mod lru;
 pub mod media;
 pub mod snapshot;
 pub mod wal;

@@ -2,16 +2,20 @@
 //! extraction under barriered concurrent sessions, byte-identity of
 //! served tiles against direct zero-decode extraction, tile-cache
 //! version safety across re-ingest, byte-budget enforcement under
-//! fleet load, a seeded 3-viewer chaos soak reusing the tri-state
-//! error contract, and the CI fleet smoke.
+//! fleet load, two clients on a cache a fraction of the tile volume,
+//! a seeded 3-viewer chaos soak reusing the tri-state error contract,
+//! and the CI fleet smoke.
 //!
 //! Runs honour `LIGHTDB_THREADS` (CI smokes both 1 and 8),
 //! `LIGHTDB_FLEET_SECONDS` for the smoke's trace length, and
 //! `LIGHTDB_CHAOS_SEEDS` for the soak round count.
 
-use lightdb::codec::{EncodedGop, TileGrid};
+use lightdb::codec::{
+    CodecKind, EncodedFrame, EncodedGop, FrameType, SequenceHeader, TileGrid, VideoStream,
+};
 use lightdb::container::TrackRole;
 use lightdb::core::Quality;
+use lightdb::ingest::{store_stream, IngestConfig};
 use lightdb::prelude::*;
 use lightdb_apps::fleet::{generate_trace, install_tiled_pair, run_fleet, FleetConfig, TraceKind};
 use lightdb_testsuite::chaos::Scenario;
@@ -236,6 +240,118 @@ fn fleet_load_respects_cache_byte_budget() {
         cache.budget_bytes()
     );
     assert!(!cache.is_empty(), "fleet load should populate the cache");
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A stream of `seconds` one-second 4×4 GOPs whose tile payloads are
+/// `tile_bytes` seeded bytes per frame. The serving path never decodes,
+/// so payloads need only be distinguishable, and heavy enough that a
+/// byte budget binds.
+fn synthetic_stream(seconds: usize, tile_bytes: usize, seed: u64) -> VideoStream {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as u8
+    };
+    let gops = (0..seconds)
+        .map(|_| EncodedGop {
+            frames: (0..4)
+                .map(|f| EncodedFrame {
+                    frame_type: if f == 0 { FrameType::Key } else { FrameType::Predicted },
+                    tiles: (0..GRID.tile_count())
+                        .map(|t| (0..tile_bytes + t).map(|_| next()).collect())
+                        .collect(),
+                })
+                .collect(),
+        })
+        .collect();
+    let header = SequenceHeader {
+        codec: CodecKind::H264Sim,
+        width: 256,
+        height: 128,
+        fps: 4,
+        gop_length: 4,
+        grid: GRID,
+    };
+    VideoStream { header, gops }
+}
+
+/// Two clients, each walking its own half of a desynchronised audience
+/// through 2.3 MB of tiles on a 1 MiB (16-shard) tile cache, serve and
+/// prefetch: every served tile is the direct extraction's bytes, the
+/// cache never exceeds its budget, and every lookup is exactly one of
+/// hit / coalesced / miss — in the cache's totals and in the session's
+/// counters alike.
+#[test]
+fn two_clients_on_a_small_cache_serve_direct_bytes_within_budget() {
+    const SECONDS: usize = 32;
+    const VIEWERS: u64 = 48;
+    const STEPS: u64 = 24;
+    let root = temp_root("twoclients");
+    // Read once, at open. A neighbouring test that opens meanwhile gets
+    // a smaller cache, which none of them minds.
+    std::env::set_var("LIGHTDB_TILE_CACHE_MB", "1");
+    let db = LightDb::open(&root).unwrap();
+    std::env::remove_var("LIGHTDB_TILE_CACHE_MB");
+    let tiers = [synthetic_stream(SECONDS, 800, 1), synthetic_stream(SECONDS, 300, 2)];
+    let at = IngestConfig::default();
+    for (name, stream) in ["wide", "wide_lq"].iter().zip(&tiers) {
+        store_stream(&db, name, stream.clone(), at.position, at.projection).unwrap();
+    }
+    let direct = |tier: usize, second: u64, tile: usize| {
+        tiers[tier].gops[second as usize].extract_tile(tile).unwrap().to_bytes()
+    };
+    let cache = db.tile_cache().unwrap();
+    assert_eq!(cache.budget_bytes(), 1 << 20);
+    let session = db.session();
+    let server = session
+        .tile_server("wide", Some("wide_lq"), TileServerConfig::default())
+        .unwrap();
+    let before = cache.stats();
+    let lookups: Vec<u64> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..2u64)
+            .map(|lane| {
+                let (server, direct, cache) = (&server, &direct, &cache);
+                s.spawn(move || {
+                    let mut lookups = 0u64;
+                    for step in 0..STEPS {
+                        for viewer in (lane..VIEWERS).step_by(2) {
+                            // Each viewer at its own second, drifting
+                            // over the grid at its own pace.
+                            let second = (viewer * 5 + step) % SECONDS as u64;
+                            let tile = ((viewer * 3 + step * (1 + viewer % 3)) % 16) as usize;
+                            let view = server
+                                .serve(viewer, second, Orientation::tile_center(tile, GRID))
+                                .unwrap();
+                            assert_eq!(view.focus, tile);
+                            assert_eq!(*view.primary.bytes, direct(0, second, tile));
+                            for n in &view.neighbors {
+                                assert_eq!(*n.bytes, direct(1, second, n.tile), "ring tile {}", n.tile);
+                            }
+                            lookups += 1 + view.neighbors.len() as u64;
+                            lookups += server.prefetch(viewer) as u64;
+                            assert!(cache.resident_bytes() <= cache.budget_bytes());
+                        }
+                    }
+                    lookups
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    let lookups: u64 = lookups.iter().sum();
+    let delta = cache.stats().since(&before);
+    assert_eq!(delta.hits + delta.coalesced + delta.misses, lookups, "{delta:?}");
+    assert!(delta.misses > 0 && delta.hits > 0 && delta.evictions > 0, "the budget must bind: {delta:?}");
+    assert!(cache.resident_bytes() <= cache.budget_bytes());
+    // The session's own counters saw the same traffic, batched or not.
+    let m = session.metrics();
+    let counter = |name: &str| m.counter(name);
+    assert_eq!(counter("tile_cache.hits"), delta.hits);
+    assert_eq!(counter("tile_cache.misses"), delta.misses);
+    assert_eq!(counter("tile_cache.coalesced"), delta.coalesced);
+    assert_eq!(counter("tile_cache.evictions"), delta.evictions);
+    assert_eq!(counter("tile_server.serves"), VIEWERS * STEPS);
     let _ = fs::remove_dir_all(&root);
 }
 
