@@ -22,7 +22,10 @@
 //!   over one chunk at one and two threads;
 //! * the serving side: `EncodedGop::extract_tile_bytes` on a serialised
 //!   4×4 GOP against parse → extract → serialise, µs and bytes copied
-//!   per tile.
+//!   per tile;
+//! * the scan side: `EncodedGop::extract_tiles` taking k = 1, 4 and 15
+//!   tiles out of a serialised 4×4 × 4-frame GOP against parse →
+//!   `extract_tile` per tile, µs and heap allocations per GOP.
 //!
 //! `--smoke` shrinks every measurement window so the binary finishes
 //! in well under a second while still executing every kernel pair and
@@ -34,8 +37,8 @@ use lightdb_codec::bitio::{BitReader, BitWriter};
 use lightdb_codec::encoder::encode_gop_frame;
 use lightdb_codec::scratch::{DecoderScratch, EncoderScratch, EncoderWork};
 use lightdb_codec::{
-    golomb, predict, quant, transform, CodecKind, Decoder, EncodedGop, Encoder, EncoderConfig,
-    FrameType, TileGrid, TileRect,
+    golomb, predict, quant, transform, CodecKind, Decoder, EncodedFrame, EncodedGop, Encoder,
+    EncoderConfig, FrameType, TileGrid, TileRect,
 };
 use lightdb_core::algebra::MergeFunction;
 use lightdb_core::udf::{BuiltinMap, MapFunction};
@@ -614,19 +617,24 @@ fn decode_gops(target: f64, w: usize, h: usize, n: usize) {
     );
 }
 
+/// One serialised GOP of `n` Venice frames at `w × h`, tiled 4×4.
+fn tiled_gop_bytes(w: usize, h: usize, n: usize) -> Vec<u8> {
+    let spec = DatasetSpec { width: w, height: h, fps: 30, seconds: 1, qp: 22 };
+    let frames: Vec<Frame> =
+        (0..n).map(|i| lightdb_datasets::frame(Dataset::Venice, &spec, i)).collect();
+    let grid = TileGrid::new(4, 4);
+    let enc = Encoder::new(EncoderConfig { qp: spec.qp, gop_length: n, grid, ..Default::default() })
+        .expect("valid config");
+    enc.encode(&frames).expect("encode").gops[0].to_bytes()
+}
+
 /// One tile out of a serialised 4×4 GOP of `n` Venice frames, every
 /// tile in turn: the tile-index walker the tile server runs against
 /// the parse → extract → serialise path it replaced there, and what
 /// each copies to produce one tile.
 fn tile_extraction(target: f64, w: usize, h: usize, n: usize) {
-    let grid = TileGrid::new(4, 4);
-    let spec = DatasetSpec { width: w, height: h, fps: 30, seconds: 1, qp: 22 };
-    let frames: Vec<Frame> =
-        (0..n).map(|i| lightdb_datasets::frame(Dataset::Venice, &spec, i)).collect();
-    let enc = Encoder::new(EncoderConfig { qp: spec.qp, gop_length: n, grid, ..Default::default() })
-        .expect("valid config");
-    let bytes = enc.encode(&frames).expect("encode").gops[0].to_bytes();
-    let tiles = grid.tile_count();
+    let bytes = tiled_gop_bytes(w, h, n);
+    let tiles = TileGrid::new(4, 4).tile_count();
     let walk = |t: usize| EncodedGop::extract_tile_bytes(&bytes, t).expect("walk");
     let parse = |t: usize| {
         let gop = EncodedGop::from_bytes(&bytes).expect("parse");
@@ -672,6 +680,67 @@ fn tile_extraction(target: f64, w: usize, h: usize, n: usize) {
             format!("{:.1}x fewer", parsed as f64 / walked as f64),
         ],
     );
+}
+
+/// Heap buffers single-tile GOPs own: each GOP's frame list, each
+/// frame's tile list, and each non-empty payload.
+fn buffers(gops: &[EncodedGop]) -> usize {
+    let frame = |f: &EncodedFrame| 1 + f.tiles.iter().filter(|t| !t.is_empty()).count();
+    gops.iter().map(|g| 1 + g.frames.iter().map(frame).sum::<usize>()).sum()
+}
+
+/// `k` tiles out of one serialised 4×4 GOP of `n` Venice frames, the way
+/// the scan's `TILESELECT` takes them (one walk of the tile index, only
+/// the requested tiles copied) against the chunk-domain operator it
+/// replaced (parse every tile, then `extract_tile` each requested one),
+/// with the heap allocations each makes per GOP. Allocations are
+/// counted from the values: the walker allocates its output list and
+/// the buffers in it; the parser also one tile-length list per frame
+/// and the whole parsed GOP. `lightdb-codec`'s allocation test pins
+/// both counts with a counting allocator.
+fn multi_tile_extraction(target: f64, w: usize, h: usize, n: usize) {
+    let bytes = tiled_gop_bytes(w, h, n);
+    for tiles in [vec![5], vec![5, 6, 9, 10], (0..15).collect::<Vec<usize>>()] {
+        let walk = || EncodedGop::extract_tiles(&bytes, &tiles).expect("walk");
+        let parse = || {
+            let gop = EncodedGop::from_bytes(&bytes).expect("parse");
+            let out: Vec<EncodedGop> =
+                tiles.iter().map(|&t| gop.extract_tile(t).expect("extract")).collect();
+            (gop, out)
+        };
+        let (parsed, extracted) = parse();
+        let walked = walk();
+        assert_eq!(walked, extracted, "walker and parser disagree on tiles {tiles:?}");
+        let walk_allocs = 1 + buffers(&walked);
+        let parse_allocs = buffers(std::slice::from_ref(&parsed))
+            + parsed.frames.len()
+            + 1
+            + buffers(&extracted);
+        let (fast, refr) = rate2(
+            target,
+            || {
+                drop(black_box(walk()));
+                1
+            },
+            || {
+                drop(black_box(parse()));
+                1
+            },
+        );
+        let k = tiles.len();
+        crate::row(
+            &format!("multi-tile extract k={k} (us/GOP)"),
+            &[format!("{:.3}", 1e6 / fast), format!("{:.3}", 1e6 / refr), format!("{:.2}x", fast / refr)],
+        );
+        crate::row(
+            &format!("  k={k} allocations/GOP"),
+            &[
+                walk_allocs.to_string(),
+                parse_allocs.to_string(),
+                format!("{:.1}x fewer", parse_allocs as f64 / walk_allocs as f64),
+            ],
+        );
+    }
 }
 
 /// One row of milliseconds per unit from two rates (units/s).
@@ -845,6 +914,7 @@ pub fn print(smoke: bool) {
     let (w, h) = if smoke { (128, 64) } else { (256, 128) };
     tile_extraction(target, w, h, 4);
     tile_extraction(target, w, h, 30);
+    multi_tile_extraction(target, w, h, 4);
     println!("ok: all fast/reference cross-checks passed");
 }
 

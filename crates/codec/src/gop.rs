@@ -178,9 +178,7 @@ impl EncodedGop {
     pub fn extract_tile(&self, index: usize) -> Result<EncodedGop> {
         let mut frames = Vec::with_capacity(self.frames.len());
         for f in &self.frames {
-            let tile = f.tiles.get(index).ok_or_else(|| {
-                CodecError::Incompatible(format!("tile {index} out of range"))
-            })?;
+            let tile = f.tiles.get(index).ok_or_else(|| tile_out_of_range(index))?;
             frames.push(EncodedFrame { frame_type: f.frame_type, tiles: vec![tile.clone()] });
         }
         Ok(EncodedGop { frames })
@@ -196,23 +194,66 @@ impl EncodedGop {
     pub fn extract_tile_bytes(gop_bytes: &[u8], tile: usize) -> Result<Vec<u8>> {
         // One frame of the output: type, tile count 1, tile length, payload.
         let frame_len = |payload: &[u8]| 2 + varint_len(payload.len() as u64) + payload.len();
-        let mut size = 0usize;
-        let frames = walk_tile(gop_bytes, tile, |_, payload| {
-            let len = frame_len(payload);
-            size += varint_len(len as u64) + len;
+        let (mut size, mut missing) = (0usize, false);
+        let frames = walk_frames(gop_bytes, Some(tile), |frame| match frame.located {
+            Some(payload) => {
+                let len = frame_len(payload);
+                size += varint_len(len as u64) + len;
+            }
+            None => missing = true,
         })? as u64;
+        if missing {
+            return Err(tile_out_of_range(tile));
+        }
         // No larger than the input: each output frame is its input
         // frame less the other tiles, under the same frame count.
         let mut out = Vec::with_capacity(varint_len(frames) + size);
         write_varint(&mut out, frames);
-        walk_tile(gop_bytes, tile, |frame_type, payload| {
-            write_varint(&mut out, frame_len(payload) as u64);
-            out.push(frame_type);
-            out.push(1);
-            write_varint(&mut out, payload.len() as u64);
-            out.extend_from_slice(payload);
+        walk_frames(gop_bytes, Some(tile), |frame| {
+            if let Some(payload) = frame.located {
+                write_varint(&mut out, frame_len(payload) as u64);
+                out.push(frame.frame_type.to_byte());
+                out.push(1);
+                write_varint(&mut out, payload.len() as u64);
+                out.extend_from_slice(payload);
+            }
         })?;
         Ok(out)
+    }
+
+    /// [`from_bytes`](Self::from_bytes) → [`extract_tile`](Self::extract_tile)
+    /// for each of `tiles` in one walk of `gop_bytes`, materialising only
+    /// the requested tiles — the scan-side `TILESELECT`. The `k`-th GOP
+    /// is tile `tiles[k]`; duplicates repeat and an empty list returns no
+    /// GOPs. Errors as the oracle does: `Corrupt` wherever the parser
+    /// reports it, otherwise `Incompatible` for the first requested tile,
+    /// in request order, that some frame lacks.
+    pub fn extract_tiles(gop_bytes: &[u8], tiles: &[usize]) -> Result<Vec<EncodedGop>> {
+        // Sizes the outputs only (the walk checks the count): every frame
+        // costs at least its length byte, so the bytes left bound it.
+        let mut pos = 0;
+        let frames = read_varint(gop_bytes, &mut pos)
+            .map_or(0, |n| (n as usize).min(gop_bytes.len().saturating_sub(pos)));
+        let mut out: Vec<EncodedGop> =
+            tiles.iter().map(|_| EncodedGop { frames: Vec::with_capacity(frames) }).collect();
+        let mut fewest = usize::MAX;
+        walk_frames(gop_bytes, None, |frame| {
+            fewest = fewest.min(frame.tiles);
+            // One pass over the frame's tile index; a few dozen integer
+            // compares per tile beat re-reading the lengths per request.
+            for (i, payload) in frame.payloads().enumerate() {
+                for (gop, _) in out.iter_mut().zip(tiles).filter(|(_, &t)| t == i) {
+                    gop.frames.push(EncodedFrame {
+                        frame_type: frame.frame_type,
+                        tiles: vec![payload.to_vec()],
+                    });
+                }
+            }
+        })?;
+        match tiles.iter().find(|&&t| t >= fewest) {
+            Some(&t) => Err(tile_out_of_range(t)),
+            None => Ok(out),
+        }
     }
 
     /// Stitches per-tile GOPs (each single-tile, same frame count and
@@ -259,23 +300,55 @@ fn varint_len(mut v: u64) -> usize {
     n
 }
 
+/// [`EncodedGop::extract_tile`]'s error for a tile some frame lacks.
+fn tile_out_of_range(tile: usize) -> CodecError {
+    CodecError::Incompatible(format!("tile {tile} out of range"))
+}
+
+/// One frame of a serialised GOP that [`walk_frames`] has checked: its
+/// type and its tile index — the tile-length varints and the payloads
+/// they delimit, back to back.
+#[derive(Clone, Copy)]
+struct FrameIndex<'a> {
+    frame_type: FrameType,
+    tiles: usize,
+    lens: &'a [u8],
+    payloads: &'a [u8],
+    /// The payload of the tile the walk was asked to locate, found as
+    /// it read the lengths; `None` when the frame has no such tile.
+    located: Option<&'a [u8]>,
+}
+
+impl<'a> FrameIndex<'a> {
+    /// Every tile's payload, in index order.
+    fn payloads(self) -> impl Iterator<Item = &'a [u8]> {
+        let (mut pos, mut start) = (0, 0usize);
+        std::iter::from_fn(move || {
+            // The walk already read these lengths and checked their sum.
+            let len = read_varint(self.lens, &mut pos).ok()? as usize;
+            let payload = self.payloads.get(start..start + len)?;
+            start += len;
+            Some(payload)
+        })
+    }
+}
+
 /// Walks a serialised GOP with [`EncodedGop::read`]'s checks, in its
-/// order, and hands `visit` each frame's type byte and the payload of
-/// tile `tile`. `Corrupt` as soon as the parser would report it; a frame
-/// without tile `tile` is [`EncodedGop::extract_tile`]'s `Incompatible`,
-/// reported only once the whole buffer has parsed. Returns the frame
-/// count.
-fn walk_tile<'a>(
+/// order, and hands `visit` each frame's tile index once the frame has
+/// checked out, with tile `locate` already found in it. `Corrupt` as
+/// soon as the parser would report it, so a caller that defers its own
+/// errors (a tile some frame lacks) until the walk returns keeps the
+/// parser's precedence. Returns the frame count.
+fn walk_frames<'a>(
     buf: &'a [u8],
-    tile: usize,
-    mut visit: impl FnMut(u8, &'a [u8]),
+    locate: Option<usize>,
+    mut visit: impl FnMut(FrameIndex<'a>),
 ) -> Result<usize> {
     let mut pos = 0;
     let frames = read_varint(buf, &mut pos)? as usize;
     if frames > 1 << 20 {
         return Err(CodecError::Corrupt("implausible frame count"));
     }
-    let mut missing = false;
     for i in 0..frames {
         let len = read_varint(buf, &mut pos)? as usize;
         let end = pos.checked_add(len).ok_or(CodecError::Corrupt("frame length overflow"))?;
@@ -290,12 +363,13 @@ fn walk_tile<'a>(
             return Err(CodecError::Corrupt("implausible tile count"));
         }
         // The tile index: payloads follow the lengths back to back, so
-        // tile `tile` starts where the lengths before it sum to.
-        let (mut before, mut wanted, mut total) = (0usize, None, 0usize);
+        // a tile starts where the lengths before it sum to.
+        let lens_start = pos;
+        let (mut total, mut located) = (0usize, None);
         for t in 0..tiles {
             let len = read_varint(buf, &mut pos)? as usize;
-            if t == tile {
-                (before, wanted) = (total, Some(len));
+            if Some(t) == locate {
+                located = Some(total..total + len);
             }
             total = total.checked_add(len).ok_or(CodecError::Corrupt("tile length overflow"))?;
         }
@@ -310,17 +384,18 @@ fn walk_tile<'a>(
         if i == 0 && frame_type != FrameType::Key {
             return Err(CodecError::Corrupt("GOP does not begin with a keyframe"));
         }
-        match wanted {
-            Some(len) => visit(ty, &buf[pos + before..pos + before + len]),
-            None => missing = true,
-        }
+        let payloads = &buf[pos..end];
+        visit(FrameIndex {
+            frame_type,
+            tiles,
+            lens: &buf[lens_start..pos],
+            payloads,
+            located: located.and_then(|span| payloads.get(span)),
+        });
         pos = end;
     }
     if pos != buf.len() {
         return Err(CodecError::Corrupt("trailing bytes after GOP"));
-    }
-    if missing {
-        return Err(CodecError::Incompatible(format!("tile {tile} out of range")));
     }
     Ok(frames)
 }

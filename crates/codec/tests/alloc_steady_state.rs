@@ -159,6 +159,14 @@ fn a_hostile_count_reserves_no_more_than_its_input_could_hold() {
     let (bytes, r) = count_bytes(|| EncodedGop::extract_tile_bytes(&FRAMES_2_20, 0));
     assert!(matches!(r, Err(CodecError::Corrupt(_))), "{r:?}");
     assert!(bytes < 4096, "extract_tile_bytes requested {bytes} bytes for a 3-byte input");
+    // The multi-tile walker sizes each output by the count, so the same
+    // claim padded to 16 bytes (a first frame that does not parse), for
+    // four tiles at once.
+    let mut padded = FRAMES_2_20.to_vec();
+    padded.resize(16, 0xff);
+    let (bytes, r) = count_bytes(|| EncodedGop::extract_tiles(&padded, &[0, 3, 1, 2]));
+    assert!(matches!(r, Err(CodecError::Corrupt(_))), "{r:?}");
+    assert!(bytes < 4096, "extract_tiles requested {bytes} bytes for a 16-byte input");
 
     // One frame claiming 4096 tiles, then nothing.
     let frame = [1, 3, 0, 0x80, 0x20];
@@ -182,4 +190,41 @@ fn a_hostile_count_reserves_no_more_than_its_input_could_hold() {
     let (bytes, r) = count_bytes(|| VideoStream::from_bytes(&stream));
     assert!(matches!(r, Err(CodecError::Corrupt(_))), "{r:?}");
     assert!(bytes < 4096, "VideoStream::from_bytes requested {bytes} bytes for {} bytes", stream.len());
+}
+
+/// Heap buffers a value of single-tile GOPs owns: the list, each GOP's
+/// frame list, each frame's tile list, and each non-empty payload.
+fn buffers(gops: &[EncodedGop]) -> u64 {
+    let frame = |f: &lightdb_codec::EncodedFrame| 1 + f.tiles.iter().filter(|t| !t.is_empty()).count();
+    let gop = |g: &EncodedGop| 1 + g.frames.iter().map(frame).sum::<usize>();
+    (1 + gops.iter().map(gop).sum::<usize>()) as u64
+}
+
+#[test]
+fn the_tile_walkers_allocate_only_their_output() {
+    let stream = Encoder::new(EncoderConfig {
+        qp: 22,
+        gop_length: 4,
+        grid: TileGrid::new(4, 4),
+        ..Default::default()
+    })
+    .unwrap()
+    .encode(&scene(128, 64, 4))
+    .unwrap();
+    let bytes = stream.gops[0].to_bytes();
+    for tiles in [vec![5], vec![0, 5, 10, 15], (0..15).collect::<Vec<usize>>()] {
+        let (allocs, gops) = count(|| EncodedGop::extract_tiles(&bytes, &tiles).unwrap());
+        assert_eq!(allocs, buffers(&gops), "extract_tiles({tiles:?})");
+        // The path it replaced: the parsed GOP (plus one tile-length
+        // list per frame), then a list of the extracted tiles.
+        let (allocs, (parsed, extracted)) = count(|| {
+            let gop = EncodedGop::from_bytes(&bytes).unwrap();
+            let out: Vec<EncodedGop> = tiles.iter().map(|&t| gop.extract_tile(t).unwrap()).collect();
+            (gop, out)
+        });
+        let parse = buffers(std::slice::from_ref(&parsed)) - 1 + parsed.frames.len() as u64;
+        assert_eq!(allocs, parse + buffers(&extracted), "from_bytes → extract_tile({tiles:?})");
+    }
+    let (allocs, _) = count(|| EncodedGop::extract_tile_bytes(&bytes, 7).unwrap());
+    assert_eq!(allocs, 1, "extract_tile_bytes allocates its output and nothing else");
 }

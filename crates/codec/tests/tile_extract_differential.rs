@@ -3,7 +3,12 @@
 //! reads the tile index out of the serialised GOP and copies one tile;
 //! the oracle parses all of them. Same bytes on every input the oracle
 //! accepts, the same `CodecError` variant on every input it rejects.
-//! CI runs this file in release mode too.
+//!
+//! `EncodedGop::extract_tiles` likewise against the path it replaced in
+//! the scan, `from_bytes → extract_tile` once per requested tile: equal
+//! GOPs, or the same variant naming the same tile. What the oracle
+//! returns on each case set is pinned by a digest recorded before the
+//! walker existed. CI runs this file in release mode too.
 
 use lightdb_codec::{CodecError, EncodedFrame, EncodedGop, FrameType};
 
@@ -191,3 +196,223 @@ fn parity_with_trailing_bytes_and_a_predicted_first_frame() {
         ));
     }
 }
+
+/// The scan's `TILESELECT` before the multi-tile walker: parse the GOP,
+/// then extract each requested tile in request order.
+fn oracle_tiles(bytes: &[u8], tiles: &[usize]) -> Result<Vec<EncodedGop>, CodecError> {
+    let gop = EncodedGop::from_bytes(bytes)?;
+    tiles.iter().map(|&t| gop.extract_tile(t)).collect()
+}
+
+/// FNV-1a over what the oracle returned on a set of cases.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn add(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// One outcome: every GOP's bytes, or the error's variant and — for
+    /// `Incompatible`, which names the tile — its message.
+    fn outcome(&mut self, r: &Result<Vec<EncodedGop>, CodecError>) {
+        match r {
+            Ok(gops) => {
+                self.add(&[0, gops.len() as u8]);
+                gops.iter().for_each(|g| self.add(&g.to_bytes()));
+            }
+            Err(CodecError::Incompatible(m)) => {
+                self.add(&[1]);
+                self.add(m.as_bytes());
+            }
+            Err(CodecError::Corrupt(_)) => self.add(&[2]),
+            Err(_) => self.add(&[3]),
+        }
+    }
+}
+
+/// Both `Ok` with equal GOPs, or both the same error variant, and for
+/// `Incompatible` the same tile. Adds the oracle's outcome to `digest`.
+fn assert_tiles_parity(
+    bytes: &[u8],
+    tiles: &[usize],
+    digest: &mut Digest,
+    what: &dyn Fn() -> String,
+) {
+    let parsed = oracle_tiles(bytes, tiles);
+    digest.outcome(&parsed);
+    match (EncodedGop::extract_tiles(bytes, tiles), parsed) {
+        (Ok(walked), Ok(parsed)) => assert_eq!(walked, parsed, "{}", what()),
+        (Err(CodecError::Incompatible(w)), Err(CodecError::Incompatible(p))) => {
+            assert_eq!(w, p, "{}", what())
+        }
+        (Err(w), Err(p)) => assert_eq!(
+            std::mem::discriminant(&w),
+            std::mem::discriminant(&p),
+            "walker {w:?} vs parser {p:?}: {}",
+            what()
+        ),
+        (w, p) => panic!("walker {w:?} vs parser {p:?}: {}", what()),
+    }
+}
+
+/// A request list over a grid of `tiles`: up to `tiles + 2` entries,
+/// in any order, with repeats and indices past the grid.
+fn random_request(rng: &mut Rng, tiles: usize) -> Vec<usize> {
+    let len = rng.below(tiles + 3);
+    (0..len)
+        .map(|_| match rng.below(10) {
+            0 => tiles + rng.below(3),
+            _ => rng.below(tiles),
+        })
+        .collect()
+}
+
+#[test]
+fn multi_tile_walker_matches_per_tile_extraction_on_seeded_gops() {
+    let mut rng = Rng(0x3a7e);
+    let mut digest = Digest::new();
+    for side in 1..=8usize {
+        let tiles = side * side;
+        for frames in 1..=30 {
+            let gop = seeded_gop(&mut rng, tiles, frames);
+            let bytes = gop.to_bytes();
+            let all: Vec<usize> = (0..tiles).collect();
+            let reversed: Vec<usize> = all.iter().rev().copied().collect();
+            let request = random_request(&mut rng, tiles);
+            for list in [&all, &reversed, &request] {
+                assert_tiles_parity(&bytes, list, &mut digest, &|| {
+                    format!("{side}x{side} x {frames}f tiles {list:?}")
+                });
+            }
+        }
+    }
+    assert_eq!(digest.0, SEEDED_DIGEST, "the oracle's outcomes moved");
+}
+
+#[test]
+fn every_subset_of_a_two_by_two_grid() {
+    let mut digest = Digest::new();
+    let bytes = small_gop();
+    for mask in 0..16usize {
+        let subset: Vec<usize> = (0..4).filter(|t| mask >> t & 1 == 1).collect();
+        assert_tiles_parity(&bytes, &subset, &mut digest, &|| {
+            format!("subset {subset:?}")
+        });
+    }
+    assert_eq!(digest.0, SUBSET_DIGEST, "the oracle's outcomes moved");
+}
+
+#[test]
+fn random_requests_over_four_by_four_and_eight_by_eight() {
+    let mut rng = Rng(0x4e8);
+    let mut digest = Digest::new();
+    for side in [4usize, 8] {
+        let tiles = side * side;
+        for frames in [1, 4, 9] {
+            let bytes = seeded_gop(&mut rng, tiles, frames).to_bytes();
+            let fixed: [Vec<usize>; 5] = [
+                vec![],
+                vec![3, 1, 2],
+                vec![5, 5, 0, 5],
+                vec![0, tiles, 1],
+                vec![tiles + 4, 0],
+            ];
+            for list in fixed
+                .iter()
+                .cloned()
+                .chain((0..40).map(|_| random_request(&mut rng, tiles)))
+            {
+                assert_tiles_parity(&bytes, &list, &mut digest, &|| {
+                    format!("{side}x{side} x {frames}f tiles {list:?}")
+                });
+            }
+        }
+    }
+    assert_eq!(digest.0, RANDOM_DIGEST, "the oracle's outcomes moved");
+}
+
+#[test]
+fn multi_tile_parity_on_empty_ragged_and_predicted_first_gops() {
+    let mut digest = Digest::new();
+    let empty = EncodedGop::default().to_bytes();
+    let ragged = EncodedGop {
+        frames: vec![
+            EncodedFrame {
+                frame_type: FrameType::Key,
+                tiles: vec![vec![1], vec![2, 3], vec![]],
+            },
+            EncodedFrame {
+                frame_type: FrameType::Predicted,
+                tiles: vec![vec![4, 5]],
+            },
+            EncodedFrame {
+                frame_type: FrameType::Predicted,
+                tiles: vec![vec![], vec![6]],
+            },
+        ],
+    }
+    .to_bytes();
+    let mut predicted = seeded_gop(&mut Rng(9), 2, 2);
+    predicted.frames[0].frame_type = FrameType::Predicted;
+    let predicted = predicted.to_bytes();
+    let mut trailing = small_gop();
+    trailing.push(0);
+    let lists: [&[usize]; 6] = [&[], &[0], &[0, 1], &[2, 0], &[1, 3, 2], &[0, 0]];
+    for (name, bytes) in [
+        ("empty", &empty),
+        ("ragged", &ragged),
+        ("predicted first", &predicted),
+        ("trailing byte", &trailing),
+    ] {
+        for list in lists {
+            assert_tiles_parity(bytes, list, &mut digest, &|| {
+                format!("{name} tiles {list:?}")
+            });
+        }
+    }
+    // The first requested tile some frame lacks is the one named.
+    assert!(matches!(
+        EncodedGop::extract_tiles(&ragged, &[0, 2, 1]),
+        Err(CodecError::Incompatible(m)) if m == "tile 2 out of range"
+    ));
+    assert_eq!(digest.0, EDGE_DIGEST, "the oracle's outcomes moved");
+}
+
+#[test]
+fn multi_tile_parity_at_every_truncation_and_bit_flip() {
+    let mut digest = Digest::new();
+    let bytes = small_gop();
+    let lists: [&[usize]; 4] = [&[], &[0, 3], &[3, 0, 3], &[2, 4]];
+    for cut in 0..=bytes.len() {
+        for list in lists {
+            assert_tiles_parity(&bytes[..cut], list, &mut digest, &|| {
+                format!("cut at {cut} tiles {list:?}")
+            });
+        }
+    }
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        for list in lists {
+            assert_tiles_parity(&flipped, list, &mut digest, &|| {
+                format!("bit {bit} flipped, tiles {list:?}")
+            });
+        }
+    }
+    assert_eq!(digest.0, MUTILATED_DIGEST, "the oracle's outcomes moved");
+}
+
+/// The oracle's outcomes on each case set above, recorded on the commit
+/// before `extract_tiles` existed.
+const SEEDED_DIGEST: u64 = 0x0aac_ab02_b1ba_34ee;
+const SUBSET_DIGEST: u64 = 0xdd0f_944b_d9c2_63ed;
+const RANDOM_DIGEST: u64 = 0x1a6b_3375_e463_062d;
+const EDGE_DIGEST: u64 = 0x9ca0_c5b8_07e3_375c;
+const MUTILATED_DIGEST: u64 = 0x36cf_9197_3a11_92c4;

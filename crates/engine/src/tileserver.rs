@@ -34,7 +34,7 @@
 
 use crate::session::EngineShared;
 use crate::Result;
-use lightdb_codec::{EncodedGop, SequenceHeader, TileGrid, VideoStream};
+use lightdb_codec::{EncodedGop, SequenceHeader, TileGrid};
 use lightdb_container::{GopIndexEntry, TrackRole};
 use lightdb_core::Quality;
 use lightdb_exec::metrics::counters;
@@ -43,7 +43,6 @@ use lightdb_exec::{ExecError, Metrics};
 use lightdb_storage::bufferpool::GopKey;
 use lightdb_storage::{BufferPool, MediaStore};
 use std::collections::HashMap;
-use std::io::Read;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -312,13 +311,6 @@ impl std::fmt::Debug for TileServer {
     }
 }
 
-fn read_header(media: &MediaStore, path: &str) -> Result<SequenceHeader> {
-    let mut f = std::fs::File::open(media.path_of(path)).map_err(ExecError::Io)?;
-    let mut buf = [0u8; 64];
-    let n = f.read(&mut buf).map_err(ExecError::Io)?;
-    Ok(VideoStream::parse_header_prefix(&buf[..n])?)
-}
-
 impl TileServer {
     /// Resolves `name` (and optionally a low-quality companion) at
     /// their *latest* catalog versions and pins them for the life of
@@ -388,7 +380,7 @@ impl TileServer {
             .ok_or_else(|| ExecError::Other(format!("TLF {name} has no video track")))?;
         let media = stored.media();
         let media_path = stored.metadata.tracks[track].media_path.clone();
-        let header = read_header(&media, &media_path)?;
+        let header = media.read_stream_header(&media_path)?;
         let entries = stored.metadata.tracks[track].gop_index.clone();
         Ok((
             StreamState {

@@ -21,6 +21,8 @@ use lightdb_index::IndexKey;
 use lightdb_storage::catalog::TrackWrite;
 use lightdb_container::TrackRole;
 use lightdb_storage::{BufferPool, Catalog};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The result of running a physical plan.
@@ -187,19 +189,7 @@ impl Executor {
     fn build(&self, plan: &PhysicalPlan, sub: Option<&Chunk>) -> Result<ChunkStream> {
         let m = self.metrics.clone();
         Ok(match plan {
-            PhysicalPlan::ScanTlf { name, version, t_frames, spatial } => sources::scan_tlf(
-                &self.catalog,
-                &self.pool,
-                name,
-                *version,
-                *t_frames,
-                *spatial,
-                self.spatial_index,
-                self.read_policy,
-                m,
-                self.ctx.clone(),
-                self.owner,
-            )?,
+            PhysicalPlan::ScanTlf { .. } => self.scan(plan, None)?,
             PhysicalPlan::DecodeFile { path, .. } => sources::decode_file(path, m)?,
             PhysicalPlan::Omega { .. } => sources::omega(),
             PhysicalPlan::SubqueryInput => {
@@ -237,9 +227,10 @@ impl Executor {
                 let streams = self.build_all(inputs, sub)?;
                 hops::gop_union(streams, m)
             }
-            PhysicalPlan::TileSelect { input, tiles } => {
-                hops::tile_select(self.build(input, sub)?, tiles.clone(), m)
-            }
+            // The planner only puts TILESELECT over a SCAN, and the
+            // scan does it: each GOP's bytes are walked once for just
+            // the requested tiles.
+            PhysicalPlan::TileSelect { input, tiles } => self.scan(input, Some(tiles.clone()))?,
             PhysicalPlan::KeyframeSelect { input } => {
                 hops::keyframe_select(self.build(input, sub)?, m)
             }
@@ -323,6 +314,31 @@ impl Executor {
         })
     }
 
+    /// `SCAN`, or with `tiles` the `TILESELECT` over it; anything but a
+    /// `SCAN` under a `TILESELECT` is a plan this executor cannot run.
+    fn scan(&self, plan: &PhysicalPlan, tiles: Option<Vec<usize>>) -> Result<ChunkStream> {
+        let PhysicalPlan::ScanTlf { name, version, t_frames, spatial } = plan else {
+            return Err(ExecError::Domain(format!(
+                "TILESELECT reads a SCAN, not {}",
+                plan.name()
+            )));
+        };
+        sources::scan_tlf(
+            &self.catalog,
+            &self.pool,
+            name,
+            *version,
+            *t_frames,
+            *spatial,
+            tiles,
+            self.spatial_index,
+            self.read_policy,
+            self.metrics.clone(),
+            self.ctx.clone(),
+            self.owner,
+        )
+    }
+
     fn build_all(&self, plans: &[PhysicalPlan], sub: Option<&Chunk>) -> Result<Vec<ChunkStream>> {
         plans.iter().map(|p| self.build(p, sub)).collect()
     }
@@ -356,21 +372,21 @@ impl Executor {
         if parts.iter().all(|p| p.chunks.iter().all(Chunk::is_encoded)) {
             let streams = parts
                 .into_iter()
-                .map(|p| assemble_stream(&p.chunks))
+                .map(|p| assemble_stream(p.chunks))
                 .collect::<Result<Vec<_>>>()?;
             Ok(QueryOutput::Encoded(streams))
         } else {
             let mut out = Vec::with_capacity(parts.len());
             for p in parts {
                 let mut frames = Vec::new();
-                for c in &p.chunks {
-                    match &c.payload {
-                        ChunkPayload::Decoded { frames: f, .. } => frames.extend(f.iter().cloned()),
+                for c in p.chunks {
+                    match c.payload {
+                        ChunkPayload::Decoded { frames: f, .. } => frames.extend(f),
                         ChunkPayload::Encoded { header, gop } => {
                             // Mixed output: decode the stragglers.
                             frames.extend(
                                 self.metrics.time("DECODE", || {
-                                    lightdb_codec::Decoder::new().decode_gop(header, gop)
+                                    lightdb_codec::Decoder::new().decode_gop(&header, &gop)
                                 })?,
                             );
                         }
@@ -396,20 +412,21 @@ impl Executor {
         let mut tracks = Vec::with_capacity(parts.len());
         let mut points = Vec::with_capacity(parts.len());
         let mut volume: Option<Volume> = None;
-        for (ti, p) in parts.iter().enumerate() {
+        for (ti, p) in parts.into_iter().enumerate() {
             // Auto-encode any decoded chunks (STORE persists encoded);
-            // each chunk is an independent GOP, so fan out.
+            // each chunk is an independent GOP, so fan out. Encoded
+            // chunks pass through as they are.
             let encoded: Vec<Chunk> = crate::parallel::scatter(
-                p.chunks.iter().collect::<Vec<&Chunk>>(),
+                p.chunks,
                 self.parallelism.threads(),
                 |_, c| {
                     self.ctx.check()?;
                     match &c.payload {
-                        ChunkPayload::Encoded { .. } => Ok(c.clone()),
+                        ChunkPayload::Encoded { .. } => Ok(c),
                         ChunkPayload::Decoded { frames, device } => {
                             self.metrics.time("ENCODE", || {
                                 frameops::encode_one_gop(
-                                    c,
+                                    &c,
                                     frames,
                                     *device,
                                     CodecKind::HevcSim,
@@ -423,7 +440,7 @@ impl Executor {
             )
             .into_iter()
             .collect::<Result<Vec<_>>>()?;
-            let stream = assemble_stream(&encoded)?;
+            let stream = assemble_stream(encoded)?;
             tracks.push(TrackWrite::New {
                 role: TrackRole::Video,
                 projection: p.info_projection,
@@ -530,42 +547,43 @@ struct OutPart {
     info_projection: ProjectionKind,
 }
 
+/// Groups a result stream by output part, each part's chunks in
+/// arrival order; parts come back sorted by id.
 fn collect_parts(stream: ChunkStream, ctx: &QueryCtx) -> Result<Vec<OutPart>> {
-    let mut parts: Vec<(usize, OutPart)> = Vec::new();
+    let mut parts: BTreeMap<usize, OutPart> = BTreeMap::new();
     for c in stream {
         ctx.check()?;
         let c = c?;
-        match parts.iter_mut().find(|(id, _)| *id == c.part) {
-            Some((_, p)) => {
+        match parts.entry(c.part) {
+            Entry::Occupied(mut p) => {
+                let p = p.get_mut();
                 p.volume = p.volume.hull(&c.volume);
                 p.chunks.push(c);
             }
-            None => {
-                parts.push((
-                    c.part,
-                    OutPart {
-                        volume: c.volume,
-                        position: c.info.position,
-                        info_projection: c.info.projection,
-                        chunks: vec![c],
-                    },
-                ));
+            Entry::Vacant(slot) => {
+                slot.insert(OutPart {
+                    volume: c.volume,
+                    position: c.info.position,
+                    info_projection: c.info.projection,
+                    chunks: vec![c],
+                });
             }
         }
     }
-    parts.sort_by_key(|(id, _)| *id);
-    Ok(parts.into_iter().map(|(_, p)| p).collect())
+    Ok(parts.into_values().collect())
 }
 
-fn assemble_stream(chunks: &[Chunk]) -> Result<VideoStream> {
+/// One part's encoded chunks as a stream, each GOP moved — an encoded
+/// sink never copies the bytes it returns or stores.
+fn assemble_stream(chunks: Vec<Chunk>) -> Result<VideoStream> {
     let mut header = None;
     let mut gops = Vec::with_capacity(chunks.len());
     for c in chunks {
-        let ChunkPayload::Encoded { header: h, gop } = &c.payload else {
+        let ChunkPayload::Encoded { header: h, gop } = c.payload else {
             return Err(ExecError::Domain("cannot assemble decoded chunks".into()));
         };
         match &header {
-            None => header = Some(*h),
+            None => header = Some(h),
             Some(prev) => {
                 if (prev.codec, prev.width, prev.height, prev.fps, prev.grid)
                     != (h.codec, h.width, h.height, h.fps, h.grid)
@@ -576,7 +594,7 @@ fn assemble_stream(chunks: &[Chunk]) -> Result<VideoStream> {
                 }
             }
         }
-        gops.push(gop.clone());
+        gops.push(gop);
     }
     let header = header.ok_or_else(|| ExecError::Other("empty output part".into()))?;
     Ok(VideoStream { header, gops })

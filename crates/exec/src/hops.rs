@@ -6,6 +6,11 @@
 //! ranges* — whole GOPs via the GOP index, single tiles via the tile
 //! index — outruns decode-based plans by orders of magnitude (the
 //! paper measures up to 500×).
+//!
+//! `TILESELECT` is the one HOp not here: it runs inside the scan
+//! ([`crate::sources::scan_tlf`]'s `tiles`), which walks each GOP's
+//! stored bytes once for just the requested tiles instead of parsing
+//! every tile and copying the chosen ones out.
 
 use crate::chunk::{Chunk, ChunkPayload, TimeGrouped};
 use crate::metrics::Metrics;
@@ -40,68 +45,6 @@ pub fn gop_select(
     }))
 }
 
-/// `TILESELECT`: extract the given tiles from each encoded chunk as
-/// independent single-tile streams, using only the tile index.
-///
-/// Output parts are numbered `part * tiles.len() + k` for the k-th
-/// requested tile, and each carries a synthesised single-tile
-/// sequence header plus the tile's angular sub-volume.
-pub fn tile_select(input: ChunkStream, tiles: Vec<usize>, metrics: Metrics) -> ChunkStream {
-    let mut pending: Vec<Chunk> = Vec::new();
-    let mut input = input;
-    Box::new(std::iter::from_fn(move || loop {
-        if let Some(c) = pending.pop() {
-            return Some(Ok(c));
-        }
-        let chunk = match input.next()? {
-            Err(e) => return Some(Err(e)),
-            Ok(c) => c,
-        };
-        let (header, gop) = match &chunk.payload {
-            ChunkPayload::Encoded { header, gop } => (*header, gop),
-            ChunkPayload::Decoded { .. } => {
-                return Some(Err(ExecError::Domain(
-                    "TILESELECT requires encoded input".into(),
-                )))
-            }
-        };
-        let r = metrics.time("TILESELECT", || -> Result<Vec<Chunk>> {
-            let mut out = Vec::with_capacity(tiles.len());
-            for (k, &t) in tiles.iter().enumerate() {
-                if t >= header.grid.tile_count() {
-                    return Err(ExecError::Domain(format!(
-                        "tile {t} out of range for {}×{} grid",
-                        header.grid.cols, header.grid.rows
-                    )));
-                }
-                let sub = gop.extract_tile(t)?;
-                let (tw, th) = header.grid.tile_dims(header.width, header.height);
-                let sub_header = SequenceHeader {
-                    width: tw,
-                    height: th,
-                    grid: TileGrid::SINGLE,
-                    ..header
-                };
-                out.push(Chunk {
-                    t_index: chunk.t_index,
-                    part: chunk.part * tiles.len() + k,
-                    volume: tile_volume(&chunk.volume, &header.grid, t),
-                    info: chunk.info,
-                    payload: ChunkPayload::Encoded { header: sub_header, gop: sub },
-                });
-            }
-            Ok(out)
-        });
-        match r {
-            Err(e) => return Some(Err(e)),
-            Ok(mut chunks) => {
-                chunks.reverse(); // popped back-to-front
-                pending = chunks;
-            }
-        }
-    }))
-}
-
 /// The angular sub-volume covered by tile `index` of `grid` within a
 /// full-sphere `volume` (equirectangular layout: θ left→right,
 /// φ top→bottom).
@@ -129,35 +72,26 @@ pub fn tile_volume(volume: &Volume, grid: &TileGrid, index: usize) -> Volume {
 pub fn keyframe_select(input: ChunkStream, metrics: Metrics) -> ChunkStream {
     Box::new(input.map(move |c| {
         let c = c?;
-        metrics.time("KEYFRAMESELECT", || match &c.payload {
-            ChunkPayload::Encoded { header, gop } => {
-                let first = gop
-                    .frames
-                    .first()
-                    .ok_or(ExecError::Align("empty GOP".into()))?
-                    .clone();
-                debug_assert_eq!(first.frame_type, lightdb_codec::gop::FrameType::Key);
-                let header = SequenceHeader { gop_length: 1, ..*header };
-                let keyframe_instant = c.volume.t().lo();
-                let volume = c.volume.with(
-                    Dimension::T,
-                    Interval::new(
-                        keyframe_instant,
-                        keyframe_instant + 1.0 / header.fps as f64,
-                    ),
-                );
-                Ok(Chunk {
-                    volume,
-                    payload: ChunkPayload::Encoded {
-                        header,
-                        gop: EncodedGop { frames: vec![first] },
-                    },
-                    ..c
-                })
-            }
-            ChunkPayload::Decoded { .. } => {
-                Err(ExecError::Domain("KEYFRAMESELECT requires encoded input".into()))
-            }
+        metrics.time("KEYFRAMESELECT", || {
+            let ChunkPayload::Encoded { header, gop } = c.payload else {
+                return Err(ExecError::Domain("KEYFRAMESELECT requires encoded input".into()));
+            };
+            // The chunk is ours: keep its keyframe, drop the rest.
+            let mut frames = gop.frames;
+            frames.truncate(1);
+            let first = frames.first().ok_or(ExecError::Align("empty GOP".into()))?;
+            debug_assert_eq!(first.frame_type, lightdb_codec::gop::FrameType::Key);
+            let header = SequenceHeader { gop_length: 1, ..header };
+            let keyframe_instant = c.volume.t().lo();
+            let volume = c.volume.with(
+                Dimension::T,
+                Interval::new(keyframe_instant, keyframe_instant + 1.0 / header.fps as f64),
+            );
+            Ok(Chunk {
+                volume,
+                payload: ChunkPayload::Encoded { header, gop: EncodedGop { frames } },
+                ..c
+            })
         })
     }))
 }
@@ -323,7 +257,7 @@ fn stitch(tiles: &[Chunk], cols: usize, rows: usize) -> Result<Chunk> {
 mod tests {
     use super::*;
     use crate::chunk::StreamInfo;
-    use lightdb_codec::{Decoder, Encoder, EncoderConfig};
+    use lightdb_codec::{Encoder, EncoderConfig};
     use lightdb_frame::{Frame, Yuv};
 
     fn encoded_chunks(frames_per_gop: usize, gops: usize, grid: TileGrid) -> Vec<Chunk> {
@@ -392,36 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_select_extract_decodes_to_tile_region() {
-        let chunks = encoded_chunks(4, 1, TileGrid::new(2, 1));
-        let header = match &chunks[0].payload {
-            ChunkPayload::Encoded { header, .. } => *header,
-            _ => unreachable!(),
-        };
-        let full = Decoder::new()
-            .decode_gop(&header, match &chunks[0].payload {
-                ChunkPayload::Encoded { gop, .. } => gop,
-                _ => unreachable!(),
-            })
-            .unwrap();
-        let out: Vec<Chunk> = tile_select(to_stream(chunks), vec![1], Metrics::new())
-            .map(|c| c.unwrap())
-            .collect();
-        assert_eq!(out.len(), 1);
-        let (h, g) = match &out[0].payload {
-            ChunkPayload::Encoded { header, gop } => (header, gop),
-            _ => unreachable!(),
-        };
-        assert_eq!((h.width, h.height), (32, 32));
-        let dec = Decoder::new().decode_gop(h, g).unwrap();
-        for (d, f) in dec.iter().zip(full.iter()) {
-            assert_eq!(d, &f.crop(32, 0, 32, 32));
-        }
-        // Angular volume is the right half of the sphere.
-        assert!((out[0].volume.theta().lo() - std::f64::consts::PI).abs() < 1e-9);
-    }
-
-    #[test]
     fn gop_union_rebases_time() {
         let a = encoded_chunks(30, 2, TileGrid::SINGLE);
         let b = encoded_chunks(30, 1, TileGrid::SINGLE);
@@ -441,33 +345,6 @@ mod tests {
         let r: Result<Vec<Chunk>> =
             gop_union(vec![to_stream(a), to_stream(b)], Metrics::new()).collect();
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn tile_select_then_tile_union_roundtrips_bytes() {
-        let chunks = encoded_chunks(4, 2, TileGrid::new(2, 1));
-        let originals: Vec<EncodedGop> = chunks
-            .iter()
-            .map(|c| match &c.payload {
-                ChunkPayload::Encoded { gop, .. } => gop.clone(),
-                _ => unreachable!(),
-            })
-            .collect();
-        let left = tile_select(to_stream(chunks.clone()), vec![0], Metrics::new());
-        let right = tile_select(to_stream(chunks), vec![1], Metrics::new());
-        let out: Vec<Chunk> = tile_union(vec![left, right], 2, 1, Metrics::new())
-            .map(|c| c.unwrap())
-            .collect();
-        assert_eq!(out.len(), 2);
-        for (c, orig) in out.iter().zip(originals.iter()) {
-            match &c.payload {
-                ChunkPayload::Encoded { gop, header } => {
-                    assert_eq!(gop, orig, "stitched GOP must be byte-identical");
-                    assert_eq!(header.grid, TileGrid::new(2, 1));
-                }
-                _ => unreachable!(),
-            }
-        }
     }
 
     #[test]

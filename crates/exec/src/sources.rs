@@ -4,7 +4,10 @@ use crate::chunk::{Chunk, ChunkPayload, SlabInfo, StreamInfo};
 use crate::metrics::{counters, Metrics};
 use crate::query_ctx::QueryCtx;
 use crate::{ChunkStream, ExecError, ReadPolicy, Result};
-use lightdb_codec::{EncodedGop, Encoder, EncoderConfig, SequenceHeader, VideoStream};
+use crate::hops::tile_volume;
+use lightdb_codec::{
+    CodecError, EncodedGop, Encoder, EncoderConfig, SequenceHeader, TileGrid, VideoStream,
+};
 use lightdb_container::{GopIndexEntry, TlfBody, TlfDescriptor, Track, TrackRole};
 use lightdb_geom::{Dimension, Interval, Point3, Volume};
 use lightdb_index::persist::load_rtree;
@@ -12,8 +15,8 @@ use lightdb_index::rtree::Rect3;
 use lightdb_index::IndexKey;
 use lightdb_storage::bufferpool::GopKey;
 use lightdb_storage::{BufferPool, Catalog, MediaStore, StoredTlf};
+use std::collections::VecDeque;
 use std::fs;
-use std::io::Read;
 use std::sync::Arc;
 
 /// One scannable stream resolved from a TLF descriptor: a part with
@@ -35,6 +38,9 @@ struct ScanPart {
 /// spatial R-tree — when one exists — for point pushdown across
 /// multi-sphere TLFs. `read_policy` governs what happens when a GOP
 /// fails checksum verification or cannot be parsed.
+///
+/// `tiles` is a `TILESELECT` over this scan: each GOP is emitted as the
+/// listed tiles instead of whole (see [`stream_parts`]).
 #[allow(clippy::too_many_arguments)]
 pub fn scan_tlf(
     catalog: &Catalog,
@@ -43,6 +49,7 @@ pub fn scan_tlf(
     version: Option<u64>,
     t_frames: Option<(u64, u64)>,
     spatial: Option<Volume>,
+    tiles: Option<Vec<usize>>,
     use_spatial_index: bool,
     read_policy: ReadPolicy,
     metrics: Metrics,
@@ -64,7 +71,7 @@ pub fn scan_tlf(
         None // fall back to the linear point filter
     };
     resolve_parts(&stored, &media, &stored.metadata.tlf, t_frames, &spatial, &spatial_ids, &mut parts)?;
-    Ok(stream_parts(parts, media, pool.clone(), read_policy, metrics, ctx, owner))
+    Ok(stream_parts(parts, tiles, media, pool.clone(), read_policy, metrics, ctx, owner))
 }
 
 /// Looks up the spatial index (if any) and returns the matching point
@@ -127,7 +134,7 @@ fn resolve_parts(
                     }
                 }
                 let track = track_of(stored, p.video_track)?;
-                let header = read_stream_header(media, &track.media_path)?;
+                let header = media.read_stream_header(&track.media_path)?;
                 let entries = filter_entries(&track.gop_index, t_frames);
                 let volume = Volume::sphere_at(
                     p.position.x,
@@ -154,7 +161,7 @@ fn resolve_parts(
         TlfBody::Slab { slabs } => {
             for s in slabs {
                 let track = track_of(stored, s.track)?;
-                let header = read_stream_header(media, &track.media_path)?;
+                let header = media.read_stream_header(&track.media_path)?;
                 let entries = filter_entries(&track.gop_index, t_frames);
                 let centre = Point3::new(
                     (s.uv_min.x + s.uv_max.x) / 2.0,
@@ -212,13 +219,6 @@ fn track_of(stored: &StoredTlf, index: u32) -> Result<&Track> {
         .ok_or_else(|| ExecError::Other(format!("TLF references missing video track {index}")))
 }
 
-fn read_stream_header(media: &MediaStore, path: &str) -> Result<SequenceHeader> {
-    let mut f = fs::File::open(media.path_of(path))?;
-    let mut buf = [0u8; 64];
-    let n = f.read(&mut buf)?;
-    Ok(VideoStream::parse_header_prefix(&buf[..n])?)
-}
-
 fn filter_entries(entries: &[GopIndexEntry], t_frames: Option<(u64, u64)>) -> Vec<GopIndexEntry> {
     match t_frames {
         None => entries.to_vec(),
@@ -260,8 +260,66 @@ fn substitute_gop(header: &SequenceHeader, frame_count: usize) -> Result<Encoded
         .ok_or_else(|| ExecError::Other("substitute encode produced no GOP".into()))
 }
 
+/// Where GOP `entry` of part `p` sits: its time index and volume.
+fn place(p: &ScanPart, entry: &GopIndexEntry) -> (usize, Volume) {
+    let fps = p.header.fps as f64;
+    let t0 = p.volume.t().lo() + entry.start_frame as f64 / fps;
+    let t1 = t0 + entry.frame_count as f64 / fps;
+    let t_index = (entry.start_frame as usize) / p.header.gop_length.max(1);
+    (t_index, p.volume.with(Dimension::T, Interval::new(t0, t1)))
+}
+
+/// GOP `entry` of part `p`, whole.
+fn gop_chunk(p: &ScanPart, entry: &GopIndexEntry, gop: EncodedGop) -> Chunk {
+    let (t_index, volume) = place(p, entry);
+    Chunk {
+        t_index,
+        part: p.part,
+        volume,
+        info: p.info,
+        payload: ChunkPayload::Encoded { header: p.header, gop },
+    }
+}
+
+/// `TILESELECT` over GOP `entry` of part `p`: the requested tiles of its
+/// serialised bytes, from one walk of the tile index, appended to `out`.
+/// The k-th requested tile is part `p.part * tiles.len() + k`, with a
+/// single-tile header and the tile's angular sub-volume. Errors come in
+/// the chunk-domain operator's order: the walk's `Corrupt`, then — per
+/// requested tile, in order — a tile outside the grid (`Domain`) or one
+/// some frame lacks (`Incompatible`).
+fn select_tiles(
+    p: &ScanPart,
+    entry: &GopIndexEntry,
+    bytes: &[u8],
+    tiles: &[usize],
+    out: &mut VecDeque<Chunk>,
+) -> Result<()> {
+    let h = p.header;
+    let in_grid = tiles.iter().position(|&t| t >= h.grid.tile_count()).unwrap_or(tiles.len());
+    let gops = EncodedGop::extract_tiles(bytes, &tiles[..in_grid])?;
+    if let Some(t) = tiles.get(in_grid) {
+        return Err(ExecError::Domain(format!(
+            "tile {t} out of range for {}×{} grid",
+            h.grid.cols, h.grid.rows
+        )));
+    }
+    let (t_index, volume) = place(p, entry);
+    let (width, height) = h.grid.tile_dims(h.width, h.height);
+    let header = SequenceHeader { width, height, grid: TileGrid::SINGLE, ..h };
+    out.extend(gops.into_iter().zip(tiles).enumerate().map(|(k, (gop, &t))| Chunk {
+        t_index,
+        part: p.part * tiles.len() + k,
+        volume: tile_volume(&volume, &h.grid, t),
+        info: p.info,
+        payload: ChunkPayload::Encoded { header, gop },
+    }));
+    Ok(())
+}
+
 /// Lazily streams a scan's parts in t-major order, pulling GOP bytes
-/// through the buffer pool. Under
+/// through the buffer pool. With `tiles`, each GOP leaves as those
+/// tiles ([`select_tiles`]) and is never parsed whole. Under
 /// [`ReadPolicy::SkipCorruptGops`], damaged GOPs (checksum or parse
 /// failures) are skipped — up to the budget — and counted in
 /// [`counters::SKIPPED_GOPS`] instead of failing the stream; under
@@ -273,6 +331,7 @@ fn substitute_gop(header: &SequenceHeader, frame_count: usize) -> Result<Encoded
 #[allow(clippy::too_many_arguments)]
 fn stream_parts(
     parts: Vec<ScanPart>,
+    tiles: Option<Vec<usize>>,
     media: MediaStore,
     pool: Arc<BufferPool>,
     read_policy: ReadPolicy,
@@ -296,91 +355,94 @@ fn stream_parts(
     // track) or re-read after a pool eviction must count against the
     // budget — and in the counter — exactly once.
     let mut damaged: std::collections::HashSet<(String, u64)> = std::collections::HashSet::new();
+    // The current GOP's chunks not yet handed out: the GOP, or its tiles.
+    let mut pending: VecDeque<Chunk> = VecDeque::new();
     Box::new(std::iter::from_fn(move || {
         loop {
+            if let Some(c) = pending.pop_front() {
+                return Some(Ok(c));
+            }
             let (pi, ei) = jobs.next()?;
             let p = &parts[pi];
             let entry = p.entries[ei];
             if let Err(e) = ctx.check() {
                 return Some(Err(e));
             }
-            let r = metrics.time("SCAN", || -> Result<Chunk> {
+            let fetch = || {
                 let key = GopKey { media: p.pool_media.clone(), gop: entry.start_frame };
-                let bytes = pool.get_gop_watch(&key, owner, &|| ctx.should_abort(), || {
+                pool.get_gop_watch(&key, owner, &|| ctx.should_abort(), || {
                     media.read_gop_bytes(&p.media_path, &entry)
-                })?;
-                let gop = EncodedGop::from_bytes(&bytes)?;
-                let fps = p.header.fps as f64;
-                let t0 = p.volume.t().lo() + entry.start_frame as f64 / fps;
-                let t1 = t0 + entry.frame_count as f64 / fps;
-                let volume = p.volume.with(Dimension::T, Interval::new(t0, t1));
-                Ok(Chunk {
-                    t_index: (entry.start_frame as usize) / p.header.gop_length.max(1),
-                    part: p.part,
-                    volume,
-                    info: p.info,
-                    payload: ChunkPayload::Encoded { header: p.header, gop },
                 })
-            });
-            match r {
-                Err(e) => {
-                    // An abort observed while waiting on the pool
-                    // surfaces as an opaque io error; re-check the
-                    // context so callers see the classified
-                    // Cancelled / DeadlineExceeded instead.
-                    if let Err(ce) = ctx.check() {
-                        return Some(Err(ce));
+            };
+            let r = match &tiles {
+                None => metrics.time("SCAN", || -> Result<()> {
+                    let gop = EncodedGop::from_bytes(&fetch()?)?;
+                    pending.push_back(gop_chunk(p, &entry, gop));
+                    Ok(())
+                }),
+                Some(tiles) => metrics.time("SCAN", fetch).map_err(ExecError::from).and_then(
+                    |bytes| {
+                        metrics.time("TILESELECT", || {
+                            select_tiles(p, &entry, &bytes, tiles, &mut pending)
+                        })
+                    },
+                ),
+            };
+            let Err(e) = r else { continue };
+            // An abort observed while waiting on the pool surfaces as
+            // an opaque io error; re-check the context so callers see
+            // the classified Cancelled / DeadlineExceeded instead.
+            if let Err(ce) = ctx.check() {
+                return Some(Err(ce));
+            }
+            // A GOP that parsed but lacks a requested tile is not
+            // damage: the query asked for something the data does not
+            // have, and fails as it did with TILESELECT downstream.
+            if !e.is_data_corruption() || matches!(e, ExecError::Codec(CodecError::Incompatible(_)))
+            {
+                return Some(Err(e));
+            }
+            let gop_id = (p.media_path.clone(), entry.start_frame);
+            match read_policy {
+                ReadPolicy::Fail => return Some(Err(e)),
+                ReadPolicy::SkipCorruptGops { max_skipped } => {
+                    if damaged.contains(&gop_id) {
+                        // Reached again through another part: already
+                        // counted.
+                        continue;
                     }
-                    if !e.is_data_corruption() {
-                        return Some(Err(e));
+                    if damaged.len() >= max_skipped {
+                        return Some(Err(e)); // budget exhausted
                     }
-                    let gop_id = (p.media_path.clone(), entry.start_frame);
-                    match read_policy {
-                        ReadPolicy::Fail => return Some(Err(e)),
-                        ReadPolicy::SkipCorruptGops { max_skipped } => {
-                            if damaged.contains(&gop_id) {
-                                // Reached again through another part:
-                                // already counted.
-                                continue;
-                            }
-                            if damaged.len() >= max_skipped {
-                                return Some(Err(e)); // budget exhausted
-                            }
-                            damaged.insert(gop_id);
-                            metrics.bump(counters::SKIPPED_GOPS);
-                            continue;
+                    damaged.insert(gop_id);
+                    metrics.bump(counters::SKIPPED_GOPS);
+                }
+                ReadPolicy::Degrade { max_degraded } => {
+                    if !damaged.contains(&gop_id) {
+                        if damaged.len() >= max_degraded {
+                            return Some(Err(e)); // budget exhausted
                         }
-                        ReadPolicy::Degrade { max_degraded } => {
-                            if !damaged.contains(&gop_id) {
-                                if damaged.len() >= max_degraded {
-                                    return Some(Err(e)); // budget exhausted
-                                }
-                                damaged.insert(gop_id);
-                                metrics.bump(counters::DEGRADED_GOPS);
+                        damaged.insert(gop_id);
+                        metrics.bump(counters::DEGRADED_GOPS);
+                    }
+                    // Unlike a skip, every part that reaches the damaged
+                    // GOP still gets its chunks — output shape is
+                    // preserved, tile by tile under TILESELECT.
+                    let r = substitute_gop(&p.header, entry.frame_count as usize).and_then(|gop| {
+                        match &tiles {
+                            None => {
+                                pending.push_back(gop_chunk(p, &entry, gop));
+                                Ok(())
                             }
-                            // Unlike a skip, every part that reaches
-                            // the damaged GOP still gets a chunk —
-                            // output shape is preserved.
-                            let gop = match substitute_gop(&p.header, entry.frame_count as usize) {
-                                Err(se) => return Some(Err(se)),
-                                Ok(g) => g,
-                            };
-                            let fps = p.header.fps as f64;
-                            let t0 = p.volume.t().lo() + entry.start_frame as f64 / fps;
-                            let t1 = t0 + entry.frame_count as f64 / fps;
-                            let volume = p.volume.with(Dimension::T, Interval::new(t0, t1));
-                            return Some(Ok(Chunk {
-                                t_index: (entry.start_frame as usize)
-                                    / p.header.gop_length.max(1),
-                                part: p.part,
-                                volume,
-                                info: p.info,
-                                payload: ChunkPayload::Encoded { header: p.header, gop },
-                            }));
+                            Some(tiles) => metrics.time("TILESELECT", || {
+                                select_tiles(p, &entry, &gop.to_bytes(), tiles, &mut pending)
+                            }),
                         }
+                    });
+                    if let Err(se) = r {
+                        return Some(Err(se));
                     }
                 }
-                ok => return Some(ok),
             }
         }
     }))
@@ -484,7 +546,7 @@ mod tests {
         store_demo(&catalog, "demo", 3);
         let pool = Arc::new(BufferPool::new(1 << 20));
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "demo", None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -502,7 +564,7 @@ mod tests {
         let pool = Arc::new(BufferPool::new(1 << 20));
         // Frames 30..=39 live in GOP 3 only.
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "demo", None, Some((30, 39)), None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, Some((30, 39)), None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -519,7 +581,7 @@ mod tests {
         store_demo(&catalog, "demo", 2);
         let pool = Arc::new(BufferPool::new(1 << 20));
         for _ in 0..3 {
-            let n = scan_tlf(&catalog, &pool, "demo", None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+            let n = scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
                 .unwrap()
                 .count();
             assert_eq!(n, 2);
@@ -582,7 +644,7 @@ mod tests {
             )
             .unwrap();
         let pool = Arc::new(BufferPool::new(1 << 20));
-        let all: Vec<Chunk> = scan_tlf(&catalog, &pool, "two", None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+        let all: Vec<Chunk> = scan_tlf(&catalog, &pool, "two", None, None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
             .unwrap()
             .map(|c| c.unwrap())
             .collect();
@@ -590,7 +652,7 @@ mod tests {
         let near = Volume::everywhere()
             .with(Dimension::X, Interval::new(5.0, 15.0));
         let filtered: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "two", None, None, Some(near), true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "two", None, None, Some(near), None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -659,7 +721,7 @@ mod tests {
         let metrics = Metrics::new();
         let policy = ReadPolicy::SkipCorruptGops { max_skipped: 4 };
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "shared", None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "shared", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -675,7 +737,7 @@ mod tests {
         // A budget of one unique GOP is enough for this scan.
         let metrics2 = Metrics::new();
         let policy1 = ReadPolicy::SkipCorruptGops { max_skipped: 1 };
-        let n = scan_tlf(&catalog, &pool, "shared", None, None, None, true, policy1, metrics2.clone(), QueryCtx::unbounded(), None)
+        let n = scan_tlf(&catalog, &pool, "shared", None, None, None, None, true, policy1, metrics2.clone(), QueryCtx::unbounded(), None)
             .unwrap()
             .filter(|c| c.is_ok())
             .count();
@@ -705,7 +767,7 @@ mod tests {
         let metrics = Metrics::new();
         let policy = ReadPolicy::Degrade { max_degraded: 1 };
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "demo", None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -725,7 +787,7 @@ mod tests {
         // A zero budget refuses to degrade and surfaces the error.
         let none = ReadPolicy::Degrade { max_degraded: 0 };
         let r: Vec<_> =
-            scan_tlf(&catalog, &pool, "demo", None, None, None, true, none, Metrics::new(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, none, Metrics::new(), QueryCtx::unbounded(), None)
                 .unwrap()
                 .collect();
         assert!(r.iter().any(|c| c.is_err()));
@@ -746,7 +808,7 @@ mod tests {
         faults::arm_n(sites::MEDIA_READ, Fault::Transient(std::io::ErrorKind::Interrupted), 2);
         let policy = ReadPolicy::SkipCorruptGops { max_skipped: 4 };
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "demo", None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -757,6 +819,113 @@ mod tests {
             0,
             "transient retries are not skips"
         );
+        fs::remove_dir_all(catalog.root()).unwrap();
+    }
+
+    /// The stream-header read goes through the media layer's bounded
+    /// retry on a site of its own: a transient error there is invisible
+    /// to the scan and to the skip accounting.
+    #[test]
+    fn transient_header_read_is_retried_and_skips_nothing() {
+        use lightdb_storage::faults::{self, sites, Fault};
+        faults::reset();
+        let catalog = Catalog::open(temp_root("transheader")).unwrap();
+        store_demo(&catalog, "demo", 2);
+        let pool = Arc::new(BufferPool::new(1 << 20));
+        let metrics = Metrics::new();
+        faults::arm_n(sites::MEDIA_READ_HEADER, Fault::Transient(std::io::ErrorKind::Interrupted), 2);
+        let policy = ReadPolicy::SkipCorruptGops { max_skipped: 4 };
+        let chunks: Vec<Chunk> =
+            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
+                .unwrap()
+                .map(|c| c.unwrap())
+                .collect();
+        let header_hits = faults::hits(sites::MEDIA_READ_HEADER);
+        faults::reset();
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(metrics.counter(counters::SKIPPED_GOPS), 0);
+        assert_eq!(header_hits, 2, "both faulted attempts were retried");
+        fs::remove_dir_all(catalog.root()).unwrap();
+    }
+
+    /// A 64×32 stream tiled 2×1, `gops` GOPs of four frames.
+    fn store_tiled(catalog: &Catalog, name: &str, gops: usize) -> lightdb_codec::VideoStream {
+        let frames: Vec<Frame> = (0..4 * gops)
+            .map(|i| {
+                let mut f = Frame::new(64, 32);
+                for y in 0..32 {
+                    for x in 0..64 {
+                        f.set(x, y, Yuv::new(((x + y + 7 * i) % 256) as u8, 128, 128));
+                    }
+                }
+                f
+            })
+            .collect();
+        let stream = Encoder::new(EncoderConfig {
+            gop_length: 4,
+            fps: 4,
+            qp: 28,
+            grid: lightdb_codec::TileGrid::new(2, 1),
+            ..Default::default()
+        })
+        .unwrap()
+        .encode(&frames)
+        .unwrap();
+        let tlf = TlfDescriptor::single_sphere(Point3::ORIGIN, Interval::new(0.0, gops as f64), 0);
+        catalog
+            .store(
+                name,
+                vec![TrackWrite::New {
+                    role: TrackRole::Video,
+                    projection: ProjectionKind::Equirectangular,
+                    stream: stream.clone(),
+                }],
+                tlf,
+            )
+            .unwrap();
+        stream
+    }
+
+    fn scan_tiles(catalog: &Catalog, pool: &Arc<BufferPool>, name: &str, tiles: Vec<usize>) -> ChunkStream {
+        scan_tlf(catalog, pool, name, None, None, None, Some(tiles), true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+            .unwrap()
+    }
+
+    #[test]
+    fn tile_select_extract_decodes_to_tile_region() {
+        let catalog = Catalog::open(temp_root("tileregion")).unwrap();
+        let stream = store_tiled(&catalog, "tiled", 1);
+        let full = lightdb_codec::Decoder::new().decode_gop(&stream.header, &stream.gops[0]).unwrap();
+        let pool = Arc::new(BufferPool::new(1 << 20));
+        let out: Vec<Chunk> = scan_tiles(&catalog, &pool, "tiled", vec![1]).map(|c| c.unwrap()).collect();
+        assert_eq!(out.len(), 1);
+        let ChunkPayload::Encoded { header, gop } = &out[0].payload else { panic!() };
+        assert_eq!((header.width, header.height), (32, 32));
+        let dec = lightdb_codec::Decoder::new().decode_gop(header, gop).unwrap();
+        for (d, f) in dec.iter().zip(full.iter()) {
+            assert_eq!(d, &f.crop(32, 0, 32, 32));
+        }
+        // Angular volume is the right half of the sphere.
+        assert!((out[0].volume.theta().lo() - std::f64::consts::PI).abs() < 1e-9);
+        fs::remove_dir_all(catalog.root()).unwrap();
+    }
+
+    #[test]
+    fn tile_select_then_tile_union_roundtrips_bytes() {
+        let catalog = Catalog::open(temp_root("tileunion")).unwrap();
+        let stream = store_tiled(&catalog, "tiled", 2);
+        let pool = Arc::new(BufferPool::new(1 << 20));
+        let left = scan_tiles(&catalog, &pool, "tiled", vec![0]);
+        let right = scan_tiles(&catalog, &pool, "tiled", vec![1]);
+        let out: Vec<Chunk> = crate::hops::tile_union(vec![left, right], 2, 1, Metrics::new())
+            .map(|c| c.unwrap())
+            .collect();
+        assert_eq!(out.len(), 2);
+        for (c, orig) in out.iter().zip(stream.gops.iter()) {
+            let ChunkPayload::Encoded { gop, header } = &c.payload else { panic!() };
+            assert_eq!(gop, orig, "stitched GOP must be byte-identical");
+            assert_eq!(header.grid, lightdb_codec::TileGrid::new(2, 1));
+        }
         fs::remove_dir_all(catalog.root()).unwrap();
     }
 

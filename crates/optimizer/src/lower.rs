@@ -3,13 +3,11 @@
 
 use crate::rules;
 use crate::{PlanError, Result};
-use lightdb_codec::VideoStream;
 use lightdb_core::algebra::{LogicalOp, LogicalPlan, VolumePredicate};
 use lightdb_exec::device::Device;
 use lightdb_exec::plan::{CompiledSubquery, PhysicalPlan};
 use lightdb_geom::{Dimension, Volume, EPSILON, PHI_MAX, THETA_PERIOD};
 use lightdb_storage::{Catalog, MediaStore};
-use std::io::Read;
 use std::sync::Arc;
 
 /// The marker name a subquery body's input leaf scans.
@@ -550,14 +548,10 @@ impl Planner {
         let mut gop_length = 30usize;
         let mut grid = (1usize, 1usize);
         if let Some(track) = stored.metadata.tracks.first() {
-            if let Ok(mut f) = std::fs::File::open(media.path_of(&track.media_path)) {
-                let mut buf = [0u8; 64];
-                let n = f.read(&mut buf).unwrap_or(0);
-                if let Ok(h) = VideoStream::parse_header_prefix(&buf[..n]) {
-                    fps = h.fps;
-                    gop_length = h.gop_length;
-                    grid = (h.grid.cols, h.grid.rows);
-                }
+            if let Ok(h) = media.read_stream_header(&track.media_path) {
+                fps = h.fps;
+                gop_length = h.gop_length;
+                grid = (h.grid.cols, h.grid.rows);
             }
         }
         Ok(ScanParams { volume, fps, gop_length, grid, has_slab })
@@ -912,8 +906,7 @@ mod tests {
             grid: (4, 4),
             has_slab: false,
         };
-        // φ ∈ [0, π/2) with full θ: the top four tiles… actually top
-        // 2 rows of 4 → tiles 0..8? No: π/2 of π is half the rows.
+        // φ ∈ [0, π/2) with full θ: the top two rows of four tiles.
         let pred = VolumePredicate::any().with(Dimension::Phi, Interval::new(0.0, PI / 2.0));
         let tiles = whole_tiles(&pred, &p).unwrap();
         assert_eq!(tiles, vec![0, 1, 2, 3, 4, 5, 6, 7]);

@@ -81,6 +81,9 @@ pub mod sites {
     pub const MEDIA_WRITE_BYTES: &str = "media.write.bytes";
     /// Reading media bytes (full stream or one GOP range).
     pub const MEDIA_READ: &str = "media.read";
+    /// Reading the stream header at the front of a media file. A site
+    /// of its own, so arming [`MEDIA_READ`] counts GOP reads only.
+    pub const MEDIA_READ_HEADER: &str = "media.read.header";
     /// Writing the bytes of a metadata temp file.
     pub const CATALOG_TMP_WRITE: &str = "catalog.tmp.write";
     /// `sync_all` on a metadata temp file.

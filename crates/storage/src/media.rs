@@ -8,11 +8,15 @@
 use crate::durable::{self, TmpGuard};
 use crate::faults::{self, sites};
 use crate::{Result, StorageError};
-use lightdb_codec::VideoStream;
+use lightdb_codec::{SequenceHeader, VideoStream};
 use lightdb_container::{checksum, GopIndexEntry};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+
+/// Bytes [`MediaStore::read_stream_header`] reads: the stream magic
+/// plus a sequence header, with room to spare.
+const HEADER_PREFIX: usize = 64;
 
 /// Reads and writes encoded media files within a TLF directory.
 ///
@@ -68,6 +72,20 @@ impl MediaStore {
             fs::read(&path)
         })?;
         Ok(VideoStream::from_bytes(&bytes)?)
+    }
+
+    /// Reads and parses the sequence header at the front of a media
+    /// file: up to 64 bytes (fewer only at end of file),
+    /// with a GOP read's bounded retry of transient I/O errors.
+    pub fn read_stream_header(&self, media_path: &str) -> Result<SequenceHeader> {
+        let path = self.path_of(media_path);
+        let prefix = durable::retry_io(|| {
+            faults::fail_point(sites::MEDIA_READ_HEADER)?;
+            let mut prefix = Vec::with_capacity(HEADER_PREFIX);
+            fs::File::open(&path)?.take(HEADER_PREFIX as u64).read_to_end(&mut prefix)?;
+            Ok(prefix)
+        })?;
+        Ok(VideoStream::parse_header_prefix(&prefix)?)
     }
 
     /// Reads only the byte range of one GOP, using the GOP index —
@@ -200,6 +218,30 @@ mod tests {
         // Both faulted attempts were counted (the successful third
         // attempt runs with nothing armed, so it isn't).
         assert_eq!(faults::hits(sites::MEDIA_READ), 2);
+        fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn stream_header_read_retries_on_its_own_site_and_stops_at_eof() {
+        faults::reset();
+        let store = MediaStore::new(temp_dir("header"));
+        let stream = tiny_stream(2);
+        store.write_stream("s.lvc", &stream).unwrap();
+        faults::arm_n(
+            sites::MEDIA_READ_HEADER,
+            faults::Fault::Transient(std::io::ErrorKind::Interrupted),
+            2,
+        );
+        assert_eq!(store.read_stream_header("s.lvc").unwrap(), stream.header);
+        assert_eq!(faults::hits(sites::MEDIA_READ_HEADER), 2);
+        assert_eq!(faults::hits(sites::MEDIA_READ), 0, "GOP-read hits must not move");
+        // A file that is all header and no GOPs is shorter than the
+        // prefix: read to the end, not refused.
+        let bare = VideoStream { header: stream.header, gops: vec![] };
+        store.write_stream("bare.lvc", &bare).unwrap();
+        assert!(store.file_size("bare.lvc").unwrap() < HEADER_PREFIX as u64);
+        assert_eq!(store.read_stream_header("bare.lvc").unwrap(), stream.header);
+        faults::reset();
         fs::remove_dir_all(store.dir()).unwrap();
     }
 
