@@ -32,7 +32,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::session::{EngineShared, PlanCache, SessionConfig, PLAN_CACHE_CAPACITY};
+use crate::session::{plan_cache, EngineShared, SessionConfig, PLAN_CACHE_CAPACITY};
 use lightdb_core::algebra::{LogicalOp, LogicalPlan};
 use lightdb_core::subgraph::{self, UdfRegistry};
 use lightdb_core::udf::{InterpUdf, MapUdf};
@@ -198,7 +198,7 @@ impl LightDb {
             shared: Arc::new(EngineShared {
                 catalog: Arc::new(Catalog::open(path.as_ref().to_path_buf())?),
                 pool: Arc::new(BufferPool::new(DEFAULT_POOL_BYTES)),
-                plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
+                plan_cache: plan_cache(PLAN_CACHE_CAPACITY),
                 shared_decode,
                 tile_cache,
                 next_session: AtomicU64::new(1),
@@ -316,12 +316,6 @@ impl LightDb {
     /// block or fail per [`LightDb::set_admit_policy`].
     pub fn set_admission_limit(&self, bytes: usize) {
         self.shared.pool.set_admission_limit(bytes);
-    }
-
-    /// Caps the resident pool bytes any single admitted query may
-    /// hold; a query over its cap evicts its own pages first.
-    pub fn set_query_cap(&self, bytes: usize) {
-        self.shared.pool.set_query_cap(bytes);
     }
 
     /// Cumulative per-operator execution metrics.

@@ -39,10 +39,10 @@ use lightdb_exec::{
     Executor, Metrics, Parallelism, PhysicalPlan, QueryCtx, QueryOutput, ReadPolicy,
 };
 use lightdb_optimizer::{fingerprint::fingerprint, Planner, PlannerOptions};
+use lightdb_storage::lru::{SingleFlightLru, Source};
 use lightdb_storage::{AdmitPolicy, BufferPool, Catalog, Snapshot};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Bound on cached plans. Entries are small (a physical-plan tree),
@@ -91,81 +91,20 @@ pub struct SessionBudget {
     pub mem_estimate: Option<usize>,
 }
 
-struct CachedPlan {
-    plan: Arc<PhysicalPlan>,
-    /// Monotonic stamp for LRU ordering.
-    stamp: u64,
-}
-
-struct PlanCacheInner {
-    map: HashMap<String, CachedPlan>,
-    clock: u64,
-    capacity: usize,
-}
-
 /// Engine-wide cache of physical plans keyed by
 /// [`fingerprint`](lightdb_optimizer::fingerprint::fingerprint)
-/// strings. Shared by every session: the key embeds the planner
-/// options and every pinned scan version, so sessions with divergent
-/// options simply occupy different entries, and a `STORE` bumping a
-/// version orphans old entries instead of serving stale plans.
-pub(crate) struct PlanCache {
-    inner: Mutex<PlanCacheInner>,
-}
+/// strings, each weighing 1. Shared by every session: the key embeds
+/// the planner options and every pinned scan version, so sessions with
+/// divergent options simply occupy different entries, and a `STORE`
+/// bumping a version orphans old entries instead of serving stale
+/// plans — as does a `DROP` and re-create, since the catalog never
+/// repeats a `(name, version)`. Single-flight: concurrent identical
+/// statements plan once.
+pub(crate) type PlanCache = SingleFlightLru<String, Arc<PhysicalPlan>>;
 
-impl PlanCache {
-    pub(crate) fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            inner: Mutex::new(PlanCacheInner {
-                map: HashMap::new(),
-                clock: 0,
-                capacity: capacity.max(1),
-            }),
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<Arc<PhysicalPlan>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.map.get_mut(key).map(|e| {
-            e.stamp = clock;
-            e.plan.clone()
-        })
-    }
-
-    /// Inserts (or replaces) an entry and returns how many entries
-    /// were evicted to respect the capacity bound.
-    fn insert(&self, key: String, plan: Arc<PhysicalPlan>) -> u64 {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner
-            .map
-            .insert(key.clone(), CachedPlan { plan, stamp: clock });
-        let mut evicted = 0;
-        while inner.map.len() > inner.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            inner.map.remove(&victim);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Number of cached plans (for tests / introspection).
-    pub(crate) fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .len()
-    }
+/// A plan cache holding at most `capacity` (at least one) plans.
+pub(crate) fn plan_cache(capacity: usize) -> PlanCache {
+    SingleFlightLru::new(capacity.max(1), 1)
 }
 
 /// State shared by every session of one engine: the durable catalog,
@@ -429,17 +368,25 @@ pub(crate) fn execute_on(
     // fingerprint, so the splice below stays on the uncached path.
     let physical: Arc<PhysicalPlan> = match fingerprint(&pinned, &cfg.options) {
         Some(key) if view_subgraph.is_none() => {
-            if let Some(plan) = shared.plan_cache.get(&key) {
-                metrics.bump(counters::PLAN_CACHE_HITS);
-                plan
-            } else {
-                metrics.bump(counters::PLAN_CACHE_MISSES);
-                let plan =
-                    Arc::new(Planner::new(shared.catalog.clone(), cfg.options).plan(&pinned)?);
-                let evicted = shared.plan_cache.insert(key, plan.clone());
-                metrics.add(counters::PLAN_CACHE_EVICTIONS, evicted);
-                plan
-            }
+            let served = shared.plan_cache.get_or_compute(&key, &|| None, || {
+                let plan = Planner::new(shared.catalog.clone(), cfg.options).plan(&pinned)?;
+                Ok((Arc::new(plan), 1))
+            });
+            // A request that waited on another's planning is a hit; a
+            // planner error is its own leader's miss, cached nowhere.
+            let served = match served {
+                Ok(served) => served,
+                Err(e) => {
+                    metrics.bump(counters::PLAN_CACHE_MISSES);
+                    return Err(e);
+                }
+            };
+            let kind = match served.source {
+                Source::Miss => counters::PLAN_CACHE_MISSES,
+                Source::Hit | Source::Coalesced => counters::PLAN_CACHE_HITS,
+            };
+            metrics.add_all([(kind, 1), (counters::PLAN_CACHE_EVICTIONS, served.evicted)]);
+            served.value
         }
         _ => {
             metrics.bump(counters::PLAN_CACHE_MISSES);
@@ -476,49 +423,50 @@ mod tests {
     use super::*;
     use lightdb_exec::PhysicalPlan;
 
-    fn plan() -> Arc<PhysicalPlan> {
-        Arc::new(PhysicalPlan::Omega {
+    fn get(cache: &PlanCache, key: &str) -> lightdb_storage::lru::Served<Arc<PhysicalPlan>> {
+        let plan = Arc::new(PhysicalPlan::Omega {
             volume: lightdb_geom::Volume::everywhere(),
-        })
+        });
+        cache
+            .get_or_compute(&key.to_string(), &|| None::<()>, || Ok((plan, 1)))
+            .unwrap()
     }
 
     #[test]
     fn plan_cache_hits_after_insert() {
-        let cache = PlanCache::new(4);
-        assert!(cache.get("a").is_none());
-        assert_eq!(cache.insert("a".into(), plan()), 0);
-        assert!(cache.get("a").is_some());
+        let cache = plan_cache(4);
+        assert_eq!(get(&cache, "a").source, Source::Miss);
+        assert_eq!(get(&cache, "a").source, Source::Hit);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn plan_cache_evicts_least_recently_used() {
-        let cache = PlanCache::new(2);
-        cache.insert("a".into(), plan());
-        cache.insert("b".into(), plan());
+        let cache = plan_cache(2);
+        get(&cache, "a");
+        get(&cache, "b");
         // Touch "a" so "b" is the LRU victim.
-        assert!(cache.get("a").is_some());
-        let evicted = cache.insert("c".into(), plan());
-        assert_eq!(evicted, 1);
-        assert!(cache.get("a").is_some(), "recently used entry survives");
-        assert!(cache.get("b").is_none(), "LRU entry evicted");
-        assert!(cache.get("c").is_some());
+        assert_eq!(get(&cache, "a").source, Source::Hit);
+        assert_eq!(get(&cache, "c").evicted, 1);
+        assert!(cache.contains(&"a".to_string()), "recent entry survives");
+        assert!(!cache.contains(&"b".to_string()), "LRU entry evicted");
+        assert!(cache.contains(&"c".to_string()));
     }
 
     #[test]
     fn plan_cache_replacement_is_not_an_eviction() {
-        let cache = PlanCache::new(2);
-        cache.insert("a".into(), plan());
-        assert_eq!(cache.insert("a".into(), plan()), 0);
-        assert_eq!(cache.len(), 1);
+        let cache = plan_cache(2);
+        get(&cache, "a");
+        assert_eq!(get(&cache, "a").evicted, 0);
+        assert_eq!((cache.len(), cache.stats().evictions), (1, 0));
     }
 
     #[test]
     fn capacity_floor_is_one() {
-        let cache = PlanCache::new(0);
-        cache.insert("a".into(), plan());
-        assert!(cache.get("a").is_some());
-        assert_eq!(cache.insert("b".into(), plan()), 1);
+        let cache = plan_cache(0);
+        get(&cache, "a");
+        assert!(cache.contains(&"a".to_string()));
+        assert_eq!(get(&cache, "b").evicted, 1);
         assert_eq!(cache.len(), 1);
     }
 }

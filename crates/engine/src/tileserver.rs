@@ -209,12 +209,9 @@ impl<'a> TierGop<'a> {
         let mut extract = || -> std::result::Result<Vec<u8>, ExecError> {
             let bytes = match gop {
                 Some(bytes) => bytes,
-                None => gop.insert(pool.get_gop_watch::<ExecError>(
-                    &stream.pool_key(entry),
-                    None,
-                    &|| false,
-                    || stream.read_gop(entry),
-                )?),
+                None => gop.insert(pool.get_gop::<ExecError>(&stream.pool_key(entry), || {
+                    stream.read_gop(entry)
+                })?),
             };
             Ok(EncodedGop::extract_tile_bytes(bytes, tile)?)
         };

@@ -99,9 +99,6 @@ pub struct Executor {
     /// Session tag for admission accounting (server front-end);
     /// `None` for single-shot queries.
     pub session: Option<u64>,
-    /// Admission tag for pages this query inserts into the buffer
-    /// pool (set for the duration of `run` when admission is active).
-    owner: Option<u64>,
 }
 
 impl Executor {
@@ -117,7 +114,6 @@ impl Executor {
             admit_policy: AdmitPolicy::Block { timeout: std::time::Duration::from_secs(10) },
             shared_decode: None,
             session: None,
-            owner: None,
         }
     }
 
@@ -145,16 +141,6 @@ impl Executor {
                 }
             }
         };
-        // The clone shares metrics/pool/catalog; only the owner tag
-        // differs, so pool pages inserted below carry this query's id.
-        let exec = Executor {
-            owner: _admission.as_ref().map(|a| a.query_id()),
-            ..self.clone()
-        };
-        exec.run_admitted(plan)
-    }
-
-    fn run_admitted(&self, plan: &PhysicalPlan) -> Result<QueryOutput> {
         match plan {
             PhysicalPlan::CreateTlf { name } => {
                 let tlf = TlfDescriptor {
@@ -335,7 +321,6 @@ impl Executor {
             self.read_policy,
             self.metrics.clone(),
             self.ctx.clone(),
-            self.owner,
         )
     }
 

@@ -54,7 +54,6 @@ pub fn scan_tlf(
     read_policy: ReadPolicy,
     metrics: Metrics,
     ctx: QueryCtx,
-    owner: Option<u64>,
 ) -> Result<ChunkStream> {
     ctx.check()?;
     let stored = metrics.time("SCAN", || catalog.read(name, version))?;
@@ -71,7 +70,7 @@ pub fn scan_tlf(
         None // fall back to the linear point filter
     };
     resolve_parts(&stored, &media, &stored.metadata.tlf, t_frames, &spatial, &spatial_ids, &mut parts)?;
-    Ok(stream_parts(parts, tiles, media, pool.clone(), read_policy, metrics, ctx, owner))
+    Ok(stream_parts(parts, tiles, media, pool.clone(), read_policy, metrics, ctx))
 }
 
 /// Looks up the spatial index (if any) and returns the matching point
@@ -337,7 +336,6 @@ fn stream_parts(
     read_policy: ReadPolicy,
     metrics: Metrics,
     ctx: QueryCtx,
-    owner: Option<u64>,
 ) -> ChunkStream {
     // Flatten (t, part) pairs in t-major order.
     let mut jobs: Vec<(usize, usize)> = Vec::new(); // (part idx, entry idx)
@@ -370,7 +368,7 @@ fn stream_parts(
             }
             let fetch = || {
                 let key = GopKey { media: p.pool_media.clone(), gop: entry.start_frame };
-                pool.get_gop_watch(&key, owner, &|| ctx.should_abort(), || {
+                pool.get_gop_watch(&key, &|| ctx.should_abort(), || {
                     media.read_gop_bytes(&p.media_path, &entry)
                 })
             };
@@ -546,7 +544,7 @@ mod tests {
         store_demo(&catalog, "demo", 3);
         let pool = Arc::new(BufferPool::new(1 << 20));
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded())
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -564,7 +562,7 @@ mod tests {
         let pool = Arc::new(BufferPool::new(1 << 20));
         // Frames 30..=39 live in GOP 3 only.
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "demo", None, Some((30, 39)), None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, Some((30, 39)), None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded())
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -581,7 +579,7 @@ mod tests {
         store_demo(&catalog, "demo", 2);
         let pool = Arc::new(BufferPool::new(1 << 20));
         for _ in 0..3 {
-            let n = scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+            let n = scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded())
                 .unwrap()
                 .count();
             assert_eq!(n, 2);
@@ -644,7 +642,7 @@ mod tests {
             )
             .unwrap();
         let pool = Arc::new(BufferPool::new(1 << 20));
-        let all: Vec<Chunk> = scan_tlf(&catalog, &pool, "two", None, None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+        let all: Vec<Chunk> = scan_tlf(&catalog, &pool, "two", None, None, None, None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded())
             .unwrap()
             .map(|c| c.unwrap())
             .collect();
@@ -652,7 +650,7 @@ mod tests {
         let near = Volume::everywhere()
             .with(Dimension::X, Interval::new(5.0, 15.0));
         let filtered: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "two", None, None, Some(near), None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "two", None, None, Some(near), None, true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded())
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -721,7 +719,7 @@ mod tests {
         let metrics = Metrics::new();
         let policy = ReadPolicy::SkipCorruptGops { max_skipped: 4 };
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "shared", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "shared", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded())
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -737,7 +735,7 @@ mod tests {
         // A budget of one unique GOP is enough for this scan.
         let metrics2 = Metrics::new();
         let policy1 = ReadPolicy::SkipCorruptGops { max_skipped: 1 };
-        let n = scan_tlf(&catalog, &pool, "shared", None, None, None, None, true, policy1, metrics2.clone(), QueryCtx::unbounded(), None)
+        let n = scan_tlf(&catalog, &pool, "shared", None, None, None, None, true, policy1, metrics2.clone(), QueryCtx::unbounded())
             .unwrap()
             .filter(|c| c.is_ok())
             .count();
@@ -767,7 +765,7 @@ mod tests {
         let metrics = Metrics::new();
         let policy = ReadPolicy::Degrade { max_degraded: 1 };
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded())
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -787,7 +785,7 @@ mod tests {
         // A zero budget refuses to degrade and surfaces the error.
         let none = ReadPolicy::Degrade { max_degraded: 0 };
         let r: Vec<_> =
-            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, none, Metrics::new(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, none, Metrics::new(), QueryCtx::unbounded())
                 .unwrap()
                 .collect();
         assert!(r.iter().any(|c| c.is_err()));
@@ -808,7 +806,7 @@ mod tests {
         faults::arm_n(sites::MEDIA_READ, Fault::Transient(std::io::ErrorKind::Interrupted), 2);
         let policy = ReadPolicy::SkipCorruptGops { max_skipped: 4 };
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded())
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -836,7 +834,7 @@ mod tests {
         faults::arm_n(sites::MEDIA_READ_HEADER, Fault::Transient(std::io::ErrorKind::Interrupted), 2);
         let policy = ReadPolicy::SkipCorruptGops { max_skipped: 4 };
         let chunks: Vec<Chunk> =
-            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded(), None)
+            scan_tlf(&catalog, &pool, "demo", None, None, None, None, true, policy, metrics.clone(), QueryCtx::unbounded())
                 .unwrap()
                 .map(|c| c.unwrap())
                 .collect();
@@ -887,7 +885,7 @@ mod tests {
     }
 
     fn scan_tiles(catalog: &Catalog, pool: &Arc<BufferPool>, name: &str, tiles: Vec<usize>) -> ChunkStream {
-        scan_tlf(catalog, pool, name, None, None, None, Some(tiles), true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded(), None)
+        scan_tlf(catalog, pool, name, None, None, None, Some(tiles), true, ReadPolicy::default(), Metrics::new(), QueryCtx::unbounded())
             .unwrap()
     }
 

@@ -26,8 +26,9 @@
 //!
 //! Keys are **provenance-addressed**: `(tlf, catalog version, track,
 //! gop start-frame, tile index, quality)`. The catalog version is the
-//! load-bearing field — re-ingesting a TLF under the same name mints
-//! a new version, so a server that resolved the new snapshot builds
+//! load-bearing field — re-ingesting a TLF under the same name, with
+//! or without a `DROP` first, mints a version the name never had in
+//! this process, so a server that resolved the new snapshot builds
 //! keys that can never collide with the old entries. Stale tiles age
 //! out of the LRU; they are never *served*, because nothing asks for
 //! the dead version's keys. (Content addressing, as the shared-decode
@@ -65,8 +66,10 @@ const MAX_SHARDS: usize = 16;
 pub struct TileKey {
     /// TLF name in the catalog.
     pub tlf: Arc<str>,
-    /// Catalog version the serving snapshot resolved. Re-ingest under
-    /// the same name bumps this, so stale entries are unreachable.
+    /// Catalog version the serving snapshot resolved. The catalog never
+    /// hands a `(name, version)` out twice within a process — not even
+    /// to a TLF re-created after a `DROP` — so stale entries are
+    /// unreachable.
     pub version: u64,
     /// Track ordinal within the TLF.
     pub track: usize,

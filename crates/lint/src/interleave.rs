@@ -1,38 +1,35 @@
 //! A miniature loom-style deterministic interleaving explorer.
 //!
-//! Three of the workspace's concurrency contracts are load-bearing for
-//! everything built on top of the buffer pool, the parallel executor
-//! and the serving caches:
+//! Two of the workspace's concurrency contracts are load-bearing for
+//! everything built on top of the caches and the parallel executor:
 //!
-//! 1. **Single-flight loading** (`storage::bufferpool::BufferPool`):
-//!    concurrent misses on one key coalesce into one disk load, byte
-//!    accounting always equals residency (`bytes == resident`), and a
-//!    failed load lets a waiter take over as loader.
-//! 2. **Batch reassembly** (`exec::parallel::scatter`): workers pull
+//! 1. **Batch reassembly** (`exec::parallel::scatter`): workers pull
 //!    jobs from a shared queue and push `(index, result)` pairs in
 //!    completion order; reassembly must reproduce the serial output
 //!    byte-identically for *every* completion interleaving — also
 //!    when one job yields no, one or many outputs, as the `SUBQUERY`
 //!    bodies `par_flat_map_chunks_ctx` fans out do.
-//! 3. **The single-flight LRU** (`storage::lru::SingleFlightLru`,
-//!    behind `exec::tilecache` and `exec::sharedscan`): one lock per
+//! 2. **The single-flight LRU** (`storage::lru::SingleFlightLru`,
+//!    behind the buffer pool's GOP cache, `exec::tilecache`,
+//!    `exec::sharedscan` and the engine's plan cache): one lock per
 //!    shard, a lookup-or-lead step and a publish + evict + wake step,
 //!    waits outside the lock; exactly-once computation, exact counter
-//!    attribution, per-shard bytes within the shard's share.
+//!    attribution, per-shard bytes within the shard's share, and a
+//!    demand-neutral warm (the pool's readahead) that leads an ordinary
+//!    flight.
 //!
 //! The stress tests in those crates sample a handful of OS-scheduler
 //! interleavings per run. This harness instead *enumerates* them: the
 //! algorithms are restated as explicit state machines whose atomic
 //! steps are exactly the lock-protected critical sections of the real
 //! code (the same granularity loom would instrument), and a DFS
-//! scheduler runs every possible schedule of 2–3 threads, checking
+//! scheduler runs every possible schedule of 2–4 threads, checking
 //! the invariants in each terminal state and flagging deadlock when
 //! no runnable thread exists.
 //!
 //! The step decomposition is kept in lock-step with
-//! `crates/storage/src/bufferpool.rs`, `crates/storage/src/lru.rs` and
-//! `crates/exec/src/parallel.rs`; each step documents the source
-//! lines it models.
+//! `crates/storage/src/lru.rs` and `crates/exec/src/parallel.rs`; each
+//! step documents the source lines it models.
 
 use std::collections::BTreeMap;
 
@@ -138,248 +135,7 @@ fn dfs<S: Clone, T: ModelThread<S>>(
 }
 
 // ---------------------------------------------------------------------------
-// Model 1: buffer-pool single-flight (storage::bufferpool::get_gop)
-// ---------------------------------------------------------------------------
-
-/// Shared pool state: the fields of `PoolInner` that the invariants
-/// speak about, keyed by small integers instead of media paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolState {
-    /// key → payload length (the model's `map`).
-    resident: BTreeMap<u8, usize>,
-    /// key → LRU stamp.
-    stamps: BTreeMap<u8, u64>,
-    /// key → flight id with a load in progress (the `loading` map).
-    loading: BTreeMap<u8, usize>,
-    /// flight id → completed (condvar `done` flags).
-    flights_done: Vec<bool>,
-    hits: u64,
-    misses: u64,
-    loads: u64,
-    bytes: usize,
-    evictions: u64,
-    clock: u64,
-    capacity: usize,
-    /// When set, the Nth disk load (1-based) returns an error — the
-    /// fault-injection hook of the model.
-    failing_load: Option<u64>,
-}
-
-impl PoolState {
-    pub fn new(capacity: usize) -> PoolState {
-        PoolState {
-            resident: BTreeMap::new(),
-            stamps: BTreeMap::new(),
-            loading: BTreeMap::new(),
-            flights_done: Vec::new(),
-            hits: 0,
-            misses: 0,
-            loads: 0,
-            bytes: 0,
-            evictions: 0,
-            clock: 0,
-            capacity,
-            failing_load: None,
-        }
-    }
-
-    pub fn failing_load(mut self, nth: u64) -> PoolState {
-        self.failing_load = Some(nth);
-        self
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.resident.values().sum()
-    }
-
-    /// Mirrors `PoolInner::evict_to_capacity`: LRU-evict to capacity,
-    /// dropping the just-inserted `protect` key only as a last resort.
-    fn evict_to_capacity(&mut self, protect: u8) {
-        while self.bytes > self.capacity {
-            let victim = self
-                .resident
-                .keys()
-                .filter(|&&k| k != protect)
-                .min_by_key(|&&k| self.stamps.get(&k).copied().unwrap_or(0))
-                .copied();
-            let Some(v) = victim else { break };
-            if let Some(len) = self.resident.remove(&v) {
-                self.bytes -= len;
-                self.evictions += 1;
-            }
-        }
-        if self.bytes > self.capacity {
-            if let Some(len) = self.resident.remove(&protect) {
-                self.bytes -= len;
-                self.evictions += 1;
-            }
-        }
-    }
-}
-
-/// Program counter of one `get_gop(key)` call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PoolPc {
-    /// The locked fast path: hit check, miss accounting, flight
-    /// registration or wait decision (bufferpool.rs lines 167–201).
-    CheckCache,
-    /// The out-of-lock disk read (lines 202–205).
-    Load {
-        flight: usize,
-    },
-    /// The locked publish: stats, insert, accounting, eviction,
-    /// flight completion (lines 206–229).
-    Publish {
-        flight: usize,
-        load_ok: bool,
-    },
-    /// Parked on `Flight::wait` until the loader finishes (line 194).
-    WaitFlight {
-        flight: usize,
-    },
-    Done,
-}
-
-/// One model thread calling `get_gop(key)` for a `len`-byte GOP.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolThread {
-    key: u8,
-    len: usize,
-    pc: PoolPc,
-    /// Exactly one of hits/misses per call (the `counted` flag).
-    counted: bool,
-    /// What the call returned: payload length or error.
-    pub result: Option<Result<usize, ()>>,
-}
-
-impl PoolThread {
-    pub fn get(key: u8, len: usize) -> PoolThread {
-        PoolThread {
-            key,
-            len,
-            pc: PoolPc::CheckCache,
-            counted: false,
-            result: None,
-        }
-    }
-}
-
-impl ModelThread<PoolState> for PoolThread {
-    fn done(&self) -> bool {
-        self.pc == PoolPc::Done
-    }
-
-    fn runnable(&self, shared: &PoolState) -> bool {
-        match &self.pc {
-            PoolPc::WaitFlight { flight } => shared.flights_done[*flight],
-            PoolPc::Done => false,
-            _ => true,
-        }
-    }
-
-    fn step(&mut self, s: &mut PoolState) {
-        match self.pc.clone() {
-            PoolPc::CheckCache => {
-                s.clock += 1;
-                if s.resident.contains_key(&self.key) {
-                    s.stamps.insert(self.key, s.clock);
-                    if !self.counted {
-                        s.hits += 1;
-                    }
-                    self.result = Some(Ok(s.resident[&self.key]));
-                    self.pc = PoolPc::Done;
-                    return;
-                }
-                if !self.counted {
-                    s.misses += 1;
-                    self.counted = true;
-                }
-                if let Some(&flight) = s.loading.get(&self.key) {
-                    self.pc = PoolPc::WaitFlight { flight };
-                    return;
-                }
-                let flight = s.flights_done.len();
-                s.flights_done.push(false);
-                s.loading.insert(self.key, flight);
-                self.pc = PoolPc::Load { flight };
-            }
-            PoolPc::Load { flight } => {
-                // The disk read happens outside the lock; whether it
-                // fails is decided here so `Publish` stays atomic.
-                let nth = s.loads + 1; // sequenced by publish order below
-                let ok = s.failing_load != Some(nth);
-                self.pc = PoolPc::Publish {
-                    flight,
-                    load_ok: ok,
-                };
-            }
-            PoolPc::Publish { flight, load_ok } => {
-                s.loads += 1;
-                s.loading.remove(&self.key);
-                s.flights_done[flight] = true;
-                if !load_ok {
-                    self.result = Some(Err(()));
-                    self.pc = PoolPc::Done;
-                    return;
-                }
-                s.clock += 1;
-                if let Some(old) = s.resident.insert(self.key, self.len) {
-                    s.bytes -= old;
-                }
-                s.stamps.insert(self.key, s.clock);
-                s.bytes += self.len;
-                s.evict_to_capacity(self.key);
-                self.result = Some(Ok(self.len));
-                self.pc = PoolPc::Done;
-            }
-            PoolPc::WaitFlight { .. } => {
-                // Woken: re-check the cache; if the load failed or the
-                // entry was evicted we may become the loader.
-                self.pc = PoolPc::CheckCache;
-            }
-            PoolPc::Done => {}
-        }
-    }
-}
-
-/// The invariants every terminal pool state must satisfy, regardless
-/// of schedule. Scenario-specific bounds are layered on by callers.
-pub fn pool_invariants(s: &PoolState, threads: &[PoolThread]) -> Result<(), String> {
-    if s.bytes != s.resident_bytes() {
-        return Err(format!(
-            "bytes {} != resident {}",
-            s.bytes,
-            s.resident_bytes()
-        ));
-    }
-    if s.bytes > s.capacity {
-        return Err(format!("bytes {} exceeds capacity {}", s.bytes, s.capacity));
-    }
-    if !s.loading.is_empty() {
-        return Err(format!("loading map not drained: {:?}", s.loading));
-    }
-    if s.hits + s.misses != threads.len() as u64 {
-        return Err(format!(
-            "hits {} + misses {} != {} calls",
-            s.hits,
-            s.misses,
-            threads.len()
-        ));
-    }
-    for (i, t) in threads.iter().enumerate() {
-        match t.result {
-            None => return Err(format!("thread {i} finished without a result")),
-            Some(Ok(len)) if len != t.len => {
-                return Err(format!("thread {i} got {len} bytes, wanted {}", t.len))
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Model 2: batch scatter / reassembly (exec::parallel::scatter)
+// Model 1: batch scatter / reassembly (exec::parallel::scatter)
 // ---------------------------------------------------------------------------
 
 /// Shared scatter state: the job queue and completion-ordered results
@@ -539,7 +295,7 @@ pub fn scatter_invariants(s: &ScatterState, items: &[u32], fail: &[usize]) -> Re
 }
 
 // ---------------------------------------------------------------------------
-// Model 3: single-flight LRU (storage::lru::SingleFlightLru)
+// Model 2: single-flight LRU (storage::lru::SingleFlightLru)
 // ---------------------------------------------------------------------------
 
 /// One shard of the cache: everything its one mutex covers.
@@ -554,10 +310,11 @@ struct LruShard {
     flights: BTreeMap<u8, usize>,
 }
 
-/// Shared state of a `SingleFlightLru` — the cache behind both
-/// `exec::tilecache::TileCache` (sharded) and
-/// `exec::sharedscan::SharedDecode` (one shard). Key `k` lives in shard
-/// `k % shards`; each shard owns `budget / shards` bytes.
+/// Shared state of a `SingleFlightLru` — the cache behind
+/// `exec::tilecache::TileCache` (sharded), and the buffer pool,
+/// `exec::sharedscan::SharedDecode` and the plan cache (one shard
+/// each). Key `k` lives in shard `k % shards`; each shard owns
+/// `budget / shards` bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LruState {
     shards: Vec<LruShard>,
@@ -567,6 +324,8 @@ pub struct LruState {
     coalesced: u64,
     misses: u64,
     evictions: u64,
+    /// Publications by warms — counted nowhere in the real cache.
+    warmed: u64,
     /// Computations started — the work the cache exists to avoid.
     computes: u64,
     /// When set, the Nth computation (1-based) fails — a corrupt GOP
@@ -589,6 +348,7 @@ impl LruState {
             coalesced: 0,
             misses: 0,
             evictions: 0,
+            warmed: 0,
             computes: 0,
             failing_compute: None,
         }
@@ -613,12 +373,14 @@ impl LruState {
     }
 }
 
-/// Program counter of one `get_or_compute(key)` call. Two critical
-/// sections and no more: lookup-or-lead, and publish + evict + wake.
+/// Program counter of one `get_or_compute(key)` or `warm(key)` call.
+/// Two critical sections and no more: lookup-or-lead, and publish +
+/// evict + wake.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum LruPc {
     /// Locked: serve a hit, or join the key's flight, or register one
-    /// and lead — one atomic step (lru.rs, the loop's locked block).
+    /// and lead — one atomic step (lru.rs, the loop's locked block). A
+    /// warm leaves a resident or in-flight key alone instead.
     LookupOrLead,
     /// Out-of-lock computation by the leader; whether it fails is
     /// decided here so `Publish` stays atomic.
@@ -636,18 +398,21 @@ enum LruPc {
 
 /// One model request for `key` (`len` bytes once computed). An
 /// `aborted` thread models a cancelled query: its waits return at once
-/// and it must exit with an error rather than park.
+/// and it must exit with an error rather than park. A `warm` thread is
+/// the buffer pool's readahead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LruThread {
     key: u8,
     len: usize,
     pc: LruPc,
+    warm: bool,
     /// Parked behind a foreign flight at least once — decides hit vs
     /// coalesced attribution.
     waited: bool,
     aborted: bool,
     /// What the call returned: served length, or error (own
-    /// computation failed / cancelled).
+    /// computation failed / cancelled). A warm returns the length it
+    /// published, or 0 when it left the key alone.
     pub result: Option<Result<usize, ()>>,
 }
 
@@ -657,6 +422,7 @@ impl LruThread {
             key,
             len,
             pc: LruPc::LookupOrLead,
+            warm: false,
             waited: false,
             aborted: false,
             result: None,
@@ -666,6 +432,14 @@ impl LruThread {
     pub fn aborted(mut self) -> LruThread {
         self.aborted = true;
         self
+    }
+
+    /// A `warm(key)` call.
+    pub fn warm(key: u8, len: usize) -> LruThread {
+        LruThread {
+            warm: true,
+            ..LruThread::get(key, len)
+        }
     }
 }
 
@@ -690,7 +464,14 @@ impl ModelThread<LruState> for LruThread {
             LruPc::LookupOrLead => {
                 let key = self.key;
                 let shard = s.shard_of(key);
-                if let Some(at) = shard.entries.iter().position(|&(k, _)| k == key) {
+                let resident = shard.entries.iter().position(|&(k, _)| k == key);
+                if self.warm && (resident.is_some() || shard.flights.contains_key(&key)) {
+                    // No recency touch, no counter, no wait.
+                    self.result = Some(Ok(0));
+                    self.pc = LruPc::Done;
+                    return;
+                }
+                if let Some(at) = resident {
                     let entry = shard.entries.remove(at);
                     shard.entries.insert(0, entry); // move to front
                     if self.waited {
@@ -731,7 +512,11 @@ impl ModelThread<LruState> for LruThread {
                         shard.bytes -= victim;
                         evicted += 1;
                     }
-                    s.misses += 1;
+                    if self.warm {
+                        s.warmed += 1;
+                    } else {
+                        s.misses += 1;
+                    }
                     self.result = Some(Ok(len));
                 } else {
                     // The error is this caller's alone: nothing
@@ -760,9 +545,10 @@ impl ModelThread<LruState> for LruThread {
 
 /// Terminal invariants for every cache schedule: per-shard byte
 /// accounting exact and within the shard's share (so the total is
-/// within the budget), flight tables drained, every successful call
-/// exactly one of hit / coalesced / miss, misses equal to successful
-/// computations, every caller answered with its own key's bytes.
+/// within the budget), flight tables drained, every successful demand
+/// call exactly one of hit / coalesced / miss and no warm any of them,
+/// every successful computation a miss or a warm's publication, every
+/// demand caller answered with its own key's bytes.
 pub fn lru_invariants(s: &LruState, threads: &[LruThread]) -> Result<(), String> {
     for (i, shard) in s.shards.iter().enumerate() {
         let resident: usize = shard.entries.iter().map(|&(_, len)| len).sum();
@@ -781,7 +567,7 @@ pub fn lru_invariants(s: &LruState, threads: &[LruThread]) -> Result<(), String>
     }
     let oks = threads
         .iter()
-        .filter(|t| matches!(t.result, Some(Ok(_))))
+        .filter(|t| !t.warm && matches!(t.result, Some(Ok(_))))
         .count() as u64;
     if s.hits + s.coalesced + s.misses != oks {
         return Err(format!(
@@ -790,13 +576,16 @@ pub fn lru_invariants(s: &LruState, threads: &[LruThread]) -> Result<(), String>
         ));
     }
     let failed = u64::from(s.failing_compute.is_some_and(|n| n <= s.computes));
-    if s.misses + failed != s.computes {
-        return Err(format!("{} misses for {} computations ({failed} failed)", s.misses, s.computes));
+    if s.misses + s.warmed + failed != s.computes {
+        return Err(format!(
+            "{} misses and {} warms for {} computations ({failed} failed)",
+            s.misses, s.warmed, s.computes
+        ));
     }
     for (i, t) in threads.iter().enumerate() {
         match t.result {
             None => return Err(format!("thread {i} finished without a result")),
-            Some(Ok(len)) if len != t.len => {
+            Some(Ok(len)) if len != t.len && !(t.warm && len == 0) => {
                 return Err(format!("thread {i} got {len} bytes, wanted {}", t.len))
             }
             _ => {}
@@ -819,134 +608,6 @@ pub struct Scenario {
 /// Runs the full harness: every scenario, exhaustively.
 pub fn run_all() -> Vec<Scenario> {
     let mut out = Vec::new();
-
-    // Two, then three concurrent misses on one key: must coalesce to
-    // a single disk load with exact byte accounting.
-    for n in [2usize, 3] {
-        let state = PoolState::new(1 << 20);
-        let threads: Vec<PoolThread> = (0..n).map(|_| PoolThread::get(7, 512)).collect();
-        let outcome = explore(&state, &threads, &|s, t| {
-            pool_invariants(s, t)?;
-            if s.loads != 1 {
-                return Err(format!(
-                    "{} loads; concurrent misses must coalesce",
-                    s.loads
-                ));
-            }
-            if s.bytes != 512 {
-                return Err(format!("bytes {} != 512", s.bytes));
-            }
-            Ok(())
-        });
-        out.push(Scenario {
-            name: if n == 2 {
-                "pool/single-flight-2"
-            } else {
-                "pool/single-flight-3"
-            },
-            outcome,
-        });
-    }
-
-    // Mixed keys: two threads on key A, one on key B — exactly one
-    // load per distinct key.
-    {
-        let state = PoolState::new(1 << 20);
-        let threads = vec![
-            PoolThread::get(1, 100),
-            PoolThread::get(1, 100),
-            PoolThread::get(2, 200),
-        ];
-        let outcome = explore(&state, &threads, &|s, t| {
-            pool_invariants(s, t)?;
-            if s.loads != 2 {
-                return Err(format!("{} loads for 2 distinct keys", s.loads));
-            }
-            if s.bytes != 300 {
-                return Err(format!("bytes {} != 300", s.bytes));
-            }
-            Ok(())
-        });
-        out.push(Scenario {
-            name: "pool/mixed-keys",
-            outcome,
-        });
-    }
-
-    // Failed first load: the waiter must take over as loader; exactly
-    // one caller sees the error and the pool still converges.
-    {
-        let state = PoolState::new(1 << 20).failing_load(1);
-        let threads = vec![PoolThread::get(3, 256), PoolThread::get(3, 256)];
-        let outcome = explore(&state, &threads, &|s, t| {
-            pool_invariants(s, t)?;
-            let errs = t.iter().filter(|t| t.result == Some(Err(()))).count();
-            let oks = t.iter().filter(|t| matches!(t.result, Some(Ok(_)))).count();
-            if errs != 1 || oks != 1 {
-                return Err(format!("{errs} errors / {oks} successes; want 1 / 1"));
-            }
-            if s.loads != 2 {
-                return Err(format!(
-                    "{} loads; failed load must be retried once",
-                    s.loads
-                ));
-            }
-            if s.bytes != 256 {
-                return Err(format!("bytes {} != 256 after recovery", s.bytes));
-            }
-            Ok(())
-        });
-        out.push(Scenario {
-            name: "pool/failed-load-handover",
-            outcome,
-        });
-    }
-
-    // Eviction pressure: capacity holds only one of the two entries;
-    // accounting must stay exact under every insertion order.
-    {
-        let state = PoolState::new(150);
-        let threads = vec![PoolThread::get(1, 100), PoolThread::get(2, 100)];
-        let outcome = explore(&state, &threads, &|s, t| {
-            pool_invariants(s, t)?;
-            if s.resident.len() != 1 || s.bytes != 100 {
-                return Err(format!(
-                    "want exactly one 100-byte entry resident, got {} entries / {} bytes",
-                    s.resident.len(),
-                    s.bytes
-                ));
-            }
-            if s.evictions != 1 {
-                return Err(format!("{} evictions; want 1", s.evictions));
-            }
-            Ok(())
-        });
-        out.push(Scenario {
-            name: "pool/eviction-accounting",
-            outcome,
-        });
-    }
-
-    // Oversized entry: larger than the whole pool — served to every
-    // caller but never resident.
-    {
-        let state = PoolState::new(100);
-        let threads = vec![PoolThread::get(1, 150), PoolThread::get(1, 150)];
-        let outcome = explore(&state, &threads, &|s, t| {
-            pool_invariants(s, t)?;
-            if !s.resident.is_empty() || s.bytes != 0 {
-                return Err(format!(
-                    "oversized entry must not stay resident: {:?}",
-                    s.resident
-                ));
-            }
-            Ok(())
-        });
-        out.push(Scenario {
-            name: "pool/oversized-never-resident",
-            outcome,
-        });
-    }
 
     // Scatter reassembly: 2 and 3 workers over 4 one-output jobs;
     // output must be byte-identical to the serial map under every
@@ -1136,6 +797,40 @@ pub fn run_all() -> Vec<Scenario> {
         });
     }
 
+    // Readahead beside demand (the buffer pool's `prefetch_gop`): a
+    // warm and one, then two, demand requests for one key. Whoever
+    // registers the flight first computes it, the rest join it or find
+    // it: one computation, no double load, and the warm never counted —
+    // hits + coalesced + misses is the demand requests alone.
+    for (demand, name) in [
+        (1usize, "lru/warm-beside-demand-2"),
+        (2, "lru/warm-beside-demand-3"),
+    ] {
+        let state = LruState::new(1 << 20, 1);
+        let mut threads = vec![LruThread::warm(7, 900)];
+        threads.extend((0..demand).map(|_| LruThread::get(7, 900)));
+        let outcome = explore(&state, &threads, &|s, t| {
+            lru_invariants(s, t)?;
+            if s.computes != 1 {
+                return Err(format!(
+                    "{} computations; a warm must not double a load",
+                    s.computes
+                ));
+            }
+            if s.hits + s.coalesced + s.misses != demand as u64 {
+                return Err(format!(
+                    "{} hits, {} coalesced, {} misses for {demand} demand requests",
+                    s.hits, s.coalesced, s.misses
+                ));
+            }
+            if t[1..].iter().any(|t| t.result != Some(Ok(900))) || s.bytes() != 900 {
+                return Err(format!("a demand request went without the value: {t:?}"));
+            }
+            Ok(())
+        });
+        out.push(Scenario { name, outcome });
+    }
+
     // Budget pressure: the budget holds only one of three entries;
     // every publication order must evict down to budget with exact
     // accounting (and every caller still gets its bytes).
@@ -1274,64 +969,54 @@ mod tests {
 
     #[test]
     fn single_flight_pair_explores_multiple_schedules() {
-        let state = PoolState::new(1 << 20);
-        let threads = vec![PoolThread::get(0, 64), PoolThread::get(0, 64)];
-        let o = explore(&state, &threads, &pool_invariants_check);
+        let state = LruState::new(1 << 20, 1);
+        let threads = vec![LruThread::get(0, 64), LruThread::get(0, 64)];
+        let o = explore(&state, &threads, &lru_invariants_check);
         assert!(o.ok());
         assert!(o.schedules >= 4, "{} schedules", o.schedules);
     }
 
-    fn pool_invariants_check(s: &PoolState, t: &[PoolThread]) -> Result<(), String> {
-        pool_invariants(s, t)
+    fn lru_invariants_check(s: &LruState, t: &[LruThread]) -> Result<(), String> {
+        lru_invariants(s, t)
     }
 
-    /// A deliberately broken model — double-counting bytes on re-insert,
-    /// the exact bug PR 2 fixed — must be caught by the explorer.
+    /// A deliberately broken model — no single flight, and a publication
+    /// that replaces an entry without releasing its bytes, a bug the
+    /// buffer pool once had — must be caught by the explorer.
     #[test]
     fn explorer_catches_seeded_accounting_bug() {
         #[derive(Clone)]
-        struct Buggy(PoolThread);
-        impl ModelThread<PoolState> for Buggy {
+        struct Buggy(LruThread);
+        impl ModelThread<LruState> for Buggy {
             fn done(&self) -> bool {
                 self.0.done()
             }
-            fn runnable(&self, s: &PoolState) -> bool {
+            fn runnable(&self, s: &LruState) -> bool {
                 self.0.runnable(s)
             }
-            fn step(&mut self, s: &mut PoolState) {
-                // Re-introduce the pre-PR-2 bug: publish without
-                // releasing the replaced entry's bytes and without
-                // single-flight (always load; never wait).
-                match self.0.pc.clone() {
-                    PoolPc::CheckCache => {
-                        s.clock += 1;
-                        if !self.0.counted {
-                            s.misses += 1;
-                            self.0.counted = true;
-                        }
-                        self.0.pc = PoolPc::Load { flight: usize::MAX };
-                    }
-                    PoolPc::Load { .. } => {
-                        self.0.pc = PoolPc::Publish {
-                            flight: usize::MAX,
-                            load_ok: true,
-                        }
-                    }
-                    PoolPc::Publish { .. } => {
-                        s.loads += 1;
-                        s.resident.insert(self.0.key, self.0.len);
-                        s.bytes += self.0.len; // BUG: no release on replace
-                        self.0.result = Some(Ok(self.0.len));
-                        self.0.pc = PoolPc::Done;
+            fn step(&mut self, s: &mut LruState) {
+                let (key, len) = (self.0.key, self.0.len);
+                match self.0.pc {
+                    // Always compute; never look, never wait.
+                    LruPc::LookupOrLead => self.0.pc = LruPc::Compute { flight: usize::MAX },
+                    LruPc::Compute { flight } => self.0.pc = LruPc::Publish { flight, ok: true },
+                    LruPc::Publish { .. } => {
+                        let shard = s.shard_of(key);
+                        shard.entries.retain(|&(k, _)| k != key);
+                        shard.entries.insert(0, (key, len));
+                        shard.bytes += len; // BUG: the replaced entry's bytes stay counted
+                        self.0.result = Some(Ok(len));
+                        self.0.pc = LruPc::Done;
                     }
                     _ => {}
                 }
             }
         }
-        let state = PoolState::new(1 << 20);
-        let threads = vec![Buggy(PoolThread::get(0, 64)), Buggy(PoolThread::get(0, 64))];
+        let state = LruState::new(1 << 20, 1);
+        let threads = vec![Buggy(LruThread::get(0, 64)), Buggy(LruThread::get(0, 64))];
         let o = explore(&state, &threads, &|s, _| {
-            if s.bytes != s.resident.values().sum::<usize>() {
+            let sh = &s.shards[0];
+            if sh.bytes != sh.entries.iter().map(|&(_, len)| len).sum::<usize>() {
                 return Err("accounting bug".into());
             }
             Ok(())

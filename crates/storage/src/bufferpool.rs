@@ -5,10 +5,14 @@
 //! lookup that decoded GOP *k* will very likely need GOP *k* again
 //! for the next predicted-frame request.
 //!
+//! The GOP cache is a one-shard [`SingleFlightLru`]: the same
+//! single-flight, byte-budgeted LRU as the tile and shared-decode
+//! caches, with one lock and so the exact pool-wide LRU order.
+//!
 //! ## Resilience
 //!
 //! The pool is where a misbehaving query can hurt everyone else, so
-//! it carries three defenses:
+//! it carries two defenses:
 //!
 //! * **Timed waits.** Every condvar wait in this module (the
 //!   single-flight rendezvous and the admission queue) is a
@@ -23,15 +27,13 @@
 //!   [`Admission`] releases its reservation on drop, so admitted
 //!   bytes always return to zero when queries finish, however they
 //!   finish.
-//! * **Per-query caps.** Entries are tagged with the admitting
-//!   query's id; when a query exceeds [`BufferPool::set_query_cap`],
-//!   its *own* least-recently-used pages are evicted first, so one
-//!   scan cannot monopolise the cache.
 
+use crate::lru::{SingleFlightLru, Source};
 use lightdb_container::MetadataFile;
 use lightdb_index::rtree::RTree;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
@@ -53,14 +55,16 @@ pub struct GopKey {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     pub hits: u64,
+    /// Demand requests that were not hits: they loaded, waited on
+    /// another request's load, or failed.
     pub misses: u64,
     pub evictions: u64,
     /// Bytes currently resident in the GOP cache. Invariant: always
     /// equals the sum of the resident entries' lengths and never
     /// exceeds the pool capacity.
     pub bytes: usize,
-    /// Disk loads actually performed. With single-flight loading this
-    /// can be smaller than `misses`: concurrent misses on one key
+    /// Load attempts, failed ones included. With single-flight loading
+    /// this can be smaller than `misses`: concurrent misses on one key
     /// coalesce into a single load.
     pub loads: u64,
     /// Loads performed by [`BufferPool::prefetch_gop`] readahead.
@@ -82,29 +86,17 @@ impl PoolStats {
     }
 }
 
-struct Entry {
-    bytes: Arc<Vec<u8>>,
-    /// Monotonic stamp for LRU ordering.
-    stamp: u64,
-    /// The query that loaded this entry (admission tag); `None` for
-    /// loads outside any governed query. A later hit by a different
-    /// query does not transfer ownership — accounting follows the
-    /// loader.
-    owner: Option<u64>,
-}
-
-/// Single-flight rendezvous for one in-progress load: waiters block on
-/// the condvar until the loading thread finishes (successfully or not).
-/// Shared with [`crate::lru`], whose followers wait here too — every
-/// condvar wait stays inside this module, the workspace's one
-/// sanctioned wait site (lint rule R6).
+/// Single-flight rendezvous for one in-progress computation of
+/// [`crate::lru`]: its followers block on the condvar until the leader
+/// finishes (successfully or not). Lives here so every condvar wait
+/// stays inside this module, the workspace's one sanctioned wait site
+/// (lint rule R6).
 #[derive(Debug)]
 pub(crate) struct Flight {
     /// (finished, threads parked in [`Flight::wait_done`] right now).
     done: StdMutex<(bool, u32)>,
     cv: Condvar,
 }
-
 impl Flight {
     pub(crate) fn new() -> Flight {
         Flight {
@@ -196,20 +188,12 @@ impl std::error::Error for AdmitError {}
 pub struct Admission<'p> {
     pool: &'p BufferPool,
     bytes: usize,
-    /// Query id the reservation was granted to; entries loaded under
-    /// it are tagged with this id for per-query cap accounting.
-    query: u64,
     /// Session the admission is accounted to (server front-end);
     /// `None` for ungoverned / single-shot queries.
     session: Option<u64>,
 }
 
 impl Admission<'_> {
-    /// The id entries loaded under this admission are tagged with.
-    pub fn query_id(&self) -> u64 {
-        self.query
-    }
-
     /// The reserved byte count.
     pub fn bytes(&self) -> usize {
         self.bytes
@@ -232,8 +216,6 @@ struct AdmissionState {
     admitted: usize,
     /// Reservation limit (defaults to the pool capacity).
     limit: usize,
-    /// Source of fresh query ids for admissions.
-    next_query: u64,
     /// Outstanding reservation bytes per session tag, so a server can
     /// see which session is holding the pool. Entries are removed
     /// when they return to zero (the chaos no-leak invariant extends
@@ -241,143 +223,52 @@ struct AdmissionState {
     session_admitted: HashMap<u64, usize>,
 }
 
-struct PoolInner {
-    map: HashMap<GopKey, Entry>,
-    /// Keys with a load in progress (single-flight markers).
-    loading: HashMap<GopKey, Arc<Flight>>,
-    clock: u64,
-    stats: PoolStats,
-    capacity_bytes: usize,
-    /// Per-query resident cap; `0` = unlimited.
-    query_cap: usize,
-    /// Resident bytes per owning query (entries with an owner tag).
-    owner_bytes: HashMap<u64, usize>,
+/// Parsed metadata files and loaded spatial R-trees per
+/// `(name, version)`.
+#[derive(Default)]
+struct Parsed {
     metadata: HashMap<(String, u64), Arc<MetadataFile>>,
     rtrees: HashMap<(String, u64), Arc<RTree<u64>>>,
 }
 
-impl PoolInner {
-    /// Removes one entry, keeping byte and per-owner accounting in
-    /// step. Returns the freed length (0 if the key was absent).
-    fn remove_entry(&mut self, key: &GopKey) -> usize {
-        let Some(e) = self.map.remove(key) else {
-            return 0;
-        };
-        let len = e.bytes.len();
-        self.stats.bytes -= len;
-        if let Some(o) = e.owner {
-            if let Some(b) = self.owner_bytes.get_mut(&o) {
-                *b = b.saturating_sub(len);
-                if *b == 0 {
-                    self.owner_bytes.remove(&o);
-                }
-            }
-        }
-        len
-    }
-
-    /// Evicts least-recently-used entries until `stats.bytes` is within
-    /// capacity. The just-inserted `protect` key is evicted only as a
-    /// last resort: when every other entry is gone and the protected
-    /// entry alone still exceeds capacity, it too is dropped, so an
-    /// over-capacity payload is served to the caller but never stays
-    /// resident and `stats.bytes <= capacity_bytes` always holds.
-    fn evict_to_capacity(&mut self, protect: &GopKey) {
-        while self.stats.bytes > self.capacity_bytes {
-            let victim = self
-                .map
-                .iter()
-                .filter(|(k, _)| *k != protect)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone());
-            let victim = match victim {
-                Some(v) => v,
-                None => break, // only the protected entry remains
-            };
-            if self.remove_entry(&victim) > 0 {
-                self.stats.evictions += 1;
-            }
-        }
-        if self.stats.bytes > self.capacity_bytes && self.remove_entry(protect) > 0 {
-            self.stats.evictions += 1;
-        }
-    }
-
-    /// Enforces the per-query cap for `owner`: evicts that query's
-    /// *own* least-recently-used entries (everyone else's pages are
-    /// untouched) until it fits. Mirrors [`evict_to_capacity`]'s
-    /// protect semantics: the fresh entry goes last, and if it alone
-    /// exceeds the cap it is served but not retained.
-    fn evict_query_overage(&mut self, owner: u64, protect: &GopKey) {
-        if self.query_cap == 0 {
-            return;
-        }
-        while self.owner_bytes.get(&owner).copied().unwrap_or(0) > self.query_cap {
-            let victim = self
-                .map
-                .iter()
-                .filter(|(k, e)| e.owner == Some(owner) && *k != protect)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone());
-            let victim = match victim {
-                Some(v) => v,
-                None => break,
-            };
-            if self.remove_entry(&victim) > 0 {
-                self.stats.evictions += 1;
-            }
-        }
-        if self.owner_bytes.get(&owner).copied().unwrap_or(0) > self.query_cap
-            && self.remove_entry(protect) > 0
-        {
-            self.stats.evictions += 1;
-        }
-    }
-}
-
-/// The buffer pool. Thread-safe; lock granularity is the whole pool
-/// (LightDB is single-node and the pool is not a contention point —
-/// encode/decode dominates). Misses load outside the lock, and
+/// The buffer pool. Thread-safe. Misses load outside any lock, and
 /// concurrent misses on the same key are **single-flight**: one thread
 /// performs the disk read while the others wait for the result.
 pub struct BufferPool {
-    inner: Mutex<PoolInner>,
-    /// Admission bookkeeping lives beside (not inside) the pool
-    /// mutex: admission waits park on `admission_cv` and must never
-    /// hold up cache traffic.
+    gops: SingleFlightLru<GopKey, Arc<Vec<u8>>>,
+    /// Demand requests that were not hits (the hits are the cache's).
+    misses: AtomicU64,
+    loads: AtomicU64,
+    readaheads: AtomicU64,
+    parsed: Mutex<Parsed>,
+    /// Admission bookkeeping lives beside (not inside) the cache:
+    /// admission waits park on `admission_cv` and must never hold up
+    /// cache traffic.
     admission: StdMutex<AdmissionState>,
     admission_cv: Condvar,
 }
 
 impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never locks: Debug must be safe to call while the pool
-        // mutex is held (e.g. from a panic hook mid-critical-section).
+        // Never locks: Debug must be safe to call while a pool lock
+        // is held (e.g. from a panic hook mid-critical-section).
         f.debug_struct("BufferPool").finish_non_exhaustive()
     }
 }
 
 impl BufferPool {
     /// Creates a pool bounded by `capacity_bytes` of GOP payloads.
-    /// The admission limit defaults to the same figure; the per-query
-    /// cap defaults to unlimited.
+    /// The admission limit defaults to the same figure.
     pub fn new(capacity_bytes: usize) -> Self {
         BufferPool {
-            inner: Mutex::new(PoolInner {
-                map: HashMap::new(),
-                loading: HashMap::new(),
-                clock: 0,
-                stats: PoolStats::default(),
-                capacity_bytes,
-                query_cap: 0,
-                owner_bytes: HashMap::new(),
-                metadata: HashMap::new(),
-                rtrees: HashMap::new(),
-            }),
+            gops: SingleFlightLru::new(capacity_bytes, 1),
+            misses: AtomicU64::new(0),
+            loads: AtomicU64::new(0),
+            readaheads: AtomicU64::new(0),
+            parsed: Mutex::new(Parsed::default()),
             admission: StdMutex::new(AdmissionState {
                 admitted: 0,
                 limit: capacity_bytes,
-                next_query: 1,
                 session_admitted: HashMap::new(),
             }),
             admission_cv: Condvar::new(),
@@ -393,12 +284,6 @@ impl BufferPool {
         self.admission_cv.notify_all();
     }
 
-    /// Sets the per-query resident cap (`0` = unlimited). A query
-    /// over its cap has its own LRU pages evicted first.
-    pub fn set_query_cap(&self, bytes: usize) {
-        self.inner.lock().query_cap = bytes;
-    }
-
     /// Sum of currently granted admission reservations. The chaos
     /// harness asserts this returns to zero after every run.
     pub fn admitted(&self) -> usize {
@@ -406,17 +291,6 @@ impl BufferPool {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .admitted
-    }
-
-    /// Resident bytes currently tagged to `query` (for tests and
-    /// introspection).
-    pub fn query_resident(&self, query: u64) -> usize {
-        self.inner
-            .lock()
-            .owner_bytes
-            .get(&query)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Declares an estimated working set of `bytes` for a new query
@@ -465,12 +339,9 @@ impl BufferPool {
                 if let Some(s) = session {
                     *st.session_admitted.entry(s).or_insert(0) += bytes;
                 }
-                let query = st.next_query;
-                st.next_query += 1;
                 return Ok(Admission {
                     pool: self,
                     bytes,
-                    query,
                     session,
                 });
             }
@@ -532,125 +403,61 @@ impl BufferPool {
     }
 
     /// Fetches a GOP, loading and caching through `load` on a miss.
-    /// Ungoverned variant of [`get_gop_watch`]: no owner tag and no
-    /// abort condition.
+    /// [`get_gop_watch`](BufferPool::get_gop_watch) with no abort
+    /// condition.
     pub fn get_gop<E: From<std::io::Error>>(
         &self,
         key: &GopKey,
         load: impl FnOnce() -> std::result::Result<Vec<u8>, E>,
     ) -> std::result::Result<Arc<Vec<u8>>, E> {
-        self.get_gop_watch(key, None, &|| false, load)
+        self.get_gop_watch(key, &|| false, load)
     }
 
     /// Fetches a GOP, loading and caching through `load` on a miss.
     ///
-    /// Exactly one of `hits`/`misses` is bumped per call (decided at
-    /// the first lookup). On a miss, at most one thread loads a given
-    /// key at a time; threads that miss while a load is in flight wait
-    /// for it and then re-check the cache instead of issuing their own
-    /// disk read. If the in-flight load fails (or its entry is evicted
-    /// before a waiter wakes), the waiter retries and may become the
+    /// Exactly one of `hits`/`misses` is bumped per call: a hit is a
+    /// GOP resident on the first look. On a miss, at most one thread
+    /// loads a given key at a time; threads that miss while a load is
+    /// in flight wait for it and take its result instead of issuing
+    /// their own disk read. If the in-flight load fails (or its entry
+    /// is evicted before a waiter wakes), the waiter may become the
     /// loader itself.
     ///
-    /// `owner` tags the loaded entry for per-query cap accounting
-    /// (see [`Admission::query_id`]). `should_abort` is polled while
-    /// waiting on another thread's in-flight load; when it turns true
-    /// the wait ends with an `io::Error` (callers translate it into
-    /// their own cancellation/deadline error — the pool only promises
-    /// not to park forever).
+    /// `should_abort` is polled while waiting on another thread's
+    /// in-flight load; when it turns true the wait ends with an
+    /// `io::Error` (callers translate it into their own
+    /// cancellation/deadline error — the pool only promises not to
+    /// park forever).
     pub fn get_gop_watch<E: From<std::io::Error>>(
         &self,
         key: &GopKey,
-        owner: Option<u64>,
         should_abort: &dyn Fn() -> bool,
         load: impl FnOnce() -> std::result::Result<Vec<u8>, E>,
     ) -> std::result::Result<Arc<Vec<u8>>, E> {
-        let mut counted = false;
-        let (flight, clock) = loop {
-            let mut inner = self.inner.lock();
-            inner.clock += 1;
-            let clock = inner.clock;
-            let hit = {
-                let inner = &mut *inner;
-                inner.map.get_mut(key).map(|e| {
-                    e.stamp = clock;
-                    e.bytes.clone()
-                })
-            };
-            if let Some(bytes) = hit {
-                if !counted {
-                    inner.stats.hits += 1;
-                }
-                return Ok(bytes);
-            }
-            if !counted {
-                inner.stats.misses += 1;
-                counted = true;
-            }
-            if let Some(flight) = inner.loading.get(key).cloned() {
-                // Another thread is loading this key: wait for it,
-                // then re-check the cache. If that load failed or its
-                // entry was already evicted, loop back and become the
-                // loader ourselves. The wait is timed so an aborted
-                // query stops waiting within one poll step.
-                drop(inner);
-                loop {
-                    if flight.wait_done(WAIT_POLL) {
-                        break;
-                    }
-                    if should_abort() {
-                        return Err(E::from(std::io::Error::other(
-                            "query aborted while waiting for an in-flight GOP load",
-                        )));
-                    }
-                }
-                continue;
-            }
-            // Become the loader for this key.
-            let flight = Arc::new(Flight::new());
-            inner.loading.insert(key.clone(), flight.clone());
-            break (flight, clock);
+        let abort = || {
+            should_abort().then(|| {
+                E::from(std::io::Error::other(
+                    "query aborted while waiting for an in-flight GOP load",
+                ))
+            })
         };
-        // Don't hold the lock across the load: loads hit the disk.
-        let result = crate::faults::fail_point(crate::faults::sites::BUFFERPOOL_LOAD)
-            .map_err(E::from)
-            .and_then(|()| load());
-        let mut inner = self.inner.lock();
-        inner.stats.loads += 1;
-        inner.loading.remove(key);
-        match result {
-            Err(e) => {
-                flight.finish();
-                Err(e)
-            }
-            Ok(bytes) => {
-                let bytes = Arc::new(bytes);
-                // Account only the retained entry: a same-key
-                // re-insert must release the replaced entry's bytes
-                // (and its owner tag) before counting the new ones.
-                if inner.map.contains_key(key) {
-                    inner.remove_entry(key);
-                }
-                if let Some(o) = owner {
-                    *inner.owner_bytes.entry(o).or_insert(0) += bytes.len();
-                }
-                inner.map.insert(
-                    key.clone(),
-                    Entry {
-                        bytes: bytes.clone(),
-                        stamp: clock,
-                        owner,
-                    },
-                );
-                inner.stats.bytes += bytes.len();
-                if let Some(o) = owner {
-                    inner.evict_query_overage(o, key);
-                }
-                inner.evict_to_capacity(key);
-                flight.finish();
-                Ok(bytes)
-            }
+        let served = self.gops.get_or_compute(key, &abort, || self.load(load));
+        if !matches!(&served, Ok(s) if s.source == Source::Hit) {
+            self.misses.fetch_add(1, Relaxed);
         }
+        served.map(|s| s.value)
+    }
+
+    /// One load attempt: the `BUFFERPOOL_LOAD` failpoint, then `load`.
+    fn load<E: From<std::io::Error>>(
+        &self,
+        load: impl FnOnce() -> std::result::Result<Vec<u8>, E>,
+    ) -> std::result::Result<(Arc<Vec<u8>>, usize), E> {
+        self.loads.fetch_add(1, Relaxed);
+        crate::faults::fail_point(crate::faults::sites::BUFFERPOOL_LOAD).map_err(E::from)?;
+        let bytes = load()?;
+        let len = bytes.len();
+        Ok((Arc::new(bytes), len))
     }
 
     /// Warms the cache with a GOP the caller *predicts* will be
@@ -663,69 +470,28 @@ impl BufferPool {
     /// Otherwise the GOP is loaded under the same single-flight
     /// protocol as a demand miss (so a demand request arriving
     /// mid-prefetch waits for this load instead of reading the disk
-    /// again), inserted with no owner tag, and counted in
-    /// `stats.readaheads` (and `loads`); returns `Ok(true)`.
+    /// again), inserted, and counted in `stats.readaheads` (and
+    /// `loads`); returns `Ok(true)`.
     pub fn prefetch_gop<E: From<std::io::Error>>(
         &self,
         key: &GopKey,
         load: impl FnOnce() -> std::result::Result<Vec<u8>, E>,
     ) -> std::result::Result<bool, E> {
-        let (flight, clock) = {
-            let mut inner = self.inner.lock();
-            if inner.map.contains_key(key) || inner.loading.contains_key(key) {
-                return Ok(false);
-            }
-            inner.clock += 1;
-            let clock = inner.clock;
-            let flight = Arc::new(Flight::new());
-            inner.loading.insert(key.clone(), flight.clone());
-            (flight, clock)
-        };
-        // Don't hold the lock across the load: loads hit the disk.
-        let result = crate::faults::fail_point(crate::faults::sites::BUFFERPOOL_LOAD)
-            .map_err(E::from)
-            .and_then(|()| load());
-        let mut inner = self.inner.lock();
-        inner.stats.loads += 1;
-        inner.stats.readaheads += 1;
-        inner.loading.remove(key);
-        match result {
-            Err(e) => {
-                flight.finish();
-                Err(e)
-            }
-            Ok(bytes) => {
-                let bytes = Arc::new(bytes);
-                let len = bytes.len();
-                if inner.map.contains_key(key) {
-                    inner.remove_entry(key);
-                }
-                inner.map.insert(
-                    key.clone(),
-                    Entry {
-                        bytes,
-                        stamp: clock,
-                        owner: None,
-                    },
-                );
-                inner.stats.bytes += len;
-                inner.evict_to_capacity(key);
-                flight.finish();
-                Ok(true)
-            }
-        }
+        self.gops.warm(key, || {
+            self.readaheads.fetch_add(1, Relaxed);
+            self.load(load)
+        })
     }
 
-    /// Sum of the lengths of the entries currently resident in the GOP
-    /// cache — by construction always equal to `stats().bytes` (the
-    /// accounting invariant tests assert).
+    /// Sum of the lengths of the GOPs currently resident — the same
+    /// figure as `stats().bytes`.
     pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().map.values().map(|e| e.bytes.len()).sum()
+        self.gops.resident_bytes()
     }
 
     /// Caches a parsed metadata file for `(name, version)`.
     pub fn put_metadata(&self, name: &str, version: u64, file: Arc<MetadataFile>) {
-        self.inner
+        self.parsed
             .lock()
             .metadata
             .insert((name.to_string(), version), file);
@@ -733,7 +499,7 @@ impl BufferPool {
 
     /// Looks up a cached metadata file.
     pub fn get_metadata(&self, name: &str, version: u64) -> Option<Arc<MetadataFile>> {
-        self.inner
+        self.parsed
             .lock()
             .metadata
             .get(&(name.to_string(), version))
@@ -742,7 +508,7 @@ impl BufferPool {
 
     /// Caches a loaded spatial R-tree for `(name, version)`.
     pub fn put_rtree(&self, name: &str, version: u64, tree: Arc<RTree<u64>>) {
-        self.inner
+        self.parsed
             .lock()
             .rtrees
             .insert((name.to_string(), version), tree);
@@ -750,7 +516,7 @@ impl BufferPool {
 
     /// Looks up a cached spatial R-tree.
     pub fn get_rtree(&self, name: &str, version: u64) -> Option<Arc<RTree<u64>>> {
-        self.inner
+        self.parsed
             .lock()
             .rtrees
             .get(&(name.to_string(), version))
@@ -759,34 +525,35 @@ impl BufferPool {
 
     /// Drops a cached R-tree (used by `DROPINDEX`).
     pub fn invalidate_rtree(&self, name: &str) {
-        self.inner.lock().rtrees.retain(|(n, _), _| n != name);
+        self.parsed.lock().rtrees.retain(|(n, _), _| n != name);
     }
 
-    /// Drops all cached state for a TLF (used by `DROP`).
+    /// Drops the parsed metadata and R-trees of a TLF (used by `DROP`).
+    /// Its GOPs age out of the LRU: the catalog never hands a
+    /// `(name, version)` pair out twice, so no later read asks for
+    /// them.
     pub fn invalidate(&self, name: &str) {
-        let mut inner = self.inner.lock();
-        inner.metadata.retain(|(n, _), _| n != name);
-        inner.rtrees.retain(|(n, _), _| n != name);
-        let prefix = format!("{name}/");
-        let doomed: Vec<GopKey> = inner
-            .map
-            .keys()
-            .filter(|k| k.media.starts_with(&prefix))
-            .cloned()
-            .collect();
-        for k in doomed {
-            inner.remove_entry(&k);
-        }
+        let mut parsed = self.parsed.lock();
+        parsed.metadata.retain(|(n, _), _| n != name);
+        parsed.rtrees.retain(|(n, _), _| n != name);
     }
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().stats
+        let lru = self.gops.stats();
+        PoolStats {
+            hits: lru.hits,
+            misses: self.misses.load(Relaxed),
+            evictions: lru.evictions,
+            bytes: self.gops.resident_bytes(),
+            loads: self.loads.load(Relaxed),
+            readaheads: self.readaheads.load(Relaxed),
+        }
     }
 
     /// Number of cached GOPs.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.gops.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -943,12 +710,19 @@ mod tests {
         assert!(pool.get_metadata("demo", 1).is_none());
     }
 
+    /// `DROP` forgets the dropped TLF's parsed state and nobody else's.
+    /// Its GOPs stay until they age out: the catalog never reuses the
+    /// `(name, version)` their media paths carry.
     #[test]
-    fn invalidate_drops_gops_by_prefix() {
+    fn invalidate_drops_parsed_state_not_gops() {
         let pool = BufferPool::new(10_000);
         pool.get_gop(&key("demo/s.lvc", 0), load_ok(10)).unwrap();
-        pool.get_gop(&key("other/s.lvc", 0), load_ok(10)).unwrap();
+        for name in ["demo", "other"] {
+            pool.put_rtree(name, 1, Arc::new(RTree::new()));
+        }
         pool.invalidate("demo");
+        assert!(pool.get_rtree("demo", 1).is_none());
+        assert!(pool.get_rtree("other", 1).is_some());
         assert_eq!(pool.len(), 1);
     }
 
@@ -1244,45 +1018,6 @@ mod tests {
     }
 
     #[test]
-    fn per_query_cap_evicts_own_pages_first() {
-        let pool = BufferPool::new(10_000);
-        pool.set_query_cap(250);
-        // Another query's pages (owner 7) must survive owner 1's
-        // self-eviction.
-        pool.get_gop_watch(&key("other", 0), Some(7), &|| false, load_ok(100))
-            .unwrap();
-        for g in 0..4 {
-            pool.get_gop_watch(&key("mine", g), Some(1), &|| false, load_ok(100))
-                .unwrap();
-        }
-        assert!(pool.query_resident(1) <= 250, "owner 1 is capped");
-        assert_eq!(pool.query_resident(7), 100, "owner 7's page untouched");
-        let s = pool.stats();
-        assert_eq!(s.bytes, pool.resident_bytes());
-        assert!(s.evictions >= 2);
-        // The freshest pages are the ones retained.
-        let before = pool.stats().misses;
-        pool.get_gop_watch(&key("mine", 3), Some(1), &|| false, load_ok(100))
-            .unwrap();
-        assert_eq!(
-            pool.stats().misses,
-            before,
-            "most recent page must be a hit"
-        );
-    }
-
-    #[test]
-    fn per_query_cap_zero_means_unlimited() {
-        let pool = BufferPool::new(10_000);
-        for g in 0..5 {
-            pool.get_gop_watch(&key("m", g), Some(1), &|| false, load_ok(100))
-                .unwrap();
-        }
-        assert_eq!(pool.query_resident(1), 500);
-        assert_eq!(pool.stats().evictions, 0);
-    }
-
-    #[test]
     fn flight_wait_aborts_instead_of_parking() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let pool = Arc::new(BufferPool::new(1 << 20));
@@ -1304,8 +1039,7 @@ mod tests {
         // load finishes.
         std::thread::sleep(Duration::from_millis(10));
         let t0 = Instant::now();
-        let r: Result<_, std::io::Error> =
-            pool.get_gop_watch(&key("m", 0), None, &|| true, load_ok(64));
+        let r: Result<_, std::io::Error> = pool.get_gop_watch(&key("m", 0), &|| true, load_ok(64));
         assert!(r.is_err(), "aborted waiter must error, not serve bytes");
         assert!(
             t0.elapsed() < Duration::from_millis(200),

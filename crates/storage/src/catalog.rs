@@ -125,6 +125,38 @@ impl CatalogOptions {
     }
 }
 
+/// Version numbers the catalog has handed out, per name.
+#[derive(Debug, Default)]
+struct Reservations {
+    /// Highest version handed to a `CREATE` or `STORE` of the live
+    /// name.
+    live: HashMap<String, u64>,
+    /// Highest version a dropped name had reached. Kept for the life
+    /// of the process, so a `(name, version)` pair never repeats
+    /// within it: every cache keyed by one — pool GOPs through the
+    /// media path, tiles, plans — would otherwise serve a dropped
+    /// TLF's data for its successor. A restart empties those caches,
+    /// so nothing needs it to be durable.
+    dropped: HashMap<String, u64>,
+}
+
+impl Reservations {
+    /// The highest version `name` has been handed, live or before a
+    /// `DROP`; 0 for a name never seen.
+    fn live_or_dropped(&self, name: &str) -> u64 {
+        let live = self.live.get(name).copied().unwrap_or(0);
+        live.max(self.dropped.get(name).copied().unwrap_or(0))
+    }
+
+    /// Records that `name`, committed at `versions`, was dropped.
+    fn retire(&mut self, name: &str, versions: &[u64]) {
+        let last = versions.last().copied().unwrap_or(0);
+        let high = last.max(self.live_or_dropped(name));
+        self.live.remove(name);
+        self.dropped.insert(name.to_string(), high);
+    }
+}
+
 /// The catalog. Thread-safe: commits serialise on the WAL (or, in
 /// per-publish mode, the versions write lock); reads take shared
 /// locks and an overlay lookup.
@@ -136,9 +168,9 @@ pub struct Catalog {
     /// `(name, version)`. Consulted by reads before disk; drained by
     /// [`Catalog::checkpoint`]. Always empty in per-publish mode.
     overlay: RwLock<HashMap<(String, u64), Arc<MetadataFile>>>,
-    /// Highest version number handed to an in-flight `STORE` per
-    /// name, so concurrent stores cannot collide on a version.
-    reserved: Mutex<HashMap<String, u64>>,
+    /// Version numbers handed out, so concurrent stores cannot collide
+    /// on a version and a dropped name's versions are never reused.
+    reserved: Mutex<Reservations>,
     wal: Option<Wal>,
     /// Readers: commit appliers (store/drop, while publishing their
     /// WAL record and updating maps). Writer: the checkpoint capture,
@@ -222,7 +254,7 @@ impl Catalog {
             root,
             versions: RwLock::new(versions),
             overlay: RwLock::new(HashMap::new()),
-            reserved: Mutex::new(HashMap::new()),
+            reserved: Mutex::new(Reservations::default()),
             wal,
             apply_gate: RwLock::new(()),
             ck_lock: Mutex::new(()),
@@ -306,14 +338,15 @@ impl Catalog {
         self.root.join(name)
     }
 
-    /// Reserves the next version number for `name` (above both the
-    /// committed tip and any in-flight reservation).
+    /// Reserves the next version number for `name` (above the
+    /// committed tip, any in-flight reservation and every version the
+    /// name reached before a `DROP`).
     fn reserve_version(&self, name: &str) -> u64 {
         let committed =
             self.versions.read().get(name).and_then(|v| v.last().copied()).unwrap_or(0);
         let mut res = self.reserved.lock();
-        let v = committed.max(res.get(name).copied().unwrap_or(0)) + 1;
-        res.insert(name.to_string(), v);
+        let v = committed.max(res.live_or_dropped(name)) + 1;
+        res.live.insert(name.to_string(), v);
         v
     }
 
@@ -321,33 +354,37 @@ impl Catalog {
     /// later store stacked a higher one on top).
     fn release_reservation(&self, name: &str, version: u64) {
         let mut res = self.reserved.lock();
-        if res.get(name) == Some(&version) {
-            res.remove(name);
+        if res.live.get(name) == Some(&version) {
+            res.live.remove(name);
         }
     }
 
     /// `CREATE`: registers a new, empty TLF (a copy of Ω — no tracks)
-    /// as version 1.
+    /// as its first version: 1, or one above the versions a dropped
+    /// TLF of the same name reached.
     pub fn create(&self, name: &str, tlf: TlfDescriptor) -> Result<u64> {
         validate_name(name)?;
-        {
+        let version = {
             let committed = self.versions.read().contains_key(name);
             let mut res = self.reserved.lock();
-            if committed || res.contains_key(name) {
+            if committed || res.live.contains_key(name) {
                 return Err(StorageError::AlreadyExists(name.to_string()));
             }
-            res.insert(name.to_string(), 1);
-        }
+            let v = res.live_or_dropped(name) + 1;
+            res.live.insert(name.to_string(), v);
+            v
+        };
         let result = (|| {
             let dir = self.dir_of(name);
             fs::create_dir_all(&dir)?;
-            let file = MetadataFile::new(1, Vec::new(), tlf).map_err(StorageError::Container)?;
-            self.commit_publish(name, 1, file, &dir)
+            let file =
+                MetadataFile::new(version, Vec::new(), tlf).map_err(StorageError::Container)?;
+            self.commit_publish(name, version, file, &dir)
         })();
         match result {
-            Ok(()) => Ok(1),
+            Ok(()) => Ok(version),
             Err(e) => {
-                self.release_reservation(name, 1);
+                self.release_reservation(name, version);
                 Err(e)
             }
         }
@@ -359,10 +396,10 @@ impl Catalog {
     pub fn drop_tlf(&self, name: &str) -> Result<()> {
         let Some(wal) = &self.wal else {
             let mut versions = self.versions.write();
-            if versions.remove(name).is_none() {
+            let Some(dropped) = versions.remove(name) else {
                 return Err(StorageError::UnknownTlf(name.to_string()));
-            }
-            self.reserved.lock().remove(name);
+            };
+            self.reserved.lock().retire(name, &dropped);
             fs::remove_dir_all(self.dir_of(name))?;
             return Ok(());
         };
@@ -374,9 +411,9 @@ impl Catalog {
         wal.commit(&WalOp::Drop { name: name.to_string() }).map_err(StorageError::Io)?;
         // Committed: converge in-memory state before touching disk so
         // a failure below cannot leave the name half-visible.
-        self.versions.write().remove(name);
+        let dropped = self.versions.write().remove(name).unwrap_or_default();
         self.overlay.write().retain(|(n, _), _| n != name);
-        self.reserved.lock().remove(name);
+        self.reserved.lock().retire(name, &dropped);
         faults::fail_point(sites::CATALOG_DROP_APPLY).map_err(StorageError::Io)?;
         match fs::remove_dir_all(self.dir_of(name)) {
             Ok(()) => Ok(()),

@@ -1,10 +1,10 @@
 //! One byte-budgeted, single-flight LRU for caches of computed values.
 //!
-//! The encoded-tile cache and the shared decoded-GOP cache (both in
-//! `lightdb-exec`) are the same machine: look a key up; on a miss let
-//! exactly one request compute the value while the rest wait; keep the
-//! result under a byte budget, least recently used out first. A
-//! [`SingleFlightLru`] is that machine once.
+//! The buffer pool's GOP cache, the encoded-tile cache, the shared
+//! decoded-GOP cache and the engine's plan cache are the same machine:
+//! look a key up; on a miss let exactly one request compute the value
+//! while the rest wait; keep the result under a byte budget, least
+//! recently used out first. A [`SingleFlightLru`] is that machine once.
 //!
 //! ## Protocol
 //!
@@ -40,6 +40,14 @@
 //! Victims leave the critical section with the publisher and are
 //! dropped after the lock is released: freeing a large value can block
 //! in the allocator, and must not do so holding the shard.
+//!
+//! ## Warming
+//!
+//! [`SingleFlightLru::warm`] computes a value ahead of demand (the
+//! buffer pool's readahead). It leaves a resident or in-flight key
+//! alone and otherwise leads an ordinary flight, which a demand request
+//! for the key joins; it is never counted as a hit, coalesced or miss,
+//! so the demand counters describe demand alone.
 
 use crate::bufferpool::{Flight, WAIT_POLL};
 use parking_lot::Mutex;
@@ -176,6 +184,14 @@ impl<K: Eq, V: Clone> Shard<K, V> {
         }
     }
 
+    /// The flight computing `key` right now, if any.
+    fn flight(&self, hash: u64, key: &K) -> Option<&Arc<Flight>> {
+        self.flights
+            .iter()
+            .find(|f| f.0 == hash && f.1 == *key)
+            .map(|f| &f.2)
+    }
+
     fn push_front(&mut self, i: usize) {
         self.nodes[i].prev = NIL;
         self.nodes[i].next = self.head;
@@ -288,6 +304,32 @@ impl<K, V> Lead<'_, K, V> {
         let key = at.map(|at| shard.flights.swap_remove(at).1);
         self.flight.finish();
         key
+    }
+}
+
+impl<'a, K: Eq + Clone, V: Clone> Lead<'a, K, V> {
+    /// Files a flight for `key` in `s`, the locked contents of `shard`,
+    /// with the caller as its leader.
+    fn register(shard: &'a Mutex<Shard<K, V>>, s: &mut Shard<K, V>, hash: u64, key: &K) -> Self {
+        let flight = Arc::new(Flight::new());
+        s.flights.push((hash, key.clone(), flight.clone()));
+        Lead {
+            shard,
+            flight,
+            retired: false,
+        }
+    }
+
+    /// Files the computed value as the most recently used entry, evicts
+    /// down to the budget and retires the flight: one critical section.
+    /// The victims are handed back to be dropped once the lock is
+    /// released.
+    fn publish(mut self, hash: u64, key: &K, value: V, weight: usize, miss: bool) -> Vec<(K, V)> {
+        let mut s = self.shard.lock();
+        let key = self.retire(&mut s).unwrap_or_else(|| key.clone());
+        s.stats.misses += u64::from(miss);
+        s.insert(hash, key, value, weight);
+        s.evict_to_budget()
     }
 }
 
@@ -410,7 +452,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightLru<K, V> {
         let hash = self.hasher.hash_one(key);
         let shard = self.shard_of(hash);
         let mut waited = false;
-        let mut lead = loop {
+        let lead = loop {
             let theirs = {
                 let mut s = shard.lock();
                 if let Some(value) = s.hit(hash, key) {
@@ -427,17 +469,9 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightLru<K, V> {
                         evicted: 0,
                     });
                 }
-                match s.flights.iter().find(|f| f.0 == hash && f.1 == *key) {
-                    Some(f) => f.2.clone(),
-                    None => {
-                        let flight = Arc::new(Flight::new());
-                        s.flights.push((hash, key.clone(), flight.clone()));
-                        break Lead {
-                            shard,
-                            flight,
-                            retired: false,
-                        };
-                    }
+                match s.flight(hash, key) {
+                    Some(flight) => flight.clone(),
+                    None => break Lead::register(shard, &mut s, hash, key),
                 }
             };
             while !theirs.wait_done(WAIT_POLL) {
@@ -448,17 +482,40 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightLru<K, V> {
             waited = true;
         };
         let (value, weight) = compute()?;
-        let mut s = shard.lock();
-        let key = lead.retire(&mut s).unwrap_or_else(|| key.clone());
-        s.stats.misses += 1;
-        s.insert(hash, key, value.clone(), weight);
-        let evicted = s.evict_to_budget();
-        drop(s);
+        let evicted = lead.publish(hash, key, value.clone(), weight, true);
         Ok(Served {
             value,
             source: Source::Miss,
             evicted: evicted.len() as u64,
         })
+    }
+
+    /// Computes `key` ahead of demand (see the module documentation).
+    ///
+    /// Returns `Ok(false)` without touching anything when `key` is
+    /// resident or being computed. Otherwise leads the key's flight —
+    /// a demand request for it meanwhile waits for this computation —
+    /// publishes the value and returns `Ok(true)`. The publication's
+    /// evictions are counted; the warm itself is never a hit,
+    /// coalesced or miss. `compute`'s error publishes nothing and is
+    /// returned here.
+    pub fn warm<E>(
+        &self,
+        key: &K,
+        compute: impl FnOnce() -> Result<(V, usize), E>,
+    ) -> Result<bool, E> {
+        let hash = self.hasher.hash_one(key);
+        let shard = self.shard_of(hash);
+        let lead = {
+            let mut s = shard.lock();
+            if s.find(hash, key).is_some() || s.flight(hash, key).is_some() {
+                return Ok(false);
+            }
+            Lead::register(shard, &mut s, hash, key)
+        };
+        let (value, weight) = compute()?;
+        lead.publish(hash, key, value, weight, false);
+        Ok(true)
     }
 }
 
@@ -632,6 +689,60 @@ mod tests {
         assert!(r.is_err());
         assert_eq!(cache.in_flight(), 0);
         assert_eq!(get(&cache, 5, 4).source, Source::Miss);
+    }
+
+    /// A warm loads a cold key once and counts nothing; a demand
+    /// request arriving mid-warm joins it instead of computing.
+    #[test]
+    fn warm_is_demand_neutral_and_leads_a_joinable_flight() {
+        use std::sync::atomic::AtomicBool;
+        let cache = Arc::new(Cache::new(1 << 20, 1));
+        let (leading, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let warmer = {
+            let (cache, leading, release) = (cache.clone(), leading.clone(), release.clone());
+            std::thread::spawn(move || {
+                cache.warm(&4, || -> Result<_, &str> {
+                    leading.wait();
+                    release.wait();
+                    Ok((40, 4))
+                })
+            })
+        };
+        leading.wait();
+        let cold = || -> Result<(u32, usize), &str> { unreachable!() };
+        assert_eq!(cache.warm(&4, cold), Ok(false));
+        // The abort condition is polled only by a request parked on the
+        // warm's flight: once it has been, the warm may finish.
+        let parked = Arc::new(AtomicBool::new(false));
+        let demand = {
+            let (cache, parked) = (cache.clone(), parked.clone());
+            std::thread::spawn(move || {
+                let abort = || -> Option<&str> {
+                    parked.store(true, Ordering::SeqCst);
+                    None
+                };
+                cache.get_or_compute(&4, &abort, || unreachable!()).unwrap()
+            })
+        };
+        while !parked.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        release.wait();
+        assert_eq!(warmer.join().unwrap(), Ok(true));
+        let served = demand.join().unwrap();
+        assert_eq!((served.value, served.source), (40, Source::Coalesced));
+        assert_eq!(cache.warm(&4, cold), Ok(false));
+        assert_eq!(
+            cache.stats(),
+            LruStats {
+                coalesced: 1,
+                ..LruStats::default()
+            }
+        );
+        // A failed warm publishes nothing and leaves the key cold.
+        let disk = || -> Result<(u32, usize), _> { Err("disk") };
+        assert_eq!(cache.warm(&5, disk), Err("disk"));
+        assert!(!cache.contains(&5) && cache.in_flight() == 0);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! `storage::lru::SingleFlightLru` against the stamp-scan LRU it
-//! replaced (`oracle`), and its sharded form against its own budget.
-//! CI runs this file in release mode too.
+//! replaced (`oracle`), its sharded form against its own budget, and
+//! the buffer pool built on it against the same oracle. CI runs this
+//! file in release mode too.
 
 mod oracle;
 
+use lightdb_storage::bufferpool::{BufferPool, GopKey, PoolStats};
 use lightdb_storage::lru::{SingleFlightLru, Source};
 use oracle::StampScanLru;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,6 +118,116 @@ fn one_shard_evicts_the_stamp_scans_victims_in_its_order() {
         hits > 2_000 && misses > 500 && reinserts > 300 && s.evictions > 500,
         "{s:?} {reinserts}"
     );
+}
+
+/// FNV-1a over 64-bit words.
+fn fold(digest: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(digest, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The buffer pool's GOP cache through its public surface: 10 000
+/// seeded sequential `get_gop` and `prefetch_gop` calls over GOPs of
+/// mixed sizes (one byte through larger than the pool), one load in
+/// sixteen failing. The stamp-scan oracle says what is resident. After
+/// every step the pool's `PoolStats`, `len` and `resident_bytes` are
+/// the oracle's; every demand call is a hit exactly when the oracle
+/// holds its key, and every readahead loads exactly when it does not.
+/// The run's stats fold into the digest recorded on the pool's own
+/// stamp-scan implementation, before it became a `SingleFlightLru`.
+#[test]
+fn buffer_pool_matches_the_stamp_scan_oracle_and_its_recorded_digest() {
+    const RECORDED_DIGEST: u64 = 0xec90_9324_5c03_1786;
+    let mut rng = Rng(0xb0f);
+    let pool = BufferPool::new(BUDGET);
+    let mut oracle = StampScanLru::new(BUDGET);
+    let mut want = PoolStats::default();
+    let (mut failed, mut digest) = (0u64, 0xcbf2_9ce4_8422_2325u64);
+    for step in 0..10_000u64 {
+        let n = if rng.below(4) == 0 {
+            rng.below(KEYS)
+        } else {
+            (step / 400 + rng.below(6)) % KEYS
+        };
+        let key = GopKey {
+            media: format!("root/tlf/stream1_{}.lvc", n % 3),
+            gop: n,
+        };
+        let fails = rng.below(16) == 0;
+        // A stored GOP is never empty, and the pool this test's digest
+        // was recorded on did not count evicting an empty one.
+        let len = weight_of(n).max(1);
+        let load = move || -> std::io::Result<Vec<u8>> {
+            if fails {
+                Err(std::io::Error::other("injected load failure"))
+            } else {
+                Ok(vec![n as u8; len])
+            }
+        };
+        let resident = oracle.contains(&n);
+        if rng.below(5) == 0 {
+            let warmed = pool.prefetch_gop(&key, load);
+            if resident {
+                assert!(matches!(warmed, Ok(false)), "step {step}: {warmed:?}");
+            } else {
+                want.loads += 1;
+                want.readaheads += 1;
+                if fails {
+                    assert!(warmed.is_err(), "step {step}");
+                } else {
+                    assert!(matches!(warmed, Ok(true)), "step {step}: {warmed:?}");
+                    oracle.publish(n, len);
+                }
+            }
+        } else {
+            let got = pool.get_gop(&key, load);
+            oracle.lookup(&n);
+            if resident {
+                want.hits += 1;
+            } else {
+                want.misses += 1;
+                want.loads += 1;
+                if !fails {
+                    oracle.publish(n, len);
+                }
+            }
+            match got {
+                Ok(bytes) => assert!(bytes.len() == len && bytes.iter().all(|&b| b == n as u8)),
+                Err(_) => assert!(fails && !resident, "step {step}"),
+            }
+        }
+        failed += u64::from(fails && !resident);
+        want.evictions = oracle.victims.len() as u64;
+        want.bytes = oracle.bytes;
+        let s = pool.stats();
+        assert_eq!(s, want, "step {step} key {n}");
+        assert_eq!(pool.len(), oracle.len(), "step {step}");
+        assert_eq!(pool.resident_bytes(), oracle.bytes, "step {step}");
+        let words = [
+            s.hits,
+            s.misses,
+            s.evictions,
+            s.bytes as u64,
+            s.loads,
+            s.readaheads,
+        ];
+        digest = fold(digest, &words);
+        digest = fold(digest, &[pool.len() as u64]);
+    }
+    // The sequence exercised what it claims to.
+    assert!(
+        want.hits > 2_000
+            && want.misses > 500
+            && want.readaheads > 300
+            && want.evictions > 500
+            && failed > 100,
+        "{want:?} {failed} failed loads"
+    );
+    assert_eq!(digest, RECORDED_DIGEST, "{digest:#x}");
 }
 
 /// The order *within* a step too: one publication that evicts several

@@ -104,6 +104,9 @@ pub fn run_workload(root: &Path, seed: u64) -> Outcome {
     let mut acked: Vec<Event> = Vec::new();
     // Mirror of the committed state, used only to choose ops.
     let mut model: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
+    // Highest version each name reached, kept past DROP: the catalog
+    // never hands a `(name, version)` pair out twice.
+    let mut high: BTreeMap<&'static str, u64> = BTreeMap::new();
     let Ok(cat) = Catalog::open(root) else {
         return Outcome { acked, inflight: None };
     };
@@ -114,7 +117,7 @@ pub fn run_workload(root: &Path, seed: u64) -> Outcome {
             // STORE — every third step carries a real media track so
             // the media publish protocol's failpoints are enumerated
             // too; the rest are metadata-only (fast).
-            let version = model.get(pick).and_then(|v| v.last().copied()).unwrap_or(0) + 1;
+            let version = high.get(pick).copied().unwrap_or(0) + 1;
             let (tracks, tlfd) = if step % 3 == 0 {
                 (
                     vec![TrackWrite::New {
@@ -132,6 +135,7 @@ pub fn run_workload(root: &Path, seed: u64) -> Outcome {
                     debug_assert_eq!(v, version, "model out of sync at step {step}");
                     acked.push(Event::Publish { name: pick, version: v });
                     model.entry(pick).or_default().push(v);
+                    high.insert(pick, v);
                 }
                 Err(_) => {
                     return Outcome { acked, inflight: Some(Event::Publish { name: pick, version }) }

@@ -211,3 +211,30 @@ fn drop_removes_content_from_disk() {
     assert!(!root.join("timelapse").exists());
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A name dropped and stored again reads its new content, not the
+/// dropped TLF's GOPs still resident in the buffer pool: the new TLF's
+/// version (and with it its media file, part of every pool key) is
+/// above every version the dropped one reached.
+#[test]
+fn drop_then_store_under_the_same_name_reads_the_new_content() {
+    let root = temp_root("restore");
+    let db = LightDb::open(&root).unwrap();
+    install(&db, Dataset::Timelapse, &tiny()).unwrap();
+    let frames = |q: VrqlExpr| db.execute(&q).unwrap().into_frame_parts().unwrap();
+    db.execute(&(scan("timelapse") >> Map::builtin(BuiltinMap::Blur) >> Store::named("x")))
+        .unwrap();
+    let blurred = frames(scan("x"));
+    db.execute(&drop_tlf("x")).unwrap();
+    for name in ["x", "gray"] {
+        db.execute(
+            &(scan("timelapse") >> Map::builtin(BuiltinMap::Grayscale) >> Store::named(name)),
+        )
+        .unwrap();
+    }
+    let gray = frames(scan("x"));
+    assert_ne!(gray, blurred, "served the dropped TLF's frames");
+    assert_eq!(gray, frames(scan("gray")));
+    assert!(db.catalog().latest_version("x").unwrap() > 1, "reused a dropped version");
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -208,6 +208,55 @@ fn tile_cache_is_version_safe_across_reingest() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// `DROP` and a re-ingest under the same name: a server opened on the
+/// new TLF serves its tiles, not the dropped one's cached under the
+/// same name — the new TLF never reuses a version number, and the
+/// version is part of every tile-cache key.
+#[test]
+fn tile_cache_is_safe_across_drop_and_reingest() {
+    let root = temp_root("redrop");
+    let db = LightDb::open(&root).unwrap();
+    install_tiled_pair(&db, "clip", 2, GRID).unwrap();
+    let session = db.session();
+    let cfg = TileServerConfig {
+        neighbor_ring: 0,
+        ..TileServerConfig::default()
+    };
+    let o = Orientation::tile_center(3, GRID);
+    let old = session.tile_server("clip", None, cfg).unwrap();
+    let old_bytes = old.serve(0, 0, o).unwrap().primary.bytes.clone();
+    drop(old);
+    db.execute(&drop_tlf("clip")).unwrap();
+    let spec = lightdb_datasets::DatasetSpec {
+        width: 256,
+        height: 128,
+        fps: 4,
+        seconds: 2,
+        qp: 22,
+    };
+    let frames: Vec<_> = (0..spec.frame_count())
+        .map(|i| lightdb_datasets::frame(lightdb_datasets::Dataset::Venice, &spec, i))
+        .collect();
+    lightdb::ingest::store_frames(
+        &db,
+        "clip",
+        &frames,
+        &lightdb::ingest::IngestConfig {
+            qp: Quality::Medium.qp(),
+            fps: 4,
+            gop_length: 4,
+            grid: GRID,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let new = session.tile_server("clip", None, cfg).unwrap();
+    let want = direct_tile(&db, "clip", 0, 3);
+    assert_ne!(*old_bytes, want, "the two TLFs really differ");
+    assert_eq!(*new.serve(0, 0, o).unwrap().primary.bytes, want, "served the dropped TLF's tile");
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// A fleet big enough to touch every tile of both tiers keeps the
 /// engine-wide cache within its byte budget (evictions do their job)
 /// while serving correctly.

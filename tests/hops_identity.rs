@@ -309,7 +309,6 @@ fn assert_scan_matches_oracle(db: &LightDb, name: &str, tiles: &[usize], policy:
         policy,
         metrics.clone(),
         QueryCtx::unbounded(),
-        None,
     )
     .and_then(|s| oracle::collect_streams(oracle::tile_select(s, tiles.to_vec(), metrics.clone())));
 

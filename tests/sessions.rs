@@ -216,6 +216,71 @@ fn plan_cache_is_shared_and_version_safe() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// Eight barriered sessions running one cacheable statement plan it
+/// once: the plan cache is single-flight, and a request that waited on
+/// the planning counts as a hit. A session with different planner
+/// options still gets an entry of its own.
+#[test]
+fn concurrent_identical_statements_plan_once() {
+    let _quiet = no_global_faults();
+    let root = temp_root("planonce");
+    let db = LightDb::open(&root).unwrap();
+    seed_tlf(&db, "vid", 2, 2);
+    const SESSIONS: usize = 8;
+    let q = scan("vid") >> Map::builtin(BuiltinMap::Grayscale);
+    let barrier = Barrier::new(SESSIONS);
+    let sessions: Vec<_> = (0..SESSIONS).map(|_| db.session()).collect();
+    std::thread::scope(|s| {
+        for session in &sessions {
+            let (barrier, q) = (&barrier, &q);
+            s.spawn(move || {
+                barrier.wait();
+                session.execute(q).unwrap();
+            });
+        }
+    });
+    let total = |name: &str| sessions.iter().map(|s| s.metrics().counter(name)).sum::<u64>();
+    assert_eq!(total(counters::PLAN_CACHE_MISSES), 1, "one statement, one planning");
+    assert_eq!(total(counters::PLAN_CACHE_HITS), SESSIONS as u64 - 1);
+    assert_eq!(db.plan_cache_len(), 1);
+
+    let mut other = db.session();
+    let mut opts = other.options();
+    opts.use_indexes = !opts.use_indexes;
+    other.set_options(opts);
+    other.execute(&q).unwrap();
+    assert_eq!(other.metrics().counter(counters::PLAN_CACHE_HITS), 0);
+    assert_eq!(other.metrics().counter(counters::PLAN_CACHE_MISSES), 1);
+    assert_eq!(db.plan_cache_len(), 2, "divergent options get their own entry");
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A TLF dropped and re-created under the same name with a different
+/// GOP length is planned afresh: its version is new, so the cached
+/// plan of the dropped TLF (whose temporal pushdown was computed from
+/// the old frame rate) is never served for it.
+#[test]
+fn plan_cache_is_safe_across_drop_and_recreate() {
+    let _quiet = no_global_faults();
+    let root = temp_root("planredrop");
+    let db = LightDb::open(&root).unwrap();
+    seed_tlf(&db, "vid", 2, 2);
+    let q = |name: &str| {
+        scan(name) >> Select::along(Dimension::T, 0.0, 1.0) >> Map::builtin(BuiltinMap::Grayscale)
+    };
+    let session = db.session();
+    assert_eq!(session.execute(&q("vid")).unwrap().frame_count(), 2);
+    db.execute(&drop_tlf("vid")).unwrap();
+    seed_tlf(&db, "vid", 2, 4);
+    seed_tlf(&db, "reference", 2, 4);
+    let misses = session.metrics().counter(counters::PLAN_CACHE_MISSES);
+    let got = session.execute(&q("vid")).unwrap().into_frame_parts().unwrap();
+    assert_eq!(session.metrics().counter(counters::PLAN_CACHE_MISSES), misses + 1);
+    assert_eq!(got, session.execute(&q("reference")).unwrap().into_frame_parts().unwrap());
+    assert_eq!(got.iter().map(Vec::len).sum::<usize>(), 4);
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// N sessions scanning the same TLF concurrently decode each GOP
 /// exactly once through the shared-decode cache: the decode counters
 /// summed across sessions equal the GOP count, everything else is hits.
