@@ -132,22 +132,24 @@ pub fn install_stereo(
 }
 
 /// Runs the depth-map query over a stereo TLF with the chosen
-/// physical variant, storing the result.
+/// physical variant on `session`, storing the result. The variant
+/// selects the session's GPU/FPGA placement options.
 pub fn depth_map(
-    db: &mut LightDb,
+    session: &mut Session,
     stereo_tlf: &str,
     output: &str,
     variant: DepthVariant,
 ) -> Result<RunStats> {
-    let mut options = db.options();
-    options.use_gpu = matches!(variant, DepthVariant::Hybrid);
-    options.use_fpga = !matches!(variant, DepthVariant::Cpu);
-    db.set_options(options);
+    session.set_options(PlannerOptions {
+        use_gpu: matches!(variant, DepthVariant::Hybrid),
+        use_fpga: !matches!(variant, DepthVariant::Cpu),
+        ..session.options()
+    });
     let udf: Arc<dyn InterpUdf> = match variant {
         DepthVariant::Cpu => Arc::new(DepthMapCpu),
         _ => Arc::new(DepthMapFpga),
     };
-    let bytes_in = crate::workloads::lightdb_q::stored_bytes(db, stereo_tlf)?;
+    let bytes_in = crate::workloads::lightdb_q::stored_bytes(session.catalog(), stereo_tlf)?;
     // LOC:BEGIN lightdb-depth
     let p = 0.0;
     let stereo = union(
@@ -158,13 +160,13 @@ pub fn depth_map(
         MergeFunction::Last,
     );
     let query = stereo >> Interpolate::udf(udf) >> Store::named(output);
-    db.execute(&query)?;
+    session.execute(&query)?;
     // LOC:END lightdb-depth
-    let frames = crate::workloads::lightdb_q::stored_frames(db, output)?;
+    let frames = crate::workloads::lightdb_q::stored_frames(session.catalog(), output)?;
     Ok(RunStats {
         frames,
         bytes_in,
-        bytes_out: crate::workloads::lightdb_q::stored_bytes(db, output)?,
+        bytes_out: crate::workloads::lightdb_q::stored_bytes(session.catalog(), output)?,
     })
 }
 
@@ -192,16 +194,17 @@ mod tests {
 
     #[test]
     fn depth_map_runs_on_all_variants() {
-        let mut database = db("variants");
+        let database = db("variants");
         let spec = DatasetSpec { width: 64, height: 32, fps: 2, seconds: 1, qp: 28 };
         let name = install_stereo(&database, Dataset::Timelapse, &spec).unwrap();
+        let mut session = database.session();
         for v in DepthVariant::ALL {
             let out = format!("depth_{}", v.name());
-            let stats = depth_map(&mut database, &name, &out, v).unwrap();
+            let stats = depth_map(&mut session, &name, &out, v).unwrap();
             assert_eq!(stats.frames, 2, "{v:?}");
         }
         // The FPGA variant actually placed the UDF on the FPGA.
-        assert!(database.metrics().count("INTERPOLATE[FPGA]") >= 1);
+        assert!(session.metrics().count("INTERPOLATE[FPGA]") >= 1);
         std::fs::remove_dir_all(database.catalog().root()).unwrap();
     }
 }

@@ -9,6 +9,7 @@ use crate::predictor::is_important;
 use crate::workloads::{HI_QP, LO_QP};
 use crate::{detect::DetectUdf, Result, RunStats};
 use lightdb::prelude::*;
+use lightdb::storage::Catalog;
 use std::sync::Arc;
 
 fn qp_quality(qp: u8) -> Quality {
@@ -22,9 +23,9 @@ fn qp_quality(qp: u8) -> Quality {
 
 /// Predictive 360° tiling: partition into a `cols × rows` grid per
 /// second, encode the predicted-viewport tile at high quality and the
-/// rest at low, recombine, store.
-pub fn tiling(db: &LightDb, input: &str, output: &str, cols: usize, rows: usize) -> Result<RunStats> {
-    let bytes_in = stored_bytes(db, input)?;
+/// rest at low, recombine, store — under `session`'s settings.
+pub fn tiling(session: &Session, input: &str, output: &str, cols: usize, rows: usize) -> Result<RunStats> {
+    let bytes_in = stored_bytes(session.catalog(), input)?;
     // LOC:BEGIN lightdb-tiling
     let query = scan(input)
         >> Partition::along(Dimension::T, 1.0)
@@ -36,30 +37,31 @@ pub fn tiling(db: &LightDb, input: &str, output: &str, cols: usize, rows: usize)
             tile >> Encode::quality(CodecKind::HevcSim, quality)
         })
         >> Store::named(output);
-    db.execute(&query)?;
+    session.execute(&query)?;
     // LOC:END lightdb-tiling
-    let frames = stored_frames(db, output)?;
-    Ok(RunStats { frames, bytes_in, bytes_out: stored_bytes(db, output)? })
+    let frames = stored_frames(session.catalog(), output)?;
+    Ok(RunStats { frames, bytes_in, bytes_out: stored_bytes(session.catalog(), output)? })
 }
 
 /// Augmented reality: discretise to the detector's input resolution,
-/// detect, union the red boxes back onto the source.
-pub fn ar(db: &LightDb, input: &str, output: &str, detect_size: usize) -> Result<RunStats> {
-    let bytes_in = stored_bytes(db, input)?;
+/// detect, union the red boxes back onto the source — under `session`'s
+/// settings.
+pub fn ar(session: &Session, input: &str, output: &str, detect_size: usize) -> Result<RunStats> {
+    let bytes_in = stored_bytes(session.catalog(), input)?;
     // LOC:BEGIN lightdb-ar
     let source = scan(input);
     let lowres = source.clone() >> Discretize::angular(detect_size, detect_size);
     let boxes = lowres >> Map::udf(Arc::new(DetectUdf));
     let query = union(vec![source, boxes], MergeFunction::Last) >> Store::named(output);
-    db.execute(&query)?;
+    session.execute(&query)?;
     // LOC:END lightdb-ar
-    let frames = stored_frames(db, output)?;
-    Ok(RunStats { frames, bytes_in, bytes_out: stored_bytes(db, output)? })
+    let frames = stored_frames(session.catalog(), output)?;
+    Ok(RunStats { frames, bytes_in, bytes_out: stored_bytes(session.catalog(), output)? })
 }
 
 /// Total encoded media bytes of a stored TLF's latest version.
-pub fn stored_bytes(db: &LightDb, name: &str) -> Result<usize> {
-    let stored = db.catalog().read(name, None).map_err(lightdb::Error::from)?;
+pub fn stored_bytes(catalog: &Catalog, name: &str) -> Result<usize> {
+    let stored = catalog.read(name, None).map_err(lightdb::Error::from)?;
     let media = stored.media();
     let mut total = 0usize;
     for t in &stored.metadata.tracks {
@@ -69,8 +71,8 @@ pub fn stored_bytes(db: &LightDb, name: &str) -> Result<usize> {
 }
 
 /// Frame count of a stored TLF's latest version (first track).
-pub fn stored_frames(db: &LightDb, name: &str) -> Result<usize> {
-    let stored = db.catalog().read(name, None).map_err(lightdb::Error::from)?;
+pub fn stored_frames(catalog: &Catalog, name: &str) -> Result<usize> {
+    let stored = catalog.read(name, None).map_err(lightdb::Error::from)?;
     Ok(stored.metadata.tracks.first().map(|t| t.frame_count() as usize).unwrap_or(0))
 }
 
@@ -95,7 +97,8 @@ mod tests {
     fn tiling_reduces_size_and_roundtrips() {
         let db = db("tiling");
         install(&db, Dataset::Venice, &tiny_spec()).unwrap();
-        let stats = tiling(&db, "venice", "venice_tiled", 2, 2).unwrap();
+        let session = db.session();
+        let stats = tiling(&session, "venice", "venice_tiled", 2, 2).unwrap();
         assert_eq!(stats.frames, 8);
         assert!(
             stats.reduction() > 0.2,
@@ -106,7 +109,7 @@ mod tests {
         let out = db.execute(&scan("venice_tiled")).unwrap();
         assert_eq!(out.frame_count(), 8);
         // The homomorphic stitch ran.
-        assert!(db.metrics().count("TILEUNION") >= 2);
+        assert!(session.metrics().count("TILEUNION") >= 2);
         std::fs::remove_dir_all(db.catalog().root()).unwrap();
     }
 
@@ -114,9 +117,10 @@ mod tests {
     fn ar_produces_full_length_output() {
         let db = db("ar");
         install(&db, Dataset::Venice, &tiny_spec()).unwrap();
-        let stats = ar(&db, "venice", "venice_ar", 64).unwrap();
+        let session = db.session();
+        let stats = ar(&session, "venice", "venice_ar", 64).unwrap();
         assert_eq!(stats.frames, 8);
-        assert!(db.metrics().count("MAP") >= 1);
+        assert!(session.metrics().count("MAP") >= 1);
         std::fs::remove_dir_all(db.catalog().root()).unwrap();
     }
 }

@@ -7,7 +7,7 @@ use lightdb_datasets::Dataset;
 
 fn bench(c: &mut Criterion) {
     let spec = setup::criterion_spec();
-    let mut db = setup::bench_db(&spec);
+    let db = setup::bench_db(&spec);
     let stereo = install_stereo(&db, Dataset::Timelapse, &spec).expect("stereo");
     let mut g = c.benchmark_group("fig12_depthmap");
     g.sample_size(10);
@@ -16,7 +16,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let out = format!("bench_depth_{}", variant.name());
                 let _ = db.execute(&lightdb::prelude::drop_tlf(&out));
-                depth_map(&mut db, &stereo, &out, variant).expect("depth run")
+                depth_map(&mut db.session(), &stereo, &out, variant).expect("depth run")
             })
         });
     }

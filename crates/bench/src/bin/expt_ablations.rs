@@ -6,12 +6,6 @@ use lightdb::prelude::*;
 use lightdb_apps::workloads::lightdb_q;
 use lightdb_bench::{fmt_fps, fps, setup, timed};
 
-fn reopen(db: &LightDb, options: PlannerOptions) -> LightDb {
-    let mut d = LightDb::open(db.catalog().root()).expect("reopen");
-    d.set_options(options);
-    d
-}
-
 fn main() {
     let spec = setup::bench_spec();
     let db = setup::bench_db(&spec);
@@ -32,7 +26,8 @@ fn main() {
         &["tiling 4×4".into(), "select t(1s)".into(), "map blur".into(), "self-union".into()],
     );
     for (label, options) in configs {
-        let d = reopen(&db, options);
+        let mut d = db.session();
+        d.set_options(options);
         // Predictive tiling (exercises TILEUNION + GPU encode).
         let _ = d.execute(&drop_tlf("abl_tiled"));
         let (t_tiling, r) = timed(|| lightdb_q::tiling(&d, "venice", "abl_tiled", 4, 4));

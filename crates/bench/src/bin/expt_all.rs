@@ -5,13 +5,13 @@ fn main() {
         "LightDB evaluation @ {}x{}, {} s, {} fps (set LIGHTDB_BENCH_SECONDS / LIGHTDB_FULL_SCALE to rescale)",
         spec.width, spec.height, spec.seconds, spec.fps
     );
-    let mut db = lightdb_bench::setup::bench_db(&spec);
+    let db = lightdb_bench::setup::bench_db(&spec);
     lightdb_bench::tables::print_table2();
     lightdb_bench::tables::print_table3(&db, &spec, 4, 4);
     lightdb_bench::fig11::print_tiling_table(&db, &spec, 4, 4);
     lightdb_bench::fig11::print_tiling_breakdown(&db, &spec);
     lightdb_bench::fig11::print_ar_table(&db, &spec);
-    lightdb_bench::fig12::print(&mut db, &spec);
+    lightdb_bench::fig12::print(&db, &spec);
     lightdb_bench::fig13::print(&db);
     lightdb_bench::fig14::print(&db);
     lightdb_bench::fig15::print(&db, &spec);

@@ -2,6 +2,6 @@
 //! variants (CPU / FPGA / hybrid).
 fn main() {
     let spec = lightdb_bench::setup::bench_spec();
-    let mut db = lightdb_bench::setup::bench_db(&spec);
-    lightdb_bench::fig12::print(&mut db, &spec);
+    let db = lightdb_bench::setup::bench_db(&spec);
+    lightdb_bench::fig12::print(&db, &spec);
 }

@@ -33,8 +33,9 @@ pub fn run_tiling(
         System::LightDb => {
             let out = format!("{}_tiled_out", dataset.name());
             let _ = db.execute(&drop_tlf(&out));
+            let session = db.session();
             let (secs, stats) =
-                timed(|| lightdb_q::tiling(db, dataset.name(), &out, cols, rows));
+                timed(|| lightdb_q::tiling(&session, dataset.name(), &out, cols, rows));
             let stats = stats.map_err(|e| e.to_string())?;
             Ok(to_measure(secs, &stats))
         }
@@ -83,7 +84,8 @@ pub fn run_ar(
         System::LightDb => {
             let out = format!("{}_ar_out", dataset.name());
             let _ = db.execute(&drop_tlf(&out));
-            let (secs, stats) = timed(|| lightdb_q::ar(db, dataset.name(), &out, size));
+            let session = db.session();
+            let (secs, stats) = timed(|| lightdb_q::ar(&session, dataset.name(), &out, size));
             let stats = stats.map_err(|e| e.to_string())?;
             Ok(to_measure(secs, &stats))
         }
@@ -140,14 +142,14 @@ pub fn print_tiling_table(db: &LightDb, spec: &DatasetSpec, cols: usize, rows: u
 pub fn print_tiling_breakdown(db: &LightDb, spec: &DatasetSpec) {
     println!("\nFigure 11(a) right: LightDB operator breakdown (Timelapse), total seconds");
     for (cols, rows) in [(2, 2), (4, 4), (8, 8)] {
-        db.metrics().reset();
+        let session = db.session();
         let out = format!("timelapse_tiled_bd{cols}");
         let _ = db.execute(&drop_tlf(&out));
-        let _ = lightdb_q::tiling(db, "timelapse", &out, cols, rows);
+        let _ = lightdb_q::tiling(&session, "timelapse", &out, cols, rows);
         let _ = spec;
         let mut cells = Vec::new();
         for op in ["DECODE", "PARTITION", "ENCODE", "TILEUNION", "STORE"] {
-            cells.push(format!("{}={:.2}s", op, db.metrics().total(op).as_secs_f64()));
+            cells.push(format!("{}={:.2}s", op, session.metrics().total(op).as_secs_f64()));
         }
         crate::row(&format!("{cols}x{rows} tiling"), &cells);
     }
@@ -183,15 +185,15 @@ pub fn print_ar_table(db: &LightDb, spec: &DatasetSpec) {
     });
     if let Ok(out) = r {
         let _ = out;
-        let frames = lightdb_q::stored_frames(db, "cats_ar").unwrap_or(0);
+        let frames = lightdb_q::stored_frames(db.catalog(), "cats_ar").unwrap_or(0);
         println!("LightDB on Cats (light field): {} FPS", fmt_fps(fps(frames, secs)));
     }
     // Operator breakdown for the AR query.
-    db.metrics().reset();
+    let session = db.session();
     let _ = db.execute(&drop_tlf("timelapse_ar_out"));
-    let _ = lightdb_q::ar(db, "timelapse", "timelapse_ar_out", detect_input_size());
+    let _ = lightdb_q::ar(&session, "timelapse", "timelapse_ar_out", detect_input_size());
     print!("breakdown (timelapse): ");
-    for (op, dur, _) in db.metrics().report() {
+    for (op, dur, _) in session.metrics().report() {
         print!("{op}={:.2}s ", dur.as_secs_f64());
     }
     println!();

@@ -15,41 +15,39 @@ pub struct DepthResult {
 }
 
 /// Runs all three variants on both inputs.
-pub fn run(db: &mut LightDb, spec: &DatasetSpec) -> Vec<DepthResult> {
+pub fn run(db: &LightDb, spec: &DatasetSpec) -> Vec<DepthResult> {
     let stereo = install_stereo(db, Dataset::Timelapse, spec).expect("stereo install");
     let mut out = Vec::new();
     for variant in DepthVariant::ALL {
         // 360° stereo pair.
         let name = format!("depth_sphere_{}", variant.name());
         let _ = db.execute(&drop_tlf(&name));
-        db.metrics().reset();
-        let (sphere_secs, r) = timed(|| depth_map(db, &stereo, &name, variant));
+        let mut session = db.session();
+        let (sphere_secs, r) = timed(|| depth_map(&mut session, &stereo, &name, variant));
         r.expect("sphere depth");
         if std::env::var("LIGHTDB_BENCH_VERBOSE").is_ok() {
             print!("  [{}] ", variant.name());
-            for (op, dur, n) in db.metrics().report() {
+            for (op, dur, n) in session.metrics().report() {
                 print!("{op}={:.3}s(x{n}) ", dur.as_secs_f64());
             }
-            let bytes = lightdb_apps::workloads::lightdb_q::stored_bytes(db, &name).unwrap_or(0);
+            let bytes = lightdb_apps::workloads::lightdb_q::stored_bytes(db.catalog(), &name)
+                .unwrap_or(0);
             println!("out_bytes={bytes}");
         }
-        // Light slab sampled at two uv points.
+        // Light slab sampled at two uv points, on the session the
+        // sphere run configured for this variant.
         let slab_name = format!("depth_slab_{}", variant.name());
         let _ = db.execute(&drop_tlf(&slab_name));
-        let (slab_secs, r) = timed(|| slab_depth(db, &slab_name, variant));
+        let (slab_secs, r) = timed(|| slab_depth(&session, &slab_name, variant));
         r.expect("slab depth");
         out.push(DepthResult { variant, sphere_secs, slab_secs });
     }
     out
 }
 
-fn slab_depth(db: &mut LightDb, output: &str, variant: DepthVariant) -> lightdb::Result<()> {
+fn slab_depth(session: &Session, output: &str, variant: DepthVariant) -> lightdb::Result<()> {
     use lightdb::exec::fpga::{DepthMapCpu, DepthMapFpga};
     use std::sync::Arc;
-    let mut options = db.options();
-    options.use_gpu = matches!(variant, DepthVariant::Hybrid);
-    options.use_fpga = !matches!(variant, DepthVariant::Cpu);
-    db.set_options(options);
     let udf: Arc<dyn InterpUdf> = match variant {
         DepthVariant::Cpu => Arc::new(DepthMapCpu),
         _ => Arc::new(DepthMapFpga),
@@ -62,12 +60,12 @@ fn slab_depth(db: &mut LightDb, output: &str, variant: DepthVariant) -> lightdb:
         ],
         MergeFunction::Last,
     );
-    db.execute(&(stereo >> Interpolate::udf(udf) >> Store::named(output)))?;
+    session.execute(&(stereo >> Interpolate::udf(udf) >> Store::named(output)))?;
     Ok(())
 }
 
 /// Prints the Figure 12 table.
-pub fn print(db: &mut LightDb, spec: &DatasetSpec) {
+pub fn print(db: &LightDb, spec: &DatasetSpec) {
     println!("\nFigure 12: depth-map generation, total seconds (lower is better)");
     crate::row("variant", &["timelapse (stereo)".into(), "cats (light field)".into()]);
     for r in run(db, spec) {

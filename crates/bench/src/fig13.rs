@@ -103,7 +103,7 @@ pub fn run_lightdb(db: &LightDb, op: MicroOp) -> Result<(f64, usize), String> {
         MicroOp::PartitionTheta => input() >> Partition::along(Dimension::Theta, PI / 2.0),
         MicroOp::PartitionPhi => input() >> Partition::along(Dimension::Phi, PI / 4.0),
     };
-    let frames = lightdb_apps::workloads::lightdb_q::stored_frames(db, "timelapse")
+    let frames = lightdb_apps::workloads::lightdb_q::stored_frames(db.catalog(), "timelapse")
         .map_err(|e| e.to_string())?;
     let (secs, r) = timed(|| db.execute(&(q >> Store::named(&out))));
     r.map_err(|e| e.to_string())?;

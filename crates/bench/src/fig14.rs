@@ -47,7 +47,7 @@ impl SlabOp {
 /// Runs one slab operation; returns `(seconds, frames processed)`.
 pub fn run(db: &LightDb, op: SlabOp) -> Result<(f64, usize), String> {
     use std::f64::consts::PI;
-    let frames = lightdb_apps::workloads::lightdb_q::stored_frames(db, "cats")
+    let frames = lightdb_apps::workloads::lightdb_q::stored_frames(db.catalog(), "cats")
         .map_err(|e| e.to_string())?;
     let q = match op {
         SlabOp::SelectMono => {

@@ -84,7 +84,7 @@ pub fn prepare(db: &LightDb, spec: &lightdb_datasets::DatasetSpec) -> String {
 
 /// Runs one Figure 15 operation on LightDB; `(seconds, frames)`.
 pub fn run_lightdb(db: &LightDb, op: HopOp, tiled: &str) -> Result<(f64, usize), String> {
-    let frames = lightdb_apps::workloads::lightdb_q::stored_frames(db, "timelapse")
+    let frames = lightdb_apps::workloads::lightdb_q::stored_frames(db.catalog(), "timelapse")
         .map_err(|e| e.to_string())?;
     match op {
         HopOp::TileSelect => {

@@ -18,23 +18,27 @@ pub fn spatial_points() -> usize {
     }
 }
 
-fn with_indexes(db: &LightDb, on: bool) -> LightDb {
-    let mut options = db.options();
-    options.use_indexes = on;
-    options.use_hops = on;
-    let mut clone = LightDb::open(db.catalog().root()).expect("reopen");
-    clone.set_options(options);
-    clone
+/// A session on `db` with the index and homomorphic-operator rewrites
+/// on or off.
+fn with_indexes(db: &LightDb, on: bool) -> Session {
+    let mut session = db.session();
+    session.set_options(PlannerOptions {
+        use_indexes: on,
+        use_hops: on,
+        ..session.options()
+    });
+    session
 }
 
 /// Like [`with_indexes`] but CPU-only, isolating the index effect
 /// from the GPU's parallel tile decode.
-fn with_indexes_cpu(db: &LightDb, on: bool) -> LightDb {
-    let mut d = with_indexes(db, on);
-    let mut options = d.options();
-    options.use_gpu = false;
-    d.set_options(options);
-    d
+fn with_indexes_cpu(db: &LightDb, on: bool) -> Session {
+    let mut session = with_indexes(db, on);
+    session.set_options(PlannerOptions {
+        use_gpu: false,
+        ..session.options()
+    });
+    session
 }
 
 /// GOP-index experiment: last-second vs whole-extent temporal select.

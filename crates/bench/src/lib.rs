@@ -13,7 +13,6 @@
 //! * `LIGHTDB_BENCH_CACHE` — dataset cache directory (datasets are
 //!   generated and encoded once, then reused across runs).
 
-pub mod cluster_scaleout;
 pub mod codec_kernels;
 pub mod fig11;
 pub mod fig12;
@@ -21,11 +20,9 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig16;
-pub mod fleet_serving;
 pub mod parallel_scaling;
 pub mod setup;
 pub mod tables;
-pub mod wal_commit;
 
 use std::time::Instant;
 

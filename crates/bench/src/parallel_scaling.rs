@@ -68,28 +68,28 @@ pub fn build_db(gops: usize, gop_length: usize, w: usize, h: usize) -> LightDb {
     db
 }
 
-/// Runs the decode-heavy query at the given thread count.
-pub fn run(db: &mut LightDb, threads: usize) -> Measurement {
-    db.set_parallelism(Parallelism::new(threads));
+/// Runs the decode-heavy query on `session` at the given thread count.
+pub fn run(session: &mut Session, threads: usize) -> Measurement {
+    session.set_parallelism(Parallelism::new(threads));
     let q = scan("pscale")
         >> Map::builtin(BuiltinMap::Blur)
         >> Encode::with(CodecKind::H264Sim);
-    let (secs, out) = crate::timed(|| db.execute(&q).expect("scaling query"));
+    let (secs, out) = crate::timed(|| session.execute(&q).expect("scaling query"));
     let frames = out.frame_count();
     let QueryOutput::Encoded(streams) = out else { panic!("expected encoded output") };
     Measurement { threads, secs, bytes: streams.iter().map(|s| s.to_bytes()).collect(), frames }
 }
 
 /// Runs the Fig 11a tiling query (4×4 tiles, the predicted tile at
-/// high quality) at the given thread count; `bytes` is the stored,
-/// stitched stream.
-pub fn run_tiling(db: &mut LightDb, threads: usize) -> Measurement {
-    db.set_parallelism(Parallelism::new(threads));
+/// high quality) on `session` at the given thread count; `bytes` is
+/// the stored, stitched stream.
+pub fn run_tiling(session: &mut Session, threads: usize) -> Measurement {
+    session.set_parallelism(Parallelism::new(threads));
     let out = "pscale_tiled";
     let (secs, stats) =
-        crate::timed(|| lightdb_apps::workloads::lightdb_q::tiling(db, "pscale", out, 4, 4));
+        crate::timed(|| lightdb_apps::workloads::lightdb_q::tiling(session, "pscale", out, 4, 4));
     let stats = stats.expect("tiling query");
-    let stored = db.catalog().read(out, None).expect("stored tiling output");
+    let stored = session.catalog().read(out, None).expect("stored tiling output");
     let stream = stored
         .media()
         .read_stream(&stored.metadata.tracks[0].media_path)
@@ -99,17 +99,14 @@ pub fn run_tiling(db: &mut LightDb, threads: usize) -> Measurement {
 
 /// One query's serial-vs-parallel rows plus the parallel run's
 /// per-operator busy/wall table.
-fn section(
-    title: &str,
-    db: &mut LightDb,
-    threads: usize,
-    run: fn(&mut LightDb, usize) -> Measurement,
-) {
+fn section(title: &str, db: &LightDb, threads: usize, run: fn(&mut Session, usize) -> Measurement) {
     // Warm the buffer pool so both timed runs read from cache.
-    let _ = run(db, 1);
-    let serial = run(db, 1);
-    db.metrics().reset();
-    let parallel = run(db, threads);
+    let mut session = db.session();
+    let _ = run(&mut session, 1);
+    let serial = run(&mut session, 1);
+    // A fresh session, so the metrics below are the parallel run's.
+    let mut session = db.session();
+    let parallel = run(&mut session, threads);
     let identical = serial.bytes == parallel.bytes;
     let speedup = serial.secs / parallel.secs.max(1e-9);
 
@@ -136,7 +133,7 @@ fn section(
         if identical { "yes" } else { "NO (BUG)" }
     );
     println!("\nper-operator busy vs wall, parallel run (busy/wall ~ effective parallelism):");
-    for (op, busy, wall, count) in db.metrics().report_wall() {
+    for (op, busy, wall, count) in session.metrics().report_wall() {
         if count == 0 || busy.as_secs_f64() < 1e-4 {
             continue;
         }
@@ -162,12 +159,12 @@ pub fn print() {
     // Decode-heavy: many GOPs, modest frames — DECODE+MAP+ENCODE all
     // scale per chunk, and each GOP's 4×4 tiles encode independently.
     let (gops, gop_length, w, h) = (24, 8, 256, 128);
-    let mut db = build_db(gops, gop_length, w, h);
+    let db = build_db(gops, gop_length, w, h);
     let shape = format!("{gops} GOPs × {gop_length} frames @ {w}x{h}, {cores} core(s)");
-    section(&format!("SCAN>DECODE>MAP(BLUR)>ENCODE, {shape}"), &mut db, threads, run);
+    section(&format!("SCAN>DECODE>MAP(BLUR)>ENCODE, {shape}"), &db, threads, run);
     section(
         &format!("Fig 11a tiling: PARTITION 4x4>SUBQUERY(ENCODE)>TILEUNION>STORE, {shape}"),
-        &mut db,
+        &db,
         threads,
         run_tiling,
     );
@@ -182,13 +179,14 @@ mod tests {
     #[test]
     fn parallel_output_matches_serial() {
         // 4×4 tiles of 32×16: whole macroblocks, so TILEUNION stitches.
-        let mut db = build_db(4, 2, 128, 64);
-        let serial = run(&mut db, 1);
-        let parallel = run(&mut db, 4);
+        let db = build_db(4, 2, 128, 64);
+        let mut session = db.session();
+        let serial = run(&mut session, 1);
+        let parallel = run(&mut session, 4);
         assert_eq!(serial.bytes, parallel.bytes);
         assert_eq!(serial.frames, 8);
-        let serial = run_tiling(&mut db, 1);
-        let parallel = run_tiling(&mut db, 4);
+        let serial = run_tiling(&mut session, 1);
+        let parallel = run_tiling(&mut session, 4);
         assert_eq!(serial.bytes, parallel.bytes);
         let _ = std::fs::remove_dir_all(dataset_root());
     }

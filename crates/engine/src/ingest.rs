@@ -252,6 +252,7 @@ mod tests {
         let db = LightDb::open(&root).unwrap();
         assert_eq!(db.catalog().all_versions("a").unwrap(), vec![1, 2]);
         db.checkpoint().unwrap();
+        drop(db);
         let db2 = LightDb::open(&root).unwrap();
         assert_eq!(db2.catalog().all_versions("a").unwrap(), vec![1, 2]);
         fs::remove_dir_all(db2.catalog().root()).unwrap();

@@ -32,16 +32,14 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::session::{plan_cache, EngineShared, SessionConfig, PLAN_CACHE_CAPACITY};
+use crate::session::{plan_cache, EngineShared, Session, PLAN_CACHE_CAPACITY};
 use lightdb_core::algebra::{LogicalOp, LogicalPlan};
 use lightdb_core::subgraph::{self, UdfRegistry};
-use lightdb_core::udf::{InterpUdf, MapUdf};
 use lightdb_core::vrql::VrqlExpr;
 use lightdb_exec::sharedscan::SharedDecode;
 use lightdb_exec::tilecache::TileCache;
-use lightdb_exec::{Metrics, Parallelism, QueryCtx, QueryOutput, ReadPolicy};
-use lightdb_optimizer::{Planner, PlannerOptions};
-use lightdb_storage::{AdmitPolicy, BufferPool, Catalog, Snapshot};
+use lightdb_exec::{Metrics, QueryCtx, QueryOutput};
+use lightdb_storage::{BufferPool, Catalog, Snapshot};
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -52,7 +50,7 @@ pub mod tileserver;
 
 /// Everything a LightDB application typically needs.
 pub mod prelude {
-    pub use crate::session::{Prepared, Session, SessionBudget, SessionConfig};
+    pub use crate::session::{Session, SessionBudget, SessionConfig};
     pub use crate::tileserver::{
         Orientation, ServedTile, ServedView, TileServer, TileServerConfig,
     };
@@ -138,27 +136,25 @@ pub const DEFAULT_SHARED_DECODE_BYTES: usize = lightdb_exec::sharedscan::DEFAULT
 /// Override with `LIGHTDB_TILE_CACHE_MB` (`0` disables the cache).
 pub const DEFAULT_TILE_CACHE_BYTES: usize = lightdb_exec::tilecache::DEFAULT_BUDGET_BYTES;
 
-/// A LightDB database handle.
+/// A LightDB database handle: the engine plus one default
+/// [`Session`](session::Session).
 ///
 /// A `LightDb` doubles as a **server front-end**: call
-/// [`LightDb::session`] to mint independent [`Session`](session::Session)
-/// handles, one per client. Sessions share the catalog, buffer pool,
-/// plan cache, and shared-decode cache, but each carries its own
-/// planner options, read policy, parallelism, admission policy, UDF
-/// registry, and metrics.
+/// [`LightDb::session`] to mint independent sessions, one per client.
+/// Sessions share the catalog, buffer pool, plan cache, and
+/// shared-decode cache, but each carries its own planner options,
+/// read policy, parallelism, admission policy, UDF registry, and
+/// metrics. The handle's own `execute*`, `explain` and `metrics` run
+/// on its default session, at the defaults every session starts from;
+/// a client that wants other settings takes a session.
 ///
-/// The `&mut self` setters on `LightDb` itself are retained as shims
-/// over the handle's *default* session configuration: they affect
-/// `execute` calls on this handle and the starting configuration of
-/// sessions created *afterwards*, never sessions already minted.
+/// One `LightDb` per root: while a handle is open, a second
+/// [`LightDb::open`] of its root fails with
+/// [`StorageError::RootInUse`](lightdb_storage::StorageError::RootInUse).
 #[derive(Debug)]
 pub struct LightDb {
     shared: Arc<EngineShared>,
-    /// Defaults copied into each new session (and used by the
-    /// single-user `execute` path).
-    defaults: SessionConfig,
-    metrics: Metrics,
-    udfs: UdfRegistry,
+    default: Session,
 }
 
 /// Default admission backpressure window: queries whose declared
@@ -167,15 +163,8 @@ pub struct LightDb {
 pub const DEFAULT_ADMIT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 
 impl LightDb {
-    /// Opens (or initialises) a database rooted at `path` with the
-    /// default optimiser settings.
+    /// Opens (or initialises) a database rooted at `path`.
     pub fn open(path: impl AsRef<Path>) -> Result<LightDb> {
-        Self::with_options(path, PlannerOptions::default())
-    }
-
-    /// Opens with explicit optimiser options (used by the ablation
-    /// benchmarks).
-    pub fn with_options(path: impl AsRef<Path>, options: PlannerOptions) -> Result<LightDb> {
         // `LIGHTDB_SHARED_DECODE_MB` sizes the engine-wide decoded-GOP
         // cache; 0 disables shared scans entirely.
         let shared_decode = match lightdb_core::envknob::read_u64("LIGHTDB_SHARED_DECODE_MB") {
@@ -194,30 +183,26 @@ impl LightDb {
             ))),
             None => Some(Arc::new(TileCache::new(DEFAULT_TILE_CACHE_BYTES))),
         };
+        let shared = Arc::new(EngineShared {
+            catalog: Arc::new(Catalog::open(path.as_ref().to_path_buf())?),
+            pool: Arc::new(BufferPool::new(DEFAULT_POOL_BYTES)),
+            plan_cache: plan_cache(PLAN_CACHE_CAPACITY),
+            shared_decode,
+            tile_cache,
+            next_session: AtomicU64::new(1),
+        });
         Ok(LightDb {
-            shared: Arc::new(EngineShared {
-                catalog: Arc::new(Catalog::open(path.as_ref().to_path_buf())?),
-                pool: Arc::new(BufferPool::new(DEFAULT_POOL_BYTES)),
-                plan_cache: plan_cache(PLAN_CACHE_CAPACITY),
-                shared_decode,
-                tile_cache,
-                next_session: AtomicU64::new(1),
-            }),
-            defaults: SessionConfig {
-                options,
-                ..SessionConfig::default()
-            },
-            metrics: Metrics::new(),
-            udfs: UdfRegistry::new(),
+            default: Session::new(shared.clone()),
+            shared,
         })
     }
 
-    /// Mints a new independent [`Session`](session::Session) seeded
-    /// with this handle's current defaults and UDF registry. Sessions
-    /// share storage, the plan cache, and the shared-decode cache;
+    /// Mints a new independent [`Session`](session::Session) at the
+    /// default settings with an empty UDF registry. Sessions share
+    /// storage, the plan cache, and the shared-decode cache;
     /// everything else is per-session.
-    pub fn session(&self) -> session::Session {
-        session::Session::new(self.shared.clone(), self.defaults, self.udfs.clone())
+    pub fn session(&self) -> Session {
+        Session::new(self.shared.clone())
     }
 
     /// The catalog (for inspection and direct ingest).
@@ -250,89 +235,18 @@ impl LightDb {
         Ok(self.shared.catalog.checkpoint()?)
     }
 
-    /// Current default optimiser options.
-    pub fn options(&self) -> PlannerOptions {
-        self.defaults.options
-    }
-
-    /// Replaces the default optimiser options. Shim over the default
-    /// [`SessionConfig`]: prefer [`Session::set_options`](session::Session::set_options)
-    /// on a per-client session; this affects only `execute` calls on
-    /// this handle and sessions created afterwards.
-    pub fn set_options(&mut self, options: PlannerOptions) {
-        self.defaults.options = options;
-    }
-
-    /// Current default read policy for scans over corrupt data.
-    pub fn read_policy(&self) -> ReadPolicy {
-        self.defaults.read_policy
-    }
-
-    /// Sets what scans do when a stored GOP fails checksum
-    /// verification or cannot be parsed: fail the query (default) or
-    /// skip a bounded number of damaged GOPs, counting skips in
-    /// `metrics().counter(lightdb_exec::metrics::counters::SKIPPED_GOPS)`.
-    /// Shim over the default [`SessionConfig`]; see
-    /// [`LightDb::set_options`] for the scoping rules.
-    pub fn set_read_policy(&mut self, policy: ReadPolicy) {
-        self.defaults.read_policy = policy;
-    }
-
-    /// Current default worker-thread budget for chunk-parallel
-    /// operators.
-    pub fn parallelism(&self) -> Parallelism {
-        self.defaults.parallelism
-    }
-
-    /// Sets the worker-thread budget for chunk-parallel operators
-    /// (DECODE/ENCODE/MAP and STORE's auto-encode).
-    /// [`Parallelism::SERIAL`] forces single-threaded execution; the
-    /// default honours the `LIGHTDB_THREADS` environment variable.
-    /// Query output is byte-identical at any setting. Shim over the
-    /// default [`SessionConfig`]; see [`LightDb::set_options`] for the
-    /// scoping rules.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.defaults.parallelism = parallelism;
-    }
-
-    /// Current default buffer-pool admission policy for queries that
-    /// declare a working set.
-    pub fn admit_policy(&self) -> AdmitPolicy {
-        self.defaults.admit_policy
-    }
-
-    /// Sets what happens when a query's declared working set exceeds
-    /// free admission capacity: [`AdmitPolicy::Block`] waits with
-    /// backpressure up to a timeout (default), [`AdmitPolicy::FailFast`]
-    /// fails immediately with a classified `Overloaded` error. Shim
-    /// over the default [`SessionConfig`]; see [`LightDb::set_options`]
-    /// for the scoping rules.
-    pub fn set_admit_policy(&mut self, policy: AdmitPolicy) {
-        self.defaults.admit_policy = policy;
-    }
-
     /// Caps the total bytes of concurrently *admitted* working sets
-    /// (independent of resident cache bytes). Queries beyond the cap
-    /// block or fail per [`LightDb::set_admit_policy`].
+    /// (independent of resident cache bytes), engine-wide. Queries
+    /// beyond the cap block or fail per their session's
+    /// [`Session::set_admit_policy`](session::Session::set_admit_policy).
     pub fn set_admission_limit(&self, bytes: usize) {
         self.shared.pool.set_admission_limit(bytes);
     }
 
-    /// Cumulative per-operator execution metrics.
+    /// Cumulative per-operator execution metrics of the default
+    /// session.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Registers a custom `MAP` UDF so view subgraphs referencing it
-    /// by name can be re-instantiated at scan time.
-    pub fn register_map_udf(&mut self, udf: std::sync::Arc<dyn MapUdf>) {
-        self.udfs.register_map(udf);
-    }
-
-    /// Registers a custom `INTERPOLATE` UDF (see
-    /// [`LightDb::register_map_udf`]).
-    pub fn register_interp_udf(&mut self, udf: std::sync::Arc<dyn InterpUdf>) {
-        self.udfs.register_interp(udf);
+        self.default.metrics()
     }
 
     /// Executes a VRQL query as one transaction with snapshot
@@ -345,10 +259,7 @@ impl LightDb {
     /// the TLF's metadata; a `SCAN` of such a TLF transparently
     /// re-applies the recorded subgraph.
     pub fn execute(&self, query: &VrqlExpr) -> Result<QueryOutput> {
-        // A fresh per-statement context: the `LIGHTDB_DEADLINE_MS`
-        // budget starts counting here, not at `open` time, and
-        // `LIGHTDB_MEM_CAP` becomes the declared working set.
-        self.execute_with_ctx(query, QueryCtx::from_env())
+        self.default.execute(query)
     }
 
     /// [`LightDb::execute`] under an explicit [`QueryCtx`]: the
@@ -357,40 +268,25 @@ impl LightDb {
     /// buffer-pool admission before execution starts. Cancel from
     /// another thread via [`QueryCtx::cancel_token`].
     pub fn execute_with_ctx(&self, query: &VrqlExpr, ctx: QueryCtx) -> Result<QueryOutput> {
-        self.execute_plan_with_ctx(query.plan(), ctx)
+        self.default.execute_with_ctx(query, ctx)
     }
 
-    /// Executes a bare [`LogicalPlan`] under the engine defaults —
-    /// the entry point for plans that did not come from local VRQL,
-    /// such as distributed subplans a cluster worker deserialised off
-    /// the wire ([`lightdb_core::subgraph`]).
-    pub fn execute_plan_with_ctx(
-        &self,
-        plan: &LogicalPlan,
-        ctx: QueryCtx,
-    ) -> Result<QueryOutput> {
-        session::execute_on(
-            &self.shared,
-            &self.defaults,
-            &self.udfs,
-            &self.metrics,
-            None,
-            plan,
-            ctx,
-        )
+    /// Executes a bare [`LogicalPlan`] on the default session (see
+    /// [`Session::execute_plan_with_ctx`](session::Session::execute_plan_with_ctx)).
+    pub fn execute_plan_with_ctx(&self, plan: &LogicalPlan, ctx: QueryCtx) -> Result<QueryOutput> {
+        self.default.execute_plan_with_ctx(plan, ctx)
     }
 
     /// Returns the optimised physical plan for a query, as text —
-    /// LightDB's `EXPLAIN`.
+    /// LightDB's `EXPLAIN` — under the default options.
     pub fn explain(&self, query: &VrqlExpr) -> Result<String> {
-        let planner = Planner::new(self.shared.catalog.clone(), self.defaults.options);
-        Ok(planner.plan(query.plan())?.to_string())
+        self.default.explain(query)
     }
 }
 
 /// Resolves unversioned scans to the snapshot's pinned versions and
-/// splices in stored view subgraphs. Shared by every session (and the
-/// legacy single-user path) via [`session::execute_on`].
+/// splices in stored view subgraphs, for
+/// [`Session::execute_plan_with_ctx`](session::Session::execute_plan_with_ctx).
 pub(crate) fn resolve_scans_in(
     catalog: &Catalog,
     udfs: &UdfRegistry,
@@ -701,6 +597,27 @@ mod tests {
         fs::remove_dir_all(db.catalog().root()).unwrap();
     }
 
+    /// A `MAP` that records what the pool has admitted under one
+    /// session id while the query runs.
+    struct AdmittedProbe {
+        pool: Arc<BufferPool>,
+        session: u64,
+        seen: std::sync::atomic::AtomicUsize,
+    }
+
+    impl MapUdf for AdmittedProbe {
+        fn name(&self) -> &str {
+            "admitted_probe"
+        }
+
+        fn apply(&self, frame: &Frame) -> Frame {
+            let admitted = self.pool.session_admitted(self.session);
+            self.seen
+                .fetch_max(admitted, std::sync::atomic::Ordering::Relaxed);
+            frame.clone()
+        }
+    }
+
     #[test]
     fn fail_fast_admission_rejects_oversized_working_set() {
         let mut db = LightDb::open(temp_root("admit")).unwrap();
@@ -716,7 +633,7 @@ mod tests {
         )
         .unwrap();
         db.set_admission_limit(1 << 20);
-        db.set_admit_policy(AdmitPolicy::FailFast);
+        db.default.set_admit_policy(AdmitPolicy::FailFast);
         let ctx = QueryCtx::unbounded().with_mem_estimate(8 << 20);
         let err = db.execute_with_ctx(&scan("src"), ctx).unwrap_err();
         match err {
@@ -726,10 +643,20 @@ mod tests {
             }
             other => panic!("unexpected error: {other}"),
         }
-        // A fitting declaration is admitted and released.
+        // A fitting declaration is admitted under the default session's
+        // id while the handle's query runs, and released after it.
+        let probe = Arc::new(AdmittedProbe {
+            pool: db.pool().clone(),
+            session: db.default.id(),
+            seen: Default::default(),
+        });
         let ctx = QueryCtx::unbounded().with_mem_estimate(64 << 10);
-        db.execute_with_ctx(&scan("src"), ctx).unwrap();
+        db.execute_with_ctx(&(scan("src") >> Map::udf(probe.clone())), ctx)
+            .unwrap();
+        let seen = probe.seen.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(seen, 64 << 10, "admitted under the default session");
         assert_eq!(db.pool().admitted(), 0, "admission released after query");
+        assert_eq!(db.default.admitted_bytes(), 0);
         fs::remove_dir_all(db.catalog().root()).unwrap();
     }
 
@@ -749,8 +676,21 @@ mod tests {
         .unwrap();
         db.execute(&(scan("src") >> Map::builtin(BuiltinMap::Blur)))
             .unwrap();
-        assert!(db.metrics().count("MAP") >= 1);
+        db.execute(&(scan("src") >> Map::builtin(BuiltinMap::Blur)))
+            .unwrap();
+        // The handle's metrics are its default session's.
+        assert!(std::ptr::eq(db.metrics(), db.default.metrics()));
+        assert!(db.metrics().count("MAP") >= 2);
         assert!(db.metrics().count("DECODE") >= 1);
+        assert_eq!(
+            db.metrics()
+                .counter(lightdb_exec::metrics::counters::PLAN_CACHE_HITS),
+            1
+        );
+        // A session minted afterwards has its own id and starts empty.
+        let fresh = db.session();
+        assert_ne!(fresh.id(), db.default.id());
+        assert_eq!(fresh.metrics().count("MAP"), 0);
         fs::remove_dir_all(db.catalog().root()).unwrap();
     }
 }

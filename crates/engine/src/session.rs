@@ -1,17 +1,17 @@
-//! Sessions, prepared statements, and the plan cache — the engine's
-//! multi-session server front-end.
+//! Sessions and the plan cache — the engine's multi-session server
+//! front-end.
 //!
-//! A [`LightDb`](crate::LightDb) used to be a single-user handle:
-//! planner options, read policy, parallelism, and UDFs were `&mut
-//! self` setters on the handle, i.e. process-global mutable state. A
-//! long-running service wants N concurrent clients with *divergent*
+//! A long-running service wants N concurrent clients with *divergent*
 //! settings over one catalog and one buffer pool. A [`Session`] is
 //! exactly that: a cheap handle holding its **own** copies of every
 //! per-client knob ([`SessionConfig`]), its own UDF registry, its own
 //! [`Metrics`], and a per-session statement budget
 //! ([`SessionBudget`]) — while sharing the engine-wide state
 //! ([`EngineShared`]: catalog, pool, plan cache, shared-decode
-//! cache) through an `Arc`.
+//! cache) through an `Arc`. A [`LightDb`](crate::LightDb) is that
+//! shared state plus one default session; every statement, from the
+//! handle or from any session, runs through
+//! [`Session::execute_plan_with_ctx`].
 //!
 //! Three properties the tests pin down:
 //!
@@ -27,7 +27,7 @@
 //!   [`SharedDecode`](lightdb_exec::sharedscan::SharedDecode) cache
 //!   (`shared_scan.*` counters).
 
-use crate::{Error, Result};
+use crate::Result;
 use lightdb_core::algebra::{LogicalOp, LogicalPlan};
 use lightdb_core::subgraph::UdfRegistry;
 use lightdb_core::udf::{InterpUdf, MapUdf};
@@ -50,9 +50,8 @@ use std::time::Duration;
 /// one-off query shapes) from growing the map without end.
 pub const PLAN_CACHE_CAPACITY: usize = 64;
 
-/// Per-client execution settings: everything that used to be a
-/// process-global `&mut self` setter on `LightDb`. Plain data —
-/// copying it into a session is what makes sessions independent.
+/// Per-client execution settings. Plain data — each session owns its
+/// copy, which is what makes sessions independent.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
     /// Optimiser switches (device placement, rewrites, codecs).
@@ -146,18 +145,15 @@ pub struct Session {
 }
 
 impl Session {
-    pub(crate) fn new(
-        shared: Arc<EngineShared>,
-        config: SessionConfig,
-        udfs: UdfRegistry,
-    ) -> Session {
+    /// A session at the default settings with an empty UDF registry.
+    pub(crate) fn new(shared: Arc<EngineShared>) -> Session {
         let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
         Session {
             shared,
             id,
-            config,
+            config: SessionConfig::default(),
             budget: SessionBudget::default(),
-            udfs,
+            udfs: UdfRegistry::new(),
             metrics: Metrics::new(),
         }
     }
@@ -166,6 +162,11 @@ impl Session {
     /// [`BufferPool::session_admitted`]).
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// The engine-wide catalog (for inspection).
+    pub fn catalog(&self) -> &Arc<Catalog> {
+        &self.shared.catalog
     }
 
     /// Current per-session settings.
@@ -250,24 +251,6 @@ impl Session {
         )
     }
 
-    /// Parses and validates `query` once, returning a handle whose
-    /// repeat executions skip re-validation — and, for cacheable
-    /// shapes, re-planning (via the engine-wide plan cache).
-    pub fn prepare(&self, query: &VrqlExpr) -> Result<Prepared> {
-        let plan = query.plan();
-        plan.validate()
-            .map_err(lightdb_optimizer::PlanError::Core)
-            .map_err(Error::Plan)?;
-        Ok(Prepared {
-            expr: query.clone(),
-        })
-    }
-
-    /// Executes a prepared statement under this session's settings.
-    pub fn execute_prepared(&self, stmt: &Prepared) -> Result<QueryOutput> {
-        self.execute(&stmt.expr)
-    }
-
     /// Executes a VRQL query under this session's settings with a
     /// fresh per-statement context (environment knobs, then the
     /// session budget).
@@ -281,23 +264,88 @@ impl Session {
     }
 
     /// Executes a bare [`LogicalPlan`] under this session's settings —
-    /// the entry point for plans that did not come from local VRQL,
-    /// such as distributed subplans a cluster worker deserialised off
-    /// the wire ([`lightdb_core::subgraph`]).
-    pub fn execute_plan_with_ctx(
-        &self,
-        plan: &LogicalPlan,
-        ctx: QueryCtx,
-    ) -> Result<QueryOutput> {
-        execute_on(
-            &self.shared,
-            &self.config,
-            &self.udfs,
-            &self.metrics,
-            Some(self.id),
-            plan,
-            ctx,
-        )
+    /// the engine's single execution path, and the entry point for
+    /// plans that did not come from local VRQL, such as distributed
+    /// subplans a cluster worker deserialised off the wire
+    /// ([`lightdb_core::subgraph`]).
+    pub fn execute_plan_with_ctx(&self, plan: &LogicalPlan, ctx: QueryCtx) -> Result<QueryOutput> {
+        let (shared, cfg, metrics) = (&self.shared, &self.config, &self.metrics);
+        // Pin a snapshot and resolve unversioned scans against it,
+        // splicing stored view subgraphs in as we go.
+        let snapshot = Snapshot::begin(&shared.catalog);
+        let pinned = crate::resolve_scans_in(&shared.catalog, &self.udfs, plan.clone(), &snapshot)?;
+        if let LogicalOp::Store { name } = &pinned.op {
+            snapshot.note_write(name)?;
+        }
+        // Peel a continuous suffix off STOREs (opt-in policy).
+        let (pinned, view_subgraph) = if cfg.options.defer_continuous {
+            crate::peel_view_subgraph(pinned)
+        } else {
+            (pinned, None)
+        };
+        // Plan, through the cache when the resolved shape is cacheable.
+        // The fingerprint embeds options and pinned scan versions, so a
+        // hit is exactly the plan `Planner::plan` would rebuild. Writes
+        // (the only statements carrying a view subgraph) never
+        // fingerprint, so the splice below stays on the uncached path.
+        let physical: Arc<PhysicalPlan> = match fingerprint(&pinned, &cfg.options) {
+            Some(key) if view_subgraph.is_none() => {
+                let served = shared.plan_cache.get_or_compute(&key, &|| None, || {
+                    let plan = Planner::new(shared.catalog.clone(), cfg.options).plan(&pinned)?;
+                    Ok((Arc::new(plan), 1))
+                });
+                // A request that waited on another's planning is a hit; a
+                // planner error is its own leader's miss, cached nowhere.
+                let served = match served {
+                    Ok(served) => served,
+                    Err(e) => {
+                        metrics.bump(counters::PLAN_CACHE_MISSES);
+                        return Err(e);
+                    }
+                };
+                let kind = match served.source {
+                    Source::Miss => counters::PLAN_CACHE_MISSES,
+                    Source::Hit | Source::Coalesced => counters::PLAN_CACHE_HITS,
+                };
+                metrics.add_all([(kind, 1), (counters::PLAN_CACHE_EVICTIONS, served.evicted)]);
+                served.value
+            }
+            _ => {
+                metrics.bump(counters::PLAN_CACHE_MISSES);
+                let mut physical =
+                    Planner::new(shared.catalog.clone(), cfg.options).plan(&pinned)?;
+                if let Some(bytes) = &view_subgraph {
+                    if let PhysicalPlan::Store {
+                        view_subgraph: vs, ..
+                    } = &mut physical
+                    {
+                        *vs = Some(bytes.clone());
+                    }
+                }
+                Arc::new(physical)
+            }
+        };
+        let mut executor = Executor::new(shared.catalog.clone(), shared.pool.clone());
+        executor.metrics = metrics.clone();
+        executor.spatial_index = cfg.options.use_indexes;
+        executor.read_policy = cfg.read_policy;
+        executor.parallelism = cfg.parallelism;
+        executor.admit_policy = cfg.admit_policy;
+        executor.shared_decode = shared.shared_decode.clone();
+        executor.session = Some(self.id);
+        executor.ctx = ctx;
+        let out = executor.run(&physical)?;
+        if let QueryOutput::Stored { name, version } = &out {
+            snapshot.expose(name, *version);
+        }
+        Ok(out)
+    }
+
+    /// Returns the optimised physical plan for a query under this
+    /// session's options, as text — LightDB's `EXPLAIN`.
+    pub fn explain(&self, query: &VrqlExpr) -> Result<String> {
+        let planner = Planner::new(self.shared.catalog.clone(), self.config.options);
+        Ok(planner.plan(query.plan())?.to_string())
     }
 
     /// A fresh per-statement context: environment limits first, the
@@ -316,106 +364,6 @@ impl Session {
         }
         ctx
     }
-}
-
-/// A parsed-and-validated statement handle from [`Session::prepare`].
-/// Re-execution skips validation; the plan cache (keyed on the
-/// statement's resolved shape, not on this handle) makes repeats skip
-/// planning too, so the handle stays valid across `STORE`s — the next
-/// execution simply resolves to the new version and misses the cache
-/// once.
-#[derive(Debug, Clone)]
-pub struct Prepared {
-    expr: VrqlExpr,
-}
-
-impl Prepared {
-    /// The underlying query expression.
-    pub fn expr(&self) -> &VrqlExpr {
-        &self.expr
-    }
-}
-
-/// The engine's single execution path: every statement — from the
-/// legacy single-user `LightDb` methods or any `Session` — funnels
-/// through here with explicit per-caller configuration.
-pub(crate) fn execute_on(
-    shared: &EngineShared,
-    cfg: &SessionConfig,
-    udfs: &UdfRegistry,
-    metrics: &Metrics,
-    session: Option<u64>,
-    plan: &LogicalPlan,
-    ctx: QueryCtx,
-) -> Result<QueryOutput> {
-    // Pin a snapshot and resolve unversioned scans against it,
-    // splicing stored view subgraphs in as we go.
-    let snapshot = Snapshot::begin(&shared.catalog);
-    let pinned = crate::resolve_scans_in(&shared.catalog, udfs, plan.clone(), &snapshot)?;
-    if let LogicalOp::Store { name } = &pinned.op {
-        snapshot.note_write(name)?;
-    }
-    // Peel a continuous suffix off STOREs (opt-in policy).
-    let (pinned, view_subgraph) = if cfg.options.defer_continuous {
-        crate::peel_view_subgraph(pinned)
-    } else {
-        (pinned, None)
-    };
-    // Plan, through the cache when the resolved shape is cacheable.
-    // The fingerprint embeds options and pinned scan versions, so a
-    // hit is exactly the plan `Planner::plan` would rebuild. Writes
-    // (the only statements carrying a view subgraph) never
-    // fingerprint, so the splice below stays on the uncached path.
-    let physical: Arc<PhysicalPlan> = match fingerprint(&pinned, &cfg.options) {
-        Some(key) if view_subgraph.is_none() => {
-            let served = shared.plan_cache.get_or_compute(&key, &|| None, || {
-                let plan = Planner::new(shared.catalog.clone(), cfg.options).plan(&pinned)?;
-                Ok((Arc::new(plan), 1))
-            });
-            // A request that waited on another's planning is a hit; a
-            // planner error is its own leader's miss, cached nowhere.
-            let served = match served {
-                Ok(served) => served,
-                Err(e) => {
-                    metrics.bump(counters::PLAN_CACHE_MISSES);
-                    return Err(e);
-                }
-            };
-            let kind = match served.source {
-                Source::Miss => counters::PLAN_CACHE_MISSES,
-                Source::Hit | Source::Coalesced => counters::PLAN_CACHE_HITS,
-            };
-            metrics.add_all([(kind, 1), (counters::PLAN_CACHE_EVICTIONS, served.evicted)]);
-            served.value
-        }
-        _ => {
-            metrics.bump(counters::PLAN_CACHE_MISSES);
-            let mut physical = Planner::new(shared.catalog.clone(), cfg.options).plan(&pinned)?;
-            if let Some(bytes) = &view_subgraph {
-                if let PhysicalPlan::Store {
-                    view_subgraph: vs, ..
-                } = &mut physical
-                {
-                    *vs = Some(bytes.clone());
-                }
-            }
-            Arc::new(physical)
-        }
-    };
-    let mut executor = Executor::new(shared.catalog.clone(), shared.pool.clone());
-    executor.metrics = metrics.clone();
-    executor.spatial_index = cfg.options.use_indexes;
-    executor.read_policy = cfg.read_policy;
-    executor.parallelism = cfg.parallelism;
-    executor.admit_policy = cfg.admit_policy;
-    executor.shared_decode = shared.shared_decode.clone();
-    executor.session = session;
-    executor.ctx = ctx;
-    let out = executor.run(&physical)?;
-    if let QueryOutput::Stored { name, version } = &out {
-        snapshot.expose(name, *version);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

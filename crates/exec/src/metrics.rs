@@ -275,7 +275,7 @@ pub mod counters {
     /// Decoded GOPs evicted from the shared-scan cache to stay within
     /// its byte budget.
     pub const SHARED_SCAN_EVICTIONS: &str = "shared_scan.evictions";
-    /// Prepared statements served from a session's plan cache.
+    /// Statements served from the engine-wide plan cache.
     pub const PLAN_CACHE_HITS: &str = "plan_cache.hits";
     /// Statements planned from scratch (uncacheable shapes included).
     pub const PLAN_CACHE_MISSES: &str = "plan_cache.misses";

@@ -4,7 +4,7 @@
 //! |------|--------------------|
 //! | R1   | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in non-test library code |
 //! | R2   | no allocation tokens inside `// lint: hot-loop` fenced regions |
-//! | R3   | storage lock order: pool mutex before flight condvar, never blocked on a flight while the pool lock is held |
+//! | R3   | storage lock order (`storage::lru`): shard mutex before flight mutex, never blocked on a flight while a shard lock is held |
 //! | R4   | every `unsafe` block/impl/fn carries a `// SAFETY:` comment |
 //! | R5   | `fs::rename` appears only inside `storage::durable` (publish protocol) |
 //! | R6   | no untimed condvar `wait` outside `storage::bufferpool` (its timed helper is the one sanctioned waiter) |
@@ -509,8 +509,8 @@ fn rule_r2(ctx: &FileCtx, code: &[&Tok], out: &mut Vec<Violation>) {
 /// A live lock guard being tracked by R3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LockClass {
-    /// The buffer-pool mutex (receiver mentions `inner`).
-    Pool,
+    /// An LRU shard mutex (receiver mentions `shard`).
+    Shard,
     /// A flight rendezvous mutex (receiver mentions `done`).
     Flight,
 }
@@ -532,10 +532,11 @@ fn receiver_of(code: &[&Tok], i: usize) -> String {
     parts.join(".")
 }
 
-/// R3: in `storage`, never block on a flight while holding the pool
-/// lock, and never take the pool lock from inside a flight critical
-/// section. (`Flight::finish`/`notify` under the pool lock is fine —
-/// that is the sanctioned pool→flight order.)
+/// R3: in `storage`, never block on a flight (`wait_done`, or a `wait`
+/// on a flight's condvar) while an LRU shard lock is held, and never
+/// take a shard lock from inside a flight's `done` section.
+/// (`Flight::finish` under the shard lock is fine — that is the
+/// sanctioned shard→flight order.)
 fn rule_r3(ctx: &FileCtx, code: &[&Tok], out: &mut Vec<Violation>) {
     // Guard: (class, bound name or None for a temporary,
     //         brace depth at acquisition)
@@ -607,15 +608,15 @@ fn rule_r3(ctx: &FileCtx, code: &[&Tok], out: &mut Vec<Violation>) {
         let recv = receiver(i);
         match t.text.as_str() {
             "lock" => {
-                let class = if recv.contains("inner") {
-                    Some(LockClass::Pool)
+                let class = if recv.contains("shard") {
+                    Some(LockClass::Shard)
                 } else if recv.contains("done") {
                     Some(LockClass::Flight)
                 } else {
                     None
                 };
                 if let Some(class) = class {
-                    if class == LockClass::Pool
+                    if class == LockClass::Shard
                         && guards.iter().any(|g| g.class == LockClass::Flight)
                     {
                         ctx.push(
@@ -623,8 +624,8 @@ fn rule_r3(ctx: &FileCtx, code: &[&Tok], out: &mut Vec<Violation>) {
                             Rule::R3,
                             t.line,
                             format!(
-                                "pool lock (`{recv}.lock()`) acquired while a flight \
-                                 mutex is held — lock order is pool before flight"
+                                "shard lock (`{recv}.lock()`) acquired while a flight \
+                                 mutex is held — lock order is shard before flight"
                             ),
                         );
                     }
@@ -633,15 +634,18 @@ fn rule_r3(ctx: &FileCtx, code: &[&Tok], out: &mut Vec<Violation>) {
                     guards.push(Guard { class, name, depth, temporary });
                 }
             }
-            "wait" if recv.contains("flight") || recv.contains("cv") => {
-                if let Some(g) = guards.iter().find(|g| g.class == LockClass::Pool) {
+            "wait_done" | "wait" | "wait_timeout"
+                if t.text == "wait_done" || recv.contains("flight") || recv.contains("cv") =>
+            {
+                if let Some(g) = guards.iter().find(|g| g.class == LockClass::Shard) {
                     ctx.push(
                         out,
                         Rule::R3,
                         t.line,
                         format!(
-                            "blocking `{recv}.wait()` while pool guard `{}` is live — \
-                             drop the pool lock before waiting on a flight",
+                            "blocking `{recv}.{}()` while shard guard `{}` is live — \
+                             drop the shard lock before waiting on a flight",
+                            t.text,
                             g.name.as_deref().unwrap_or("<temporary>")
                         ),
                     );
@@ -917,37 +921,43 @@ mod tests {
     }
 
     #[test]
-    fn r3_wait_under_pool_lock_fires() {
-        let src = "fn f(&self) { let mut inner = self.inner.lock(); flight.wait(); }";
-        let v = check("crates/storage/src/pool.rs", src);
+    fn r3_wait_under_shard_lock_fires() {
+        let src = "fn f(&self) { let mut s = shard.lock(); theirs.wait_done(WAIT_POLL); }";
+        let v = check("crates/storage/src/lru.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, Rule::R3);
     }
 
     #[test]
     fn r3_wait_after_drop_is_clean() {
-        let src = "fn f(&self) { let mut inner = self.inner.lock(); drop(inner); flight.wait(); }";
-        assert!(check("crates/storage/src/pool.rs", src).is_empty());
+        let src = "fn f(&self) { let mut s = shard.lock(); drop(s); theirs.wait_done(WAIT_POLL); }";
+        assert!(check("crates/storage/src/lru.rs", src).is_empty());
     }
 
     #[test]
     fn r3_scope_exit_releases_guard() {
-        let src = "fn f(&self) { { let g = self.inner.lock(); } flight.wait(); }";
-        assert!(check("crates/storage/src/pool.rs", src).is_empty());
+        let src = "fn f(&self) { { let s = shard.lock(); } theirs.wait_done(WAIT_POLL); }";
+        assert!(check("crates/storage/src/lru.rs", src).is_empty());
     }
 
     #[test]
-    fn r3_pool_lock_inside_flight_section_fires() {
-        let src = "fn finish(&self) { let d = self.done.lock(); let p = self.inner.lock(); }";
-        let v = check("crates/storage/src/pool.rs", src);
+    fn r3_shard_lock_inside_flight_section_fires() {
+        let src = "fn finish(&self) { let d = self.done.lock(); let s = self.shard.lock(); }";
+        let v = check("crates/storage/src/lru.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].msg.contains("pool lock"));
+        assert!(v[0].msg.contains("shard lock"));
     }
 
     #[test]
     fn r3_temporary_guard_dies_at_statement_end() {
-        let src = "fn f(&self) { self.inner.lock().stats;\n flight.wait(); }";
-        assert!(check("crates/storage/src/pool.rs", src).is_empty());
+        let src = "fn f(&self) { shard.lock().stats;\n theirs.wait_done(WAIT_POLL); }";
+        assert!(check("crates/storage/src/lru.rs", src).is_empty());
+    }
+
+    #[test]
+    fn r3_finish_under_the_shard_lock_is_the_sanctioned_order() {
+        let src = "fn retire(&self) { let mut s = self.shard.lock(); self.flight.finish(); }";
+        assert!(check("crates/storage/src/lru.rs", src).is_empty());
     }
 
     #[test]

@@ -36,11 +36,11 @@ fn seeded_workspace(tag: &str) -> PathBuf {
     );
     write(
         "crates/storage/src/bad.rs",
-        "pub fn w(pool: &Pool, flight: &Flight) {\n\
-             let inner = pool.inner.lock();\n\
+        "pub fn w(shard: &Mutex<Shard>, flight: &Flight) {\n\
+             let s = shard.lock();\n\
              let done = flight.cv.wait(flight.done.lock());\n\
              drop(done);\n\
-             drop(inner);\n\
+             drop(s);\n\
          }\n\
          pub fn r(a: &std::path::Path, b: &std::path::Path) {\n\
              std::fs::rename(a, b).expect(\"seeded\");\n\

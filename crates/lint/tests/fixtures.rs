@@ -55,7 +55,7 @@ fn r2_fires_inside_fence_only() {
 #[test]
 fn r3_fires_on_both_inversions_only_in_storage() {
     let src = include_str!("fixtures/r3_lock_order.rs");
-    assert_eq!(lines_of(Rule::R3, STORAGE_PATH, src), vec![7, 14]);
+    assert_eq!(lines_of(Rule::R3, STORAGE_PATH, src), vec![7, 13]);
     // R3 is a storage-crate contract: the same source elsewhere is clean.
     assert!(lines_of(Rule::R3, LIB_PATH, src).is_empty());
 }

@@ -41,6 +41,10 @@ use std::time::Duration;
 /// Directory (under the catalog root) holding the write-ahead log.
 const WAL_DIR: &str = ".wal";
 
+/// File (under the catalog root) an open catalog holds an exclusive
+/// lock on for its whole lifetime.
+const LOCK_FILE: &str = ".lock";
+
 /// A resolved, read-only view of one TLF version.
 #[derive(Debug, Clone)]
 pub struct StoredTlf {
@@ -180,6 +184,11 @@ pub struct Catalog {
     /// re-materialise a TLF a concurrent drop is removing.
     ck_lock: Mutex<()>,
     checkpoint_bytes: u64,
+    /// Exclusive lock on `<root>/.lock`, released when the catalog
+    /// drops. A second catalog over a live root would replay, then
+    /// checkpoint and truncate, the first one's log, and the first
+    /// one's later commits would never be recovered.
+    _root_lock: fs::File,
 }
 
 impl Catalog {
@@ -198,9 +207,23 @@ impl Catalog {
     /// and a checkpoint that makes the result durable and truncates
     /// the log. The whole sweep is idempotent: reopening twice yields
     /// identical state.
+    ///
+    /// One open catalog per root: while this catalog lives, another
+    /// open of `root` — from this process or any other — fails with
+    /// [`StorageError::RootInUse`].
     pub fn open_with(root: impl Into<PathBuf>, opts: CatalogOptions) -> Result<Catalog> {
         let root = root.into();
         fs::create_dir_all(&root)?;
+        let root_lock = fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(root.join(LOCK_FILE))?;
+        match root_lock.try_lock() {
+            Ok(()) => {}
+            Err(fs::TryLockError::WouldBlock) => return Err(StorageError::RootInUse(root)),
+            Err(fs::TryLockError::Error(e)) => return Err(e.into()),
+        }
         let mut versions = HashMap::new();
         for entry in fs::read_dir(&root)? {
             let entry = entry?;
@@ -259,6 +282,7 @@ impl Catalog {
             apply_gate: RwLock::new(()),
             ck_lock: Mutex::new(()),
             checkpoint_bytes,
+            _root_lock: root_lock,
         };
         for op in replay {
             cat.apply_replayed(op)?;
@@ -883,11 +907,16 @@ mod tests {
         faults::reset();
         // In-memory and on-disk state still agree on version 1 only.
         assert_eq!(cat.all_versions("demo").unwrap(), vec![1]);
-        let reopened = Catalog::open(cat.root()).unwrap();
-        assert_eq!(reopened.all_versions("demo").unwrap(), vec![1]);
-        // The same handle stays usable: a clean retry commits v2.
+        let root = cat.root().to_path_buf();
+        drop(cat);
+        let cat = Catalog::open(&root).unwrap();
+        assert_eq!(cat.all_versions("demo").unwrap(), vec![1]);
+        // The failing handle stays usable: a clean retry commits v2.
+        faults::arm_n(sites::WAL_APPEND_WRITE, faults::Fault::Enospc, 1);
+        assert!(cat.store("demo", vec![], empty_tlfd()).is_err());
+        faults::reset();
         assert_eq!(cat.store("demo", vec![], empty_tlfd()).unwrap(), 2);
-        fs::remove_dir_all(cat.root()).unwrap();
+        fs::remove_dir_all(root).unwrap();
     }
 
     #[test]
@@ -946,6 +975,7 @@ mod tests {
             assert_eq!(cat.read("demo", Some(v)).unwrap().version, v);
         }
         // A reopen finds an empty log and identical state.
+        drop(cat);
         let cat2 = Catalog::open(&root).unwrap();
         assert_eq!(cat2.all_versions("demo").unwrap(), vec![1, 2, 3]);
         assert!(cat2.overlay.read().is_empty());

@@ -34,7 +34,10 @@
 //! by sweeping orphaned `*.tmp` files, ignoring metadata versions
 //! that do not parse, replaying the WAL (healing a torn tail,
 //! refusing mid-log corruption), and checkpointing — so a second open
-//! is a no-op.
+//! is a no-op. One open catalog per root: an open catalog holds an
+//! exclusive lock on `<root>/.lock`, and a second open of a live root
+//! fails with [`StorageError::RootInUse`] instead of checkpointing and
+//! truncating the live catalog's log.
 //!
 //! Encoded media carries a per-GOP IEEE CRC-32 in the GOP index
 //! (`lightdb_container::checksum`; digest `0` = unchecked legacy
@@ -79,6 +82,8 @@ pub enum StorageError {
         expected: u32,
         actual: u32,
     },
+    /// Another open catalog already holds this root's lock.
+    RootInUse(std::path::PathBuf),
 }
 
 impl StorageError {
@@ -95,6 +100,8 @@ impl StorageError {
             StorageError::UnknownTlf(_)
             | StorageError::UnknownVersion { .. }
             | StorageError::AlreadyExists(_) => ErrorClass::Fatal,
+            // The data is intact; another live owner holds it.
+            StorageError::RootInUse(_) => ErrorClass::Unavailable,
         }
     }
 
@@ -121,6 +128,9 @@ impl std::fmt::Display for StorageError {
             }
             StorageError::AlreadyExists(n) => write!(f, "TLF already exists: {n}"),
             StorageError::Corrupt(m) => write!(f, "corrupt storage: {m}"),
+            StorageError::RootInUse(root) => {
+                write!(f, "catalog root {} is already open", root.display())
+            }
             StorageError::ChecksumMismatch { media_path, byte_offset, expected, actual } => {
                 write!(
                     f,

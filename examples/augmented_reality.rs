@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = DatasetSpec { width: 256, height: 128, fps: 10, seconds: 3, qp: 22 };
     install(&db, Dataset::Venice, &spec)?;
 
-    let stats = lightdb_q::ar(&db, "venice", "venice_ar", 128)?;
+    let stats = lightdb_q::ar(&db.session(), "venice", "venice_ar", 128)?;
     println!("annotated {} frames ({} B output)", stats.frames, stats.bytes_out);
 
     // Inspect one output frame: count red-ish pixels (drawn boxes).

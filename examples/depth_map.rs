@@ -14,16 +14,18 @@ use std::time::Instant;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let root = std::env::temp_dir().join("lightdb-depth-example");
     let _ = std::fs::remove_dir_all(&root);
-    let mut db = LightDb::open(&root)?;
+    let db = LightDb::open(&root)?;
 
     let spec = DatasetSpec { width: 256, height: 128, fps: 10, seconds: 2, qp: 22 };
     let stereo = install_stereo(&db, Dataset::Timelapse, &spec)?;
     println!("installed stereoscopic TLF '{stereo}' (two spheres, ±{}m)", 0.032);
 
+    // Each variant is a placement choice, set on this session only.
+    let mut session = db.session();
     for variant in DepthVariant::ALL {
         let started = Instant::now();
         let out = format!("depth_{}", variant.name().to_lowercase());
-        let stats = depth_map(&mut db, &stereo, &out, variant)?;
+        let stats = depth_map(&mut session, &stereo, &out, variant)?;
         println!(
             "{:<7} {} frames in {:>7.1} ms",
             variant.name(),

@@ -19,7 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     install(&db, Dataset::Coaster, &spec)?;
 
     let (cols, rows) = (4, 4);
-    let stats = lightdb_q::tiling(&db, "coaster", "coaster_tiled", cols, rows)?;
+    let session = db.session();
+    let stats = lightdb_q::tiling(&session, "coaster", "coaster_tiled", cols, rows)?;
     println!(
         "tiled {} frames into a {cols}×{rows} grid: {} B → {} B ({:.0}% smaller)",
         stats.frames,
@@ -31,16 +32,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The interesting part: the stitch happened in the encoded
     // domain. TILEUNION ran; no second decode/encode cycle.
     println!("\noperator breakdown:");
-    for (op, dur, n) in db.metrics().report() {
+    for (op, dur, n) in session.metrics().report() {
         println!("  {op:<12} {:>8.1} ms  ×{n}", dur.as_secs_f64() * 1e3);
     }
-    assert!(db.metrics().count("TILEUNION") > 0, "homomorphic stitch expected");
+    assert!(session.metrics().count("TILEUNION") > 0, "homomorphic stitch expected");
 
     // What the codec was handed against what carried a residual: blocks
     // the decoder copied or filled instead of inverse-transforming,
     // blocks the encoder never transformed or entropy-coded.
     println!("\ncodec work:");
-    for (name, n) in db.metrics().counters() {
+    for (name, n) in session.metrics().counters() {
         if name.starts_with("decode.") || name.starts_with("encode.") {
             println!("  {name:<26} {n:>10}");
         }

@@ -30,7 +30,7 @@ fn tiling_outputs_agree_across_systems() {
     let input = encode_dataset(Dataset::Venice, &tiny());
 
     // LightDB.
-    lightdb_q::tiling(&db, "venice", "venice_tiled", 2, 2).unwrap();
+    lightdb_q::tiling(&db.session(), "venice", "venice_tiled", 2, 2).unwrap();
     let lightdb_frames =
         db.execute(&scan("venice_tiled")).unwrap().into_frame_parts().unwrap();
 
@@ -50,7 +50,7 @@ fn tiling_outputs_agree_across_systems() {
 fn tiling_quality_is_adaptive_in_lightdb_output() {
     let db = temp_db("tiling-quality");
     install(&db, Dataset::Coaster, &tiny()).unwrap();
-    lightdb_q::tiling(&db, "coaster", "coaster_tiled", 2, 2).unwrap();
+    lightdb_q::tiling(&db.session(), "coaster", "coaster_tiled", 2, 2).unwrap();
     let tiled = db.execute(&scan("coaster_tiled")).unwrap().into_frame_parts().unwrap();
     let orig = db.execute(&scan("coaster")).unwrap().into_frame_parts().unwrap();
     // Second 0's hot tile is tile 0 (top-left). Its quality must beat
@@ -93,7 +93,7 @@ fn ar_overlay_marks_detections_in_all_systems() {
         n
     };
 
-    lightdb_q::ar(&db, "venice", "venice_ar", 64).unwrap();
+    lightdb_q::ar(&db.session(), "venice", "venice_ar", 64).unwrap();
     let ldb = db.execute(&scan("venice_ar")).unwrap().into_frame_parts().unwrap();
     assert!(count_red(&ldb[0][4]) > 10, "lightdb output lacks boxes");
 
@@ -122,11 +122,12 @@ fn ar_overlay_marks_detections_in_all_systems() {
 
 #[test]
 fn depth_variants_agree_on_output_content() {
-    let mut db = temp_db("depth-agree");
+    let db = temp_db("depth-agree");
     let spec = DatasetSpec { width: 128, height: 64, fps: 2, seconds: 1, qp: 18 };
     let stereo = install_stereo(&db, Dataset::Venice, &spec).unwrap();
-    depth_map(&mut db, &stereo, "d_cpu", DepthVariant::Cpu).unwrap();
-    depth_map(&mut db, &stereo, "d_fpga", DepthVariant::Fpga).unwrap();
+    let mut session = db.session();
+    depth_map(&mut session, &stereo, "d_cpu", DepthVariant::Cpu).unwrap();
+    depth_map(&mut session, &stereo, "d_fpga", DepthVariant::Fpga).unwrap();
     let cpu = db.execute(&scan("d_cpu")).unwrap().into_frame_parts().unwrap();
     let fpga = db.execute(&scan("d_fpga")).unwrap().into_frame_parts().unwrap();
     // The two physical implementations estimate the same scene: their

@@ -53,17 +53,18 @@ fn corrupt_one_gop(db: &LightDb, name: &str) {
 #[test]
 fn seeded_soak_holds_tri_state_contract_and_leaks_nothing() {
     let root = temp_root("soak");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     store_fixture(&db, "vid");
     store_fixture(&db, "vid_damaged");
     corrupt_one_gop(&db, "vid_damaged");
+    let mut session = db.session();
     // Decode-forcing query: a bare `SCAN` stays encoded end-to-end and
     // would never reach the decode/map failpoints.
     let query = |damaged: bool| {
         scan(if damaged { "vid_damaged" } else { "vid" }) >> Map::builtin(BuiltinMap::Grayscale)
     };
     // Fault-free baseline for the clean source.
-    let baseline = db.execute(&query(false)).unwrap().into_frame_parts().unwrap();
+    let baseline = session.execute(&query(false)).unwrap().into_frame_parts().unwrap();
     assert_eq!(baseline.iter().map(Vec::len).sum::<usize>(), 16);
 
     let mut completed = 0u64;
@@ -71,9 +72,9 @@ fn seeded_soak_holds_tri_state_contract_and_leaks_nothing() {
     let mut failed = 0u64;
     for seed in 0..seeds() {
         let sc = Scenario::from_seed(seed);
-        db.set_read_policy(sc.read_policy);
-        let skipped0 = db.metrics().counter(counters::SKIPPED_GOPS);
-        let degraded0 = db.metrics().counter(counters::DEGRADED_GOPS);
+        session.set_read_policy(sc.read_policy);
+        let skipped0 = session.metrics().counter(counters::SKIPPED_GOPS);
+        let degraded0 = session.metrics().counter(counters::DEGRADED_GOPS);
         let mut ctx = QueryCtx::unbounded();
         if let Some(budget) = sc.deadline {
             ctx = ctx.with_deadline(budget);
@@ -89,13 +90,13 @@ fn seeded_soak_holds_tri_state_contract_and_leaks_nothing() {
             })
         });
         sc.arm();
-        let result = db.execute_with_ctx(&query(sc.corrupt_source), ctx);
+        let result = session.execute_with_ctx(&query(sc.corrupt_source), ctx);
         Scenario::disarm();
         if let Some(handle) = canceller {
             handle.join().unwrap();
         }
-        let skipped = db.metrics().counter(counters::SKIPPED_GOPS) - skipped0;
-        let degraded = db.metrics().counter(counters::DEGRADED_GOPS) - degraded0;
+        let skipped = session.metrics().counter(counters::SKIPPED_GOPS) - skipped0;
+        let degraded = session.metrics().counter(counters::DEGRADED_GOPS) - degraded0;
         match result {
             Ok(out) => {
                 completed += 1;
@@ -147,7 +148,7 @@ fn seeded_soak_holds_tri_state_contract_and_leaks_nothing() {
         }
         // The no-leak invariants, after EVERY run, whatever happened:
         assert_eq!(db.pool().admitted(), 0, "seed {seed}: leaked admission bytes");
-        assert_eq!(db.metrics().open_spans(), 0, "seed {seed}: leaked metrics span");
+        assert_eq!(session.metrics().open_spans(), 0, "seed {seed}: leaked metrics span");
         assert!(
             db.pool().stats().bytes <= lightdb::DEFAULT_POOL_BYTES,
             "seed {seed}: pool over capacity"

@@ -52,6 +52,41 @@ fn versions_accumulate_without_rewriting_media() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Acked ⇒ readable beside a second open of a live root. A second
+/// catalog over the root would replay, checkpoint and truncate the live
+/// handle's log, and every store the live handle acknowledged after
+/// that would be gone at the next restart. The second open is refused
+/// instead, with a classified error that names the root.
+#[test]
+fn second_open_of_a_live_root_loses_no_acked_publish() {
+    let root = temp_root("liveroot");
+    let refusal = {
+        let a = LightDb::open(&root).unwrap();
+        install(&a, Dataset::Timelapse, &tiny()).unwrap();
+        let b = LightDb::open(&root);
+        for i in 0..3 {
+            let name = format!("y{i}");
+            a.execute(&(scan("timelapse") >> Store::named(&name))).unwrap();
+            assert_eq!(a.execute(&scan(&name)).unwrap().frame_count(), 4);
+        }
+        match b {
+            Ok(_) => None,
+            Err(lightdb::Error::Storage(e)) => Some((e.to_string(), e.classify())),
+            Err(other) => panic!("unexpected error: {other}"),
+        }
+    };
+    let db = LightDb::open(&root).unwrap();
+    for i in 0..3 {
+        let name = format!("y{i}");
+        assert!(db.catalog().exists(&name), "acknowledged {name} lost across a restart");
+        assert_eq!(db.execute(&scan(&name)).unwrap().frame_count(), 4);
+    }
+    let (message, class) = refusal.expect("a second open of a live root must be refused");
+    assert!(message.contains(&root.display().to_string()), "{message}");
+    assert!(class.is_classified(), "{message}: {class}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn corrupt_metadata_is_detected_on_read() {
     let root = temp_root("corrupt");
@@ -65,6 +100,7 @@ fn corrupt_metadata_is_detected_on_read() {
     let meta = root.join("timelapse").join("metadata1.mp4");
     let bytes = std::fs::read(&meta).unwrap();
     std::fs::write(&meta, &bytes[..bytes.len() / 2]).unwrap();
+    drop(db);
     let db2 = LightDb::open(&root).unwrap();
     assert!(db2.execute(&scan("timelapse")).is_err(), "corruption must surface as an error");
     let _ = std::fs::remove_dir_all(&root);
@@ -89,6 +125,7 @@ fn corrupt_media_is_detected_on_decode() {
         *b = !*b;
     }
     std::fs::write(&media, &bytes).unwrap();
+    drop(db);
     let db2 = LightDb::open(&root).unwrap();
     // Either an error or degraded output is acceptable; a panic is not.
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -113,16 +150,17 @@ fn corrupt_media_is_caught_by_gop_checksum() {
     bytes[(entry.byte_offset + entry.byte_len / 2) as usize] ^= 0x80;
     std::fs::write(&media, &bytes).unwrap();
     // Default policy: the checksum mismatch fails the query.
+    drop(db);
     let db2 = LightDb::open(&root).unwrap();
     let err = db2.execute(&scan("timelapse")).unwrap_err();
     assert!(format!("{err}").contains("checksum"), "unexpected error: {err}");
     // SkipCorruptGops: the query degrades instead of failing, and the
     // skip is observable in the metrics.
-    let mut db3 = LightDb::open(&root).unwrap();
-    db3.set_read_policy(ReadPolicy::SkipCorruptGops { max_skipped: 8 });
-    let out = db3.execute(&scan("timelapse")).unwrap();
+    let mut skipping = db2.session();
+    skipping.set_read_policy(ReadPolicy::SkipCorruptGops { max_skipped: 8 });
+    let out = skipping.execute(&scan("timelapse")).unwrap();
     assert!(out.frame_count() < 4, "damaged GOP must be dropped from output");
-    assert!(db3.metrics().counter(lightdb::exec::metrics::counters::SKIPPED_GOPS) >= 1);
+    assert!(skipping.metrics().counter(lightdb::exec::metrics::counters::SKIPPED_GOPS) >= 1);
     let _ = std::fs::remove_dir_all(&root);
 }
 

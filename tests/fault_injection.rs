@@ -78,6 +78,7 @@ fn store_kill_points_leave_old_version_or_new_never_partial() {
         // store.
         assert!(stored.is_err(), "kill at {site} must fail the store");
         // "Process restart": recover from disk alone.
+        drop(cat);
         let cat = Catalog::open(&root).unwrap();
         let versions = cat.all_versions("demo").unwrap();
         assert!(
@@ -187,15 +188,15 @@ fn flipped_byte_detected_under_both_read_policies() {
     let err = db.execute(&scan("vid")).unwrap_err();
     assert!(format!("{err}").contains("checksum"), "unexpected error: {err}");
     // Skip policy: the query degrades instead, and the skip is counted.
-    let mut db = LightDb::open(&root).unwrap();
-    db.set_read_policy(ReadPolicy::SkipCorruptGops { max_skipped: 4 });
-    let out = db.execute(&scan("vid")).unwrap();
+    let mut skipping = db.session();
+    skipping.set_read_policy(ReadPolicy::SkipCorruptGops { max_skipped: 4 });
+    let out = skipping.execute(&scan("vid")).unwrap();
     assert_eq!(out.frame_count(), 2, "one 2-frame GOP should have been skipped");
-    assert_eq!(db.metrics().counter(counters::SKIPPED_GOPS), 1);
+    assert_eq!(skipping.metrics().counter(counters::SKIPPED_GOPS), 1);
     // A zero budget behaves like Fail.
-    let mut db = LightDb::open(&root).unwrap();
-    db.set_read_policy(ReadPolicy::SkipCorruptGops { max_skipped: 0 });
-    assert!(db.execute(&scan("vid")).is_err());
+    let mut strict = db.session();
+    strict.set_read_policy(ReadPolicy::SkipCorruptGops { max_skipped: 0 });
+    assert!(strict.execute(&scan("vid")).is_err());
     let _ = fs::remove_dir_all(&root);
 }
 

@@ -8,12 +8,15 @@ fn tiny() -> DatasetSpec {
     DatasetSpec { width: 128, height: 64, fps: 4, seconds: 2, qp: 24 }
 }
 
-fn temp_db(tag: &str, options: PlannerOptions) -> LightDb {
+/// A seeded database and a session on it planning with `options`.
+fn temp_db(tag: &str, options: PlannerOptions) -> (LightDb, Session) {
     let root = std::env::temp_dir().join(format!("lightdb-opt-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let db = LightDb::with_options(root, options).unwrap();
+    let db = LightDb::open(root).unwrap();
     install(&db, Dataset::Venice, &tiny()).unwrap();
-    db
+    let mut session = db.session();
+    session.set_options(options);
+    (db, session)
 }
 
 fn cleanup(db: &LightDb) {
@@ -23,8 +26,8 @@ fn cleanup(db: &LightDb) {
 /// Runs the same query under two option sets and asserts identical
 /// decoded output.
 fn same_answer(q: &VrqlExpr, tag: &str) {
-    let optimized = temp_db(&format!("{tag}-opt"), PlannerOptions::default());
-    let naive = temp_db(&format!("{tag}-naive"), PlannerOptions::naive());
+    let (optimized_db, optimized) = temp_db(&format!("{tag}-opt"), PlannerOptions::default());
+    let (naive_db, naive) = temp_db(&format!("{tag}-naive"), PlannerOptions::naive());
     let a = optimized.execute(q).unwrap().into_frame_parts().unwrap();
     let b = naive.execute(q).unwrap().into_frame_parts().unwrap();
     assert_eq!(a.len(), b.len(), "part count differs");
@@ -37,8 +40,8 @@ fn same_answer(q: &VrqlExpr, tag: &str) {
             assert!(psnr > 30.0, "optimized and naive outputs diverge: {psnr} dB");
         }
     }
-    cleanup(&optimized);
-    cleanup(&naive);
+    cleanup(&optimized_db);
+    cleanup(&naive_db);
 }
 
 #[test]
@@ -66,28 +69,28 @@ fn self_union_same_answer() {
 
 #[test]
 fn hops_actually_skip_decode() {
-    let db = temp_db("skipdecode", PlannerOptions::default());
+    let (db, session) = temp_db("skipdecode", PlannerOptions::default());
     let q = scan("venice") >> Select::along(Dimension::T, 0.0, 1.0);
-    db.execute(&q).unwrap();
-    assert_eq!(db.metrics().count("DECODE"), 0, "GOPSELECT plan must not decode");
-    assert!(db.metrics().count("GOPSELECT") > 0);
+    session.execute(&q).unwrap();
+    assert_eq!(session.metrics().count("DECODE"), 0, "GOPSELECT plan must not decode");
+    assert!(session.metrics().count("GOPSELECT") > 0);
     cleanup(&db);
 }
 
 #[test]
 fn naive_plans_do_decode() {
-    let db = temp_db("dodecode", PlannerOptions::naive());
+    let (db, session) = temp_db("dodecode", PlannerOptions::naive());
     let q = scan("venice") >> Select::along(Dimension::T, 0.0, 1.0);
-    db.execute(&q).unwrap();
-    assert!(db.metrics().count("DECODE") > 0, "naive plan must decode");
-    assert_eq!(db.metrics().count("GOPSELECT"), 0);
+    session.execute(&q).unwrap();
+    assert!(session.metrics().count("DECODE") > 0, "naive plan must decode");
+    assert_eq!(session.metrics().count("GOPSELECT"), 0);
     cleanup(&db);
 }
 
 #[test]
 fn gpu_and_cpu_map_plans_agree_bit_exactly() {
-    let gpu = temp_db("gpu", PlannerOptions::default());
-    let cpu = temp_db(
+    let (gpu_db, gpu) = temp_db("gpu", PlannerOptions::default());
+    let (cpu_db, cpu) = temp_db(
         "cpu",
         PlannerOptions { use_gpu: false, ..PlannerOptions::default() },
     );
@@ -95,26 +98,26 @@ fn gpu_and_cpu_map_plans_agree_bit_exactly() {
     let a = gpu.execute(&q).unwrap().into_frame_parts().unwrap();
     let b = cpu.execute(&q).unwrap().into_frame_parts().unwrap();
     assert_eq!(a, b, "device placement must not change MAP results");
-    cleanup(&gpu);
-    cleanup(&cpu);
+    cleanup(&gpu_db);
+    cleanup(&cpu_db);
 }
 
 #[test]
 fn explain_reflects_option_changes() {
-    let db = temp_db("explain", PlannerOptions::default());
+    let (db, session) = temp_db("explain", PlannerOptions::default());
     let q = scan("venice") >> Select::along(Dimension::T, 0.0, 1.0);
-    assert!(db.explain(&q).unwrap().contains("GOPSELECT"));
-    let mut db2 = temp_db("explain2", PlannerOptions::naive());
-    let plan = db2.explain(&q).unwrap();
+    assert!(session.explain(&q).unwrap().contains("GOPSELECT"));
+    let mut naive = db.session();
+    naive.set_options(PlannerOptions::naive());
+    let plan = naive.explain(&q).unwrap();
     assert!(!plan.contains("GOPSELECT"), "{plan}");
     assert!(plan.contains("DECODE"), "{plan}");
-    let mut opts = db2.options();
+    let mut opts = naive.options();
     opts.use_hops = true;
     opts.use_indexes = true;
-    db2.set_options(opts);
-    assert!(db2.explain(&q).unwrap().contains("GOPSELECT"));
+    naive.set_options(opts);
+    assert!(naive.explain(&q).unwrap().contains("GOPSELECT"));
     cleanup(&db);
-    cleanup(&db2);
 }
 
 #[test]
@@ -152,13 +155,13 @@ fn covering_tile_pushdown_decodes_fewer_tiles() {
 
 #[test]
 fn redundant_select_double_filter_same_result() {
-    let db = temp_db("redsel", PlannerOptions::default());
+    let (db, session) = temp_db("redsel", PlannerOptions::default());
     let narrow = scan("venice") >> Select::along(Dimension::T, 0.0, 1.0);
     let nested = scan("venice")
         >> Select::along(Dimension::T, 0.0, 2.0)
         >> Select::along(Dimension::T, 0.0, 1.0);
-    let a = db.execute(&narrow).unwrap().into_frame_parts().unwrap();
-    let b = db.execute(&nested).unwrap().into_frame_parts().unwrap();
+    let a = session.execute(&narrow).unwrap().into_frame_parts().unwrap();
+    let b = session.execute(&nested).unwrap().into_frame_parts().unwrap();
     assert_eq!(a, b, "redundant-select elimination changed the answer");
     cleanup(&db);
 }

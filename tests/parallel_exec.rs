@@ -1,5 +1,5 @@
 //! Parallel-execution integration tests: determinism across thread
-//! counts, the engine-level knob, wall-vs-busy metrics under overlap,
+//! counts, the session-level knob, wall-vs-busy metrics under overlap,
 //! buffer-pool accounting invariants under concurrent scans, and the
 //! chunk-parallel `SUBQUERY` (overlap, error position, aborts, the
 //! nesting rule).
@@ -58,13 +58,14 @@ fn seed_sized(db: &LightDb, name: &str, gops: usize, gop_length: usize, w: usize
 #[test]
 fn query_output_is_identical_across_thread_counts() {
     let root = temp_root("determinism");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "vid", 6, 4);
+    let mut session = db.session();
     let q = scan("vid") >> Map::builtin(BuiltinMap::Sharpen) >> Encode::with(CodecKind::HevcSim);
     let mut reference: Option<Vec<Vec<u8>>> = None;
     for threads in [1usize, 2, 4, 8] {
-        db.set_parallelism(Parallelism::new(threads));
-        let QueryOutput::Encoded(streams) = db.execute(&q).unwrap() else { panic!() };
+        session.set_parallelism(Parallelism::new(threads));
+        let QueryOutput::Encoded(streams) = session.execute(&q).unwrap() else { panic!() };
         let bytes: Vec<Vec<u8>> = streams.iter().map(|s| s.to_bytes()).collect();
         match &reference {
             None => reference = Some(bytes),
@@ -79,13 +80,14 @@ fn query_output_is_identical_across_thread_counts() {
 #[test]
 fn decoded_output_is_identical_across_thread_counts() {
     let root = temp_root("decdet");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "vid", 4, 4);
+    let mut session = db.session();
     let q = scan("vid") >> Map::builtin(BuiltinMap::Blur);
-    db.set_parallelism(Parallelism::SERIAL);
-    let QueryOutput::Frames(serial) = db.execute(&q).unwrap() else { panic!() };
-    db.set_parallelism(Parallelism::new(8));
-    let QueryOutput::Frames(parallel) = db.execute(&q).unwrap() else { panic!() };
+    session.set_parallelism(Parallelism::SERIAL);
+    let QueryOutput::Frames(serial) = session.execute(&q).unwrap() else { panic!() };
+    session.set_parallelism(Parallelism::new(8));
+    let QueryOutput::Frames(parallel) = session.execute(&q).unwrap() else { panic!() };
     assert_eq!(serial.len(), parallel.len());
     for ((va, fa), (vb, fb)) in serial.iter().zip(parallel.iter()) {
         assert_eq!(va, vb);
@@ -94,17 +96,21 @@ fn decoded_output_is_identical_across_thread_counts() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// The engine surfaces the knob and honours `LIGHTDB_THREADS` as the
-/// default; an explicit setter wins.
+/// A session surfaces the knob and honours `LIGHTDB_THREADS` as the
+/// default; an explicit setter wins, for that session only.
 #[test]
 fn engine_parallelism_knob_roundtrips() {
     let root = temp_root("knob");
-    let mut db = LightDb::open(&root).unwrap();
-    assert_eq!(db.parallelism().threads(), Parallelism::from_env().threads());
-    db.set_parallelism(Parallelism::new(3));
-    assert_eq!(db.parallelism().threads(), 3);
-    db.set_parallelism(Parallelism::SERIAL);
-    assert!(db.parallelism().is_serial());
+    let db = LightDb::open(&root).unwrap();
+    let mut session = db.session();
+    assert_eq!(session.config().parallelism.threads(), Parallelism::from_env().threads());
+    session.set_parallelism(Parallelism::new(3));
+    assert_eq!(session.config().parallelism.threads(), 3);
+    session.set_parallelism(Parallelism::SERIAL);
+    assert!(session.config().parallelism.is_serial());
+    // A session minted afterwards starts from the default again.
+    let fresh = db.session();
+    assert_eq!(fresh.config().parallelism.threads(), Parallelism::from_env().threads());
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -113,16 +119,17 @@ fn engine_parallelism_knob_roundtrips() {
 #[test]
 fn parallel_store_matches_serial_store() {
     let root = temp_root("store");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "src", 4, 4);
-    db.set_parallelism(Parallelism::SERIAL);
-    db.execute(&(scan("src") >> Map::builtin(BuiltinMap::Grayscale) >> Store::named("s1")))
+    let mut session = db.session();
+    session.set_parallelism(Parallelism::SERIAL);
+    session.execute(&(scan("src") >> Map::builtin(BuiltinMap::Grayscale) >> Store::named("s1")))
         .unwrap();
-    db.set_parallelism(Parallelism::new(8));
-    db.execute(&(scan("src") >> Map::builtin(BuiltinMap::Grayscale) >> Store::named("s2")))
+    session.set_parallelism(Parallelism::new(8));
+    session.execute(&(scan("src") >> Map::builtin(BuiltinMap::Grayscale) >> Store::named("s2")))
         .unwrap();
-    let a = db.execute(&scan("s1")).unwrap().into_frame_parts().unwrap();
-    let b = db.execute(&scan("s2")).unwrap().into_frame_parts().unwrap();
+    let a = session.execute(&scan("s1")).unwrap().into_frame_parts().unwrap();
+    let b = session.execute(&scan("s2")).unwrap().into_frame_parts().unwrap();
     assert_eq!(a, b, "parallel auto-encode at STORE changed the stored bytes");
     let _ = fs::remove_dir_all(&root);
 }
@@ -132,12 +139,13 @@ fn parallel_store_matches_serial_store() {
 #[test]
 fn metrics_distinguish_wall_from_busy() {
     let root = temp_root("walls");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "vid", 8, 4);
-    db.set_parallelism(Parallelism::new(8));
+    let mut session = db.session();
+    session.set_parallelism(Parallelism::new(8));
     let q = scan("vid") >> Map::builtin(BuiltinMap::Blur) >> Encode::with(CodecKind::HevcSim);
-    db.execute(&q).unwrap();
-    let m = db.metrics();
+    session.execute(&q).unwrap();
+    let m = session.metrics();
     for op in ["DECODE", "ENCODE", "MAP"] {
         let (busy, wall) = (m.total(op), m.wall(op));
         assert!(m.count(op) >= 8, "{op} ran once per GOP");
@@ -220,8 +228,9 @@ fn exec_err(err: lightdb::Error) -> ExecError {
 #[test]
 fn tiling_store_is_byte_identical_across_thread_counts() {
     let root = temp_root("tiling");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed_sized(&db, "vid", 2, 4, 128, 64);
+    let mut session = db.session();
     let tiling = |out: &str| {
         scan("vid")
             >> tiles(4, 4)
@@ -232,13 +241,13 @@ fn tiling_store_is_byte_identical_across_thread_counts() {
             })
             >> Store::named(out)
     };
-    db.set_parallelism(Parallelism::SERIAL);
-    db.execute(&tiling("serial")).unwrap();
+    session.set_parallelism(Parallelism::SERIAL);
+    session.execute(&tiling("serial")).unwrap();
     let reference = stored_bytes(&db, "serial");
     for threads in [1usize, 2, 4, 8] {
-        db.set_parallelism(Parallelism::new(threads));
+        session.set_parallelism(Parallelism::new(threads));
         let out = format!("tiled{threads}");
-        db.execute(&tiling(&out)).unwrap();
+        session.execute(&tiling(&out)).unwrap();
         assert!(
             stored_bytes(&db, &out) == reference,
             "{threads}-thread tiling stored different bytes than the serial run"
@@ -318,25 +327,26 @@ impl PointMapUdf for ThreadProbe {
 #[test]
 fn subquery_bodies_overlap_on_the_worker_set() {
     let root = temp_root("overlap");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "vid", 1, 2);
-    let run = |db: &LightDb, probe: &Arc<ThreadProbe>| {
+    let mut session = db.session();
+    let run = |session: &Session, probe: &Arc<ThreadProbe>| {
         let probe = probe.clone();
         let q = scan("vid")
             >> tiles(2, 2)
             >> Subquery::new("meet", move |_, tile| tile >> Map::point_udf(probe.clone()));
-        db.execute(&q).unwrap().into_frame_parts().unwrap()
+        session.execute(&q).unwrap().into_frame_parts().unwrap()
     };
-    db.set_parallelism(Parallelism::SERIAL);
+    session.set_parallelism(Parallelism::SERIAL);
     let lonely = ThreadProbe::new(Some(Duration::from_millis(100)));
-    let serial = run(&db, &lonely);
+    let serial = run(&session, &lonely);
     assert!(lonely.timed_out.load(Ordering::SeqCst), "a serial run has one thread");
     assert_eq!(lonely.threads_seen(), 1);
 
     for threads in [2usize, 8] {
-        db.set_parallelism(Parallelism::new(threads));
+        session.set_parallelism(Parallelism::new(threads));
         let probe = ThreadProbe::new(Some(Duration::from_secs(30)));
-        let parallel = run(&db, &probe);
+        let parallel = run(&session, &probe);
         assert!(
             probe.met.load(Ordering::SeqCst) && !probe.timed_out.load(Ordering::SeqCst),
             "{threads} threads: no two SUBQUERY bodies were ever in flight together"
@@ -373,11 +383,12 @@ impl PointMapUdf for TileRecorder {
 #[test]
 fn failing_body_yields_the_serial_prefix_then_the_error() {
     let root = temp_root("bodyerr");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "vid", 1, 2);
+    let mut session = db.session();
     const FAILING: usize = 5; // row 1, col 1 of the 4×4 grid
     for threads in [1usize, 2, 4, 8] {
-        db.set_parallelism(Parallelism::new(threads));
+        session.set_parallelism(Parallelism::new(threads));
         let downstream =
             Arc::new(TileRecorder { cols: 4, rows: 4, tiles: Mutex::new(BTreeSet::new()) });
         let q = scan("vid")
@@ -393,7 +404,7 @@ fn failing_body_yields_the_serial_prefix_then_the_error() {
                 }
             })
             >> Map::point_udf(downstream.clone());
-        let err = exec_err(db.execute(&q).unwrap_err());
+        let err = exec_err(session.execute(&q).unwrap_err());
         assert!(matches!(err, ExecError::Domain(_)), "{threads} threads: {err}");
         let reached: Vec<usize> = downstream.tiles.lock().unwrap().iter().copied().collect();
         assert_eq!(
@@ -401,7 +412,7 @@ fn failing_body_yields_the_serial_prefix_then_the_error() {
             (0..FAILING).collect::<Vec<_>>(),
             "{threads} threads: wrong prefix ahead of the failing partition"
         );
-        assert_eq!(db.metrics().open_spans(), 0);
+        assert_eq!(session.metrics().open_spans(), 0);
     }
     let _ = fs::remove_dir_all(&root);
 }
@@ -431,8 +442,9 @@ impl PointMapUdf for AbortMidBody {
 #[test]
 fn aborts_mid_batch_leave_no_spans_and_no_admitted_bytes() {
     let root = temp_root("midbatch");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "vid", 2, 2);
+    let mut session = db.session();
     let query = |udf: Arc<AbortMidBody>| {
         scan("vid")
             >> tiles(4, 4)
@@ -441,7 +453,7 @@ fn aborts_mid_batch_leave_no_spans_and_no_admitted_bytes() {
             })
     };
     for threads in [1usize, 2, 8] {
-        db.set_parallelism(Parallelism::new(threads));
+        session.set_parallelism(Parallelism::new(threads));
 
         let ctx = QueryCtx::unbounded().with_mem_estimate(1 << 20);
         let token = ctx.cancel_token();
@@ -449,9 +461,9 @@ fn aborts_mid_batch_leave_no_spans_and_no_admitted_bytes() {
             trigger: Box::new(move || token.cancel()),
             fired: AtomicBool::new(false),
         });
-        let err = exec_err(db.execute_with_ctx(&query(cancel), ctx).unwrap_err());
+        let err = exec_err(session.execute_with_ctx(&query(cancel), ctx).unwrap_err());
         assert!(matches!(err, ExecError::Cancelled), "{threads} threads: {err}");
-        assert_eq!(db.metrics().open_spans(), 0, "{threads} threads: cancel leaked a span");
+        assert_eq!(session.metrics().open_spans(), 0, "{threads} threads: cancel leaked a span");
         assert_eq!(db.pool().admitted(), 0, "{threads} threads: cancel leaked admission");
 
         let ctx = QueryCtx::unbounded()
@@ -468,9 +480,9 @@ fn aborts_mid_batch_leave_no_spans_and_no_admitted_bytes() {
             }),
             fired: AtomicBool::new(false),
         });
-        let err = exec_err(db.execute_with_ctx(&query(outlive), ctx).unwrap_err());
+        let err = exec_err(session.execute_with_ctx(&query(outlive), ctx).unwrap_err());
         assert!(matches!(err, ExecError::DeadlineExceeded), "{threads} threads: {err}");
-        assert_eq!(db.metrics().open_spans(), 0, "{threads} threads: deadline leaked a span");
+        assert_eq!(session.metrics().open_spans(), 0, "{threads} threads: deadline leaked a span");
         assert_eq!(db.pool().admitted(), 0, "{threads} threads: deadline leaked admission");
     }
     let _ = fs::remove_dir_all(&root);
@@ -484,10 +496,11 @@ fn aborts_mid_batch_leave_no_spans_and_no_admitted_bytes() {
 #[test]
 fn nested_fan_out_stays_within_the_thread_budget() {
     let root = temp_root("nesting");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "vid", 1, 2);
+    let mut session = db.session();
     let threads = 2;
-    db.set_parallelism(Parallelism::new(threads));
+    session.set_parallelism(Parallelism::new(threads));
     let probe = ThreadProbe::new(None);
     let udf = probe.clone();
     let q = scan("vid")
@@ -495,7 +508,7 @@ fn nested_fan_out_stays_within_the_thread_budget() {
         >> Subquery::new("re-partitions", move |partition, tile| {
             tile >> quarters(partition) >> Map::point_udf(udf.clone())
         });
-    db.execute(&q).unwrap();
+    session.execute(&q).unwrap();
     assert!(probe.max_inside.load(Ordering::SeqCst) <= threads);
     assert!(
         probe.threads_seen() <= threads,
@@ -511,9 +524,10 @@ fn nested_fan_out_stays_within_the_thread_budget() {
 #[test]
 fn one_partition_subquery_keeps_inner_parallelism() {
     let root = temp_root("onepart");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "vid", 1, 2);
-    db.set_parallelism(Parallelism::new(2));
+    let mut session = db.session();
+    session.set_parallelism(Parallelism::new(2));
     let probe = ThreadProbe::new(Some(Duration::from_secs(30)));
     let udf = probe.clone();
     let q = scan("vid")
@@ -521,7 +535,7 @@ fn one_partition_subquery_keeps_inner_parallelism() {
         >> Subquery::new("whole-frame", move |partition, tile| {
             tile >> quarters(partition) >> Map::point_udf(udf.clone())
         });
-    db.execute(&q).unwrap();
+    session.execute(&q).unwrap();
     assert!(
         probe.met.load(Ordering::SeqCst) && !probe.timed_out.load(Ordering::SeqCst),
         "the lone body ran its sub-partitions on one thread"
@@ -572,12 +586,13 @@ impl MapUdf for FrameProbe {
 #[test]
 fn map_runs_on_the_sessions_thread_budget() {
     let root = temp_root("mapbudget");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "vid", 1, 8);
+    let mut session = db.session();
 
-    db.set_parallelism(Parallelism::SERIAL);
+    session.set_parallelism(Parallelism::SERIAL);
     let probe = FrameProbe::new();
-    db.execute(&(scan("vid") >> Map::udf(probe.clone()))).unwrap();
+    session.execute(&(scan("vid") >> Map::udf(probe.clone()))).unwrap();
     let seen = probe.seen.lock().unwrap().clone();
     assert_eq!(
         seen,
@@ -585,9 +600,9 @@ fn map_runs_on_the_sessions_thread_budget() {
         "a serial session's MAP left the caller's thread"
     );
 
-    db.set_parallelism(Parallelism::new(2));
+    session.set_parallelism(Parallelism::new(2));
     let probe = FrameProbe::new();
-    db.execute(&(scan("vid") >> Map::udf(probe.clone()))).unwrap();
+    session.execute(&(scan("vid") >> Map::udf(probe.clone()))).unwrap();
     assert!(probe.seen.lock().unwrap().len() <= 2);
     assert!(probe.max_inside.load(Ordering::SeqCst) <= 2);
     let _ = fs::remove_dir_all(&root);
@@ -599,16 +614,17 @@ fn map_runs_on_the_sessions_thread_budget() {
 #[test]
 fn map_nested_in_a_subquery_batch_stays_within_the_thread_budget() {
     let root = temp_root("mapnested");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     seed(&db, "vid", 1, 4);
+    let mut session = db.session();
     let threads = 2;
-    db.set_parallelism(Parallelism::new(threads));
+    session.set_parallelism(Parallelism::new(threads));
     let probe = FrameProbe::new();
     let udf = probe.clone();
     let q = scan("vid")
         >> tiles(2, 2)
         >> Subquery::new("per-tile map", move |_, tile| tile >> Map::udf(udf.clone()));
-    db.execute(&q).unwrap();
+    session.execute(&q).unwrap();
     assert!(probe.max_inside.load(Ordering::SeqCst) <= threads);
     let seen = probe.seen.lock().unwrap().len();
     assert!(seen <= threads, "{seen} threads applied the UDF under a budget of {threads}");
@@ -632,11 +648,12 @@ fn map_output_is_identical_across_thread_counts() {
         }
     }
     let root = temp_root("mapdet");
-    let mut db = LightDb::open(&root).unwrap();
+    let db = LightDb::open(&root).unwrap();
     // The codec wants macroblock-aligned frames; SELECT crops them to
     // 48×34 before the MAP.
     seed_sized(&db, "one", 3, 1, 64, 64);
     seed_sized(&db, "many", 2, 5, 64, 64);
+    let mut session = db.session();
     let crop = || {
         Select::along(Dimension::Theta, 0.0, 2.0 * PI * 48.0 / 64.0).and(
             Dimension::Phi,
@@ -653,13 +670,13 @@ fn map_output_is_identical_across_thread_counts() {
     for (name, map) in maps {
         for tlf in ["one", "many"] {
             let q = scan(tlf) >> crop() >> map.clone();
-            db.set_parallelism(Parallelism::SERIAL);
-            let serial = db.execute(&q).unwrap().into_frame_parts().unwrap();
+            session.set_parallelism(Parallelism::SERIAL);
+            let serial = session.execute(&q).unwrap().into_frame_parts().unwrap();
             let (w, h) = (serial[0][0].width(), serial[0][0].height());
             assert_eq!((w, h), (48, 34), "the crop this test is about");
             for threads in [2usize, 3, 8] {
-                db.set_parallelism(Parallelism::new(threads));
-                let got = db.execute(&q).unwrap().into_frame_parts().unwrap();
+                session.set_parallelism(Parallelism::new(threads));
+                let got = session.execute(&q).unwrap().into_frame_parts().unwrap();
                 assert_eq!(got, serial, "{name} over {tlf} at {threads} threads");
             }
         }

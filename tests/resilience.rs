@@ -130,8 +130,9 @@ fn deadline_expiry_releases_admission() {
 /// when it never does.
 #[test]
 fn blocked_admission_waits_then_runs_or_times_out() {
-    let mut db = seeded_db("admission");
+    let db = seeded_db("admission");
     db.set_admission_limit(1 << 20);
+    let mut session = db.session();
     // A rival thread occupies the whole admission budget for 600 ms.
     let pool = db.pool().clone();
     let (admitted_tx, admitted_rx) = std::sync::mpsc::channel();
@@ -145,16 +146,16 @@ fn blocked_admission_waits_then_runs_or_times_out() {
     });
     admitted_rx.recv().unwrap();
     // Short timeout → the blocked query times out, classified.
-    db.set_admit_policy(AdmitPolicy::Block { timeout: Duration::from_millis(80) });
+    session.set_admit_policy(AdmitPolicy::Block { timeout: Duration::from_millis(80) });
     let ctx = QueryCtx::unbounded().with_mem_estimate(1 << 20);
-    let err = exec_err(db.execute_with_ctx(&scan("vid"), ctx).unwrap_err());
+    let err = exec_err(session.execute_with_ctx(&scan("vid"), ctx).unwrap_err());
     assert!(matches!(err, ExecError::Overloaded(_)), "{err}");
     assert_eq!(err.classify(), ErrorClass::Overloaded);
     // Generous timeout → backpressure: the query waits out the rival,
     // is admitted the moment capacity frees, and completes.
-    db.set_admit_policy(AdmitPolicy::Block { timeout: Duration::from_secs(10) });
+    session.set_admit_policy(AdmitPolicy::Block { timeout: Duration::from_secs(10) });
     let ctx = QueryCtx::unbounded().with_mem_estimate(1 << 20);
-    let out = db.execute_with_ctx(&scan("vid"), ctx).unwrap();
+    let out = session.execute_with_ctx(&scan("vid"), ctx).unwrap();
     let done = Instant::now();
     let released_at = rival.join().unwrap();
     assert!(done >= released_at, "query ran before capacity freed");
@@ -183,11 +184,12 @@ fn degrade_policy_preserves_output_shape_over_corruption() {
     }
     // Reopen: a fresh buffer pool, so the corruption is actually read.
     drop(db);
-    let mut db = LightDb::open(&root).unwrap();
-    db.set_read_policy(ReadPolicy::Degrade { max_degraded: 1 });
-    let out = db.execute(&scan("vid")).unwrap().into_frame_parts().unwrap();
-    assert_eq!(db.metrics().counter(counters::DEGRADED_GOPS), 1);
-    assert_eq!(db.metrics().counter(counters::SKIPPED_GOPS), 0);
+    let db = LightDb::open(&root).unwrap();
+    let mut session = db.session();
+    session.set_read_policy(ReadPolicy::Degrade { max_degraded: 1 });
+    let out = session.execute(&scan("vid")).unwrap().into_frame_parts().unwrap();
+    assert_eq!(session.metrics().counter(counters::DEGRADED_GOPS), 1);
+    assert_eq!(session.metrics().counter(counters::SKIPPED_GOPS), 0);
     // Same shape as the clean baseline; undamaged GOPs byte-identical.
     assert_eq!(out.len(), baseline.len());
     let (got, want) = (&out[0], &baseline[0]);
@@ -206,21 +208,22 @@ fn degrade_policy_preserves_output_shape_over_corruption() {
 #[test]
 fn aborted_queries_leave_no_open_metrics_spans() {
     let _guard = lock_faults();
-    let mut db = seeded_db("spans");
+    let db = seeded_db("spans");
+    let mut session = db.session();
     // The reassembly failpoint only exists on the scatter path; force
     // it even on a single-core machine.
-    db.set_parallelism(Parallelism::new(2));
+    session.set_parallelism(Parallelism::new(2));
     for site in [sites::EXEC_DECODE_GOP, sites::EXEC_CHUNK_MAP, sites::EXEC_REASSEMBLE] {
         faults::reset_global();
         faults::arm_global(site, Fault::Error(std::io::ErrorKind::Other));
-        let result = db.execute(&decoding_query());
+        let result = session.execute(&decoding_query());
         faults::reset_global();
         assert!(result.is_err(), "fault at {site} must surface");
-        assert_eq!(db.metrics().open_spans(), 0, "span leaked after abort at {site}");
+        assert_eq!(session.metrics().open_spans(), 0, "span leaked after abort at {site}");
         assert_eq!(db.pool().admitted(), 0);
     }
     // The database still works after all that.
-    assert_eq!(db.execute(&scan("vid")).unwrap().frame_count(), 16);
+    assert_eq!(session.execute(&scan("vid")).unwrap().frame_count(), 16);
     cleanup(db);
 }
 

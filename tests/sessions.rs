@@ -52,13 +52,13 @@ fn seed_tlf(db: &LightDb, name: &str, gops: usize, gop_length: usize) {
 }
 
 /// Knobs set on one session never show through another session or the
-/// parent handle's defaults.
+/// defaults later sessions start from.
 #[test]
 fn session_knobs_do_not_leak_across_sessions() {
     let _quiet = no_global_faults();
     let root = temp_root("knobs");
     let db = LightDb::open(&root).unwrap();
-    let default_threads = db.parallelism().threads();
+    let default_threads = db.session().config().parallelism.threads();
     let mut a = db.session();
     let b = db.session();
     assert_ne!(a.id(), b.id(), "sessions must have distinct ids");
@@ -67,10 +67,10 @@ fn session_knobs_do_not_leak_across_sessions() {
     let mut opts = a.options();
     opts.use_indexes = !opts.use_indexes;
     a.set_options(opts);
-    // B and the handle's defaults are untouched.
+    // B and sessions minted afterwards are untouched.
     assert_eq!(b.config().parallelism.threads(), default_threads);
     assert!(!b.config().parallelism.is_serial() || default_threads == 1);
-    assert_eq!(db.parallelism().threads(), default_threads);
+    assert_eq!(db.session().config().parallelism.threads(), default_threads);
     assert_ne!(
         a.options().use_indexes,
         b.options().use_indexes,
@@ -130,25 +130,24 @@ fn concurrent_divergent_sessions_match_serial_reference() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// Repeat executions of a prepared statement hit the engine plan
-/// cache, counter-verified on the session's metrics.
+/// Repeat executions of a statement hit the engine plan cache,
+/// counter-verified on the session's metrics.
 #[test]
-fn prepared_statements_hit_the_plan_cache() {
+fn repeat_statements_hit_the_plan_cache() {
     let _quiet = no_global_faults();
     let root = temp_root("plancache");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
     let session = db.session();
-    let stmt =
-        session.prepare(&(scan("vid") >> Map::builtin(BuiltinMap::Grayscale))).unwrap();
+    let stmt = scan("vid") >> Map::builtin(BuiltinMap::Grayscale);
 
-    session.execute_prepared(&stmt).unwrap();
+    session.execute(&stmt).unwrap();
     let misses_after_first = session.metrics().counter(counters::PLAN_CACHE_MISSES);
     assert!(misses_after_first >= 1, "first execution must miss the plan cache");
     assert_eq!(session.metrics().counter(counters::PLAN_CACHE_HITS), 0);
     assert!(db.plan_cache_len() >= 1, "the plan must be cached");
 
-    session.execute_prepared(&stmt).unwrap();
+    session.execute(&stmt).unwrap();
     assert!(
         session.metrics().counter(counters::PLAN_CACHE_HITS) >= 1,
         "repeat execution must hit the plan cache"
@@ -158,6 +157,25 @@ fn prepared_statements_hit_the_plan_cache() {
         misses_after_first,
         "repeat execution must not miss again"
     );
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// `EXPLAIN` on a session plans under that session's options; the
+/// handle's `explain` plans at the defaults.
+#[test]
+fn session_explain_uses_the_sessions_options() {
+    let _quiet = no_global_faults();
+    let root = temp_root("explain");
+    let db = LightDb::open(&root).unwrap();
+    seed_tlf(&db, "vid", 2, 2);
+    let q = scan("vid") >> Select::along(Dimension::T, 0.0, 1.0);
+    let mut no_hops = db.session();
+    no_hops.set_options(PlannerOptions { use_hops: false, ..no_hops.options() });
+    let plan = no_hops.explain(&q).unwrap();
+    assert!(!plan.contains("GOPSELECT"), "{plan}");
+    let default_plan = db.explain(&q).unwrap();
+    assert!(default_plan.contains("GOPSELECT"), "{default_plan}");
+    assert_eq!(default_plan, db.session().explain(&q).unwrap());
     let _ = fs::remove_dir_all(&root);
 }
 
