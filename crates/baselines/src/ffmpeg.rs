@@ -117,7 +117,8 @@ impl FfmpegEncoder {
             tiles: vec![payload],
         });
         if self.gop_frames.len() == self.settings.gop_length {
-            self.gops.push(EncodedGop { frames: std::mem::take(&mut self.gop_frames) });
+            self.gops.push(EncodedGop::from_frames(&self.gop_frames)?);
+            self.gop_frames.clear();
         }
         self.pending.clear();
         Ok(())
@@ -126,7 +127,8 @@ impl FfmpegEncoder {
     /// Flushes and returns the encoded stream.
     pub fn finish(mut self) -> Result<VideoStream> {
         if !self.gop_frames.is_empty() {
-            self.gops.push(EncodedGop { frames: std::mem::take(&mut self.gop_frames) });
+            self.gops.push(EncodedGop::from_frames(&self.gop_frames)?);
+            self.gop_frames.clear();
         }
         let (w, h) =
             self.dims.ok_or_else(|| crate::BaselineError::Other("no frames pushed".into()))?;

@@ -152,14 +152,16 @@ impl VideoWriter {
             tiles: vec![payload],
         });
         if self.frames_in_gop.len() == self.gop_length {
-            self.gops.push(EncodedGop { frames: std::mem::take(&mut self.frames_in_gop) });
+            self.gops.push(EncodedGop::from_frames(&self.frames_in_gop)?);
+            self.frames_in_gop.clear();
         }
         Ok(())
     }
 
     pub fn release(mut self) -> Result<VideoStream> {
         if !self.frames_in_gop.is_empty() {
-            self.gops.push(EncodedGop { frames: std::mem::take(&mut self.frames_in_gop) });
+            self.gops.push(EncodedGop::from_frames(&self.frames_in_gop)?);
+            self.frames_in_gop.clear();
         }
         let (w, h) =
             self.dims.ok_or_else(|| crate::BaselineError::Other("no frames written".into()))?;

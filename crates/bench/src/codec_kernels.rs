@@ -1,10 +1,10 @@
 //! Codec hot-kernel microbenchmarks (see DESIGN.md, "Codec kernels &
 //! numeric contracts").
 //!
-//! Measures the overhauled kernels against the scalar/f64 `reference`
-//! modules they replaced — those modules *are* the pre-overhaul
-//! implementations, retained verbatim as differential oracles — plus
-//! end-to-end encode/decode throughput of the full codec:
+//! Measures the overhauled kernels against the scalar/f64 kernels they
+//! replaced — the pre-overhaul implementations, kept verbatim as
+//! `lightdb-codec`'s test oracle (`tests/oracle/kernels.rs`, included
+//! below) — plus end-to-end encode/decode throughput of the full codec:
 //!
 //! * entropy coding: Exp-Golomb encode/decode, Mbit/s;
 //! * transform: 8×8 forward/inverse DCT, blocks/s;
@@ -21,24 +21,26 @@
 //!   per-pixel compositor (`lightdb-exec`'s test oracle), and `MAP`
 //!   over one chunk at one and two threads;
 //! * the serving side: `EncodedGop::extract_tile_bytes` on a serialised
-//!   4×4 GOP against parse → extract → serialise, µs and bytes copied
-//!   per tile;
-//! * the scan side: `EncodedGop::extract_tiles` taking k = 1, 4 and 15
-//!   tiles out of a serialised 4×4 × 4-frame GOP against parse →
-//!   `extract_tile` per tile, µs and heap allocations per GOP.
+//!   4×4 GOP against the parsed GOP's parse → extract → serialise
+//!   (`lightdb-codec`'s GOP oracle, included below), µs and bytes
+//!   copied per tile;
+//! * the scan side: `EncodedGop::extract_tiles` — one walk recording
+//!   each frame's tile offsets, one exactly-sized buffer per requested
+//!   tile — taking k = 1, 4 and 15 tiles out of a serialised 4×4 ×
+//!   4-frame GOP against the oracle's parse → `extract_tile` per tile,
+//!   µs and heap allocations per GOP.
 //!
 //! `--smoke` shrinks every measurement window so the binary finishes
 //! in well under a second while still executing every kernel pair and
 //! asserting fast == reference on each workload; CI runs it in release
 //! mode as a cheap "kernels still work when optimised" gate.
 
-use lightdb_codec::bitio::reference::{RefBitReader, RefBitWriter};
 use lightdb_codec::bitio::{BitReader, BitWriter};
 use lightdb_codec::encoder::encode_gop_frame;
 use lightdb_codec::scratch::{DecoderScratch, EncoderScratch, EncoderWork};
 use lightdb_codec::{
-    golomb, predict, quant, transform, CodecKind, Decoder, EncodedFrame, EncodedGop, Encoder,
-    EncoderConfig, FrameType, TileGrid, TileRect,
+    golomb, predict, quant, transform, CodecKind, Decoder, EncodedGop, Encoder, EncoderConfig,
+    FrameType, TileGrid, TileRect,
 };
 use lightdb_core::algebra::MergeFunction;
 use lightdb_core::udf::{BuiltinMap, MapFunction};
@@ -55,6 +57,19 @@ use std::time::Instant;
 /// tests (the only other place they exist).
 #[path = "../../codec/tests/oracle/mod.rs"]
 mod oracle;
+
+/// The bit I/O, Exp-Golomb, SAD and DCT kernels before their
+/// overhauls, shared with `lightdb-codec`'s unit tests (likewise).
+#[path = "../../codec/tests/oracle/kernels.rs"]
+mod kernels;
+
+/// The GOP as a parsed tree, with the extraction it ran, shared with
+/// `lightdb-codec`'s differential tests (likewise).
+#[path = "../../codec/tests/oracle/gop.rs"]
+mod gop_oracle;
+
+use gop_oracle::ParsedGop;
+use kernels::bitio::{RefBitReader, RefBitWriter};
 
 /// The per-pixel `UNION` compositor, shared with `lightdb-exec`'s
 /// identity tests (likewise).
@@ -140,7 +155,7 @@ fn entropy(target: f64, n: usize) {
     let mut ref_w = RefBitWriter::new();
     for &s in &syms {
         golomb::write_ue(&mut fast_w, s);
-        golomb::reference::write_ue(&mut ref_w, s);
+        kernels::golomb::write_ue(&mut ref_w, s);
     }
     let bytes = fast_w.into_bytes();
     assert_eq!(
@@ -164,7 +179,7 @@ fn entropy(target: f64, n: usize) {
         || {
             let mut w = RefBitWriter::new();
             for &s in &syms {
-                golomb::reference::write_ue(&mut w, s);
+                kernels::golomb::write_ue(&mut w, s);
             }
             black_box(w.into_bytes());
             bits
@@ -187,7 +202,7 @@ fn entropy(target: f64, n: usize) {
             let mut r = RefBitReader::new(&bytes);
             let mut acc = 0u64;
             for _ in 0..syms.len() {
-                acc ^= golomb::reference::read_ue(&mut r).expect("valid stream") as u64;
+                acc ^= kernels::golomb::read_ue(&mut r).expect("valid stream") as u64;
             }
             black_box(acc);
             bits
@@ -243,12 +258,12 @@ fn dct(target: f64, n: usize) {
         .collect();
     for (p, c) in pixel_blocks.iter().zip(coeff_blocks.iter()) {
         assert_eq!(
-            transform::reference::forward(p),
+            kernels::transform::forward(p),
             transform::forward(p),
             "fast and reference forward DCT diverge"
         );
         assert_eq!(
-            transform::reference::inverse(c),
+            kernels::transform::inverse(c),
             transform::inverse(c),
             "fast and reference inverse DCT diverge"
         );
@@ -265,7 +280,7 @@ fn dct(target: f64, n: usize) {
         },
         || {
             for b in &pixel_blocks {
-                black_box(transform::reference::forward(black_box(b)));
+                black_box(kernels::transform::forward(black_box(b)));
             }
             units
         },
@@ -282,7 +297,7 @@ fn dct(target: f64, n: usize) {
         },
         || {
             for c in &coeff_blocks {
-                black_box(transform::reference::inverse(black_box(c)));
+                black_box(kernels::transform::inverse(black_box(c)));
             }
             units
         },
@@ -307,7 +322,7 @@ fn sad(target: f64, dim: usize) {
     for &(x, y) in &positions {
         assert_eq!(
             predict::sad_mb(&a, dim, x, y, &b, dim, x, y, u32::MAX),
-            predict::reference::sad_mb(&a, dim, x, y, &b, dim, x, y, u32::MAX),
+            kernels::predict::sad_mb(&a, dim, x, y, &b, dim, x, y, u32::MAX),
             "fast and reference SAD diverge"
         );
     }
@@ -329,7 +344,7 @@ fn sad(target: f64, dim: usize) {
             },
             || {
                 for &(x, y) in &positions {
-                    black_box(predict::reference::sad_mb(
+                    black_box(kernels::predict::sad_mb(
                         &a, dim, x, y, &b, dim, 0, 0, bound,
                     ));
                 }
@@ -578,13 +593,14 @@ fn decode_gops(target: f64, w: usize, h: usize, n: usize) {
     };
     let decode_oracle = || {
         let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
-        for ef in &gop.frames {
-            let reference = match ef.frame_type {
+        for ef in gop.frames() {
+            let reference = match ef.frame_type() {
                 FrameType::Key => None,
                 FrameType::Predicted => out.last(),
             };
             let mut frame = Frame::empty();
-            oracle::decode_tile_payload_into(&ef.tiles[0], w, h, ef.frame_type, reference, &mut frame)
+            let payload = ef.tile(0).expect("single-tile GOP");
+            oracle::decode_tile_payload_into(payload, w, h, ef.frame_type(), reference, &mut frame)
                 .expect("oracle decode");
             out.push(frame);
         }
@@ -636,10 +652,7 @@ fn tile_extraction(target: f64, w: usize, h: usize, n: usize) {
     let bytes = tiled_gop_bytes(w, h, n);
     let tiles = TileGrid::new(4, 4).tile_count();
     let walk = |t: usize| EncodedGop::extract_tile_bytes(&bytes, t).expect("walk");
-    let parse = |t: usize| {
-        let gop = EncodedGop::from_bytes(&bytes).expect("parse");
-        gop.extract_tile(t).expect("extract").to_bytes()
-    };
+    let parse = |t: usize| gop_oracle::extract_tile_bytes(&bytes, t).expect("parse");
     // Copied per tile: the walker writes its output and nothing else;
     // the parsed path copies every payload in, the tile's payloads out,
     // and those twice more on the way to bytes (frame, then GOP).
@@ -647,7 +660,7 @@ fn tile_extraction(target: f64, w: usize, h: usize, n: usize) {
     for t in 0..tiles {
         let out = walk(t);
         assert_eq!(out, parse(t), "walker and parser disagree on tile {t}");
-        let gop = EncodedGop::from_bytes(&bytes).expect("parse");
+        let gop = ParsedGop::from_bytes(&bytes).expect("parse");
         let tile = gop.extract_tile(t).expect("extract");
         let framed: usize = tile.frames.iter().map(|f| f.to_bytes().len()).sum();
         walked += out.len();
@@ -682,36 +695,40 @@ fn tile_extraction(target: f64, w: usize, h: usize, n: usize) {
     );
 }
 
-/// Heap buffers single-tile GOPs own: each GOP's frame list, each
-/// frame's tile list, and each non-empty payload.
-fn buffers(gops: &[EncodedGop]) -> usize {
-    let frame = |f: &EncodedFrame| 1 + f.tiles.iter().filter(|t| !t.is_empty()).count();
+/// Heap buffers parsed GOPs own: each GOP's frame list, each frame's
+/// tile list, and each non-empty payload.
+fn buffers(gops: &[ParsedGop]) -> usize {
+    let frame = |f: &gop_oracle::ParsedFrame| 1 + f.tiles.iter().filter(|t| !t.is_empty()).count();
     gops.iter().map(|g| 1 + g.frames.iter().map(frame).sum::<usize>()).sum()
 }
 
 /// `k` tiles out of one serialised 4×4 GOP of `n` Venice frames, the way
-/// the scan's `TILESELECT` takes them (one walk of the tile index, only
-/// the requested tiles copied) against the chunk-domain operator it
-/// replaced (parse every tile, then `extract_tile` each requested one),
-/// with the heap allocations each makes per GOP. Allocations are
-/// counted from the values: the walker allocates its output list and
-/// the buffers in it; the parser also one tile-length list per frame
-/// and the whole parsed GOP. `lightdb-codec`'s allocation test pins
-/// both counts with a counting allocator.
+/// the scan's `TILESELECT` takes them (one walk recording each frame's
+/// tile offsets, then one exactly-sized buffer per requested tile)
+/// against the chunk-domain operator it replaced (parse every tile,
+/// then `extract_tile` each requested one), with the heap allocations
+/// each makes per GOP. Allocations are counted from the values: the
+/// walker allocates its output list and, per tile, a buffer and the
+/// reference count that shares it; the parser also one tile-length
+/// list per frame and the whole parsed GOP. `lightdb-codec`'s
+/// allocation test pins the walker's count with a counting allocator.
 fn multi_tile_extraction(target: f64, w: usize, h: usize, n: usize) {
     let bytes = tiled_gop_bytes(w, h, n);
     for tiles in [vec![5], vec![5, 6, 9, 10], (0..15).collect::<Vec<usize>>()] {
         let walk = || EncodedGop::extract_tiles(&bytes, &tiles).expect("walk");
         let parse = || {
-            let gop = EncodedGop::from_bytes(&bytes).expect("parse");
-            let out: Vec<EncodedGop> =
+            let gop = ParsedGop::from_bytes(&bytes).expect("parse");
+            let out: Vec<ParsedGop> =
                 tiles.iter().map(|&t| gop.extract_tile(t).expect("extract")).collect();
             (gop, out)
         };
         let (parsed, extracted) = parse();
         let walked = walk();
-        assert_eq!(walked, extracted, "walker and parser disagree on tiles {tiles:?}");
-        let walk_allocs = 1 + buffers(&walked);
+        assert!(
+            walked.iter().map(EncodedGop::as_bytes).eq(extracted.iter().map(|g| g.to_bytes())),
+            "walker and parser disagree on tiles {tiles:?}"
+        );
+        let walk_allocs = 1 + 2 * walked.len();
         let parse_allocs = buffers(std::slice::from_ref(&parsed))
             + parsed.frames.len()
             + 1

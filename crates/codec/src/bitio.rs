@@ -9,9 +9,10 @@
 //! refills a left-aligned `u64` window from up to eight payload bytes
 //! per refill and serves `read_bits`/unary scans from it with shifts
 //! and `leading_zeros` — no per-bit loops on any hot path. The
-//! bit-at-a-time originals survive in [`reference`] as differential
-//! oracles: both sides must produce/consume *identical* bit sequences,
-//! which the property tests at the bottom of this file enforce.
+//! bit-at-a-time originals survive as this crate's test oracle
+//! (`tests/oracle/kernels.rs`): both sides must produce/consume
+//! *identical* bit sequences, which the property tests at the bottom of
+//! this file enforce.
 
 use crate::{CodecError, Result};
 
@@ -256,6 +257,16 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`write_varint`] emits for `v`.
+pub fn varint_len(mut v: u64) -> usize {
+    let mut n = 1;
+    while v >= 0x80 {
+        v >>= 7;
+        n += 1;
+    }
+    n
+}
+
 /// Reads a varint from `buf` starting at `*pos`, advancing `*pos`.
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let mut v: u64 = 0;
@@ -276,98 +287,10 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
-/// Bit-at-a-time reference implementations: the pre-overhaul writer
-/// and reader, kept as differential oracles for the word-level fast
-/// paths (and as the baseline side of `expt_codec_kernels`).
-#[doc(hidden)]
-pub mod reference {
-    use crate::{CodecError, Result};
-
-    /// MSB-first bit writer (reference, one bit per call).
-    #[derive(Debug, Default)]
-    pub struct RefBitWriter {
-        buf: Vec<u8>,
-        pending: u32,
-        acc: u8,
-    }
-
-    impl RefBitWriter {
-        pub fn new() -> Self {
-            RefBitWriter::default()
-        }
-
-        pub fn write_bits(&mut self, value: u32, n: u32) {
-            debug_assert!(n <= 32);
-            for i in (0..n).rev() {
-                self.write_bit((value >> i) & 1 == 1);
-            }
-        }
-
-        #[inline]
-        pub fn write_bit(&mut self, bit: bool) {
-            self.acc = (self.acc << 1) | bit as u8;
-            self.pending += 1;
-            if self.pending == 8 {
-                self.buf.push(self.acc);
-                self.acc = 0;
-                self.pending = 0;
-            }
-        }
-
-        pub fn align(&mut self) {
-            while self.pending != 0 {
-                self.write_bit(false);
-            }
-        }
-
-        pub fn into_bytes(mut self) -> Vec<u8> {
-            self.align();
-            self.buf
-        }
-    }
-
-    /// MSB-first bit reader (reference, one bit per call).
-    #[derive(Debug)]
-    pub struct RefBitReader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> RefBitReader<'a> {
-        pub fn new(buf: &'a [u8]) -> Self {
-            RefBitReader { buf, pos: 0 }
-        }
-
-        #[inline]
-        pub fn read_bit(&mut self) -> Result<bool> {
-            let byte = self.pos / 8;
-            if byte >= self.buf.len() {
-                return Err(CodecError::Corrupt("bit read past end of payload"));
-            }
-            let bit = (self.buf[byte] >> (7 - self.pos % 8)) & 1 == 1;
-            self.pos += 1;
-            Ok(bit)
-        }
-
-        pub fn read_bits(&mut self, n: u32) -> Result<u32> {
-            debug_assert!(n <= 32);
-            let mut v = 0u32;
-            for _ in 0..n {
-                v = (v << 1) | self.read_bit()? as u32;
-            }
-            Ok(v)
-        }
-
-        pub fn bit_position(&self) -> usize {
-            self.pos
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::reference::{RefBitReader, RefBitWriter};
     use super::*;
+    use crate::reference_kernels::bitio::{RefBitReader, RefBitWriter};
     use proptest::prelude::*;
 
     #[test]

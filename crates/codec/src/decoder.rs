@@ -66,26 +66,29 @@ impl Decoder {
             work,
         } = scratch;
         let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
-        for (fi, ef) in gop.frames.iter().enumerate() {
-            if ef.tiles.len() != tile_count {
+        // The GOP was checked when it was made: it begins with a
+        // keyframe, and its tile index delimits every payload.
+        for ef in gop.frames() {
+            if ef.tile_count() != tile_count {
                 return Err(CodecError::Corrupt("frame tile count disagrees with grid"));
             }
-            if fi == 0 && ef.frame_type != FrameType::Key {
-                return Err(CodecError::Corrupt("GOP must start with a keyframe"));
-            }
+            let frame_type = ef.frame_type();
             if tile_count == 1 {
                 // The one tile is the picture, and the previous output
                 // frame is its reference: no staging frame, no blit.
-                let reference = match ef.frame_type {
+                let reference = match frame_type {
                     FrameType::Key => None,
                     FrameType::Predicted => out.last(),
                 };
+                let payload = ef
+                    .tile(0)
+                    .ok_or(CodecError::Corrupt("frame tile count disagrees with grid"))?;
                 let mut frame = Frame::empty();
                 decode_tile_payload_into(
-                    &ef.tiles[0],
+                    payload,
                     w,
                     h,
-                    ef.frame_type,
+                    frame_type,
                     reference,
                     &mut frame,
                     work,
@@ -95,12 +98,12 @@ impl Decoder {
             }
             // Output frame, pre-sized from the sequence header.
             let mut frame = Frame::new(w, h);
-            for t in 0..tile_count {
+            for (t, payload) in ef.tiles().enumerate() {
                 let rect = grid.tile_rect(t, w, h);
                 // A predicted frame can only follow this GOP's keyframe,
                 // which populated (or refreshed) every tile slot — a
                 // stale frame from a previous GOP is never read.
-                let reference = match ef.frame_type {
+                let reference = match frame_type {
                     FrameType::Key => None,
                     FrameType::Predicted => Some(
                         recon_tiles
@@ -109,10 +112,10 @@ impl Decoder {
                     ),
                 };
                 decode_tile_payload_into(
-                    &ef.tiles[t],
+                    payload,
                     rect.w,
                     rect.h,
-                    ef.frame_type,
+                    frame_type,
                     reference,
                     spare,
                     work,
@@ -145,23 +148,19 @@ impl Decoder {
         }
         let rect = grid.tile_rect(index, header.width, header.height);
         let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
-        for (fi, ef) in gop.frames.iter().enumerate() {
+        for ef in gop.frames() {
             let payload = ef
-                .tiles
-                .get(index)
+                .tile(index)
                 .ok_or(CodecError::Corrupt("frame tile count disagrees with grid"))?;
-            if fi == 0 && ef.frame_type != FrameType::Key {
-                return Err(CodecError::Corrupt("GOP must start with a keyframe"));
-            }
             // The previous output frame *is* the reference — no copy.
-            let refer = match ef.frame_type {
+            let refer = match ef.frame_type() {
                 FrameType::Key => None,
                 FrameType::Predicted => Some(
                     out.last()
                         .ok_or(CodecError::Corrupt("predicted frame without reference"))?,
                 ),
             };
-            let tile = decode_tile_payload(payload, rect.w, rect.h, ef.frame_type, refer)?;
+            let tile = decode_tile_payload(payload, rect.w, rect.h, ef.frame_type(), refer)?;
             out.push(tile);
         }
         Ok(out)
@@ -183,22 +182,15 @@ impl Decoder {
         let grid = header.grid;
         let tile_count = grid.tile_count();
         let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
-        for (fi, ef) in gop.frames.iter().enumerate() {
-            if ef.tiles.len() != tile_count {
+        for ef in gop.frames() {
+            if ef.tile_count() != tile_count {
                 return Err(CodecError::Corrupt("frame tile count disagrees with grid"));
             }
-            if fi == 0 && ef.frame_type != FrameType::Key {
-                return Err(CodecError::Corrupt("GOP must start with a keyframe"));
-            }
-            match ef.frame_type {
+            match ef.frame_type() {
                 FrameType::Key => {
                     let mut frame = Frame::new(w, h);
-                    for t in 0..tile_count {
+                    for (t, payload) in ef.tiles().enumerate() {
                         let rect = grid.tile_rect(t, w, h);
-                        let payload = ef
-                            .tiles
-                            .get(t)
-                            .ok_or(CodecError::Corrupt("frame tile count disagrees with grid"))?;
                         let tile =
                             decode_tile_payload(payload, rect.w, rect.h, FrameType::Key, None)?;
                         frame.blit(&tile, rect.x0, rect.y0);
@@ -452,6 +444,7 @@ fn read_coeffs(bits: &mut BitReader<'_>) -> Result<[i32; 64]> {
 mod tests {
     use super::*;
     use crate::encoder::{encode_tile, Encoder, EncoderConfig};
+    use crate::gop::EncodedFrame;
     use crate::stream::CodecKind;
     use crate::tile::TileGrid;
     use lightdb_frame::stats::luma_psnr;
@@ -669,10 +662,17 @@ mod tests {
         })
         .unwrap();
         let stream = enc.encode(&frames).unwrap();
-        let mut gop = stream.gops[0].clone();
-        gop.frames[0].frame_type = FrameType::Predicted;
+        // A headless GOP is refused when it is made, so no decoder entry
+        // point ever sees one.
+        let headless: Vec<EncodedFrame> = stream.gops[0]
+            .frames()
+            .map(|f| EncodedFrame {
+                frame_type: FrameType::Predicted,
+                tiles: f.tiles().map(<[u8]>::to_vec).collect(),
+            })
+            .collect();
         assert!(matches!(
-            Decoder::new().decode_gop_degraded(&stream.header, &gop),
+            EncodedGop::from_frames(&headless),
             Err(CodecError::Corrupt(_))
         ));
     }

@@ -207,7 +207,7 @@ impl Encoder {
             }
             encoded.push(EncodedFrame { frame_type, tiles });
         }
-        Ok(EncodedGop { frames: encoded })
+        EncodedGop::from_frames(&encoded)
     }
 }
 
@@ -677,9 +677,9 @@ mod tests {
         let stream = enc.encode(&frames).unwrap();
         assert_eq!(stream.gops.len(), 3); // 3 + 3 + 1
         assert_eq!(stream.frame_count(), 7);
-        assert_eq!(stream.gops[0].frames[0].frame_type, FrameType::Key);
-        assert_eq!(stream.gops[0].frames[1].frame_type, FrameType::Predicted);
-        assert_eq!(stream.gops[2].frames.len(), 1);
+        let types: Vec<FrameType> = stream.gops[0].frames().map(|f| f.frame_type()).collect();
+        assert_eq!(types, [FrameType::Key, FrameType::Predicted, FrameType::Predicted]);
+        assert_eq!(stream.gops[2].frame_count(), 1);
     }
 
     #[test]
@@ -711,7 +711,7 @@ mod tests {
         })
         .unwrap();
         let stream = enc.encode_with_tile_qp(&frames, &[4, 45]).unwrap();
-        let f = &stream.gops[0].frames[0];
-        assert!(f.tiles[0].len() > f.tiles[1].len() * 2);
+        let f = stream.gops[0].frames().next().unwrap();
+        assert!(f.tile(0).unwrap().len() > f.tile(1).unwrap().len() * 2);
     }
 }

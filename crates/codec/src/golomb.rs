@@ -4,7 +4,8 @@
 //! Encoding emits the whole codeword (zero prefix + value) through
 //! one or two word-level `write_bits` calls; decoding scans the unary
 //! prefix with `leading_zeros` over the reader's bit window. Both are
-//! bit-identical to the loop-based forms retained in [`reference`].
+//! bit-identical to the loop-based forms kept as this crate's test
+//! oracle (`tests/oracle/kernels.rs`).
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::{CodecError, Result};
@@ -77,56 +78,11 @@ pub fn read_se(r: &mut BitReader<'_>) -> Result<i32> {
     })
 }
 
-/// Loop-based reference codecs over the reference bit I/O, kept as
-/// the differential/benchmark baseline.
-#[doc(hidden)]
-pub mod reference {
-    use crate::bitio::reference::{RefBitReader, RefBitWriter};
-    use crate::Result;
-
-    pub fn write_ue(w: &mut RefBitWriter, v: u32) {
-        let x = v as u64 + 1;
-        let bits = 64 - x.leading_zeros();
-        w.write_bits(0, bits - 1);
-        if bits > 32 {
-            w.write_bit(true);
-            w.write_bits((x & 0xffff_ffff) as u32, 32);
-        } else {
-            w.write_bits(x as u32, bits);
-        }
-    }
-
-    pub fn read_ue(r: &mut RefBitReader<'_>) -> Result<u32> {
-        let mut zeros = 0u32;
-        while !r.read_bit()? {
-            zeros += 1;
-            if zeros > 32 {
-                return Err(crate::CodecError::Corrupt("exp-golomb prefix too long"));
-            }
-        }
-        let suffix = if zeros == 0 {
-            0
-        } else {
-            r.read_bits(zeros)? as u64
-        };
-        let x = (1u64 << zeros) | suffix;
-        Ok((x - 1) as u32)
-    }
-
-    pub fn write_se(w: &mut RefBitWriter, v: i32) {
-        let mapped = if v > 0 {
-            (v as u32) * 2 - 1
-        } else {
-            (-(v as i64) as u32) * 2
-        };
-        write_ue(w, mapped);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitio::reference::{RefBitReader, RefBitWriter};
+    use crate::reference_kernels::bitio::{RefBitReader, RefBitWriter};
+    use crate::reference_kernels::golomb as reference;
     use proptest::prelude::*;
 
     #[test]

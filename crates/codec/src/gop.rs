@@ -12,9 +12,16 @@
 //! (Figure 3 of the paper): homomorphic operators use it to locate a
 //! tile's bytes without decoding, and the decoder uses it to decode a
 //! single tile.
+//!
+//! An [`EncodedGop`] *is* that serialisation: one immutable,
+//! reference-counted buffer, checked once when the GOP is made. Readers
+//! borrow frames and tiles out of it through [`FrameView`]s; a GOP read
+//! through the buffer pool shares the pool's buffer instead of copying
+//! it, and a GOP returned whole returns those bytes.
 
-use crate::bitio::{read_varint, write_varint};
+use crate::bitio::{read_varint, varint_len, write_varint};
 use crate::{CodecError, Result};
+use std::sync::Arc;
 
 /// Intra (key) or predicted frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +49,8 @@ impl FrameType {
     }
 }
 
-/// One encoded frame: a type tag plus one independently decodable
-/// payload per tile.
+/// One frame as a writer hands it to [`EncodedGop::from_frames`]: a
+/// type tag plus one independently decodable payload per tile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedFrame {
     pub frame_type: FrameType,
@@ -54,211 +61,153 @@ pub struct EncodedFrame {
 }
 
 impl EncodedFrame {
-    /// Total payload bytes (excluding framing overhead).
-    pub fn payload_bytes(&self) -> usize {
-        self.tiles.iter().map(Vec::len).sum()
+    /// Serialised length: header, tile index and payloads.
+    fn serialised_len(&self) -> usize {
+        let index: usize = self.tiles.iter().map(|t| varint_len(t.len() as u64) + t.len()).sum();
+        1 + varint_len(self.tiles.len() as u64) + index
     }
 
-    /// Serialises the frame (header + tile index + payloads).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload_bytes() + 8 + self.tiles.len() * 2);
+    fn write(&self, out: &mut Vec<u8>) {
         out.push(self.frame_type.to_byte());
-        write_varint(&mut out, self.tiles.len() as u64);
+        write_varint(out, self.tiles.len() as u64);
         for t in &self.tiles {
-            write_varint(&mut out, t.len() as u64);
+            write_varint(out, t.len() as u64);
         }
         for t in &self.tiles {
             out.extend_from_slice(t);
         }
-        out
-    }
-
-    /// Parses a frame from `buf` starting at `*pos`.
-    pub fn from_bytes(buf: &[u8], pos: &mut usize) -> Result<EncodedFrame> {
-        let ty = *buf.get(*pos).ok_or(CodecError::Corrupt("missing frame type"))?;
-        *pos += 1;
-        let frame_type = FrameType::from_byte(ty)?;
-        let count = read_varint(buf, pos)? as usize;
-        if count == 0 || count > 4096 {
-            return Err(CodecError::Corrupt("implausible tile count"));
-        }
-        // Every tile costs at least its length byte, so the bytes left
-        // bound what a hostile count may reserve.
-        let cap = count.min(buf.len().saturating_sub(*pos));
-        let mut lens = Vec::with_capacity(cap);
-        for _ in 0..count {
-            lens.push(read_varint(buf, pos)? as usize);
-        }
-        let mut tiles = Vec::with_capacity(cap);
-        for len in lens {
-            let end = pos.checked_add(len).ok_or(CodecError::Corrupt("tile length overflow"))?;
-            if end > buf.len() {
-                return Err(CodecError::Corrupt("tile payload truncated"));
-            }
-            tiles.push(buf[*pos..end].to_vec());
-            *pos = end;
-        }
-        Ok(EncodedFrame { frame_type, tiles })
     }
 }
 
-/// An encoded group of pictures.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// An encoded group of pictures: its serialised bytes, checked when the
+/// GOP is made and immutable after. Cloning shares the bytes; equality
+/// is byte equality.
+#[derive(Clone)]
 pub struct EncodedGop {
-    pub frames: Vec<EncodedFrame>,
+    bytes: Arc<Vec<u8>>,
+    frames: usize,
 }
 
 impl EncodedGop {
+    /// Checks `buf` as a whole GOP, then copies it.
+    pub fn from_bytes(buf: &[u8]) -> Result<EncodedGop> {
+        let frames = walk_frames(buf, |_| {})?;
+        Ok(EncodedGop { bytes: Arc::new(buf.to_vec()), frames })
+    }
+
+    /// Checks `bytes` as a whole GOP and keeps them: no copy. A GOP made
+    /// from the buffer pool's bytes this way *is* the pool's buffer, for
+    /// as long as anything holds it.
+    pub fn from_shared(bytes: Arc<Vec<u8>>) -> Result<EncodedGop> {
+        let frames = walk_frames(&bytes, |_| {})?;
+        Ok(EncodedGop { bytes, frames })
+    }
+
+    /// Serialises a writer's frames into one exactly-sized buffer, which
+    /// must pass [`from_bytes`](Self::from_bytes)'s checks.
+    pub fn from_frames(frames: &[EncodedFrame]) -> Result<EncodedGop> {
+        let framed = |f: &EncodedFrame| {
+            let len = f.serialised_len();
+            varint_len(len as u64) + len
+        };
+        let size = varint_len(frames.len() as u64) + frames.iter().map(framed).sum::<usize>();
+        let mut out = Vec::with_capacity(size);
+        write_varint(&mut out, frames.len() as u64);
+        for f in frames {
+            write_varint(&mut out, f.serialised_len() as u64);
+            f.write(&mut out);
+        }
+        Self::from_shared(Arc::new(out))
+    }
+
     /// Number of frames.
     pub fn frame_count(&self) -> usize {
-        self.frames.len()
+        self.frames
+    }
+
+    /// The serialised GOP.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// A copy of the serialised GOP.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.bytes.to_vec()
+    }
+
+    /// The frames, in order.
+    pub fn frames(&self) -> impl Iterator<Item = FrameView<'_>> {
+        let buf = self.as_bytes();
+        let mut pos = 0;
+        // Checked when the GOP was made: every read below succeeds.
+        let count = read_varint(buf, &mut pos).map_or(0, |n| n as usize);
+        (0..count).map_while(move |_| next_frame(buf, &mut pos).ok())
     }
 
     /// Total payload bytes across all frames.
     pub fn payload_bytes(&self) -> usize {
-        self.frames.iter().map(EncodedFrame::payload_bytes).sum()
+        self.frames().map(|f| f.payload_bytes()).sum()
     }
 
-    /// Serialises the GOP.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_varint(&mut out, self.frames.len() as u64);
-        for f in &self.frames {
-            let fb = f.to_bytes();
-            write_varint(&mut out, fb.len() as u64);
-            out.extend_from_slice(&fb);
-        }
-        out
-    }
-
-    /// Parses a GOP from a complete byte buffer.
-    pub fn from_bytes(buf: &[u8]) -> Result<EncodedGop> {
+    /// The first `n` frames (all of them, if there are fewer) as a GOP of
+    /// their own — the frames' bytes as stored, under a new frame count.
+    pub fn first_frames(&self, n: usize) -> EncodedGop {
+        let n = n.min(self.frames);
+        let buf = self.as_bytes();
         let mut pos = 0;
-        let gop = Self::read(buf, &mut pos)?;
-        if pos != buf.len() {
-            return Err(CodecError::Corrupt("trailing bytes after GOP"));
-        }
-        Ok(gop)
-    }
-
-    /// Parses a GOP from `buf` starting at `*pos`.
-    pub fn read(buf: &[u8], pos: &mut usize) -> Result<EncodedGop> {
-        let count = read_varint(buf, pos)? as usize;
-        if count > 1 << 20 {
-            return Err(CodecError::Corrupt("implausible frame count"));
-        }
-        // Every frame costs at least its length byte.
-        let mut frames = Vec::with_capacity(count.min(buf.len().saturating_sub(*pos)));
-        for _ in 0..count {
-            let len = read_varint(buf, pos)? as usize;
-            let end = pos.checked_add(len).ok_or(CodecError::Corrupt("frame length overflow"))?;
-            if end > buf.len() {
-                return Err(CodecError::Corrupt("frame truncated"));
-            }
-            let mut fpos = *pos;
-            let frame = EncodedFrame::from_bytes(buf, &mut fpos)?;
-            if fpos != end {
-                return Err(CodecError::Corrupt("frame length mismatch"));
-            }
-            frames.push(frame);
-            *pos = end;
-        }
-        let gop = EncodedGop { frames };
-        if let Some(first) = gop.frames.first() {
-            if first.frame_type != FrameType::Key {
-                return Err(CodecError::Corrupt("GOP does not begin with a keyframe"));
+        let _ = read_varint(buf, &mut pos);
+        let start = pos;
+        for _ in 0..n {
+            if next_frame(buf, &mut pos).is_err() {
+                break;
             }
         }
-        Ok(gop)
+        let frames = &buf[start..pos];
+        let mut out = Vec::with_capacity(varint_len(n as u64) + frames.len());
+        write_varint(&mut out, n as u64);
+        out.extend_from_slice(frames);
+        EncodedGop { bytes: Arc::new(out), frames: n }
     }
 
     /// Extracts tile `index` from every frame, producing a new
     /// single-tile GOP **without decoding** — the byte-level primitive
     /// behind the `TILESELECT` homomorphic operator.
     pub fn extract_tile(&self, index: usize) -> Result<EncodedGop> {
-        let mut frames = Vec::with_capacity(self.frames.len());
-        for f in &self.frames {
-            let tile = f.tiles.get(index).ok_or_else(|| tile_out_of_range(index))?;
-            frames.push(EncodedFrame { frame_type: f.frame_type, tiles: vec![tile.clone()] });
-        }
-        Ok(EncodedGop { frames })
+        let mut out = None;
+        extract(self.as_bytes(), &[index], |bytes, frames| {
+            out = Some(EncodedGop { bytes: Arc::new(bytes), frames })
+        })?;
+        out.ok_or_else(|| tile_out_of_range(index))
     }
 
     /// [`from_bytes`](Self::from_bytes) → [`extract_tile`](Self::extract_tile)
-    /// → [`to_bytes`](Self::to_bytes) without materialising the GOP: walks
-    /// the frame-length and tile-length varints of `gop_bytes`, checks
-    /// everything `from_bytes` checks, and copies tile `tile`'s payload
-    /// of every frame into one exactly-sized buffer. Same bytes, and an
-    /// error of the same variant on the same inputs — the serving path's
-    /// `TILESELECT`, with the parsed form as its oracle.
+    /// → [`to_bytes`](Self::to_bytes) in one walk of `gop_bytes`, into one
+    /// exactly-sized buffer and nothing else — the tile server's miss.
     pub fn extract_tile_bytes(gop_bytes: &[u8], tile: usize) -> Result<Vec<u8>> {
-        // One frame of the output: type, tile count 1, tile length, payload.
-        let frame_len = |payload: &[u8]| 2 + varint_len(payload.len() as u64) + payload.len();
-        let (mut size, mut missing) = (0usize, false);
-        let frames = walk_frames(gop_bytes, Some(tile), |frame| match frame.located {
-            Some(payload) => {
-                let len = frame_len(payload);
-                size += varint_len(len as u64) + len;
-            }
-            None => missing = true,
-        })? as u64;
-        if missing {
-            return Err(tile_out_of_range(tile));
-        }
-        // No larger than the input: each output frame is its input
-        // frame less the other tiles, under the same frame count.
-        let mut out = Vec::with_capacity(varint_len(frames) + size);
-        write_varint(&mut out, frames);
-        walk_frames(gop_bytes, Some(tile), |frame| {
-            if let Some(payload) = frame.located {
-                write_varint(&mut out, frame_len(payload) as u64);
-                out.push(frame.frame_type.to_byte());
-                out.push(1);
-                write_varint(&mut out, payload.len() as u64);
-                out.extend_from_slice(payload);
-            }
-        })?;
+        let mut out = Vec::new();
+        extract(gop_bytes, &[tile], |bytes, _| out = bytes)?;
         Ok(out)
     }
 
     /// [`from_bytes`](Self::from_bytes) → [`extract_tile`](Self::extract_tile)
-    /// for each of `tiles` in one walk of `gop_bytes`, materialising only
-    /// the requested tiles — the scan-side `TILESELECT`. The `k`-th GOP
-    /// is tile `tiles[k]`; duplicates repeat and an empty list returns no
-    /// GOPs. Errors as the oracle does: `Corrupt` wherever the parser
-    /// reports it, otherwise `Incompatible` for the first requested tile,
-    /// in request order, that some frame lacks.
+    /// for each of `tiles` in one walk of `gop_bytes`, copying only the
+    /// requested tiles — the scan-side `TILESELECT`. The `k`-th GOP is
+    /// tile `tiles[k]`; duplicates repeat and an empty list returns no
+    /// GOPs. Errors as the parser does: `Corrupt` wherever it reports
+    /// it, otherwise `Incompatible` for the first requested tile, in
+    /// request order, that some frame lacks.
     pub fn extract_tiles(gop_bytes: &[u8], tiles: &[usize]) -> Result<Vec<EncodedGop>> {
-        // Sizes the outputs only (the walk checks the count): every frame
-        // costs at least its length byte, so the bytes left bound it.
-        let mut pos = 0;
-        let frames = read_varint(gop_bytes, &mut pos)
-            .map_or(0, |n| (n as usize).min(gop_bytes.len().saturating_sub(pos)));
-        let mut out: Vec<EncodedGop> =
-            tiles.iter().map(|_| EncodedGop { frames: Vec::with_capacity(frames) }).collect();
-        let mut fewest = usize::MAX;
-        walk_frames(gop_bytes, None, |frame| {
-            fewest = fewest.min(frame.tiles);
-            // One pass over the frame's tile index; a few dozen integer
-            // compares per tile beat re-reading the lengths per request.
-            for (i, payload) in frame.payloads().enumerate() {
-                for (gop, _) in out.iter_mut().zip(tiles).filter(|(_, &t)| t == i) {
-                    gop.frames.push(EncodedFrame {
-                        frame_type: frame.frame_type,
-                        tiles: vec![payload.to_vec()],
-                    });
-                }
-            }
+        let mut out = Vec::with_capacity(tiles.len());
+        extract(gop_bytes, tiles, |bytes, frames| {
+            out.push(EncodedGop { bytes: Arc::new(bytes), frames })
         })?;
-        match tiles.iter().find(|&&t| t >= fewest) {
-            Some(&t) => Err(tile_out_of_range(t)),
-            None => Ok(out),
-        }
+        Ok(out)
     }
 
     /// Stitches per-tile GOPs (each single-tile, same frame count and
     /// frame types) into one multi-tile GOP **without decoding** — the
-    /// byte-level primitive behind `TILEUNION`.
+    /// byte-level primitive behind `TILEUNION`. Walks the parts' frames
+    /// in lockstep into one buffer.
     pub fn stitch_tiles(parts: &[EncodedGop]) -> Result<EncodedGop> {
         let first = parts.first().ok_or(CodecError::Incompatible("no tiles to stitch".into()))?;
         let n = first.frame_count();
@@ -269,35 +218,65 @@ impl EncodedGop {
                     p.frame_count()
                 )));
             }
-            if p.frames.iter().any(|f| f.tiles.len() != 1) {
+            if p.frames().any(|f| f.tile_count() != 1) {
                 return Err(CodecError::Incompatible(format!("tile {i} is not single-tile")));
             }
         }
-        let mut frames = Vec::with_capacity(n);
+        let mut walks: Vec<_> = parts.iter().map(EncodedGop::frames).collect();
+        let mut row: Vec<FrameView<'_>> = Vec::with_capacity(parts.len());
+        // No larger than the parts together: each stitched frame drops
+        // all but one of its parts' frame headers.
+        let mut out = Vec::with_capacity(parts.iter().map(|p| p.as_bytes().len()).sum());
+        write_varint(&mut out, n as u64);
         for fi in 0..n {
-            let ft = first.frames[fi].frame_type;
-            for (i, p) in parts.iter().enumerate() {
-                if p.frames[fi].frame_type != ft {
-                    return Err(CodecError::Incompatible(format!(
-                        "frame {fi} type mismatch at tile {i}"
-                    )));
-                }
+            row.clear();
+            row.extend(walks.iter_mut().filter_map(Iterator::next));
+            let ft = row[0].frame_type;
+            if let Some(i) = row.iter().position(|f| f.frame_type != ft) {
+                return Err(CodecError::Incompatible(format!(
+                    "frame {fi} type mismatch at tile {i}"
+                )));
             }
-            let tiles = parts.iter().map(|p| p.frames[fi].tiles[0].clone()).collect();
-            frames.push(EncodedFrame { frame_type: ft, tiles });
+            // Type, tile count, then every part's one tile: its length
+            // and its payload (a single-tile frame's payloads).
+            let index: usize =
+                row.iter().map(|f| varint_len(f.payloads.len() as u64) + f.payloads.len()).sum();
+            write_varint(&mut out, (1 + varint_len(row.len() as u64) + index) as u64);
+            out.push(ft.to_byte());
+            write_varint(&mut out, row.len() as u64);
+            for f in &row {
+                write_varint(&mut out, f.payloads.len() as u64);
+            }
+            for f in &row {
+                out.extend_from_slice(f.payloads);
+            }
         }
-        Ok(EncodedGop { frames })
+        Ok(EncodedGop { bytes: Arc::new(out), frames: n })
     }
 }
 
-/// Bytes [`write_varint`] emits for `v`.
-fn varint_len(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
+impl Default for EncodedGop {
+    /// The empty GOP: no frames.
+    fn default() -> EncodedGop {
+        EncodedGop { bytes: Arc::new(vec![0]), frames: 0 }
     }
-    n
+}
+
+impl PartialEq for EncodedGop {
+    fn eq(&self, other: &EncodedGop) -> bool {
+        Arc::ptr_eq(&self.bytes, &other.bytes) || self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for EncodedGop {}
+
+impl std::fmt::Debug for EncodedGop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EncodedGop")
+            .field("frames", &self.frames)
+            .field("bytes", &self.bytes.len())
+            .finish()
+    }
 }
 
 /// [`EncodedGop::extract_tile`]'s error for a tile some frame lacks.
@@ -305,94 +284,112 @@ fn tile_out_of_range(tile: usize) -> CodecError {
     CodecError::Incompatible(format!("tile {tile} out of range"))
 }
 
-/// One frame of a serialised GOP that [`walk_frames`] has checked: its
-/// type and its tile index — the tile-length varints and the payloads
-/// they delimit, back to back.
-#[derive(Clone, Copy)]
-struct FrameIndex<'a> {
+/// One checked frame of a serialised GOP, borrowed from its bytes: the
+/// frame's type and its tile index — the tile-length varints and the
+/// payloads they delimit, back to back.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameView<'a> {
     frame_type: FrameType,
     tiles: usize,
     lens: &'a [u8],
     payloads: &'a [u8],
-    /// The payload of the tile the walk was asked to locate, found as
-    /// it read the lengths; `None` when the frame has no such tile.
-    located: Option<&'a [u8]>,
 }
 
-impl<'a> FrameIndex<'a> {
+impl<'a> FrameView<'a> {
+    pub fn frame_type(&self) -> FrameType {
+        self.frame_type
+    }
+
+    /// Number of tiles in this frame.
+    pub fn tile_count(&self) -> usize {
+        self.tiles
+    }
+
     /// Every tile's payload, in index order.
-    fn payloads(self) -> impl Iterator<Item = &'a [u8]> {
+    pub fn tiles(&self) -> impl Iterator<Item = &'a [u8]> {
+        let (lens, payloads) = (self.lens, self.payloads);
         let (mut pos, mut start) = (0, 0usize);
         std::iter::from_fn(move || {
             // The walk already read these lengths and checked their sum.
-            let len = read_varint(self.lens, &mut pos).ok()? as usize;
-            let payload = self.payloads.get(start..start + len)?;
+            let len = read_varint(lens, &mut pos).ok()? as usize;
+            let payload = payloads.get(start..start + len)?;
             start += len;
             Some(payload)
         })
     }
+
+    /// Tile `index`'s payload; `None` past the frame's tile count.
+    pub fn tile(&self, index: usize) -> Option<&'a [u8]> {
+        self.tiles().nth(index)
+    }
+
+    /// Payload bytes across the frame's tiles.
+    pub fn payload_bytes(&self) -> usize {
+        self.payloads.len()
+    }
 }
 
-/// Walks a serialised GOP with [`EncodedGop::read`]'s checks, in its
-/// order, and hands `visit` each frame's tile index once the frame has
-/// checked out, with tile `locate` already found in it. `Corrupt` as
-/// soon as the parser would report it, so a caller that defers its own
-/// errors (a tile some frame lacks) until the walk returns keeps the
-/// parser's precedence. Returns the frame count.
-fn walk_frames<'a>(
-    buf: &'a [u8],
-    locate: Option<usize>,
-    mut visit: impl FnMut(FrameIndex<'a>),
-) -> Result<usize> {
+/// Reads the frame at `*pos` with the parser's checks, in its order,
+/// and moves `*pos` past it. Tile fields are read from `buf` as a
+/// whole, not from the frame's own span, as the parser read them: a
+/// tile index that overruns its frame fails on the length mismatch.
+fn next_frame<'a>(buf: &'a [u8], pos: &mut usize) -> Result<FrameView<'a>> {
+    let len = read_varint(buf, pos)? as usize;
+    let end = pos.checked_add(len).ok_or(CodecError::Corrupt("frame length overflow"))?;
+    if end > buf.len() {
+        return Err(CodecError::Corrupt("frame truncated"));
+    }
+    let ty = *buf.get(*pos).ok_or(CodecError::Corrupt("missing frame type"))?;
+    *pos += 1;
+    let frame_type = FrameType::from_byte(ty)?;
+    let tiles = read_varint(buf, pos)? as usize;
+    if tiles == 0 || tiles > 4096 {
+        return Err(CodecError::Corrupt("implausible tile count"));
+    }
+    // The tile index: payloads follow the lengths back to back, so a
+    // tile starts where the lengths before it sum to.
+    let lens_start = *pos;
+    let mut total = 0usize;
+    for _ in 0..tiles {
+        let len = read_varint(buf, pos)? as usize;
+        total = total.checked_add(len).ok_or(CodecError::Corrupt("tile length overflow"))?;
+    }
+    let lens_end = *pos;
+    let payloads_end =
+        lens_end.checked_add(total).ok_or(CodecError::Corrupt("tile length overflow"))?;
+    if payloads_end > buf.len() {
+        return Err(CodecError::Corrupt("tile payload truncated"));
+    }
+    if payloads_end != end {
+        return Err(CodecError::Corrupt("frame length mismatch"));
+    }
+    *pos = end;
+    Ok(FrameView {
+        frame_type,
+        tiles,
+        lens: &buf[lens_start..lens_end],
+        payloads: &buf[lens_end..end],
+    })
+}
+
+/// Checks a serialised GOP — every check the parser made, in its order,
+/// with its `CodecError` variants — and hands `visit` each frame once it
+/// has checked out. `Corrupt` as soon as the parser would report it, so
+/// a caller that defers its own errors (a tile some frame lacks) until
+/// the walk returns keeps the parser's precedence. Returns the frame
+/// count.
+fn walk_frames<'a>(buf: &'a [u8], mut visit: impl FnMut(FrameView<'a>)) -> Result<usize> {
     let mut pos = 0;
     let frames = read_varint(buf, &mut pos)? as usize;
     if frames > 1 << 20 {
         return Err(CodecError::Corrupt("implausible frame count"));
     }
     for i in 0..frames {
-        let len = read_varint(buf, &mut pos)? as usize;
-        let end = pos.checked_add(len).ok_or(CodecError::Corrupt("frame length overflow"))?;
-        if end > buf.len() {
-            return Err(CodecError::Corrupt("frame truncated"));
-        }
-        let ty = *buf.get(pos).ok_or(CodecError::Corrupt("missing frame type"))?;
-        pos += 1;
-        let frame_type = FrameType::from_byte(ty)?;
-        let tiles = read_varint(buf, &mut pos)? as usize;
-        if tiles == 0 || tiles > 4096 {
-            return Err(CodecError::Corrupt("implausible tile count"));
-        }
-        // The tile index: payloads follow the lengths back to back, so
-        // a tile starts where the lengths before it sum to.
-        let lens_start = pos;
-        let (mut total, mut located) = (0usize, None);
-        for t in 0..tiles {
-            let len = read_varint(buf, &mut pos)? as usize;
-            if Some(t) == locate {
-                located = Some(total..total + len);
-            }
-            total = total.checked_add(len).ok_or(CodecError::Corrupt("tile length overflow"))?;
-        }
-        let payloads_end =
-            pos.checked_add(total).ok_or(CodecError::Corrupt("tile length overflow"))?;
-        if payloads_end > buf.len() {
-            return Err(CodecError::Corrupt("tile payload truncated"));
-        }
-        if payloads_end != end {
-            return Err(CodecError::Corrupt("frame length mismatch"));
-        }
-        if i == 0 && frame_type != FrameType::Key {
+        let frame = next_frame(buf, &mut pos)?;
+        if i == 0 && frame.frame_type != FrameType::Key {
             return Err(CodecError::Corrupt("GOP does not begin with a keyframe"));
         }
-        let payloads = &buf[pos..end];
-        visit(FrameIndex {
-            frame_type,
-            tiles,
-            lens: &buf[lens_start..pos],
-            payloads,
-            located: located.and_then(|span| payloads.get(span)),
-        });
-        pos = end;
+        visit(frame);
     }
     if pos != buf.len() {
         return Err(CodecError::Corrupt("trailing bytes after GOP"));
@@ -400,33 +397,124 @@ fn walk_frames<'a>(
     Ok(frames)
 }
 
+/// Where one requested tile of one frame lies: the frame's type byte
+/// and the tile's payload.
+#[derive(Clone, Copy, Default)]
+struct Cut<'a> {
+    frame_type: u8,
+    payload: &'a [u8],
+}
+
+/// Cuts kept on the stack: the tile server's one tile of a second-long
+/// GOP, or `TILESELECT`'s handful out of a short one.
+const INLINE_CUTS: usize = 64;
+
+/// The one tile extractor. Checks `buf` as [`EncodedGop::from_bytes`]
+/// does and, in the same walk, records where each requested tile lies
+/// in each frame — one pass over each frame's tile index for all the
+/// requests. Then writes the requested tiles, in request order, as
+/// serialised single-tile GOPs: each into one exactly-sized buffer,
+/// handed to `emit` with its frame count. Copies nothing else.
+fn extract<'a>(
+    buf: &'a [u8],
+    tiles: &[usize],
+    mut emit: impl FnMut(Vec<u8>, usize),
+) -> Result<()> {
+    let k = tiles.len();
+    // The frame-major table of cuts, sized by the frame count. Every
+    // checked frame takes at least four bytes (length, type, tile
+    // count, one tile length), so a hostile count reserves no more than
+    // the bytes behind it could hold.
+    let mut pos = 0;
+    let claimed = read_varint(buf, &mut pos).map_or(0, |n| n as usize);
+    let slots = claimed.min(buf.len().saturating_sub(pos) / 4).saturating_mul(k);
+    let mut inline = [Cut::default(); INLINE_CUTS];
+    let mut spilled = Vec::new();
+    let cuts: &mut [Cut<'a>] = match inline.get_mut(..slots) {
+        Some(cuts) => cuts,
+        None => {
+            spilled.resize(slots, Cut::default());
+            &mut spilled
+        }
+    };
+    let through = tiles.iter().max().map_or(0, |&t| t.saturating_add(1));
+    let (mut fewest, mut row) = (usize::MAX, 0);
+    let frames = walk_frames(buf, |frame| {
+        fewest = fewest.min(frame.tiles);
+        if let Some(cuts) = cuts.get_mut(row * k..(row + 1) * k) {
+            // A few integer compares per tile beat re-reading the
+            // lengths once per request.
+            for (i, payload) in frame.tiles().enumerate().take(through) {
+                for (cut, _) in cuts.iter_mut().zip(tiles).filter(|(_, &t)| t == i) {
+                    *cut = Cut { frame_type: frame.frame_type.to_byte(), payload };
+                }
+            }
+        }
+        row += 1;
+    })?;
+    if let Some(&t) = tiles.iter().find(|&&t| frames > 0 && t >= fewest) {
+        return Err(tile_out_of_range(t));
+    }
+    // One frame of an output: type, tile count 1, tile length, payload.
+    let frame_len = |c: &Cut<'_>| 2 + varint_len(c.payload.len() as u64) + c.payload.len();
+    for j in 0..k {
+        let column = || cuts.iter().skip(j).step_by(k).take(frames);
+        let body: usize = column()
+            .map(|c| {
+                let len = frame_len(c);
+                varint_len(len as u64) + len
+            })
+            .sum();
+        let mut out = Vec::with_capacity(varint_len(frames as u64) + body);
+        write_varint(&mut out, frames as u64);
+        for c in column() {
+            write_varint(&mut out, frame_len(c) as u64);
+            out.push(c.frame_type);
+            out.push(1);
+            write_varint(&mut out, c.payload.len() as u64);
+            out.extend_from_slice(c.payload);
+        }
+        emit(out, frames);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_gop(tiles_per_frame: usize, frames: usize) -> EncodedGop {
-        let frames = (0..frames)
+    fn sample_frames(tiles_per_frame: usize, frames: usize) -> Vec<EncodedFrame> {
+        (0..frames)
             .map(|i| EncodedFrame {
                 frame_type: if i == 0 { FrameType::Key } else { FrameType::Predicted },
-                tiles: (0..tiles_per_frame)
-                    .map(|t| vec![(i * 16 + t) as u8; 3 + t])
-                    .collect(),
+                tiles: (0..tiles_per_frame).map(|t| vec![(i * 16 + t) as u8; 3 + t]).collect(),
             })
-            .collect();
-        EncodedGop { frames }
+            .collect()
+    }
+
+    fn sample_gop(tiles_per_frame: usize, frames: usize) -> EncodedGop {
+        EncodedGop::from_frames(&sample_frames(tiles_per_frame, frames)).unwrap()
     }
 
     #[test]
     fn gop_roundtrips() {
         let gop = sample_gop(4, 5);
         let bytes = gop.to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len());
         assert_eq!(EncodedGop::from_bytes(&bytes).unwrap(), gop);
+        let frames = sample_frames(4, 5);
+        for (view, frame) in gop.frames().zip(&frames) {
+            assert_eq!(view.frame_type(), frame.frame_type);
+            assert!(view.tiles().eq(frame.tiles.iter().map(Vec::as_slice)));
+        }
+        assert_eq!(gop.frames().count(), 5);
     }
 
     #[test]
     fn empty_gop_roundtrips() {
         let gop = EncodedGop::default();
         assert_eq!(EncodedGop::from_bytes(&gop.to_bytes()).unwrap(), gop);
+        assert_eq!(EncodedGop::from_frames(&[]).unwrap(), gop);
     }
 
     #[test]
@@ -438,17 +526,20 @@ mod tests {
 
     #[test]
     fn non_keyframe_start_rejected() {
-        let mut gop = sample_gop(1, 2);
-        gop.frames[0].frame_type = FrameType::Predicted;
-        let bytes = gop.to_bytes();
+        let mut frames = sample_frames(1, 2);
+        frames[0].frame_type = FrameType::Predicted;
+        assert!(matches!(EncodedGop::from_frames(&frames), Err(CodecError::Corrupt(_))));
+        // The same GOP as bytes: frame count, first frame's length, then
+        // its type byte.
+        let mut bytes = sample_gop(1, 2).to_bytes();
+        bytes[2] = FrameType::Predicted.to_byte();
         assert!(EncodedGop::from_bytes(&bytes).is_err());
     }
 
     #[test]
     fn extract_then_stitch_is_identity() {
         let gop = sample_gop(4, 3);
-        let parts: Vec<EncodedGop> =
-            (0..4).map(|i| gop.extract_tile(i).unwrap()).collect();
+        let parts: Vec<EncodedGop> = (0..4).map(|i| gop.extract_tile(i).unwrap()).collect();
         let stitched = EncodedGop::stitch_tiles(&parts).unwrap();
         assert_eq!(stitched, gop);
     }
@@ -478,5 +569,14 @@ mod tests {
         let gop = sample_gop(2, 2);
         // tiles are 3 and 4 bytes per frame → 7 per frame, 14 total.
         assert_eq!(gop.payload_bytes(), 14);
+    }
+
+    #[test]
+    fn first_frames_keeps_a_prefix() {
+        let gop = sample_gop(2, 3);
+        let key = gop.first_frames(1);
+        assert_eq!(key, EncodedGop::from_frames(&sample_frames(2, 1)).unwrap());
+        assert_eq!(gop.first_frames(7), gop);
+        assert_eq!(EncodedGop::default().first_frames(1), EncodedGop::default());
     }
 }

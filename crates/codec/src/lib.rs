@@ -40,9 +40,19 @@ pub mod stream;
 pub mod tile;
 pub mod transform;
 
+// The test oracles name this crate the way their other includers do.
+#[cfg(test)]
+extern crate self as lightdb_codec;
+
+/// The kernels before their overhauls, for the unit tests' differential
+/// checks.
+#[cfg(test)]
+#[path = "../tests/oracle/kernels.rs"]
+mod reference_kernels;
+
 pub use decoder::Decoder;
 pub use encoder::{Encoder, EncoderConfig};
-pub use gop::{EncodedFrame, EncodedGop, FrameType};
+pub use gop::{EncodedFrame, EncodedGop, FrameType, FrameView};
 pub use stream::{CodecKind, SequenceHeader, VideoStream};
 pub use tile::{TileGrid, TileRect};
 

@@ -381,59 +381,10 @@ pub fn motion_search(
     (best, best_sad)
 }
 
-/// Scalar per-pixel kernels kept as the differential/benchmark
-/// baseline for the SWAR SAD and row-slice block copies.
-#[doc(hidden)]
-pub mod reference {
-    use crate::MB_SIZE;
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn sad_mb(
-        a: &[u8],
-        a_stride: usize,
-        ax: usize,
-        ay: usize,
-        b: &[u8],
-        b_stride: usize,
-        bx: usize,
-        by: usize,
-        early_exit: u32,
-    ) -> u32 {
-        let mut sum = 0u32;
-        for row in 0..MB_SIZE {
-            let abase = (ay + row) * a_stride + ax;
-            let bbase = (by + row) * b_stride + bx;
-            for col in 0..MB_SIZE {
-                sum += (a[abase + col] as i32 - b[bbase + col] as i32).unsigned_abs();
-            }
-            if sum >= early_exit {
-                return sum;
-            }
-        }
-        sum
-    }
-
-    pub fn extract_block<const SZ: usize>(
-        plane: &[u8],
-        stride: usize,
-        x: usize,
-        y: usize,
-    ) -> [i32; SZ] {
-        let n = (SZ as f64).sqrt() as usize;
-        let mut out = [0i32; SZ];
-        for row in 0..n {
-            let base = (y + row) * stride + x;
-            for col in 0..n {
-                out[row * n + col] = plane[base + col] as i32;
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference_kernels::predict as reference;
 
     fn plane_with_square(w: usize, h: usize, sx: usize, sy: usize) -> Vec<u8> {
         let mut p = vec![20u8; w * h];

@@ -1,6 +1,6 @@
 //! Video streams: a sequence header plus length-delimited GOPs.
 
-use crate::bitio::{read_varint, write_varint};
+use crate::bitio::{read_varint, varint_len, write_varint};
 use crate::gop::EncodedGop;
 use crate::tile::TileGrid;
 use crate::{CodecError, Result};
@@ -153,16 +153,23 @@ impl VideoStream {
     /// length-prefixed GOPs. The length prefixes are what the GOP
     /// index (the container's `stss` atom) records.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&STREAM_MAGIC);
-        self.header.write(&mut out);
-        write_varint(&mut out, self.gops.len() as u64);
+        let mut out = self.head();
+        let framed = |g: &EncodedGop| varint_len(g.as_bytes().len() as u64) + g.as_bytes().len();
+        out.reserve_exact(self.gops.iter().map(framed).sum());
         for g in &self.gops {
-            let gb = g.to_bytes();
-            write_varint(&mut out, gb.len() as u64);
-            out.extend_from_slice(&gb);
+            write_varint(&mut out, g.as_bytes().len() as u64);
+            out.extend_from_slice(g.as_bytes());
         }
         out
+    }
+
+    /// What precedes the first GOP: magic, header, GOP count.
+    fn head(&self) -> Vec<u8> {
+        let mut head = Vec::new();
+        head.extend_from_slice(&STREAM_MAGIC);
+        self.header.write(&mut head);
+        write_varint(&mut head, self.gops.len() as u64);
+        head
     }
 
     /// Parses only the sequence header from a stream's leading bytes
@@ -207,22 +214,17 @@ impl VideoStream {
     /// index stores, enabling `GOPSELECT` to copy byte ranges without
     /// decoding.
     pub fn gop_byte_ranges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::with_capacity(self.gops.len());
-        // Recompute the header length exactly as to_bytes() lays it out.
-        let mut head = Vec::new();
-        head.extend_from_slice(&STREAM_MAGIC);
-        self.header.write(&mut head);
-        write_varint(&mut head, self.gops.len() as u64);
-        let mut pos = head.len();
-        for g in &self.gops {
-            let gb = g.to_bytes();
-            let mut prefix = Vec::new();
-            write_varint(&mut prefix, gb.len() as u64);
-            pos += prefix.len();
-            out.push((pos, gb.len()));
-            pos += gb.len();
-        }
-        out
+        let mut pos = self.head().len();
+        self.gops
+            .iter()
+            .map(|g| {
+                let len = g.as_bytes().len();
+                pos += varint_len(len as u64);
+                let range = (pos, len);
+                pos += len;
+                range
+            })
+            .collect()
     }
 
     /// Average bit rate in bits per second of the encoded payload.
@@ -273,12 +275,11 @@ mod tests {
     }
 
     fn tiny_gop(seed: u8) -> EncodedGop {
-        EncodedGop {
-            frames: vec![EncodedFrame {
-                frame_type: FrameType::Key,
-                tiles: vec![vec![seed; 5]],
-            }],
-        }
+        EncodedGop::from_frames(&[EncodedFrame {
+            frame_type: FrameType::Key,
+            tiles: vec![vec![seed; 5]],
+        }])
+        .unwrap()
     }
 
     #[test]

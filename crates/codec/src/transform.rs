@@ -2,9 +2,9 @@
 //!
 //! The transform operates on `i32` residual blocks (pixel differences
 //! in `-255..=255`) and produces `i32` coefficient blocks after
-//! rounding. The original separable `f64` implementation (retained in
-//! [`reference`]) defines the bitstream: every output here must be
-//! bit-identical to it.
+//! rounding. The original separable `f64` implementation (kept as the
+//! private `reference` fallback) defines the bitstream: every output
+//! here must be bit-identical to it.
 //!
 //! The hot path is fixed-point with even–odd butterflies and a
 //! `2^44`-scaled integer basis for the shared first pass. The second
@@ -254,7 +254,7 @@ fn near_tie(acc: i128, guard: u128) -> bool {
 }
 
 /// Forward 8×8 DCT of a row-major residual block. Bit-identical to
-/// [`reference::forward`] for any input.
+/// `reference::forward` for any input.
 pub fn forward(block: &[i32; N * N]) -> [i32; N * N] {
     let mut p1 = CheapFwd {
         t2: [0; N * N],
@@ -566,7 +566,7 @@ fn rational_f64_col(block: &[i32; N * N], u: usize) -> [f64; N] {
 }
 
 /// Inverse 8×8 DCT back to a residual block. Bit-identical to
-/// [`reference::inverse`] for any input.
+/// `reference::inverse` for any input.
 pub fn inverse(coeffs: &[i32; N * N]) -> [i32; N * N] {
     let mut out = [0i32; N * N];
     match inverse_cheap(coeffs, &mut out) {
@@ -784,13 +784,13 @@ fn inverse_precise(tmp: &[i64; N * N]) -> Option<[i32; N * N]> {
 }
 
 /// The original separable `f64` transform: the normative definition
-/// of the bitstream, kept as the differential baseline and the
-/// fallback for near-tie and out-of-range blocks.
-#[doc(hidden)]
-pub mod reference {
+/// of the bitstream, and the fallback for near-tie and out-of-range
+/// blocks. Its verbatim copy in `tests/oracle/kernels.rs` is what the
+/// tests and the kernel benchmark compare against.
+mod reference {
     use super::{basis, N};
 
-    pub fn forward(block: &[i32; N * N]) -> [i32; N * N] {
+    pub(super) fn forward(block: &[i32; N * N]) -> [i32; N * N] {
         let b = basis();
         // Rows then columns (separable).
         let mut tmp = [0.0f64; N * N];
@@ -816,7 +816,7 @@ pub mod reference {
         out
     }
 
-    pub fn inverse(coeffs: &[i32; N * N]) -> [i32; N * N] {
+    pub(super) fn inverse(coeffs: &[i32; N * N]) -> [i32; N * N] {
         let b = basis();
         let mut tmp = [0.0f64; N * N];
         for v in 0..N {
@@ -890,6 +890,7 @@ const fn build_zigzag() -> [usize; N * N] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference_kernels::transform as reference;
     use proptest::prelude::*;
 
     /// Deterministic generator for the heavy differential sweeps.

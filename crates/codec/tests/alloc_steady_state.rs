@@ -192,14 +192,6 @@ fn a_hostile_count_reserves_no_more_than_its_input_could_hold() {
     assert!(bytes < 4096, "VideoStream::from_bytes requested {bytes} bytes for {} bytes", stream.len());
 }
 
-/// Heap buffers a value of single-tile GOPs owns: the list, each GOP's
-/// frame list, each frame's tile list, and each non-empty payload.
-fn buffers(gops: &[EncodedGop]) -> u64 {
-    let frame = |f: &lightdb_codec::EncodedFrame| 1 + f.tiles.iter().filter(|t| !t.is_empty()).count();
-    let gop = |g: &EncodedGop| 1 + g.frames.iter().map(frame).sum::<usize>();
-    (1 + gops.iter().map(gop).sum::<usize>()) as u64
-}
-
 #[test]
 fn the_tile_walkers_allocate_only_their_output() {
     let stream = Encoder::new(EncoderConfig {
@@ -213,18 +205,29 @@ fn the_tile_walkers_allocate_only_their_output() {
     .unwrap();
     let bytes = stream.gops[0].to_bytes();
     for tiles in [vec![5], vec![0, 5, 10, 15], (0..15).collect::<Vec<usize>>()] {
-        let (allocs, gops) = count(|| EncodedGop::extract_tiles(&bytes, &tiles).unwrap());
-        assert_eq!(allocs, buffers(&gops), "extract_tiles({tiles:?})");
-        // The path it replaced: the parsed GOP (plus one tile-length
-        // list per frame), then a list of the extracted tiles.
-        let (allocs, (parsed, extracted)) = count(|| {
-            let gop = EncodedGop::from_bytes(&bytes).unwrap();
-            let out: Vec<EncodedGop> = tiles.iter().map(|&t| gop.extract_tile(t).unwrap()).collect();
-            (gop, out)
-        });
-        let parse = buffers(std::slice::from_ref(&parsed)) - 1 + parsed.frames.len() as u64;
-        assert_eq!(allocs, parse + buffers(&extracted), "from_bytes → extract_tile({tiles:?})");
+        // Each output is one exactly-sized buffer and the reference count
+        // that shares it; then the list. Nothing per frame, nothing per
+        // tile left behind.
+        let (allocs, _) = count(|| EncodedGop::extract_tiles(&bytes, &tiles).unwrap());
+        assert_eq!(allocs, 2 * tiles.len() as u64 + 1, "extract_tiles({tiles:?})");
     }
     let (allocs, _) = count(|| EncodedGop::extract_tile_bytes(&bytes, 7).unwrap());
     assert_eq!(allocs, 1, "extract_tile_bytes allocates its output and nothing else");
+}
+
+/// A GOP made from the buffer pool's bytes is those bytes: checking them
+/// allocates nothing, and the GOP's bytes are the buffer's.
+#[test]
+fn the_sharing_constructor_allocates_nothing() {
+    let stream = Encoder::new(EncoderConfig { qp: 22, gop_length: 4, grid: TileGrid::new(4, 4), ..Default::default() })
+        .unwrap()
+        .encode(&scene(128, 64, 4))
+        .unwrap();
+    let pooled = std::sync::Arc::new(stream.gops[0].to_bytes());
+    let (allocs, gop) = count(|| EncodedGop::from_shared(pooled.clone()).unwrap());
+    assert_eq!(allocs, 0);
+    assert_eq!(gop.as_bytes().as_ptr(), pooled.as_ptr());
+    // Reading it whole allocates nothing either.
+    let (allocs, tiles) = count(|| gop.frames().map(|f| f.tiles().count()).sum::<usize>());
+    assert_eq!((allocs, tiles), (0, 4 * 16));
 }

@@ -1,16 +1,18 @@
-//! `EncodedGop::extract_tile_bytes` against the path it replaced on the
-//! serving side, `from_bytes → extract_tile → to_bytes`: the walker
-//! reads the tile index out of the serialised GOP and copies one tile;
-//! the oracle parses all of them. Same bytes on every input the oracle
-//! accepts, the same `CodecError` variant on every input it rejects.
-//!
-//! `EncodedGop::extract_tiles` likewise against the path it replaced in
-//! the scan, `from_bytes → extract_tile` once per requested tile: equal
-//! GOPs, or the same variant naming the same tile. What the oracle
-//! returns on each case set is pinned by a digest recorded before the
-//! walker existed. CI runs this file in release mode too.
+//! The one tile extractor against the parsed path it replaced
+//! (`oracle/gop.rs`). `EncodedGop::extract_tile_bytes` — the tile
+//! server's miss — against parse → extract → serialise: same bytes on
+//! every input the oracle accepts, the same `CodecError` variant on
+//! every input it rejects. `EncodedGop::extract_tiles` — the scan's
+//! `TILESELECT` — against parse → extract once per requested tile:
+//! equal GOPs, or the same variant naming the same tile. What the
+//! oracle returns on each case set is pinned by a digest recorded
+//! before the walker existed. CI runs this file in release mode too.
 
-use lightdb_codec::{CodecError, EncodedFrame, EncodedGop, FrameType};
+#[path = "oracle/gop.rs"]
+mod oracle;
+
+use lightdb_codec::{CodecError, EncodedGop, FrameType};
+use oracle::{ParsedFrame, ParsedGop};
 
 /// SplitMix64.
 struct Rng(u64);
@@ -29,18 +31,19 @@ impl Rng {
     }
 }
 
-/// The parse → extract → serialise path, as the tile server ran it.
-fn oracle(bytes: &[u8], tile: usize) -> Result<Vec<u8>, CodecError> {
-    Ok(EncodedGop::from_bytes(bytes)?
-        .extract_tile(tile)?
-        .to_bytes())
-}
-
-/// Both `Ok` with equal bytes, or both the same error variant.
+/// Both `Ok` with equal bytes, or both the same error variant — for the
+/// serving side's bytes-to-bytes call and for `extract_tile` on a GOP
+/// made from the same bytes.
 fn assert_parity(bytes: &[u8], tile: usize, what: &dyn Fn() -> String) {
+    let method = EncodedGop::from_bytes(bytes).and_then(|g| g.extract_tile(tile));
+    match (&method, EncodedGop::extract_tile_bytes(bytes, tile)) {
+        (Ok(gop), Ok(walked)) => assert_eq!(gop.as_bytes(), walked, "{}", what()),
+        (Err(m), Err(w)) => assert_eq!(m, &w, "{}", what()),
+        (m, w) => panic!("extract_tile {m:?} vs extract_tile_bytes {w:?}: {}", what()),
+    }
     match (
         EncodedGop::extract_tile_bytes(bytes, tile),
-        oracle(bytes, tile),
+        oracle::extract_tile_bytes(bytes, tile),
     ) {
         (Ok(walked), Ok(parsed)) => {
             assert_eq!(walked, parsed, "{}", what());
@@ -59,9 +62,9 @@ fn assert_parity(bytes: &[u8], tile: usize, what: &dyn Fn() -> String) {
 /// A GOP of `frames` frames × `tiles` tiles whose payload lengths mix
 /// empty, one byte, a few bytes, and lengths whose varint takes two
 /// and three bytes.
-fn seeded_gop(rng: &mut Rng, tiles: usize, frames: usize) -> EncodedGop {
+fn seeded_gop(rng: &mut Rng, tiles: usize, frames: usize) -> ParsedGop {
     let frames = (0..frames)
-        .map(|i| EncodedFrame {
+        .map(|i| ParsedFrame {
             frame_type: if i == 0 {
                 FrameType::Key
             } else {
@@ -81,7 +84,7 @@ fn seeded_gop(rng: &mut Rng, tiles: usize, frames: usize) -> EncodedGop {
                 .collect(),
         })
         .collect();
-    EncodedGop { frames }
+    ParsedGop { frames }
 }
 
 #[test]
@@ -116,29 +119,11 @@ fn every_frame_count_from_one_to_thirty() {
 #[test]
 fn empty_gop_and_ragged_tile_counts() {
     // No frames: every tile index "extracts" the empty GOP.
-    let empty = EncodedGop::default().to_bytes();
+    let empty = ParsedGop::default().to_bytes();
     for tile in [0, 1, usize::MAX] {
         assert_parity(&empty, tile, &|| format!("empty GOP tile {tile}"));
     }
-    // The serialisation lets frames disagree on their tile count; a
-    // tile some frame lacks is `Incompatible` on both sides.
-    let ragged = EncodedGop {
-        frames: vec![
-            EncodedFrame {
-                frame_type: FrameType::Key,
-                tiles: vec![vec![1], vec![2, 3], vec![]],
-            },
-            EncodedFrame {
-                frame_type: FrameType::Predicted,
-                tiles: vec![vec![4, 5]],
-            },
-            EncodedFrame {
-                frame_type: FrameType::Predicted,
-                tiles: vec![vec![], vec![6]],
-            },
-        ],
-    }
-    .to_bytes();
+    let ragged = ragged_gop();
     for tile in 0..4 {
         assert_parity(&ragged, tile, &|| format!("ragged tile {tile}"));
     }
@@ -146,6 +131,23 @@ fn empty_gop_and_ragged_tile_counts() {
         EncodedGop::extract_tile_bytes(&ragged, 1),
         Err(CodecError::Incompatible(_))
     ));
+}
+
+/// Frames that disagree on their tile count, which the serialisation
+/// allows: a tile some frame lacks is `Incompatible` on both sides.
+fn ragged_gop() -> Vec<u8> {
+    let frame = |frame_type, tiles: &[&[u8]]| ParsedFrame {
+        frame_type,
+        tiles: tiles.iter().map(|t| t.to_vec()).collect(),
+    };
+    ParsedGop {
+        frames: vec![
+            frame(FrameType::Key, &[&[1], &[2, 3], &[]]),
+            frame(FrameType::Predicted, &[&[4, 5]]),
+            frame(FrameType::Predicted, &[&[], &[6]]),
+        ],
+    }
+    .to_bytes()
 }
 
 /// A 2×2 × 3-frame GOP, small enough to mutilate exhaustively.
@@ -197,13 +199,6 @@ fn parity_with_trailing_bytes_and_a_predicted_first_frame() {
     }
 }
 
-/// The scan's `TILESELECT` before the multi-tile walker: parse the GOP,
-/// then extract each requested tile in request order.
-fn oracle_tiles(bytes: &[u8], tiles: &[usize]) -> Result<Vec<EncodedGop>, CodecError> {
-    let gop = EncodedGop::from_bytes(bytes)?;
-    tiles.iter().map(|&t| gop.extract_tile(t)).collect()
-}
-
 /// FNV-1a over what the oracle returned on a set of cases.
 struct Digest(u64);
 
@@ -221,7 +216,7 @@ impl Digest {
 
     /// One outcome: every GOP's bytes, or the error's variant and — for
     /// `Incompatible`, which names the tile — its message.
-    fn outcome(&mut self, r: &Result<Vec<EncodedGop>, CodecError>) {
+    fn outcome(&mut self, r: &Result<Vec<ParsedGop>, CodecError>) {
         match r {
             Ok(gops) => {
                 self.add(&[0, gops.len() as u8]);
@@ -245,10 +240,14 @@ fn assert_tiles_parity(
     digest: &mut Digest,
     what: &dyn Fn() -> String,
 ) {
-    let parsed = oracle_tiles(bytes, tiles);
+    let parsed = oracle::extract_tiles(bytes, tiles);
     digest.outcome(&parsed);
     match (EncodedGop::extract_tiles(bytes, tiles), parsed) {
-        (Ok(walked), Ok(parsed)) => assert_eq!(walked, parsed, "{}", what()),
+        (Ok(walked), Ok(parsed)) => {
+            let parsed: Vec<Vec<u8>> = parsed.iter().map(ParsedGop::to_bytes).collect();
+            let walked: Vec<&[u8]> = walked.iter().map(EncodedGop::as_bytes).collect();
+            assert_eq!(walked, parsed, "{}", what());
+        }
         (Err(CodecError::Incompatible(w)), Err(CodecError::Incompatible(p))) => {
             assert_eq!(w, p, "{}", what())
         }
@@ -342,23 +341,7 @@ fn random_requests_over_four_by_four_and_eight_by_eight() {
 fn multi_tile_parity_on_empty_ragged_and_predicted_first_gops() {
     let mut digest = Digest::new();
     let empty = EncodedGop::default().to_bytes();
-    let ragged = EncodedGop {
-        frames: vec![
-            EncodedFrame {
-                frame_type: FrameType::Key,
-                tiles: vec![vec![1], vec![2, 3], vec![]],
-            },
-            EncodedFrame {
-                frame_type: FrameType::Predicted,
-                tiles: vec![vec![4, 5]],
-            },
-            EncodedFrame {
-                frame_type: FrameType::Predicted,
-                tiles: vec![vec![], vec![6]],
-            },
-        ],
-    }
-    .to_bytes();
+    let ragged = ragged_gop();
     let mut predicted = seeded_gop(&mut Rng(9), 2, 2);
     predicted.frames[0].frame_type = FrameType::Predicted;
     let predicted = predicted.to_bytes();

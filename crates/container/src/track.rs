@@ -171,7 +171,7 @@ impl Track {
                 frame_count: fc,
                 byte_offset: off as u64,
                 byte_len: len as u64,
-                crc32: crate::checksum::checksum(&gop.to_bytes()),
+                crc32: crate::checksum::checksum(gop.as_bytes()),
             });
             start_frame += fc;
         }

@@ -156,18 +156,15 @@ struct StreamState {
     version: u64,
     track: usize,
     media_path: String,
-    /// The media file's name in the buffer pool ([`GopKey::media`]).
-    pool_media: String,
     media: MediaStore,
     entries: Vec<GopIndexEntry>,
+    /// Each entry's key in the buffer pool, built once at open: a serve
+    /// or prefetch borrows one instead of building it.
+    pool_keys: Vec<GopKey>,
     quality: Quality,
 }
 
 impl StreamState {
-    fn pool_key(&self, entry: &GopIndexEntry) -> GopKey {
-        GopKey { media: self.pool_media.clone(), gop: entry.start_frame }
-    }
-
     fn read_gop(&self, entry: &GopIndexEntry) -> std::result::Result<Vec<u8>, ExecError> {
         self.media.read_gop_bytes(&self.media_path, entry).map_err(ExecError::Storage)
     }
@@ -179,6 +176,7 @@ impl StreamState {
 struct TierGop<'a> {
     stream: &'a StreamState,
     entry: GopIndexEntry,
+    pool_key: &'a GopKey,
     key: TileKey,
     gop: Option<Arc<Vec<u8>>>,
 }
@@ -186,6 +184,7 @@ struct TierGop<'a> {
 impl<'a> TierGop<'a> {
     fn new(stream: &'a StreamState, entry_idx: usize) -> TierGop<'a> {
         let entry = stream.entries[entry_idx];
+        let pool_key = &stream.pool_keys[entry_idx];
         let key = TileKey {
             tlf: stream.name.clone(),
             version: stream.version,
@@ -194,7 +193,7 @@ impl<'a> TierGop<'a> {
             tile: 0,
             quality: stream.quality,
         };
-        TierGop { stream, entry, key, gop: None }
+        TierGop { stream, entry, pool_key, key, gop: None }
     }
 
     /// The encoded bytes of `tile`, through `cache` when there is one.
@@ -205,11 +204,12 @@ impl<'a> TierGop<'a> {
         tally: &mut TileCacheStats,
         tile: usize,
     ) -> Result<Arc<Vec<u8>>> {
-        let (stream, entry, gop) = (self.stream, &self.entry, &mut self.gop);
+        let (stream, entry, pool_key) = (self.stream, &self.entry, self.pool_key);
+        let gop = &mut self.gop;
         let mut extract = || -> std::result::Result<Vec<u8>, ExecError> {
             let bytes = match gop {
                 Some(bytes) => bytes,
-                None => gop.insert(pool.get_gop::<ExecError>(&stream.pool_key(entry), || {
+                None => gop.insert(pool.get_gop::<ExecError>(pool_key, || {
                     stream.read_gop(entry)
                 })?),
             };
@@ -379,15 +379,18 @@ impl TileServer {
         let media_path = stored.metadata.tracks[track].media_path.clone();
         let header = media.read_stream_header(&media_path)?;
         let entries = stored.metadata.tracks[track].gop_index.clone();
+        let pool_media = media.path_of(&media_path).display().to_string();
+        let pool_keys =
+            entries.iter().map(|e| GopKey { media: pool_media.clone(), gop: e.start_frame }).collect();
         Ok((
             StreamState {
                 name: Arc::from(name),
                 version: stored.version,
                 track,
-                pool_media: media.path_of(&media_path).display().to_string(),
                 media_path,
                 media,
                 entries,
+                pool_keys,
                 quality,
             },
             header,
@@ -561,13 +564,14 @@ impl TileServer {
         }
         for stream in &tiers {
             let until = (next_idx + self.config.prefetch_gops).min(stream.entries.len());
-            for entry in &stream.entries[next_idx..until] {
+            let keys = &stream.pool_keys[next_idx..until];
+            for (entry, key) in stream.entries[next_idx..until].iter().zip(keys) {
                 // Best-effort: a failed readahead is retried (and
                 // properly surfaced) by the demand path.
                 let _loaded = self
                     .shared
                     .pool
-                    .prefetch_gop::<ExecError>(&stream.pool_key(entry), || stream.read_gop(entry))
+                    .prefetch_gop::<ExecError>(key, || stream.read_gop(entry))
                     .is_ok();
             }
         }

@@ -276,7 +276,7 @@ pub fn encode_one_gop(
     Ok(Chunk {
         payload: ChunkPayload::Encoded {
             header,
-            gop: EncodedGop { frames: gop_frames },
+            gop: EncodedGop::from_frames(&gop_frames)?,
         },
         ..c.clone()
     })

@@ -76,11 +76,11 @@ pub fn keyframe_select(input: ChunkStream, metrics: Metrics) -> ChunkStream {
             let ChunkPayload::Encoded { header, gop } = c.payload else {
                 return Err(ExecError::Domain("KEYFRAMESELECT requires encoded input".into()));
             };
-            // The chunk is ours: keep its keyframe, drop the rest.
-            let mut frames = gop.frames;
-            frames.truncate(1);
-            let first = frames.first().ok_or(ExecError::Align("empty GOP".into()))?;
-            debug_assert_eq!(first.frame_type, lightdb_codec::gop::FrameType::Key);
+            if gop.frame_count() == 0 {
+                return Err(ExecError::Align("empty GOP".into()));
+            }
+            // The keyframe's bytes as stored, under a frame count of one.
+            let gop = gop.first_frames(1);
             let header = SequenceHeader { gop_length: 1, ..header };
             let keyframe_instant = c.volume.t().lo();
             let volume = c.volume.with(
@@ -89,7 +89,7 @@ pub fn keyframe_select(input: ChunkStream, metrics: Metrics) -> ChunkStream {
             );
             Ok(Chunk {
                 volume,
-                payload: ChunkPayload::Encoded { header, gop: EncodedGop { frames } },
+                payload: ChunkPayload::Encoded { header, gop },
                 ..c
             })
         })

@@ -69,25 +69,25 @@ impl DecodeKey {
         // it (codec, geometry, tile grid), and the device because the
         // tiled-GPU decode path is a distinct implementation — frames
         // are expected identical, but the cache never has to assume
-        // it. Debug formatting is a stable in-process serialisation
-        // of these plain-data fields. The GOP is folded in as it lies
-        // in memory — frame types, tile lengths (which delimit the
-        // payloads that follow them), payload slices — not through a
-        // serialised copy: the key never leaves the process.
-        let head = format!("{header:?}/{device:?}");
+        // it. Each field is folded in at a fixed width, so no two
+        // headers run together; then the GOP's serialised bytes, which
+        // spell out frame types and the tile lengths that delimit the
+        // payloads. One pass, nothing built: the key never leaves the
+        // process.
         let mut h = DoubleFnv(0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142);
-        h.write(head.as_bytes());
-        let mut len = head.len();
-        for frame in &gop.frames {
-            h.write(&[frame.frame_type as u8]);
-            h.write(&(frame.tiles.len() as u64).to_le_bytes());
-            for tile in &frame.tiles {
-                h.write(&(tile.len() as u64).to_le_bytes());
-                h.write(tile);
-                len += tile.len();
-            }
+        h.write(&[header.codec.to_byte(), device as u8]);
+        for field in [
+            header.width,
+            header.height,
+            header.fps as usize,
+            header.gop_length,
+            header.grid.cols,
+            header.grid.rows,
+        ] {
+            h.write(&(field as u64).to_le_bytes());
         }
-        DecodeKey { h1: h.0, h2: h.1, len }
+        h.write(gop.as_bytes());
+        DecodeKey { h1: h.0, h2: h.1, len: gop.as_bytes().len() }
     }
 }
 
@@ -239,21 +239,31 @@ mod tests {
             ChunkPayload::Encoded { header, .. } => header,
             _ => unreachable!(),
         };
-        let gop = |frame_type, tiles: &[&[u8]]| EncodedGop {
-            frames: vec![EncodedFrame { frame_type, tiles: tiles.iter().map(|t| t.to_vec()).collect() }],
+        let gop = |frame_types: &[FrameType], tiles: &[&[u8]]| {
+            let frames: Vec<EncodedFrame> = frame_types
+                .iter()
+                .map(|&frame_type| EncodedFrame {
+                    frame_type,
+                    tiles: tiles.iter().map(|t| t.to_vec()).collect(),
+                })
+                .collect();
+            EncodedGop::from_frames(&frames).expect("well-formed GOP")
         };
         let key = |g: &EncodedGop, d| DecodeKey::for_gop(&header, d, g);
-        let base = gop(FrameType::Key, &[b"ab", b"c"]);
+        let (k, p) = (FrameType::Key, FrameType::Predicted);
+        let base = gop(&[k, k], &[b"ab", b"c"]);
         assert_eq!(key(&base, Device::Cpu), key(&base.clone(), Device::Cpu));
         for other in [
-            gop(FrameType::Key, &[b"a", b"bc"]),
-            gop(FrameType::Key, &[b"abc"]),
-            gop(FrameType::Predicted, &[b"ab", b"c"]),
-            gop(FrameType::Key, &[b"ab", b"d"]),
+            gop(&[k, k], &[b"a", b"bc"]),
+            gop(&[k, k], &[b"abc"]),
+            gop(&[k, p], &[b"ab", b"c"]),
+            gop(&[k, k], &[b"ab", b"d"]),
         ] {
             assert_ne!(key(&base, Device::Cpu), key(&other, Device::Cpu), "{other:?}");
         }
         assert_ne!(key(&base, Device::Cpu), key(&base, Device::Gpu));
+        let wider = SequenceHeader { width: header.width + 16, ..header };
+        assert_ne!(key(&base, Device::Cpu), DecodeKey::for_gop(&wider, Device::Cpu, &base));
     }
 
     #[test]

@@ -25,9 +25,10 @@ struct ScanPart {
     part: usize,
     header: SequenceHeader,
     media_path: String,
-    /// The media file's name in the buffer pool ([`GopKey::media`]),
-    /// resolved once with the part.
-    pool_media: String,
+    /// The part's key in the buffer pool, its media file resolved once
+    /// with the part; [`stream_parts`] points it at each GOP it fetches
+    /// instead of building a key per GOP.
+    pool_key: GopKey,
     entries: Vec<GopIndexEntry>,
     volume: Volume,
     info: StreamInfo,
@@ -57,11 +58,6 @@ pub fn scan_tlf(
 ) -> Result<ChunkStream> {
     ctx.check()?;
     let stored = metrics.time("SCAN", || catalog.read(name, version))?;
-    if let Some(f) = pool.get_metadata(name, stored.version) {
-        debug_assert_eq!(f.version, stored.version);
-    } else {
-        pool.put_metadata(name, stored.version, stored.metadata.clone());
-    }
     let media = stored.media();
     let mut parts = Vec::new();
     let spatial_ids = if use_spatial_index {
@@ -145,7 +141,7 @@ fn resolve_parts(
                     part: out.len(),
                     header,
                     media_path: track.media_path.clone(),
-                    pool_media: media.path_of(&track.media_path).display().to_string(),
+                    pool_key: pool_key(media, track),
                     entries,
                     volume,
                     info: StreamInfo {
@@ -183,7 +179,7 @@ fn resolve_parts(
                     part: out.len(),
                     header,
                     media_path: track.media_path.clone(),
-                    pool_media: media.path_of(&track.media_path).display().to_string(),
+                    pool_key: pool_key(media, track),
                     entries,
                     volume,
                     info: StreamInfo {
@@ -207,6 +203,11 @@ fn resolve_parts(
         }
     }
     Ok(())
+}
+
+/// `track`'s media file in the buffer pool, at its first GOP.
+fn pool_key(media: &MediaStore, track: &Track) -> GopKey {
+    GopKey { media: media.path_of(&track.media_path).display().to_string(), gop: 0 }
 }
 
 fn track_of(stored: &StoredTlf, index: u32) -> Result<&Track> {
@@ -317,8 +318,8 @@ fn select_tiles(
 }
 
 /// Lazily streams a scan's parts in t-major order, pulling GOP bytes
-/// through the buffer pool. With `tiles`, each GOP leaves as those
-/// tiles ([`select_tiles`]) and is never parsed whole. Under
+/// through the buffer pool. Without `tiles`, each GOP leaves as the
+/// pool's own buffer; with them, as those tiles ([`select_tiles`]). Under
 /// [`ReadPolicy::SkipCorruptGops`], damaged GOPs (checksum or parse
 /// failures) are skipped — up to the budget — and counted in
 /// [`counters::SKIPPED_GOPS`] instead of failing the stream; under
@@ -329,7 +330,7 @@ fn select_tiles(
 /// cancelled scan stops within one GOP.
 #[allow(clippy::too_many_arguments)]
 fn stream_parts(
-    parts: Vec<ScanPart>,
+    mut parts: Vec<ScanPart>,
     tiles: Option<Vec<usize>>,
     media: MediaStore,
     pool: Arc<BufferPool>,
@@ -361,20 +362,23 @@ fn stream_parts(
                 return Some(Ok(c));
             }
             let (pi, ei) = jobs.next()?;
-            let p = &parts[pi];
+            let p = &mut parts[pi];
             let entry = p.entries[ei];
+            p.pool_key.gop = entry.start_frame;
+            let p = &*p;
             if let Err(e) = ctx.check() {
                 return Some(Err(e));
             }
             let fetch = || {
-                let key = GopKey { media: p.pool_media.clone(), gop: entry.start_frame };
-                pool.get_gop_watch(&key, &|| ctx.should_abort(), || {
+                pool.get_gop_watch(&p.pool_key, &|| ctx.should_abort(), || {
                     media.read_gop_bytes(&p.media_path, &entry)
                 })
             };
             let r = match &tiles {
+                // The pool's bytes, checked once and shared: a GOP that
+                // leaves whole is never parsed or copied.
                 None => metrics.time("SCAN", || -> Result<()> {
-                    let gop = EncodedGop::from_bytes(&fetch()?)?;
+                    let gop = EncodedGop::from_shared(fetch()?)?;
                     pending.push_back(gop_chunk(p, &entry, gop));
                     Ok(())
                 }),
@@ -433,7 +437,7 @@ fn stream_parts(
                                 Ok(())
                             }
                             Some(tiles) => metrics.time("TILESELECT", || {
-                                select_tiles(p, &entry, &gop.to_bytes(), tiles, &mut pending)
+                                select_tiles(p, &entry, gop.as_bytes(), tiles, &mut pending)
                             }),
                         }
                     });

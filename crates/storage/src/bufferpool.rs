@@ -1,5 +1,7 @@
-//! The in-memory TLF cache (TC): parsed metadata entries plus a
-//! GOP-granularity LRU buffer pool over encoded media.
+//! The in-memory TLF cache (TC): a GOP-granularity LRU buffer pool
+//! over encoded media, plus the spatial R-trees scans have loaded.
+//! Parsed metadata is not kept here: the catalog serves it, from its
+//! overlay for versions the WAL has committed.
 //!
 //! Buffering at GOP granularity improves temporal locality — a point
 //! lookup that decoded GOP *k* will very likely need GOP *k* again
@@ -29,7 +31,6 @@
 //!   finish.
 
 use crate::lru::{SingleFlightLru, Source};
-use lightdb_container::MetadataFile;
 use lightdb_index::rtree::RTree;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -223,13 +224,8 @@ struct AdmissionState {
     session_admitted: HashMap<u64, usize>,
 }
 
-/// Parsed metadata files and loaded spatial R-trees per
-/// `(name, version)`.
-#[derive(Default)]
-struct Parsed {
-    metadata: HashMap<(String, u64), Arc<MetadataFile>>,
-    rtrees: HashMap<(String, u64), Arc<RTree<u64>>>,
-}
+/// Loaded spatial R-trees per `(name, version)`.
+type RTrees = HashMap<(String, u64), Arc<RTree<u64>>>;
 
 /// The buffer pool. Thread-safe. Misses load outside any lock, and
 /// concurrent misses on the same key are **single-flight**: one thread
@@ -240,7 +236,7 @@ pub struct BufferPool {
     misses: AtomicU64,
     loads: AtomicU64,
     readaheads: AtomicU64,
-    parsed: Mutex<Parsed>,
+    rtrees: Mutex<RTrees>,
     /// Admission bookkeeping lives beside (not inside) the cache:
     /// admission waits park on `admission_cv` and must never hold up
     /// cache traffic.
@@ -265,7 +261,7 @@ impl BufferPool {
             misses: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             readaheads: AtomicU64::new(0),
-            parsed: Mutex::new(Parsed::default()),
+            rtrees: Mutex::new(RTrees::new()),
             admission: StdMutex::new(AdmissionState {
                 admitted: 0,
                 limit: capacity_bytes,
@@ -489,53 +485,26 @@ impl BufferPool {
         self.gops.resident_bytes()
     }
 
-    /// Caches a parsed metadata file for `(name, version)`.
-    pub fn put_metadata(&self, name: &str, version: u64, file: Arc<MetadataFile>) {
-        self.parsed
-            .lock()
-            .metadata
-            .insert((name.to_string(), version), file);
-    }
-
-    /// Looks up a cached metadata file.
-    pub fn get_metadata(&self, name: &str, version: u64) -> Option<Arc<MetadataFile>> {
-        self.parsed
-            .lock()
-            .metadata
-            .get(&(name.to_string(), version))
-            .cloned()
-    }
-
     /// Caches a loaded spatial R-tree for `(name, version)`.
     pub fn put_rtree(&self, name: &str, version: u64, tree: Arc<RTree<u64>>) {
-        self.parsed
-            .lock()
-            .rtrees
-            .insert((name.to_string(), version), tree);
+        self.rtrees.lock().insert((name.to_string(), version), tree);
     }
 
     /// Looks up a cached spatial R-tree.
     pub fn get_rtree(&self, name: &str, version: u64) -> Option<Arc<RTree<u64>>> {
-        self.parsed
-            .lock()
-            .rtrees
-            .get(&(name.to_string(), version))
-            .cloned()
+        self.rtrees.lock().get(&(name.to_string(), version)).cloned()
     }
 
     /// Drops a cached R-tree (used by `DROPINDEX`).
     pub fn invalidate_rtree(&self, name: &str) {
-        self.parsed.lock().rtrees.retain(|(n, _), _| n != name);
+        self.rtrees.lock().retain(|(n, _), _| n != name);
     }
 
-    /// Drops the parsed metadata and R-trees of a TLF (used by `DROP`).
-    /// Its GOPs age out of the LRU: the catalog never hands a
-    /// `(name, version)` pair out twice, so no later read asks for
-    /// them.
+    /// Drops the R-trees of a TLF (used by `DROP`). Its GOPs age out of
+    /// the LRU: the catalog never hands a `(name, version)` pair out
+    /// twice, so no later read asks for them.
     pub fn invalidate(&self, name: &str) {
-        let mut parsed = self.parsed.lock();
-        parsed.metadata.retain(|(n, _), _| n != name);
-        parsed.rtrees.retain(|(n, _), _| n != name);
+        self.invalidate_rtree(name);
     }
 
     /// Current statistics snapshot.
@@ -688,26 +657,14 @@ mod tests {
     }
 
     #[test]
-    fn metadata_cache_roundtrip() {
-        use lightdb_container::{MetadataFile, TlfDescriptor};
-        use lightdb_geom::{Interval, Point3};
+    fn rtree_cache_roundtrip() {
         let pool = BufferPool::new(1024);
-        let file = Arc::new(
-            MetadataFile::new(
-                1,
-                vec![],
-                TlfDescriptor {
-                    body: lightdb_container::TlfBody::Sphere360 { points: vec![] },
-                    ..TlfDescriptor::single_sphere(Point3::ORIGIN, Interval::new(0.0, 1.0), 0)
-                },
-            )
-            .unwrap(),
-        );
-        assert!(pool.get_metadata("demo", 1).is_none());
-        pool.put_metadata("demo", 1, file.clone());
-        assert!(pool.get_metadata("demo", 1).is_some());
-        pool.invalidate("demo");
-        assert!(pool.get_metadata("demo", 1).is_none());
+        assert!(pool.get_rtree("demo", 1).is_none());
+        pool.put_rtree("demo", 1, Arc::new(RTree::new()));
+        assert!(pool.get_rtree("demo", 1).is_some());
+        assert!(pool.get_rtree("demo", 2).is_none(), "versions are separate entries");
+        pool.invalidate_rtree("demo");
+        assert!(pool.get_rtree("demo", 1).is_none());
     }
 
     /// `DROP` forgets the dropped TLF's parsed state and nobody else's.

@@ -16,8 +16,10 @@
 //! pin a version (snapshot isolation); `SCAN` without an explicit
 //! version sees the latest committed one.
 //!
-//! The in-memory *TLF cache* ([`bufferpool`]) holds parsed metadata
-//! entries and a GOP-granularity LRU buffer pool over encoded media.
+//! The in-memory *TLF cache* ([`bufferpool`]) is a GOP-granularity LRU
+//! buffer pool over encoded media plus the loaded spatial R-trees;
+//! parsed metadata comes from the catalog (its overlay holds the
+//! versions the WAL has committed).
 //!
 //! ## Failure model
 //!

@@ -136,7 +136,13 @@ fn template() -> LogicalPlan {
 struct Cluster {
     handles: Vec<Arc<Mutex<worker::WorkerHandle>>>,
     coord: Coordinator,
+    /// Held for the cluster's life (dropped last): the fault registry
+    /// is process-global and this binary's tests run side by side, so
+    /// one test's armed RPC faults must never meet another's RPCs.
+    _alone: std::sync::MutexGuard<'static, ()>,
 }
+
+static ONE_CLUSTER_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn fast_config() -> CoordinatorConfig {
     CoordinatorConfig {
@@ -147,6 +153,7 @@ fn fast_config() -> CoordinatorConfig {
 }
 
 fn spawn_cluster(worker_dirs: &[PathBuf], fragments: Vec<Fragment>) -> Cluster {
+    let alone = ONE_CLUSTER_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut handles = Vec::with_capacity(worker_dirs.len());
     let mut addrs = Vec::with_capacity(worker_dirs.len());
     for dir in worker_dirs {
@@ -155,7 +162,7 @@ fn spawn_cluster(worker_dirs: &[PathBuf], fragments: Vec<Fragment>) -> Cluster {
         handles.push(Arc::new(Mutex::new(handle)));
     }
     let coord = Coordinator::new(addrs, fragments, fast_config());
-    Cluster { handles, coord }
+    Cluster { handles, coord, _alone: alone }
 }
 
 impl Cluster {
@@ -413,8 +420,8 @@ fn seeded_cluster_soak_holds_tri_state_and_leaks_nothing() {
     let mut degraded_runs = 0u64;
     for seed in 0..seeds() {
         let sc = ClusterScenario::from_seed(seed, WORKERS);
-        faults::reset_global();
         let cluster = spawn_cluster(&dirs, fragments.clone());
+        faults::reset_global();
         if let Some((site, fault, hits)) = &sc.fault {
             faults::arm_global_n(site, fault.clone(), *hits);
         }

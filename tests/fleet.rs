@@ -303,15 +303,16 @@ fn synthetic_stream(seconds: usize, tile_bytes: usize, seed: u64) -> VideoStream
         (state >> 33) as u8
     };
     let gops = (0..seconds)
-        .map(|_| EncodedGop {
-            frames: (0..4)
+        .map(|_| {
+            let frames: Vec<EncodedFrame> = (0..4)
                 .map(|f| EncodedFrame {
                     frame_type: if f == 0 { FrameType::Key } else { FrameType::Predicted },
                     tiles: (0..GRID.tile_count())
                         .map(|t| (0..tile_bytes + t).map(|_| next()).collect())
                         .collect(),
                 })
-                .collect(),
+                .collect();
+            EncodedGop::from_frames(&frames).unwrap()
         })
         .collect();
     let header = SequenceHeader {

@@ -3,7 +3,8 @@
 //! `GOPSELECT`, `GOPUNION` and `TILESELECT` never run the codec, so
 //! their output is checkable byte for byte: against direct slicing of
 //! the stored stream (whole GOPs, or `EncodedGop::extract_tile` of every
-//! GOP), and against the same query on a `SERIAL` session. `TILESELECT`
+//! GOP), and against the same query on a `SERIAL` session. A GOP that
+//! leaves whole is the buffer pool's own buffer, not a copy. `TILESELECT`
 //! runs inside the scan, which walks each GOP's bytes once for just the
 //! requested tiles; the chunk-domain operator it replaced survives as
 //! the oracle under `crates/exec/tests/oracle/`, and the two must agree
@@ -14,14 +15,21 @@
 #[path = "../crates/exec/tests/oracle/tile_select.rs"]
 mod oracle;
 
-use lightdb::codec::{
-    EncodedFrame, EncodedGop, Encoder, EncoderConfig, FrameType, SequenceHeader, VideoStream,
-};
+/// The codec's parsed GOP, whose serialiser writes GOPs no
+/// `EncodedGop` constructor accepts.
+#[path = "../crates/codec/tests/oracle/gop.rs"]
+mod gop_oracle;
+
+use gop_oracle::{ParsedFrame, ParsedGop};
+use lightdb::codec::{EncodedGop, Encoder, EncoderConfig, FrameType, SequenceHeader, VideoStream};
+use lightdb::container::{checksum::checksum, GopIndexEntry, TlfDescriptor, Track, TrackRole};
 use lightdb::exec::metrics::counters;
 use lightdb::exec::{sources, ExecError, Executor, Metrics, PhysicalPlan};
 use lightdb::geom::projection::ProjectionKind;
 use lightdb::prelude::*;
+use lightdb::storage::bufferpool::GopKey;
 use lightdb::storage::faults::{self, sites, Fault};
+use lightdb::storage::TrackWrite;
 use std::f64::consts::PI;
 use std::fs;
 use std::time::Duration;
@@ -199,6 +207,28 @@ fn gop_select_and_gop_union_return_the_stored_gops() {
     fx.cleanup();
 }
 
+/// `GOPSELECT` returns the buffer pool's bytes: every output GOP is the
+/// pool's buffer for that GOP, shared, not a copy of it.
+#[test]
+fn gop_select_returns_the_buffer_pools_own_buffers() {
+    let fx = Fixture::new("shared");
+    let out = streams(fx.db.execute(&time_range("a", 2, 6)).unwrap());
+    let stored = fx.db.catalog().read("a", None).unwrap();
+    let track = &stored.metadata.tracks[0];
+    let media = stored.media().path_of(&track.media_path).display().to_string();
+    assert_eq!(out[0].gops.len(), 4);
+    for (gop, entry) in out[0].gops.iter().zip(&track.gop_index[2..6]) {
+        let key = GopKey { media: media.clone(), gop: entry.start_frame };
+        let pooled = fx
+            .db
+            .pool()
+            .get_gop::<std::io::Error>(&key, || panic!("GOP {} left the pool", entry.start_frame))
+            .unwrap();
+        assert_eq!(gop.as_bytes().as_ptr(), pooled.as_ptr(), "GOP {}", entry.start_frame);
+    }
+    fx.cleanup();
+}
+
 #[test]
 fn tile_select_returns_every_tile_rectangle_of_a_four_by_four_grid() {
     let fx = Fixture::new("rects");
@@ -352,11 +382,12 @@ fn tile_projecting_scan_matches_the_chunk_domain_oracle_on_a_damaged_gop() {
     fx.cleanup();
 }
 
-/// A hand-built 64×32 stream whose header promises a 2×2 grid. GOP 1
-/// begins with a predicted frame (its bytes pass their checksum but do
-/// not parse); GOP 2's second frame has three tiles, not four. The
-/// payloads are never decoded.
-fn hand_built() -> VideoStream {
+/// Stores a hand-built 64×32 stream as `name`, whose header promises a
+/// 2×2 grid. GOP 1 begins with a predicted frame (its bytes pass their
+/// checksum but do not parse); GOP 2's second frame has three tiles, not
+/// four. The payloads are never decoded. No writer makes such a stream,
+/// so its media file and GOP index are written here.
+fn store_hand_built(db: &LightDb, name: &str) {
     let header = SequenceHeader {
         codec: CodecKind::HevcSim,
         width: 64,
@@ -365,11 +396,11 @@ fn hand_built() -> VideoStream {
         gop_length: 2,
         grid: TileGrid::new(2, 2),
     };
-    let frame = |frame_type, tiles: usize, seed: u8| EncodedFrame {
+    let frame = |frame_type, tiles: usize, seed: u8| ParsedFrame {
         frame_type,
         tiles: (0..tiles).map(|t| vec![seed ^ t as u8; 3 + t]).collect(),
     };
-    let gop = |i: u8| EncodedGop {
+    let gop = |i: u8| ParsedGop {
         frames: match i {
             1 => vec![
                 frame(FrameType::Predicted, 4, i),
@@ -385,16 +416,42 @@ fn hand_built() -> VideoStream {
             ],
         },
     };
-    VideoStream {
-        header,
-        gops: (0..4).map(gop).collect(),
+    let gops: Vec<Vec<u8>> = (0..4).map(|i| gop(i).to_bytes()).collect();
+    // Magic and header as the stream writer lays them out, then the
+    // length-prefixed GOPs.
+    let mut media = VideoStream { header, gops: vec![] }.to_bytes();
+    media.pop(); // the GOP count, 0
+    lightdb::codec::bitio::write_varint(&mut media, gops.len() as u64);
+    let mut gop_index = Vec::new();
+    for (i, bytes) in gops.iter().enumerate() {
+        lightdb::codec::bitio::write_varint(&mut media, bytes.len() as u64);
+        gop_index.push(GopIndexEntry {
+            start_frame: 2 * i as u64,
+            frame_count: 2,
+            byte_offset: media.len() as u64,
+            byte_len: bytes.len() as u64,
+            crc32: checksum(bytes),
+        });
+        media.extend_from_slice(bytes);
     }
+    let dir = db.catalog().root().join(name);
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join("hand_built.lvc"), media).unwrap();
+    let track = Track {
+        role: TrackRole::Video,
+        codec: header.codec,
+        projection: ProjectionKind::Equirectangular,
+        media_path: "hand_built.lvc".into(),
+        gop_index,
+    };
+    let tlf = TlfDescriptor::single_sphere(Point3::ORIGIN, Interval::new(0.0, 4.0), 0);
+    db.catalog().store(name, vec![TrackWrite::Existing(track)], tlf).unwrap();
 }
 
 #[test]
 fn tile_projecting_scan_matches_the_chunk_domain_oracle_on_a_grid_mismatch() {
     let fx = Fixture::new("ragged");
-    store(&fx.db, "ragged", &hand_built());
+    store_hand_built(&fx.db, "ragged");
     for policy in POLICIES {
         // Tiles every frame has; one GOP 2 lacks; one outside the grid
         // first and last; a repeat.
