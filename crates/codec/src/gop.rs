@@ -174,7 +174,7 @@ impl EncodedGop {
     /// behind the `TILESELECT` homomorphic operator.
     pub fn extract_tile(&self, index: usize) -> Result<EncodedGop> {
         let mut out = None;
-        extract(self.as_bytes(), &[index], |bytes, frames| {
+        extract(self.as_bytes(), &[index], Vec::with_capacity, |bytes, frames| {
             out = Some(EncodedGop { bytes: Arc::new(bytes), frames })
         })?;
         out.ok_or_else(|| tile_out_of_range(index))
@@ -182,10 +182,24 @@ impl EncodedGop {
 
     /// [`from_bytes`](Self::from_bytes) → [`extract_tile`](Self::extract_tile)
     /// → [`to_bytes`](Self::to_bytes) in one walk of `gop_bytes`, into one
-    /// exactly-sized buffer and nothing else — the tile server's miss.
+    /// exactly-sized buffer and nothing else.
     pub fn extract_tile_bytes(gop_bytes: &[u8], tile: usize) -> Result<Vec<u8>> {
+        Self::extract_tile_bytes_with(gop_bytes, tile, Vec::with_capacity)
+    }
+
+    /// [`extract_tile_bytes`](Self::extract_tile_bytes) into a buffer
+    /// from `buffer`, which is asked once, with the output's exact
+    /// length, after the walk has checked `gop_bytes`. Whatever it
+    /// returns is cleared and then holds exactly the output; one too
+    /// small grows. The tile server's miss: its cache hands out a
+    /// buffer an earlier eviction freed up.
+    pub fn extract_tile_bytes_with(
+        gop_bytes: &[u8],
+        tile: usize,
+        buffer: impl FnMut(usize) -> Vec<u8>,
+    ) -> Result<Vec<u8>> {
         let mut out = Vec::new();
-        extract(gop_bytes, &[tile], |bytes, _| out = bytes)?;
+        extract(gop_bytes, &[tile], buffer, |bytes, _| out = bytes)?;
         Ok(out)
     }
 
@@ -198,7 +212,7 @@ impl EncodedGop {
     /// request order, that some frame lacks.
     pub fn extract_tiles(gop_bytes: &[u8], tiles: &[usize]) -> Result<Vec<EncodedGop>> {
         let mut out = Vec::with_capacity(tiles.len());
-        extract(gop_bytes, tiles, |bytes, frames| {
+        extract(gop_bytes, tiles, Vec::with_capacity, |bytes, frames| {
             out.push(EncodedGop { bytes: Arc::new(bytes), frames })
         })?;
         Ok(out)
@@ -413,11 +427,13 @@ const INLINE_CUTS: usize = 64;
 /// does and, in the same walk, records where each requested tile lies
 /// in each frame — one pass over each frame's tile index for all the
 /// requests. Then writes the requested tiles, in request order, as
-/// serialised single-tile GOPs: each into one exactly-sized buffer,
+/// serialised single-tile GOPs: each into one buffer `buffer` returns
+/// for the output's exact length (cleared, and grown if it is short),
 /// handed to `emit` with its frame count. Copies nothing else.
 fn extract<'a>(
     buf: &'a [u8],
     tiles: &[usize],
+    mut buffer: impl FnMut(usize) -> Vec<u8>,
     mut emit: impl FnMut(Vec<u8>, usize),
 ) -> Result<()> {
     let k = tiles.len();
@@ -465,7 +481,10 @@ fn extract<'a>(
                 varint_len(len as u64) + len
             })
             .sum();
-        let mut out = Vec::with_capacity(varint_len(frames as u64) + body);
+        let len = varint_len(frames as u64) + body;
+        let mut out = buffer(len);
+        out.clear();
+        out.reserve_exact(len);
         write_varint(&mut out, frames as u64);
         for c in column() {
             write_varint(&mut out, frame_len(c) as u64);

@@ -174,17 +174,20 @@ impl TlfDescriptor {
         }
     }
 
-    /// Parses `tlfd` payload bytes.
+    /// Parses `tlfd` payload bytes. Hostile bytes are `Malformed`: no
+    /// length overflows, no count reserves more elements than the bytes
+    /// left could encode, and composites nest at most 64
+    /// levels below the root.
     pub fn from_bytes(buf: &[u8]) -> Result<TlfDescriptor> {
         let mut pos = 0;
-        let d = Self::read(buf, &mut pos)?;
+        let d = Self::read(buf, &mut pos, 0)?;
         if pos != buf.len() {
             return Err(ContainerError::Malformed("trailing bytes in tlfd"));
         }
         Ok(d)
     }
 
-    fn read(buf: &[u8], pos: &mut usize) -> Result<TlfDescriptor> {
+    fn read(buf: &[u8], pos: &mut usize, depth: usize) -> Result<TlfDescriptor> {
         let volume = read_volume(buf, pos)?;
         let streaming = read_u8(buf, pos)? != 0;
         let nspec = rv(buf, pos)? as usize;
@@ -200,13 +203,13 @@ impl TlfDescriptor {
         let view_subgraph = match read_u8(buf, pos)? {
             0 => None,
             1 => {
-                let len = rv(buf, pos)? as usize;
-                if *pos + len > buf.len() {
-                    return Err(ContainerError::Malformed("view subgraph truncated"));
-                }
-                let bytes = buf[*pos..*pos + len].to_vec();
-                *pos += len;
-                Some(bytes)
+                let len = rv(buf, pos)?;
+                let bytes = usize::try_from(len)
+                    .ok()
+                    .and_then(|len| buf.get(*pos..pos.checked_add(len)?))
+                    .ok_or(ContainerError::Malformed("view subgraph truncated"))?;
+                *pos += bytes.len();
+                Some(bytes.to_vec())
             }
             _ => return Err(ContainerError::Malformed("bad view subgraph tag")),
         };
@@ -216,7 +219,7 @@ impl TlfDescriptor {
                 if n > 1 << 24 {
                     return Err(ContainerError::Malformed("implausible point count"));
                 }
-                let mut points = Vec::with_capacity(n);
+                let mut points = Vec::with_capacity(bounded(n, buf, *pos, MIN_POINT_BYTES));
                 for _ in 0..n {
                     points.push(SpherePoint {
                         position: read_point(buf, pos)?,
@@ -232,7 +235,7 @@ impl TlfDescriptor {
                 if n > 1 << 16 {
                     return Err(ContainerError::Malformed("implausible slab count"));
                 }
-                let mut slabs = Vec::with_capacity(n);
+                let mut slabs = Vec::with_capacity(bounded(n, buf, *pos, MIN_SLAB_BYTES));
                 for _ in 0..n {
                     slabs.push(SlabGeometry {
                         uv_min: read_point(buf, pos)?,
@@ -251,9 +254,12 @@ impl TlfDescriptor {
                 if n > 4096 {
                     return Err(ContainerError::Malformed("implausible child count"));
                 }
-                let mut children = Vec::with_capacity(n);
+                if depth == MAX_DEPTH {
+                    return Err(ContainerError::Malformed("composite nested too deep"));
+                }
+                let mut children = Vec::with_capacity(bounded(n, buf, *pos, MIN_DESCRIPTOR_BYTES));
                 for _ in 0..n {
-                    children.push(Self::read(buf, pos)?);
+                    children.push(Self::read(buf, pos, depth + 1)?);
                 }
                 TlfBody::Composite { children }
             }
@@ -261,6 +267,26 @@ impl TlfDescriptor {
         };
         Ok(TlfDescriptor { volume, streaming, partition_spec, view_subgraph, body })
     }
+}
+
+/// Composite levels allowed below the root descriptor.
+const MAX_DEPTH: usize = 64;
+
+/// Fewest bytes a sphere point encodes to: three `f64`s, a one-byte
+/// track varint and two one-byte absent-track tags.
+const MIN_POINT_BYTES: usize = 3 * 8 + 3;
+/// Fewest bytes a slab encodes to: four points and five one-byte
+/// varints.
+const MIN_SLAB_BYTES: usize = 4 * 3 * 8 + 5;
+/// Fewest bytes a child descriptor encodes to: the volume's twelve
+/// `f64`s, the streaming flag, an empty partition spec, the subgraph
+/// tag, the body tag and an empty body's count.
+const MIN_DESCRIPTOR_BYTES: usize = 12 * 8 + 5;
+
+/// A reservation for `n` claimed elements of at least `min_bytes` each:
+/// no more than the bytes left after `pos` could hold.
+fn bounded(n: usize, buf: &[u8], pos: usize, min_bytes: usize) -> usize {
+    n.min(buf.len().saturating_sub(pos) / min_bytes)
 }
 
 fn rv(buf: &[u8], pos: &mut usize) -> Result<u64> {
@@ -332,11 +358,8 @@ fn read_volume(buf: &[u8], pos: &mut usize) -> Result<Volume> {
         }
         *iv = Interval::new(lo, hi);
     }
-    // Validate angular bounds through the Volume constructor.
-    let ok = std::panic::catch_unwind(|| {
-        Volume::new(ivs[0], ivs[1], ivs[2], ivs[3], ivs[4], ivs[5])
-    });
-    ok.map_err(|_| ContainerError::Malformed("volume out of angular domain"))
+    Volume::try_new(ivs[0], ivs[1], ivs[2], ivs[3], ivs[4], ivs[5])
+        .ok_or(ContainerError::Malformed("volume out of angular domain"))
 }
 
 #[cfg(test)]
@@ -434,6 +457,106 @@ mod tests {
         for cut in [1, bytes.len() / 2, bytes.len() - 1] {
             assert!(TlfDescriptor::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    /// A composite whose second child is itself a composite holding a
+    /// slab with a view subgraph: every body kind, two levels deep.
+    fn two_level_composite() -> TlfDescriptor {
+        TlfDescriptor {
+            volume: Volume::everywhere(),
+            streaming: true,
+            partition_spec: vec![(Dimension::X, 2.0)],
+            view_subgraph: Some(vec![9, 8, 7]),
+            body: TlfBody::Composite {
+                children: vec![
+                    sphere_desc(),
+                    TlfDescriptor {
+                        body: TlfBody::Composite { children: vec![slab_desc()] },
+                        ..sphere_desc()
+                    },
+                ],
+            },
+        }
+    }
+
+    fn ok_or_malformed(bytes: &[u8], what: &str) {
+        match TlfDescriptor::from_bytes(bytes) {
+            Ok(_) | Err(ContainerError::Malformed(_)) => {}
+            Err(e) => panic!("{what}: {e:?}"),
+        }
+    }
+
+    /// Every truncation and every single-bit flip of descriptors with a
+    /// view subgraph, a slab body and a two-level composite parses or
+    /// is `Malformed`; none panics.
+    #[test]
+    fn every_truncation_and_bit_flip_is_ok_or_malformed() {
+        for d in [slab_desc(), two_level_composite()] {
+            let bytes = d.to_bytes();
+            for cut in 0..bytes.len() {
+                assert!(TlfDescriptor::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            let mut flipped = bytes.clone();
+            for bit in 0..bytes.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                ok_or_malformed(&flipped, &format!("bit {bit}"));
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn a_u64_max_subgraph_length_is_malformed() {
+        let mut bytes = Vec::new();
+        write_volume(&mut bytes, &Volume::everywhere());
+        bytes.extend([0, 0, 1]); // not streaming, no partition spec, a subgraph
+        write_varint(&mut bytes, u64::MAX);
+        bytes.extend([0; 16]);
+        assert!(matches!(
+            TlfDescriptor::from_bytes(&bytes),
+            Err(ContainerError::Malformed("view subgraph truncated"))
+        ));
+    }
+
+    /// A claimed count reserves no more elements than the bytes left
+    /// could hold.
+    #[test]
+    fn claimed_counts_are_bounded_by_the_bytes_left() {
+        assert_eq!(bounded(1 << 24, &[0; 270], 0, MIN_POINT_BYTES), 10);
+        assert_eq!(bounded(3, &[0; 270], 0, MIN_POINT_BYTES), 3);
+        assert_eq!(bounded(4096, &[0; 100], 200, MIN_DESCRIPTOR_BYTES), 0);
+        // Each minimum is what the smallest element really encodes to.
+        let mut point = Vec::new();
+        write_point(&mut point, &Point3::ORIGIN);
+        write_varint(&mut point, 0);
+        write_opt_track(&mut point, None);
+        write_opt_track(&mut point, None);
+        assert_eq!(point.len(), MIN_POINT_BYTES);
+        let TlfBody::Slab { slabs } = slab_desc().body else { unreachable!() };
+        let slab = SlabGeometry { uv_samples: (0, 0), st_samples: (0, 0), track: 0, ..slabs[0] };
+        let one = TlfDescriptor { body: TlfBody::Slab { slabs: vec![slab] }, view_subgraph: None, ..slab_desc() };
+        let none = TlfDescriptor { body: TlfBody::Slab { slabs: vec![] }, ..one.clone() };
+        assert_eq!(one.to_bytes().len() - none.to_bytes().len(), MIN_SLAB_BYTES);
+        assert_eq!(none.to_bytes().len(), MIN_DESCRIPTOR_BYTES);
+    }
+
+    /// Composites nest up to [`MAX_DEPTH`] levels below the root, and one
+    /// level more is `Malformed` rather than a deeper recursion.
+    #[test]
+    fn composite_depth_is_capped() {
+        let nested = |levels: usize| {
+            let mut d = sphere_desc();
+            for _ in 0..levels {
+                d = TlfDescriptor { body: TlfBody::Composite { children: vec![d] }, ..sphere_desc() };
+            }
+            d
+        };
+        let deepest = nested(MAX_DEPTH);
+        assert_eq!(TlfDescriptor::from_bytes(&deepest.to_bytes()).unwrap(), deepest);
+        assert!(matches!(
+            TlfDescriptor::from_bytes(&nested(MAX_DEPTH + 1).to_bytes()),
+            Err(ContainerError::Malformed("composite nested too deep"))
+        ));
     }
 
     #[test]

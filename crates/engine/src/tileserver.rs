@@ -16,9 +16,11 @@
 //! so a fleet of viewers staring at the same hot region costs one
 //! extraction — everyone else hits cache or coalesces onto the
 //! in-flight extraction. A miss costs one bounded copy of one tile:
-//! [`EncodedGop::extract_tile_bytes`] reads the tile index straight
+//! [`EncodedGop::extract_tile_bytes_with`] reads the tile index straight
 //! from the buffer pool's serialised GOP, which a serve fetches at most
-//! once per tier. Served bytes are byte-identical to a direct
+//! once per tier, and writes the tile into a buffer the cache recycled
+//! from an earlier eviction when one fits. Served bytes are
+//! byte-identical to a direct
 //! `EncodedGop::extract_tile(..).to_bytes()` of the pinned version by
 //! construction: the cache key embeds the version and the extraction
 //! closure is a pure function of it.
@@ -36,6 +38,7 @@ use crate::session::EngineShared;
 use crate::Result;
 use lightdb_codec::{EncodedGop, SequenceHeader, TileGrid};
 use lightdb_container::{GopIndexEntry, TrackRole};
+use lightdb_core::histogram::Histogram;
 use lightdb_core::Quality;
 use lightdb_exec::metrics::counters;
 use lightdb_exec::tilecache::{TileCache, TileCacheStats, TileKey};
@@ -206,21 +209,21 @@ impl<'a> TierGop<'a> {
     ) -> Result<Arc<Vec<u8>>> {
         let (stream, entry, pool_key) = (self.stream, &self.entry, self.pool_key);
         let gop = &mut self.gop;
-        let mut extract = || -> std::result::Result<Vec<u8>, ExecError> {
+        let mut extract = |buffer: &mut dyn FnMut(usize) -> Vec<u8>| {
             let bytes = match gop {
                 Some(bytes) => bytes,
                 None => gop.insert(pool.get_gop::<ExecError>(pool_key, || {
                     stream.read_gop(entry)
                 })?),
             };
-            Ok(EncodedGop::extract_tile_bytes(bytes, tile)?)
+            Ok(EncodedGop::extract_tile_bytes_with(bytes, tile, buffer)?)
         };
         match cache {
             Some(cache) => {
                 self.key.tile = tile;
                 Ok(cache.get_or_extract_tallied(&self.key, tally, &|| false, extract)?)
             }
-            None => Ok(Arc::new(extract()?)),
+            None => Ok(Arc::new(extract(&mut Vec::with_capacity)?)),
         }
     }
 }
@@ -286,6 +289,9 @@ struct ViewerTrack {
 pub struct TileServer {
     shared: Arc<EngineShared>,
     metrics: Metrics,
+    /// The session's `tile_server.serve` histogram, resolved at open so
+    /// a serve records without taking the session's latency map lock.
+    serve_latency: Arc<Histogram>,
     config: TileServerConfig,
     grid: TileGrid,
     fps: u32,
@@ -353,6 +359,7 @@ impl TileServer {
         };
         Ok(TileServer {
             shared,
+            serve_latency: metrics.histogram(counters::SERVE_LATENCY),
             metrics,
             config,
             grid,
@@ -479,8 +486,7 @@ impl TileServer {
         view.finish((counters::TILE_SERVES, u64::from(tiles.is_ok())));
         let (primary, neighbors) = tiles?;
         self.note(viewer, second, orientation);
-        self.metrics
-            .observe(counters::SERVE_LATENCY, start.elapsed());
+        self.serve_latency.record(start.elapsed());
         Ok(ServedView {
             viewer,
             second,

@@ -233,11 +233,14 @@ impl Metrics {
             .unwrap_or(Duration::ZERO)
     }
 
-    /// Clears all counters.
+    /// Clears all counters. Latency histograms are emptied in place, so
+    /// a handle from [`Metrics::histogram`] still records into the map.
     pub fn reset(&self) {
         self.inner.lock().clear();
         self.counters.lock().clear();
-        self.latencies.lock().clear();
+        for histogram in self.latencies.lock().values() {
+            histogram.reset();
+        }
     }
 }
 
@@ -293,6 +296,9 @@ pub mod counters {
     /// extraction and then reused its published result — the requests
     /// the single-flight wrapper deduplicated.
     pub const TILE_CACHE_COALESCED: &str = "tile_cache.coalesced";
+    /// Tile-cache misses that wrote into a buffer an earlier eviction
+    /// freed up on the same thread, instead of allocating one.
+    pub const TILE_CACHE_RECYCLED: &str = "tile_cache.recycled";
     /// Views served by a `TileServer` (one per `serve` call; each view
     /// bundles one high-quality tile plus its low-quality neighbors).
     pub const TILE_SERVES: &str = "tile_server.serves";
@@ -452,8 +458,13 @@ mod tests {
         // Clones share histograms; reset clears them.
         m.clone().observe("SERVE", Duration::from_micros(1));
         assert_eq!(m.histogram("SERVE").count(), 101);
+        let held = m.histogram("SERVE");
         m.reset();
         assert_eq!(m.percentile("SERVE", 50.0), Duration::ZERO);
+        // A handle held across the reset still feeds the map.
+        held.record(Duration::from_micros(7));
+        assert_eq!(m.histogram("SERVE").count(), 1);
+        assert!(m.percentile("SERVE", 50.0) > Duration::ZERO);
     }
 
     #[test]

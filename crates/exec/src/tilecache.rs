@@ -44,11 +44,32 @@
 //! extraction, then reused its result), or `tile_cache.misses` (ran
 //! the extraction as leader). So `hits + coalesced` is precisely
 //! "extractions avoided", and `misses` equals extractions performed.
+//! `tile_cache.recycled` counts the misses among them that wrote into
+//! a recycled buffer (below).
+//!
+//! ## Recycled buffers
+//!
+//! A miss that publishes usually evicts a tile, and tiles are a few
+//! kilobytes: too large for the allocator's per-thread cache, so
+//! freeing one made by another client's thread takes that thread's
+//! arena lock. Instead, a publication's victims that nobody else holds
+//! go into a small per-thread bin of spare buffers, and this thread's
+//! next miss writes into one of them when it fits: capacity between the
+//! tile's exact length `n` and `n + n/8`. Otherwise the miss allocates
+//! exactly `n` bytes. In steady state no tile buffer is allocated or
+//! freed, so clients stop meeting in the allocator.
+//!
+//! An entry weighs its buffer's capacity, so the budget bounds the
+//! memory entries really hold. The bin sits outside the budget: each
+//! thread keeps at most 32 buffers and at most one shard's share of the
+//! budget in them.
 
 use crate::metrics::{counters, Metrics};
 use crate::Result;
 use lightdb_core::Quality;
 use lightdb_storage::lru::{SingleFlightLru, Source};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default encoded-tile cache budget: 64 MiB. Encoded tiles are tiny
@@ -60,6 +81,72 @@ pub const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
 /// tiles: no shard gets less than this.
 const MIN_SHARD_BYTES: usize = 64 << 10;
 const MAX_SHARDS: usize = 16;
+
+/// Most spare buffers one thread keeps.
+const SPARE_BUFFERS: usize = 32;
+
+thread_local! {
+    // Per-thread, like `frameops`' codec scratch: a buffer goes back to
+    // the thread whose publication evicted it, so taking and keeping
+    // spares never contends.
+    static SPARES: RefCell<Spares> = const { RefCell::new(Spares { buffers: Vec::new(), bytes: 0 }) };
+}
+
+/// One thread's spare tile buffers, oldest first, and their capacity.
+struct Spares {
+    buffers: Vec<Vec<u8>>,
+    bytes: usize,
+}
+
+impl Spares {
+    /// The smallest spare whose capacity is in `n..=n + n/8`.
+    fn take(&mut self, n: usize) -> Option<Vec<u8>> {
+        let fits = n..=n + n / 8;
+        let (at, _) = self
+            .buffers
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| fits.contains(&b.capacity()))
+            .min_by_key(|(_, b)| b.capacity())?;
+        let buffer = self.buffers.remove(at);
+        self.bytes -= buffer.capacity();
+        Some(buffer)
+    }
+
+    /// Keeps `buffer`, letting the oldest spares go until at most
+    /// [`SPARE_BUFFERS`] buffers of at most `limit` bytes remain. A
+    /// buffer larger than `limit` is dropped.
+    fn keep(&mut self, buffer: Vec<u8>, limit: usize) {
+        let cap = buffer.capacity();
+        if cap == 0 || cap > limit {
+            return;
+        }
+        while self.buffers.len() >= SPARE_BUFFERS || self.bytes + cap > limit {
+            let old = self.buffers.remove(0);
+            self.bytes -= old.capacity();
+        }
+        self.bytes += cap;
+        self.buffers.push(buffer);
+    }
+}
+
+/// A buffer for a miss's `n`-byte tile, and whether it was recycled.
+fn tile_buffer(n: usize) -> (Vec<u8>, bool) {
+    match SPARES.try_with(|s| s.borrow_mut().take(n)).ok().flatten() {
+        Some(buffer) => (buffer, true),
+        None => (Vec::with_capacity(n), false),
+    }
+}
+
+/// Bins the victims nobody else holds; the rest just drop a reference.
+fn keep_spares(victims: Vec<(TileKey, Arc<Vec<u8>>)>, limit: usize) {
+    let _ = SPARES.try_with(|s| {
+        let mut spares = s.borrow_mut();
+        for buffer in victims.into_iter().filter_map(|(_, tile)| Arc::try_unwrap(tile).ok()) {
+            spares.keep(buffer, limit);
+        }
+    });
+}
 
 /// Provenance identity of one encoded tile at one quality.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -97,6 +184,8 @@ pub struct TileCacheStats {
     pub coalesced: u64,
     /// Entries evicted to respect the byte budget.
     pub evictions: u64,
+    /// Misses that wrote into a recycled buffer instead of a new one.
+    pub recycled: u64,
 }
 
 impl TileCacheStats {
@@ -123,19 +212,27 @@ impl TileCacheStats {
             misses: self.misses.saturating_sub(earlier.misses),
             coalesced: self.coalesced.saturating_sub(earlier.coalesced),
             evictions: self.evictions.saturating_sub(earlier.evictions),
+            recycled: self.recycled.saturating_sub(earlier.recycled),
         }
     }
 
     /// The `tile_cache.*` counters these counts stand for.
-    pub fn counters(&self) -> [(&'static str, u64); 4] {
+    pub fn counters(&self) -> [(&'static str, u64); 5] {
         [
             (counters::TILE_CACHE_HITS, self.hits),
             (counters::TILE_CACHE_MISSES, self.misses),
             (counters::TILE_CACHE_COALESCED, self.coalesced),
             (counters::TILE_CACHE_EVICTIONS, self.evictions),
+            (counters::TILE_CACHE_RECYCLED, self.recycled),
         ]
     }
 }
+
+/// A counter on a cache line of its own: both clients' misses bump it,
+/// and it must not drag the fields every lookup reads along with it.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Padded(AtomicU64);
 
 /// The cross-user encoded-tile facility: single-flight extraction
 /// plus a byte-bounded LRU of serialized single-tile GOPs. One per
@@ -143,16 +240,21 @@ impl TileCacheStats {
 #[derive(Debug)]
 pub struct TileCache {
     lru: SingleFlightLru<TileKey, Arc<Vec<u8>>>,
+    /// Most bytes a thread keeps in spare buffers: one shard's share.
+    spare_limit: usize,
+    recycled: Padded,
 }
 
 impl TileCache {
-    /// A cache bounded by `budget_bytes` of serialized tile data.
+    /// A cache bounded by `budget_bytes` of tile buffer capacity.
     pub fn new(budget_bytes: usize) -> TileCache {
         let shards = (budget_bytes / MIN_SHARD_BYTES).min(MAX_SHARDS);
-        TileCache { lru: SingleFlightLru::new(budget_bytes, shards) }
+        let lru = SingleFlightLru::new(budget_bytes, shards);
+        let spare_limit = budget_bytes / lru.shard_count();
+        TileCache { lru, spare_limit, recycled: Padded::default() }
     }
 
-    /// Encoded-tile bytes currently resident.
+    /// Capacity of the resident tiles' buffers, in bytes.
     pub fn resident_bytes(&self) -> usize {
         self.lru.resident_bytes()
     }
@@ -179,6 +281,7 @@ impl TileCache {
             misses: s.misses,
             coalesced: s.coalesced,
             evictions: s.evictions,
+            recycled: self.recycled.0.load(Ordering::Relaxed),
         }
     }
 
@@ -198,36 +301,52 @@ impl TileCache {
     /// byte-identical to a fresh extraction by construction. It runs at
     /// most once per call — when this request leads, possibly after a
     /// leader it waited on failed — and counts as a miss only if it
-    /// succeeds.
+    /// succeeds. It is handed a source of buffers to call once it knows
+    /// its output's exact length `n` (what
+    /// `EncodedGop::extract_tile_bytes_with` takes): a recycled spare
+    /// when one fits, else a new buffer of capacity `n`. Its result is
+    /// served as returned, whatever buffer it wrote into.
     ///
     /// Waiting on another request's in-flight extraction polls
     /// `should_abort` each step; an aborted wait returns
     /// [`ExecError::Cancelled`](crate::ExecError::Cancelled).
     ///
     /// Exactly one of `tally`'s hits / coalesced / misses grows by one
-    /// per successful call, and evictions by what the publication
-    /// evicted: a caller serving many tiles sums locally and adds to
-    /// its [`Metrics`] once.
+    /// per successful call, evictions by what the publication evicted,
+    /// and recycled by one for a miss that wrote into a spare: a caller
+    /// serving many tiles sums locally and adds to its [`Metrics`] once.
     pub fn get_or_extract_tallied(
         &self,
         key: &TileKey,
         tally: &mut TileCacheStats,
         should_abort: &dyn Fn() -> bool,
-        extract: impl FnOnce() -> Result<Vec<u8>>,
+        extract: impl FnOnce(&mut dyn FnMut(usize) -> Vec<u8>) -> Result<Vec<u8>>,
     ) -> Result<Arc<Vec<u8>>> {
-        let served = self.lru.get_or_compute(
+        let mut recycled = false;
+        let served = self.lru.get_or_compute_with_victims(
             key,
             &|| should_abort().then_some(crate::ExecError::Cancelled),
             || {
-                let tile = extract()?;
-                let bytes = tile.len();
-                Ok((Arc::new(tile), bytes))
+                let tile = extract(&mut |n| {
+                    let (buffer, spare) = tile_buffer(n);
+                    recycled = spare;
+                    buffer
+                })?;
+                let weight = tile.capacity();
+                Ok((Arc::new(tile), weight))
             },
+            |victims| keep_spares(victims, self.spare_limit),
         )?;
         match served.source {
             Source::Hit => tally.hits += 1,
             Source::Coalesced => tally.coalesced += 1,
-            Source::Miss => tally.misses += 1,
+            Source::Miss => {
+                tally.misses += 1;
+                if recycled {
+                    tally.recycled += 1;
+                    self.recycled.0.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
         tally.evictions += served.evicted;
         Ok(served.value)
@@ -243,7 +362,7 @@ impl TileCache {
         extract: &dyn Fn() -> Result<Vec<u8>>,
     ) -> Result<Arc<Vec<u8>>> {
         let mut tally = TileCacheStats::default();
-        let tile = self.get_or_extract_tallied(key, &mut tally, should_abort, extract);
+        let tile = self.get_or_extract_tallied(key, &mut tally, should_abort, |_| extract());
         metrics.add_all(tally.counters());
         tile
     }
@@ -449,11 +568,137 @@ mod tests {
         let mut tally = TileCacheStats::default();
         for t in [0, 1, 0, 2] {
             cache
-                .get_or_extract_tallied(&key(t), &mut tally, &|| false, || Ok(payload(t, 100)))
+                .get_or_extract_tallied(&key(t), &mut tally, &|| false, |_| Ok(payload(t, 100)))
                 .unwrap();
         }
-        assert_eq!(tally, TileCacheStats { hits: 1, misses: 3, coalesced: 0, evictions: 1 });
+        assert_eq!(tally, TileCacheStats { hits: 1, misses: 3, coalesced: 0, evictions: 1, recycled: 0 });
         assert_eq!(tally, cache.stats());
+    }
+
+    /// Bytes of this thread's spare tile buffers.
+    fn spare_bytes() -> usize {
+        SPARES.with_borrow(|s| s.bytes)
+    }
+
+    /// A one-GOP, three-frame stream whose tile `t` is `sizes[t]` bytes
+    /// a frame, serialised.
+    fn gop_bytes(sizes: &[usize]) -> Vec<u8> {
+        use lightdb_codec::gop::{EncodedFrame, EncodedGop, FrameType};
+        let frames: Vec<EncodedFrame> = (0..3)
+            .map(|f| EncodedFrame {
+                frame_type: if f == 0 { FrameType::Key } else { FrameType::Predicted },
+                tiles: sizes.iter().enumerate().map(|(t, &n)| payload(t * 7 + f, n)).collect(),
+            })
+            .collect();
+        EncodedGop::from_frames(&frames).unwrap().to_bytes()
+    }
+
+    /// Serves `tile` of `gop` through the extractor the tile server uses.
+    fn serve(cache: &TileCache, tally: &mut TileCacheStats, gop: &[u8], tile: usize) -> Arc<Vec<u8>> {
+        use lightdb_codec::gop::EncodedGop;
+        cache
+            .get_or_extract_tallied(&key(tile), tally, &|| false, |buffer| {
+                Ok(EncodedGop::extract_tile_bytes_with(gop, tile, buffer)?)
+            })
+            .unwrap()
+    }
+
+    /// Runs `f` on a thread of its own, so it starts with no spares.
+    fn on_fresh_thread(f: impl FnOnce() + Send) {
+        std::thread::scope(|s| s.spawn(f).join().unwrap());
+    }
+
+    /// A tile written into the buffer a larger, different tile left
+    /// behind is exactly the new tile's bytes, and the entry weighs the
+    /// buffer's capacity.
+    #[test]
+    fn a_recycled_buffer_holds_exactly_the_new_tile() {
+        on_fresh_thread(|| {
+            use lightdb_codec::gop::EncodedGop;
+            // Tile 0 is the largest; tile 2 is within an eighth of it.
+            let gop = gop_bytes(&[400, 390, 370]);
+            let want = |t| EncodedGop::extract_tile_bytes(&gop, t).unwrap();
+            let (n0, n2) = (want(0).len(), want(2).len());
+            assert!(n2 < n0 && n0 <= n2 + n2 / 8, "{n0} {n2}");
+            // Room for one tile: each miss evicts the one before.
+            let cache = TileCache::new(n0 + n0 / 2);
+            let mut tally = TileCacheStats::default();
+            let first = serve(&cache, &mut tally, &gop, 0);
+            let (first_at, first_cap) = (first.as_ptr(), first.capacity());
+            drop(first);
+            // Publishing tile 1 evicts tile 0, whose buffer nobody holds.
+            let _second = serve(&cache, &mut tally, &gop, 1);
+            assert_eq!(spare_bytes(), first_cap);
+            let third = serve(&cache, &mut tally, &gop, 2);
+            assert_eq!(*third, want(2));
+            assert_eq!(third.len(), n2);
+            assert_eq!(third.as_ptr(), first_at, "tile 2 reuses tile 0's buffer");
+            assert_eq!(third.capacity(), first_cap);
+            assert_eq!(cache.resident_bytes(), first_cap, "weighed by capacity");
+            assert_eq!((tally.misses, tally.recycled), (3, 1));
+            assert_eq!(tally, cache.stats());
+            // A hit serves the recycled entry as published.
+            assert_eq!(*serve(&cache, &mut tally, &gop, 2), want(2));
+            assert_eq!((tally.hits, tally.recycled), (1, 1));
+        });
+    }
+
+    /// A victim that a served tile still holds is never binned: its
+    /// bytes stay intact and the next miss gets a buffer of its own.
+    #[test]
+    fn a_victim_still_held_is_never_recycled() {
+        on_fresh_thread(|| {
+            use lightdb_codec::gop::EncodedGop;
+            let gop = gop_bytes(&[400, 390, 370]);
+            let want = |t| EncodedGop::extract_tile_bytes(&gop, t).unwrap();
+            let n0 = want(0).len();
+            let cache = TileCache::new(n0 + n0 / 2);
+            let mut tally = TileCacheStats::default();
+            let held = serve(&cache, &mut tally, &gop, 0);
+            serve(&cache, &mut tally, &gop, 1);
+            assert!(!cache.contains(&key(0)), "tile 0 was evicted");
+            assert_eq!(spare_bytes(), 0, "a held victim is not a spare");
+            let third = serve(&cache, &mut tally, &gop, 2);
+            assert_ne!(third.as_ptr(), held.as_ptr());
+            assert_eq!(*held, want(0), "the held tile's bytes are intact");
+            assert_eq!(*third, want(2));
+            assert_eq!(tally.recycled, 0);
+        });
+    }
+
+    /// Over a seeded run of tiles of mixed sizes the capacity-weighted
+    /// resident bytes never exceed the budget, every served tile is its
+    /// own bytes, most misses recycle, and the bin keeps its bounds.
+    #[test]
+    fn capacity_weights_keep_resident_bytes_within_budget() {
+        on_fresh_thread(|| {
+            const BUDGET: usize = 16 << 10;
+            let cache = TileCache::new(BUDGET);
+            let mut tally = TileCacheStats::default();
+            let mut state = 0x7e5u64;
+            let mut next = move |n: u64| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) % n
+            };
+            let len = |t: usize| 300 + (t * 733) % 1500;
+            for _ in 0..4_000 {
+                let t = next(48) as usize;
+                let got = cache
+                    .get_or_extract_tallied(&key(t), &mut tally, &|| false, |buffer| {
+                        let mut out = buffer(len(t));
+                        out.clear();
+                        out.extend_from_slice(&payload(t, len(t)));
+                        Ok(out)
+                    })
+                    .unwrap();
+                assert_eq!(*got, payload(t, len(t)));
+                assert!(cache.resident_bytes() <= BUDGET, "{}", cache.resident_bytes());
+                assert!(spare_bytes() <= BUDGET);
+                assert!(SPARES.with_borrow(|s| s.buffers.len()) <= SPARE_BUFFERS);
+            }
+            assert!(tally.evictions > 1_000, "{tally:?}");
+            assert!(tally.recycled * 2 > tally.misses, "{tally:?}");
+        });
     }
 
     #[test]
@@ -463,12 +708,14 @@ mod tests {
             misses: 4,
             coalesced: 2,
             evictions: 1,
+            recycled: 3,
         };
         let b = TileCacheStats {
             hits: 4,
             misses: 4,
             coalesced: 0,
             evictions: 0,
+            recycled: 1,
         };
         let d = a.since(&b);
         assert_eq!(
@@ -477,7 +724,8 @@ mod tests {
                 hits: 6,
                 misses: 0,
                 coalesced: 2,
-                evictions: 1
+                evictions: 1,
+                recycled: 2,
             }
         );
         assert!((d.hit_rate() - 8.0 / 8.0).abs() < 1e-9);

@@ -19,6 +19,12 @@ pub struct Volume {
     dims: [Interval; 6],
 }
 
+/// Whether angular interval `iv` lies within `[0, max]`, up to
+/// [`crate::EPSILON`].
+fn within(iv: Interval, max: f64) -> bool {
+    iv.lo() >= -crate::EPSILON && iv.hi() <= max + crate::EPSILON
+}
+
 impl Volume {
     /// Builds a volume from six intervals in canonical `(x, y, z, t,
     /// θ, φ)` order. Angular intervals are validated against their
@@ -31,15 +37,23 @@ impl Volume {
         theta: Interval,
         phi: Interval,
     ) -> Self {
-        assert!(
-            theta.lo() >= -crate::EPSILON && theta.hi() <= THETA_PERIOD + crate::EPSILON,
-            "theta interval {theta} outside [0, 2π]"
-        );
-        assert!(
-            phi.lo() >= -crate::EPSILON && phi.hi() <= PHI_MAX + crate::EPSILON,
-            "phi interval {phi} outside [0, π]"
-        );
+        assert!(within(theta, THETA_PERIOD), "theta interval {theta} outside [0, 2π]");
+        assert!(within(phi, PHI_MAX), "phi interval {phi} outside [0, π]");
         Volume { dims: [x, y, z, t, theta, phi] }
+    }
+
+    /// [`Volume::new`], or `None` where it would panic: an angular
+    /// interval outside its domain.
+    pub fn try_new(
+        x: Interval,
+        y: Interval,
+        z: Interval,
+        t: Interval,
+        theta: Interval,
+        phi: Interval,
+    ) -> Option<Self> {
+        (within(theta, THETA_PERIOD) && within(phi, PHI_MAX))
+            .then_some(Volume { dims: [x, y, z, t, theta, phi] })
     }
 
     /// The volume with unbounded spatiotemporal extent and full

@@ -39,7 +39,9 @@
 //! the budget and "oversized" means larger than one shard's share.
 //! Victims leave the critical section with the publisher and are
 //! dropped after the lock is released: freeing a large value can block
-//! in the allocator, and must not do so holding the shard.
+//! in the allocator, and must not do so holding the shard. A caller
+//! that would rather reuse them than free them takes them there instead
+//! ([`SingleFlightLru::get_or_compute_with_victims`]).
 //!
 //! ## Warming
 //!
@@ -449,6 +451,21 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightLru<K, V> {
         abort: &dyn Fn() -> Option<E>,
         compute: impl FnOnce() -> Result<(V, usize), E>,
     ) -> Result<Served<V>, E> {
+        self.get_or_compute_with_victims(key, abort, compute, drop)
+    }
+
+    /// [`get_or_compute`](Self::get_or_compute), handing the entries its
+    /// publication evicted to `victims`, least recently used first, once
+    /// the shard's lock is released, instead of dropping them. `victims`
+    /// runs only after a successful computation, evictions or not; a hit
+    /// or a coalesced request never calls it.
+    pub fn get_or_compute_with_victims<E>(
+        &self,
+        key: &K,
+        abort: &dyn Fn() -> Option<E>,
+        compute: impl FnOnce() -> Result<(V, usize), E>,
+        victims: impl FnOnce(Vec<(K, V)>),
+    ) -> Result<Served<V>, E> {
         let hash = self.hasher.hash_one(key);
         let shard = self.shard_of(hash);
         let mut waited = false;
@@ -483,11 +500,13 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightLru<K, V> {
         };
         let (value, weight) = compute()?;
         let evicted = lead.publish(hash, key, value.clone(), weight, true);
-        Ok(Served {
+        let served = Served {
             value,
             source: Source::Miss,
             evicted: evicted.len() as u64,
-        })
+        };
+        victims(evicted);
+        Ok(served)
     }
 
     /// Computes `key` ahead of demand (see the module documentation).

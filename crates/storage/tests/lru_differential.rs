@@ -47,9 +47,9 @@ fn weight_of(key: u64) -> usize {
 }
 
 /// 10 000 seeded requests on one shard — hits, first inserts, oversized
-/// inserts, re-inserts of evicted keys — evict the same victims in the
-/// same order as the stamp scan and leave the same resident set and
-/// byte total after every step.
+/// inserts, re-inserts of evicted keys — hand back the same victims in
+/// the same order as the stamp scan evicts them and leave the same
+/// resident set and byte total after every step.
 #[test]
 fn one_shard_evicts_the_stamp_scans_victims_in_its_order() {
     let mut rng = Rng(0x1a0);
@@ -64,15 +64,20 @@ fn one_shard_evicts_the_stamp_scans_victims_in_its_order() {
         } else {
             (step / 400 + rng.below(6)) % KEYS
         };
-        let before: Vec<u64> = (0..KEYS).filter(|k| lru.contains(k)).collect();
         let victims_before = oracle.victims.len();
 
         let resident = oracle.lookup(&key);
         if !resident {
             oracle.publish(key, weight_of(key));
         }
+        let mut victims = Vec::new();
         let served = lru
-            .get_or_compute(&key, &never, || Ok((key * 3, weight_of(key))))
+            .get_or_compute_with_victims(
+                &key,
+                &never,
+                || Ok((key * 3, weight_of(key))),
+                |evicted| victims = evicted,
+            )
             .unwrap();
 
         assert_eq!(served.value, key * 3);
@@ -87,21 +92,14 @@ fn one_shard_evicts_the_stamp_scans_victims_in_its_order() {
             misses += 1;
             reinserts += u64::from(!ever.insert(key));
         }
-        // The resident set shrank by exactly the oracle's new victims …
-        let now: Vec<u64> = (0..KEYS).filter(|k| lru.contains(k)).collect();
-        let mut gone: Vec<u64> = before
-            .iter()
-            .copied()
-            .filter(|k| !now.contains(k))
-            .collect();
-        if !now.contains(&key) && !before.contains(&key) {
-            gone.push(key); // served, published and dropped within the step
-        }
-        let mut expected = oracle.victims[victims_before..].to_vec();
+        // The victims handed back are the oracle's new ones, in its
+        // eviction order (an oversized key, published and dropped within
+        // the step, last), each with its value …
+        let expected = &oracle.victims[victims_before..];
+        let keys: Vec<u64> = victims.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, expected, "step {step} key {key}");
+        assert!(victims.iter().all(|&(k, v)| v == k * 3), "step {step}");
         assert_eq!(served.evicted, expected.len() as u64, "step {step}");
-        gone.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(gone, expected, "step {step} key {key}");
         // … and what is left is the oracle's set, byte for byte.
         for k in 0..KEYS {
             assert_eq!(lru.contains(&k), oracle.contains(&k), "step {step} key {k}");
@@ -265,6 +263,53 @@ fn a_multi_victim_publication_pops_oldest_first() {
             );
         }
     }
+}
+
+/// A value whose `Drop` looks its own key up in the cache that held it,
+/// so it locks its own shard.
+#[derive(Clone)]
+struct LocksOnDrop {
+    cache: std::sync::Weak<SingleFlightLru<u64, LocksOnDrop>>,
+    key: u64,
+    dropped: Arc<AtomicU64>,
+}
+
+impl Drop for LocksOnDrop {
+    fn drop(&mut self) {
+        if let Some(cache) = self.cache.upgrade() {
+            cache.contains(&self.key);
+            self.dropped.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Victims leave after the shard's lock is released, whether dropped
+/// there or handed back: a victim whose `Drop` locks its own shard
+/// finishes instead of deadlocking. The requests run on a thread of
+/// their own, so a deadlock fails the test instead of hanging it.
+#[test]
+fn a_victim_may_lock_its_own_shard_when_it_drops() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let lru: Arc<SingleFlightLru<u64, LocksOnDrop>> = Arc::new(SingleFlightLru::new(100, 1));
+        let dropped = Arc::new(AtomicU64::new(0));
+        let value = |key| LocksOnDrop { cache: Arc::downgrade(&lru), key, dropped: dropped.clone() };
+        // Each 60-byte value evicts the one before.
+        for key in 0..3u64 {
+            lru.get_or_compute(&key, &never, || Ok((value(key), 60))).unwrap();
+        }
+        let mut handed = Vec::new();
+        lru.get_or_compute_with_victims(&3, &never, || Ok((value(3), 60)), |v| handed = v)
+            .unwrap();
+        assert_eq!(handed.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [2]);
+        drop(handed);
+        // Every served clone dropped too, and the evicted values 0, 1, 2.
+        let _ = done.send(dropped.load(Ordering::SeqCst));
+    });
+    let dropped = finished
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("a victim's drop deadlocked on its own shard");
+    assert_eq!(dropped, 4 + 3, "four served clones and three victims");
 }
 
 /// 16 shards under 2–8 threads: at every quiescent point the shards'

@@ -10,15 +10,15 @@
 //! `LIGHTDB_FLEET_SECONDS` for the smoke's trace length, and
 //! `LIGHTDB_CHAOS_SEEDS` for the soak round count.
 
-use lightdb::codec::{
-    CodecKind, EncodedFrame, EncodedGop, FrameType, SequenceHeader, TileGrid, VideoStream,
-};
+use lightdb::codec::{EncodedGop, TileGrid};
 use lightdb::container::TrackRole;
 use lightdb::core::Quality;
+use lightdb::exec::metrics::counters as names;
 use lightdb::ingest::{store_stream, IngestConfig};
 use lightdb::prelude::*;
 use lightdb_apps::fleet::{generate_trace, install_tiled_pair, run_fleet, FleetConfig, TraceKind};
 use lightdb_testsuite::chaos::Scenario;
+use lightdb_testsuite::tiled_stream;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
@@ -292,40 +292,6 @@ fn fleet_load_respects_cache_byte_budget() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// A stream of `seconds` one-second 4×4 GOPs whose tile payloads are
-/// `tile_bytes` seeded bytes per frame. The serving path never decodes,
-/// so payloads need only be distinguishable, and heavy enough that a
-/// byte budget binds.
-fn synthetic_stream(seconds: usize, tile_bytes: usize, seed: u64) -> VideoStream {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (state >> 33) as u8
-    };
-    let gops = (0..seconds)
-        .map(|_| {
-            let frames: Vec<EncodedFrame> = (0..4)
-                .map(|f| EncodedFrame {
-                    frame_type: if f == 0 { FrameType::Key } else { FrameType::Predicted },
-                    tiles: (0..GRID.tile_count())
-                        .map(|t| (0..tile_bytes + t).map(|_| next()).collect())
-                        .collect(),
-                })
-                .collect();
-            EncodedGop::from_frames(&frames).unwrap()
-        })
-        .collect();
-    let header = SequenceHeader {
-        codec: CodecKind::H264Sim,
-        width: 256,
-        height: 128,
-        fps: 4,
-        gop_length: 4,
-        grid: GRID,
-    };
-    VideoStream { header, gops }
-}
-
 /// Two clients, each walking its own half of a desynchronised audience
 /// through 2.3 MB of tiles on a 1 MiB (16-shard) tile cache, serve and
 /// prefetch: every served tile is the direct extraction's bytes, the
@@ -343,7 +309,7 @@ fn two_clients_on_a_small_cache_serve_direct_bytes_within_budget() {
     std::env::set_var("LIGHTDB_TILE_CACHE_MB", "1");
     let db = LightDb::open(&root).unwrap();
     std::env::remove_var("LIGHTDB_TILE_CACHE_MB");
-    let tiers = [synthetic_stream(SECONDS, 800, 1), synthetic_stream(SECONDS, 300, 2)];
+    let tiers = [tiled_stream(SECONDS, 800, 1).unwrap(), tiled_stream(SECONDS, 300, 2).unwrap()];
     let at = IngestConfig::default();
     for (name, stream) in ["wide", "wide_lq"].iter().zip(&tiers) {
         store_stream(&db, name, stream.clone(), at.position, at.projection).unwrap();
@@ -393,6 +359,7 @@ fn two_clients_on_a_small_cache_serve_direct_bytes_within_budget() {
     let delta = cache.stats().since(&before);
     assert_eq!(delta.hits + delta.coalesced + delta.misses, lookups, "{delta:?}");
     assert!(delta.misses > 0 && delta.hits > 0 && delta.evictions > 0, "the budget must bind: {delta:?}");
+    assert!(delta.recycled > 0, "misses write into evicted buffers: {delta:?}");
     assert!(cache.resident_bytes() <= cache.budget_bytes());
     // The session's own counters saw the same traffic, batched or not.
     let m = session.metrics();
@@ -401,7 +368,34 @@ fn two_clients_on_a_small_cache_serve_direct_bytes_within_budget() {
     assert_eq!(counter("tile_cache.misses"), delta.misses);
     assert_eq!(counter("tile_cache.coalesced"), delta.coalesced);
     assert_eq!(counter("tile_cache.evictions"), delta.evictions);
+    assert_eq!(counter("tile_cache.recycled"), delta.recycled);
     assert_eq!(counter("tile_server.serves"), VIEWERS * STEPS);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A server records every serve's latency into its session's
+/// `tile_server.serve` histogram, and keeps doing so after the
+/// session's metrics are reset.
+#[test]
+fn serve_latency_is_recorded_across_a_metrics_reset() {
+    let root = temp_root("latency");
+    let db = LightDb::open(&root).unwrap();
+    install_tiled_pair(&db, "clip", 2, GRID).unwrap();
+    let session = db.session();
+    let server = session.tile_server("clip", Some("clip_lq"), TileServerConfig::default()).unwrap();
+    let m = session.metrics();
+    let latency = || m.histogram(names::SERVE_LATENCY);
+    for serves in [20u64, 7] {
+        for i in 0..serves {
+            let tile = (i % GRID.tile_count() as u64) as usize;
+            server.serve(i, i % 2, Orientation::tile_center(tile, GRID)).unwrap();
+        }
+        assert_eq!(latency().count(), serves);
+        assert_eq!(m.counter(names::TILE_SERVES), serves);
+        assert!(m.percentile(names::SERVE_LATENCY, 50.0) > std::time::Duration::ZERO);
+        m.reset();
+        assert_eq!(latency().count(), 0);
+    }
     let _ = fs::remove_dir_all(&root);
 }
 
