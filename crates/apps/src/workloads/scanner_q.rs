@@ -9,17 +9,27 @@ use crate::workloads::{HI_QP, LO_QP};
 use crate::{detect::boxes_overlay, predictor::important_tile, Result, RunStats};
 use lightdb::exec::chunk::is_omega;
 use lightdb_baselines::ffmpeg::concat;
-use lightdb_baselines::scanner::ScannerPipeline;
+use lightdb_baselines::scanner::{self, ScannerPipeline};
 use lightdb_codec::VideoStream;
 use lightdb_frame::Frame;
 
 /// Predictive 360° tiling, Scanner-style.
 pub fn tiling(input: &VideoStream, cols: usize, rows: usize) -> Result<(VideoStream, RunStats)> {
+    tiling_within(input, cols, rows, scanner::budget())
+}
+
+/// [`tiling`] under a pinned-frame budget of `budget` bytes.
+pub fn tiling_within(
+    input: &VideoStream,
+    cols: usize,
+    rows: usize,
+    budget: usize,
+) -> Result<(VideoStream, RunStats)> {
     let bytes_in = input.to_bytes().len();
     // LOC:BEGIN scanner-tiling
     let fps = input.header.fps as usize;
     let (w, h) = (input.header.width, input.header.height);
-    let table = ScannerPipeline::ingest(input)?; // pins every frame
+    let table = ScannerPipeline::ingest_within(input, budget)?; // pins every frame
     let seconds = table.len().div_ceil(fps);
     let mut outputs: Vec<VideoStream> = Vec::new();
     for second in 0..seconds {
@@ -36,12 +46,12 @@ pub fn tiling(input: &VideoStream, cols: usize, rows: usize) -> Result<(VideoStr
         let mut canvases = vec![Frame::new(w, h); window.len()];
         for (i, ts) in encoded.iter().enumerate() {
             let (c, r) = (i % cols, i / cols);
-            let tile_table = ScannerPipeline::ingest(ts)?;
+            let tile_table = ScannerPipeline::ingest_within(ts, budget)?;
             for (fi, f) in tile_table.frames().iter().enumerate() {
                 canvases[fi].blit(f, c * (w / cols), r * (h / rows));
             }
         }
-        let recombined = ScannerPipeline::ingest(&{
+        let recombined = ScannerPipeline::ingest_within(&{
             // Wrap the canvases as a pipeline by encoding once
             // (Scanner tables originate from videos).
             let mut tmp = lightdb_baselines::opencv::VideoWriter::open(fps as u32, HI_QP);
@@ -49,7 +59,7 @@ pub fn tiling(input: &VideoStream, cols: usize, rows: usize) -> Result<(VideoStr
                 tmp.write(&lightdb_baselines::opencv::Mat::from_frame(f))?;
             }
             tmp.release()?
-        })?;
+        }, budget)?;
         outputs.push(recombined.write(HI_QP)?);
     }
     let refs: Vec<&VideoStream> = outputs.iter().collect();
@@ -131,10 +141,8 @@ mod tests {
 
     #[test]
     fn long_input_exhausts_memory() {
-        std::env::set_var("LIGHTDB_SCANNER_BUDGET", "50000");
         let input = encode_dataset(Dataset::Venice, &spec());
-        let r = tiling(&input, 2, 2);
-        std::env::remove_var("LIGHTDB_SCANNER_BUDGET");
+        let r = tiling_within(&input, 2, 2, 50000);
         assert!(r.is_err(), "scanner must OOM under a tiny budget");
     }
 }

@@ -18,7 +18,9 @@ use lightdb_frame::Frame;
 /// real system exhausting GPU/host memory at ~20 s of 4K.
 pub const DEFAULT_BUDGET: usize = 1 << 30;
 
-fn budget() -> usize {
+/// The pinned-frame budget: `LIGHTDB_SCANNER_BUDGET` if set, else
+/// [`DEFAULT_BUDGET`].
+pub fn budget() -> usize {
     lightdb_core::envknob::read_usize("LIGHTDB_SCANNER_BUDGET").unwrap_or(DEFAULT_BUDGET)
 }
 
@@ -35,9 +37,14 @@ impl ScannerPipeline {
     /// [`BaselineError::OutOfMemory`] when the uncompressed size
     /// exceeds the budget.
     pub fn ingest(stream: &VideoStream) -> Result<ScannerPipeline> {
+        ScannerPipeline::ingest_within(stream, budget())
+    }
+
+    /// [`ScannerPipeline::ingest`] under a pinned-frame budget of
+    /// `budget` bytes.
+    pub fn ingest_within(stream: &VideoStream, budget: usize) -> Result<ScannerPipeline> {
         let frame_bytes = stream.header.width * stream.header.height * 3 / 2;
         let needed = frame_bytes * stream.frame_count();
-        let budget = budget();
         if needed > budget {
             return Err(BaselineError::OutOfMemory { needed, budget });
         }
@@ -175,9 +182,7 @@ mod tests {
     #[test]
     fn budget_enforced() {
         let s = source(8);
-        std::env::set_var("LIGHTDB_SCANNER_BUDGET", "1000");
-        let r = ScannerPipeline::ingest(&s);
-        std::env::remove_var("LIGHTDB_SCANNER_BUDGET");
+        let r = ScannerPipeline::ingest_within(&s, 1000);
         assert!(matches!(r, Err(BaselineError::OutOfMemory { .. })));
     }
 

@@ -580,17 +580,22 @@ fn stored_gop(w: usize, h: usize, n: usize) -> (lightdb_codec::VideoStream, Vec<
 
 /// Whole-GOP decodes the way `exec::frameops::decode_one` runs them
 /// (one scratch reused throughout) against the oracle's block path,
-/// and how many of the blocks carried no residual.
+/// how many of the blocks carried no residual, and the same decode on
+/// two threads against one.
 fn decode_gops(target: f64, w: usize, h: usize, n: usize) {
     let (stream, decoded) = stored_gop(w, h, n);
     let (header, gop) = (&stream.header, &stream.gops[0]);
-    let mut scratch = DecoderScratch::new();
-    let mut decode = move || {
-        let frames = Decoder::new()
-            .decode_gop_scratch(header, gop, &mut scratch)
-            .expect("decode");
-        (frames, std::mem::take(&mut scratch.work))
+    let scratch_decode = |threads: usize| {
+        let mut scratch = DecoderScratch::new();
+        move || {
+            let frames = Decoder::new()
+                .decode_gop_scratch(header, gop, &mut scratch, threads)
+                .expect("decode");
+            (frames, std::mem::take(&mut scratch.work))
+        }
     };
+    let mut decode = scratch_decode(1);
+    let mut decode_2 = scratch_decode(2);
     let decode_oracle = || {
         let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
         for ef in gop.frames() {
@@ -622,6 +627,19 @@ fn decode_gops(target: f64, w: usize, h: usize, n: usize) {
         },
     );
     print_row(&format!("decode {w}x{h}x{n} (GOPs/s)"), fast, refr);
+    assert_eq!(decode_2().0, decoded, "two-thread and one-thread decodes diverge");
+    let (two, one) = rate2(
+        target,
+        || {
+            black_box(decode_2());
+            1
+        },
+        || {
+            black_box(decode());
+            1
+        },
+    );
+    print_row("  2 threads vs 1 (GOPs/s)", two, one);
     let uncoded = work.uncoded_inter + work.uncoded_intra;
     crate::row(
         "  uncoded blocks",
@@ -903,7 +921,8 @@ fn end_to_end(target: f64, w: usize, h: usize, n: usize) {
 pub fn print(smoke: bool) {
     let target = if smoke { 0.02 } else { 0.5 };
     println!(
-        "Codec kernel throughput, single thread{} — fast vs. retained reference kernels",
+        "Codec kernel throughput, single thread unless a row says otherwise{} — fast vs. \
+         retained reference kernels",
         if smoke { " (smoke scale)" } else { "" }
     );
     crate::row(

@@ -5,10 +5,20 @@
 //! tile-granular entry point ([`Decoder::decode_gop_tile`]) decodes a
 //! single tile of a GOP without touching the other tiles' bytes —
 //! what the tile index enables for angular range queries.
+//!
+//! Every payload decodes in two stages. Stage A (*residuals*) makes
+//! every bit read and check, then dequantises and inverse-transforms
+//! each coded block; it reads no pixels, so any frame's stage A can run
+//! on any thread. Stage B (*reconstruction*) forms each block's
+//! prediction — the DC predictor, a reference copy or a fill — adds the
+//! residual and stores it, in frame order. A GOP given more than one
+//! thread runs later frames' stage A on helper threads while the caller
+//! runs stage B ([`Decoder::decode_gop_scratch`]); at one thread the two
+//! stages run back to back on the caller.
 
 use crate::bitio::BitReader;
 use crate::golomb::{read_se, read_ue};
-use crate::gop::{EncodedGop, FrameType};
+use crate::gop::{EncodedGop, FrameType, FrameView};
 use crate::predict::{
     copy_block, dc_predictor, extract_block, fill_block, store_block, MotionVector,
 };
@@ -19,6 +29,11 @@ use crate::tile::TileRect;
 use crate::transform::{inverse, ZIGZAG};
 use crate::{CodecError, Result, BLOCK_SIZE, MB_SIZE};
 use lightdb_frame::{Frame, PlaneKind};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::Mutex;
 
 /// A video decoder.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,108 +44,74 @@ impl Decoder {
         Decoder
     }
 
-    /// Decodes an entire stream into frames.
+    /// Decodes an entire stream into frames, on the calling thread.
     pub fn decode(&self, stream: &VideoStream) -> Result<Vec<Frame>> {
         let mut scratch = DecoderScratch::new();
         let mut out = Vec::with_capacity(stream.frame_count());
         for gop in &stream.gops {
-            out.extend(self.decode_gop_scratch(&stream.header, gop, &mut scratch)?);
+            out.extend(self.decode_gop_scratch(&stream.header, gop, &mut scratch, 1)?);
         }
         Ok(out)
     }
 
-    /// Decodes one GOP into full frames.
+    /// Decodes one GOP into full frames, on the calling thread.
     pub fn decode_gop(&self, header: &SequenceHeader, gop: &EncodedGop) -> Result<Vec<Frame>> {
-        self.decode_gop_scratch(header, gop, &mut DecoderScratch::new())
+        self.decode_gop_scratch(header, gop, &mut DecoderScratch::new(), 1)
     }
 
-    /// Allocation-reusing form of [`Decoder::decode_gop`]: at steady
-    /// state the only allocations are the returned frames. A
-    /// single-tile GOP decodes straight into them, each frame against
-    /// the one before it; a tiled one double-buffers its tile
-    /// reconstructions through `scratch` and blits. Either way the
-    /// block counts are added to `scratch.work`.
+    /// Allocation-reusing form of [`Decoder::decode_gop`] on up to
+    /// `threads` threads: at steady state the only allocations are the
+    /// returned frames, plus a fixed cost per call when the decode fans
+    /// out. A single-tile GOP decodes straight into its output frames,
+    /// each frame against the one before it; a tiled one double-buffers
+    /// its tile reconstructions through `scratch` and blits. Either way
+    /// the block counts are added to `scratch.work`.
+    ///
+    /// With more than one thread and more than one frame, up to
+    /// `threads - 1` helpers (one per frame after the first) compute later
+    /// frames' residuals (stage A) while the caller reconstructs frames in
+    /// order (stage B). The caller computes residuals too: for the next
+    /// frame when no helper has claimed it, and for the next unclaimed
+    /// frame when it would otherwise wait for a helper. At most
+    /// `threads × 2` frames of residuals wait ahead of reconstruction;
+    /// `scratch` keeps one residual buffer, and the others live for the
+    /// call. Output and errors are the one-thread decode's: the first
+    /// failing frame in frame order decides the error, and helpers claim
+    /// no frame after it.
     pub fn decode_gop_scratch(
         &self,
         header: &SequenceHeader,
         gop: &EncodedGop,
         scratch: &mut DecoderScratch,
+        threads: usize,
     ) -> Result<Vec<Frame>> {
         header.validate()?;
-        let (w, h) = (header.width, header.height);
-        let grid = header.grid;
-        let tile_count = grid.tile_count();
         let DecoderScratch {
-            tiles: recon_tiles,
+            tiles,
             spare,
             work,
+            residuals,
         } = scratch;
-        let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
-        // The GOP was checked when it was made: it begins with a
-        // keyframe, and its tile index delimits every payload.
-        for ef in gop.frames() {
-            if ef.tile_count() != tile_count {
-                return Err(CodecError::Corrupt("frame tile count disagrees with grid"));
-            }
-            let frame_type = ef.frame_type();
-            if tile_count == 1 {
-                // The one tile is the picture, and the previous output
-                // frame is its reference: no staging frame, no blit.
-                let reference = match frame_type {
-                    FrameType::Key => None,
-                    FrameType::Predicted => out.last(),
-                };
-                let payload = ef
-                    .tile(0)
-                    .ok_or(CodecError::Corrupt("frame tile count disagrees with grid"))?;
-                let mut frame = Frame::empty();
-                decode_tile_payload_into(
-                    payload,
-                    w,
-                    h,
-                    frame_type,
-                    reference,
-                    &mut frame,
-                    work,
-                )?;
-                out.push(frame);
-                continue;
-            }
-            // Output frame, pre-sized from the sequence header.
-            let mut frame = Frame::new(w, h);
-            for (t, payload) in ef.tiles().enumerate() {
-                let rect = grid.tile_rect(t, w, h);
-                // A predicted frame can only follow this GOP's keyframe,
-                // which populated (or refreshed) every tile slot — a
-                // stale frame from a previous GOP is never read.
-                let reference = match frame_type {
-                    FrameType::Key => None,
-                    FrameType::Predicted => Some(
-                        recon_tiles
-                            .get(t)
-                            .ok_or(CodecError::Corrupt("predicted frame without reference"))?,
-                    ),
-                };
-                decode_tile_payload_into(
-                    payload,
-                    rect.w,
-                    rect.h,
-                    frame_type,
-                    reference,
-                    spare,
-                    work,
-                )?;
-                frame.blit(spare, rect.x0, rect.y0);
-                // The fresh tile becomes tile t's reference.
-                if recon_tiles.len() <= t {
-                    recon_tiles.push(std::mem::replace(spare, Frame::empty()));
-                } else {
-                    std::mem::swap(&mut recon_tiles[t], spare);
-                }
-            }
-            out.push(frame);
+        let mut rebuild = Rebuild {
+            header,
+            out: Vec::with_capacity(gop.frame_count()),
+            tiles,
+            spare,
+            work,
+        };
+        // Every frame after the first is one a helper can run ahead.
+        let helpers = threads.saturating_sub(1).min(gop.frame_count().saturating_sub(1));
+        if helpers == 0 {
+            // The GOP was checked when it was made: it begins with a
+            // keyframe, and its tile index delimits every payload.
+            gop.frames().try_for_each(|ef| {
+                let read = read_frame(header, &ef, residuals);
+                rebuild.frame(ef.frame_type(), residuals, read, false)
+            })?;
+        } else {
+            decode_pipelined(header, gop, helpers, residuals, &mut rebuild)?;
         }
-        Ok(out)
+        Ok(rebuild.out)
     }
 
     /// Decodes only tile `index` of a GOP, producing tile-sized
@@ -148,6 +129,7 @@ impl Decoder {
         }
         let rect = grid.tile_rect(index, header.width, header.height);
         let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
+        let mut res = FrameResiduals::default();
         for ef in gop.frames() {
             let payload = ef
                 .tile(index)
@@ -160,7 +142,8 @@ impl Decoder {
                         .ok_or(CodecError::Corrupt("predicted frame without reference"))?,
                 ),
             };
-            let tile = decode_tile_payload(payload, rect.w, rect.h, ef.frame_type(), refer)?;
+            let mut tile = Frame::empty();
+            decode_tile(payload, rect.w, rect.h, ef.frame_type(), refer, &mut tile, &mut res)?;
             out.push(tile);
         }
         Ok(out)
@@ -223,11 +206,10 @@ pub fn decode_tile_payload(
     Ok(recon)
 }
 
-/// Allocation-reusing form of [`decode_tile_payload`]: decodes into a
-/// caller-provided frame (reshaped as needed), whose contents are
-/// unspecified on error. No clearing is needed: every sample is stored
-/// before the DC predictor can read it. Block counts are added to
-/// `work`.
+/// Decodes one tile payload into a caller-provided frame (reshaped as
+/// needed), whose contents are unspecified on error. No clearing is
+/// needed: every sample is stored before the DC predictor can read it.
+/// Block counts are added to `work`.
 pub fn decode_tile_payload_into(
     payload: &[u8],
     w: usize,
@@ -236,6 +218,111 @@ pub fn decode_tile_payload_into(
     reference: Option<&Frame>,
     recon: &mut Frame,
     work: &mut DecoderWork,
+) -> Result<()> {
+    let mut res = FrameResiduals::default();
+    let done = decode_tile(payload, w, h, frame_type, reference, recon, &mut res);
+    work.add(&res.work);
+    done
+}
+
+/// Both stages for one tile payload, through the residual buffer `res`.
+fn decode_tile(
+    payload: &[u8],
+    w: usize,
+    h: usize,
+    frame_type: FrameType,
+    reference: Option<&Frame>,
+    recon: &mut Frame,
+    res: &mut FrameResiduals,
+) -> Result<()> {
+    res.clear();
+    let dims = reference.map(|r| (r.width(), r.height()));
+    read_tile(payload, w, h, frame_type, dims, res)?;
+    reconstruct_tile(res, &mut Cursor::default(), w, h, reference, recon)
+}
+
+// ------------------------------------------------------------ stage A
+
+/// One macroblock as stage A read it.
+#[derive(Debug, Clone, Copy)]
+struct MbCode {
+    mode: MbMode,
+    /// Bit `b` set: block `b` carries a residual (blocks 0..4 are the
+    /// luma blocks in raster order, 4 is Cb, 5 is Cr).
+    coded: u8,
+}
+
+/// Stage A's output for one frame (or one tile payload): every
+/// macroblock's mode and coded blocks, tiles in order and raster order
+/// within a tile, and the residual of each coded block in the order
+/// stage B meets them. Residuals are saturated to `i16`, which is
+/// exact: a prediction is in 0..=255 and the sum is clamped to 0..=255,
+/// so any residual past ±32 767 stores the same sample its saturation
+/// does. A buffer holds up to 128 bytes per coded block, so twice a
+/// decoded frame's size when every block is coded.
+#[derive(Debug, Default)]
+pub(crate) struct FrameResiduals {
+    mbs: Vec<MbCode>,
+    blocks: Vec<[i16; 64]>,
+    /// Block counts for these payloads.
+    work: DecoderWork,
+}
+
+impl FrameResiduals {
+    /// An empty buffer with the capacity of `like`. Sized like the
+    /// caller's own buffer, which has held this stream's frames, a
+    /// helper filling it does not grow it at steady state: it is
+    /// allocated and freed on the caller's thread. (Not sized from the
+    /// header, whose dimensions no payload has vouched for yet.)
+    fn with_capacity_of(like: &FrameResiduals) -> FrameResiduals {
+        FrameResiduals {
+            mbs: Vec::with_capacity(like.mbs.capacity()),
+            blocks: Vec::with_capacity(like.blocks.capacity()),
+            work: DecoderWork::default(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.mbs.clear();
+        self.blocks.clear();
+        self.work = DecoderWork::default();
+    }
+}
+
+/// Stage A for one frame: every tile's payload, in tile order, into
+/// `out` (cleared first).
+fn read_frame(header: &SequenceHeader, ef: &FrameView<'_>, out: &mut FrameResiduals) -> Result<()> {
+    out.clear();
+    let grid = header.grid;
+    if ef.tile_count() != grid.tile_count() {
+        return Err(CodecError::Corrupt("frame tile count disagrees with grid"));
+    }
+    let frame_type = ef.frame_type();
+    for (t, payload) in ef.tiles().enumerate() {
+        let rect = grid.tile_rect(t, header.width, header.height);
+        // A predicted frame's reference is the frame (or tile) before
+        // it in this GOP: the same size, since the GOP opens with a
+        // keyframe that fills every tile.
+        let reference = match frame_type {
+            FrameType::Key => None,
+            FrameType::Predicted => Some((rect.w, rect.h)),
+        };
+        read_tile(payload, rect.w, rect.h, frame_type, reference, out)?;
+    }
+    Ok(())
+}
+
+/// Stage A for one tile payload: every bit read and check of the
+/// decode, in its order, and the dequantised, inverse-transformed
+/// residual of every coded block, appended to `out`. `reference` is
+/// the reference frame's size, if the payload has one.
+fn read_tile(
+    payload: &[u8],
+    w: usize,
+    h: usize,
+    frame_type: FrameType,
+    reference: Option<(usize, usize)>,
+    out: &mut FrameResiduals,
 ) -> Result<()> {
     if !w.is_multiple_of(MB_SIZE) || !h.is_multiple_of(MB_SIZE) {
         return Err(CodecError::Geometry(format!(
@@ -248,20 +335,15 @@ pub fn decode_tile_payload_into(
     if qp > QP_MAX {
         return Err(CodecError::Corrupt("tile QP out of range"));
     }
-    if let Some(r) = reference {
-        if r.width() != w || r.height() != h {
-            return Err(CodecError::Corrupt("reference dimensions disagree"));
-        }
+    if reference.is_some_and(|dims| dims != (w, h)) {
+        return Err(CodecError::Corrupt("reference dimensions disagree"));
     }
-    let rect = TileRect { x0: 0, y0: 0, w, h };
-    recon.reshape(w, h);
     let mut bits = BitReader::new(body);
     let (mb_cols, mb_rows) = (w / MB_SIZE, h / MB_SIZE);
+    let work = &mut out.work;
     // lint: hot-loop — zero allocations per macroblock (PR 3 contract)
     for mb_row in 0..mb_rows {
         for mb_col in 0..mb_cols {
-            let mbx = mb_col * MB_SIZE;
-            let mby = mb_row * MB_SIZE;
             let mode = match frame_type {
                 FrameType::Key => MbMode::Intra,
                 FrameType::Predicted => {
@@ -272,16 +354,43 @@ pub fn decode_tile_payload_into(
                         let dx = read_se(&mut bits)?;
                         let dy = read_se(&mut bits)?;
                         let mv = MotionVector { dx, dy };
-                        validate_mv(&mv, mbx, mby, w, h)?;
+                        validate_mv(&mv, mb_col * MB_SIZE, mb_row * MB_SIZE, w, h)?;
                         MbMode::Inter(mv)
                     }
                 }
             };
-            decode_macroblock(reference, recon, &rect, mbx, mby, &mode, qp, &mut bits, work)?;
+            if matches!(mode, MbMode::Inter(_)) && reference.is_none() {
+                work.blocks += 1;
+                return Err(CodecError::Corrupt("inter block without reference"));
+            }
+            let mut coded = 0u8;
+            for b in 0..6 {
+                work.blocks += 1;
+                if !bits.read_bit()? {
+                    match mode {
+                        MbMode::Intra => work.uncoded_intra += 1,
+                        MbMode::Inter(_) => work.uncoded_inter += 1,
+                    }
+                    continue;
+                }
+                let mut levels = read_coeffs(&mut bits)?;
+                dequantize(&mut levels, qp);
+                out.blocks.push(saturate(&inverse(&levels)));
+                coded |= 1 << b;
+            }
+            out.mbs.push(MbCode { mode, coded });
         }
     }
     // lint: end-hot-loop
     Ok(())
+}
+
+fn saturate(res: &[i32; 64]) -> [i16; 64] {
+    let mut out = [0i16; 64];
+    for (o, &r) in out.iter_mut().zip(res) {
+        *o = r.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
+    }
+    out
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -296,122 +405,6 @@ fn validate_mv(mv: &MotionVector, mbx: usize, mby: usize, w: usize, h: usize) ->
     if rx < 0 || ry < 0 || rx + MB_SIZE as i64 > w as i64 || ry + MB_SIZE as i64 > h as i64 {
         return Err(CodecError::Corrupt("motion vector escapes tile"));
     }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn decode_macroblock(
-    reference: Option<&Frame>,
-    recon: &mut Frame,
-    rect: &TileRect,
-    mbx: usize,
-    mby: usize,
-    mode: &MbMode,
-    qp: u8,
-    bits: &mut BitReader<'_>,
-    work: &mut DecoderWork,
-) -> Result<()> {
-    let w = recon.width();
-    for by in 0..2 {
-        for bx in 0..2 {
-            let x = mbx + bx * BLOCK_SIZE;
-            let y = mby + by * BLOCK_SIZE;
-            decode_block(
-                reference,
-                recon,
-                PlaneKind::Luma,
-                w,
-                rect,
-                x,
-                y,
-                mode,
-                1,
-                qp,
-                bits,
-                work,
-            )?;
-        }
-    }
-    let crect = TileRect {
-        x0: rect.x0 / 2,
-        y0: rect.y0 / 2,
-        w: rect.w / 2,
-        h: rect.h / 2,
-    };
-    for plane in [PlaneKind::Cb, PlaneKind::Cr] {
-        decode_block(
-            reference,
-            recon,
-            plane,
-            w / 2,
-            &crect,
-            mbx / 2,
-            mby / 2,
-            mode,
-            2,
-            qp,
-            bits,
-            work,
-        )?;
-    }
-    Ok(())
-}
-
-/// Decodes one 8×8 block. The coded flag decides how much there is to
-/// do: an uncoded block *is* its prediction — eight row copies from
-/// the motion-compensated reference, or a fill with the DC predictor
-/// (a rounded mean of bytes, so no clamp) — and only a coded block
-/// pays for coefficients, dequantisation and the inverse transform.
-/// The prediction source is resolved before the flag is read, so
-/// hostile input fails on the same check it always has.
-#[allow(clippy::too_many_arguments)]
-fn decode_block(
-    reference: Option<&Frame>,
-    recon: &mut Frame,
-    plane_kind: PlaneKind,
-    stride: usize,
-    rect: &TileRect,
-    x: usize,
-    y: usize,
-    mode: &MbMode,
-    mv_shift: i32,
-    qp: u8,
-    bits: &mut BitReader<'_>,
-    work: &mut DecoderWork,
-) -> Result<()> {
-    work.blocks += 1;
-    let pred: [i32; 64] = match mode {
-        MbMode::Intra => {
-            let dc = dc_predictor(recon.plane(plane_kind), stride, rect, x, y);
-            if !bits.read_bit()? {
-                work.uncoded_intra += 1;
-                fill_block(recon.plane_mut(plane_kind), stride, x, y, dc as u8);
-                return Ok(());
-            }
-            [dc; 64]
-        }
-        MbMode::Inter(mv) => {
-            let rp = reference
-                .ok_or(CodecError::Corrupt("inter block without reference"))?
-                .plane(plane_kind);
-            let rx = (x as i32 + mv.dx / mv_shift) as usize;
-            let ry = (y as i32 + mv.dy / mv_shift) as usize;
-            if !bits.read_bit()? {
-                work.uncoded_inter += 1;
-                copy_block(rp, recon.plane_mut(plane_kind), stride, (rx, ry), (x, y));
-                return Ok(());
-            }
-            extract_block(rp, stride, rx, ry)
-        }
-    };
-    let mut levels = read_coeffs(bits)?;
-    dequantize(&mut levels, qp);
-    let res = inverse(&levels);
-    let mut rec = [0i32; 64];
-    for i in 0..64 {
-        rec[i] = pred[i] + res[i];
-    }
-    store_block(recon.plane_mut(plane_kind), stride, x, y, &rec);
     Ok(())
 }
 
@@ -438,6 +431,381 @@ fn read_coeffs(bits: &mut BitReader<'_>) -> Result<[i32; 64]> {
         scan_pos += 1;
     }
     Ok(out)
+}
+
+// ------------------------------------------------------------ stage B
+
+/// Where stage B stands in a [`FrameResiduals`].
+#[derive(Debug, Default)]
+struct Cursor {
+    mb: usize,
+    block: usize,
+}
+
+/// Stage B's state for one GOP: the frames so far, and the tiled path's
+/// per-tile references.
+struct Rebuild<'a> {
+    header: &'a SequenceHeader,
+    out: Vec<Frame>,
+    tiles: &'a mut Vec<Frame>,
+    spare: &'a mut Frame,
+    work: &'a mut DecoderWork,
+}
+
+impl Rebuild<'_> {
+    /// Takes the next frame's residuals — `read` is how its stage A
+    /// ended, `ahead` whether a helper ran it — and reconstructs it.
+    fn frame(
+        &mut self,
+        frame_type: FrameType,
+        res: &FrameResiduals,
+        read: Result<()>,
+        ahead: bool,
+    ) -> Result<()> {
+        self.work.add(&res.work);
+        self.work.frames_ahead += u64::from(ahead);
+        read?;
+        let (w, h) = (self.header.width, self.header.height);
+        let grid = self.header.grid;
+        let mut at = Cursor::default();
+        if grid.tile_count() == 1 {
+            // The one tile is the picture, and the previous output
+            // frame is its reference: no staging frame, no blit.
+            let reference = match frame_type {
+                FrameType::Key => None,
+                FrameType::Predicted => self.out.last(),
+            };
+            let mut frame = Frame::empty();
+            reconstruct_tile(res, &mut at, w, h, reference, &mut frame)?;
+            self.out.push(frame);
+            return Ok(());
+        }
+        // Output frame, pre-sized from the sequence header.
+        let mut frame = Frame::new(w, h);
+        for t in 0..grid.tile_count() {
+            let rect = grid.tile_rect(t, w, h);
+            // A predicted frame can only follow this GOP's keyframe,
+            // which populated (or refreshed) every tile slot — a stale
+            // frame from a previous GOP is never read.
+            let reference = match frame_type {
+                FrameType::Key => None,
+                FrameType::Predicted => Some(
+                    self.tiles
+                        .get(t)
+                        .ok_or(CodecError::Corrupt("predicted frame without reference"))?,
+                ),
+            };
+            reconstruct_tile(res, &mut at, rect.w, rect.h, reference, self.spare)?;
+            frame.blit(self.spare, rect.x0, rect.y0);
+            // The fresh tile becomes tile t's reference.
+            if self.tiles.len() <= t {
+                self.tiles.push(std::mem::replace(self.spare, Frame::empty()));
+            } else {
+                std::mem::swap(&mut self.tiles[t], self.spare);
+            }
+        }
+        self.out.push(frame);
+        Ok(())
+    }
+}
+
+/// Stage B for one tile: each block's prediction plus the residual
+/// stage A left for it, in raster order, reading `res` from `at` on.
+fn reconstruct_tile(
+    res: &FrameResiduals,
+    at: &mut Cursor,
+    w: usize,
+    h: usize,
+    reference: Option<&Frame>,
+    recon: &mut Frame,
+) -> Result<()> {
+    recon.reshape(w, h);
+    let rect = TileRect { x0: 0, y0: 0, w, h };
+    let crect = TileRect { x0: 0, y0: 0, w: w / 2, h: h / 2 };
+    for mb_row in 0..h / MB_SIZE {
+        for mb_col in 0..w / MB_SIZE {
+            let (mbx, mby) = (mb_col * MB_SIZE, mb_row * MB_SIZE);
+            let mb = res.mbs[at.mb];
+            at.mb += 1;
+            for b in 0..6 {
+                let residual = if mb.coded & (1 << b) != 0 {
+                    at.block += 1;
+                    Some(&res.blocks[at.block - 1])
+                } else {
+                    None
+                };
+                let (plane, stride, rect, x, y, mv_shift) = match b {
+                    0..4 => (
+                        PlaneKind::Luma,
+                        w,
+                        &rect,
+                        mbx + (b & 1) * BLOCK_SIZE,
+                        mby + (b >> 1) * BLOCK_SIZE,
+                        1,
+                    ),
+                    4 => (PlaneKind::Cb, w / 2, &crect, mbx / 2, mby / 2, 2),
+                    _ => (PlaneKind::Cr, w / 2, &crect, mbx / 2, mby / 2, 2),
+                };
+                let block = Block { plane, stride, rect, x, y, mv_shift };
+                rebuild_block(reference, recon, &block, &mb.mode, residual)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One 8×8 block's place: its plane, that plane's stride and tile
+/// rectangle, its position, and the motion-vector divisor for the plane.
+struct Block<'a> {
+    plane: PlaneKind,
+    stride: usize,
+    rect: &'a TileRect,
+    x: usize,
+    y: usize,
+    mv_shift: i32,
+}
+
+/// Reconstructs one 8×8 block. An uncoded block *is* its prediction —
+/// eight row copies from the motion-compensated reference, or a fill
+/// with the DC predictor (a rounded mean of bytes, so no clamp) — and
+/// only a coded block adds a residual and clamps.
+fn rebuild_block(
+    reference: Option<&Frame>,
+    recon: &mut Frame,
+    b: &Block<'_>,
+    mode: &MbMode,
+    residual: Option<&[i16; 64]>,
+) -> Result<()> {
+    let (stride, x, y) = (b.stride, b.x, b.y);
+    let pred: [i32; 64] = match mode {
+        MbMode::Intra => {
+            let dc = dc_predictor(recon.plane(b.plane), stride, b.rect, x, y);
+            if residual.is_none() {
+                fill_block(recon.plane_mut(b.plane), stride, x, y, dc as u8);
+                return Ok(());
+            }
+            [dc; 64]
+        }
+        MbMode::Inter(mv) => {
+            let rp = reference
+                .ok_or(CodecError::Corrupt("inter block without reference"))?
+                .plane(b.plane);
+            let rx = (x as i32 + mv.dx / b.mv_shift) as usize;
+            let ry = (y as i32 + mv.dy / b.mv_shift) as usize;
+            if residual.is_none() {
+                copy_block(rp, recon.plane_mut(b.plane), stride, (rx, ry), (x, y));
+                return Ok(());
+            }
+            extract_block(rp, stride, rx, ry)
+        }
+    };
+    let Some(res) = residual else { return Ok(()) };
+    let mut rec = [0i32; 64];
+    for i in 0..64 {
+        rec[i] = pred[i] + res[i] as i32;
+    }
+    store_block(recon.plane_mut(b.plane), stride, x, y, &rec);
+    Ok(())
+}
+
+// ---------------------------------------------------------- fan-out
+
+/// What a helper hands the caller.
+enum Ahead {
+    /// Frame `frame`'s residuals and how its stage A ended.
+    Ready { frame: usize, res: FrameResiduals, read: Result<()> },
+    /// The helper panicked; the caller re-raises the panic.
+    Panicked(Box<dyn Any + Send>),
+}
+
+/// Why the caller's loop stopped early.
+enum Halt {
+    Codec(CodecError),
+    Panic(Box<dyn Any + Send>),
+}
+
+impl From<CodecError> for Halt {
+    fn from(e: CodecError) -> Halt {
+        Halt::Codec(e)
+    }
+}
+
+/// The fanned-out decode: `helpers` threads run stage A of the frames
+/// they claim, each into a buffer passed around a bounded channel,
+/// while the caller runs stage B in frame order. The caller runs stage
+/// A itself for a frame it reaches unclaimed, and, rather than wait for
+/// a helper's frame, for the next unclaimed one. Claims come from one
+/// counter, so the frames claimed and not yet reconstructed are
+/// consecutive, and there are never more of them than the
+/// `2 × (helpers + 1)` buffers: the caller's own and the lent ones.
+/// The lent buffers are made here and every one comes back to be freed
+/// here, so no decode leaves more than `own` behind.
+fn decode_pipelined(
+    header: &SequenceHeader,
+    gop: &EncodedGop,
+    helpers: usize,
+    own: &mut FrameResiduals,
+    rebuild: &mut Rebuild<'_>,
+) -> Result<()> {
+    let window = 2 * (helpers + 1);
+    let (free_tx, free_rx) = sync_channel::<FrameResiduals>(window);
+    for _ in 1..window {
+        // Never blocks or fails: the channel has room and its receiver
+        // is alive.
+        let _ = free_tx.send(FrameResiduals::with_capacity_of(own));
+    }
+    let free_rx = Mutex::new(free_rx);
+    // Sends never block: each message carries one of the helpers' buffers.
+    let (done_tx, done_rx) = sync_channel::<Ahead>(window);
+    // The next frame nobody has claimed. `Relaxed` throughout: the
+    // counter and `stop` publish no data; residuals travel through the
+    // channels, which synchronise.
+    let next = AtomicUsize::new(0);
+    let claim = |frame: usize| {
+        next.compare_exchange(frame, frame + 1, Ordering::Relaxed, Ordering::Relaxed).is_ok()
+    };
+    let stop = AtomicBool::new(false);
+    let frames = gop.frame_count();
+    // Helpers' frames by frame number modulo `window`: the claimed,
+    // unreconstructed frames are fewer than `window` and consecutive, so
+    // no two share a slot.
+    let mut parked: Vec<Option<(FrameResiduals, Result<()>)>> =
+        (0..window).map(|_| None).collect();
+    let mut helper_panic = None;
+    let halt = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..helpers)
+            .map(|_| {
+                let done_tx = done_tx.clone();
+                let (free_rx, next, stop) = (&free_rx, &next, &stop);
+                s.spawn(move || helper(header, gop, free_rx, next, stop, done_tx))
+            })
+            .collect();
+        drop(done_tx);
+        // Owned here, so every exit — a panic too — drops it, and a
+        // helper waiting for a buffer wakes and leaves.
+        let free_tx = free_tx;
+        let halt = (|| -> std::result::Result<(), Halt> {
+            // The frame whose residuals `own` holds, claimed while the
+            // caller would otherwise have waited, and how stage A ended.
+            let mut stolen: Option<(usize, Result<()>)> = None;
+            let mut lookahead = gop.frames().enumerate();
+            for (k, ef) in gop.frames().enumerate() {
+                if let Some((_, read)) = stolen.take_if(|(j, _)| *j == k) {
+                    rebuild.frame(ef.frame_type(), own, read, false)?;
+                    continue;
+                }
+                if stolen.is_none() && claim(k) {
+                    let read = read_frame(header, &ef, own);
+                    rebuild.frame(ef.frame_type(), own, read, false)?;
+                    continue;
+                }
+                // A helper claimed frame k.
+                let slot = k % window;
+                while parked[slot].is_none() {
+                    let msg = match done_rx.try_recv() {
+                        Ok(msg) => msg,
+                        Err(TryRecvError::Empty) => {
+                            // Nothing handed over yet: compute the next
+                            // unclaimed frame's residuals rather than wait.
+                            let j = next.load(Ordering::Relaxed);
+                            let idle = stolen.is_none() && !stop.load(Ordering::Relaxed);
+                            if idle && j < frames && claim(j) {
+                                let read = match lookahead.find(|&(i, _)| i == j) {
+                                    Some((_, ef)) => read_frame(header, &ef, own),
+                                    None => Err(CodecError::Corrupt("frame missing from GOP")),
+                                };
+                                if read.is_err() {
+                                    stop.store(true, Ordering::Relaxed);
+                                }
+                                stolen = Some((j, read));
+                                continue;
+                            }
+                            done_rx.recv().map_err(|_| helper_vanished())?
+                        }
+                        Err(TryRecvError::Disconnected) => return Err(helper_vanished()),
+                    };
+                    match msg {
+                        Ahead::Ready { frame, res, read } => {
+                            parked[frame % window] = Some((res, read));
+                        }
+                        Ahead::Panicked(p) => return Err(Halt::Panic(p)),
+                    }
+                }
+                if let Some((res, read)) = parked[slot].take() {
+                    let rebuilt = rebuild.frame(ef.frame_type(), &res, read, true);
+                    // Never blocks: the buffer came out of this channel.
+                    let _ = free_tx.send(res);
+                    rebuilt?;
+                }
+            }
+            Ok(())
+        })()
+        .err();
+        stop.store(true, Ordering::Relaxed);
+        drop(free_tx);
+        for handle in handles {
+            // A helper hands back the buffer it holds, freed here.
+            if let Err(p) = handle.join() {
+                helper_panic = Some(p);
+            }
+        }
+        halt
+    });
+    // The rest of the lent buffers are freed as the channels and
+    // `parked` drop, on this thread too.
+    if let Some(p) = helper_panic {
+        resume_unwind(p);
+    }
+    match halt {
+        None => Ok(()),
+        Some(Halt::Codec(e)) => Err(e),
+        Some(Halt::Panic(p)) => resume_unwind(p),
+    }
+}
+
+/// Every helper is gone and the frame the caller waits for never came:
+/// only a helper that died outside its frame's stage A leaves this.
+fn helper_vanished() -> Halt {
+    Halt::Panic(Box::new("decode helper left a claimed frame unread"))
+}
+
+/// One helper: take a free buffer, claim the next frame, run its stage
+/// A, hand it over; until the frames run out, the caller stops, or the
+/// buffer channel closes. Returns the buffer it holds when it leaves.
+fn helper(
+    header: &SequenceHeader,
+    gop: &EncodedGop,
+    free: &Mutex<Receiver<FrameResiduals>>,
+    next: &AtomicUsize,
+    stop: &AtomicBool,
+    done: SyncSender<Ahead>,
+) -> Option<FrameResiduals> {
+    let mut frames = gop.frames().enumerate();
+    loop {
+        let mut res = free.lock().ok()?.recv().ok()?;
+        if stop.load(Ordering::Relaxed) {
+            return Some(res);
+        }
+        // Claims only grow, so this helper's frames come in order and
+        // one pass over the GOP finds them all.
+        let claim = next.fetch_add(1, Ordering::Relaxed);
+        let Some((_, ef)) = frames.find(|&(i, _)| i == claim) else {
+            return Some(res);
+        };
+        match catch_unwind(AssertUnwindSafe(|| read_frame(header, &ef, &mut res))) {
+            Ok(read) => {
+                // Frames after a failing one are never reconstructed.
+                if read.is_err() {
+                    stop.store(true, Ordering::Relaxed);
+                }
+                let _ = done.send(Ahead::Ready { frame: claim, res, read });
+            }
+            Err(p) => {
+                let _ = done.send(Ahead::Panicked(p));
+                return None;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

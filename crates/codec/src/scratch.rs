@@ -17,6 +17,7 @@
 //! The corpus byte-identity tests pin that reasoning down.
 
 use crate::bitio::BitWriter;
+use crate::decoder::FrameResiduals;
 use crate::predict::BlockSums;
 use lightdb_frame::Frame;
 
@@ -91,12 +92,25 @@ pub struct DecoderWork {
     pub uncoded_inter: u64,
     /// Uncoded intra blocks: a fill with the DC predictor.
     pub uncoded_intra: u64,
+    /// Frames whose residuals a helper thread computed ahead of the
+    /// caller's reconstruction.
+    pub frames_ahead: u64,
+}
+
+impl DecoderWork {
+    pub(crate) fn add(&mut self, other: &DecoderWork) {
+        self.blocks += other.blocks;
+        self.uncoded_inter += other.uncoded_inter;
+        self.uncoded_intra += other.uncoded_intra;
+        self.frames_ahead += other.frames_ahead;
+    }
 }
 
 /// Per-worker scratch for the decoder: per-tile reference
 /// reconstructions plus the spare they double-buffer against (tiled
 /// grids only — a single-tile GOP decodes straight into its output
-/// frames), and the work counters.
+/// frames), the residual buffer between the decode's two stages, and
+/// the work counters.
 #[derive(Debug)]
 pub struct DecoderScratch {
     /// Per-tile reference reconstructions, reused across frames and
@@ -106,6 +120,10 @@ pub struct DecoderScratch {
     /// The tile being decoded; swapped into `tiles` after each blit.
     pub spare: Frame,
     pub work: DecoderWork,
+    /// The caller's residual buffer: a frame's stage A output, read by
+    /// its stage B. A decode that fans out lends its helpers buffers of
+    /// its own for the length of the call.
+    pub(crate) residuals: FrameResiduals,
 }
 
 impl Default for DecoderScratch {
@@ -120,6 +138,7 @@ impl DecoderScratch {
             tiles: Vec::new(),
             spare: Frame::empty(),
             work: DecoderWork::default(),
+            residuals: FrameResiduals::default(),
         }
     }
 }

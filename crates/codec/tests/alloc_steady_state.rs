@@ -15,16 +15,33 @@
 //! The same allocator, counting bytes, pins the parsers' other
 //! contract: a length prefix reserves no more than the bytes behind it
 //! could hold.
+//!
+//! A decode that fans out allocates on its helper threads too, so the
+//! allocator also keeps a count across every thread. The tests in this
+//! file take turns, so that count sees only the test that reads it.
 
 use lightdb_codec::{
     CodecError, CodecKind, Decoder, EncodedGop, Encoder, EncoderConfig, SequenceHeader, TileGrid,
     VideoStream,
 };
 use lightdb_frame::{Frame, Yuv};
+use lightdb_codec::scratch::DecoderScratch;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
+
+/// Allocations on every thread.
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by every test here, so one test's allocations never land in
+/// another's [`ALL_ALLOCS`] window.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -42,6 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // even during TLS teardown.
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
         let _ = BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
+        ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: caller guarantees `layout` has non-zero size.
         unsafe { System.alloc(layout) }
     }
@@ -59,6 +77,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
         let _ = BYTES.try_with(|c| c.set(c.get() + new_size as u64));
+        ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: ptr/layout describe a live allocation from this
         // allocator and new_size is non-zero, per the caller.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -73,6 +92,13 @@ fn count<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let start = ALLOCS.with(|c| c.get());
     let r = f();
     (ALLOCS.with(|c| c.get()) - start, r)
+}
+
+/// Runs `f`, returning (allocations on every thread, result).
+fn count_all<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let start = ALL_ALLOCS.load(Ordering::Relaxed);
+    let r = f();
+    (ALL_ALLOCS.load(Ordering::Relaxed) - start, r)
 }
 
 /// Runs `f`, returning (bytes requested on this thread, result).
@@ -108,6 +134,7 @@ const SLACK: u64 = 64;
 
 #[test]
 fn codec_allocations_do_not_scale_with_macroblock_count() {
+    let _turn = exclusive();
     let n = 6;
     let small = scene(32, 32, n);
     let big = scene(128, 128, n);
@@ -152,6 +179,7 @@ const GOPS_2_24: [u8; 4] = [0x80, 0x80, 0x80, 0x08];
 
 #[test]
 fn a_hostile_count_reserves_no_more_than_its_input_could_hold() {
+    let _turn = exclusive();
     // 2²⁰ frames claimed by 3 bytes; the walker and the parser alike.
     let (bytes, r) = count_bytes(|| EncodedGop::from_bytes(&FRAMES_2_20));
     assert!(matches!(r, Err(CodecError::Corrupt(_))), "{r:?}");
@@ -194,6 +222,7 @@ fn a_hostile_count_reserves_no_more_than_its_input_could_hold() {
 
 #[test]
 fn the_tile_walkers_allocate_only_their_output() {
+    let _turn = exclusive();
     let stream = Encoder::new(EncoderConfig {
         qp: 22,
         gop_length: 4,
@@ -219,6 +248,7 @@ fn the_tile_walkers_allocate_only_their_output() {
 /// allocates nothing, and the GOP's bytes are the buffer's.
 #[test]
 fn the_sharing_constructor_allocates_nothing() {
+    let _turn = exclusive();
     let stream = Encoder::new(EncoderConfig { qp: 22, gop_length: 4, grid: TileGrid::new(4, 4), ..Default::default() })
         .unwrap()
         .encode(&scene(128, 64, 4))
@@ -230,4 +260,49 @@ fn the_sharing_constructor_allocates_nothing() {
     // Reading it whole allocates nothing either.
     let (allocs, tiles) = count(|| gop.frames().map(|f| f.tiles().count()).sum::<usize>());
     assert_eq!((allocs, tiles), (0, 4 * 16));
+}
+
+/// Fan-out cost of one 2-thread decode of an `n`-frame `w × h` GOP,
+/// after warm-up: its allocations on every thread, less the one-thread
+/// decode's (the pin above: its output frames and nothing else).
+fn fan_out_allocations(w: usize, h: usize, n: usize) -> u64 {
+    let stream = Encoder::new(EncoderConfig { qp: 22, gop_length: n, ..Default::default() })
+        .unwrap()
+        .encode(&scene(w, h, n))
+        .unwrap();
+    let (header, gop) = (&stream.header, &stream.gops[0]);
+    let dec = Decoder::new();
+    let (mut one, mut two) = (DecoderScratch::new(), DecoderScratch::new());
+    // Warm-up: the residual buffers reach their size, and each thread's
+    // lazy state is built.
+    for _ in 0..3 {
+        dec.decode_gop_scratch(header, gop, &mut one, 1).unwrap();
+        dec.decode_gop_scratch(header, gop, &mut two, 2).unwrap();
+    }
+    let (serial, a) = count_all(|| dec.decode_gop_scratch(header, gop, &mut one, 1).unwrap());
+    let (threaded, b) = count_all(|| dec.decode_gop_scratch(header, gop, &mut two, 2).unwrap());
+    assert_eq!(a, b);
+    assert_eq!(a.len(), n);
+    threaded.saturating_sub(serial)
+}
+
+/// Most a fan-out may allocate per call: the helper thread, the two
+/// channels, the reorder slots, the residual buffers lent to the helper. A per-frame allocation would add 20 to
+/// 30 frames' cost over 10 frames', a per-macroblock one thousands.
+const FAN_OUT_MAX: u64 = 32;
+
+#[test]
+fn a_threaded_decode_allocates_its_frames_and_a_fixed_cost() {
+    let _turn = exclusive();
+    let costs = [(64, 64, 30), (256, 128, 30), (256, 128, 10)]
+        .map(|(w, h, n)| ((w, h, n), fan_out_allocations(w, h, n)));
+    for &(gop, cost) in &costs {
+        assert!(
+            cost <= FAN_OUT_MAX,
+            "{gop:?}: a 2-thread decode allocated {cost} beyond its frames"
+        );
+    }
+    let cost = |pick: fn(u64, u64) -> u64| costs.iter().map(|c| c.1).reduce(pick).unwrap();
+    let spread = cost(u64::max) - cost(u64::min);
+    assert!(spread <= 4, "fan-out cost grows with frames or macroblocks: {costs:?}");
 }

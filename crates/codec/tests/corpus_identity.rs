@@ -4,6 +4,7 @@
 //! Any change to these digests means the bitstream format or the
 //! decoded output drifted — which the kernel work must never do.
 
+use lightdb_codec::scratch::DecoderScratch;
 use lightdb_codec::{Decoder, Encoder, EncoderConfig, TileGrid};
 use lightdb_frame::{Frame, PlaneKind, Yuv};
 
@@ -315,8 +316,13 @@ fn tile_path_payloads_and_reconstructions_match_golden_digests() {
 // The read side: whole GOPs (`decode_gop`, single-tile and 2×2 grids),
 // single tiles (`decode_gop_tile`) and the prediction-only
 // `decode_gop_degraded`, at the benchmark's frame size and a tile's.
+// Whole GOPs decode on one thread and again on two, where later
+// frames' residuals are computed ahead of reconstruction; both must
+// land on the one-thread golden digest.
 
-fn decode_path_digests() -> Vec<(String, [u64; 3])> {
+/// Per cell: its name, the (whole-GOP, per-tile, degraded) digests,
+/// and the whole-GOP digest at two threads.
+fn decode_path_digests() -> Vec<(String, [u64; 3], u64)> {
     use lightdb_codec::CodecKind::{H264Sim, HevcSim};
     let mut out = Vec::new();
     for (w, h) in [(512, 256), (128, 64)] {
@@ -330,6 +336,7 @@ fn decode_path_digests() -> Vec<(String, [u64; 3])> {
                         scene(w, h, 3, seed)
                     };
                     let [mut whole, mut tiles, mut degraded] = [FNV_OFFSET; 3];
+                    let mut whole_2 = FNV_OFFSET;
                     for grid in [TileGrid::SINGLE, TileGrid::new(2, 2)] {
                         let enc = Encoder::new(EncoderConfig {
                             codec,
@@ -343,6 +350,9 @@ fn decode_path_digests() -> Vec<(String, [u64; 3])> {
                         let (header, gop) = (&stream.header, &stream.gops[0]);
                         let dec = Decoder::new();
                         whole = digest_frames(&dec.decode_gop(header, gop).unwrap(), whole);
+                        let mut scratch = DecoderScratch::new();
+                        let two = dec.decode_gop_scratch(header, gop, &mut scratch, 2).unwrap();
+                        whole_2 = digest_frames(&two, whole_2);
                         for t in 0..grid.tile_count() {
                             tiles = digest_frames(&dec.decode_gop_tile(header, gop, t).unwrap(), tiles);
                         }
@@ -353,6 +363,7 @@ fn decode_path_digests() -> Vec<(String, [u64; 3])> {
                     out.push((
                         format!("{w}x{h} qp={qp} {codec:?} {kind}"),
                         [whole, tiles, degraded],
+                        whole_2,
                     ));
                 }
             }
@@ -395,11 +406,14 @@ const DECODE_PATH_GOLDEN: &[[u64; 3]] = &[
 fn decoded_gops_tiles_and_degraded_frames_match_golden_digests() {
     let got = decode_path_digests();
     let drifted = got.len() != DECODE_PATH_GOLDEN.len()
-        || got.iter().zip(DECODE_PATH_GOLDEN).any(|((_, d), golden)| d != golden);
+        || got.iter().zip(DECODE_PATH_GOLDEN).any(|((_, d, _), golden)| d != golden);
     if drifted {
-        for (name, [whole, tiles, degraded]) in &got {
+        for (name, [whole, tiles, degraded], _) in &got {
             eprintln!("    [0x{whole:016x}, 0x{tiles:016x}, 0x{degraded:016x}], // {name}");
         }
         panic!("decode-path digests drifted from DECODE_PATH_GOLDEN (current values above)");
+    }
+    for ((name, _, whole_2), [whole, ..]) in got.iter().zip(DECODE_PATH_GOLDEN) {
+        assert_eq!(whole_2, whole, "{name}: the two-thread whole-GOP decode drifted");
     }
 }

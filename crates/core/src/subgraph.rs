@@ -84,15 +84,32 @@ const TAG_TRANSLATE: u8 = 8;
 const TAG_ROTATE: u8 = 9;
 const TAG_ENCODE: u8 = 10;
 
+/// Deepest operator nesting a stored view may have. Real views are a
+/// handful of operators deep; the cap keeps hostile bytes from
+/// recursing the reader off the end of its stack.
+const MAX_DEPTH: usize = 64;
+/// Most inputs one operator of a view may have.
+const MAX_INPUTS: usize = 1024;
+/// Most steps a `DISCRETIZE` or `PARTITION` of a view may have.
+const MAX_STEPS: usize = 64;
+
 /// Serialises a view subgraph. Errors on operators that cannot appear
-/// in a view (I/O, DDL, subqueries) or UDFs without stable names.
+/// in a view (I/O, DDL, subqueries), UDFs without stable names, and
+/// plans past the limits [`deserialize`] enforces, so a plan that
+/// serialises also reads back.
 pub fn serialize(plan: &LogicalPlan) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    write_node(plan, &mut out)?;
+    write_node(plan, &mut out, 0)?;
     Ok(out)
 }
 
-fn write_node(plan: &LogicalPlan, out: &mut Vec<u8>) -> Result<()> {
+fn write_node(plan: &LogicalPlan, out: &mut Vec<u8>, depth: usize) -> Result<()> {
+    if depth == MAX_DEPTH {
+        return Err(CoreError::Subgraph(format!("view nested deeper than {MAX_DEPTH}")));
+    }
+    if plan.inputs.len() > MAX_INPUTS {
+        return Err(CoreError::Subgraph("implausible input count".into()));
+    }
     match &plan.op {
         LogicalOp::Scan { name, .. } => {
             out.push(TAG_SCAN);
@@ -113,11 +130,11 @@ fn write_node(plan: &LogicalPlan, out: &mut Vec<u8>) -> Result<()> {
         }
         LogicalOp::Discretize { steps } => {
             out.push(TAG_DISCRETIZE);
-            write_steps(out, steps);
+            write_steps(out, steps)?;
         }
         LogicalOp::Partition { spec } => {
             out.push(TAG_PARTITION);
-            write_steps(out, spec);
+            write_steps(out, spec)?;
         }
         LogicalOp::Flatten => out.push(TAG_FLATTEN),
         LogicalOp::Union { merge } => {
@@ -168,7 +185,7 @@ fn write_node(plan: &LogicalPlan, out: &mut Vec<u8>) -> Result<()> {
     }
     write_varint(out, plan.inputs.len() as u64);
     for i in &plan.inputs {
-        write_node(i, out)?;
+        write_node(i, out, depth + 1)?;
     }
     Ok(())
 }
@@ -176,15 +193,24 @@ fn write_node(plan: &LogicalPlan, out: &mut Vec<u8>) -> Result<()> {
 /// Deserialises a view subgraph, resolving custom UDFs via `registry`.
 pub fn deserialize(buf: &[u8], registry: &UdfRegistry) -> Result<LogicalPlan> {
     let mut pos = 0;
-    let plan = read_node(buf, &mut pos, registry)?;
+    let plan = read_node(buf, &mut pos, registry, 0)?;
     if pos != buf.len() {
         return Err(CoreError::Subgraph("trailing bytes".into()));
     }
-    plan.validate()?;
+    // Bytes that parse into an ill-formed plan are a bad subgraph too.
+    plan.validate().map_err(|e| CoreError::Subgraph(e.to_string()))?;
     Ok(plan)
 }
 
-fn read_node(buf: &[u8], pos: &mut usize, registry: &UdfRegistry) -> Result<LogicalPlan> {
+fn read_node(
+    buf: &[u8],
+    pos: &mut usize,
+    registry: &UdfRegistry,
+    depth: usize,
+) -> Result<LogicalPlan> {
+    if depth == MAX_DEPTH {
+        return Err(CoreError::Subgraph(format!("view nested deeper than {MAX_DEPTH}")));
+    }
     let tag = read_u8(buf, pos)?;
     let op = match tag {
         TAG_SCAN => LogicalOp::Scan { name: read_str(buf, pos)?, version: None },
@@ -254,13 +280,13 @@ fn read_node(buf: &[u8], pos: &mut usize, registry: &UdfRegistry) -> Result<Logi
         }
         _ => return Err(CoreError::Subgraph(format!("unknown tag {tag}"))),
     };
-    let n = read_varint(buf, pos).map_err(|e| CoreError::Subgraph(e.to_string()))? as usize;
-    if n > 1024 {
+    let n = read_varint(buf, pos).map_err(|e| CoreError::Subgraph(e.to_string()))?;
+    if n > MAX_INPUTS as u64 {
         return Err(CoreError::Subgraph("implausible input count".into()));
     }
-    let mut inputs = Vec::with_capacity(n);
+    let mut inputs = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        inputs.push(read_node(buf, pos, registry)?);
+        inputs.push(read_node(buf, pos, registry, depth + 1)?);
     }
     Ok(LogicalPlan { op, inputs })
 }
@@ -271,10 +297,12 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn read_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let len = read_varint(buf, pos).map_err(|e| CoreError::Subgraph(e.to_string()))? as usize;
-    if *pos + len > buf.len() {
-        return Err(CoreError::Subgraph("string truncated".into()));
-    }
+    let len = read_varint(buf, pos).map_err(|e| CoreError::Subgraph(e.to_string()))?;
+    // Against the bytes left, so a 64-bit length cannot overflow.
+    let len = usize::try_from(len)
+        .ok()
+        .filter(|&len| len <= buf.len() - *pos)
+        .ok_or_else(|| CoreError::Subgraph("string truncated".into()))?;
     let s = std::str::from_utf8(&buf[*pos..*pos + len])
         .map_err(|_| CoreError::Subgraph("non-UTF8 string".into()))?
         .to_string();
@@ -282,20 +310,24 @@ fn read_str(buf: &[u8], pos: &mut usize) -> Result<String> {
     Ok(s)
 }
 
-fn write_steps(out: &mut Vec<u8>, steps: &[(Dimension, f64)]) {
+fn write_steps(out: &mut Vec<u8>, steps: &[(Dimension, f64)]) -> Result<()> {
+    if steps.len() > MAX_STEPS {
+        return Err(CoreError::Subgraph("implausible step count".into()));
+    }
     write_varint(out, steps.len() as u64);
     for (d, v) in steps {
         out.push(d.index() as u8);
         out.extend_from_slice(&v.to_be_bytes());
     }
+    Ok(())
 }
 
 fn read_steps(buf: &[u8], pos: &mut usize) -> Result<Vec<(Dimension, f64)>> {
-    let n = read_varint(buf, pos).map_err(|e| CoreError::Subgraph(e.to_string()))? as usize;
-    if n > 64 {
+    let n = read_varint(buf, pos).map_err(|e| CoreError::Subgraph(e.to_string()))?;
+    if n > MAX_STEPS as u64 {
         return Err(CoreError::Subgraph("implausible step count".into()));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let d = Dimension::from_index(read_u8(buf, pos)? as usize)
             .ok_or_else(|| CoreError::Subgraph("bad dimension".into()))?;
@@ -422,5 +454,74 @@ mod tests {
         .into_plan();
         let bytes = serialize(&plan).unwrap();
         assert!(deserialize(&bytes[..bytes.len() - 3], &UdfRegistry::new()).is_err());
+    }
+
+    /// Stored views and cluster sockets hand `deserialize` bytes nobody
+    /// vouches for: every cut and every flipped bit of a real view is a
+    /// value or a `Subgraph` error, never a panic.
+    #[test]
+    fn hostile_bytes_are_an_error_not_a_panic() {
+        use crate::vrql::union;
+        let a = VrqlExpr::from_plan(materialized_input())
+            >> Select::along(Dimension::T, 0.5, 2.5)
+            >> Map::builtin(BuiltinMap::Grayscale);
+        let b = VrqlExpr::from_plan(materialized_input()) >> Map::builtin(BuiltinMap::Blur);
+        let plan = union(vec![a, b], MergeFunction::Mean).into_plan();
+        let bytes = serialize(&plan).unwrap();
+        let reg = UdfRegistry::new();
+        let check = |buf: &[u8]| match deserialize(buf, &reg) {
+            Ok(_) | Err(CoreError::Subgraph(_)) => {}
+            Err(e) => panic!("{e:?} is not a Subgraph error"),
+        };
+        for cut in 0..bytes.len() {
+            check(&bytes[..cut]);
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn a_64_bit_string_length_is_an_error() {
+        let mut buf = vec![TAG_SCAN];
+        write_varint(&mut buf, u64::MAX);
+        assert!(matches!(deserialize(&buf, &UdfRegistry::new()), Err(CoreError::Subgraph(_))));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let mut buf = Vec::new();
+        for _ in 0..200_000 {
+            buf.push(TAG_FLATTEN);
+            write_varint(&mut buf, 1);
+        }
+        assert_eq!(buf.len(), 400_000);
+        assert!(matches!(deserialize(&buf, &UdfRegistry::new()), Err(CoreError::Subgraph(_))));
+    }
+
+    /// The writer refuses exactly the nesting the reader refuses, so a
+    /// view too deep to read back is never stored.
+    #[test]
+    fn serialize_and_deserialize_agree_on_the_depth_cap() {
+        let mut plan = materialized_input();
+        for _ in 0..MAX_DEPTH - 1 {
+            plan = LogicalPlan::unary(LogicalOp::Flatten, plan);
+        }
+        assert_eq!(format!("{}", roundtrip(&plan)), format!("{plan}"));
+        let deeper = LogicalPlan::unary(LogicalOp::Flatten, plan);
+        assert!(matches!(serialize(&deeper), Err(CoreError::Subgraph(_))));
+        // The same nesting written by hand is what the reader refuses.
+        let mut buf = Vec::new();
+        for _ in 0..MAX_DEPTH {
+            buf.push(TAG_FLATTEN);
+            write_varint(&mut buf, 1);
+        }
+        buf.push(TAG_SCAN);
+        write_str(&mut buf, MATERIALIZED);
+        write_varint(&mut buf, 0);
+        assert!(matches!(deserialize(&buf, &UdfRegistry::new()), Err(CoreError::Subgraph(_))));
     }
 }

@@ -48,7 +48,8 @@ pub fn decode_chunks(input: ChunkStream, device: Device, metrics: Metrics) -> Ch
 }
 
 /// Chunk-parallel `DECODE`: independent GOPs decode on up to
-/// `par.threads()` workers; output order (and bytes) match the serial
+/// `par.threads()` workers, and a GOP alone in its batch decodes its
+/// own frames on all of them; output order (and bytes) match the serial
 /// path. When `ctx` reports its deadline at risk, decodes switch to
 /// the cheap prediction-only path ([`decode_one_degraded`]) so the
 /// query lands inside its budget instead of missing it.
@@ -79,27 +80,33 @@ pub fn decode_chunks_par_shared(
     shared: Option<std::sync::Arc<crate::sharedscan::SharedDecode>>,
 ) -> ChunkStream {
     let at_risk = ctx.clone();
-    par_map_chunks_ctx(input, par, ctx, move |c| {
+    par_flat_map_chunks_ctx(input, par, ctx, move |c, budget| {
         fail_point(sites::EXEC_DECODE_GOP)?;
-        if at_risk.deadline_at_risk() {
+        let decoded = if at_risk.deadline_at_risk() {
             decode_one_degraded(c, device, &metrics)
         } else if let Some(shared) = &shared {
-            shared.decode(c, device, &metrics, &at_risk)
+            shared.decode(c, device, &metrics, &at_risk, budget)
         } else {
-            decode_one(c, device, &metrics)
-        }
+            decode_one(c, device, &metrics, budget)
+        };
+        decoded.map(Some)
     })
 }
 
-/// Decodes one chunk (no-op when already decoded), adding the
-/// decoder's block counts for it to `metrics` (the `decode.*` names;
-/// the tiled fan-out decodes through `decode_gop_tile`, which keeps
-/// none).
-pub fn decode_one(c: Chunk, device: Device, metrics: &Metrics) -> Result<Chunk> {
+/// Decodes one chunk (no-op when already decoded) on up to
+/// `budget.threads()` threads, adding the decoder's counts for it to
+/// `metrics` (the `decode.*` names; the tiled fan-out decodes through
+/// `decode_gop_tile`, which keeps none).
+pub fn decode_one(
+    c: Chunk,
+    device: Device,
+    metrics: &Metrics,
+    budget: Parallelism,
+) -> Result<Chunk> {
     match c.payload {
         ChunkPayload::Decoded { .. } => Ok(c), // already decoded
         ChunkPayload::Encoded { header, ref gop } => {
-            let frames = decode_frames(&header, gop, device, metrics)?;
+            let frames = decode_frames(&header, gop, device, metrics, budget)?;
             Ok(Chunk {
                 payload: ChunkPayload::Decoded { frames, device },
                 ..c
@@ -110,12 +117,14 @@ pub fn decode_one(c: Chunk, device: Device, metrics: &Metrics) -> Result<Chunk> 
 
 /// The frames of one encoded GOP: [`decode_one`]'s work, on borrowed
 /// input (the shared-decode cache's leader decodes through this and
-/// keeps its chunk).
+/// keeps its chunk). `DECODE`'s time is the caller's: helper threads
+/// computing later frames' residuals run inside it.
 pub(crate) fn decode_frames(
     header: &SequenceHeader,
     gop: &EncodedGop,
     device: Device,
     metrics: &Metrics,
+    budget: Parallelism,
 ) -> Result<Vec<Frame>> {
     metrics.time("DECODE", || -> Result<Vec<Frame>> {
         let dec = Decoder::new();
@@ -137,11 +146,12 @@ pub(crate) fn decode_frames(
         } else {
             DEC_SCRATCH.with(|s| {
                 let scratch = &mut *s.borrow_mut();
-                let frames = dec.decode_gop_scratch(header, gop, scratch);
+                let frames = dec.decode_gop_scratch(header, gop, scratch, budget.threads());
                 let work = std::mem::take(&mut scratch.work);
                 metrics.add(counters::DECODE_BLOCKS, work.blocks);
                 let uncoded = work.uncoded_inter + work.uncoded_intra;
                 metrics.add(counters::DECODE_BLOCKS_UNCODED, uncoded);
+                metrics.add(counters::DECODE_FRAMES_AHEAD, work.frames_ahead);
                 Ok(frames?)
             })
         }
@@ -1296,6 +1306,41 @@ mod tests {
         )
         .collect();
         assert!(results.iter().any(|r| r.is_err()));
+    }
+
+    /// A GOP alone in its batch spends the query's threads on its own
+    /// frames: helpers compute later frames' residuals, counted in
+    /// `decode.frames_ahead`. Serially none are, and the frames match.
+    #[test]
+    fn a_lone_gop_decodes_frames_ahead_on_its_budget() {
+        let frames: Vec<Frame> = (0..30).map(|i| textured(128, 64, i)).collect();
+        let encoded = collect(encode_chunks(
+            stream_of(vec![decoded_chunk(0, frames)]),
+            Device::Cpu,
+            CodecKind::H264Sim,
+            20,
+            Metrics::new(),
+        ));
+        let decode = |par: Parallelism| {
+            let m = Metrics::new();
+            let input = stream_of(encoded.clone());
+            let ctx = QueryCtx::unbounded();
+            let out = collect(decode_chunks_par(input, Device::Cpu, m.clone(), par, ctx));
+            let ChunkPayload::Decoded { frames, .. } = &out[0].payload else { panic!() };
+            (frames.clone(), m.counter(counters::DECODE_FRAMES_AHEAD))
+        };
+        let (serial, ahead) = decode(Parallelism::SERIAL);
+        assert_eq!(ahead, 0);
+        // The helper races the caller for frames; a scheduler that keeps
+        // it off the CPU for a whole GOP is retried, not failed.
+        let ahead = (0..20)
+            .map(|_| {
+                let (parallel, ahead) = decode(Parallelism::new(2));
+                assert!(parallel == serial, "the 2-thread decode differs");
+                ahead
+            })
+            .find(|&ahead| ahead > 0);
+        assert!(ahead.is_some(), "no frame was computed ahead in 20 decodes");
     }
 
     #[test]

@@ -341,6 +341,11 @@ pub mod counters {
     /// Blocks with no coded residual: copied from the reference or
     /// filled with the DC predictor, never inverse-transformed.
     pub const DECODE_BLOCKS_UNCODED: &str = "decode.blocks_uncoded";
+    /// Frames whose residuals a helper thread computed while `DECODE`'s
+    /// caller reconstructed earlier frames: a GOP alone in its batch
+    /// spends its query's parallelism on its own frames. Zero under
+    /// `Parallelism::SERIAL`.
+    pub const DECODE_FRAMES_AHEAD: &str = "decode.frames_ahead";
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@ use crate::chunk::{Chunk, ChunkPayload};
 use crate::device::Device;
 use crate::frameops::decode_frames;
 use crate::metrics::{counters, Metrics};
+use crate::parallel::Parallelism;
 use crate::query_ctx::QueryCtx;
 use crate::Result;
 use lightdb_codec::{EncodedGop, SequenceHeader};
@@ -123,7 +124,8 @@ impl SharedDecode {
     /// Decodes `chunk` through the shared cache: a cached decode of
     /// the same bytes is reused (bumping `shared_scan.hits`), a fresh
     /// decode runs under single-flight so concurrent scans of the
-    /// same GOP decode it exactly once (`shared_scan.decodes`).
+    /// same GOP decode it exactly once (`shared_scan.decodes`), on up
+    /// to `budget.threads()` threads.
     ///
     /// Waiting on another scan's in-flight decode polls `ctx` each
     /// step, so cancellation/deadline is honoured within one poll. A
@@ -135,6 +137,7 @@ impl SharedDecode {
         device: Device,
         metrics: &Metrics,
         ctx: &QueryCtx,
+        budget: Parallelism,
     ) -> Result<Chunk> {
         let ChunkPayload::Encoded { header, ref gop } = chunk.payload else {
             return Ok(chunk); // already decoded
@@ -148,7 +151,7 @@ impl SharedDecode {
         // system and is faulted in again).
         let mut decoded = None;
         let served = self.lru.get_or_compute(&key, &|| ctx.check().err(), || {
-            let frames = decode_frames(&header, gop, device, metrics)?;
+            let frames = decode_frames(&header, gop, device, metrics, budget)?;
             let bytes = frames.iter().map(|f| f.width() * f.height() * 3 / 2).sum();
             let shared = Arc::new(frames.clone());
             decoded = Some(frames);
@@ -177,6 +180,8 @@ mod tests {
     use lightdb_frame::Yuv;
     use lightdb_geom::{Interval, Volume};
 
+    const SERIAL: Parallelism = Parallelism::SERIAL;
+
     fn encoded_chunk(t: usize, shade: u8) -> Chunk {
         let frames: Vec<Frame> =
             (0..4).map(|i| Frame::filled(32, 32, Yuv::new(shade + i as u8, 90, 150))).collect();
@@ -204,9 +209,9 @@ mod tests {
         let shared = SharedDecode::new(DEFAULT_BUDGET_BYTES);
         let m = Metrics::new();
         let ctx = QueryCtx::unbounded();
-        let a = shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx).unwrap();
-        let b = shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx).unwrap();
-        let fresh = decode_one(encoded_chunk(0, 40), Device::Cpu, &m).unwrap();
+        let a = shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx, SERIAL).unwrap();
+        let b = shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx, SERIAL).unwrap();
+        let fresh = decode_one(encoded_chunk(0, 40), Device::Cpu, &m, SERIAL).unwrap();
         let frames = |c: &Chunk| match &c.payload {
             ChunkPayload::Decoded { frames, .. } => frames.clone(),
             _ => panic!("expected decoded payload"),
@@ -222,8 +227,8 @@ mod tests {
         let shared = SharedDecode::new(DEFAULT_BUDGET_BYTES);
         let m = Metrics::new();
         let ctx = QueryCtx::unbounded();
-        shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx).unwrap();
-        shared.decode(encoded_chunk(1, 90), Device::Cpu, &m, &ctx).unwrap();
+        shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx, SERIAL).unwrap();
+        shared.decode(encoded_chunk(1, 90), Device::Cpu, &m, &ctx, SERIAL).unwrap();
         assert_eq!(shared.len(), 2);
         assert_eq!(m.counter(counters::SHARED_SCAN_DECODES), 2);
         assert_eq!(m.counter(counters::SHARED_SCAN_HITS), 0);
@@ -278,9 +283,8 @@ mod tests {
                 let (shared, m, barrier) = (shared.clone(), m.clone(), barrier.clone());
                 s.spawn(move || {
                     barrier.wait();
-                    let c = shared
-                        .decode(encoded_chunk(0, 40), Device::Cpu, &m, &QueryCtx::unbounded())
-                        .unwrap();
+                    let ctx = QueryCtx::unbounded();
+                    let c = shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx, SERIAL).unwrap();
                     assert!(matches!(c.payload, ChunkPayload::Decoded { .. }));
                 });
             }
@@ -300,17 +304,17 @@ mod tests {
         let shared = SharedDecode::new(13_000); // fits two
         let m = Metrics::new();
         let ctx = QueryCtx::unbounded();
-        shared.decode(encoded_chunk(0, 10), Device::Cpu, &m, &ctx).unwrap();
-        shared.decode(encoded_chunk(1, 60), Device::Cpu, &m, &ctx).unwrap();
+        shared.decode(encoded_chunk(0, 10), Device::Cpu, &m, &ctx, SERIAL).unwrap();
+        shared.decode(encoded_chunk(1, 60), Device::Cpu, &m, &ctx, SERIAL).unwrap();
         // Touch 0 so 1 is the LRU victim.
-        shared.decode(encoded_chunk(0, 10), Device::Cpu, &m, &ctx).unwrap();
-        shared.decode(encoded_chunk(2, 110), Device::Cpu, &m, &ctx).unwrap();
+        shared.decode(encoded_chunk(0, 10), Device::Cpu, &m, &ctx, SERIAL).unwrap();
+        shared.decode(encoded_chunk(2, 110), Device::Cpu, &m, &ctx, SERIAL).unwrap();
         assert_eq!(m.counter(counters::SHARED_SCAN_EVICTIONS), 1);
         assert!(shared.resident_bytes() <= 13_000);
         // 0 must still hit; 1 must re-decode.
-        shared.decode(encoded_chunk(0, 10), Device::Cpu, &m, &ctx).unwrap();
+        shared.decode(encoded_chunk(0, 10), Device::Cpu, &m, &ctx, SERIAL).unwrap();
         let before = m.counter(counters::SHARED_SCAN_DECODES);
-        shared.decode(encoded_chunk(1, 60), Device::Cpu, &m, &ctx).unwrap();
+        shared.decode(encoded_chunk(1, 60), Device::Cpu, &m, &ctx, SERIAL).unwrap();
         assert_eq!(m.counter(counters::SHARED_SCAN_DECODES), before + 1);
     }
 
@@ -339,7 +343,7 @@ mod tests {
             leading.wait();
             let ctx = QueryCtx::unbounded();
             ctx.cancel_token().cancel();
-            let r = shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx);
+            let r = shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx, SERIAL);
             assert!(matches!(r, Err(ExecError::Cancelled)), "{r:?}");
             release.wait();
         });
@@ -353,11 +357,11 @@ mod tests {
         let shared = SharedDecode::new(6_000); // one GOP decodes to 6144 bytes
         let m = Metrics::new();
         let ctx = QueryCtx::unbounded();
-        let a = shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx).unwrap();
+        let a = shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx, SERIAL).unwrap();
         assert!(matches!(a.payload, ChunkPayload::Decoded { .. }));
         assert!(shared.is_empty() && shared.resident_bytes() == 0);
         assert_eq!(m.counter(counters::SHARED_SCAN_EVICTIONS), 1);
-        shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx).unwrap();
+        shared.decode(encoded_chunk(0, 40), Device::Cpu, &m, &ctx, SERIAL).unwrap();
         assert_eq!(m.counter(counters::SHARED_SCAN_DECODES), 2);
     }
 }

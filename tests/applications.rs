@@ -155,9 +155,7 @@ fn depth_variants_agree_on_output_content() {
 #[test]
 fn scanner_oom_is_reported_not_silent() {
     let input = encode_dataset(Dataset::Venice, &tiny());
-    std::env::set_var("LIGHTDB_SCANNER_BUDGET", "10000");
-    let r = scanner_q::tiling(&input, 2, 2);
-    std::env::remove_var("LIGHTDB_SCANNER_BUDGET");
+    let r = scanner_q::tiling_within(&input, 2, 2, 10000);
     match r {
         Err(e) => assert!(e.to_string().contains("out of memory"), "{e}"),
         Ok(_) => panic!("scanner should exhaust a 10 kB budget"),
