@@ -3,7 +3,7 @@
 //! paper figure, but the costs every figure is built from.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lightdb::codec::{CodecKind, Decoder, Encoder, EncoderConfig, TileGrid};
+use lightdb::codec::{CodecKind, Decoder, Encoder, EncoderConfig, SequenceHeader, TileGrid};
 use lightdb_datasets::{frame, Dataset, DatasetSpec};
 
 fn bench(c: &mut Criterion) {
@@ -42,7 +42,19 @@ fn bench(c: &mut Criterion) {
         b.iter(|| Decoder::new().decode(&stream).unwrap())
     });
     g.bench_function("decode_one_tile", |b| {
-        b.iter(|| Decoder::new().decode_gop_tile(&stream.header, &stream.gops[0], 0).unwrap())
+        // What `TILESELECT` runs: the tile's bytes out of the GOP, then
+        // a decode under the tile's single-tile header.
+        let rect = stream.header.grid.tile_rect(0, stream.header.width, stream.header.height);
+        let tile_header = SequenceHeader {
+            width: rect.w,
+            height: rect.h,
+            grid: TileGrid::SINGLE,
+            ..stream.header
+        };
+        b.iter(|| {
+            let tile_gop = stream.gops[0].extract_tile(0).unwrap();
+            Decoder::new().decode_gop(&tile_header, &tile_gop).unwrap()
+        })
     });
     g.bench_function("hop_extract_tile_bytes", |b| {
         b.iter(|| stream.gops[0].extract_tile(0).unwrap())

@@ -40,7 +40,7 @@ use lightdb_codec::encoder::encode_gop_frame;
 use lightdb_codec::scratch::{DecoderScratch, EncoderScratch, EncoderWork};
 use lightdb_codec::{
     golomb, predict, quant, transform, CodecKind, Decoder, EncodedGop, Encoder, EncoderConfig,
-    FrameType, TileGrid, TileRect,
+    FrameType, TileGrid, TileRect, VideoStream,
 };
 use lightdb_core::algebra::MergeFunction;
 use lightdb_core::udf::{BuiltinMap, MapFunction};
@@ -418,7 +418,7 @@ fn quantize(target: f64, n: usize) {
 /// barely change and canal tiles never stop, so the sixteen together
 /// are the mix the query pays for.
 fn tile_frames(n: usize) -> Vec<Vec<Frame>> {
-    let (_, decoded) = stored_gop(512, 256, n);
+    let (_, decoded) = stored_gop(512, 256, n, TileGrid::SINGLE);
     (0..16)
         .map(|t| {
             let (x0, y0) = (t % 4 * 128, t / 4 * 64);
@@ -554,9 +554,9 @@ fn tile_gops(target: f64, tiles: &[Vec<Frame>], qp: u8) {
     );
 }
 
-/// `n` Venice frames at `w × h`, as ingest stores them (qp 22, one GOP,
-/// one tile), and what they decode to.
-fn stored_gop(w: usize, h: usize, n: usize) -> (lightdb_codec::VideoStream, Vec<Frame>) {
+/// `n` Venice frames at `w × h`, as ingest stores them (qp 22, one GOP)
+/// on `grid`, and what they decode to.
+fn stored_gop(w: usize, h: usize, n: usize, grid: TileGrid) -> (VideoStream, Vec<Frame>) {
     let spec = DatasetSpec {
         width: w,
         height: h,
@@ -570,6 +570,7 @@ fn stored_gop(w: usize, h: usize, n: usize) -> (lightdb_codec::VideoStream, Vec<
     let enc = Encoder::new(EncoderConfig {
         qp: spec.qp,
         gop_length: n,
+        grid,
         ..Default::default()
     })
     .expect("valid config");
@@ -582,8 +583,8 @@ fn stored_gop(w: usize, h: usize, n: usize) -> (lightdb_codec::VideoStream, Vec<
 /// (one scratch reused throughout) against the oracle's block path,
 /// how many of the blocks carried no residual, and the same decode on
 /// two threads against one.
-fn decode_gops(target: f64, w: usize, h: usize, n: usize) {
-    let (stream, decoded) = stored_gop(w, h, n);
+fn decode_gops(target: f64, w: usize, h: usize, n: usize, grid: TileGrid) {
+    let (stream, decoded) = stored_gop(w, h, n, grid);
     let (header, gop) = (&stream.header, &stream.gops[0]);
     let scratch_decode = |threads: usize| {
         let mut scratch = DecoderScratch::new();
@@ -599,14 +600,19 @@ fn decode_gops(target: f64, w: usize, h: usize, n: usize) {
     let decode_oracle = || {
         let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
         for ef in gop.frames() {
-            let reference = match ef.frame_type() {
-                FrameType::Key => None,
-                FrameType::Predicted => out.last(),
-            };
-            let mut frame = Frame::empty();
-            let payload = ef.tile(0).expect("single-tile GOP");
-            oracle::decode_tile_payload_into(payload, w, h, ef.frame_type(), reference, &mut frame)
-                .expect("oracle decode");
+            let mut frame = Frame::new(w, h);
+            for (t, payload) in ef.tiles().enumerate() {
+                let r = grid.tile_rect(t, w, h);
+                let reference = match ef.frame_type() {
+                    FrameType::Key => None,
+                    FrameType::Predicted => out.last().map(|f| f.crop(r.x0, r.y0, r.w, r.h)),
+                };
+                let mut tile = Frame::empty();
+                let (ft, refr) = (ef.frame_type(), reference.as_ref());
+                oracle::decode_tile_payload_into(payload, r.w, r.h, ft, refr, &mut tile)
+                    .expect("oracle decode");
+                frame.blit(&tile, r.x0, r.y0);
+            }
             out.push(frame);
         }
         out
@@ -626,7 +632,8 @@ fn decode_gops(target: f64, w: usize, h: usize, n: usize) {
             1
         },
     );
-    print_row(&format!("decode {w}x{h}x{n} (GOPs/s)"), fast, refr);
+    let (cols, rows) = (grid.cols, grid.rows);
+    print_row(&format!("decode {w}x{h}x{n}, {cols}x{rows} tiles (GOPs/s)"), fast, refr);
     assert_eq!(decode_2().0, decoded, "two-thread and one-thread decodes diverge");
     let (two, one) = rate2(
         target,
@@ -807,7 +814,7 @@ fn whole_sphere_chunk(frames: Vec<Frame>) -> Chunk {
 /// per-pixel compositor; `MAP` grayscale and blur on one thread and on
 /// two.
 fn frame_ops(target: f64, n: usize) {
-    let (_, base) = stored_gop(512, 256, n);
+    let (_, base) = stored_gop(512, 256, n, TileGrid::SINGLE);
     let mut second = base.clone();
     second.rotate_left(1);
     let mark = vec![lightdb_datasets::watermark_frame(64, 32); n];
@@ -944,8 +951,9 @@ pub fn print(smoke: bool) {
     tile_gops(target, &tiles, 24);
     tile_gops(target, &tiles, 45);
     let n = if smoke { 3 } else { 30 };
-    decode_gops(target, 512, 256, n);
-    decode_gops(target, 128, 64, n);
+    decode_gops(target, 512, 256, n, TileGrid::SINGLE);
+    decode_gops(target, 512, 256, n, TileGrid::new(2, 2));
+    decode_gops(target, 128, 64, n, TileGrid::SINGLE);
     frame_ops(target, n);
     let (w, h) = if smoke { (128, 64) } else { (256, 128) };
     tile_extraction(target, w, h, 4);

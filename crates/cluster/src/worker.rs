@@ -61,6 +61,9 @@ struct WorkerShared {
     /// long-lived worker does not accumulate dead sockets.
     conns: Mutex<HashMap<u64, Conn>>,
     next_conn: AtomicU64,
+    /// Every connection handler, joined by `kill`: each holds the
+    /// engine, and with it the data directory's root lock.
+    handlers: Mutex<Vec<JoinHandle<()>>>,
     /// Worker-binary mode: a `crash` fault at the serve site exits
     /// the process (fail-stop) instead of poisoning the test process.
     exit_on_crash: bool,
@@ -94,9 +97,15 @@ impl WorkerHandle {
     /// dead process: the listener stops accepting and every live
     /// connection is severed mid-whatever-it-was-doing. In-flight
     /// queries are cancelled so their resources drain promptly (a
-    /// real process death would reclaim them via the OS).
+    /// real process death would reclaim them via the OS). Returns once
+    /// every handler has exited, so the data directory can be opened
+    /// again at once, as after a process death.
     pub fn kill(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // No connection is accepted after this.
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
         for (_, token) in self
             .shared
             .inflight
@@ -115,7 +124,9 @@ impl WorkerHandle {
         {
             conn.shutdown();
         }
-        if let Some(h) = self.accept.take() {
+        let handlers: Vec<_> =
+            self.shared.handlers.lock().unwrap_or_else(|e| e.into_inner()).drain(..).collect();
+        for h in handlers {
             let _ = h.join();
         }
     }
@@ -158,6 +169,7 @@ fn spawn_inner(data_dir: &Path, exit_on_crash: bool) -> io::Result<WorkerHandle>
         shutdown: AtomicBool::new(false),
         conns: Mutex::new(HashMap::new()),
         next_conn: AtomicU64::new(0),
+        handlers: Mutex::new(Vec::new()),
         exit_on_crash,
     });
     let accept_shared = shared.clone();
@@ -182,10 +194,10 @@ fn accept_loop(listener: &Listener, shared: &Arc<WorkerShared>) {
                         .insert(conn_id, clone);
                 }
                 let conn_shared = shared.clone();
-                // Handler threads are detached: they exit when their
-                // connection closes (peer drop, kill, or shutdown),
-                // dropping their kill-registry entry on the way out.
-                std::thread::spawn(move || {
+                // Handler threads exit when their connection closes
+                // (peer drop, kill, or shutdown), dropping their
+                // kill-registry entry on the way out; `kill` joins them.
+                let handler = std::thread::spawn(move || {
                     serve_conn(conn, &conn_shared);
                     conn_shared
                         .conns
@@ -193,6 +205,11 @@ fn accept_loop(listener: &Listener, shared: &Arc<WorkerShared>) {
                         .unwrap_or_else(|e| e.into_inner())
                         .remove(&conn_id);
                 });
+                let mut handlers = shared.handlers.lock().unwrap_or_else(|e| e.into_inner());
+                // Finished handlers are let go, so a long-lived worker
+                // keeps one handle per live connection.
+                handlers.retain(|h| !h.is_finished());
+                handlers.push(handler);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);

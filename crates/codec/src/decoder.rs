@@ -1,10 +1,16 @@
 //! The decoder.
 //!
-//! Mirrors the encoder exactly: tiles decode independently in
-//! tile-local coordinates and are blitted into full frames. A
-//! tile-granular entry point ([`Decoder::decode_gop_tile`]) decodes a
-//! single tile of a GOP without touching the other tiles' bytes —
-//! what the tile index enables for angular range queries.
+//! Mirrors the encoder exactly. Each tile's payload describes its tile
+//! in tile-local coordinates, and every tile is rebuilt in place in the
+//! output frame: its blocks land at the tile's origin, its DC
+//! predictor reads only samples inside the tile, and its motion vectors
+//! — each checked by `validate_mv` to keep the whole macroblock inside
+//! the tile — read the previous output frame at that same tile. The
+//! previous output frame is therefore every tile's reference, and a
+//! tiled GOP needs no per-tile frames, copies or blits. One tile of a
+//! GOP decodes on its own as `EncodedGop::extract_tile` plus
+//! [`Decoder::decode_gop`] under the tile's single-tile header, which
+//! is what `TILESELECT` runs.
 //!
 //! Every payload decodes in two stages. Stage A (*residuals*) makes
 //! every bit read and check, then dequantises and inverse-transforms
@@ -62,10 +68,9 @@ impl Decoder {
     /// Allocation-reusing form of [`Decoder::decode_gop`] on up to
     /// `threads` threads: at steady state the only allocations are the
     /// returned frames, plus a fixed cost per call when the decode fans
-    /// out. A single-tile GOP decodes straight into its output frames,
-    /// each frame against the one before it; a tiled one double-buffers
-    /// its tile reconstructions through `scratch` and blits. Either way
-    /// the block counts are added to `scratch.work`.
+    /// out. Every frame decodes straight into its output frame, each
+    /// tile in place against the frame before it, and the block counts
+    /// are added to `scratch.work`.
     ///
     /// With more than one thread and more than one frame, up to
     /// `threads - 1` helpers (one per frame after the first) compute later
@@ -86,19 +91,8 @@ impl Decoder {
         threads: usize,
     ) -> Result<Vec<Frame>> {
         header.validate()?;
-        let DecoderScratch {
-            tiles,
-            spare,
-            work,
-            residuals,
-        } = scratch;
-        let mut rebuild = Rebuild {
-            header,
-            out: Vec::with_capacity(gop.frame_count()),
-            tiles,
-            spare,
-            work,
-        };
+        let DecoderScratch { work, residuals } = scratch;
+        let mut rebuild = Rebuild::new(header, gop, work);
         // Every frame after the first is one a helper can run ahead.
         let helpers = threads.saturating_sub(1).min(gop.frame_count().saturating_sub(1));
         if helpers == 0 {
@@ -114,41 +108,6 @@ impl Decoder {
         Ok(rebuild.out)
     }
 
-    /// Decodes only tile `index` of a GOP, producing tile-sized
-    /// frames. The bytes of all other tiles are never examined.
-    pub fn decode_gop_tile(
-        &self,
-        header: &SequenceHeader,
-        gop: &EncodedGop,
-        index: usize,
-    ) -> Result<Vec<Frame>> {
-        header.validate()?;
-        let grid = header.grid;
-        if index >= grid.tile_count() {
-            return Err(CodecError::Geometry(format!("tile {index} out of range")));
-        }
-        let rect = grid.tile_rect(index, header.width, header.height);
-        let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
-        let mut res = FrameResiduals::default();
-        for ef in gop.frames() {
-            let payload = ef
-                .tile(index)
-                .ok_or(CodecError::Corrupt("frame tile count disagrees with grid"))?;
-            // The previous output frame *is* the reference — no copy.
-            let refer = match ef.frame_type() {
-                FrameType::Key => None,
-                FrameType::Predicted => Some(
-                    out.last()
-                        .ok_or(CodecError::Corrupt("predicted frame without reference"))?,
-                ),
-            };
-            let mut tile = Frame::empty();
-            decode_tile(payload, rect.w, rect.h, ef.frame_type(), refer, &mut tile, &mut res)?;
-            out.push(tile);
-        }
-        Ok(out)
-    }
-
     /// Prediction-only decode of one GOP: keyframes are reconstructed
     /// in full, predicted frames hold (clone) the previous picture —
     /// their residual bytes are never examined. Output is well-formed
@@ -161,55 +120,35 @@ impl Decoder {
         gop: &EncodedGop,
     ) -> Result<Vec<Frame>> {
         header.validate()?;
-        let (w, h) = (header.width, header.height);
-        let grid = header.grid;
-        let tile_count = grid.tile_count();
-        let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
+        let (mut res, mut work) = (FrameResiduals::default(), DecoderWork::default());
+        let mut rebuild = Rebuild::new(header, gop, &mut work);
         for ef in gop.frames() {
-            if ef.tile_count() != tile_count {
+            if ef.tile_count() != header.grid.tile_count() {
                 return Err(CodecError::Corrupt("frame tile count disagrees with grid"));
             }
             match ef.frame_type() {
                 FrameType::Key => {
-                    let mut frame = Frame::new(w, h);
-                    for (t, payload) in ef.tiles().enumerate() {
-                        let rect = grid.tile_rect(t, w, h);
-                        let tile =
-                            decode_tile_payload(payload, rect.w, rect.h, FrameType::Key, None)?;
-                        frame.blit(&tile, rect.x0, rect.y0);
-                    }
-                    out.push(frame);
+                    let read = read_frame(header, &ef, &mut res);
+                    rebuild.frame(FrameType::Key, &res, read, false)?;
                 }
                 FrameType::Predicted => {
-                    let prev = out
+                    let prev = rebuild
+                        .out
                         .last()
                         .ok_or(CodecError::Corrupt("predicted frame without reference"))?;
-                    out.push(prev.clone());
+                    rebuild.out.push(prev.clone());
                 }
             }
         }
-        Ok(out)
+        Ok(rebuild.out)
     }
 }
 
-/// Decodes one tile payload into a (tile-sized) frame.
-pub fn decode_tile_payload(
-    payload: &[u8],
-    w: usize,
-    h: usize,
-    frame_type: FrameType,
-    reference: Option<&Frame>,
-) -> Result<Frame> {
-    let mut recon = Frame::empty();
-    let mut work = DecoderWork::default();
-    decode_tile_payload_into(payload, w, h, frame_type, reference, &mut recon, &mut work)?;
-    Ok(recon)
-}
-
-/// Decodes one tile payload into a caller-provided frame (reshaped as
-/// needed), whose contents are unspecified on error. No clearing is
-/// needed: every sample is stored before the DC predictor can read it.
-/// Block counts are added to `work`.
+/// Decodes one `w × h` tile payload into a caller-provided frame
+/// (reshaped to `w × h`): both stages, the tile being the whole frame.
+/// Its contents are unspecified on error. No clearing is needed: every
+/// sample is stored before the DC predictor can read it. Block counts
+/// are added to `work`.
 pub fn decode_tile_payload_into(
     payload: &[u8],
     w: usize,
@@ -220,25 +159,13 @@ pub fn decode_tile_payload_into(
     work: &mut DecoderWork,
 ) -> Result<()> {
     let mut res = FrameResiduals::default();
-    let done = decode_tile(payload, w, h, frame_type, reference, recon, &mut res);
-    work.add(&res.work);
-    done
-}
-
-/// Both stages for one tile payload, through the residual buffer `res`.
-fn decode_tile(
-    payload: &[u8],
-    w: usize,
-    h: usize,
-    frame_type: FrameType,
-    reference: Option<&Frame>,
-    recon: &mut Frame,
-    res: &mut FrameResiduals,
-) -> Result<()> {
-    res.clear();
     let dims = reference.map(|r| (r.width(), r.height()));
-    read_tile(payload, w, h, frame_type, dims, res)?;
-    reconstruct_tile(res, &mut Cursor::default(), w, h, reference, recon)
+    let read = read_tile(payload, w, h, frame_type, dims, &mut res);
+    work.add(&res.work);
+    read?;
+    recon.reshape(w, h);
+    let rect = TileRect { x0: 0, y0: 0, w, h };
+    reconstruct_tile(&res, &mut Cursor::default(), &rect, reference, recon)
 }
 
 // ------------------------------------------------------------ stage A
@@ -442,17 +369,19 @@ struct Cursor {
     block: usize,
 }
 
-/// Stage B's state for one GOP: the frames so far, and the tiled path's
-/// per-tile references.
+/// Stage B's state for one GOP: the frames so far, the last of which is
+/// the next predicted frame's reference.
 struct Rebuild<'a> {
     header: &'a SequenceHeader,
     out: Vec<Frame>,
-    tiles: &'a mut Vec<Frame>,
-    spare: &'a mut Frame,
     work: &'a mut DecoderWork,
 }
 
-impl Rebuild<'_> {
+impl<'a> Rebuild<'a> {
+    fn new(header: &'a SequenceHeader, gop: &EncodedGop, work: &'a mut DecoderWork) -> Self {
+        Rebuild { header, out: Vec::with_capacity(gop.frame_count()), work }
+    }
+
     /// Takes the next frame's residuals — `read` is how its stage A
     /// ended, `ahead` whether a helper ran it — and reconstructs it.
     fn frame(
@@ -466,65 +395,41 @@ impl Rebuild<'_> {
         self.work.frames_ahead += u64::from(ahead);
         read?;
         let (w, h) = (self.header.width, self.header.height);
-        let grid = self.header.grid;
+        // The GOP opens with a keyframe, so a predicted frame's
+        // reference is the frame before it in this GOP.
+        let reference = match frame_type {
+            FrameType::Key => None,
+            FrameType::Predicted => self.out.last(),
+        };
+        let mut frame = Frame::empty();
+        frame.reshape(w, h);
         let mut at = Cursor::default();
-        if grid.tile_count() == 1 {
-            // The one tile is the picture, and the previous output
-            // frame is its reference: no staging frame, no blit.
-            let reference = match frame_type {
-                FrameType::Key => None,
-                FrameType::Predicted => self.out.last(),
-            };
-            let mut frame = Frame::empty();
-            reconstruct_tile(res, &mut at, w, h, reference, &mut frame)?;
-            self.out.push(frame);
-            return Ok(());
-        }
-        // Output frame, pre-sized from the sequence header.
-        let mut frame = Frame::new(w, h);
-        for t in 0..grid.tile_count() {
-            let rect = grid.tile_rect(t, w, h);
-            // A predicted frame can only follow this GOP's keyframe,
-            // which populated (or refreshed) every tile slot — a stale
-            // frame from a previous GOP is never read.
-            let reference = match frame_type {
-                FrameType::Key => None,
-                FrameType::Predicted => Some(
-                    self.tiles
-                        .get(t)
-                        .ok_or(CodecError::Corrupt("predicted frame without reference"))?,
-                ),
-            };
-            reconstruct_tile(res, &mut at, rect.w, rect.h, reference, self.spare)?;
-            frame.blit(self.spare, rect.x0, rect.y0);
-            // The fresh tile becomes tile t's reference.
-            if self.tiles.len() <= t {
-                self.tiles.push(std::mem::replace(self.spare, Frame::empty()));
-            } else {
-                std::mem::swap(&mut self.tiles[t], self.spare);
-            }
+        for t in 0..self.header.grid.tile_count() {
+            let rect = self.header.grid.tile_rect(t, w, h);
+            reconstruct_tile(res, &mut at, &rect, reference, &mut frame)?;
         }
         self.out.push(frame);
         Ok(())
     }
 }
 
-/// Stage B for one tile: each block's prediction plus the residual
-/// stage A left for it, in raster order, reading `res` from `at` on.
+/// Stage B for one tile, in place: each block's prediction plus the
+/// residual stage A left for it, in raster order within `rect` of
+/// `recon`, reading `res` from `at` on. `reference`, when there is one,
+/// has `recon`'s dimensions; `validate_mv` kept every motion vector
+/// inside the tile, so the blocks read from it lie inside `rect` too.
 fn reconstruct_tile(
     res: &FrameResiduals,
     at: &mut Cursor,
-    w: usize,
-    h: usize,
+    rect: &TileRect,
     reference: Option<&Frame>,
     recon: &mut Frame,
 ) -> Result<()> {
-    recon.reshape(w, h);
-    let rect = TileRect { x0: 0, y0: 0, w, h };
-    let crect = TileRect { x0: 0, y0: 0, w: w / 2, h: h / 2 };
-    for mb_row in 0..h / MB_SIZE {
-        for mb_col in 0..w / MB_SIZE {
-            let (mbx, mby) = (mb_col * MB_SIZE, mb_row * MB_SIZE);
+    let w = recon.width();
+    let crect = TileRect { x0: rect.x0 / 2, y0: rect.y0 / 2, w: rect.w / 2, h: rect.h / 2 };
+    for mb_row in 0..rect.h / MB_SIZE {
+        for mb_col in 0..rect.w / MB_SIZE {
+            let (mbx, mby) = (rect.x0 + mb_col * MB_SIZE, rect.y0 + mb_row * MB_SIZE);
             let mb = res.mbs[at.mb];
             at.mb += 1;
             for b in 0..6 {
@@ -538,7 +443,7 @@ fn reconstruct_tile(
                     0..4 => (
                         PlaneKind::Luma,
                         w,
-                        &rect,
+                        rect,
                         mbx + (b & 1) * BLOCK_SIZE,
                         mby + (b >> 1) * BLOCK_SIZE,
                         1,
@@ -818,6 +723,20 @@ mod tests {
     use lightdb_frame::stats::luma_psnr;
     use lightdb_frame::Yuv;
 
+    /// One tile payload decoded into a fresh `w × h` frame.
+    fn decode_payload(
+        payload: &[u8],
+        w: usize,
+        h: usize,
+        frame_type: FrameType,
+        reference: Option<&Frame>,
+    ) -> Result<Frame> {
+        let mut recon = Frame::empty();
+        let mut work = DecoderWork::default();
+        decode_tile_payload_into(payload, w, h, frame_type, reference, &mut recon, &mut work)?;
+        Ok(recon)
+    }
+
     fn moving_scene(w: usize, h: usize, n: usize) -> Vec<Frame> {
         (0..n)
             .map(|i| {
@@ -847,7 +766,7 @@ mod tests {
     fn tile_payload_roundtrips_exactly_to_encoder_recon() {
         let frames = moving_scene(64, 32, 2);
         let (payload, enc_recon) = encode_tile(&frames[0], None, 18, CodecKind::H264Sim);
-        let dec = decode_tile_payload(&payload, 64, 32, FrameType::Key, None).unwrap();
+        let dec = decode_payload(&payload, 64, 32, FrameType::Key, None).unwrap();
         assert_eq!(
             dec, enc_recon,
             "decoder must reproduce encoder reconstruction bit-exactly"
@@ -860,7 +779,7 @@ mod tests {
         let (_, key_recon) = encode_tile(&frames[0], None, 18, CodecKind::HevcSim);
         let (p_payload, p_recon) =
             encode_tile(&frames[1], Some(&key_recon), 18, CodecKind::HevcSim);
-        let dec = decode_tile_payload(&p_payload, 64, 32, FrameType::Predicted, Some(&key_recon))
+        let dec = decode_payload(&p_payload, 64, 32, FrameType::Predicted, Some(&key_recon))
             .unwrap();
         assert_eq!(dec, p_recon);
     }
@@ -914,9 +833,14 @@ mod tests {
         let stream = enc.encode(&frames).unwrap();
         let full = Decoder::new().decode(&stream).unwrap();
         // Decoding tile 1 alone must equal the right half of the full decode.
-        let tile_frames = Decoder::new()
-            .decode_gop_tile(&stream.header, &stream.gops[0], 1)
-            .unwrap();
+        let tile_header = SequenceHeader {
+            width: 32,
+            grid: TileGrid::SINGLE,
+            ..stream.header
+        };
+        let tile_gop = stream.gops[0].extract_tile(1).unwrap();
+        let tile_frames = Decoder::new().decode_gop(&tile_header, &tile_gop).unwrap();
+        assert_eq!(tile_frames.len(), full.len());
         for (tf, ff) in tile_frames.iter().zip(full.iter()) {
             assert_eq!(tf, &ff.crop(32, 0, 32, 32));
         }
@@ -955,7 +879,7 @@ mod tests {
         let (payload, _) = encode_tile(&frames[0], None, 20, CodecKind::H264Sim);
         // Truncate the payload body.
         let cut = &payload[..payload.len().saturating_sub(payload.len() / 2)];
-        let r = decode_tile_payload(cut, 32, 32, FrameType::Key, None);
+        let r = decode_payload(cut, 32, 32, FrameType::Key, None);
         assert!(r.is_err() || r.is_ok()); // must not panic; error preferred
     }
 
@@ -971,7 +895,7 @@ mod tests {
         let mut payload = vec![20u8];
         payload.extend_from_slice(&w.into_bytes());
         let reference = Frame::new(32, 32);
-        let r = decode_tile_payload(&payload, 32, 32, FrameType::Predicted, Some(&reference));
+        let r = decode_payload(&payload, 32, 32, FrameType::Predicted, Some(&reference));
         assert!(matches!(r, Err(CodecError::Corrupt(_))));
     }
 

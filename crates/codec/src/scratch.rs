@@ -106,19 +106,12 @@ impl DecoderWork {
     }
 }
 
-/// Per-worker scratch for the decoder: per-tile reference
-/// reconstructions plus the spare they double-buffer against (tiled
-/// grids only — a single-tile GOP decodes straight into its output
-/// frames), the residual buffer between the decode's two stages, and
-/// the work counters.
-#[derive(Debug)]
+/// Per-worker scratch for the decoder: the residual buffer between the
+/// decode's two stages, and the work counters. Reconstruction needs no
+/// buffer of its own: every tile rebuilds in place in its output frame,
+/// against the output frame before it.
+#[derive(Debug, Default)]
 pub struct DecoderScratch {
-    /// Per-tile reference reconstructions, reused across frames and
-    /// GOPs. Stale entries are harmless: a GOP's keyframe rewrites
-    /// every tile before any predicted frame reads one.
-    pub tiles: Vec<Frame>,
-    /// The tile being decoded; swapped into `tiles` after each blit.
-    pub spare: Frame,
     pub work: DecoderWork,
     /// The caller's residual buffer: a frame's stage A output, read by
     /// its stage B. A decode that fans out lends its helpers buffers of
@@ -126,19 +119,8 @@ pub struct DecoderScratch {
     pub(crate) residuals: FrameResiduals,
 }
 
-impl Default for DecoderScratch {
-    fn default() -> Self {
-        DecoderScratch::new()
-    }
-}
-
 impl DecoderScratch {
     pub fn new() -> Self {
-        DecoderScratch {
-            tiles: Vec::new(),
-            spare: Frame::empty(),
-            work: DecoderWork::default(),
-            residuals: FrameResiduals::default(),
-        }
+        DecoderScratch::default()
     }
 }

@@ -5,7 +5,7 @@
 //! decoded output drifted — which the kernel work must never do.
 
 use lightdb_codec::scratch::DecoderScratch;
-use lightdb_codec::{Decoder, Encoder, EncoderConfig, TileGrid};
+use lightdb_codec::{Decoder, EncodedGop, Encoder, EncoderConfig, SequenceHeader, TileGrid};
 use lightdb_frame::{Frame, PlaneKind, Yuv};
 
 /// FNV-1a 64-bit, the same digest the fault-injection harness uses
@@ -126,8 +126,10 @@ fn corpus_bitstreams_and_frames_match_golden_digests() {
     }
 }
 
-/// The per-GOP tile decode path must agree with the full decode —
-/// a second, structural identity the kernel work must preserve.
+/// One tile taken out of a GOP (`extract_tile`) and decoded under its
+/// single-tile header — what `TILESELECT` runs — must agree with the
+/// full decode: a second, structural identity the kernel work must
+/// preserve.
 #[test]
 fn tiled_decode_identity_against_full_decode() {
     let frames = scene(64, 64, 6, 9);
@@ -143,13 +145,27 @@ fn tiled_decode_identity_against_full_decode() {
     for (gi, gop) in stream.gops.iter().enumerate() {
         for t in 0..4 {
             let rect = stream.header.grid.tile_rect(t, 64, 64);
-            let tiles = Decoder::new().decode_gop_tile(&stream.header, gop, t).unwrap();
+            let tiles = decode_one_tile(&stream.header, gop, t);
             for (fi, tf) in tiles.iter().enumerate() {
                 let whole = &full[gi * 3 + fi];
                 assert_eq!(tf, &whole.crop(rect.x0, rect.y0, rect.w, rect.h));
             }
         }
     }
+}
+
+/// Tile `t` of `gop` alone: extracted, then decoded under the tile's
+/// own single-tile header.
+fn decode_one_tile(header: &SequenceHeader, gop: &EncodedGop, t: usize) -> Vec<Frame> {
+    let rect = header.grid.tile_rect(t, header.width, header.height);
+    let tile_header = SequenceHeader {
+        width: rect.w,
+        height: rect.h,
+        grid: TileGrid::SINGLE,
+        ..*header
+    };
+    let tile_gop = gop.extract_tile(t).unwrap();
+    Decoder::new().decode_gop(&tile_header, &tile_gop).unwrap()
 }
 
 // ------------------------------------------------------------------
@@ -314,7 +330,7 @@ fn tile_path_payloads_and_reconstructions_match_golden_digests() {
 
 // ------------------------------------------------------------------
 // The read side: whole GOPs (`decode_gop`, single-tile and 2×2 grids),
-// single tiles (`decode_gop_tile`) and the prediction-only
+// single tiles (`extract_tile` + `decode_gop`) and the prediction-only
 // `decode_gop_degraded`, at the benchmark's frame size and a tile's.
 // Whole GOPs decode on one thread and again on two, where later
 // frames' residuals are computed ahead of reconstruction; both must
@@ -354,7 +370,7 @@ fn decode_path_digests() -> Vec<(String, [u64; 3], u64)> {
                         let two = dec.decode_gop_scratch(header, gop, &mut scratch, 2).unwrap();
                         whole_2 = digest_frames(&two, whole_2);
                         for t in 0..grid.tile_count() {
-                            tiles = digest_frames(&dec.decode_gop_tile(header, gop, t).unwrap(), tiles);
+                            tiles = digest_frames(&decode_one_tile(header, gop, t), tiles);
                         }
                         degraded =
                             digest_frames(&dec.decode_gop_degraded(header, gop).unwrap(), degraded);

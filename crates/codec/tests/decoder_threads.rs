@@ -8,12 +8,16 @@
 //! order, with the same `CodecError` variant and message. These tests
 //! cut every tile payload of a GOP at every byte and flip every bit of
 //! the serialised GOP, and decode each result at 1, 2 and 4 threads.
+//!
+//! The same sweep runs the prediction-only `decode_gop_degraded` once
+//! per case, and folds each outcome — the frames, or the error's
+//! variant and message — into one digest per grid, pinned below.
 
 use lightdb_codec::scratch::DecoderScratch;
 use lightdb_codec::{
     CodecError, Decoder, EncodedFrame, EncodedGop, Encoder, EncoderConfig, SequenceHeader, TileGrid,
 };
-use lightdb_frame::{Frame, Yuv};
+use lightdb_frame::{Frame, PlaneKind, Yuv};
 
 /// A 4-frame 96×64 GOP: three frames a helper can run ahead, and high QP
 /// keeps the payloads short.
@@ -45,11 +49,23 @@ fn gop(grid: TileGrid) -> (SequenceHeader, EncodedGop) {
     (stream.header, stream.gops[0].clone())
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 /// One scratch per thread count, reused across every case, so buffers
 /// a failed decode handed back are what the next decode starts from.
 struct Decoders {
     scratch: [DecoderScratch; 3],
     frames_ahead: u64,
+    /// Every degraded decode's outcome so far, folded in case order.
+    degraded: u64,
 }
 
 impl Decoders {
@@ -59,11 +75,21 @@ impl Decoders {
         Decoders {
             scratch: std::array::from_fn(|_| DecoderScratch::new()),
             frames_ahead: 0,
+            degraded: FNV_OFFSET,
         }
     }
 
-    /// Decodes `gop` at every thread count and checks the results agree.
+    /// Decodes `gop` at every thread count and checks the results agree,
+    /// then folds its degraded decode into `degraded`.
     fn check(&mut self, header: &SequenceHeader, gop: &EncodedGop, case: &str) {
+        self.degraded = match Decoder::new().decode_gop_degraded(header, gop) {
+            Ok(frames) => frames.iter().fold(fnv1a(b"ok", self.degraded), |h, f| {
+                [PlaneKind::Luma, PlaneKind::Cb, PlaneKind::Cr]
+                    .iter()
+                    .fold(h, |h, &p| fnv1a(f.plane(p), h))
+            }),
+            Err(e) => fnv1a(format!("{e:?}").as_bytes(), self.degraded),
+        };
         let mut results = Self::THREADS.iter().zip(&mut self.scratch).map(|(&t, s)| {
             let r = Decoder::new().decode_gop_scratch(header, gop, s, t);
             self.frames_ahead += std::mem::take(&mut s.work).frames_ahead;
@@ -106,7 +132,8 @@ fn with_cut_payload(gop: &EncodedGop, frame: usize, tile: usize, len: usize) -> 
     EncodedGop::from_frames(&frames).unwrap()
 }
 
-fn parity_under_damage(grid: TileGrid) {
+/// Runs the sweep over a GOP on `grid`; returns the degraded digest.
+fn parity_under_damage(grid: TileGrid) -> u64 {
     let (header, gop) = gop(grid);
     let mut decoders = Decoders::new();
     decoders.check(&header, &gop, "clean");
@@ -132,14 +159,23 @@ fn parity_under_damage(grid: TileGrid) {
         bytes[bit / 8] ^= 1 << (bit % 8);
     }
     assert!(decoders.frames_ahead > 0, "no decode fanned out");
+    decoders.degraded
 }
+
+/// The degraded decode's outcomes over each grid's sweep, recorded on
+/// the decoder that rebuilt tiled keyframes through tile-sized frames
+/// and a blit.
+const DEGRADED_SINGLE_TILE: u64 = 0x9f37_1876_5837_3236;
+const DEGRADED_2X2: u64 = 0x29d2_3432_a35d_c16e;
 
 #[test]
 fn single_tile_gop_decodes_alike_at_every_thread_count() {
-    parity_under_damage(TileGrid::SINGLE);
+    let degraded = parity_under_damage(TileGrid::SINGLE);
+    assert_eq!(degraded, DEGRADED_SINGLE_TILE, "degraded outcomes drifted: 0x{degraded:016x}");
 }
 
 #[test]
 fn tiled_gop_decodes_alike_at_every_thread_count() {
-    parity_under_damage(TileGrid::new(2, 2));
+    let degraded = parity_under_damage(TileGrid::new(2, 2));
+    assert_eq!(degraded, DEGRADED_2X2, "degraded outcomes drifted: 0x{degraded:016x}");
 }

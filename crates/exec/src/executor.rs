@@ -184,7 +184,7 @@ impl Executor {
                 })?;
                 Box::new(std::iter::once(Ok(c.clone())))
             }
-            PhysicalPlan::ToFrames { input, device } => frameops::decode_chunks_par_shared(
+            PhysicalPlan::ToFrames { input, device } => frameops::decode_chunks(
                 self.build(input, sub)?,
                 *device,
                 m,

@@ -2,13 +2,14 @@
 //!
 //! These operators work on chunks whose payload is device-resident
 //! frames. The device is a cost label: the GPU encoder uses a
-//! hardware-style narrow motion search and a tiled GOP decodes its
-//! tiles side by side, but how many threads an operator runs on is the
-//! query's [`Parallelism`] — chunks fan out across it, and a chunk
-//! alone in its batch spends it on its own frames.
+//! hardware-style narrow motion search, and nothing else here looks at
+//! it — every device decodes every GOP, tiled or not, through the one
+//! codec path. How many threads an operator runs on is the query's
+//! [`Parallelism`]: chunks fan out across it, and a chunk alone in its
+//! batch spends it on its own frames.
 
 use crate::chunk::{is_omega, Chunk, ChunkPayload, TimeGrouped};
-use crate::device::{gpu_map, transfer_frames, Device};
+use crate::device::{transfer_frames, Device};
 use crate::metrics::{counters, Metrics};
 use crate::parallel::{par_flat_map_chunks_ctx, par_map_chunks_ctx, scatter, Parallelism};
 use crate::query_ctx::QueryCtx;
@@ -28,7 +29,7 @@ use lightdb_geom::{Dimension, Interval, Volume};
 pub const GPU_SEARCH_RANGE: i32 = 4;
 
 thread_local! {
-    // Per-worker codec scratch arenas. `par_map_chunks` fans chunks
+    // Per-worker codec scratch arenas. `par_map_chunks_ctx` fans chunks
     // out across worker threads, so thread-locals give each worker its
     // own reusable buffers with no contention; scratch contents never
     // influence output bytes, so results stay identical at any thread
@@ -41,37 +42,22 @@ thread_local! {
 
 // ------------------------------------------------------------------ decode
 
-/// `DECODE`: encoded chunks → decoded frames on `device`. The GPU
-/// variant decodes a tiled frame's tiles in parallel.
-pub fn decode_chunks(input: ChunkStream, device: Device, metrics: Metrics) -> ChunkStream {
-    decode_chunks_par(input, device, metrics, Parallelism::SERIAL, QueryCtx::unbounded())
-}
-
-/// Chunk-parallel `DECODE`: independent GOPs decode on up to
-/// `par.threads()` workers, and a GOP alone in its batch decodes its
-/// own frames on all of them; output order (and bytes) match the serial
-/// path. When `ctx` reports its deadline at risk, decodes switch to
-/// the cheap prediction-only path ([`decode_one_degraded`]) so the
-/// query lands inside its budget instead of missing it.
-pub fn decode_chunks_par(
-    input: ChunkStream,
-    device: Device,
-    metrics: Metrics,
-    par: Parallelism,
-    ctx: QueryCtx,
-) -> ChunkStream {
-    decode_chunks_par_shared(input, device, metrics, par, ctx, None)
-}
-
-/// [`decode_chunks_par`] with an optional shared decoded-GOP cache
-/// (see [`crate::sharedscan::SharedDecode`]): concurrent queries
+/// `DECODE`: encoded chunks → decoded frames labelled `device`.
+/// Independent GOPs decode on up to `par.threads()` workers, and a GOP
+/// alone in its batch decodes its own frames on all of them; output
+/// order (and bytes) match the serial path, whatever the device.
+///
+/// When `ctx` reports its deadline at risk, decodes switch to the cheap
+/// prediction-only path ([`decode_one_degraded`]) so the query lands
+/// inside its budget instead of missing it. With a shared decoded-GOP
+/// cache (see [`crate::sharedscan::SharedDecode`]), concurrent queries
 /// decoding the same encoded bytes coalesce into one decode and
 /// trailing queries hit the cache. The `EXEC_DECODE_GOP` failpoint
 /// fires per chunk *before* any cache lookup, so fault-injection
 /// observes every would-be decode whether or not it is shared; and
-/// degraded (deadline-at-risk) decodes bypass the cache entirely —
-/// their output reflects this query's time pressure, not the bytes.
-pub fn decode_chunks_par_shared(
+/// degraded decodes bypass the cache entirely — their output reflects
+/// this query's time pressure, not the bytes.
+pub fn decode_chunks(
     input: ChunkStream,
     device: Device,
     metrics: Metrics,
@@ -95,8 +81,7 @@ pub fn decode_chunks_par_shared(
 
 /// Decodes one chunk (no-op when already decoded) on up to
 /// `budget.threads()` threads, adding the decoder's counts for it to
-/// `metrics` (the `decode.*` names; the tiled fan-out decodes through
-/// `decode_gop_tile`, which keeps none).
+/// `metrics` (the `decode.*` names).
 pub fn decode_one(
     c: Chunk,
     device: Device,
@@ -106,7 +91,7 @@ pub fn decode_one(
     match c.payload {
         ChunkPayload::Decoded { .. } => Ok(c), // already decoded
         ChunkPayload::Encoded { header, ref gop } => {
-            let frames = decode_frames(&header, gop, device, metrics, budget)?;
+            let frames = decode_frames(&header, gop, metrics, budget)?;
             Ok(Chunk {
                 payload: ChunkPayload::Decoded { frames, device },
                 ..c
@@ -122,39 +107,20 @@ pub fn decode_one(
 pub(crate) fn decode_frames(
     header: &SequenceHeader,
     gop: &EncodedGop,
-    device: Device,
     metrics: &Metrics,
     budget: Parallelism,
 ) -> Result<Vec<Frame>> {
-    metrics.time("DECODE", || -> Result<Vec<Frame>> {
-        let dec = Decoder::new();
-        if device == Device::Gpu && header.grid.tile_count() > 1 {
-            // Parallel per-tile decode, then blit.
-            let tiles: Vec<usize> = (0..header.grid.tile_count()).collect();
-            let parts = gpu_map(tiles, |_, t| {
-                dec.decode_gop_tile(header, gop, t).map(|fs| (t, fs))
-            });
-            let mut frames = vec![Frame::new(header.width, header.height); gop.frame_count()];
-            for r in parts {
-                let (t, fs) = r?;
-                let rect = header.grid.tile_rect(t, header.width, header.height);
-                for (f, tf) in frames.iter_mut().zip(fs.iter()) {
-                    f.blit(tf, rect.x0, rect.y0);
-                }
-            }
-            Ok(frames)
-        } else {
-            DEC_SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                let frames = dec.decode_gop_scratch(header, gop, scratch, budget.threads());
-                let work = std::mem::take(&mut scratch.work);
-                metrics.add(counters::DECODE_BLOCKS, work.blocks);
-                let uncoded = work.uncoded_inter + work.uncoded_intra;
-                metrics.add(counters::DECODE_BLOCKS_UNCODED, uncoded);
-                metrics.add(counters::DECODE_FRAMES_AHEAD, work.frames_ahead);
-                Ok(frames?)
-            })
-        }
+    metrics.time("DECODE", || {
+        DEC_SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            let frames = Decoder::new().decode_gop_scratch(header, gop, scratch, budget.threads());
+            let work = std::mem::take(&mut scratch.work);
+            metrics.add(counters::DECODE_BLOCKS, work.blocks);
+            let uncoded = work.uncoded_inter + work.uncoded_intra;
+            metrics.add(counters::DECODE_BLOCKS_UNCODED, uncoded);
+            metrics.add(counters::DECODE_FRAMES_AHEAD, work.frames_ahead);
+            Ok(frames?)
+        })
     })
 }
 
@@ -181,21 +147,10 @@ pub fn decode_one_degraded(c: Chunk, device: Device, metrics: &Metrics) -> Resul
 
 // ------------------------------------------------------------------ encode
 
-/// `ENCODE`: decoded chunks → encoded chunks (one GOP per chunk).
+/// `ENCODE`: decoded chunks → encoded chunks. Each chunk is one GOP
+/// (and, post-PARTITION, one tile), so chunks encode independently
+/// across up to `par.threads()` workers with byte-identical output.
 /// The GPU variant uses the narrow hardware-style motion search.
-pub fn encode_chunks(
-    input: ChunkStream,
-    device: Device,
-    codec: CodecKind,
-    qp: u8,
-    metrics: Metrics,
-) -> ChunkStream {
-    encode_chunks_par(input, device, codec, qp, metrics, Parallelism::SERIAL, QueryCtx::unbounded())
-}
-
-/// Chunk-parallel `ENCODE`: each chunk is one GOP (and, post-
-/// PARTITION, one tile), so chunks encode independently across up to
-/// `par.threads()` workers with byte-identical output.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_chunks_par(
     input: ChunkStream,
@@ -468,20 +423,10 @@ fn slab_point_select(
 
 // ------------------------------------------------------------------ map
 
-/// `MAP`: apply a UDF to every frame.
-pub fn map_frames(
-    input: ChunkStream,
-    f: MapFunction,
-    device: Device,
-    metrics: Metrics,
-) -> ChunkStream {
-    map_frames_par(input, f, device, metrics, Parallelism::SERIAL, QueryCtx::unbounded())
-}
-
-/// Chunk-parallel `MAP`: chunks fan out across up to `par.threads()`
-/// workers, and a chunk alone in its batch spends that budget on its
-/// own frames (UDFs are `Send + Sync` by trait bound). The device
-/// plays no part in either. Point UDFs are handled by the executor via
+/// `MAP`: apply a UDF to every frame. Chunks fan out across up to
+/// `par.threads()` workers, and a chunk alone in its batch spends that
+/// budget on its own frames (UDFs are `Send + Sync` by trait bound).
+/// The device plays no part in either. Point UDFs are handled by the executor via
 /// [`apply_point_map`].
 pub fn map_frames_par(
     input: ChunkStream,
@@ -1314,18 +1259,20 @@ mod tests {
     #[test]
     fn a_lone_gop_decodes_frames_ahead_on_its_budget() {
         let frames: Vec<Frame> = (0..30).map(|i| textured(128, 64, i)).collect();
-        let encoded = collect(encode_chunks(
+        let encoded = collect(encode_chunks_par(
             stream_of(vec![decoded_chunk(0, frames)]),
             Device::Cpu,
             CodecKind::H264Sim,
             20,
             Metrics::new(),
+            Parallelism::SERIAL,
+            QueryCtx::unbounded(),
         ));
         let decode = |par: Parallelism| {
             let m = Metrics::new();
             let input = stream_of(encoded.clone());
             let ctx = QueryCtx::unbounded();
-            let out = collect(decode_chunks_par(input, Device::Cpu, m.clone(), par, ctx));
+            let out = collect(decode_chunks(input, Device::Cpu, m.clone(), par, ctx, None));
             let ChunkPayload::Decoded { frames, .. } = &out[0].payload else { panic!() };
             (frames.clone(), m.counter(counters::DECODE_FRAMES_AHEAD))
         };
@@ -1348,14 +1295,23 @@ mod tests {
         let frames: Vec<Frame> = (0..4).map(|i| textured(64, 32, i)).collect();
         let m = Metrics::new();
         let c = decoded_chunk(0, frames.clone());
-        let enc = encode_chunks(
+        let enc = encode_chunks_par(
             stream_of(vec![c]),
             Device::Cpu,
             CodecKind::H264Sim,
             8,
             m.clone(),
+            Parallelism::SERIAL,
+            QueryCtx::unbounded(),
         );
-        let dec = collect(decode_chunks(enc, Device::Cpu, m.clone()));
+        let dec = collect(decode_chunks(
+            enc,
+            Device::Cpu,
+            m.clone(),
+            Parallelism::SERIAL,
+            QueryCtx::unbounded(),
+            None,
+        ));
         assert_eq!(dec.len(), 1);
         let ChunkPayload::Decoded { frames: out, .. } = &dec[0].payload else {
             panic!()
@@ -1390,16 +1346,13 @@ mod tests {
                 gop: enc.gops[0].clone(),
             },
         };
-        let cpu = collect(decode_chunks(
-            stream_of(vec![chunk.clone()]),
-            Device::Cpu,
-            Metrics::new(),
-        ));
-        let gpu = collect(decode_chunks(
-            stream_of(vec![chunk]),
-            Device::Gpu,
-            Metrics::new(),
-        ));
+        let decode = |chunk, device| {
+            let par = Parallelism::SERIAL;
+            let input = stream_of(vec![chunk]);
+            collect(decode_chunks(input, device, Metrics::new(), par, QueryCtx::unbounded(), None))
+        };
+        let cpu = decode(chunk.clone(), Device::Cpu);
+        let gpu = decode(chunk, Device::Gpu);
         let (ChunkPayload::Decoded { frames: a, .. }, ChunkPayload::Decoded { frames: b, .. }) =
             (&cpu[0].payload, &gpu[0].payload)
         else {
@@ -1452,18 +1405,13 @@ mod tests {
     fn map_gpu_matches_cpu() {
         let frames: Vec<Frame> = (0..2).map(|i| textured(64, 64, i)).collect();
         let f = MapFunction::Builtin(BuiltinMap::Blur);
-        let cpu = collect(map_frames(
-            stream_of(vec![decoded_chunk(0, frames.clone())]),
-            f.clone(),
-            Device::Cpu,
-            Metrics::new(),
-        ));
-        let gpu = collect(map_frames(
-            stream_of(vec![decoded_chunk(0, frames)]),
-            f,
-            Device::Gpu,
-            Metrics::new(),
-        ));
+        let map = |frames, device| {
+            let input = stream_of(vec![decoded_chunk(0, frames)]);
+            let (par, ctx) = (Parallelism::SERIAL, QueryCtx::unbounded());
+            collect(map_frames_par(input, f.clone(), device, Metrics::new(), par, ctx))
+        };
+        let cpu = map(frames.clone(), Device::Cpu);
+        let gpu = map(frames, Device::Gpu);
         assert_eq!(cpu[0].payload, gpu[0].payload);
     }
 

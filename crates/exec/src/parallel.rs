@@ -9,7 +9,7 @@
 //! produces a `QueryOutput` byte-identical to the serial one.
 //!
 //! Chunk streams are pull-based `Box<dyn Iterator>`s and deliberately
-//! not `Send`, so [`par_map_chunks`] pulls a batch on the caller's
+//! not `Send`, so [`par_flat_map_chunks_ctx`] pulls a batch on the caller's
 //! thread, scatters the batch across workers, and replays the results
 //! in input order. An `Err` item ends its batch and is emitted in
 //! position, exactly as the serial path would.
@@ -111,18 +111,9 @@ pub fn scatter<T: Send, U: Send>(
 }
 
 /// Applies a fallible per-chunk transform across worker threads while
-/// preserving stream order and error positions: the one-output-per-
-/// chunk case of [`par_flat_map_chunks_ctx`].
-pub fn par_map_chunks(
-    input: ChunkStream,
-    par: Parallelism,
-    f: impl Fn(Chunk) -> Result<Chunk> + Sync + 'static,
-) -> ChunkStream {
-    par_map_chunks_ctx(input, par, QueryCtx::unbounded(), f)
-}
-
-/// [`par_map_chunks`] under a [`QueryCtx`] (see
-/// [`par_flat_map_chunks_ctx`] for the abort contract).
+/// preserving stream order and error positions, under a [`QueryCtx`]:
+/// the one-output-per-chunk case of [`par_flat_map_chunks_ctx`] (see
+/// there for the abort contract).
 pub fn par_map_chunks_ctx(
     input: ChunkStream,
     par: Parallelism,
@@ -290,16 +281,18 @@ mod tests {
     #[test]
     fn par_map_matches_serial_order() {
         let chunks: Vec<Chunk> = (0..37).map(chunk).collect();
-        let serial: Vec<usize> = par_map_chunks(
+        let serial: Vec<usize> = par_map_chunks_ctx(
             Box::new(chunks.clone().into_iter().map(Ok)),
             Parallelism::SERIAL,
+            QueryCtx::unbounded(),
             Ok,
         )
         .map(|r| r.unwrap().t_index)
         .collect();
-        let parallel: Vec<usize> = par_map_chunks(
+        let parallel: Vec<usize> = par_map_chunks_ctx(
             Box::new(chunks.into_iter().map(Ok)),
             Parallelism::new(8),
+            QueryCtx::unbounded(),
             |c| {
                 // Vary per-chunk latency to shuffle completion order.
                 std::thread::sleep(std::time::Duration::from_micros(
@@ -323,8 +316,8 @@ mod tests {
             .chain(std::iter::once(Err(ExecError::Other("boom".into()))))
             .chain((6..10).map(|t| Ok(chunk(t))))
             .collect();
-        let out: Vec<_> =
-            par_map_chunks(Box::new(items.into_iter()), Parallelism::new(4), Ok).collect();
+        let (par, ctx) = (Parallelism::new(4), QueryCtx::unbounded());
+        let out: Vec<_> = par_map_chunks_ctx(Box::new(items.into_iter()), par, ctx, Ok).collect();
         assert_eq!(out.len(), 10);
         assert!(out[..5].iter().all(|r| r.is_ok()));
         assert!(out[5].is_err());
@@ -333,9 +326,10 @@ mod tests {
 
     #[test]
     fn par_map_propagates_transform_errors_in_order() {
-        let out: Vec<_> = par_map_chunks(
+        let out: Vec<_> = par_map_chunks_ctx(
             Box::new((0..8).map(chunk).map(Ok)),
             Parallelism::new(4),
+            QueryCtx::unbounded(),
             |c| {
                 if c.t_index == 3 {
                     Err(ExecError::Other("bad chunk".into()))

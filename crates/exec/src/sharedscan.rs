@@ -65,18 +65,17 @@ impl DoubleFnv {
 }
 
 impl DecodeKey {
-    fn for_gop(header: &SequenceHeader, device: Device, gop: &EncodedGop) -> DecodeKey {
+    fn for_gop(header: &SequenceHeader, gop: &EncodedGop) -> DecodeKey {
         // The header participates because decode semantics depend on
-        // it (codec, geometry, tile grid), and the device because the
-        // tiled-GPU decode path is a distinct implementation — frames
-        // are expected identical, but the cache never has to assume
-        // it. Each field is folded in at a fixed width, so no two
-        // headers run together; then the GOP's serialised bytes, which
-        // spell out frame types and the tile lengths that delimit the
-        // payloads. One pass, nothing built: the key never leaves the
-        // process.
+        // it (codec, geometry, tile grid); the device does not, since
+        // every device decodes through the one codec path, so CPU- and
+        // GPU-placed scans of the same bytes share one decode. Each
+        // field is folded in at a fixed width, so no two headers run
+        // together; then the GOP's serialised bytes, which spell out
+        // frame types and the tile lengths that delimit the payloads.
+        // One pass, nothing built: the key never leaves the process.
         let mut h = DoubleFnv(0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142);
-        h.write(&[header.codec.to_byte(), device as u8]);
+        h.write(&[header.codec.to_byte()]);
         for field in [
             header.width,
             header.height,
@@ -142,7 +141,7 @@ impl SharedDecode {
         let ChunkPayload::Encoded { header, ref gop } = chunk.payload else {
             return Ok(chunk); // already decoded
         };
-        let key = DecodeKey::for_gop(&header, device, gop);
+        let key = DecodeKey::for_gop(&header, gop);
         // A leader keeps the frames it decoded and publishes a copy,
         // made before the publication evicts anything. Freeing the
         // victim's megabytes first and copying afterwards cost
@@ -151,7 +150,7 @@ impl SharedDecode {
         // system and is faulted in again).
         let mut decoded = None;
         let served = self.lru.get_or_compute(&key, &|| ctx.check().err(), || {
-            let frames = decode_frames(&header, gop, device, metrics, budget)?;
+            let frames = decode_frames(&header, gop, metrics, budget)?;
             let bytes = frames.iter().map(|f| f.width() * f.height() * 3 / 2).sum();
             let shared = Arc::new(frames.clone());
             decoded = Some(frames);
@@ -238,7 +237,7 @@ mod tests {
     /// apart — where one tile ends and the next begins, what kind of
     /// frame the bytes belong to — it must still tell apart.
     #[test]
-    fn key_separates_tile_boundaries_frame_types_and_devices() {
+    fn key_separates_tile_boundaries_and_frame_types() {
         use lightdb_codec::{EncodedFrame, FrameType};
         let header = match encoded_chunk(0, 40).payload {
             ChunkPayload::Encoded { header, .. } => header,
@@ -254,21 +253,20 @@ mod tests {
                 .collect();
             EncodedGop::from_frames(&frames).expect("well-formed GOP")
         };
-        let key = |g: &EncodedGop, d| DecodeKey::for_gop(&header, d, g);
+        let key = |g: &EncodedGop| DecodeKey::for_gop(&header, g);
         let (k, p) = (FrameType::Key, FrameType::Predicted);
         let base = gop(&[k, k], &[b"ab", b"c"]);
-        assert_eq!(key(&base, Device::Cpu), key(&base.clone(), Device::Cpu));
+        assert_eq!(key(&base), key(&base.clone()));
         for other in [
             gop(&[k, k], &[b"a", b"bc"]),
             gop(&[k, k], &[b"abc"]),
             gop(&[k, p], &[b"ab", b"c"]),
             gop(&[k, k], &[b"ab", b"d"]),
         ] {
-            assert_ne!(key(&base, Device::Cpu), key(&other, Device::Cpu), "{other:?}");
+            assert_ne!(key(&base), key(&other), "{other:?}");
         }
-        assert_ne!(key(&base, Device::Cpu), key(&base, Device::Gpu));
         let wider = SequenceHeader { width: header.width + 16, ..header };
-        assert_ne!(key(&base, Device::Cpu), DecodeKey::for_gop(&wider, Device::Cpu, &base));
+        assert_ne!(key(&base), DecodeKey::for_gop(&wider, &base));
     }
 
     #[test]
@@ -329,7 +327,7 @@ mod tests {
         // same GOP from a cancelled query.
         let chunk = encoded_chunk(0, 40);
         let ChunkPayload::Encoded { header, ref gop } = chunk.payload else { unreachable!() };
-        let key = DecodeKey::for_gop(&header, Device::Cpu, gop);
+        let key = DecodeKey::for_gop(&header, gop);
         let (leading, release) = (Barrier::new(2), Barrier::new(2));
         std::thread::scope(|s| {
             s.spawn(|| {

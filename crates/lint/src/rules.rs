@@ -10,6 +10,7 @@
 //! | R6   | no untimed condvar `wait` outside `storage::bufferpool` (its timed helper is the one sanctioned waiter) |
 //! | R7   | `fsync`/`sync_all`/`sync_data` appear only inside `storage::durable` and `storage::wal` (the durability boundary) |
 //! | R8   | raw socket construction (`TcpStream::`/`TcpListener::`/`UdpSocket::`) only inside `cluster::net` (the framed-wire boundary) |
+//! | R9   | `available_parallelism` in library code only inside `exec::parallel`: every fan-out width comes from a query's `Parallelism` |
 //!
 //! Escape hatch: `// lint: allow(R1): <justification>` on the same
 //! line or above the offending code suppresses that rule there —
@@ -46,6 +47,7 @@ pub enum Rule {
     R6,
     R7,
     R8,
+    R9,
 }
 
 impl Rule {
@@ -59,6 +61,7 @@ impl Rule {
             "R6" => Some(Rule::R6),
             "R7" => Some(Rule::R7),
             "R8" => Some(Rule::R8),
+            "R9" => Some(Rule::R9),
             _ => None,
         }
     }
@@ -86,6 +89,9 @@ pub struct FileClass {
     /// R8 exemption: the one module allowed to construct raw sockets
     /// (everything else speaks the framed `cluster::net::Conn`).
     pub cluster_net_module: bool,
+    /// R9 exemption: the one library module allowed to ask the machine
+    /// for its core count (`Parallelism::auto`).
+    pub parallel_module: bool,
 }
 
 /// The production library crates R1 protects. Bench/apps/baselines/
@@ -123,6 +129,7 @@ impl FileClass {
             bufferpool_module: p == "crates/storage/src/bufferpool.rs",
             wal_module: p == "crates/storage/src/wal.rs",
             cluster_net_module: p == "crates/cluster/src/net.rs",
+            parallel_module: p == "crates/exec/src/parallel.rs",
         }
     }
 }
@@ -426,6 +433,7 @@ fn check_tokens(rel_path: &str, toks: &[Tok]) -> Vec<Violation> {
     rule_r6(&ctx, &code, &mut out);
     rule_r7(&ctx, &code, &mut out);
     rule_r8(&ctx, &code, &mut out);
+    rule_r9(&ctx, &code, &mut out);
     out.sort_by_key(|v| v.line);
     out
 }
@@ -828,6 +836,31 @@ fn rule_r8(ctx: &FileCtx, code: &[&Tok], out: &mut Vec<Violation>) {
                  cluster::net::Conn instead",
                 t.text
             ),
+        );
+    }
+}
+
+/// R9: `available_parallelism` in library code outside
+/// `exec::parallel`. A query's `Parallelism` is the one source of how
+/// many threads a fan-out may use: a `SERIAL` session spawns nothing,
+/// and nested work inherits what its batch leaves it. A width read
+/// from the machine anywhere else (as the simulated GPU's tiled decode
+/// once did) ignores both.
+fn rule_r9(ctx: &FileCtx, code: &[&Tok], out: &mut Vec<Violation>) {
+    if !ctx.class.library_tier || ctx.class.parallel_module {
+        return;
+    }
+    for t in code {
+        if !t.is_ident("available_parallelism") || ctx.in_test_range(t.line) {
+            continue;
+        }
+        ctx.push(
+            out,
+            Rule::R9,
+            t.line,
+            "available_parallelism outside exec::parallel — fan-out widths \
+             come from the query's Parallelism, never from the machine"
+                .to_string(),
         );
     }
 }

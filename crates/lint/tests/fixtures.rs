@@ -87,6 +87,17 @@ fn r8_fires_outside_cluster_net_module() {
 }
 
 #[test]
+fn r9_fires_outside_exec_parallel_in_library_code() {
+    let src = include_str!("fixtures/r9_core_count.rs");
+    assert_eq!(lines_of(Rule::R9, LIB_PATH, src), vec![4]);
+    assert_eq!(lines_of(Rule::R9, "crates/exec/src/device.rs", src), vec![4]);
+    // The one module that turns the core count into a `Parallelism`.
+    assert!(lines_of(Rule::R9, "crates/exec/src/parallel.rs", src).is_empty());
+    // Tooling tiers (benches, simulators) are outside the rule.
+    assert!(lines_of(Rule::R9, "crates/baselines/src/scanner.rs", src).is_empty());
+}
+
+#[test]
 fn r7_fires_outside_durable_and_wal_modules() {
     let src = include_str!("fixtures/r7_fsync.rs");
     assert_eq!(lines_of(Rule::R7, LIB_PATH, src), vec![5, 9]);

@@ -2,7 +2,7 @@
 //! arbitrary (bounded) inputs across the codec / container / engine
 //! stack.
 
-use lightdb_codec::{Decoder, Encoder, EncoderConfig, TileGrid, VideoStream};
+use lightdb_codec::{Decoder, Encoder, EncoderConfig, SequenceHeader, TileGrid, VideoStream};
 use lightdb_container::{MetadataFile, TlfDescriptor, Track};
 use lightdb_frame::stats::luma_psnr;
 use lightdb_frame::{Frame, Yuv};
@@ -71,10 +71,12 @@ proptest! {
         .unwrap();
         let stream = enc.encode(&frames).unwrap();
         let whole = Decoder::new().decode(&stream).unwrap();
+        // A tile alone, as `TILESELECT` runs it: extracted, then decoded
+        // under its single-tile header.
+        let tile_header = SequenceHeader { width: 32, grid: TileGrid::SINGLE, ..stream.header };
         for t in 0..2 {
-            let tiles = Decoder::new()
-                .decode_gop_tile(&stream.header, &stream.gops[0], t)
-                .unwrap();
+            let tile_gop = stream.gops[0].extract_tile(t).unwrap();
+            let tiles = Decoder::new().decode_gop(&tile_header, &tile_gop).unwrap();
             for (tf, wf) in tiles.iter().zip(whole.iter()) {
                 prop_assert_eq!(tf, &wf.crop(t * 32, 0, 32, 32));
             }

@@ -346,6 +346,88 @@ fn shared_scans_decode_each_gop_exactly_once() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// `seed_tlf`'s pattern at 128×64 on a 2×2 tile grid.
+fn seed_tiled_tlf(db: &LightDb, name: &str, gops: usize, gop_length: usize) {
+    let frames: Vec<Frame> = (0..gops * gop_length)
+        .map(|i| {
+            let mut f = Frame::new(128, 64);
+            for y in 0..64 {
+                for x in 0..128 {
+                    f.set(x, y, Yuv::new(((x * 7 + y * 3 + i * 13) % 256) as u8, 110, 150));
+                }
+            }
+            f
+        })
+        .collect();
+    let config = lightdb::ingest::IngestConfig {
+        fps: gop_length as u32,
+        gop_length,
+        grid: TileGrid::new(2, 2),
+        ..Default::default()
+    };
+    lightdb::ingest::store_frames(db, name, &frames, &config).unwrap();
+}
+
+/// The placement is a label: a tiled scan decoded under the default
+/// (GPU) placement does the decode a CPU-placed session does, and
+/// reports it in the same `decode.*` counters.
+#[test]
+fn tiled_scans_report_the_same_decode_work_on_every_device() {
+    let _quiet = no_global_faults();
+    let q = scan("vid") >> Map::builtin(BuiltinMap::Grayscale);
+    let run = |tag: &str, use_gpu: bool| {
+        let root = temp_root(tag);
+        let db = LightDb::open(&root).unwrap();
+        seed_tiled_tlf(&db, "vid", 3, 4);
+        let mut session = db.session();
+        session.set_options(PlannerOptions { use_gpu, ..PlannerOptions::default() });
+        let plan = session.explain(&q).unwrap();
+        let device = if use_gpu { "DECODE [GPU]" } else { "DECODE [CPU]" };
+        assert!(plan.contains(device), "{plan}");
+        let frames = session.execute(&q).unwrap().into_frame_parts().unwrap();
+        let m = session.metrics();
+        let work = (m.counter(counters::DECODE_BLOCKS), m.counter(counters::DECODE_BLOCKS_UNCODED));
+        drop(session);
+        drop(db);
+        let _ = fs::remove_dir_all(&root);
+        (frames, work)
+    };
+    let (gpu_frames, gpu) = run("tiled-gpu", true);
+    let (cpu_frames, cpu) = run("tiled-cpu", false);
+    assert_eq!(gpu_frames, cpu_frames);
+    assert!(cpu.0 > 0 && cpu.1 > 0, "the CPU-placed decode counted no blocks: {cpu:?}");
+    assert_eq!(gpu, cpu, "(decode.blocks, decode.blocks_uncoded) differ by placement");
+}
+
+/// A GPU-placed and a CPU-placed session scanning the same bytes share
+/// one decode of each GOP: the shared-decode key does not carry the
+/// device.
+#[test]
+fn gpu_and_cpu_placed_scans_share_each_decode() {
+    let _quiet = no_global_faults();
+    let root = temp_root("sharedplacement");
+    let db = LightDb::open(&root).unwrap();
+    const GOPS: usize = 3;
+    seed_tiled_tlf(&db, "vid", GOPS, 4);
+    let q = scan("vid") >> Map::builtin(BuiltinMap::Grayscale);
+    let gpu = db.session();
+    let mut cpu = db.session();
+    cpu.set_options(PlannerOptions { use_gpu: false, ..PlannerOptions::default() });
+    let a = gpu.execute(&q).unwrap().into_frame_parts().unwrap();
+    let b = cpu.execute(&q).unwrap().into_frame_parts().unwrap();
+    assert_eq!(a, b);
+    let sessions = [&gpu, &cpu];
+    let decodes: u64 =
+        sessions.iter().map(|s| s.metrics().counter(counters::SHARED_SCAN_DECODES)).sum();
+    let hits: u64 =
+        sessions.iter().map(|s| s.metrics().counter(counters::SHARED_SCAN_HITS)).sum();
+    assert_eq!(decodes, GOPS as u64, "each GOP must be decoded once across both placements");
+    assert_eq!(hits, GOPS as u64);
+    drop((gpu, cpu));
+    drop(db);
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// A session's default budget applies to statements that carry no
 /// explicit limits: deadlines classify as DeadlineExceeded, declared
 /// working sets pass through admission, and admissions release fully.
