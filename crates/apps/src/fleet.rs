@@ -150,7 +150,7 @@ pub fn run_fleet(server: &TileServer, cfg: &FleetConfig) -> FleetReport {
     let workers = cfg.workers.clamp(1, total.max(1));
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
+            scope.spawn(lightdb::storage::faults::inherit(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= total {
                     break;
@@ -182,7 +182,7 @@ pub fn run_fleet(server: &TileServer, cfg: &FleetConfig) -> FleetReport {
                         *errors.entry(class).or_insert(0) += 1;
                     }
                 }
-            });
+            }));
         }
     });
     let error_classes = errors.into_inner().unwrap_or_else(|e| e.into_inner());

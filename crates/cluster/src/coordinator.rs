@@ -42,6 +42,7 @@ use lightdb_core::{ErrorClass, RetryPolicy};
 use lightdb_exec::metrics::{counters, Metrics};
 use lightdb_exec::{ExecError, QueryCtx, QueryOutput, ReadPolicy};
 use lightdb_optimizer::placement::{place, WorkerState};
+use lightdb_storage::faults;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -206,9 +207,9 @@ impl Coordinator {
                 let mut candidates = Vec::with_capacity(1 + placement.fallbacks.len());
                 candidates.extend(placement.primary);
                 candidates.extend(placement.fallbacks.iter().copied());
-                handles.push(scope.spawn(move || {
+                handles.push(scope.spawn(faults::inherit(move || {
                     self.run_fragment(&subplan, candidates, read_policy, ctx)
-                }));
+                })));
             }
             for (slot, handle) in results.iter_mut().zip(handles) {
                 match handle.join() {
@@ -483,7 +484,7 @@ fn spawn_heartbeat(
     // Heartbeats should notice a dead worker quickly; they never
     // carry payloads, so a tight budget is safe.
     let probe_timeout = rpc_timeout.min(Duration::from_millis(250));
-    std::thread::spawn(move || {
+    std::thread::spawn(faults::inherit(move || {
         while !stop.load(Ordering::Acquire) {
             for (i, slot) in workers.iter().enumerate() {
                 if stop.load(Ordering::Acquire) {
@@ -497,7 +498,7 @@ fn spawn_heartbeat(
             }
             std::thread::sleep(interval);
         }
-    })
+    }))
 }
 
 fn ping(addr: SocketAddr, label: &str, timeout: Duration) -> bool {

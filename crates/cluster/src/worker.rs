@@ -173,7 +173,8 @@ fn spawn_inner(data_dir: &Path, exit_on_crash: bool) -> io::Result<WorkerHandle>
         exit_on_crash,
     });
     let accept_shared = shared.clone();
-    let accept = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
+    let accept =
+        std::thread::spawn(faults::inherit(move || accept_loop(&listener, &accept_shared)));
     Ok(WorkerHandle {
         addr,
         shared,
@@ -197,14 +198,14 @@ fn accept_loop(listener: &Listener, shared: &Arc<WorkerShared>) {
                 // Handler threads exit when their connection closes
                 // (peer drop, kill, or shutdown), dropping their
                 // kill-registry entry on the way out; `kill` joins them.
-                let handler = std::thread::spawn(move || {
+                let handler = std::thread::spawn(faults::inherit(move || {
                     serve_conn(conn, &conn_shared);
                     conn_shared
                         .conns
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .remove(&conn_id);
-                });
+                }));
                 let mut handlers = shared.handlers.lock().unwrap_or_else(|e| e.into_inner());
                 // Finished handlers are let go, so a long-lived worker
                 // keeps one handle per live connection.

@@ -2,9 +2,8 @@
 //! through a coordinator: what a deadline-degraded fragment reports,
 //! and what a killed worker releases.
 //!
-//! A binary of its own, and one test at a time: the delays are armed
-//! in the process-global fault registry at the decode failpoint, which
-//! any other decode in the process would consume.
+//! The delays are armed in the test's fault scope, which the workers
+//! it spawns inherit, so the tests run side by side.
 
 use lightdb::LightDb;
 use lightdb_cluster::{fixture, worker, Coordinator, CoordinatorConfig, Fragment};
@@ -15,14 +14,7 @@ use lightdb_exec::metrics::counters;
 use lightdb_exec::{QueryCtx, QueryOutput, ReadPolicy};
 use lightdb_storage::faults::{self, sites, Fault};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-fn alone() -> MutexGuard<'static, ()> {
-    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// `workers` freshly ingested data directories holding 8 frames per
 /// fragment of `vid`, and the fragment table.
@@ -52,7 +44,6 @@ fn template() -> LogicalPlan {
 
 #[test]
 fn a_deadline_degraded_fragment_is_counted_not_lost() {
-    let _alone = alone();
     let (root, dirs, fragments) = ingest("deadline", 3, 3);
     let handles: Vec<_> = dirs.iter().map(|d| worker::spawn(d).unwrap()).collect();
     let coord = coordinator(&handles, fragments);
@@ -64,11 +55,11 @@ fn a_deadline_degraded_fragment_is_counted_not_lost() {
     let clean = bytes(coord.execute(&template, ReadPolicy::Fail, &QueryCtx::unbounded()).unwrap());
     // A 1 s budget is at risk from 750 ms on: the first GOP decode
     // sleeps until 800 ms, and every decode from then on degrades.
-    faults::reset_global();
-    faults::arm_global_n(sites::EXEC_DECODE_GOP, Fault::Delay { ms: 800 }, 1);
+    faults::reset();
+    faults::arm_n(sites::EXEC_DECODE_GOP, Fault::Delay { ms: 800 }, 1);
     let ctx = QueryCtx::unbounded().with_deadline(Duration::from_secs(1));
     let out = coord.execute(&template, ReadPolicy::Fail, &ctx);
-    faults::reset_global();
+    faults::reset();
     let out = bytes(out.expect("a degraded decode lands inside the deadline"));
     let frames = |b: &[u8]| VideoStream::from_bytes(b).unwrap().frame_count();
     assert_ne!(out, clean, "the at-risk decode did not degrade");
@@ -85,17 +76,16 @@ fn a_deadline_degraded_fragment_is_counted_not_lost() {
 /// process would: the next worker on that directory opens it at once.
 #[test]
 fn a_killed_worker_releases_its_data_directory() {
-    let _alone = alone();
     let (root, dirs, fragments) = ingest("kill-release", 1, 1);
     let handle = worker::spawn(&dirs[0]).unwrap();
     let coord = coordinator(std::slice::from_ref(&handle), fragments);
-    faults::reset_global();
-    faults::arm_global_n(sites::EXEC_DECODE_GOP, Fault::Delay { ms: 300 }, 1);
+    faults::reset();
+    faults::arm_n(sites::EXEC_DECODE_GOP, Fault::Delay { ms: 300 }, 1);
     std::thread::scope(|s| {
         let query = s.spawn(|| coord.execute(&template(), ReadPolicy::Fail, &QueryCtx::unbounded()));
         // Kill while the handler sleeps in the decode failpoint.
         let start = Instant::now();
-        while faults::global_hits(sites::EXEC_DECODE_GOP) == 0 {
+        while faults::hits(sites::EXEC_DECODE_GOP) == 0 {
             assert!(start.elapsed() < Duration::from_secs(10), "the query never reached DECODE");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -105,7 +95,7 @@ fn a_killed_worker_releases_its_data_directory() {
         drop(reopened);
         let _ = query.join();
     });
-    faults::reset_global();
+    faults::reset();
     drop(coord);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -64,7 +64,7 @@ pub fn read_u64(name: &str) -> Option<u64> {
         KnobValue::Unset => None,
         KnobValue::Parsed(v) => Some(v),
         KnobValue::Malformed(raw) => {
-            warn_once(name, &raw);
+            warn_malformed(name, &raw, "an unsigned integer");
             None
         }
     }
@@ -94,12 +94,15 @@ pub fn malformed() -> Vec<String> {
     warned_set().lock().unwrap_or_else(|e| e.into_inner()).iter().cloned().collect()
 }
 
-fn warn_once(name: &str, raw: &str) {
+/// Warns once per knob name per process that `name` holds `raw`, which
+/// is not `expected`, and records `name` for [`malformed`]. Knobs with
+/// a grammar of their own (`LIGHTDB_FAULTS`) report through this too.
+pub fn warn_malformed(name: &str, raw: &str, expected: &str) {
     let mut warned = warned_set().lock().unwrap_or_else(|e| e.into_inner());
     if warned.insert(name.to_string()) {
         eprintln!(
             "lightdb: warning: ignoring malformed environment knob {name}={raw:?} \
-             (expected an unsigned integer); falling back to the knob's default"
+             (expected {expected}); falling back to the knob's default"
         );
     }
 }

@@ -91,7 +91,7 @@ pub fn scatter<T: Send, U: Send>(
     let results = parking_lot::Mutex::new(Vec::<(usize, U)>::with_capacity(n));
     std::thread::scope(|s| {
         for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
+            s.spawn(lightdb_storage::faults::inherit(|| loop {
                 let job = queue.lock().pop();
                 match job {
                     Some((i, t)) => {
@@ -100,7 +100,7 @@ pub fn scatter<T: Send, U: Send>(
                     }
                     None => break,
                 }
-            });
+            }));
         }
     });
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
@@ -215,8 +215,7 @@ where
                 Err(e) => outbox.push_back(Err(e)),
             }
         }
-        // Reassembly failpoint: fires once per replayed batch, on the
-        // caller thread (so thread-local arming works in tests).
+        // Reassembly failpoint: fires once per replayed batch.
         if let Err(e) = lightdb_storage::faults::fail_point(
             lightdb_storage::faults::sites::EXEC_REASSEMBLE,
         ) {

@@ -1,7 +1,7 @@
 //! `lightdb-lint` CLI.
 //!
 //! ```text
-//! cargo run -p lint                # run rules R1–R9 over the workspace
+//! cargo run -p lint                # run rules R1–R10 over the workspace
 //! cargo run -p lint -- interleave  # run the interleaving harness
 //! cargo run -p lint -- --root DIR  # lint a different workspace root
 //! ```

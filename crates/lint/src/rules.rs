@@ -11,6 +11,7 @@
 //! | R7   | `fsync`/`sync_all`/`sync_data` appear only inside `storage::durable` and `storage::wal` (the durability boundary) |
 //! | R8   | raw socket construction (`TcpStream::`/`TcpListener::`/`UdpSocket::`) only inside `cluster::net` (the framed-wire boundary) |
 //! | R9   | `available_parallelism` in library code only inside `exec::parallel`: every fan-out width comes from a query's `Parallelism` |
+//! | R10  | thread spawns in crates that reach a failpoint wrap their body in `faults::inherit` (the spawner's fault scope) |
 //!
 //! Escape hatch: `// lint: allow(R1): <justification>` on the same
 //! line or above the offending code suppresses that rule there —
@@ -48,6 +49,7 @@ pub enum Rule {
     R7,
     R8,
     R9,
+    R10,
 }
 
 impl Rule {
@@ -62,6 +64,7 @@ impl Rule {
             "R7" => Some(Rule::R7),
             "R8" => Some(Rule::R8),
             "R9" => Some(Rule::R9),
+            "R10" => Some(Rule::R10),
             _ => None,
         }
     }
@@ -92,6 +95,8 @@ pub struct FileClass {
     /// R9 exemption: the one library module allowed to ask the machine
     /// for its core count (`Parallelism::auto`).
     pub parallel_module: bool,
+    /// R10 applies: non-test source of a crate that reaches a failpoint.
+    pub reaches_failpoints: bool,
 }
 
 /// The production library crates R1 protects. Bench/apps/baselines/
@@ -111,18 +116,25 @@ const LIBRARY_CRATES: &[&str] = &[
     "cluster",
 ];
 
+/// The crates that depend on `lightdb-storage`, directly or not, and so
+/// can reach a failpoint: R10 holds their thread spawns to
+/// `faults::inherit`.
+const FAILPOINT_CRATES: &[&str] = &[
+    "storage", "exec", "optimizer", "engine", "cluster", "datasets", "apps", "bench", "testsuite",
+];
+
 impl FileClass {
     pub fn of(rel_path: &str) -> FileClass {
         let p = rel_path.replace('\\', "/");
         let test_path = p
             .split('/')
             .any(|c| matches!(c, "tests" | "benches" | "examples" | "fixtures"));
-        let library_tier = !test_path
-            && LIBRARY_CRATES
-                .iter()
-                .any(|c| p.starts_with(&format!("crates/{c}/src/")));
+        let in_src_of = |crates: &[&str]| {
+            !test_path && crates.iter().any(|c| p.starts_with(&format!("crates/{c}/src/")))
+        };
         FileClass {
-            library_tier,
+            library_tier: in_src_of(LIBRARY_CRATES),
+            reaches_failpoints: in_src_of(FAILPOINT_CRATES),
             test_path,
             storage: p.starts_with("crates/storage/src/"),
             durable_module: p == "crates/storage/src/durable.rs",
@@ -434,6 +446,7 @@ fn check_tokens(rel_path: &str, toks: &[Tok]) -> Vec<Violation> {
     rule_r7(&ctx, &code, &mut out);
     rule_r8(&ctx, &code, &mut out);
     rule_r9(&ctx, &code, &mut out);
+    rule_r10(&ctx, &code, &mut out);
     out.sort_by_key(|v| v.line);
     out
 }
@@ -862,6 +875,36 @@ fn rule_r9(ctx: &FileCtx, code: &[&Tok], out: &mut Vec<Violation>) {
              come from the query's Parallelism, never from the machine"
                 .to_string(),
         );
+    }
+}
+
+/// R10: a thread spawn in non-test source of a crate that reaches a
+/// failpoint, whose body is not `faults::inherit(..)`: a thread started
+/// bare gets a fault scope of its own, so faults armed for the query,
+/// worker or server that started it would miss it. `Command::spawn()`
+/// takes no body and `worker::spawn(dir)` starts no thread directly.
+fn rule_r10(ctx: &FileCtx, code: &[&Tok], out: &mut Vec<Violation>) {
+    if !ctx.class.reaches_failpoints {
+        return;
+    }
+    let is = |j: usize, c: char| code.get(j).is_some_and(|n| n.is_punct(c));
+    for (i, t) in code.iter().enumerate() {
+        let method = i > 0 && is(i - 1, '.');
+        let thread_fn = i >= 3 && code[i - 3].is_ident("thread") && is(i - 1, ':');
+        let call_with_body = is(i + 1, '(') && !is(i + 2, ')');
+        if !t.is_ident("spawn") || !(method || thread_fn) || !call_with_body {
+            continue;
+        }
+        // The body must be a call to `inherit`, under any path.
+        let mut j = i + 2;
+        while code.get(j).is_some_and(|n| n.kind == TokKind::Ident || n.is_punct(':')) {
+            j += 1;
+        }
+        let wrapped = code[j - 1].is_ident("inherit") && is(j, '(');
+        if !wrapped && !ctx.in_test_range(t.line) {
+            let msg = "thread spawned without `faults::inherit`: it misses its spawner's scope";
+            ctx.push(out, Rule::R10, t.line, msg.into());
+        }
     }
 }
 

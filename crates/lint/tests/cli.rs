@@ -11,7 +11,7 @@ fn bin() -> Command {
 }
 
 /// Builds a throwaway mini-workspace seeded with one violation per
-/// rule, so the binary's non-zero exit covers all of R1–R9 (the
+/// rule, so the binary's non-zero exit covers all of R1–R10 (the
 /// storage `bad.rs` fires R3 and R6 on the same untimed wait).
 fn seeded_workspace(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("lint-cli-{tag}-{}", std::process::id()));
@@ -55,6 +55,7 @@ fn seeded_workspace(tag: &str) -> PathBuf {
              std::net::TcpStream::connect(a)\n\
          }\n",
     );
+    write("crates/engine/src/bad.rs", "pub fn f() {\n    std::thread::spawn(|| ());\n}\n");
     write(
         "crates/exec/src/bad.rs",
         "pub fn workers() -> usize {\n\
@@ -89,6 +90,7 @@ fn nonzero_on_seeded_violations_with_file_line_output() {
         "crates/storage/src/bad.rs:11: R7:",
         "crates/cluster/src/bad.rs:2: R8:",
         "crates/exec/src/bad.rs:2: R9:",
+        "crates/engine/src/bad.rs:2: R10:",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }

@@ -114,3 +114,14 @@ fn r5_fires_outside_durable_module() {
     // The one sanctioned call site.
     assert!(lines_of(Rule::R5, "crates/storage/src/durable.rs", src).is_empty());
 }
+
+#[test]
+fn r10_fires_on_bare_spawns_in_crates_that_reach_failpoints() {
+    let src = include_str!("fixtures/r10_spawn.rs");
+    assert_eq!(lines_of(Rule::R10, "crates/exec/src/parallel.rs", src), vec![4, 9]);
+    assert_eq!(lines_of(Rule::R10, "crates/apps/src/fleet.rs", src), vec![4, 9]);
+    // `codec` and `baselines` cannot reach a failpoint; tests are exempt.
+    assert!(lines_of(Rule::R10, LIB_PATH, src).is_empty());
+    assert!(lines_of(Rule::R10, "crates/baselines/src/scanner.rs", src).is_empty());
+    assert!(lines_of(Rule::R10, "crates/exec/tests/x.rs", src).is_empty());
+}

@@ -3,15 +3,25 @@
 //! A test-controllable registry of named *failpoints*. Production
 //! code threads calls to [`fail_point`] (typed I/O errors) and
 //! [`mangle`] (data corruption: truncation, bit flips) through its
-//! I/O sites; when nothing is armed both are a single thread-local
-//! flag check, so the hooks are free in normal operation.
+//! I/O sites; when nothing is armed both are a flag check, so the
+//! hooks are free in normal operation.
 //!
-//! Arming via the API ([`arm`], [`arm_n`]) is **thread-local**: each
-//! test thread gets an isolated registry, so parallel tests cannot
-//! contaminate each other and injection stays deterministic. Arming
-//! via the environment applies to *every* thread — `LIGHTDB_FAULTS`
-//! holds a `;`-separated list of `site=spec` pairs parsed at each
-//! thread's first failpoint check:
+//! Faults live in a **scope**: one registry of armed faults, hit
+//! counts and crash state, shared by a set of threads. Every function
+//! here ([`arm`], [`arm_n`], [`arm_at`], [`disarm`], [`reset`],
+//! [`hits`], [`hit_sites`], [`crashed`], [`clear_crash`], and the
+//! failpoints themselves) acts on the calling thread's scope. A thread
+//! that has no scope yet gets a fresh one of its own; a thread started
+//! through [`inherit`] shares the scope of the thread that started it.
+//! The engine starts every thread that can reach a failpoint that way
+//! (lint rule R10), so a fault armed on a query's thread reaches its
+//! scatter workers, a cluster's RPC and serve threads and a fleet's
+//! viewer workers, and nothing else. Tests running side by side in one
+//! binary each have their own scope and need no lock; a simulated
+//! crash stops only the scope it fired in.
+//!
+//! A fresh scope is seeded from `LIGHTDB_FAULTS`, a `;`-separated list
+//! of `site=spec` pairs:
 //!
 //! ```text
 //! LIGHTDB_FAULTS="media.tmp.write=enospc;catalog.publish.rename=err:notfound:1;\
@@ -21,9 +31,13 @@
 //! Specs: `err:<kind>[:n]`, `transient:<kind>:<n>`, `enospc[:n]`,
 //! `trunc:<keep>[:n]`, `flip:<offset>[:n]`, `delay:<ms>[:n]` — `n` is
 //! how many hits fire before the site auto-disarms (default: every
-//! hit). `delay` stalls the hitting thread for `<ms>` milliseconds and
-//! then lets the operation proceed, modelling slow devices rather
-//! than broken ones.
+//! hit), counted across the scope. `<kind>` is one of `notfound`,
+//! `denied`, `interrupted`, `wouldblock`, `timedout`, `unexpectedeof`
+//! or `other`; numbers are decimal, and `n` is at least 1. A malformed
+//! pair arms nothing and is reported once per process through
+//! [`lightdb_core::envknob`]. `delay` stalls the hitting thread for
+//! `<ms>` milliseconds and then lets the operation proceed, modelling
+//! slow devices rather than broken ones.
 //!
 //! Two network-shaped specs serve the cluster layer's `cluster.*`
 //! sites: `drop[:n]` severs the link mid-conversation (the operation
@@ -34,36 +48,26 @@
 //!
 //! Two crash-shaped specs complete the grammar: `crash[:n]` simulates
 //! a fail-stop crash on the site's `n`-th hit (default: first) — the
-//! whole process is marked crashed and **every** failpoint errors from
-//! then on until [`clear_crash`] — and `torn:<keep>[:n]` models a
-//! torn write followed by a crash: on the `n`-th hit of a mangle site
-//! it truncates the buffer to `keep` bytes, lets the write itself land
-//! on disk, and then crashes at the next failpoint (the fsync that
-//! would have made the full write durable). For `crash`/`torn`, `n`
-//! selects *which* hit fires (a crash is terminal, so "fire n times"
-//! would be meaningless).
-//!
-//! A third arming mode, [`arm_global`] / [`arm_global_n`] /
-//! [`reset_global`], applies to **every thread in the process**. The
-//! chaos harness uses it to reach the executor's scoped worker
-//! threads (which are born after the test starts and never see its
-//! thread-local registry). Global faults are consulted only after the
-//! thread-local registry declined, so a test can still pin a site
-//! locally. Callers of the global API must serialise themselves
-//! (e.g. a test-level mutex) — the registry is process-wide state.
+//! scope is marked crashed and **every** failpoint in it errors from
+//! then on until [`clear_crash`] or [`reset`] — and `torn:<keep>[:n]`
+//! models a torn write followed by a crash: on the `n`-th hit of a
+//! mangle site it truncates the buffer to `keep` bytes, lets the write
+//! itself land on disk, and then crashes at the next failpoint (the
+//! fsync that would have made the full write durable). For
+//! `crash`/`torn`, `n` selects *which* hit fires (a crash is terminal,
+//! so "fire n times" would be meaningless).
 //!
 //! Site names used by the storage layer are listed in [`sites`];
 //! higher layers add their own (the executor's `exec.*` sites live
 //! there too so the full set is documented in one place). Hit
-//! counters ([`hits`]) are maintained only while at least one fault
-//! is armed on the thread; [`global_hits`] counts hits against the
-//! global registry.
+//! counters ([`hits`], [`hit_sites`]) are maintained only while at
+//! least one fault is armed in the scope.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Failpoint site names the storage crate hooks. Kill-point tests
 /// iterate [`sites::PUBLISH_SEQUENCE`] to cover every step of the
@@ -173,9 +177,9 @@ pub enum Fault {
     /// fails `ConnectionRefused`-shaped. Arm without a hit limit to
     /// model a partition that persists until healed ([`disarm`]).
     Partition,
-    /// Simulated fail-stop crash: the hit marks the whole process
-    /// crashed ([`crashed`] turns true) and this failpoint plus every
-    /// later one — on any thread — return errors until
+    /// Simulated fail-stop crash: the hit marks the scope crashed
+    /// ([`crashed`] turns true) and this failpoint plus every later one
+    /// on any of the scope's threads return errors until
     /// [`clear_crash`]. Models the kernel never seeing the I/O.
     Crash,
     /// Torn write, then crash: truncates the mangled buffer to `keep`
@@ -200,21 +204,9 @@ struct Armed {
 struct Registry {
     armed: HashMap<String, Armed>,
     hits: HashMap<String, u64>,
-    any_armed: bool,
 }
 
 impl Registry {
-    fn from_env() -> Registry {
-        let mut reg = Registry::default();
-        if let Ok(spec) = std::env::var("LIGHTDB_FAULTS") {
-            for (site, armed) in parse_env(&spec) {
-                reg.armed.insert(site, armed);
-            }
-            reg.any_armed = !reg.armed.is_empty();
-        }
-        reg
-    }
-
     /// Counts a hit at `site` and, if a fault of the requested
     /// flavour (mangle vs. error/delay) is armed there, consumes one
     /// charge and returns it.
@@ -234,274 +226,245 @@ impl Registry {
         }
         let fault = armed.fault.clone();
         if let Some(rem) = &mut armed.remaining {
-            *rem -= 1;
+            *rem = rem.saturating_sub(1);
             if *rem == 0 {
                 self.armed.remove(site);
-                self.any_armed = !self.armed.is_empty();
             }
         }
         Some(fault)
     }
 }
 
-thread_local! {
-    static REGISTRY: RefCell<Registry> = RefCell::new(Registry::from_env());
+/// One fault scope: the registry plus the crash state, shared by every
+/// thread that points at it.
+#[derive(Default)]
+struct Scope {
+    registry: Mutex<Registry>,
+    /// Mirrors "the registry has something armed", so the unarmed fast
+    /// path never takes the lock.
+    armed: AtomicBool,
+    /// Set by [`Fault::Crash`] / [`Fault::Torn`]: while set, every
+    /// failpoint in the scope errors, simulating a fail-stop process
+    /// whose remaining I/O never reaches the kernel.
+    crashed: AtomicBool,
+    /// Countdown of failpoint passes before a pending torn-write crash
+    /// lands (0 = no crash pending). `Torn` sets it to 2: the failpoint
+    /// guarding the torn write passes, the one after it crashes.
+    crash_after: AtomicU64,
 }
 
-/// Process-wide "the process has crashed" flag set by [`Fault::Crash`]
-/// / [`Fault::Torn`]. While set, every failpoint on every thread
-/// errors, simulating a fail-stop process whose remaining I/O never
-/// reaches the kernel.
-static CRASHED: AtomicBool = AtomicBool::new(false);
-/// Countdown of failpoint passes before a pending torn-write crash
-/// lands (0 = no crash pending). `Torn` sets it to 2: the failpoint
-/// guarding the torn write passes, the one after it crashes.
-static CRASH_AFTER: AtomicU64 = AtomicU64::new(0);
+impl Scope {
+    fn from_spec(spec: &str) -> Scope {
+        let (armed, malformed) = parse_env(spec);
+        if !malformed.is_empty() {
+            lightdb_core::envknob::warn_malformed(
+                "LIGHTDB_FAULTS",
+                &malformed.join(";"),
+                "`site=spec` pairs of the fault grammar; those pairs arm nothing",
+            );
+        }
+        let scope = Scope::default();
+        scope.update(|reg| reg.armed.extend(armed));
+        scope
+    }
 
-/// True once a [`Fault::Crash`] or [`Fault::Torn`] fault has fired.
-pub fn crashed() -> bool {
-    CRASHED.load(Ordering::Relaxed)
-}
+    /// Runs `f` on the registry under its lock, then republishes the
+    /// fast-path hint.
+    fn update<T>(&self, f: impl FnOnce(&mut Registry) -> T) -> T {
+        let mut reg = self.registry.lock().unwrap_or_else(|e| e.into_inner());
+        let out = f(&mut reg);
+        self.armed.store(!reg.armed.is_empty(), Ordering::Relaxed);
+        out
+    }
 
-/// "Reboots" the simulated process: clears the crashed flag and any
-/// pending torn-write crash. [`reset_global`] calls this too.
-pub fn clear_crash() {
-    CRASHED.store(false, Ordering::Relaxed);
-    CRASH_AFTER.store(0, Ordering::Relaxed);
-}
+    fn arm(&self, site: &str, fault: Fault, remaining: Option<u64>, skip: u64) {
+        self.update(|reg| reg.armed.insert(site.to_string(), Armed { fault, remaining, skip }));
+    }
 
-/// Decrements the pending-crash countdown (if any); the hit that
-/// brings it to zero marks the process crashed.
-fn tick_crash_countdown() {
-    let mut cur = CRASH_AFTER.load(Ordering::Relaxed);
-    while cur > 0 {
-        match CRASH_AFTER.compare_exchange(cur, cur - 1, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => {
-                if cur == 1 {
-                    CRASHED.store(true, Ordering::Relaxed);
-                }
-                break;
-            }
-            Err(actual) => cur = actual,
+    /// Counts a hit and takes an armed fault of the requested flavour,
+    /// or `None` without locking when nothing is armed.
+    fn take(&self, site: &str, want_mangle: bool) -> Option<Fault> {
+        if !self.armed.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.update(|reg| reg.take_fault(site, want_mangle))
+    }
+
+    /// Decrements the pending-crash countdown (if any); the hit that
+    /// brings it to zero marks the scope crashed.
+    fn tick_crash_countdown(&self) {
+        let tick = |n: u64| n.checked_sub(1);
+        if self.crash_after.fetch_update(Ordering::Relaxed, Ordering::Relaxed, tick) == Ok(1) {
+            self.crashed.store(true, Ordering::Relaxed);
         }
     }
+}
+
+thread_local! {
+    /// The scope this thread's failpoints act on: installed by
+    /// [`inherit`], or created from `LIGHTDB_FAULTS` on first use.
+    static SCOPE: RefCell<Option<Arc<Scope>>> = const { RefCell::new(None) };
+}
+
+fn with_scope<T>(f: impl FnOnce(&Arc<Scope>) -> T) -> T {
+    SCOPE.with(|slot| {
+        f(slot.borrow_mut().get_or_insert_with(|| {
+            let spec = std::env::var("LIGHTDB_FAULTS").unwrap_or_default();
+            Arc::new(Scope::from_spec(&spec))
+        }))
+    })
+}
+
+/// Wraps the body of a thread about to be started so that it shares
+/// the calling thread's scope: `std::thread::spawn(faults::inherit(f))`.
+/// Faults armed in the scope reach the new thread, and its hits and
+/// crashes count in the scope.
+pub fn inherit<T>(f: impl FnOnce() -> T) -> impl FnOnce() -> T {
+    let scope = with_scope(Arc::clone);
+    move || {
+        SCOPE.with(|slot| *slot.borrow_mut() = Some(scope));
+        f()
+    }
+}
+
+/// True once a [`Fault::Crash`] or [`Fault::Torn`] fault has fired in
+/// this scope.
+pub fn crashed() -> bool {
+    with_scope(|s| s.crashed.load(Ordering::Relaxed))
+}
+
+/// "Reboots" the scope's simulated process: clears the crashed flag
+/// and any pending torn-write crash, leaving armed faults in place.
+pub fn clear_crash() {
+    with_scope(|s| {
+        s.crashed.store(false, Ordering::Relaxed);
+        s.crash_after.store(0, Ordering::Relaxed);
+    });
 }
 
 fn crash_error(site: &str) -> io::Error {
     io::Error::other(format!("simulated process crash (at {site})"))
 }
 
-/// Cheap "is the process-global registry possibly armed?" hint so the
-/// unarmed fast path stays a flag check and never takes the lock.
-static GLOBAL_ARMED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: Mutex<Option<Registry>> = Mutex::new(None);
-
-fn with_global<T>(f: impl FnOnce(&mut Registry) -> T) -> T {
-    let mut guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    let reg = guard.get_or_insert_with(Registry::default);
-    let out = f(reg);
-    GLOBAL_ARMED.store(reg.any_armed, Ordering::Relaxed);
-    out
-}
-
-fn parse_kind(s: &str) -> io::ErrorKind {
-    match s {
+fn parse_kind(s: &str) -> Option<io::ErrorKind> {
+    Some(match s {
         "notfound" => io::ErrorKind::NotFound,
         "denied" => io::ErrorKind::PermissionDenied,
         "interrupted" => io::ErrorKind::Interrupted,
         "wouldblock" => io::ErrorKind::WouldBlock,
         "timedout" => io::ErrorKind::TimedOut,
         "unexpectedeof" => io::ErrorKind::UnexpectedEof,
-        _ => io::ErrorKind::Other,
-    }
+        "other" => io::ErrorKind::Other,
+        _ => return None,
+    })
 }
 
-fn parse_env(spec: &str) -> Vec<(String, Armed)> {
-    let mut out = Vec::new();
+/// Splits a `LIGHTDB_FAULTS` spec into the sites it arms and the
+/// non-blank pairs that are malformed (returned as written).
+fn parse_env(spec: &str) -> (Vec<(String, Armed)>, Vec<&str>) {
+    let mut armed = Vec::new();
+    let mut malformed = Vec::new();
     for pair in spec.split(';').filter(|p| !p.trim().is_empty()) {
-        let Some((site, fspec)) = pair.split_once('=') else { continue };
-        let parts: Vec<&str> = fspec.split(':').collect();
-        let (fault, n) = match parts.as_slice() {
-            ["err", kind] => (Fault::Error(parse_kind(kind)), None),
-            ["err", kind, n] => (Fault::Error(parse_kind(kind)), n.parse().ok()),
-            ["transient", kind, n] => (Fault::Transient(parse_kind(kind)), n.parse().ok()),
-            ["enospc"] => (Fault::Enospc, None),
-            ["enospc", n] => (Fault::Enospc, n.parse().ok()),
-            ["trunc", keep] => {
-                (Fault::TruncateWrite { keep: keep.parse().unwrap_or(0) }, None)
-            }
-            ["trunc", keep, n] => {
-                (Fault::TruncateWrite { keep: keep.parse().unwrap_or(0) }, n.parse().ok())
-            }
-            ["flip", off] => (Fault::FlipByte { offset: off.parse().unwrap_or(0) }, None),
-            ["flip", off, n] => {
-                (Fault::FlipByte { offset: off.parse().unwrap_or(0) }, n.parse().ok())
-            }
-            ["delay", ms] => (Fault::Delay { ms: ms.parse().unwrap_or(0) }, None),
-            ["delay", ms, n] => {
-                (Fault::Delay { ms: ms.parse().unwrap_or(0) }, n.parse().ok())
-            }
-            ["drop"] => (Fault::Drop, None),
-            ["drop", n] => (Fault::Drop, n.parse().ok()),
-            ["partition"] => (Fault::Partition, None),
-            ["partition", n] => (Fault::Partition, n.parse().ok()),
-            // For crash-shaped faults, `n` selects *which* hit fires
-            // (1-based) — encoded below as a skip count.
-            ["crash"] => (Fault::Crash, Some(1)),
-            ["crash", n] => (Fault::Crash, Some(n.parse().unwrap_or(1))),
-            ["torn", keep] => (Fault::Torn { keep: keep.parse().unwrap_or(0) }, Some(1)),
-            ["torn", keep, n] => (
-                Fault::Torn { keep: keep.parse().unwrap_or(0) },
-                Some(n.parse().unwrap_or(1)),
-            ),
-            _ => continue,
-        };
-        let (remaining, skip) = match &fault {
-            Fault::Crash | Fault::Torn { .. } => {
-                (Some(1), n.unwrap_or(1u64).saturating_sub(1))
-            }
-            _ => (n, 0),
-        };
-        out.push((site.trim().to_string(), Armed { fault, remaining, skip }));
+        match parse_pair(pair) {
+            Some(a) => armed.push(a),
+            None => malformed.push(pair),
+        }
     }
-    out
+    (armed, malformed)
 }
 
-/// Arms `site` with `fault` on this thread for every future hit
-/// (until [`disarm`]).
+/// One `site=spec` pair, or `None` unless every part of it is
+/// well-formed.
+fn parse_pair(pair: &str) -> Option<(String, Armed)> {
+    let (site, spec) = pair.split_once('=')?;
+    let site = site.trim();
+    if site.is_empty() {
+        return None;
+    }
+    // Plain decimal digits only (`str::parse` would also take `+7`).
+    let int = |s: &str| -> Option<u64> {
+        s.bytes().all(|b| b.is_ascii_digit()).then(|| s.parse().ok()).flatten()
+    };
+    let size = |s: &str| int(s).and_then(|v| usize::try_from(v).ok());
+    let mut parts = spec.trim().split(':');
+    let head = parts.next()?;
+    let rest: Vec<&str> = parts.collect();
+    let takes_arg = matches!(head, "err" | "transient" | "trunc" | "flip" | "delay" | "torn");
+    let (arg, n) = match (takes_arg, rest.as_slice()) {
+        (true, [arg]) => (*arg, None),
+        (true, [arg, n]) => (*arg, Some(int(n).filter(|&n| n > 0)?)),
+        (false, []) => ("", None),
+        (false, [n]) => ("", Some(int(n).filter(|&n| n > 0)?)),
+        _ => return None,
+    };
+    let fault = match head {
+        "err" => Fault::Error(parse_kind(arg)?),
+        "transient" if n.is_some() => Fault::Transient(parse_kind(arg)?),
+        "enospc" => Fault::Enospc,
+        "trunc" => Fault::TruncateWrite { keep: size(arg)? },
+        "flip" => Fault::FlipByte { offset: size(arg)? },
+        "delay" => Fault::Delay { ms: int(arg)? },
+        "drop" => Fault::Drop,
+        "partition" => Fault::Partition,
+        "crash" => Fault::Crash,
+        "torn" => Fault::Torn { keep: size(arg)? },
+        _ => return None,
+    };
+    // For crash-shaped faults, `n` selects *which* hit fires
+    // (1-based) — encoded as a skip count.
+    let (remaining, skip) = match fault {
+        Fault::Crash | Fault::Torn { .. } => (Some(1), n.unwrap_or(1) - 1),
+        _ => (n, 0),
+    };
+    Some((site.to_string(), Armed { fault, remaining, skip }))
+}
+
+/// Arms `site` with `fault` in this scope for every future hit (until
+/// [`disarm`]).
 pub fn arm(site: &str, fault: Fault) {
-    REGISTRY.with(|r| {
-        let mut reg = r.borrow_mut();
-        reg.armed.insert(site.to_string(), Armed { fault, remaining: None, skip: 0 });
-        reg.any_armed = true;
-    });
+    with_scope(|s| s.arm(site, fault, None, 0));
 }
 
-/// Arms `site` on this thread to fire on the next `n` hits, then
-/// auto-disarm.
+/// Arms `site` in this scope to fire on the next `n` hits (across all
+/// of the scope's threads), then auto-disarm.
 pub fn arm_n(site: &str, fault: Fault, n: u64) {
-    REGISTRY.with(|r| {
-        let mut reg = r.borrow_mut();
-        reg.armed.insert(site.to_string(), Armed { fault, remaining: Some(n), skip: 0 });
-        reg.any_armed = true;
-    });
+    with_scope(|s| s.arm(site, fault, Some(n), 0));
 }
 
-/// Disarms one site on this thread.
+/// Arms `site` in this scope to fire exactly once, on the `nth` hit
+/// (1-based) of the matching flavour. The crash harness uses this to
+/// enumerate every distinct crash point a workload reaches.
+pub fn arm_at(site: &str, fault: Fault, nth: u64) {
+    with_scope(|s| s.arm(site, fault, Some(1), nth.saturating_sub(1)));
+}
+
+/// Disarms one site in this scope.
 pub fn disarm(site: &str) {
-    REGISTRY.with(|r| {
-        let mut reg = r.borrow_mut();
-        reg.armed.remove(site);
-        reg.any_armed = !reg.armed.is_empty();
-    });
+    with_scope(|s| s.update(|reg| reg.armed.remove(site)));
 }
 
-/// Disarms every site and clears hit counters on this thread.
+/// Disarms every site, clears the hit counters and clears any
+/// simulated-crash state ([`clear_crash`]) in this scope.
 pub fn reset() {
-    REGISTRY.with(|r| {
-        let mut reg = r.borrow_mut();
-        reg.armed.clear();
-        reg.hits.clear();
-        reg.any_armed = false;
-    });
+    clear_crash();
+    with_scope(|s| s.update(|reg| *reg = Registry::default()));
 }
 
-/// Number of times `site` was reached on this thread while any fault
+/// Number of times `site` was reached in this scope while any fault
 /// was armed.
 pub fn hits(site: &str) -> u64 {
-    REGISTRY.with(|r| r.borrow().hits.get(site).copied().unwrap_or(0))
+    with_scope(|s| s.update(|reg| reg.hits.get(site).copied().unwrap_or(0)))
 }
 
-/// Arms `site` with `fault` **process-wide** for every future hit
-/// (until [`reset_global`]). Only the chaos harness and tests that
-/// must reach worker threads should use this; callers serialise
-/// themselves.
-pub fn arm_global(site: &str, fault: Fault) {
-    with_global(|reg| {
-        reg.armed.insert(site.to_string(), Armed { fault, remaining: None, skip: 0 });
-        reg.any_armed = true;
-    });
-}
-
-/// Arms `site` process-wide to fire on the next `n` hits (across all
-/// threads combined), then auto-disarm.
-pub fn arm_global_n(site: &str, fault: Fault, n: u64) {
-    with_global(|reg| {
-        reg.armed.insert(site.to_string(), Armed { fault, remaining: Some(n), skip: 0 });
-        reg.any_armed = true;
-    });
-}
-
-/// Arms `site` process-wide to fire exactly once, on the `nth` hit
-/// (1-based) of the matching flavour across all threads. The crash
-/// harness uses this to enumerate every distinct crash point a
-/// workload reaches.
-pub fn arm_global_at(site: &str, fault: Fault, nth: u64) {
-    with_global(|reg| {
-        reg.armed.insert(
-            site.to_string(),
-            Armed { fault, remaining: Some(1), skip: nth.saturating_sub(1) },
-        );
-        reg.any_armed = true;
-    });
-}
-
-/// Disarms every global site, clears global hit counters, and clears
-/// any simulated-crash state ([`clear_crash`]).
-pub fn reset_global() {
-    clear_crash();
-    with_global(|reg| {
-        reg.armed.clear();
-        reg.hits.clear();
-        reg.any_armed = false;
-    });
-}
-
-/// Every site hit (by any thread) since the last [`reset_global`],
-/// with its hit count, sorted by name. Hits are only counted while
-/// the global registry has something armed — trace passes arm a
-/// never-hit dummy site to turn counting on.
-pub fn global_hit_sites() -> Vec<(String, u64)> {
-    let mut v = with_global(|reg| {
-        reg.hits.iter().map(|(k, n)| (k.clone(), *n)).collect::<Vec<_>>()
+/// Every site hit in this scope since the last [`reset`], with its hit
+/// count, sorted by name. Hits are only counted while something is
+/// armed — trace passes arm a never-hit dummy site to turn counting on.
+pub fn hit_sites() -> Vec<(String, u64)> {
+    let mut v = with_scope(|s| {
+        s.update(|reg| reg.hits.iter().map(|(k, n)| (k.clone(), *n)).collect::<Vec<_>>())
     });
     v.sort();
     v
-}
-
-/// Number of times `site` was reached (by any thread) while the
-/// global registry was armed.
-pub fn global_hits(site: &str) -> u64 {
-    if !GLOBAL_ARMED.load(Ordering::Relaxed) {
-        // The counter survives disarming until `reset_global`, so
-        // still read it — just without arming anything.
-        return GLOBAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map_or(0, |reg| reg.hits.get(site).copied().unwrap_or(0));
-    }
-    with_global(|reg| reg.hits.get(site).copied().unwrap_or(0))
-}
-
-fn take(site: &str, want_mangle: bool) -> Option<Fault> {
-    let local = if REGISTRY.with(|r| r.borrow().any_armed) {
-        REGISTRY.with(|r| r.borrow_mut().take_fault(site, want_mangle))
-    } else {
-        None
-    };
-    match local {
-        Some(f) => Some(f),
-        None if GLOBAL_ARMED.load(Ordering::Relaxed) => {
-            with_global(|reg| reg.take_fault(site, want_mangle))
-        }
-        None => None,
-    }
-}
-
-#[inline]
-fn nothing_armed() -> bool {
-    REGISTRY.with(|r| !r.borrow().any_armed) && !GLOBAL_ARMED.load(Ordering::Relaxed)
 }
 
 /// Error-kind failpoint: returns `Err` when an error fault is armed
@@ -509,55 +472,42 @@ fn nothing_armed() -> bool {
 /// the top of an I/O operation.
 #[inline]
 pub fn fail_point(site: &str) -> io::Result<()> {
-    tick_crash_countdown();
-    if CRASHED.load(Ordering::Relaxed) {
-        return Err(crash_error(site));
-    }
-    if nothing_armed() {
-        return Ok(());
-    }
-    match take(site, false) {
-        None => Ok(()),
-        Some(Fault::Error(kind)) => {
-            Err(io::Error::new(kind, format!("injected fault at {site}")))
+    let fault = with_scope(|s| {
+        s.tick_crash_countdown();
+        if s.crashed.load(Ordering::Relaxed) {
+            return Err(crash_error(site));
         }
-        Some(Fault::Transient(kind)) => {
-            Err(io::Error::new(kind, format!("injected transient fault at {site}")))
+        let fault = s.take(site, false);
+        if matches!(fault, Some(Fault::Crash)) {
+            s.crashed.store(true, Ordering::Relaxed);
         }
-        Some(Fault::Enospc) => Err(io::Error::other(format!(
-            "injected ENOSPC (no space left on device) at {site}"
-        ))),
+        Ok(fault)
+    })?;
+    let (kind, what) = match fault {
+        None
+        | Some(Fault::TruncateWrite { .. })
+        | Some(Fault::FlipByte { .. })
+        | Some(Fault::Torn { .. }) => return Ok(()),
         Some(Fault::Delay { ms }) => {
             // Sleep with no registry lock held.
             std::thread::sleep(std::time::Duration::from_millis(ms));
-            Ok(())
+            return Ok(());
         }
-        Some(Fault::Drop) => Err(io::Error::new(
-            io::ErrorKind::ConnectionReset,
-            format!("injected connection drop at {site}"),
-        )),
-        Some(Fault::Partition) => Err(io::Error::new(
-            io::ErrorKind::ConnectionRefused,
-            format!("injected network partition at {site}"),
-        )),
-        Some(Fault::Crash) => {
-            CRASHED.store(true, Ordering::Relaxed);
-            Err(crash_error(site))
-        }
-        Some(Fault::TruncateWrite { .. })
-        | Some(Fault::FlipByte { .. })
-        | Some(Fault::Torn { .. }) => Ok(()),
-    }
+        Some(Fault::Crash) => return Err(crash_error(site)),
+        Some(Fault::Error(kind)) => (kind, "fault"),
+        Some(Fault::Transient(kind)) => (kind, "transient fault"),
+        Some(Fault::Enospc) => (io::ErrorKind::Other, "ENOSPC (no space left on device)"),
+        Some(Fault::Drop) => (io::ErrorKind::ConnectionReset, "connection drop"),
+        Some(Fault::Partition) => (io::ErrorKind::ConnectionRefused, "network partition"),
+    };
+    Err(io::Error::new(kind, format!("injected {what} at {site}")))
 }
 
 /// Data-corruption failpoint: mutates `bytes` in place when a
 /// truncate/flip fault is armed at `site`. Call just before writing.
 #[inline]
 pub fn mangle(site: &str, bytes: &mut Vec<u8>) {
-    if nothing_armed() {
-        return;
-    }
-    match take(site, true) {
+    with_scope(|s| match s.take(site, true) {
         Some(Fault::TruncateWrite { keep }) => bytes.truncate(keep),
         Some(Fault::FlipByte { offset }) if !bytes.is_empty() => {
             let i = offset % bytes.len();
@@ -566,14 +516,14 @@ pub fn mangle(site: &str, bytes: &mut Vec<u8>) {
         Some(Fault::Torn { keep }) => {
             // Torn write, then crash: the truncated buffer is allowed
             // to land on disk (mangle sites precede the guarded write),
-            // and the process "dies" at the *second* failpoint it hits
+            // and the scope "dies" at the *second* failpoint it hits
             // after this one — the first is the failpoint guarding this
             // very write, which must pass for the torn bytes to land.
             bytes.truncate(keep);
-            CRASH_AFTER.store(2, Ordering::Relaxed);
+            s.crash_after.store(2, Ordering::Relaxed);
         }
         _ => {}
-    }
+    });
 }
 
 #[cfg(test)]
@@ -620,7 +570,7 @@ mod tests {
         let other = std::thread::spawn(|| fail_point("t.tl").is_ok())
             .join()
             .expect("thread panicked");
-        assert!(other, "faults armed via the API must not leak across threads");
+        assert!(other, "a thread started without `inherit` has a scope of its own");
         assert!(fail_point("t.tl").is_err(), "the arming thread still sees the fault");
         reset();
     }
@@ -660,48 +610,14 @@ mod tests {
         reset();
     }
 
-    /// Serialises the tests that touch the process-global registry.
-    static GLOBAL_TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn global_arming_reaches_other_threads() {
-        let _g = GLOBAL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset_global();
-        arm_global_n("t.global", Fault::Error(io::ErrorKind::Interrupted), 1);
-        let seen = std::thread::spawn(|| fail_point("t.global").is_err())
-            .join()
-            .expect("thread panicked");
-        assert!(seen, "global faults must fire on threads that never armed anything");
-        assert!(global_hits("t.global") >= 1);
-        // Exhausted after one hit; local thread sees nothing.
-        assert!(fail_point("t.global").is_ok());
-        reset_global();
-        assert!(fail_point("t.global").is_ok());
-    }
-
-    #[test]
-    fn local_arming_wins_over_global() {
-        let _g = GLOBAL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        reset_global();
-        arm_global("t.both", Fault::Error(io::ErrorKind::NotFound));
-        arm("t.both", Fault::Error(io::ErrorKind::PermissionDenied));
-        assert_eq!(
-            fail_point("t.both").unwrap_err().kind(),
-            io::ErrorKind::PermissionDenied,
-            "the thread-local registry is consulted first"
-        );
-        reset();
-        reset_global();
-    }
-
     #[test]
     fn env_spec_parses() {
-        let parsed = parse_env(
+        let (parsed, malformed) = parse_env(
             "a=err:notfound;b=transient:interrupted:2;c=enospc;d=trunc:7:1;e=flip:3;\
-             f=delay:25:2; ;bad",
+             f=delay:25:2; ;bad;g=err:other:1",
         );
-        assert_eq!(parsed.len(), 6);
+        assert_eq!(parsed.len(), 7);
+        assert_eq!(malformed, vec!["bad"]);
         assert!(matches!(parsed[5].1.fault, Fault::Delay { ms: 25 }));
         assert_eq!(parsed[5].1.remaining, Some(2));
         assert!(matches!(parsed[0].1.fault, Fault::Error(io::ErrorKind::NotFound)));
@@ -713,6 +629,8 @@ mod tests {
         assert!(matches!(parsed[2].1.fault, Fault::Enospc));
         assert!(matches!(parsed[3].1.fault, Fault::TruncateWrite { keep: 7 }));
         assert!(matches!(parsed[4].1.fault, Fault::FlipByte { offset: 3 }));
+        assert!(matches!(parsed[6].1.fault, Fault::Error(io::ErrorKind::Other)));
+        assert_eq!(parsed[6].1.remaining, Some(1));
     }
 
     #[test]
@@ -739,7 +657,7 @@ mod tests {
 
     #[test]
     fn env_spec_parses_drop_and_partition() {
-        let parsed = parse_env("a=drop;b=drop:2;c=partition;d=partition:1");
+        let (parsed, _) = parse_env("a=drop;b=drop:2;c=partition;d=partition:1");
         assert_eq!(parsed.len(), 4);
         assert!(matches!(parsed[0].1.fault, Fault::Drop));
         assert_eq!(parsed[0].1.remaining, None);
@@ -753,7 +671,7 @@ mod tests {
 
     #[test]
     fn env_spec_parses_crash_and_torn() {
-        let parsed = parse_env("a=crash;b=crash:3;c=torn:16;d=torn:9:2");
+        let (parsed, _) = parse_env("a=crash;b=crash:3;c=torn:16;d=torn:9:2");
         assert_eq!(parsed.len(), 4);
         assert!(matches!(parsed[0].1.fault, Fault::Crash));
         assert_eq!((parsed[0].1.remaining, parsed[0].1.skip), (Some(1), 0));
@@ -766,38 +684,65 @@ mod tests {
     }
 
     #[test]
-    fn arm_global_at_targets_the_nth_hit() {
-        let _g = GLOBAL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        reset_global();
-        // Fires on the 3rd hit only — earlier hits pass, later hits
-        // pass (the single charge is spent).
-        arm_global_at("t.nth", Fault::Error(io::ErrorKind::Other), 3);
-        assert!(fail_point("t.nth").is_ok());
-        assert!(fail_point("t.nth").is_ok());
-        assert!(fail_point("t.nth").is_err());
-        assert!(fail_point("t.nth").is_ok());
-        reset_global();
+    fn malformed_pairs_arm_nothing_and_are_reported() {
+        for bad in [
+            "a=err:notfound:x", "a=trunc:abc", "a=crash:abc", "a=err:bogus", "a=tranient:other:1",
+            "a=transient:other", "a=err:other:0", "a=crash:0", "a=flip:+3", "a=delay:-1",
+            "a=enospc:1:2", "a=err", "a=", "=err:other", "a", "a=drop:", "a=torn",
+            "a=trunc:99999999999999999999", "a=err:other:1:1",
+        ] {
+            let (armed, malformed) = parse_env(bad);
+            assert!(armed.is_empty(), "{bad:?} armed {:?}", armed);
+            assert_eq!(malformed, vec![bad]);
+        }
+        let scope = Scope::from_spec("t.ok=err:other:1;t.bad=err:bogus");
+        assert!(scope.take("t.ok", false).is_some() && scope.take("t.bad", false).is_none());
+        assert!(lightdb_core::envknob::malformed().iter().any(|k| k == "LIGHTDB_FAULTS"));
+    }
+
+    /// The grammar written out independently of the parser.
+    fn well_formed(pair: &str) -> bool {
+        let Some((site, spec)) = pair.split_once('=') else { return false };
+        let num = |s: &str| s.bytes().all(|b| b.is_ascii_digit()) && s.parse::<u64>().is_ok();
+        let count = |s: &str| num(s) && s.parse::<u64>() != Ok(0);
+        let kinds = ["notfound", "denied", "interrupted", "wouldblock", "timedout"];
+        let kind = |a: &str| a == "unexpectedeof" || a == "other" || kinds.contains(&a);
+        let arg = |h: &str, a: &str| match h {
+            "err" | "transient" => kind(a),
+            _ => ["trunc", "flip", "delay", "torn"].contains(&h) && num(a),
+        };
+        let bare = |h: &str| ["enospc", "drop", "partition", "crash"].contains(&h);
+        !site.trim().is_empty()
+            && match spec.trim().split(':').collect::<Vec<_>>()[..] {
+                [h] => bare(h),
+                [h, a] => bare(h) && count(a) || h != "transient" && arg(h, a),
+                [h, a, n] => arg(h, a) && count(n),
+                _ => false,
+            }
     }
 
     #[test]
-    fn global_hit_sites_reports_sorted_counts() {
-        let _g = GLOBAL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        reset_global();
-        // A never-hit armed dummy turns global hit counting on.
-        arm_global("t.trace.dummy", Fault::Delay { ms: 0 });
-        let _ = fail_point("t.sites.b");
-        let _ = fail_point("t.sites.a");
-        let _ = fail_point("t.sites.a");
-        let sites = global_hit_sites();
-        let a = sites.iter().find(|(s, _)| s == "t.sites.a").map(|(_, n)| *n);
-        let b = sites.iter().find(|(s, _)| s == "t.sites.b").map(|(_, n)| *n);
-        assert_eq!(a, Some(2));
-        assert_eq!(b, Some(1));
-        let mut sorted = sites.clone();
-        sorted.sort();
-        assert_eq!(sites, sorted, "global_hit_sites must come back sorted");
-        reset_global();
+    fn cut_and_flipped_specs_arm_exactly_their_well_formed_pairs() {
+        let spec = "media.read=transient:interrupted:2;w=err:other:1;m=trunc:7;x=crash:3;\
+                    y=delay:5;z=partition";
+        let check = |s: &str| {
+            let (armed, malformed) = parse_env(s);
+            let pairs: Vec<&str> = s.split(';').filter(|p| !p.trim().is_empty()).collect();
+            let good = pairs.iter().filter(|p| well_formed(p));
+            let want: Vec<&str> = good.map(|p| p.split('=').next().unwrap_or("").trim()).collect();
+            let sites: Vec<&str> = armed.iter().map(|(site, _)| site.as_str()).collect();
+            assert_eq!(sites, want, "{s:?}");
+            assert_eq!(armed.len() + malformed.len(), pairs.len(), "{s:?}");
+        };
+        for cut in 0..=spec.len() {
+            check(&spec[..cut]);
+        }
+        for bit in 0..spec.len() * 8 {
+            let mut bytes = spec.as_bytes().to_vec();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(s) = std::str::from_utf8(&bytes) {
+                check(s);
+            }
+        }
     }
 }

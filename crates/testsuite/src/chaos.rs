@@ -16,10 +16,10 @@
 //! and in every case the run terminates (no hangs), releases its
 //! admission reservation, and leaves no metrics span open.
 //!
-//! Faults are armed in the **process-global** registry
-//! ([`lightdb_storage::faults::arm_global_n`]) because executor
-//! failpoints fire on scatter worker threads; callers must serialize
-//! scenarios (run them from one test body) and disarm between runs.
+//! Faults are armed in the calling thread's fault scope
+//! ([`lightdb_storage::faults`]), which the executor's scatter workers
+//! inherit; threads a soak starts itself must be wrapped in
+//! `faults::inherit` to see them.
 
 use lightdb_exec::ReadPolicy;
 use lightdb_storage::faults::{self, sites, Fault};
@@ -69,7 +69,7 @@ pub const FAULT_SITES: &[&str] = &[
 #[derive(Debug, Clone)]
 pub struct Scenario {
     pub seed: u64,
-    /// `(site, fault, hits)` to arm globally, if any.
+    /// `(site, fault, hits)` to arm in the scope, if any.
     pub fault: Option<(&'static str, Fault, u64)>,
     /// Query deadline budget.
     pub deadline: Option<Duration>,
@@ -126,18 +126,18 @@ impl Scenario {
         Scenario { seed, fault, deadline, cancel_after, mem_estimate, read_policy, corrupt_source }
     }
 
-    /// Arms this scenario's fault in the process-global registry
+    /// Arms this scenario's fault in the calling thread's scope
     /// (clearing whatever a previous scenario left armed).
     pub fn arm(&self) {
-        faults::reset_global();
+        faults::reset();
         if let Some((site, fault, hits)) = &self.fault {
-            faults::arm_global_n(site, fault.clone(), *hits);
+            faults::arm_n(site, fault.clone(), *hits);
         }
     }
 
     /// Disarms everything this scenario armed.
     pub fn disarm() {
-        faults::reset_global();
+        faults::reset();
     }
 }
 

@@ -19,14 +19,14 @@
 //! coordinator and on every surviving worker (probed over the
 //! `Stats` RPC).
 //!
-//! Faults arm in the process-global registry because coordinator RPC
-//! threads and worker serve threads are all spawned threads; the
+//! Faults arm in the soak thread's fault scope, which the coordinator's
+//! RPC threads and the in-process workers' serve threads inherit; the
 //! per-link site labels (`cluster.rpc.send.w0`, …) keep the blast
 //! radius targeted. Worker kills are **not** modelled with
-//! [`Fault::Crash`] — that registry flag is process-wide and would
-//! poison the in-process coordinator — but by the harness calling
-//! `WorkerHandle::kill()`, which severs the worker's sockets the way
-//! a process death would.
+//! [`Fault::Crash`] — the crash flag belongs to the whole scope and
+//! would stop the in-process coordinator too — but by the harness
+//! calling `WorkerHandle::kill()`, which severs the worker's sockets
+//! the way a process death would.
 
 use crate::chaos::Rng;
 use lightdb_exec::ReadPolicy;
@@ -49,7 +49,7 @@ pub const LINK_SITES: &[&str] = &[
 #[derive(Debug, Clone)]
 pub struct ClusterScenario {
     pub seed: u64,
-    /// `(site, fault, hits)` to arm globally, if any. The site is
+    /// `(site, fault, hits)` to arm in the scope, if any. The site is
     /// fully labelled (`cluster.rpc.send.w1`).
     pub fault: Option<(String, Fault, u64)>,
     /// Kill this in-process worker after `kill_after`, if set.

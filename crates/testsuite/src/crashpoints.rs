@@ -281,17 +281,17 @@ fn fresh_root(tag: &str) -> PathBuf {
     d
 }
 
-/// Trace pass: runs the workload once, fault-free but with global
-/// hit-counting enabled, and returns every `(site, hits)` it reached.
+/// Trace pass: runs the workload once, fault-free but with hit
+/// counting enabled, and returns every `(site, hits)` it reached.
 pub fn trace_sites(seed: u64) -> Vec<(String, u64)> {
-    faults::reset_global();
+    faults::reset();
     // Hit counters only tick while something is armed; a dummy site
     // the storage layer never names turns counting on without firing.
-    faults::arm_global_at("crashpoints.trace.dummy", Fault::Crash, u64::MAX);
+    faults::arm_at("crashpoints.trace.dummy", Fault::Crash, u64::MAX);
     let root = fresh_root("trace");
     let outcome = run_workload(&root, seed);
-    let sites = faults::global_hit_sites();
-    faults::reset_global();
+    let sites = faults::hit_sites();
+    faults::reset();
     assert!(outcome.inflight.is_none(), "trace pass must run fault-free: {outcome:?}");
     let _ = fs::remove_dir_all(&root);
     sites.into_iter().filter(|(s, _)| !s.starts_with("crashpoints.")).collect()
@@ -307,7 +307,7 @@ pub fn run_all_crash_points(seed: u64) -> CrashReport {
         for nth in 1..=*count {
             let label = format!("{site}#{nth}");
             let root = fresh_root("pt");
-            faults::reset_global();
+            faults::reset();
             // Byte-mangling sites cannot "crash" (they only rewrite a
             // buffer) — there a torn write lands and the crash fires
             // at the next guarded operation, modelling a torn sector
@@ -317,9 +317,9 @@ pub fn run_all_crash_points(seed: u64) -> CrashReport {
             } else {
                 Fault::Crash
             };
-            faults::arm_global_at(site, fault, nth);
+            faults::arm_at(site, fault, nth);
             let outcome = run_workload(&root, seed);
-            faults::reset_global(); // also clears the crashed flag
+            faults::reset(); // also clears the crashed flag
             verify_contract(&root, &outcome, &label);
             points += 1;
             let _ = fs::remove_dir_all(&root);

@@ -132,17 +132,13 @@ fn template() -> LogicalPlan {
 }
 
 /// One disposable cluster: per-worker data dirs (ingested once),
-/// fresh in-process workers, and a coordinator over them.
+/// fresh in-process workers, and a coordinator over them. The workers
+/// and the coordinator's threads share the spawning test's fault
+/// scope, so a test's armed RPC faults never meet another test's RPCs.
 struct Cluster {
     handles: Vec<Arc<Mutex<worker::WorkerHandle>>>,
     coord: Coordinator,
-    /// Held for the cluster's life (dropped last): the fault registry
-    /// is process-global and this binary's tests run side by side, so
-    /// one test's armed RPC faults must never meet another's RPCs.
-    _alone: std::sync::MutexGuard<'static, ()>,
 }
-
-static ONE_CLUSTER_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn fast_config() -> CoordinatorConfig {
     CoordinatorConfig {
@@ -153,7 +149,6 @@ fn fast_config() -> CoordinatorConfig {
 }
 
 fn spawn_cluster(worker_dirs: &[PathBuf], fragments: Vec<Fragment>) -> Cluster {
-    let alone = ONE_CLUSTER_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut handles = Vec::with_capacity(worker_dirs.len());
     let mut addrs = Vec::with_capacity(worker_dirs.len());
     for dir in worker_dirs {
@@ -162,7 +157,7 @@ fn spawn_cluster(worker_dirs: &[PathBuf], fragments: Vec<Fragment>) -> Cluster {
         handles.push(Arc::new(Mutex::new(handle)));
     }
     let coord = Coordinator::new(addrs, fragments, fast_config());
-    Cluster { handles, coord, _alone: alone }
+    Cluster { handles, coord }
 }
 
 impl Cluster {
@@ -314,9 +309,9 @@ fn mid_query_cancel_interrupts_the_rpc_wait() {
     let (dirs, fragments, _baseline) = ingest(&root, 2);
     let cluster = spawn_cluster(&dirs, fragments);
     // Slow every worker down well past the canceller's fuse.
-    faults::reset_global();
+    faults::reset();
     for w in 0..WORKERS {
-        faults::arm_global_n(
+        faults::arm_n(
             &format!("{}.w{w}", sites::CLUSTER_SEND),
             Fault::Delay { ms: 150 },
             100,
@@ -332,7 +327,7 @@ fn mid_query_cancel_interrupts_the_rpc_wait() {
         .coord
         .execute(&template(), ReadPolicy::Fail, &ctx)
         .expect_err("cancel must win against delayed RPCs");
-    faults::reset_global();
+    faults::reset();
     canceller.join().expect("canceller");
     assert_eq!(err.classify(), ErrorClass::Cancelled, "{err}");
     let _ = std::fs::remove_dir_all(&root);
@@ -358,8 +353,8 @@ fn transient_link_faults_are_retried_with_backoff_and_recovered() {
     let root = temp_root("transient");
     let (dirs, fragments, baseline) = ingest(&root, 2);
     let cluster = spawn_cluster(&dirs, fragments);
-    faults::reset_global();
-    faults::arm_global_n(
+    faults::reset();
+    faults::arm_n(
         &format!("{}.w0", sites::CLUSTER_CONNECT),
         Fault::Transient(std::io::ErrorKind::Interrupted),
         2,
@@ -368,7 +363,7 @@ fn transient_link_faults_are_retried_with_backoff_and_recovered() {
         .coord
         .execute(&template(), ReadPolicy::Fail, &QueryCtx::unbounded())
         .expect("transient connect faults must be retried through");
-    faults::reset_global();
+    faults::reset();
     assert_eq!(encoded_bytes(out), baseline);
     assert!(
         cluster.coord.metrics().counter(counters::CLUSTER_RPC_RETRIES) > 0,
@@ -382,9 +377,9 @@ fn partitioned_worker_fails_over_byte_identically() {
     let root = temp_root("partition");
     let (dirs, fragments, baseline) = ingest(&root, 2);
     let cluster = spawn_cluster(&dirs, fragments);
-    faults::reset_global();
+    faults::reset();
     // Every connect to w1 is refused for the whole run.
-    faults::arm_global_n(
+    faults::arm_n(
         &format!("{}.w1", sites::CLUSTER_CONNECT),
         Fault::Partition,
         1_000,
@@ -393,7 +388,7 @@ fn partitioned_worker_fails_over_byte_identically() {
         .coord
         .execute(&template(), ReadPolicy::Fail, &QueryCtx::unbounded())
         .expect("partitioned worker must fail over to replicas");
-    faults::reset_global();
+    faults::reset();
     assert_eq!(encoded_bytes(out), baseline);
     assert!(cluster.coord.metrics().counter(counters::CLUSTER_FAILOVERS) > 0);
     let _ = std::fs::remove_dir_all(&root);
@@ -421,9 +416,9 @@ fn seeded_cluster_soak_holds_tri_state_and_leaks_nothing() {
     for seed in 0..seeds() {
         let sc = ClusterScenario::from_seed(seed, WORKERS);
         let cluster = spawn_cluster(&dirs, fragments.clone());
-        faults::reset_global();
+        faults::reset();
         if let Some((site, fault, hits)) = &sc.fault {
-            faults::arm_global_n(site, fault.clone(), *hits);
+            faults::arm_n(site, fault.clone(), *hits);
         }
         let killer = sc.kill_worker.map(|victim| {
             let handle = cluster.handles[victim].clone();
@@ -450,7 +445,7 @@ fn seeded_cluster_soak_holds_tri_state_and_leaks_nothing() {
         let skipped0 = count(counters::SKIPPED_GOPS);
         let degraded0 = count(counters::DEGRADED_GOPS);
         let result = cluster.coord.execute(&template(), sc.read_policy, &ctx);
-        faults::reset_global();
+        faults::reset();
         if let Some(handle) = killer {
             handle.join().expect("killer thread");
         }

@@ -6,9 +6,9 @@
 //! visible and readable, unacked ones all-or-nothing, recovery
 //! idempotent, no debris.
 //!
-//! The simulated crash poisons process-global state, so the whole
-//! sweep runs inside a single `#[test]` (its own binary) instead of
-//! one test per site.
+//! The simulated crash stops the test thread's fault scope until the
+//! next run resets it, so the points of a sweep run one after another
+//! inside a single `#[test]` instead of one test per site.
 
 use lightdb_testsuite::crashpoints;
 

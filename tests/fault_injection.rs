@@ -2,9 +2,12 @@
 //! through the `STORE` publish protocol, checksum-detected
 //! corruption under both read policies, and retrying reads.
 //!
-//! Faults armed through `lightdb_storage::faults` are thread-local,
-//! so every test arms and executes on its own test thread without
-//! interfering with the others.
+//! Faults armed through `lightdb_storage::faults` live in the test
+//! thread's fault scope, which the engine's worker threads inherit, so
+//! every test arms and executes on its own thread without interfering
+//! with the others. The last three tests pin that scoping down: a
+//! fault reaches the scatter workers, a crash stops only its own
+//! scope, and an env-armed `n` counts across the scope.
 
 use lightdb::prelude::*;
 use lightdb_codec::{Encoder, EncoderConfig, VideoStream};
@@ -246,4 +249,97 @@ fn torn_media_write_is_caught_on_first_scan() {
     });
     assert!(damaged, "a torn media write must be detected on read");
     let _ = fs::remove_dir_all(&root);
+}
+
+/// 16 frames of 32×32 video in 8 two-frame GOPs, stored as `vid`.
+fn eight_gops(tag: &str) -> LightDb {
+    let db = LightDb::open(temp_root(tag)).unwrap();
+    let frames: Vec<Frame> =
+        (0..16).map(|i| Frame::filled(32, 32, Yuv::new((i * 15) as u8, 100, 160))).collect();
+    let cfg = lightdb::ingest::IngestConfig { fps: 2, gop_length: 2, ..Default::default() };
+    lightdb::ingest::store_frames(&db, "vid", &frames, &cfg).unwrap();
+    db
+}
+
+fn drop_db(db: LightDb) {
+    let root = db.catalog().root().to_path_buf();
+    drop(db);
+    let _ = fs::remove_dir_all(root);
+}
+
+/// Two batches of four GOP decodes, every one on a scatter worker.
+fn two_thread_decode(db: &LightDb) -> Result<QueryOutput, lightdb::Error> {
+    let mut session = db.session();
+    session.set_parallelism(Parallelism::new(2));
+    session.execute(&(scan("vid") >> Map::builtin(BuiltinMap::Grayscale)))
+}
+
+/// A fault armed with plain `arm` on the test thread reaches the
+/// executor's scatter workers, which decode every GOP here.
+#[test]
+fn a_fault_armed_on_the_test_thread_reaches_the_scatter_workers() {
+    let db = eight_gops("scatter-reach");
+    faults::reset();
+    faults::arm(sites::EXEC_DECODE_GOP, Fault::Error(std::io::ErrorKind::Other));
+    let result = two_thread_decode(&db);
+    faults::reset();
+    let err = result.expect_err("the armed decode fault must surface");
+    assert!(err.to_string().contains("injected fault at exec.decode.gop"), "{err}");
+    assert_eq!(two_thread_decode(&db).unwrap().frame_count(), 16);
+    drop_db(db);
+}
+
+/// A simulated crash stops the scope it fired in and nothing else: an
+/// engine on a thread that does not inherit that scope keeps storing
+/// and scanning, while the crashed engine fails until `reset`.
+#[test]
+fn a_crash_stops_its_own_scope_and_no_other_engine() {
+    let crashed = eight_gops("crash-scope-a");
+    let mut serial = crashed.session();
+    serial.set_parallelism(Parallelism::SERIAL);
+    faults::reset();
+    faults::arm_n(sites::MEDIA_READ, Fault::Crash, 1);
+    assert!(serial.execute(&scan("vid")).is_err(), "the armed crash must fire");
+    assert!(faults::crashed());
+    let bystander = std::thread::spawn(|| {
+        let db = eight_gops("crash-scope-b");
+        let frames = two_thread_decode(&db).map(|out| out.frame_count());
+        drop_db(db);
+        frames
+    });
+    let frames = bystander.join().expect("bystander thread");
+    assert_eq!(frames.expect("an engine outside the crashed scope keeps serving"), 16);
+    assert!(serial.execute(&scan("vid")).is_err(), "the crashed scope stays down");
+    faults::reset();
+    assert_eq!(serial.execute(&scan("vid")).unwrap().frame_count(), 16);
+    drop(serial);
+    drop_db(crashed);
+}
+
+/// `LIGHTDB_FAULTS` is read once per scope, so `n` counts across the
+/// scatter workers: the test re-runs itself in a child process with a
+/// one-shot decode fault, where the first 2-thread scan fails and an
+/// identical second scan succeeds.
+#[test]
+fn env_armed_faults_fire_n_times_per_scope() {
+    const SPEC: &str = "exec.decode.gop=err:other:1";
+    const NAME: &str = "env_armed_faults_fire_n_times_per_scope";
+    if std::env::var("LIGHTDB_FAULTS").as_deref() == Ok(SPEC) {
+        let db = eight_gops("env-scope");
+        let first = two_thread_decode(&db);
+        let second = two_thread_decode(&db);
+        drop_db(db);
+        assert!(first.is_err(), "the env-armed fault must fire once");
+        assert_eq!(second.expect("the one charge is spent").frame_count(), 16);
+        return;
+    }
+    let exe = std::env::current_exe().unwrap();
+    let out = std::process::Command::new(exe)
+        .args([NAME, "--exact", "--test-threads=1"])
+        .env("LIGHTDB_FAULTS", SPEC)
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "child failed:\n{text}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(text.contains("1 passed"), "the child ran no test:\n{text}");
 }

@@ -16,6 +16,7 @@ use lightdb::core::Quality;
 use lightdb::exec::metrics::counters as names;
 use lightdb::ingest::{store_stream, IngestConfig};
 use lightdb::prelude::*;
+use lightdb::storage::faults;
 use lightdb_apps::fleet::{generate_trace, install_tiled_pair, run_fleet, FleetConfig, TraceKind};
 use lightdb_testsuite::chaos::Scenario;
 use lightdb_testsuite::tiled_stream;
@@ -444,7 +445,9 @@ fn fleet_serving_chaos_soak() {
             for viewer in 0..VIEWERS {
                 let barrier = barrier.clone();
                 let server = &server;
-                s.spawn(move || {
+                // Viewers share the soak's fault scope, as a server's
+                // request threads would.
+                s.spawn(faults::inherit(move || {
                     let tile = (seed as usize + viewer as usize) % GRID.tile_count();
                     let o = Orientation::tile_center(tile, GRID);
                     barrier.wait();
@@ -463,7 +466,7 @@ fn fleet_serving_chaos_soak() {
                             other => panic!("seed {seed}: unclassifiable error family: {other}"),
                         },
                     }
-                });
+                }));
             }
         });
         Scenario::disarm();

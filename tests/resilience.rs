@@ -2,9 +2,8 @@
 //! deadline expiry, admission control backpressure, degraded reads,
 //! and metrics accounting under aborts.
 //!
-//! Several tests arm **process-global** failpoints (executor sites
-//! fire on scatter worker threads, which thread-local faults cannot
-//! reach), so those tests serialize on [`GLOBAL_FAULTS`].
+//! Faults armed on a test's thread reach the executor's scatter
+//! workers (they inherit its fault scope) and no other test.
 
 use lightdb::prelude::*;
 use lightdb_core::ErrorClass;
@@ -15,13 +14,6 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Serializes tests that arm the process-global fault registry.
-static GLOBAL_FAULTS: Mutex<()> = Mutex::new(());
-
-fn lock_faults() -> std::sync::MutexGuard<'static, ()> {
-    GLOBAL_FAULTS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn temp_root(tag: &str) -> PathBuf {
     let root =
@@ -72,10 +64,9 @@ fn decoding_query() -> VrqlExpr {
 /// sooner than it could have finished.
 #[test]
 fn cancel_mid_query_returns_promptly_with_cancelled() {
-    let _guard = lock_faults();
     let db = seeded_db("cancel");
-    faults::reset_global();
-    faults::arm_global(sites::EXEC_DECODE_GOP, Fault::Delay { ms: 150 });
+    faults::reset();
+    faults::arm(sites::EXEC_DECODE_GOP, Fault::Delay { ms: 150 });
     let ctx = QueryCtx::unbounded();
     let token = ctx.cancel_token();
     let cancelled_at: std::sync::Arc<Mutex<Option<Instant>>> =
@@ -89,7 +80,7 @@ fn cancel_mid_query_returns_promptly_with_cancelled() {
     let result = db.execute_with_ctx(&decoding_query(), ctx);
     let returned_at = Instant::now();
     canceller.join().unwrap();
-    faults::reset_global();
+    faults::reset();
     let err = exec_err(result.unwrap_err());
     assert!(matches!(err, ExecError::Cancelled), "{err}");
     let cancel_instant = cancelled_at.lock().unwrap().expect("canceller ran");
@@ -107,17 +98,16 @@ fn cancel_mid_query_returns_promptly_with_cancelled() {
 /// admission reservation is released on the way out.
 #[test]
 fn deadline_expiry_releases_admission() {
-    let _guard = lock_faults();
     let db = seeded_db("deadline");
-    faults::reset_global();
+    faults::reset();
     // Every decode stalls 150 ms, so the query cannot finish inside a
     // 60 ms budget at any parallelism.
-    faults::arm_global(sites::EXEC_DECODE_GOP, Fault::Delay { ms: 150 });
+    faults::arm(sites::EXEC_DECODE_GOP, Fault::Delay { ms: 150 });
     let ctx = QueryCtx::unbounded()
         .with_deadline(Duration::from_millis(60))
         .with_mem_estimate(1 << 20);
     let err = exec_err(db.execute_with_ctx(&decoding_query(), ctx).unwrap_err());
-    faults::reset_global();
+    faults::reset();
     assert!(matches!(err, ExecError::DeadlineExceeded), "{err}");
     assert_eq!(err.classify(), ErrorClass::DeadlineExceeded);
     assert_eq!(db.pool().admitted(), 0, "deadline abort leaked its admission");
@@ -207,17 +197,16 @@ fn degrade_policy_preserves_output_shape_over_corruption() {
 /// `open_spans` leak, so wall/busy stay meaningful across failures.
 #[test]
 fn aborted_queries_leave_no_open_metrics_spans() {
-    let _guard = lock_faults();
     let db = seeded_db("spans");
     let mut session = db.session();
     // The reassembly failpoint only exists on the scatter path; force
     // it even on a single-core machine.
     session.set_parallelism(Parallelism::new(2));
     for site in [sites::EXEC_DECODE_GOP, sites::EXEC_CHUNK_MAP, sites::EXEC_REASSEMBLE] {
-        faults::reset_global();
-        faults::arm_global(site, Fault::Error(std::io::ErrorKind::Other));
+        faults::reset();
+        faults::arm(site, Fault::Error(std::io::ErrorKind::Other));
         let result = session.execute(&decoding_query());
-        faults::reset_global();
+        faults::reset();
         assert!(result.is_err(), "fault at {site} must surface");
         assert_eq!(session.metrics().open_spans(), 0, "span leaked after abort at {site}");
         assert_eq!(db.pool().admitted(), 0);

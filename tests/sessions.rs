@@ -9,20 +9,12 @@
 //! `LIGHTDB_CHAOS_SEEDS` for the soak round count.
 
 use lightdb::prelude::*;
+use lightdb::storage::faults;
 use lightdb_exec::metrics::counters;
 use lightdb_testsuite::chaos::Scenario;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
-
-/// The chaos soak arms faults in the process-global registry, where
-/// every other test's queries would trip over them: the soak holds
-/// this exclusively, every other test shares it.
-static GLOBAL_FAULTS: std::sync::RwLock<()> = std::sync::RwLock::new(());
-
-fn no_global_faults() -> std::sync::RwLockReadGuard<'static, ()> {
-    GLOBAL_FAULTS.read().unwrap_or_else(|e| e.into_inner())
-}
 
 fn temp_root(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("lightdb-sess-{tag}-{}", std::process::id()));
@@ -55,7 +47,6 @@ fn seed_tlf(db: &LightDb, name: &str, gops: usize, gop_length: usize) {
 /// defaults later sessions start from.
 #[test]
 fn session_knobs_do_not_leak_across_sessions() {
-    let _quiet = no_global_faults();
     let root = temp_root("knobs");
     let db = LightDb::open(&root).unwrap();
     let default_threads = db.session().config().parallelism.threads();
@@ -84,7 +75,6 @@ fn session_knobs_do_not_leak_across_sessions() {
 /// byte-identical to a serial reference run.
 #[test]
 fn concurrent_divergent_sessions_match_serial_reference() {
-    let _quiet = no_global_faults();
     let root = temp_root("divergent");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 4, 4);
@@ -134,7 +124,6 @@ fn concurrent_divergent_sessions_match_serial_reference() {
 /// counter-verified on the session's metrics.
 #[test]
 fn repeat_statements_hit_the_plan_cache() {
-    let _quiet = no_global_faults();
     let root = temp_root("plancache");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -164,7 +153,6 @@ fn repeat_statements_hit_the_plan_cache() {
 /// handle's `explain` plans at the defaults.
 #[test]
 fn session_explain_uses_the_sessions_options() {
-    let _quiet = no_global_faults();
     let root = temp_root("explain");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -184,7 +172,6 @@ fn session_explain_uses_the_sessions_options() {
 /// of serving stale plans.
 #[test]
 fn plan_cache_is_shared_and_version_safe() {
-    let _quiet = no_global_faults();
     let root = temp_root("cachever");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -240,7 +227,6 @@ fn plan_cache_is_shared_and_version_safe() {
 /// options still gets an entry of its own.
 #[test]
 fn concurrent_identical_statements_plan_once() {
-    let _quiet = no_global_faults();
     let root = temp_root("planonce");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -279,7 +265,6 @@ fn concurrent_identical_statements_plan_once() {
 /// the old frame rate) is never served for it.
 #[test]
 fn plan_cache_is_safe_across_drop_and_recreate() {
-    let _quiet = no_global_faults();
     let root = temp_root("planredrop");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -304,7 +289,6 @@ fn plan_cache_is_safe_across_drop_and_recreate() {
 /// summed across sessions equal the GOP count, everything else is hits.
 #[test]
 fn shared_scans_decode_each_gop_exactly_once() {
-    let _quiet = no_global_faults();
     let root = temp_root("sharedscan");
     let db = LightDb::open(&root).unwrap();
     const GOPS: usize = 6;
@@ -373,7 +357,6 @@ fn seed_tiled_tlf(db: &LightDb, name: &str, gops: usize, gop_length: usize) {
 /// reports it in the same `decode.*` counters.
 #[test]
 fn tiled_scans_report_the_same_decode_work_on_every_device() {
-    let _quiet = no_global_faults();
     let q = scan("vid") >> Map::builtin(BuiltinMap::Grayscale);
     let run = |tag: &str, use_gpu: bool| {
         let root = temp_root(tag);
@@ -404,7 +387,6 @@ fn tiled_scans_report_the_same_decode_work_on_every_device() {
 /// device.
 #[test]
 fn gpu_and_cpu_placed_scans_share_each_decode() {
-    let _quiet = no_global_faults();
     let root = temp_root("sharedplacement");
     let db = LightDb::open(&root).unwrap();
     const GOPS: usize = 3;
@@ -433,7 +415,6 @@ fn gpu_and_cpu_placed_scans_share_each_decode() {
 /// working sets pass through admission, and admissions release fully.
 #[test]
 fn session_budget_applies_and_admissions_release() {
-    let _quiet = no_global_faults();
     let root = temp_root("budget");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -475,7 +456,6 @@ fn session_budget_applies_and_admissions_release() {
 /// nothing may leak.
 #[test]
 fn concurrent_session_chaos_soak() {
-    let _exclusive = GLOBAL_FAULTS.write().unwrap_or_else(|e| e.into_inner());
     let root = temp_root("soak");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 8, 2);
@@ -495,7 +475,7 @@ fn concurrent_session_chaos_soak() {
                 let barrier = barrier.clone();
                 let q = q.clone();
                 let sc = &sc;
-                s.spawn(move || {
+                s.spawn(faults::inherit(move || {
                     let mut ctx = QueryCtx::unbounded();
                     if let Some(budget) = sc.deadline {
                         ctx = ctx.with_deadline(budget);
@@ -534,7 +514,7 @@ fn concurrent_session_chaos_soak() {
                             }
                         }
                     }
-                });
+                }));
             }
         });
         Scenario::disarm();
