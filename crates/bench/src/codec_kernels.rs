@@ -9,6 +9,7 @@
 //! * entropy coding: Exp-Golomb encode/decode, Mbit/s;
 //! * transform: 8×8 forward/inverse DCT, blocks/s;
 //! * motion estimation: 16×16 SAD, macroblocks/s;
+//! * mode decision's block sum and intra cost, macroblocks/s;
 //! * end-to-end: whole-stream encode and decode, frames/s;
 //! * the encoder's exact shortcuts against the block and search paths
 //!   they replaced (`lightdb-codec`'s test oracle, included below):
@@ -353,6 +354,55 @@ fn sad(target: f64, dim: usize) {
         );
         print_row(label, fast / 1e3, refr / 1e3);
     }
+}
+
+/// The other two block kernels of mode decision: the block sum every
+/// inter macroblock's search starts from, then the intra cost (SAD
+/// against the block's mean), at positions on and off the macroblock
+/// grid.
+fn block_sum_intra(target: f64, dim: usize) {
+    let mut rng = Rng(0xb10c_5a11);
+    let plane: Vec<u8> = (0..dim * dim).map(|_| (rng.next() % 256) as u8).collect();
+    let positions: Vec<(usize, usize)> = (0..dim - 16)
+        .step_by(3)
+        .flat_map(|y| (0..dim - 16).step_by(5).map(move |x| (x, y)))
+        .collect();
+
+    for &(x, y) in &positions {
+        let sum = predict::mb_sum(&plane, dim, x, y);
+        assert_eq!(
+            sum,
+            kernels::predict::mb_sum(&plane, dim, x, y),
+            "fast and reference block sums diverge"
+        );
+        assert_eq!(
+            predict::intra_cost_estimate(&plane, dim, x, y, sum),
+            kernels::predict::intra_cost_estimate(&plane, dim, x, y, sum),
+            "fast and reference intra costs diverge"
+        );
+    }
+
+    let units = positions.len() as u64;
+    let (fast, refr) = rate2(
+        target,
+        || {
+            for &(x, y) in &positions {
+                let sum = predict::mb_sum(black_box(&plane), dim, x, y);
+                black_box(predict::intra_cost_estimate(&plane, dim, x, y, sum));
+            }
+            units
+        },
+        || {
+            for &(x, y) in &positions {
+                let sum = kernels::predict::mb_sum(black_box(&plane), dim, x, y);
+                black_box(kernels::predict::intra_cost_estimate(
+                    &plane, dim, x, y, sum,
+                ));
+            }
+            units
+        },
+    );
+    print_row("block sum + intra cost (kMB/s)", fast / 1e3, refr / 1e3);
 }
 
 /// Quantiser throughput on two populations: the transform
@@ -939,6 +989,7 @@ pub fn print(smoke: bool) {
     entropy(target, if smoke { 1 << 12 } else { 1 << 16 });
     dct(target, if smoke { 64 } else { 512 });
     sad(target, if smoke { 64 } else { 192 });
+    block_sum_intra(target, if smoke { 64 } else { 192 });
     if smoke {
         end_to_end(0.0, 64, 32, 4);
     } else {

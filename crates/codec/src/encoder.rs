@@ -20,7 +20,8 @@ use crate::bitio::BitWriter;
 use crate::golomb::{write_se, write_ue};
 use crate::gop::{EncodedFrame, EncodedGop, FrameType};
 use crate::predict::{
-    dc_predictor, extract_block, mb_sum, motion_search, store_block, BlockSums, MotionVector,
+    dc_predictor, extract_block, intra_cost_estimate, mb_sum, motion_search, store_block,
+    BlockSums, MotionVector,
 };
 use crate::quant::{dequantize, quantize, zero_block_sad_bound, QP_MAX};
 use crate::scratch::{EncoderScratch, EncoderWork};
@@ -387,20 +388,6 @@ fn encode_tile_opts_into(
 enum MbMode {
     Intra,
     Inter(MotionVector),
-}
-
-/// SAD of the luma macroblock against its own mean; `sum` is its
-/// [`mb_sum`], which the motion search needed first.
-fn intra_cost_estimate(plane: &[u8], w: usize, mbx: usize, mby: usize, sum: u32) -> u32 {
-    let mean = (sum / (MB_SIZE * MB_SIZE) as u32) as i32;
-    let mut sad = 0u32;
-    for row in 0..MB_SIZE {
-        let base = (mby + row) * w + mbx;
-        for col in 0..MB_SIZE {
-            sad += (plane[base + col] as i32 - mean).unsigned_abs();
-        }
-    }
-    sad
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -112,61 +112,34 @@ pub fn dc_predictor(recon: &[u8], stride: usize, rect: &TileRect, x: usize, y: u
     ((sum + count / 2) / count) as i32
 }
 
-/// Per-u16-lane `max(x−y, 0)` over four byte values spread into the
-/// even or odd lanes of a `u64`. `t = x + 256 − y` per lane cannot
-/// borrow across lanes; its bit 8 records `x ≥ y` and selects the low
-/// byte (`x − y`) or zero.
-#[inline]
-fn swar_pos_diff(x: u64, y: u64) -> u64 {
-    const LANE_ONE: u64 = 0x0001_0001_0001_0001;
-    let t = x + (LANE_ONE << 8) - y;
-    let m = (t >> 8) & LANE_ONE;
-    t & ((m << 8) - m)
-}
+/// Rows between [`sad_mb`]'s early-exit checks. Of 1, 2, 4, 8 and 16,
+/// eight measured fastest on tile-GOP encodes at search range 16 and
+/// within 3 % of sixteen at range 4 (EXPERIMENTS.md, "Motion search on
+/// the SAD instruction").
+const SAD_EXIT_ROWS: usize = 8;
 
-/// Sums `|a[i] − b[i]|` over two 8-byte row chunks into 4×u16 lane
-/// accumulators (each add ≤ 255, so 16 rows × 2 chunks stay well
-/// below lane overflow).
-#[inline]
-fn swar_row_sad(a: &[u8], b: &[u8]) -> u64 {
-    const EVEN: u64 = 0x00ff_00ff_00ff_00ff;
-    let mut acc = 0u64;
-    for k in 0..2 {
-        // lint: allow(R1): both ranges are exactly 8 bytes by the loop bounds
-        #[allow(clippy::expect_used)]
-        let x = u64::from_ne_bytes(a[k * 8..k * 8 + 8].try_into().expect("8-byte row chunk"));
-        // lint: allow(R1): both ranges are exactly 8 bytes by the loop bounds
-        #[allow(clippy::expect_used)]
-        let y = u64::from_ne_bytes(b[k * 8..k * 8 + 8].try_into().expect("8-byte row chunk"));
-        let (xe, ye) = (x & EVEN, y & EVEN);
-        let (xo, yo) = ((x >> 8) & EVEN, (y >> 8) & EVEN);
-        // |x−y| = max(x−y,0) + max(y−x,0); one term is zero, so each
-        // lane gains at most 255 per chunk.
-        acc += swar_pos_diff(xe, ye) + swar_pos_diff(ye, xe);
-        acc += swar_pos_diff(xo, yo) + swar_pos_diff(yo, xo);
-    }
-    acc
-}
-
-/// Horizontal sum of 4×u16 lanes (total fits u16 here).
-#[inline]
-fn swar_hsum(acc: u64) -> u32 {
-    (acc.wrapping_mul(0x0001_0001_0001_0001) >> 48) as u32
+/// `Σ |a[i] − b[i]|` over the first `MB_SIZE` bytes of two rows. In
+/// `u8` as `max − min`, LLVM lowers the row to one `psadbw` on x86-64
+/// (SSE2, part of the baseline). The sum is at most `16·255`; a whole
+/// block's, `256·255`, still fits a `u16`.
+#[inline(always)]
+fn row_sad(a: &[u8], b: &[u8]) -> u16 {
+    a[..MB_SIZE]
+        .iter()
+        .zip(&b[..MB_SIZE])
+        .map(|(&x, &y)| u16::from(x.max(y) - x.min(y)))
+        .sum()
 }
 
 /// Sum of absolute differences between the `MB_SIZE²` luma block at
 /// `(ax, ay)` in `a` and the one at `(bx, by)` in `b`. `early_exit`
 /// aborts once the partial sum reaches the bound.
 ///
-/// Rows are accumulated eight bytes at a time (SWAR over u16 lanes)
-/// with the early-exit bound checked after every row, like the scalar
-/// reference: each u16 lane gains at most `4·255` per row, so the
-/// running accumulator cannot saturate even over all 16 rows and the
-/// horizontal sum is a single multiply. Both paths preserve the
-/// caller-visible contract the motion search depends on: a completed
-/// call returns the exact SAD, and an aborted call returns *some*
-/// value `≥ early_exit` — so every `sad < best_sad` decision is
-/// identical to the scalar reference.
+/// The bound is checked every [`SAD_EXIT_ROWS`] rows, not every row as
+/// in the scalar reference; the caller-visible contract the motion
+/// search depends on is unchanged: a completed call returns the exact
+/// SAD, and an aborted call returns *some* value `≥ early_exit` — so
+/// every `sad < best_sad` decision is identical to the reference.
 #[allow(clippy::too_many_arguments)]
 pub fn sad_mb(
     a: &[u8],
@@ -179,23 +152,34 @@ pub fn sad_mb(
     by: usize,
     early_exit: u32,
 ) -> u32 {
-    let mut acc = 0u64;
+    let (a, b) = (&a[ay * a_stride + ax..], &b[by * b_stride + bx..]);
+    let mut sum = 0u32;
     // lint: hot-loop — SAD inner loop runs per candidate motion vector
-    for row in 0..MB_SIZE {
-        let abase = (ay + row) * a_stride + ax;
-        let bbase = (by + row) * b_stride + bx;
-        acc += swar_row_sad(&a[abase..abase + MB_SIZE], &b[bbase..bbase + MB_SIZE]);
+    for first in (0..MB_SIZE).step_by(SAD_EXIT_ROWS) {
+        let part: u16 = (first..first + SAD_EXIT_ROWS)
+            .map(|row| row_sad(&a[row * a_stride..], &b[row * b_stride..]))
+            .sum();
+        sum += u32::from(part);
         // `>=` matters: a candidate that merely *ties* the incumbent
         // can never win, so it must exit too — otherwise uniform
         // regions (every candidate SAD = 0) degrade to an exhaustive
         // search.
-        let sum = swar_hsum(acc);
         if sum >= early_exit {
-            return sum;
+            break;
         }
     }
     // lint: end-hot-loop
-    swar_hsum(acc)
+    sum
+}
+
+/// SAD of the `MB_SIZE²` luma block at `(x, y)` against a flat block of
+/// `level`.
+fn flat_sad(plane: &[u8], stride: usize, x: usize, y: usize, level: u8) -> u32 {
+    let (block, flat) = (&plane[y * stride + x..], [level; MB_SIZE]);
+    let sad: u16 = (0..MB_SIZE)
+        .map(|row| row_sad(&block[row * stride..], &flat))
+        .sum();
+    u32::from(sad)
 }
 
 /// A full-pel motion vector.
@@ -205,17 +189,18 @@ pub struct MotionVector {
     pub dy: i32,
 }
 
-/// Sum of the `MB_SIZE²` luma block at `(x, y)`.
+/// Sum of the `MB_SIZE²` luma block at `(x, y)`: its SAD against zero.
 pub fn mb_sum(plane: &[u8], stride: usize, x: usize, y: usize) -> u32 {
-    (0..MB_SIZE)
-        .map(|row| {
-            let base = (y + row) * stride + x;
-            plane[base..base + MB_SIZE]
-                .iter()
-                .map(|&p| p as u32)
-                .sum::<u32>()
-        })
-        .sum()
+    flat_sad(plane, stride, x, y, 0)
+}
+
+/// The encoder's intra cost estimate: the SAD of the luma block at
+/// `(x, y)` against its own mean; `sum` is its [`mb_sum`], which the
+/// motion search needed first.
+pub fn intra_cost_estimate(plane: &[u8], stride: usize, x: usize, y: usize, sum: u32) -> u32 {
+    // A block sum is at most 256·255, so its mean fits a byte.
+    let mean = (sum / (MB_SIZE * MB_SIZE) as u32) as u8;
+    flat_sad(plane, stride, x, y, mean)
 }
 
 /// [`mb_sum`] of a plane at every position a macroblock fits, built by
@@ -535,12 +520,61 @@ mod tests {
         }
     }
 
-    /// SWAR SAD must return the exact sum whenever it completes, and
-    /// must make identical accept/reject decisions to the scalar
-    /// reference under any early-exit bound (aborted calls may return
+    /// Checks `sad_mb` on one pair of blocks against the reference: the
+    /// exact SAD unbounded, and at `bound` and on and beside every
+    /// partial sum the exit checks see, the same accept/reject decision
+    /// and the exact SAD whenever it completes (aborted calls may return
     /// different values, but both are `≥ bound`).
+    fn assert_matches_reference(
+        a: &[u8],
+        b: &[u8],
+        w: usize,
+        (ax, ay): (usize, usize),
+        (bx, by): (usize, usize),
+        bound: u32,
+    ) {
+        let exact = reference::sad_mb(a, w, ax, ay, b, w, bx, by, u32::MAX);
+        assert_eq!(sad_mb(a, w, ax, ay, b, w, bx, by, u32::MAX), exact);
+        let same_decision = |bound: u32| {
+            let fast = sad_mb(a, w, ax, ay, b, w, bx, by, bound);
+            let slow = reference::sad_mb(a, w, ax, ay, b, w, bx, by, bound);
+            assert_eq!(
+                fast < bound,
+                slow < bound,
+                "decision diverged at bound {bound}"
+            );
+            if fast < bound {
+                assert_eq!(fast, exact, "completed SAD must be exact");
+            } else {
+                assert!(slow >= bound);
+            }
+        };
+        same_decision(bound);
+        let mut partial = 0;
+        for row in 0..MB_SIZE {
+            let ra = &a[(ay + row) * w + ax..][..MB_SIZE];
+            let rb = &b[(by + row) * w + bx..][..MB_SIZE];
+            partial += ra
+                .iter()
+                .zip(rb)
+                .map(|(&x, &y)| x.abs_diff(y) as u32)
+                .sum::<u32>();
+            if (row + 1) % SAD_EXIT_ROWS == 0 {
+                for bound in [partial.saturating_sub(1).max(1), partial, partial + 1] {
+                    same_decision(bound);
+                }
+            }
+        }
+        assert_eq!(partial, exact);
+    }
+
+    /// The row-vector SAD must return the exact sum whenever it
+    /// completes, and make the scalar reference's accept/reject
+    /// decision under any early-exit bound: random bounds, bounds on
+    /// and beside each partial sum the exit checks see, and all 0
+    /// against all 255.
     #[test]
-    fn swar_sad_matches_scalar_reference() {
+    fn sad_matches_scalar_reference() {
         let mut rng = Lcg(0xdead_beef);
         let (w, h) = (48, 40);
         for trial in 0..3_000 {
@@ -554,23 +588,49 @@ mod tests {
             } else {
                 (0..w * h).map(|_| rng.below(256) as u8).collect()
             };
-            let (ax, ay) = (rng.below(w - MB_SIZE), rng.below(h - MB_SIZE));
-            let (bx, by) = (rng.below(w - MB_SIZE), rng.below(h - MB_SIZE));
-            let exact = reference::sad_mb(&a, w, ax, ay, &b, w, bx, by, u32::MAX);
-            assert_eq!(sad_mb(&a, w, ax, ay, &b, w, bx, by, u32::MAX), exact);
+            let pa = (rng.below(w - MB_SIZE), rng.below(h - MB_SIZE));
+            let pb = (rng.below(w - MB_SIZE), rng.below(h - MB_SIZE));
             let bound = (rng.below(4000) as u32).max(1);
-            let fast = sad_mb(&a, w, ax, ay, &b, w, bx, by, bound);
-            let slow = reference::sad_mb(&a, w, ax, ay, &b, w, bx, by, bound);
-            assert_eq!(
-                fast < bound,
-                slow < bound,
-                "decision diverged at bound {bound}"
-            );
-            if fast < bound {
-                assert_eq!(fast, exact, "completed SAD must be exact");
-            } else {
-                assert!(fast >= bound && slow >= bound);
+            assert_matches_reference(&a, &b, w, pa, pb, bound);
+        }
+        // The largest SAD a block can have, 256·255, still fits the
+        // `u16` accumulator.
+        let (zeros, full) = (vec![0u8; w * h], vec![255u8; w * h]);
+        for (a, b) in [(&zeros, &full), (&full, &zeros)] {
+            assert_eq!(sad_mb(a, w, 3, 1, b, w, 1, 4, u32::MAX), 256 * 255);
+            assert_matches_reference(a, b, w, (3, 1), (1, 4), 1);
+        }
+    }
+
+    /// Block sums and intra costs must match the per-pixel reference
+    /// on random planes of odd strides, at columns off the macroblock
+    /// grid, and on constant-0 and constant-255 blocks.
+    #[test]
+    fn block_sum_and_intra_cost_match_reference() {
+        let mut rng = Lcg(0x5eed_b10c);
+        for trial in 0..2_000 {
+            let (w, h) = (MB_SIZE + 1 + 2 * rng.below(24), MB_SIZE + rng.below(16));
+            let mut plane: Vec<u8> = (0..w * h).map(|_| rng.below(256) as u8).collect();
+            let (x, y) = (rng.below(w - MB_SIZE + 1), rng.below(h - MB_SIZE + 1));
+            if trial % 4 == 1 {
+                let level = [0, 255][trial / 4 % 2];
+                for row in 0..MB_SIZE {
+                    plane[(y + row) * w + x..][..MB_SIZE].fill(level);
+                }
             }
+            let sum = mb_sum(&plane, w, x, y);
+            assert_eq!(sum, reference::mb_sum(&plane, w, x, y), "sum at ({x}, {y})");
+            assert_eq!(
+                intra_cost_estimate(&plane, w, x, y, sum),
+                reference::intra_cost_estimate(&plane, w, x, y, sum),
+                "intra cost at ({x}, {y}), stride {w}"
+            );
+        }
+        for level in [0u8, 255] {
+            let plane = vec![level; 19 * 17];
+            let sum = mb_sum(&plane, 19, 3, 1);
+            assert_eq!(sum, level as u32 * (MB_SIZE * MB_SIZE) as u32);
+            assert_eq!(intra_cost_estimate(&plane, 19, 3, 1, sum), 0);
         }
     }
 

@@ -1,8 +1,9 @@
 //! The codec's kernels as they were before their overhauls, kept as
 //! differential oracles: bit-at-a-time bit I/O and Exp-Golomb codes,
-//! per-pixel SAD and block extraction, and the separable `f64` DCT (the
-//! normative transform, which `transform` still runs privately as its
-//! fallback for near-tie and out-of-range blocks).
+//! per-pixel SAD, block sum, intra cost and block extraction, and the
+//! separable `f64` DCT (the normative transform, which `transform`
+//! still runs privately as its fallback for near-tie and out-of-range
+//! blocks).
 //!
 //! Shared by this crate's unit tests (`lib.rs` includes it under
 //! `cfg(test)`) and, through `#[path]`, by `lightdb-bench`'s kernel
@@ -142,8 +143,8 @@ pub(crate) mod golomb {
     }
 }
 
-/// Scalar per-pixel kernels: the SAD and block copies before SWAR and
-/// row slices.
+/// Scalar per-pixel kernels: the SAD, block sum, intra cost and block
+/// copies before vectorised rows and row slices.
 pub(crate) mod predict {
     use lightdb_codec::MB_SIZE;
 
@@ -171,6 +172,33 @@ pub(crate) mod predict {
             }
         }
         sum
+    }
+
+    pub(crate) fn mb_sum(plane: &[u8], stride: usize, x: usize, y: usize) -> u32 {
+        let mut sum = 0u32;
+        for row in 0..MB_SIZE {
+            for col in 0..MB_SIZE {
+                sum += plane[(y + row) * stride + x + col] as u32;
+            }
+        }
+        sum
+    }
+
+    pub(crate) fn intra_cost_estimate(
+        plane: &[u8],
+        stride: usize,
+        x: usize,
+        y: usize,
+        sum: u32,
+    ) -> u32 {
+        let mean = (sum / (MB_SIZE * MB_SIZE) as u32) as i32;
+        let mut sad = 0u32;
+        for row in 0..MB_SIZE {
+            for col in 0..MB_SIZE {
+                sad += (plane[(y + row) * stride + x + col] as i32 - mean).unsigned_abs();
+            }
+        }
+        sad
     }
 
     pub(crate) fn extract_block<const SZ: usize>(

@@ -115,10 +115,12 @@ pub(crate) fn decode_frames(
             let scratch = &mut *s.borrow_mut();
             let frames = Decoder::new().decode_gop_scratch(header, gop, scratch, budget.threads());
             let work = std::mem::take(&mut scratch.work);
-            metrics.add(counters::DECODE_BLOCKS, work.blocks);
             let uncoded = work.uncoded_inter + work.uncoded_intra;
-            metrics.add(counters::DECODE_BLOCKS_UNCODED, uncoded);
-            metrics.add(counters::DECODE_FRAMES_AHEAD, work.frames_ahead);
+            metrics.add_all([
+                (counters::DECODE_BLOCKS, work.blocks),
+                (counters::DECODE_BLOCKS_UNCODED, uncoded),
+                (counters::DECODE_FRAMES_AHEAD, work.frames_ahead),
+            ]);
             Ok(frames?)
         })
     })
@@ -220,16 +222,14 @@ pub fn encode_one_gop(
         }
         std::mem::take(&mut scratch.work)
     });
-    for (name, n) in [
+    metrics.add_all([
         (counters::ENCODE_BLOCKS, work.blocks),
         (counters::ENCODE_BLOCKS_SAD_GATED, work.blocks_sad_gated),
         (counters::ENCODE_BLOCKS_ZERO_QUANT, work.blocks_zero_quant),
         (counters::ENCODE_MV_CANDIDATES, work.mv_candidates),
         (counters::ENCODE_MV_ELIMINATED, work.mv_eliminated),
         (counters::ENCODE_ZERO_SAD_EXITS, work.zero_sad_exits),
-    ] {
-        metrics.add(name, n);
-    }
+    ]);
     let header = SequenceHeader {
         codec,
         width: w,
