@@ -16,6 +16,9 @@
 //!   quantiser blocks/s, motion searches/s with SADs measured per
 //!   macroblock, and whole tile-GOP encodes the way `ENCODE` runs
 //!   them, with the encoder's own work counters;
+//! * the `f32` zero-block proof against the exact transform and
+//!   quantiser it spares, blocks/s over tile-GOP residuals past the SAD
+//!   gate, with the share of them it proves;
 //! * the read side against what it replaced: whole-GOP decodes the way
 //!   `DECODE` runs them against the oracle's block path (with the
 //!   share of uncoded blocks), `UNION … LAST` compositing against the
@@ -589,9 +592,13 @@ fn tile_gops(target: f64, tiles: &[Vec<Frame>], qp: u8) {
     crate::row(
         &format!("  qp{qp} zero blocks"),
         &[
-            pct(work.blocks_sad_gated + work.blocks_zero_quant, work.blocks),
+            pct(
+                work.blocks_sad_gated + work.blocks_zero_proved + work.blocks_zero_quant,
+                work.blocks,
+            ),
             pct(work.blocks_sad_gated, work.blocks),
-            "all/gated".into(),
+            pct(work.blocks_zero_proved, work.blocks),
+            "all/gated/proved".into(),
         ],
     );
     crate::row(
@@ -601,6 +608,95 @@ fn tile_gops(target: f64, tiles: &[Vec<Frame>], qp: u8) {
             work.zero_sad_exits.to_string(),
             "elim/0-SAD".into(),
         ],
+    );
+}
+
+/// The residuals that reach the `f32` zero proof in tile GOPs: every
+/// 8×8 block (luma and chroma) of each predicted frame against the
+/// co-located block of the previous frame's reconstruction — the zero
+/// vector most tile macroblocks keep — that the SAD gate lets through.
+fn tile_residuals(tiles: &[Vec<Frame>], qp: u8, codec: CodecKind) -> Vec<[i32; 64]> {
+    let gate = quant::zero_block_sad_bound(qp, codec.deadzone());
+    let mut out = Vec::new();
+    for frames in tiles {
+        let mut reference: Option<Frame> = None;
+        for f in frames {
+            let (_, recon) = lightdb_codec::encoder::encode_tile_opts(
+                f,
+                reference.as_ref(),
+                qp,
+                codec,
+                codec.search_range(),
+            );
+            if let Some(prev) = &reference {
+                for plane in [PlaneKind::Luma, PlaneKind::Cb, PlaneKind::Cr] {
+                    let (src, pred) = (f.plane(plane), prev.plane(plane));
+                    let (w, h) = match plane {
+                        PlaneKind::Luma => (f.width(), f.height()),
+                        _ => (f.width() / 2, f.height() / 2),
+                    };
+                    for y in (0..h).step_by(8) {
+                        for x in (0..w).step_by(8) {
+                            let a: [i32; 64] = predict::extract_block(src, w, x, y);
+                            let b: [i32; 64] = predict::extract_block(pred, w, x, y);
+                            let r: [i32; 64] = std::array::from_fn(|i| a[i] - b[i]);
+                            if r.iter().map(|v| v.unsigned_abs()).sum::<u32>() >= gate {
+                                out.push(r);
+                            }
+                        }
+                    }
+                }
+            }
+            reference = Some(recon);
+        }
+    }
+    out
+}
+
+/// The `f32` zero-block proof against the exact transform and
+/// quantiser it spares, on the residuals `ENCODE` hands it: every
+/// proved block must quantise to nothing, and the second row shows
+/// how many of the all-zero blocks the proof catches.
+fn zero_proof(target: f64, tiles: &[Vec<Frame>], qp: u8) {
+    let codec = CodecKind::HevcSim;
+    let deadzone = codec.deadzone();
+    let blocks = tile_residuals(tiles, qp, codec);
+    let edges = quant::zero_proof_edges(qp, deadzone);
+    let (mut proved, mut zero) = (0u64, 0u64);
+    for b in &blocks {
+        let mut c = transform::forward(b);
+        let nnz = quant::quantize(&mut c, qp, deadzone);
+        let p = transform::proves_all_zero(b, edges);
+        assert!(!p || nnz == 0, "proof and exact path diverge on {b:?}");
+        proved += p as u64;
+        zero += (nnz == 0) as u64;
+    }
+    let units = blocks.len() as u64;
+    let (fast, refr) = rate2(
+        target,
+        || {
+            for b in &blocks {
+                black_box(transform::proves_all_zero(black_box(b), edges));
+            }
+            units
+        },
+        || {
+            for b in &blocks {
+                let mut c = transform::forward(black_box(b));
+                black_box(quant::quantize(&mut c, qp, deadzone));
+            }
+            units
+        },
+    );
+    print_row(
+        "zero proof vs forward+quant (kblk/s)",
+        fast / 1e3,
+        refr / 1e3,
+    );
+    let pct = |part: u64, whole: u64| format!("{:.1}%", 100.0 * part as f64 / whole.max(1) as f64);
+    crate::row(
+        &format!("  qp{qp} past SAD gate"),
+        &[pct(zero, units), pct(proved, units), "zero/proved".into()],
     );
 }
 
@@ -1001,6 +1097,7 @@ pub fn print(smoke: bool) {
     let tiles = tile_frames(if smoke { 3 } else { 30 });
     tile_gops(target, &tiles, 24);
     tile_gops(target, &tiles, 45);
+    zero_proof(target, &tiles, 24);
     let n = if smoke { 3 } else { 30 };
     decode_gops(target, 512, 256, n, TileGrid::SINGLE);
     decode_gops(target, 512, 256, n, TileGrid::new(2, 2));

@@ -23,11 +23,11 @@ use crate::predict::{
     dc_predictor, extract_block, intra_cost_estimate, mb_sum, motion_search, store_block,
     BlockSums, MotionVector,
 };
-use crate::quant::{dequantize, quantize, zero_block_sad_bound, QP_MAX};
+use crate::quant::{dequantize, quantize, zero_block_sad_bound, zero_proof_edges, QP_MAX};
 use crate::scratch::{EncoderScratch, EncoderWork};
 use crate::stream::{CodecKind, SequenceHeader, VideoStream};
 use crate::tile::{TileGrid, TileRect};
-use crate::transform::{forward, inverse, ZIGZAG};
+use crate::transform::{forward, inverse, proves_all_zero, ZIGZAG};
 use crate::{CodecError, Result, BLOCK_SIZE, MB_SIZE};
 use lightdb_frame::{Frame, PlaneKind};
 
@@ -461,8 +461,10 @@ fn encode_macroblock(
 /// Most blocks quantise to all-zero levels, which the decoder
 /// reconstructs as the prediction itself (`dequantize` and `inverse`
 /// map 0 to 0). Those leave here with the uncoded flag and a copy of
-/// `pred` — without a transform either, when the residual is small
-/// enough for [`zero_block_sad_bound`] to prove the outcome.
+/// `pred` — without the exact transform either, when the outcome is
+/// proved first: by [`zero_block_sad_bound`] from the residual's SAD,
+/// else by [`proves_all_zero`] from an `f32` transform with a bounded
+/// error.
 #[allow(clippy::too_many_arguments)]
 fn encode_block(
     src_plane: &[u8],
@@ -506,6 +508,9 @@ fn encode_block(
     let mut coeffs = [0i32; 64];
     let nnz = if sad < zero_block_sad_bound(qp, deadzone) {
         work.blocks_sad_gated += 1;
+        0
+    } else if proves_all_zero(&residual, zero_proof_edges(qp, deadzone)) {
+        work.blocks_zero_proved += 1;
         0
     } else {
         coeffs = forward(&residual);

@@ -7,7 +7,7 @@
 //! frequencies, and an optional deadzone (used by the HEVC-sim
 //! profile) biases small coefficients to zero for extra compression.
 
-use crate::transform::basis_peaks;
+use crate::transform::{basis_peaks, APPROX_ERROR};
 use crate::BLOCK_SIZE;
 use std::sync::OnceLock;
 
@@ -40,8 +40,9 @@ pub fn qstep_x64(qp: u8) -> u32 {
 }
 
 /// Slack subtracted from a zero bin's real-valued edge before the SAD
-/// gate is derived from it: a million times the reference DCT's `f64`
-/// rounding error (below `2^-37`), and far too small to move a gate.
+/// gate and the `f32` proof's edges are derived from it: a million
+/// times the reference DCT's `f64` rounding error (below `2^-37`), and
+/// far too small to move a gate.
 const GATE_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
 
 /// Per-QP quantiser tables: the weighted divisor `step·w/16` for each
@@ -61,6 +62,8 @@ struct QpTables {
     zero_max: [[[u32; N * N]; 2]; (QP_MAX + 1) as usize],
     /// See [`zero_block_sad_bound`], `[qp][deadzone]`.
     sad_gate: [[u32; 2]; (QP_MAX + 1) as usize],
+    /// See [`zero_proof_edges`], `[qp][deadzone][u·N + v]`.
+    proof_edge: [[[f32; N * N]; 2]; (QP_MAX + 1) as usize],
 }
 
 fn tables() -> &'static QpTables {
@@ -70,6 +73,7 @@ fn tables() -> &'static QpTables {
         let mut offset = [[0i64; 2]; (QP_MAX + 1) as usize];
         let mut zero_max = [[[0u32; N * N]; 2]; (QP_MAX + 1) as usize];
         let mut sad_gate = [[0u32; 2]; (QP_MAX + 1) as usize];
+        let mut proof_edge = [[[0f32; N * N]; 2]; (QP_MAX + 1) as usize];
         let peak = basis_peaks();
         for qp in 0..=QP_MAX as usize {
             let step = qstep_x64(qp as u8) as i64;
@@ -88,6 +92,14 @@ fn tables() -> &'static QpTables {
                     gate = gate.min((z as f64 + 0.5 - GATE_MARGIN) / reach);
                 }
                 sad_gate[qp][dz] = gate.ceil() as u32;
+                for (t, edge) in proof_edge[qp][dz].iter_mut().enumerate() {
+                    // Transposed: entry u·N + v guards position v·N + u.
+                    let z = zero_max[qp][dz][t % N * N + t / N] as f64;
+                    let e = z + 0.5 - APPROX_ERROR - GATE_MARGIN;
+                    // Rounded down, so the edge loses nothing to `f32`.
+                    let f = e as f32;
+                    *edge = if f as f64 > e { f.next_down() } else { f };
+                }
             }
         }
         QpTables {
@@ -95,6 +107,7 @@ fn tables() -> &'static QpTables {
             offset,
             zero_max,
             sad_gate,
+            proof_edge,
         }
     })
 }
@@ -114,6 +127,21 @@ fn tables() -> &'static QpTables {
 pub fn zero_block_sad_bound(qp: u8, deadzone: bool) -> u32 {
     debug_assert!(qp <= QP_MAX);
     tables().sad_gate[qp as usize][deadzone as usize]
+}
+
+/// The `f32` zero-block proof's edges at `(qp, deadzone)`, in
+/// [`crate::transform::forward_approx`]'s transposed layout (entry
+/// `u·8 + v` guards coefficient position `v·8 + u`): each is
+/// `zero_max + ½ − APPROX_ERROR − margin`, rounded down to `f32`. A
+/// residual whose approximate coefficients all lie strictly inside
+/// their edges ([`crate::transform::proves_all_zero`]) has every exact
+/// coefficient below `zero_max + ½ − margin`, which
+/// [`crate::transform::forward`] rounds into the zero bin — the same
+/// argument as the SAD gate's, with the approximate transform's error
+/// in place of the basis-peak bound.
+pub fn zero_proof_edges(qp: u8, deadzone: bool) -> &'static [f32; N * N] {
+    debug_assert!(qp <= QP_MAX);
+    &tables().proof_edge[qp as usize][deadzone as usize]
 }
 
 /// Quantises a coefficient block in place and returns how many levels
@@ -178,6 +206,24 @@ mod tests {
             assert_eq!(t.offset[qp as usize], [step / 2, step / 6], "qp {qp}");
             for (i, &w) in WEIGHTS.iter().enumerate() {
                 assert_eq!(t.div[qp as usize][i], step * w as i64 / 16, "qp {qp} i {i}");
+            }
+        }
+    }
+
+    /// Every `f32` proof edge lies at or below its real-valued edge,
+    /// within one `f32` step of it, in the transposed layout.
+    #[test]
+    fn proof_edges_round_down_to_their_bins() {
+        let t = tables();
+        for qp in 0..=QP_MAX {
+            for dz in [false, true] {
+                let edges = zero_proof_edges(qp, dz);
+                for (i, &z) in t.zero_max[qp as usize][dz as usize].iter().enumerate() {
+                    let exact = z as f64 + 0.5 - APPROX_ERROR - GATE_MARGIN;
+                    let edge = edges[i % N * N + i / N];
+                    assert!(edge as f64 <= exact, "qp {qp} dz {dz} i {i}");
+                    assert!(edge.next_up() as f64 > exact, "qp {qp} dz {dz} i {i}");
+                }
             }
         }
     }

@@ -35,6 +35,13 @@
 //! predict. They are computed as exact integer sums, and only blocks
 //! where some `|S| ≡ 4 (mod 8)` replay the reference's `f64`
 //! operation order (bit-identical by construction, ~160 flops).
+//!
+//! Beside the exact transform sits an approximate one that decides
+//! nothing about output bits: [`forward_approx`], the same butterflies
+//! in `f32` with eight lanes per step and a derived error bound
+//! ([`APPROX_ERROR`]). The encoder uses it only through
+//! [`proves_all_zero`], to skip the exact transform on blocks that
+//! provably quantise to nothing.
 
 use crate::BLOCK_SIZE;
 
@@ -563,6 +570,126 @@ fn rational_f64_col(block: &[i32; N * N], u: usize) -> [f64; N] {
         *t = acc;
     }
     tmp
+}
+
+/// Worst-case distance between a coefficient of [`forward_approx`] and
+/// the exact real DCT coefficient, for residuals with `|r| ≤ 255`.
+///
+/// Derivation, with `u = 2⁻²⁴` (`f32` unit roundoff), Higham's
+/// `γₙ = n·u/(1 − n·u)`, and `b̂` the `f32` basis (`|b̂ − b| ≤ 2⁻²⁶`,
+/// as `|b| < ½`; `max|b̂| < 0.491`):
+///
+/// * **Column pass.** Inputs are integers, so the first butterfly
+///   stages (`r_k ± r_{7−k}`, then `e_0 ± e_3`, `e_1 ± e_2`) are exact
+///   in `f32`. Each output is then a dot of at most four exact sums
+///   `s_k` with `Σ|s_k| ≤ Σ_y |r| ≤ 2040`, through at most four
+///   roundings: error `ε₁ ≤ 2040 · (2⁻²⁶ + γ₄ · 0.491) < 2.7·10⁻⁴`.
+/// * **Row pass.** Each leaf `T_x` (a column-pass output) reaches the
+///   coefficient through at most five roundings, so the pass's own
+///   error is `≤ γ₅ · 0.491 · Σ_x|T_x|` plus basis rounding
+///   `2⁻²⁶ · Σ_x|T_x|`, with `Σ_x|T_x| ≤ 8 · 255 · Σ_y|b_v[y]| + 8ε₁ ≤
+///   5771` (`Σ|b_v| ≤ √8`): below `9.3·10⁻⁴`. The column pass's error
+///   reaches the coefficient scaled by `Σ_x|b_u[x]| ≤ √8`: below
+///   `7.7·10⁻⁴`.
+///
+/// Sum: below `1.7·10⁻³`, rounded up to `2⁻⁸`. Rust neither fuses
+/// nor reassociates `f32` arithmetic, so the evaluation order above
+/// is the one that runs.
+pub const APPROX_ERROR: f64 = 1.0 / 256.0;
+
+/// One value per lane of an 8-wide `f32` vector.
+type Lanes = [f32; N];
+
+/// The left half of the basis in `f32`, for [`forward_approx`].
+fn fbasis() -> &'static [[f32; HALF_N]; N] {
+    use std::sync::OnceLock;
+    static FBASIS: OnceLock<[[f32; HALF_N]; N]> = OnceLock::new();
+    FBASIS.get_or_init(|| basis().map(|row| std::array::from_fn(|k| row[k] as f32)))
+}
+
+/// The 8-point DCT of eight lanes at once: `out[u][i] = Σ_j b[u][j] ·
+/// v[j][i]`, through the even/odd butterfly (the same collapses as
+/// [`forward_pass1_cheap`], with a plain four-tap odd section). One
+/// loop iteration per lane, so the loop vectoriser turns each line
+/// into two 4-wide SSE operations.
+#[inline(always)]
+fn dct8_lanes(v: &[Lanes; N], b: &[[f32; HALF_N]; N]) -> [Lanes; N] {
+    let mut out = [[0f32; N]; N];
+    for i in 0..N {
+        let (e0, o0) = (v[0][i] + v[7][i], v[0][i] - v[7][i]);
+        let (e1, o1) = (v[1][i] + v[6][i], v[1][i] - v[6][i]);
+        let (e2, o2) = (v[2][i] + v[5][i], v[2][i] - v[5][i]);
+        let (e3, o3) = (v[3][i] + v[4][i], v[3][i] - v[4][i]);
+        let (ee0, ee1) = (e0 + e3, e1 + e2);
+        let (eo0, eo1) = (e0 - e3, e1 - e2);
+        out[0][i] = b[0][0] * (ee0 + ee1);
+        out[4][i] = b[4][0] * (ee0 - ee1);
+        out[2][i] = b[2][0] * eo0 + b[2][1] * eo1;
+        out[6][i] = b[6][0] * eo0 + b[6][1] * eo1;
+        for u in [1, 3, 5, 7] {
+            out[u][i] = b[u][0] * o0 + b[u][1] * o1 + b[u][2] * o2 + b[u][3] * o3;
+        }
+    }
+    out
+}
+
+/// The 8×8 DCT in `f32`, columns then rows, one lane per sample:
+/// `out[u][v]` is coefficient `(u, v)`, which [`forward`] writes at
+/// `v·8 + u` — the transposed layout.
+#[inline(always)]
+fn approx_lanes(residual: &[i32; N * N]) -> [Lanes; N] {
+    let b = fbasis();
+    let mut rows = [[0f32; N]; N];
+    for (row, r) in rows.iter_mut().zip(residual.chunks_exact(N)) {
+        for (f, &r) in row.iter_mut().zip(r) {
+            *f = r as f32;
+        }
+    }
+    // cols[v][x] = Σ_y r[y][x]·b[v][y]
+    let cols = dct8_lanes(&rows, b);
+    let mut t = [[0f32; N]; N];
+    for (x, row) in t.iter_mut().enumerate() {
+        for (v, f) in row.iter_mut().enumerate() {
+            *f = cols[v][x];
+        }
+    }
+    dct8_lanes(&t, b)
+}
+
+/// The forward DCT in `f32`, **transposed**: element `u·8 + v` is the
+/// coefficient [`forward`] writes at `v·8 + u`, unrounded. For
+/// residuals with `|r| ≤ 255` every element is within
+/// [`APPROX_ERROR`] of the exact real coefficient.
+pub fn forward_approx(residual: &[i32; N * N]) -> [f32; N * N] {
+    let f = approx_lanes(residual);
+    std::array::from_fn(|i| f[i / N][i % N])
+}
+
+/// True when `residual` provably quantises to all-zero levels:
+/// `|r| ≤ 255` everywhere and every coefficient of [`forward_approx`]
+/// lies strictly inside its `edges` entry (same transposed layout).
+///
+/// With edges at `zero_max + ½ − APPROX_ERROR − margin` (what
+/// `quant::zero_proof_edges` holds), `|F̃| < edge` puts the exact
+/// coefficient below `zero_max + ½ − margin`, so [`forward`] rounds it
+/// into the zero bin. Residuals outside `±255` (never an encoder's:
+/// source and prediction are bytes) break the error bound's
+/// precondition and are never proved. Branch-free: the range test and
+/// the 64 comparisons fold into one flag.
+pub fn proves_all_zero(residual: &[i32; N * N], edges: &[f32; N * N]) -> bool {
+    const MAX: i32 = 255;
+    // |r| ≤ MAX iff r + MAX lands in [0, 2·MAX] as u32.
+    let in_range = residual.iter().fold(true, |ok, &r| {
+        ok & (r.wrapping_add(MAX) as u32 <= 2 * MAX as u32)
+    });
+    let f = approx_lanes(residual);
+    let mut inside = in_range;
+    for (row, edges) in f.iter().zip(edges.chunks_exact(N)) {
+        for (c, &e) in row.iter().zip(edges) {
+            inside &= c.abs() < e;
+        }
+    }
+    inside
 }
 
 /// Inverse 8×8 DCT back to a residual block. Bit-identical to

@@ -225,6 +225,7 @@ pub fn encode_one_gop(
     metrics.add_all([
         (counters::ENCODE_BLOCKS, work.blocks),
         (counters::ENCODE_BLOCKS_SAD_GATED, work.blocks_sad_gated),
+        (counters::ENCODE_BLOCKS_ZERO_PROVED, work.blocks_zero_proved),
         (counters::ENCODE_BLOCKS_ZERO_QUANT, work.blocks_zero_quant),
         (counters::ENCODE_MV_CANDIDATES, work.mv_candidates),
         (counters::ENCODE_MV_ELIMINATED, work.mv_eliminated),
