@@ -9,7 +9,7 @@ fn main() {
     lightdb_bench::tables::print_table2();
     lightdb_bench::tables::print_table3(&db, &spec, 4, 4);
     lightdb_bench::fig11::print_tiling_table(&db, &spec, 4, 4);
-    lightdb_bench::fig11::print_tiling_breakdown(&db);
+    let db = lightdb_bench::fig11::print_tiling_breakdown(db);
     lightdb_bench::fig11::print_ar_table(&db, &spec);
     lightdb_bench::fig12::print(&db, &spec);
     lightdb_bench::fig13::print(&db);

@@ -408,61 +408,39 @@ fn block_sum_intra(target: f64, dim: usize) {
     print_row("block sum + intra cost (kMB/s)", fast / 1e3, refr / 1e3);
 }
 
-/// Quantiser throughput on two populations: the transform
-/// benchmark's coefficient blocks, and a mix where 85 % of blocks
-/// quantise to nothing — what the encoder sees (`encode.*` counters).
+/// Quantiser throughput on the transform benchmark's coefficient
+/// blocks, cross-checked against the oracle.
 fn quantize(target: f64, n: usize) {
     let (qp, deadzone) = (24, true);
-    let bench_mix: Vec<[i32; 64]> = residual_blocks(n).iter().map(transform::forward).collect();
-    let zero_mix: Vec<[i32; 64]> = residual_blocks(n)
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            // 17 blocks in 20 keep only a faint trace of their residual.
-            let faint = i % 20 < 17;
-            transform::forward(&b.map(|r| if faint { r / 64 } else { r }))
-        })
-        .collect();
-    for (label, blocks, zero_share) in [
-        ("quant (kblk/s)", &bench_mix, 0),
-        ("quant 85%z (kblk/s)", &zero_mix, 85),
-    ] {
-        let mut all_zero = 0;
-        for b in blocks {
-            let (mut fast, mut refr) = (*b, *b);
-            let nnz = quant::quantize(&mut fast, qp, deadzone);
-            oracle::quantize(&mut refr, qp, deadzone);
-            assert_eq!(fast, refr, "fast and oracle quantisers diverge");
-            assert_eq!(nnz as usize, refr.iter().filter(|&&l| l != 0).count());
-            all_zero += (nnz == 0) as usize;
-        }
-        assert_eq!(
-            100 * all_zero / blocks.len(),
-            zero_share,
-            "{label}: mix drifted"
-        );
-        let units = blocks.len() as u64;
-        let (fast, refr) = rate2(
-            target,
-            || {
-                for b in blocks {
-                    let mut c = *black_box(b);
-                    black_box(quant::quantize(&mut c, qp, deadzone));
-                    black_box(c);
-                }
-                units
-            },
-            || {
-                for b in blocks {
-                    let mut c = *black_box(b);
-                    oracle::quantize(&mut c, qp, deadzone);
-                    black_box(c);
-                }
-                units
-            },
-        );
-        print_row(label, fast / 1e3, refr / 1e3);
+    let blocks: Vec<[i32; 64]> = residual_blocks(n).iter().map(transform::forward).collect();
+    for b in &blocks {
+        let (mut fast, mut refr) = (*b, *b);
+        let nnz = quant::quantize(&mut fast, qp, deadzone);
+        oracle::quantize(&mut refr, qp, deadzone);
+        assert_eq!(fast, refr, "fast and oracle quantisers diverge");
+        assert_eq!(nnz as usize, refr.iter().filter(|&&l| l != 0).count());
     }
+    let units = blocks.len() as u64;
+    let (fast, refr) = rate2(
+        target,
+        || {
+            for b in &blocks {
+                let mut c = *black_box(b);
+                black_box(quant::quantize(&mut c, qp, deadzone));
+                black_box(c);
+            }
+            units
+        },
+        || {
+            for b in &blocks {
+                let mut c = *black_box(b);
+                oracle::quantize(&mut c, qp, deadzone);
+                black_box(c);
+            }
+            units
+        },
+    );
+    print_row("quant (kblk/s)", fast / 1e3, refr / 1e3);
 }
 
 /// What `ENCODE` is handed in the tiling query: the sixteen tiles of a

@@ -141,12 +141,17 @@ pub fn print_tiling_table(db: &LightDb, spec: &DatasetSpec, cols: usize, rows: u
 /// Prints the LightDB per-operator time breakdown across tile grids
 /// (the right plot of Figure 11(a)): busy milliseconds per operator,
 /// and how many GOPs the scan served from the shared-decode cache
-/// against how many it decoded — the grids run on one engine, so a
-/// later grid can find an earlier grid's decodes still cached, and its
-/// `DECODE` then times cache hits. A failed query prints its error.
-pub fn print_tiling_breakdown(db: &LightDb) {
+/// against how many it decoded. Each grid runs on a freshly opened
+/// engine — `db` is dropped and re-opened on its root, as one root
+/// takes one live handle — so no grid finds decodes cached by an
+/// earlier query and `DECODE` times real decodes. Returns the last
+/// handle. A failed query prints its error.
+pub fn print_tiling_breakdown(mut db: LightDb) -> LightDb {
     println!("\nFigure 11(a) right: LightDB operator breakdown (Timelapse), busy ms");
+    let root = db.catalog().root().to_path_buf();
     for (cols, rows) in [(2, 2), (4, 4), (8, 8)] {
+        drop(db);
+        db = LightDb::open(&root).expect("re-open bench db");
         let session = db.session();
         let out = format!("timelapse_tiled_bd{cols}");
         let _ = db.execute(&drop_tlf(&out));
@@ -167,6 +172,7 @@ pub fn print_tiling_breakdown(db: &LightDb) {
         ));
         crate::row(&label, &cells);
     }
+    db
 }
 
 /// Prints the Figure 11(b) AR FPS table.

@@ -2,9 +2,8 @@
 //!
 //! Shared harness for the evaluation experiments. Each `expt_*`
 //! binary regenerates one table or figure of the paper (see
-//! DESIGN.md's experiment index); the Criterion benches in
-//! `benches/` provide statistically sampled versions of the same
-//! measurements at a reduced scale.
+//! DESIGN.md's experiment index). Performance claims are made with
+//! the `perfbench` package, not with these binaries.
 //!
 //! Scale knobs:
 //!

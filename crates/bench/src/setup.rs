@@ -16,11 +16,6 @@ pub fn bench_spec() -> DatasetSpec {
     DatasetSpec::mini(bench_seconds())
 }
 
-/// A smaller spec for Criterion's statistically sampled runs.
-pub fn criterion_spec() -> DatasetSpec {
-    DatasetSpec { width: 128, height: 64, fps: 8, seconds: 2, qp: 24 }
-}
-
 /// The cache directory datasets and databases live in, keyed by the
 /// active spec so scale changes regenerate.
 pub fn cache_dir(tag: &str, spec: &DatasetSpec) -> PathBuf {

@@ -152,21 +152,13 @@ pub fn zero_proof_edges(qp: u8, deadzone: bool) -> &'static [f32; N * N] {
 /// `deadzone`, `step/6`, which widens the zero bin so a coefficient
 /// must be clearly nonzero to survive (HEVC's RDOQ in spirit: rate for
 /// quality). So a level is zero **iff `|c|·64 + offset < div[i]`**,
-/// and since ~85 % of the blocks an encoder sees quantise to nothing
-/// at all, the zero bins are compared first (no division, no branch)
-/// and only the survivors are divided.
+/// i.e. `|c| ≤ zero_max[i]`, and only coefficients past their zero bin
+/// are divided. Blocks that quantise to nothing seldom get here: the
+/// encoder's SAD gate and `f32` proof skip them before the transform.
 pub fn quantize(coeffs: &mut [i32; N * N], qp: u8, deadzone: bool) -> u32 {
     debug_assert!(qp <= QP_MAX);
     let t = tables();
     let zero_max = &t.zero_max[qp as usize][deadzone as usize];
-    let survivors = coeffs
-        .iter()
-        .zip(zero_max)
-        .fold(false, |any, (c, &z)| any | (c.unsigned_abs() > z));
-    if !survivors {
-        *coeffs = [0; N * N];
-        return 0;
-    }
     let div = &t.div[qp as usize];
     let offset = t.offset[qp as usize][deadzone as usize];
     let mut nnz = 0;

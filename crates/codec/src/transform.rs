@@ -6,35 +6,34 @@
 //! private `reference` fallback) defines the bitstream: every output
 //! here must be bit-identical to it.
 //!
-//! The hot path is fixed-point with even–odd butterflies and a
-//! `2^44`-scaled integer basis for the shared first pass. The second
-//! pass is *tiered* by precision, cheapest first, each tier falling
-//! back to the next when it cannot prove its answer:
+//! The hot path is one fixed-point *cheap pass* with even–odd
+//! butterflies. A `2^44`-scaled integer basis drives the row pass; its
+//! accumulators are rounded down to scale `2^15` and multiplied by a
+//! `2^31`-scaled basis in the column pass, so every product and sum
+//! stays in `i64` (worst case `2^62`). Its error versus the exact real
+//! value is below `2^33` at the `2^46` output scale. A block is
+//! *refused* when any result lies within the `2^35` guard of a rounding
+//! boundary (a few percent of random blocks) or an input exceeds the
+//! `±4096` range gate, and a refused block goes straight to the `f64`
+//! reference.
 //!
-//! 1. **Cheap `i64` pass** — first-pass accumulators are rounded down
-//!    to scale `2^15` and multiplied by a `2^31`-scaled basis, so
-//!    every product and sum stays in `i64` (worst case `2^62`). Its
-//!    error versus the exact real value is below `2^33` at the `2^46`
-//!    output scale; any result within the `2^35` guard of a rounding
-//!    boundary is re-done by tier 2 (a few percent of random blocks).
-//! 2. **Precise `i128` pass** — the original full-scale pass over the
-//!    same first-pass accumulators, error below `2^-30` of a unit
-//!    with a `2^-24` guard. Its near-ties (vanishingly rare) fall
-//!    back to the `f64` reference itself.
+//! Outside the guard band agreement is provable: the pass's error plus
+//! the reference's own error (below `2^-37`) is smaller than the guard,
+//! so both land on the same side of the boundary. Every output is
+//! therefore either the fixed-point answer outside its proven guard
+//! band, or the definition itself.
 //!
-//! Outside a tier's guard band agreement is provable: the tier's
-//! error plus the reference's own error (below `2^-37`) is smaller
-//! than the guard, so both land on the same side of the boundary.
-//!
-//! Four forward coefficient positions need a third mechanism, because
-//! their basis products are *exactly rational* (`b[u][x]·b[v][y] =
-//! ±1/8` for `u,v ∈ {0,4}`): the exact coefficient is `S/8` for an
-//! integer sum `S`, which lands on a `.5` boundary with probability
-//! ~1/8 — and at an exact tie the reference's answer is decided by
-//! its own `f64` rounding noise, which no independent computation can
-//! predict. They are computed as exact integer sums, and only blocks
-//! where some `|S| ≡ 4 (mod 8)` replay the reference's `f64`
-//! operation order (bit-identical by construction, ~160 flops).
+//! Four forward coefficient positions need a mechanism of their own,
+//! because their basis products are *exactly rational*
+//! (`b[u][x]·b[v][y] = ±1/8` for `u,v ∈ {0,4}`): the exact coefficient
+//! is `S/8` for an integer sum `S`, which lands on a `.5` boundary with
+//! probability ~1/8 — and at an exact tie the reference's answer is
+//! decided by its own `f64` rounding noise, which no independent
+//! computation can predict. They are computed as exact integer sums,
+//! and only blocks where some `|S| ≡ 4 (mod 8)` replay the reference's
+//! `f64` operation order (bit-identical by construction, ~160 flops).
+//! Sending those blocks to the whole reference instead measured
+//! slower end to end.
 //!
 //! Beside the exact transform sits an approximate one that decides
 //! nothing about output bits: [`forward_approx`], the same butterflies
@@ -48,29 +47,13 @@ use crate::BLOCK_SIZE;
 const N: usize = BLOCK_SIZE;
 const HALF_N: usize = N / 2;
 
-/// Fixed-point scale (bits) of the integer basis.
+/// Fixed-point scale (bits) of the row-pass integer basis.
 const SCALE: u32 = 44;
-/// Output scale after two basis multiplications.
-const OUT_SCALE: u32 = 2 * SCALE;
 
-/// Forward near-tie guard: `2^-24` of a unit at the `2^88` output
-/// scale. Inputs are gated to `|v| ≤ 4096`, bounding fixed-point
-/// error near `2^61` — three bits of margin.
-const FWD_TIE_GUARD: u128 = 1 << (OUT_SCALE - 24);
-/// Inverse guard is wider: coefficients up to `2^15` push the error
-/// bound near `2^65`.
-const INV_TIE_GUARD: u128 = 1 << (OUT_SCALE - 21);
-
-/// Largest residual magnitude served by the fixed forward path.
-const FWD_INPUT_MAX: i32 = 4096;
-/// Largest coefficient magnitude served by the fixed inverse path;
-/// valid streams stay below ~2^13, so only hostile input exceeds it.
-const INV_INPUT_MAX: i32 = 1 << 15;
-
-/// Largest input magnitude served by the cheap `i64` second pass.
-/// Same as the forward gate; inverse inputs above it (valid streams
-/// stay well below) go straight to the precise pass.
-const CHEAP_INPUT_MAX: u32 = 4096;
+/// Largest input magnitude the cheap pass serves in either direction
+/// (real residuals stay within `±255`); larger inputs, whose `i64`
+/// products could wrap, go to the reference.
+const CHEAP_INPUT_MAX: i32 = 4096;
 /// Shift taking first-pass accumulators from scale `2^44` to `2^15`
 /// for the cheap pass (round-half-up, error ≤ 0.5 ulp).
 const DOWNSHIFT: u32 = 29;
@@ -78,8 +61,8 @@ const DOWNSHIFT: u32 = 29;
 const SCALE2: u32 = 31;
 /// Output scale of the cheap pass: `2^15 · 2^31 = 2^46`.
 const OUT2_SCALE: u32 = (SCALE - DOWNSHIFT) + SCALE2;
-/// Cheap-pass near-tie guard, `2^-11` of a unit. With inputs gated to
-/// `CHEAP_INPUT_MAX` the worst-case cheap-pass error is below `2^33`
+/// Near-tie guard, `2^-11` of a unit. With inputs gated to
+/// `CHEAP_INPUT_MAX` the worst-case fixed-point error is below `2^33`
 /// (downshift rounding ≤ 1 ulp through the butterfly, plus basis
 /// rounding ≤ 0.5 against accumulators ≤ `2^30`, times four taps) —
 /// four bits inside the guard.
@@ -114,38 +97,26 @@ pub(crate) fn basis_peaks() -> [f64; N] {
     basis().map(|row| row.iter().fold(0.0, |m, v| v.abs().max(m)))
 }
 
-/// `2^44`-scaled left half of the basis. The right half follows from
-/// the cosine symmetry `b[u][7-x] = (-1)^u · b[u][x]`, which the
+/// `2^scale`-scaled left half of the basis. The right half follows
+/// from the cosine symmetry `b[u][7-x] = (-1)^u · b[u][x]`, which the
 /// butterfly passes exploit instead of storing it.
+fn ibasis_at(scale: u32) -> [[i64; HALF_N]; N] {
+    let s = (1u64 << scale) as f64;
+    basis().map(|row| std::array::from_fn(|k| (row[k] * s).round() as i64))
+}
+
+/// `2^44`-scaled basis half (row pass).
 fn ibasis() -> &'static [[i64; HALF_N]; N] {
     use std::sync::OnceLock;
     static IBASIS: OnceLock<[[i64; HALF_N]; N]> = OnceLock::new();
-    IBASIS.get_or_init(|| {
-        let b = basis();
-        let mut ib = [[0i64; HALF_N]; N];
-        for u in 0..N {
-            for k in 0..HALF_N {
-                ib[u][k] = (b[u][k] * (1u64 << SCALE) as f64).round() as i64;
-            }
-        }
-        ib
-    })
+    IBASIS.get_or_init(|| ibasis_at(SCALE))
 }
 
-/// `2^31`-scaled left half of the basis for the cheap second pass.
+/// `2^31`-scaled basis half (cheap column pass).
 fn ibasis2() -> &'static [[i64; HALF_N]; N] {
     use std::sync::OnceLock;
     static IBASIS2: OnceLock<[[i64; HALF_N]; N]> = OnceLock::new();
-    IBASIS2.get_or_init(|| {
-        let b = basis();
-        let mut ib = [[0i64; HALF_N]; N];
-        for u in 0..N {
-            for k in 0..HALF_N {
-                ib[u][k] = (b[u][k] * (1u64 << SCALE2) as f64).round() as i64;
-            }
-        }
-        ib
-    })
+    IBASIS2.get_or_init(|| ibasis_at(SCALE2))
 }
 
 /// Combined constants for the factored odd-index 4-point section
@@ -230,7 +201,7 @@ fn odd4(o0: i64, o1: i64, o2: i64, o3: i64, f: &OddFix) -> (i64, i64, i64, i64) 
 /// The returned value is floor-rounded, which differs from the
 /// reference's round-half-away only when `acc` sits *exactly* on a
 /// `.5` boundary — inside the guard band, so every such block is
-/// re-done by a preciser tier and the shortcut is unobservable.
+/// re-done by the reference and the shortcut is unobservable.
 #[inline]
 fn round_tie2(acc: i64) -> (i32, bool) {
     const MASK: u64 = (1u64 << OUT2_SCALE) - 1;
@@ -240,65 +211,35 @@ fn round_tie2(acc: i64) -> (i32, bool) {
     (q, tie)
 }
 
-/// Rounds `acc / 2^OUT_SCALE` to the value `f64::round` (half away
-/// from zero) produces on the same real value. Floor-rounded like
-/// [`round_tie2`]: the two differ only exactly on a `.5` boundary,
-/// which [`near_tie`] has already diverted to the next tier by the
-/// time this runs.
-#[inline]
-fn round_out(acc: i128) -> i32 {
-    ((acc + (1i128 << (OUT_SCALE - 1))) >> OUT_SCALE) as i32
-}
-
-/// True when `acc` sits within `guard` of a `.5` rounding boundary —
-/// too close to trust fixed-point and `f64` to round the same way.
-/// Same wrap-around distance test as [`near_tie2`].
-#[inline]
-fn near_tie(acc: i128, guard: u128) -> bool {
-    const MASK: u128 = (1u128 << OUT_SCALE) - 1;
-    const HALF: u128 = 1u128 << (OUT_SCALE - 1);
-    ((acc as u128 & MASK).wrapping_add(guard).wrapping_sub(HALF) & MASK) < 2 * guard
-}
-
 /// Forward 8×8 DCT of a row-major residual block. Bit-identical to
 /// `reference::forward` for any input.
 pub fn forward(block: &[i32; N * N]) -> [i32; N * N] {
+    let mut out = [0i32; N * N];
+    if forward_cheap(block, &mut out) {
+        out
+    } else {
+        reference::forward(block)
+    }
+}
+
+/// The cheap forward pass into `out`. Returns `true` when `out` holds
+/// the exact result, and `false` when it refuses the block: a near-tie,
+/// or an input beyond [`CHEAP_INPUT_MAX`] (gated inside the row pass
+/// before any multiply, so real residuals pay no separate scan).
+fn forward_cheap(block: &[i32; N * N], out: &mut [i32; N * N]) -> bool {
     let mut p1 = CheapFwd {
         t2: [0; N * N],
         rs: [0; N],
         r4: [0; N],
     };
-    // The range gate lives inside the row pass (checked per row
-    // before any multiply), so in-range blocks — all real residuals —
-    // pay no separate scan.
-    if !forward_pass1_cheap(block, &mut p1) {
-        return reference::forward(block);
+    if !(forward_pass1_cheap(block, &mut p1) && forward_pass2_cheap(&p1.t2, out)) {
+        return false;
     }
-    let mut out = [0i32; N * N];
-    if forward_cheap(&p1.t2, &mut out) {
-        forward_rational(block, &p1.rs, &p1.r4, &mut out);
-        out
-    } else {
-        forward_slow(block)
-    }
+    forward_rational(block, &p1.rs, &p1.r4, out);
+    true
 }
 
-/// Cheap-tier near-tie fallback: precise `i128` pipeline from
-/// scratch, then the `f64` reference if even that cannot decide.
-#[cold]
-fn forward_slow(block: &[i32; N * N]) -> [i32; N * N] {
-    let tmp = forward_pass1(block);
-    match forward_precise(&tmp) {
-        Some(mut out) => {
-            let (rs, r4) = rational_sums(block);
-            forward_rational(block, &rs, &r4, &mut out);
-            out
-        }
-        None => reference::forward(block),
-    }
-}
-
-/// First-pass output of the cheap forward tier: downshifted row-pass
+/// Row-pass output of the cheap forward pass: downshifted
 /// accumulators plus the rational-position row sums, all gathered in
 /// one sweep over the block.
 struct CheapFwd {
@@ -313,7 +254,7 @@ struct CheapFwd {
     r4: [i64; N],
 }
 
-/// Row pass of the cheap tier. The even/odd split is an exact
+/// Row pass of the cheap forward pass. The even/odd split is an exact
 /// reassociation of the integer sum; the downshift is the only
 /// integer rounding (≤ 0.5 ulp at scale 2^15).
 ///
@@ -334,7 +275,7 @@ fn forward_pass1_cheap(block: &[i32; N * N], p1: &mut CheapFwd) -> bool {
     // v + MAX lands in [0, 2·MAX] as u32 (wrap-around lands high),
     // and the per-lane violations OR together vectorisably.
     let viol = block.iter().fold(0u32, |m, &v| {
-        m | ((v.wrapping_add(FWD_INPUT_MAX) as u32 > 2 * FWD_INPUT_MAX as u32) as u32)
+        m | ((v.wrapping_add(CHEAP_INPUT_MAX) as u32 > 2 * CHEAP_INPUT_MAX as u32) as u32)
     });
     if viol != 0 {
         return false;
@@ -377,7 +318,7 @@ fn forward_pass1_cheap(block: &[i32; N * N], p1: &mut CheapFwd) -> bool {
 /// rational positions `(u,v) ∈ {0,4}²`, written into `out`. Returns
 /// `false` on a near-tie. Uses the even-index butterfly collapse and
 /// the factored odd section (15 multiplies per column instead of 32).
-fn forward_cheap(t2: &[i32; N * N], out: &mut [i32; N * N]) -> bool {
+fn forward_pass2_cheap(t2: &[i32; N * N], out: &mut [i32; N * N]) -> bool {
     let ib2 = ibasis2();
     let ofix2 = odd_fix2();
     // lint: hot-loop — fixed-point DCT column pass, all-i64 butterflies
@@ -435,79 +376,6 @@ fn forward_cheap(t2: &[i32; N * N], out: &mut [i32; N * N]) -> bool {
     // lint: end-hot-loop
     true
 }
-
-/// Full-scale row pass: tmp[y][u] = Σ_x block[y][x]·b[u][x], scaled
-/// 2^44, for the precise tier.
-fn forward_pass1(block: &[i32; N * N]) -> [i64; N * N] {
-    let ib = ibasis();
-    let mut tmp = [0i64; N * N];
-    for y in 0..N {
-        let row = &block[y * N..y * N + N];
-        let mut e = [0i64; HALF_N];
-        let mut o = [0i64; HALF_N];
-        for k in 0..HALF_N {
-            e[k] = (row[k] + row[N - 1 - k]) as i64;
-            o[k] = (row[k] - row[N - 1 - k]) as i64;
-        }
-        for u in 0..N {
-            let half = if u % 2 == 0 { &e } else { &o };
-            let mut acc = 0i64;
-            for k in 0..HALF_N {
-                acc += half[k] * ib[u][k];
-            }
-            tmp[y * N + u] = acc;
-        }
-    }
-    tmp
-}
-
-/// Precise `i128` column pass over the same coefficients, from the
-/// full-scale first-pass accumulators. Returns `None` on a near-tie.
-fn forward_precise(tmp: &[i64; N * N]) -> Option<[i32; N * N]> {
-    let ib = ibasis();
-    let mut out = [0i32; N * N];
-    for u in 0..N {
-        let mut te = [0i64; HALF_N];
-        let mut to = [0i64; HALF_N];
-        for k in 0..HALF_N {
-            te[k] = tmp[k * N + u] + tmp[(N - 1 - k) * N + u];
-            to[k] = tmp[k * N + u] - tmp[(N - 1 - k) * N + u];
-        }
-        for v in 0..N {
-            if (u == 0 || u == 4) && (v == 0 || v == 4) {
-                continue; // rational-basis position, done exactly
-            }
-            let half = if v % 2 == 0 { &te } else { &to };
-            let mut acc = 0i128;
-            for k in 0..HALF_N {
-                acc += half[k] as i128 * ib[v][k] as i128;
-            }
-            if near_tie(acc, FWD_TIE_GUARD) {
-                return None;
-            }
-            out[v * N + u] = round_out(acc);
-        }
-    }
-    Some(out)
-}
-
-/// Rational row sums for the slow path (the cheap tier gathers them
-/// during its row pass instead).
-fn rational_sums(block: &[i32; N * N]) -> ([i64; N], [i64; N]) {
-    let mut rs = [0i64; N];
-    let mut r4 = [0i64; N];
-    for y in 0..N {
-        let row = &block[y * N..y * N + N];
-        for x in 0..N {
-            rs[y] += row[x] as i64;
-            r4[y] += S4[x] * row[x] as i64;
-        }
-    }
-    (rs, r4)
-}
-
-/// Signs of basis row 4: `b[4][x] = s4(x)/(2√2)` exactly.
-const S4: [i64; N] = [1, -1, -1, 1, 1, -1, -1, 1];
 
 /// Computes the four rational-basis coefficients `(u,v) ∈ {0,4}²`.
 ///
@@ -696,68 +564,11 @@ pub fn proves_all_zero(residual: &[i32; N * N], edges: &[f32; N * N]) -> bool {
 /// `reference::inverse` for any input.
 pub fn inverse(coeffs: &[i32; N * N]) -> [i32; N * N] {
     let mut out = [0i32; N * N];
-    match inverse_cheap(coeffs, &mut out) {
-        CheapInv::Done => out,
-        CheapInv::Tie => inverse_slow(coeffs),
-        CheapInv::Oversize => {
-            if coeffs
-                .iter()
-                .any(|v| v.unsigned_abs() > INV_INPUT_MAX as u32)
-            {
-                reference::inverse(coeffs)
-            } else {
-                inverse_slow(coeffs)
-            }
-        }
+    if inverse_cheap(coeffs, &mut out) {
+        out
+    } else {
+        reference::inverse(coeffs)
     }
-}
-
-/// Outcome of the cheap inverse pass.
-enum CheapInv {
-    /// `out` holds the bit-exact result.
-    Done,
-    /// A coefficient landed in the tie-guard band.
-    Tie,
-    /// A row exceeded [`CHEAP_INPUT_MAX`] (nothing was multiplied).
-    Oversize,
-}
-
-/// Cheap-tier fallback (near-tie or oversized coefficients): precise
-/// `i128` pipeline, then the `f64` reference if it cannot decide.
-#[cold]
-fn inverse_slow(coeffs: &[i32; N * N]) -> [i32; N * N] {
-    let tmp = inverse_pass1(coeffs);
-    match inverse_precise(&tmp) {
-        Some(out) => out,
-        None => reference::inverse(coeffs),
-    }
-}
-
-/// Row pass: tmp[v][x] = Σ_u coeffs[v][u]·b[u][x], scaled 2^44. Split
-/// by parity of u (even terms are x-symmetric, odd antisymmetric) and
-/// skip zero coefficients — both exact under integer arithmetic.
-fn inverse_pass1(coeffs: &[i32; N * N]) -> [i64; N * N] {
-    let ib = ibasis();
-    let mut tmp = [0i64; N * N];
-    for v in 0..N {
-        let crow = &coeffs[v * N..v * N + N];
-        let mut pe = [0i64; HALF_N];
-        let mut po = [0i64; HALF_N];
-        for (u, &c) in crow.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let dst = if u % 2 == 0 { &mut pe } else { &mut po };
-            for (k, d) in dst.iter_mut().enumerate() {
-                *d += c as i64 * ib[u][k];
-            }
-        }
-        for k in 0..HALF_N {
-            tmp[v * N + k] = pe[k] + po[k];
-            tmp[v * N + (N - 1 - k)] = pe[k] - po[k];
-        }
-    }
-    tmp
 }
 
 /// Cheap all-`i64` inverse, processed column-major: a residual block
@@ -769,10 +580,11 @@ fn inverse_pass1(coeffs: &[i32; N * N]) -> [i64; N * N] {
 /// DC-only test; each surviving column then runs the `v`-direction
 /// butterfly and accumulates into even/odd-`u` planes, and the final
 /// `x`-butterfly `out[·][k] = e+o, out[·][7−k] = e−o` rounds with tie
-/// detection. Reports a near-tie (e.g. sparse blocks whose only
-/// energy sits in rational-basis positions) without producing a
-/// result.
-fn inverse_cheap(coeffs: &[i32; N * N], out: &mut [i32; N * N]) -> CheapInv {
+/// detection. Returns `true` when `out` holds the exact result, and
+/// `false` when it refuses the block: an input beyond
+/// [`CHEAP_INPUT_MAX`] (nothing was multiplied), or a near-tie (e.g.
+/// sparse blocks whose only energy sits in rational-basis positions).
+fn inverse_cheap(coeffs: &[i32; N * N], out: &mut [i32; N * N]) -> bool {
     let ib = ibasis();
     let ib2 = ibasis2();
     let half1 = 1i64 << (DOWNSHIFT - 1);
@@ -786,7 +598,7 @@ fn inverse_cheap(coeffs: &[i32; N * N], out: &mut [i32; N * N]) -> CheapInv {
         for u in 0..N {
             colnz[u] |= row[u];
             viol |=
-                (row[u].wrapping_add(CHEAP_INPUT_MAX as i32) as u32 > 2 * CHEAP_INPUT_MAX) as u32;
+                (row[u].wrapping_add(CHEAP_INPUT_MAX) as u32 > 2 * CHEAP_INPUT_MAX as u32) as u32;
         }
     }
     let mut hiv = [0i32; N];
@@ -805,10 +617,10 @@ fn inverse_cheap(coeffs: &[i32; N * N], out: &mut [i32; N * N]) -> CheapInv {
     {
         let alpha = basis()[0][0];
         out.fill(((coeffs[0] as f64 * alpha) * alpha).round() as i32);
-        return CheapInv::Done;
+        return true;
     }
     if viol != 0 {
-        return CheapInv::Oversize;
+        return false;
     }
     // acc_e[k][y]: Σ over even u of t[u][y]·b[u][k]; acc_o likewise.
     let mut acc_e = [[0i64; N]; HALF_N];
@@ -880,43 +692,24 @@ fn inverse_cheap(coeffs: &[i32; N * N], out: &mut [i32; N * N]) -> CheapInv {
             out[y * N + (N - 1 - k)] = qb;
         }
         if tie {
-            return CheapInv::Tie;
+            return false;
         }
     }
-    CheapInv::Done
-}
-
-/// Precise `i128` column pass from the same first-pass accumulators.
-fn inverse_precise(tmp: &[i64; N * N]) -> Option<[i32; N * N]> {
-    let ib = ibasis();
-    let mut out = [0i32; N * N];
-    for x in 0..N {
-        for y in 0..HALF_N {
-            let mut se = 0i128;
-            let mut so = 0i128;
-            for v in (0..N).step_by(2) {
-                se += tmp[v * N + x] as i128 * ib[v][y] as i128;
-                so += tmp[(v + 1) * N + x] as i128 * ib[v + 1][y] as i128;
-            }
-            let top = se + so;
-            let bot = se - so;
-            if near_tie(top, INV_TIE_GUARD) || near_tie(bot, INV_TIE_GUARD) {
-                return None;
-            }
-            out[y * N + x] = round_out(top);
-            out[(N - 1 - y) * N + x] = round_out(bot);
-        }
-    }
-    Some(out)
+    true
 }
 
 /// The original separable `f64` transform: the normative definition
 /// of the bitstream, and the fallback for near-tie and out-of-range
 /// blocks. Its verbatim copy in `tests/oracle/kernels.rs` is what the
 /// tests and the kernel benchmark compare against.
+///
+/// Both stay out of line, as cold code: they run on the few percent
+/// of blocks the cheap pass refuses.
 mod reference {
     use super::{basis, N};
 
+    #[cold]
+    #[inline(never)]
     pub(super) fn forward(block: &[i32; N * N]) -> [i32; N * N] {
         let b = basis();
         // Rows then columns (separable).
@@ -943,6 +736,8 @@ mod reference {
         out
     }
 
+    #[cold]
+    #[inline(never)]
     pub(super) fn inverse(coeffs: &[i32; N * N]) -> [i32; N * N] {
         let b = basis();
         let mut tmp = [0.0f64; N * N];
@@ -1134,6 +929,17 @@ mod tests {
                 "structured block {i}"
             );
         }
+        // Full-range blocks the cheap pass refuses, which only the
+        // reference answers.
+        let mut rng = Lcg(0x5eed_0004);
+        let refused: Vec<[i32; N * N]> = (0..5_000)
+            .map(|_| std::array::from_fn(|_| rng.range(-255, 255)))
+            .filter(|b| !forward_cheap(b, &mut [0; N * N]))
+            .collect();
+        assert!(refused.len() >= 100, "{} refused blocks", refused.len());
+        for b in &refused {
+            assert_eq!(forward(b), reference::forward(b));
+        }
     }
 
     /// Sparse coefficient blocks shaped like post-quantisation output
@@ -1167,6 +973,19 @@ mod tests {
                 reference::inverse(&coeffs),
                 "rational {sum4}"
             );
+        }
+        // Dense coefficient blocks the cheap pass refuses: near-ties
+        // below its range gate, and oversized inputs above it.
+        let mut rng = Lcg(0x5eed_0005);
+        for hi in [2040, 8192] {
+            let refused: Vec<[i32; N * N]> = (0..4_000)
+                .map(|_| std::array::from_fn(|_| rng.range(-hi, hi)))
+                .filter(|c| !inverse_cheap(c, &mut [0; N * N]))
+                .collect();
+            assert!(refused.len() >= 100, "{} refused below {hi}", refused.len());
+            for c in &refused {
+                assert_eq!(inverse(c), reference::inverse(c));
+            }
         }
     }
 

@@ -604,28 +604,8 @@ fn tile_union_interleaved(
                 group.len()
             )));
         }
-        metrics.time("TILEUNION", || hops_stitch(&group, cols, rows))
+        metrics.time("TILEUNION", || hops::stitch(&group, cols, rows))
     }))
-}
-
-fn hops_stitch(tiles: &[Chunk], cols: usize, rows: usize) -> Result<Chunk> {
-    // Delegate to the hops implementation through the multi-stream
-    // entry point: build one-chunk streams.
-    let streams: Vec<ChunkStream> = tiles
-        .iter()
-        .map(|c| {
-            let mut c = c.clone();
-            // Normalise t_index so the zip aligns.
-            c.t_index = 0;
-            Box::new(std::iter::once(Ok(c))) as ChunkStream
-        })
-        .collect();
-    let mut out: Vec<Chunk> =
-        hops::tile_union(streams, cols, rows, Metrics::new()).collect::<Result<Vec<_>>>()?;
-    let mut stitched =
-        out.pop().ok_or_else(|| ExecError::Align("TILEUNION produced nothing".into()))?;
-    stitched.t_index = tiles[0].t_index;
-    Ok(stitched)
 }
 
 #[cfg(test)]

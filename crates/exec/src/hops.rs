@@ -197,7 +197,9 @@ pub fn tile_union(
     }))
 }
 
-fn stitch(tiles: &[Chunk], cols: usize, rows: usize) -> Result<Chunk> {
+/// Stitches one time step's single-tile chunks, in row-major tile
+/// order, into one `cols × rows` tiled chunk without decoding.
+pub(crate) fn stitch(tiles: &[Chunk], cols: usize, rows: usize) -> Result<Chunk> {
     let mut gops = Vec::with_capacity(tiles.len());
     let mut first_header: Option<SequenceHeader> = None;
     let mut volume: Option<Volume> = None;
