@@ -32,7 +32,23 @@
 //! ([`lightdb_storage::BufferPool::prefetch_gop`] readahead), and
 //! pre-extracts the predicted focus tile plus its low-quality
 //! neighbor ring into the tile cache — so the next `serve` is a pure
-//! cache hit even if the head moved exactly as predicted.
+//! cache hit if the head moved as predicted.
+//!
+//! It pre-extracts only tiles that can still be resident when their
+//! viewer returns. Each serve stores the viewer's *return gap*: the
+//! bytes the tile cache published since that viewer's previous serve,
+//! read off the cache's clock (`exec::tilecache`, "The clock"). An
+//! exact LRU evicts an entry nobody touched once a budget's worth of
+//! bytes has been published after it, so when the last gap is at least
+//! the cache's budget a warmed tile would be gone before the next serve
+//! asked for it, and warming it would only have evicted tiles others
+//! were about to hit. `prefetch` then keeps the pool readahead, skips
+//! the warm and counts `tile_server.prefetch_skipped`. Per shard the
+//! argument holds for the shard's `budget / shards`; cache-wide it
+//! holds in expectation. The threshold is the budget the cache already
+//! has and the gap comes from demand serves, so a viewer whose gap falls
+//! back under the budget warms again at its next prefetch, and a
+//! viewer's first prefetch, which has no gap yet, always warms.
 
 use crate::session::EngineShared;
 use crate::Result;
@@ -182,6 +198,9 @@ struct TierGop<'a> {
     pool_key: &'a GopKey,
     key: TileKey,
     gop: Option<Arc<Vec<u8>>>,
+    /// Capacity of the tiles this tier's misses extracted: what they
+    /// published on the tile cache's clock.
+    published: u64,
 }
 
 impl<'a> TierGop<'a> {
@@ -196,7 +215,7 @@ impl<'a> TierGop<'a> {
             tile: 0,
             quality: stream.quality,
         };
-        TierGop { stream, entry, pool_key, key, gop: None }
+        TierGop { stream, entry, pool_key, key, gop: None, published: 0 }
     }
 
     /// The encoded bytes of `tile`, through `cache` when there is one.
@@ -208,7 +227,7 @@ impl<'a> TierGop<'a> {
         tile: usize,
     ) -> Result<Arc<Vec<u8>>> {
         let (stream, entry, pool_key) = (self.stream, &self.entry, self.pool_key);
-        let gop = &mut self.gop;
+        let (gop, published) = (&mut self.gop, &mut self.published);
         let mut extract = |buffer: &mut dyn FnMut(usize) -> Vec<u8>| {
             let bytes = match gop {
                 Some(bytes) => bytes,
@@ -216,7 +235,9 @@ impl<'a> TierGop<'a> {
                     stream.read_gop(entry)
                 })?),
             };
-            Ok(EncodedGop::extract_tile_bytes_with(bytes, tile, buffer)?)
+            let tile = EncodedGop::extract_tile_bytes_with(bytes, tile, buffer)?;
+            *published += tile.capacity() as u64;
+            Ok(tile)
         };
         match cache {
             Some(cache) => {
@@ -245,7 +266,7 @@ impl<'a> ViewFetch<'a> {
     fn new(server: &'a TileServer, entry_idx: usize) -> ViewFetch<'a> {
         ViewFetch {
             server,
-            cache: server.shared.tile_cache.as_deref().filter(|_| server.config.use_cache),
+            cache: server.cache(),
             high: TierGop::new(&server.hq, entry_idx),
             low: server.lq.as_ref().map(|lq| TierGop::new(lq, entry_idx)),
             tally: TileCacheStats::default(),
@@ -269,17 +290,28 @@ impl<'a> ViewFetch<'a> {
     }
 
     /// Adds the call's `tile_cache.*` counts and its own `tile_server.*`
-    /// count to the session's metrics.
+    /// count to the session's metrics, and its misses' bytes to the tile
+    /// cache's clock.
     fn finish(self, served: (&'static str, u64)) {
+        if let Some(cache) = self.cache {
+            let low = self.low.as_ref().map_or(0, |tier| tier.published);
+            cache.advance_clock(self.high.published + low);
+        }
         self.server.metrics.add_all(self.tally.counters().into_iter().chain([served]));
     }
 }
 
-/// Last observed orientations of one viewer, for prediction.
+/// Last observed orientations of one viewer, for prediction, and where
+/// the tile cache's clock stood at their serves.
 #[derive(Debug, Clone, Copy)]
 struct ViewerTrack {
     last: (u64, Orientation),
     prev: Option<(u64, Orientation)>,
+    /// The tile cache's clock at the viewer's last serve.
+    clock: u64,
+    /// Bytes the tile cache published between the viewer's last two
+    /// serves; `None` until the viewer has been served twice.
+    gap: Option<u64>,
 }
 
 /// The serving facade. Open one per session via
@@ -496,6 +528,11 @@ impl TileServer {
         })
     }
 
+    /// The tile cache this server's tiles go through, if any.
+    fn cache(&self) -> Option<&TileCache> {
+        self.shared.tile_cache.as_deref().filter(|_| self.config.use_cache)
+    }
+
     fn viewer_table(&self, viewer: u64) -> std::sync::MutexGuard<'_, HashMap<u64, ViewerTrack>> {
         let table = &self.viewers[(viewer % VIEWER_TABLES as u64) as usize];
         table.lock().unwrap_or_else(|e| e.into_inner())
@@ -503,6 +540,10 @@ impl TileServer {
 
     fn note(&self, viewer: u64, second: u64, orientation: Orientation) {
         let mut viewers = self.viewer_table(viewer);
+        // Read under the table's lock, so the serves of one viewer read
+        // the clock in the order they update its track; the subtraction
+        // saturates all the same.
+        let clock = self.cache().map_or(0, TileCache::clock);
         let o = orientation.normalized();
         match viewers.get_mut(&viewer) {
             Some(t) => {
@@ -510,6 +551,8 @@ impl TileServer {
                     t.prev = Some(t.last);
                 }
                 t.last = (second, o);
+                t.gap = Some(clock.saturating_sub(t.clock));
+                t.clock = clock;
             }
             None => {
                 viewers.insert(
@@ -517,6 +560,8 @@ impl TileServer {
                     ViewerTrack {
                         last: (second, o),
                         prev: None,
+                        clock,
+                        gap: None,
                     },
                 );
             }
@@ -535,7 +580,11 @@ impl TileServer {
     ///   readahead), and
     /// * the **tile cache**, with the predicted focus tile (high
     ///   quality) and its neighbor ring (low quality) for the next
-    ///   GOP.
+    ///   GOP — unless the tile cache published at least its budget
+    ///   between the viewer's last two serves. An exact LRU would then
+    ///   evict the warmed tiles before the viewer returned (module
+    ///   docs), so the warm is skipped and counted in
+    ///   `tile_server.prefetch_skipped`.
     ///
     /// Best-effort: individual failures are skipped (they would
     /// resurface on the demand `serve` anyway). Returns the number of
@@ -564,11 +613,7 @@ impl TileServer {
         let next_second = second + 1;
         let next_idx = self.entry_index(next_second);
         // Buffer-pool readahead: upcoming GOPs in index order.
-        let mut tiers: Vec<&StreamState> = vec![&self.hq];
-        if let Some(lq) = &self.lq {
-            tiers.push(lq);
-        }
-        for stream in &tiers {
+        for stream in std::iter::once(&self.hq).chain(self.lq.as_ref()) {
             let until = (next_idx + self.config.prefetch_gops).min(stream.entries.len());
             let keys = &stream.pool_keys[next_idx..until];
             for (entry, key) in stream.entries[next_idx..until].iter().zip(keys) {
@@ -581,8 +626,13 @@ impl TileServer {
                     .is_ok();
             }
         }
-        // Tile-cache warm for the predicted view.
-        if !(self.config.use_cache && self.shared.tile_cache.is_some()) {
+        // Tile-cache warm for the predicted view, if it can outlive the
+        // viewer's return.
+        let Some(cache) = self.cache() else {
+            return 0;
+        };
+        if track.gap.is_some_and(|gap| gap >= cache.budget_bytes() as u64) {
+            self.metrics.bump(counters::TILE_PREFETCH_SKIPPED);
             return 0;
         }
         let focus = predicted.tile_on(self.grid);

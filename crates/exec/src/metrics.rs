@@ -304,6 +304,10 @@ pub mod counters {
     pub const TILE_SERVES: &str = "tile_server.serves";
     /// Tiles warmed into the tile cache by predictive prefetch.
     pub const TILE_PREFETCHED: &str = "tile_server.prefetched_tiles";
+    /// Prefetches that skipped the tile-cache warm: the cache had
+    /// published at least its budget between the viewer's last two
+    /// serves, so warmed tiles would be evicted before the next serve.
+    pub const TILE_PREFETCH_SKIPPED: &str = "tile_server.prefetch_skipped";
     /// Latency histogram name for one served view (use with
     /// [`super::Metrics::observe`] / [`super::Metrics::percentile`]).
     pub const SERVE_LATENCY: &str = "tile_server.serve";

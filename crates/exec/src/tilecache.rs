@@ -63,6 +63,25 @@
 //! memory entries really hold. The bin sits outside the budget: each
 //! thread keeps at most 32 buffers and at most one shard's share of the
 //! budget in them.
+//!
+//! ## The clock
+//!
+//! [`TileCache::clock`] counts the bytes misses have published since
+//! construction, so the difference of two readings is how much the LRU
+//! took in between them. An exact LRU evicts an entry nobody touched
+//! once `budget` bytes have been published after it, so a caller that
+//! will next look for a tile after a clock gap of at least
+//! [`TileCache::budget_bytes`] will not find it there, and inserting it
+//! early only displaces other tiles. Per shard that holds for the
+//! shard's `budget / shards` and the shard's share of the clock;
+//! cache-wide, with keys hashed evenly over the shards, it holds in
+//! expectation.
+//!
+//! The clock is one padded `AtomicU64`, read `Relaxed`. A caller that
+//! tallies many lookups adds its misses' bytes once, with
+//! [`TileCache::advance_clock`], so a loop of hits only ever reads the
+//! clock's line and a loop of misses writes it once per batch;
+//! [`TileCache::get_or_extract`] advances it for its one lookup itself.
 
 use crate::metrics::{counters, Metrics};
 use crate::Result;
@@ -243,6 +262,8 @@ pub struct TileCache {
     /// Most bytes a thread keeps in spare buffers: one shard's share.
     spare_limit: usize,
     recycled: Padded,
+    /// Bytes published by misses (the module's "clock").
+    clock: Padded,
 }
 
 impl TileCache {
@@ -251,7 +272,23 @@ impl TileCache {
         let shards = (budget_bytes / MIN_SHARD_BYTES).min(MAX_SHARDS);
         let lru = SingleFlightLru::new(budget_bytes, shards);
         let spare_limit = budget_bytes / lru.shard_count();
-        TileCache { lru, spare_limit, recycled: Padded::default() }
+        TileCache { lru, spare_limit, recycled: Padded::default(), clock: Padded::default() }
+    }
+
+    /// Bytes misses have published since construction, as far as their
+    /// callers have reported them (see the module's "The clock").
+    pub fn clock(&self) -> u64 {
+        self.clock.0.load(Ordering::Relaxed)
+    }
+
+    /// Moves the clock on by `bytes` that misses published: the
+    /// capacity of each tile a tallied extraction returned. Adding 0
+    /// writes nothing, so callers whose lookups all hit leave the
+    /// clock's line shared.
+    pub fn advance_clock(&self, bytes: u64) {
+        if bytes > 0 {
+            self.clock.0.fetch_add(bytes, Ordering::Relaxed);
+        }
     }
 
     /// Capacity of the resident tiles' buffers, in bytes.
@@ -315,6 +352,9 @@ impl TileCache {
     /// per successful call, evictions by what the publication evicted,
     /// and recycled by one for a miss that wrote into a spare: a caller
     /// serving many tiles sums locally and adds to its [`Metrics`] once.
+    /// The clock is the caller's to advance, by the capacity of each tile
+    /// its `extract` returned, once per batch
+    /// ([`advance_clock`](Self::advance_clock)).
     pub fn get_or_extract_tallied(
         &self,
         key: &TileKey,
@@ -353,7 +393,8 @@ impl TileCache {
     }
 
     /// [`get_or_extract_tallied`](Self::get_or_extract_tallied) for one
-    /// tile, counted straight into `metrics`' `tile_cache.*` counters.
+    /// tile, counted straight into `metrics`' `tile_cache.*` counters
+    /// and the clock.
     pub fn get_or_extract(
         &self,
         key: &TileKey,
@@ -362,7 +403,13 @@ impl TileCache {
         extract: &dyn Fn() -> Result<Vec<u8>>,
     ) -> Result<Arc<Vec<u8>>> {
         let mut tally = TileCacheStats::default();
-        let tile = self.get_or_extract_tallied(key, &mut tally, should_abort, |_| extract());
+        let mut published = 0;
+        let tile = self.get_or_extract_tallied(key, &mut tally, should_abort, |_| {
+            let tile = extract()?;
+            published = tile.capacity() as u64;
+            Ok(tile)
+        });
+        self.advance_clock(published);
         metrics.add_all(tally.counters());
         tile
     }
@@ -699,6 +746,35 @@ mod tests {
             assert!(tally.evictions > 1_000, "{tally:?}");
             assert!(tally.recycled * 2 > tally.misses, "{tally:?}");
         });
+    }
+
+    /// The clock moves by each miss's published capacity and stands
+    /// still on hits.
+    #[test]
+    fn the_clock_counts_bytes_misses_published() {
+        let cache = TileCache::new(250);
+        let m = Metrics::new();
+        assert_eq!(cache.clock(), 0);
+        let served = |t: usize| {
+            cache
+                .get_or_extract(&key(t), &m, &|| false, &|| {
+                    let mut tile = Vec::with_capacity(120);
+                    tile.extend_from_slice(&payload(t, 100));
+                    Ok(tile)
+                })
+                .unwrap()
+        };
+        served(0);
+        assert_eq!(cache.clock(), 120);
+        served(0);
+        assert_eq!(cache.clock(), 120, "a hit publishes nothing");
+        served(1);
+        served(2);
+        assert_eq!(cache.clock(), 360);
+        assert!(!cache.contains(&key(0)), "the least recently used tile went first");
+        cache.advance_clock(0);
+        cache.advance_clock(40);
+        assert_eq!(cache.clock(), 400);
     }
 
     #[test]
