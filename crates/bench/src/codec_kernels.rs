@@ -1,13 +1,14 @@
 //! Codec hot-kernel microbenchmarks (see DESIGN.md, "Codec kernels &
 //! numeric contracts").
 //!
-//! Measures the overhauled kernels against the scalar/f64 kernels they
+//! Measures the overhauled kernels against the scalar kernels they
 //! replaced — the pre-overhaul implementations, kept verbatim as
 //! `lightdb-codec`'s test oracle (`tests/oracle/kernels.rs`, included
 //! below) — plus end-to-end encode/decode throughput of the full codec:
 //!
 //! * entropy coding: Exp-Golomb encode/decode, Mbit/s;
-//! * transform: 8×8 forward/inverse DCT, blocks/s;
+//! * transform: the 8×8 integer butterflies, forward and inverse,
+//!   against the same definition as plain matrix products, blocks/s;
 //! * motion estimation: 16×16 SAD, macroblocks/s;
 //! * mode decision's block sum and intra cost, macroblocks/s;
 //! * end-to-end: whole-stream encode and decode, frames/s;
@@ -16,14 +17,14 @@
 //!   quantiser blocks/s, motion searches/s with SADs measured per
 //!   macroblock, and whole tile-GOP encodes the way `ENCODE` runs
 //!   them, with the encoder's own work counters;
-//! * the `f32` zero-block proof against the exact transform and
-//!   quantiser it spares, blocks/s over tile-GOP residuals past the SAD
-//!   gate, with the share of them it proves;
 //! * the read side against what it replaced: whole-GOP decodes the way
 //!   `DECODE` runs them against the oracle's block path (with the
-//!   share of uncoded blocks), `UNION … LAST` compositing against the
-//!   per-pixel compositor (`lightdb-exec`'s test oracle), and `MAP`
-//!   over one chunk at one and two threads;
+//!   share of uncoded blocks), and `UNION … LAST` compositing against
+//!   the per-pixel compositor (`lightdb-exec`'s test oracle). Decodes
+//!   on two threads and `MAP` on two threads are checked equal to one
+//!   thread's output but not timed: on a shared host those ratios read
+//!   below 1 while the engine's second decode thread pays, so the
+//!   engine-level benchmark is where thread scaling is measured;
 //! * the serving side: `EncodedGop::extract_tile_bytes` on a serialised
 //!   4×4 GOP against the parsed GOP's parse → extract → serialise
 //!   (`lightdb-codec`'s GOP oracle, included below), µs and bytes
@@ -264,12 +265,12 @@ fn dct(target: f64, n: usize) {
         assert_eq!(
             kernels::transform::forward(p),
             transform::forward(p),
-            "fast and reference forward DCT diverge"
+            "butterfly and matrix-form forward transforms diverge"
         );
         assert_eq!(
             kernels::transform::inverse(c),
             transform::inverse(c),
-            "fast and reference inverse DCT diverge"
+            "butterfly and matrix-form inverse transforms diverge"
         );
     }
 
@@ -289,7 +290,7 @@ fn dct(target: f64, n: usize) {
             units
         },
     );
-    print_row("DCT fwd (kblocks/s)", fwd_fast / 1e3, fwd_ref / 1e3);
+    print_row("int DCT fwd (kblocks/s)", fwd_fast / 1e3, fwd_ref / 1e3);
 
     let (inv_fast, inv_ref) = rate2(
         target,
@@ -306,7 +307,7 @@ fn dct(target: f64, n: usize) {
             units
         },
     );
-    print_row("DCT inv (kblocks/s)", inv_fast / 1e3, inv_ref / 1e3);
+    print_row("int DCT inv (kblocks/s)", inv_fast / 1e3, inv_ref / 1e3);
 }
 
 fn sad(target: f64, dim: usize) {
@@ -570,13 +571,9 @@ fn tile_gops(target: f64, tiles: &[Vec<Frame>], qp: u8) {
     crate::row(
         &format!("  qp{qp} zero blocks"),
         &[
-            pct(
-                work.blocks_sad_gated + work.blocks_zero_proved + work.blocks_zero_quant,
-                work.blocks,
-            ),
+            pct(work.blocks_sad_gated + work.blocks_zero_quant, work.blocks),
             pct(work.blocks_sad_gated, work.blocks),
-            pct(work.blocks_zero_proved, work.blocks),
-            "all/gated/proved".into(),
+            "all/gated".into(),
         ],
     );
     crate::row(
@@ -586,95 +583,6 @@ fn tile_gops(target: f64, tiles: &[Vec<Frame>], qp: u8) {
             work.zero_sad_exits.to_string(),
             "elim/0-SAD".into(),
         ],
-    );
-}
-
-/// The residuals that reach the `f32` zero proof in tile GOPs: every
-/// 8×8 block (luma and chroma) of each predicted frame against the
-/// co-located block of the previous frame's reconstruction — the zero
-/// vector most tile macroblocks keep — that the SAD gate lets through.
-fn tile_residuals(tiles: &[Vec<Frame>], qp: u8, codec: CodecKind) -> Vec<[i32; 64]> {
-    let gate = quant::zero_block_sad_bound(qp, codec.deadzone());
-    let mut out = Vec::new();
-    for frames in tiles {
-        let mut reference: Option<Frame> = None;
-        for f in frames {
-            let (_, recon) = lightdb_codec::encoder::encode_tile_opts(
-                f,
-                reference.as_ref(),
-                qp,
-                codec,
-                codec.search_range(),
-            );
-            if let Some(prev) = &reference {
-                for plane in [PlaneKind::Luma, PlaneKind::Cb, PlaneKind::Cr] {
-                    let (src, pred) = (f.plane(plane), prev.plane(plane));
-                    let (w, h) = match plane {
-                        PlaneKind::Luma => (f.width(), f.height()),
-                        _ => (f.width() / 2, f.height() / 2),
-                    };
-                    for y in (0..h).step_by(8) {
-                        for x in (0..w).step_by(8) {
-                            let a: [i32; 64] = predict::extract_block(src, w, x, y);
-                            let b: [i32; 64] = predict::extract_block(pred, w, x, y);
-                            let r: [i32; 64] = std::array::from_fn(|i| a[i] - b[i]);
-                            if r.iter().map(|v| v.unsigned_abs()).sum::<u32>() >= gate {
-                                out.push(r);
-                            }
-                        }
-                    }
-                }
-            }
-            reference = Some(recon);
-        }
-    }
-    out
-}
-
-/// The `f32` zero-block proof against the exact transform and
-/// quantiser it spares, on the residuals `ENCODE` hands it: every
-/// proved block must quantise to nothing, and the second row shows
-/// how many of the all-zero blocks the proof catches.
-fn zero_proof(target: f64, tiles: &[Vec<Frame>], qp: u8) {
-    let codec = CodecKind::HevcSim;
-    let deadzone = codec.deadzone();
-    let blocks = tile_residuals(tiles, qp, codec);
-    let edges = quant::zero_proof_edges(qp, deadzone);
-    let (mut proved, mut zero) = (0u64, 0u64);
-    for b in &blocks {
-        let mut c = transform::forward(b);
-        let nnz = quant::quantize(&mut c, qp, deadzone);
-        let p = transform::proves_all_zero(b, edges);
-        assert!(!p || nnz == 0, "proof and exact path diverge on {b:?}");
-        proved += p as u64;
-        zero += (nnz == 0) as u64;
-    }
-    let units = blocks.len() as u64;
-    let (fast, refr) = rate2(
-        target,
-        || {
-            for b in &blocks {
-                black_box(transform::proves_all_zero(black_box(b), edges));
-            }
-            units
-        },
-        || {
-            for b in &blocks {
-                let mut c = transform::forward(black_box(b));
-                black_box(quant::quantize(&mut c, qp, deadzone));
-            }
-            units
-        },
-    );
-    print_row(
-        "zero proof vs forward+quant (kblk/s)",
-        fast / 1e3,
-        refr / 1e3,
-    );
-    let pct = |part: u64, whole: u64| format!("{:.1}%", 100.0 * part as f64 / whole.max(1) as f64);
-    crate::row(
-        &format!("  qp{qp} past SAD gate"),
-        &[pct(zero, units), pct(proved, units), "zero/proved".into()],
     );
 }
 
@@ -705,8 +613,9 @@ fn stored_gop(w: usize, h: usize, n: usize, grid: TileGrid) -> (VideoStream, Vec
 
 /// Whole-GOP decodes the way `exec::frameops::decode_one` runs them
 /// (one scratch reused throughout) against the oracle's block path,
-/// how many of the blocks carried no residual, and the same decode on
-/// two threads against one.
+/// and how many of the blocks carried no residual. The same decode on
+/// two threads must give the same frames (`lightdb-codec`'s
+/// `decoder_threads` test checks that at every thread count).
 fn decode_gops(target: f64, w: usize, h: usize, n: usize, grid: TileGrid) {
     let (stream, decoded) = stored_gop(w, h, n, grid);
     let (header, gop) = (&stream.header, &stream.gops[0]);
@@ -720,7 +629,6 @@ fn decode_gops(target: f64, w: usize, h: usize, n: usize, grid: TileGrid) {
         }
     };
     let mut decode = scratch_decode(1);
-    let mut decode_2 = scratch_decode(2);
     let decode_oracle = || {
         let mut out: Vec<Frame> = Vec::with_capacity(gop.frame_count());
         for ef in gop.frames() {
@@ -758,19 +666,11 @@ fn decode_gops(target: f64, w: usize, h: usize, n: usize, grid: TileGrid) {
     );
     let (cols, rows) = (grid.cols, grid.rows);
     print_row(&format!("decode {w}x{h}x{n}, {cols}x{rows} tiles (GOPs/s)"), fast, refr);
-    assert_eq!(decode_2().0, decoded, "two-thread and one-thread decodes diverge");
-    let (two, one) = rate2(
-        target,
-        || {
-            black_box(decode_2());
-            1
-        },
-        || {
-            black_box(decode());
-            1
-        },
+    assert_eq!(
+        scratch_decode(2)().0,
+        decoded,
+        "two-thread and one-thread decodes diverge"
     );
-    print_row("  2 threads vs 1 (GOPs/s)", two, one);
     let uncoded = work.uncoded_inter + work.uncoded_intra;
     crate::row(
         "  uncoded blocks",
@@ -935,8 +835,8 @@ fn whole_sphere_chunk(frames: Vec<Frame>) -> Chunk {
 /// The decoded-frame operators on one chunk of decoded Venice frames:
 /// `UNION … LAST` with a second clip of the same size and with the
 /// static 64×32 watermark (resized to the canvas), against the
-/// per-pixel compositor; `MAP` grayscale and blur on one thread and on
-/// two.
+/// per-pixel compositor; and `MAP` grayscale and blur, whose output
+/// must not depend on the thread count.
 fn frame_ops(target: f64, n: usize) {
     let (_, base) = stored_gop(512, 256, n, TileGrid::SINGLE);
     let mut second = base.clone();
@@ -975,18 +875,6 @@ fn frame_ops(target: f64, n: usize) {
                 .expect("map")
         };
         assert_eq!(map(1), map(2), "MAP {what} differs between one thread and two");
-        let (one, two) = rate2(
-            target,
-            || {
-                black_box(map(1));
-                1
-            },
-            || {
-                black_box(map(2));
-                1
-            },
-        );
-        print_ms_row(&format!("MAP {what} 1t/2t (ms/chunk)"), one, two, &format!("{:.2}x", two / one));
     }
 }
 
@@ -1052,7 +940,7 @@ fn end_to_end(target: f64, w: usize, h: usize, n: usize) {
 pub fn print(smoke: bool) {
     let target = if smoke { 0.02 } else { 0.5 };
     println!(
-        "Codec kernel throughput, single thread unless a row says otherwise{} — fast vs. \
+        "Codec kernel throughput, single thread{} — fast vs. \
          retained reference kernels",
         if smoke { " (smoke scale)" } else { "" }
     );
@@ -1075,7 +963,6 @@ pub fn print(smoke: bool) {
     let tiles = tile_frames(if smoke { 3 } else { 30 });
     tile_gops(target, &tiles, 24);
     tile_gops(target, &tiles, 45);
-    zero_proof(target, &tiles, 24);
     let n = if smoke { 3 } else { 30 };
     decode_gops(target, 512, 256, n, TileGrid::SINGLE);
     decode_gops(target, 512, 256, n, TileGrid::new(2, 2));

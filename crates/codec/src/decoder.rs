@@ -182,11 +182,10 @@ struct MbCode {
 /// Stage A's output for one frame (or one tile payload): every
 /// macroblock's mode and coded blocks, tiles in order and raster order
 /// within a tile, and the residual of each coded block in the order
-/// stage B meets them. Residuals are saturated to `i16`, which is
-/// exact: a prediction is in 0..=255 and the sum is clamped to 0..=255,
-/// so any residual past ±32 767 stores the same sample its saturation
-/// does. A buffer holds up to 128 bytes per coded block, so twice a
-/// decoded frame's size when every block is coded.
+/// stage B meets them. Residuals are stored as `i16`, which holds every
+/// output of the inverse transform (within ±3 832 by its
+/// construction). A buffer holds up to 128 bytes per coded block, so
+/// twice a decoded frame's size when every block is coded.
 #[derive(Debug, Default)]
 pub(crate) struct FrameResiduals {
     mbs: Vec<MbCode>,
@@ -302,7 +301,7 @@ fn read_tile(
                 }
                 let mut levels = read_coeffs(&mut bits)?;
                 dequantize(&mut levels, qp);
-                out.blocks.push(saturate(&inverse(&levels)));
+                out.blocks.push(inverse(&levels).map(|r| r as i16));
                 coded |= 1 << b;
             }
             out.mbs.push(MbCode { mode, coded });
@@ -310,14 +309,6 @@ fn read_tile(
     }
     // lint: end-hot-loop
     Ok(())
-}
-
-fn saturate(res: &[i32; 64]) -> [i16; 64] {
-    let mut out = [0i16; 64];
-    for (o, &r) in out.iter_mut().zip(res) {
-        *o = r.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
-    }
-    out
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -23,11 +23,11 @@ use crate::predict::{
     dc_predictor, extract_block, intra_cost_estimate, mb_sum, motion_search, store_block,
     BlockSums, MotionVector,
 };
-use crate::quant::{dequantize, quantize, zero_block_sad_bound, zero_proof_edges, QP_MAX};
+use crate::quant::{dequantize, quantize, zero_block_sad_bound, QP_MAX};
 use crate::scratch::{EncoderScratch, EncoderWork};
 use crate::stream::{CodecKind, SequenceHeader, VideoStream};
 use crate::tile::{TileGrid, TileRect};
-use crate::transform::{forward, inverse, proves_all_zero, ZIGZAG};
+use crate::transform::{forward, inverse, ZIGZAG};
 use crate::{CodecError, Result, BLOCK_SIZE, MB_SIZE};
 use lightdb_frame::{Frame, PlaneKind};
 
@@ -461,10 +461,8 @@ fn encode_macroblock(
 /// Most blocks quantise to all-zero levels, which the decoder
 /// reconstructs as the prediction itself (`dequantize` and `inverse`
 /// map 0 to 0). Those leave here with the uncoded flag and a copy of
-/// `pred` — without the exact transform either, when the outcome is
-/// proved first: by [`zero_block_sad_bound`] from the residual's SAD,
-/// else by [`proves_all_zero`] from an `f32` transform with a bounded
-/// error.
+/// `pred` — without the transform either, when [`zero_block_sad_bound`]
+/// proves the outcome from the residual's SAD.
 #[allow(clippy::too_many_arguments)]
 fn encode_block(
     src_plane: &[u8],
@@ -508,9 +506,6 @@ fn encode_block(
     let mut coeffs = [0i32; 64];
     let nnz = if sad < zero_block_sad_bound(qp, deadzone) {
         work.blocks_sad_gated += 1;
-        0
-    } else if proves_all_zero(&residual, zero_proof_edges(qp, deadzone)) {
-        work.blocks_zero_proved += 1;
         0
     } else {
         coeffs = forward(&residual);
@@ -560,22 +555,22 @@ fn write_coeff_block(bits: &mut BitWriter, coeffs: &[i32; 64], nnz: u32) {
     }
 }
 
-/// Quick quality check used by tests: mean SAD per luma sample between
-/// a source frame and its reconstruction.
-pub fn reconstruction_error(src: &Frame, recon: &Frame) -> f64 {
-    let a = src.plane(PlaneKind::Luma);
-    let b = recon.plane(PlaneKind::Luma);
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| (x as i32 - y as i32).abs() as f64)
-        .sum::<f64>()
-        / a.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lightdb_frame::Yuv;
+
+    /// Mean SAD per luma sample between a source frame and its
+    /// reconstruction.
+    fn reconstruction_error(src: &Frame, recon: &Frame) -> f64 {
+        let a = src.plane(PlaneKind::Luma);
+        let b = recon.plane(PlaneKind::Luma);
+        a.iter()
+            .zip(b.iter())
+            .map(|(&x, &y)| (x as i32 - y as i32).abs() as f64)
+            .sum::<f64>()
+            / a.len() as f64
+    }
 
     fn textured_frame(w: usize, h: usize, phase: usize) -> Frame {
         let mut f = Frame::new(w, h);

@@ -6,15 +6,19 @@
 //! frequency-weighting matrix shapes the error toward high
 //! frequencies, and an optional deadzone (used by the HEVC-sim
 //! profile) biases small coefficients to zero for extra compression.
+//!
+//! Everything here is integer arithmetic on constant tables, built at
+//! compile time: no float decides any bit of the stream.
 
-use crate::transform::{basis_peaks, APPROX_ERROR};
+use crate::transform::{COEFF_FRAC_BITS, FORWARD_SHIFTS, ROW_PEAKS};
 use crate::BLOCK_SIZE;
-use std::sync::OnceLock;
 
 const N: usize = BLOCK_SIZE;
 
 /// Maximum supported quantisation parameter.
 pub const QP_MAX: u8 = 51;
+
+const QPS: usize = QP_MAX as usize + 1;
 
 /// Frequency-weighting matrix (luma), loosely after the JPEG K.1
 /// table, normalised so the DC weight is 1.
@@ -29,119 +33,109 @@ pub const WEIGHTS: [u16; N * N] = [
     72, 92, 95, 98, 112, 100, 103, 99,
 ];
 
-/// The quantiser step size for a QP: `0.625 · 2^(qp/6)`, scaled ×64
-/// and held as an integer to keep the codec deterministic.
+/// The quantiser step size per QP, `0.625 · 2^(qp/6)` scaled ×64 and
+/// rounded to the nearest integer: `round(40 · 2^(qp/6))`.
+const QSTEP_X64: [u32; QPS] = [
+    40, 45, 50, 57, 63, 71, 80, 90, 101, 113, 127, 143, 160, 180, 202, 226, 254, 285, 320, 359,
+    403, 453, 508, 570, 640, 718, 806, 905, 1016, 1140, 1280, 1437, 1613, 1810, 2032, 2281, 2560,
+    2874, 3225, 3620, 4064, 4561, 5120, 5747, 6451, 7241, 8127, 9123, 10240, 11494, 12902, 14482,
+];
+
+/// The quantiser step size for a QP, ×64.
 #[inline]
 pub fn qstep_x64(qp: u8) -> u32 {
     debug_assert!(qp <= QP_MAX);
-    // 0.625 * 64 = 40.
-    let base = 40.0f64;
-    (base * 2f64.powf(qp as f64 / 6.0)).round() as u32
+    QSTEP_X64[qp as usize]
 }
 
-/// Slack subtracted from a zero bin's real-valued edge before the SAD
-/// gate and the `f32` proof's edges are derived from it: a million
-/// times the reference DCT's `f64` rounding error (below `2^-37`), and
-/// far too small to move a gate.
-const GATE_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
-
-/// Per-QP quantiser tables: the weighted divisor `step·w/16` for each
-/// coefficient position, the two rounding offsets, and what follows
-/// from them about zero levels. Hoisting these out of the per-block
-/// loops removes a multiply and divide per coefficient from both hot
-/// paths; the table values are the *same* integers the loops used to
-/// compute, so output is unchanged.
+/// Per-QP quantiser tables: the weighted divisor for each coefficient
+/// position, the two rounding offsets, and what follows from them
+/// about zero levels. Hoisting these out of the per-block loops
+/// removes a multiply and divide per coefficient from both hot paths.
+///
+/// Divisors and offsets are scaled by `2^COEFF_FRAC_BITS`, the
+/// precision the transform's coefficients carry below the orthonormal
+/// scale, so a qp's step is the same size relative to the signal.
 struct QpTables {
-    /// `step(qp) · WEIGHTS[i] / 16` per coefficient position.
-    div: [[i64; N * N]; (QP_MAX + 1) as usize],
+    /// `step(qp) · WEIGHTS[i] / 16 · 2^COEFF_FRAC_BITS` per coefficient
+    /// position.
+    div: [[i64; N * N]; QPS],
     /// Rounding offsets, indexed by `deadzone as usize`:
-    /// `[step/2, step/6]`.
-    offset: [[i64; 2]; (QP_MAX + 1) as usize],
+    /// `[step/2, step/6] · 2^COEFF_FRAC_BITS`.
+    offset: [[i64; 2]; QPS],
     /// The zero bin, `[qp][deadzone][i]`: the largest `|c|` with
     /// `|c|·64 + offset < div[i]`, i.e. `(div[i] − offset − 1) / 64`.
-    zero_max: [[[u32; N * N]; 2]; (QP_MAX + 1) as usize],
+    zero_max: [[[u32; N * N]; 2]; QPS],
     /// See [`zero_block_sad_bound`], `[qp][deadzone]`.
-    sad_gate: [[u32; 2]; (QP_MAX + 1) as usize],
-    /// See [`zero_proof_edges`], `[qp][deadzone][u·N + v]`.
-    proof_edge: [[[f32; N * N]; 2]; (QP_MAX + 1) as usize],
+    sad_gate: [[u32; 2]; QPS],
 }
 
-fn tables() -> &'static QpTables {
-    static TABLES: OnceLock<QpTables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut div = [[0i64; N * N]; (QP_MAX + 1) as usize];
-        let mut offset = [[0i64; 2]; (QP_MAX + 1) as usize];
-        let mut zero_max = [[[0u32; N * N]; 2]; (QP_MAX + 1) as usize];
-        let mut sad_gate = [[0u32; 2]; (QP_MAX + 1) as usize];
-        let mut proof_edge = [[[0f32; N * N]; 2]; (QP_MAX + 1) as usize];
-        let peak = basis_peaks();
-        for qp in 0..=QP_MAX as usize {
-            let step = qstep_x64(qp as u8) as i64;
-            offset[qp] = [step / 2, step / 6];
-            for (i, d) in div[qp].iter_mut().enumerate() {
-                *d = step * WEIGHTS[i] as i64 / 16; // weight normalised to DC=16
-            }
-            for dz in 0..2 {
-                let mut gate = f64::INFINITY;
-                for i in 0..N * N {
-                    // Every divisor exceeds both offsets (the smallest
-                    // weight is 10/16 > 1/2), so the bin holds 0.
-                    let z = (div[qp][i] - offset[qp][dz] - 1) / 64;
-                    zero_max[qp][dz][i] = z as u32;
-                    let reach = peak[i % N] * peak[i / N];
-                    gate = gate.min((z as f64 + 0.5 - GATE_MARGIN) / reach);
+static TABLES: QpTables = build_tables();
+
+const fn build_tables() -> QpTables {
+    let mut t = QpTables {
+        div: [[0; N * N]; QPS],
+        offset: [[0; 2]; QPS],
+        zero_max: [[[0; N * N]; 2]; QPS],
+        sad_gate: [[u32::MAX; 2]; QPS],
+    };
+    let mut qp = 0;
+    while qp < QPS {
+        let step = (QSTEP_X64[qp] as i64) << COEFF_FRAC_BITS;
+        t.offset[qp] = [step / 2, step / 6];
+        let mut i = 0;
+        while i < N * N {
+            t.div[qp][i] = step * WEIGHTS[i] as i64 / 16; // weight normalised to DC=16
+            let mut dz = 0;
+            while dz < 2 {
+                // Every divisor exceeds both offsets (the smallest
+                // weight is 10/16 > 1/2), so the bin holds 0.
+                let z = (t.div[qp][i] - t.offset[qp][dz] - 1) / 64;
+                t.zero_max[qp][dz][i] = z as u32;
+                let gate = sad_gate_at(z, ROW_PEAKS[i % N] as i64, ROW_PEAKS[i / N] as i64);
+                if gate < t.sad_gate[qp][dz] {
+                    t.sad_gate[qp][dz] = gate;
                 }
-                sad_gate[qp][dz] = gate.ceil() as u32;
-                for (t, edge) in proof_edge[qp][dz].iter_mut().enumerate() {
-                    // Transposed: entry u·N + v guards position v·N + u.
-                    let z = zero_max[qp][dz][t % N * N + t / N] as f64;
-                    let e = z + 0.5 - APPROX_ERROR - GATE_MARGIN;
-                    // Rounded down, so the edge loses nothing to `f32`.
-                    let f = e as f32;
-                    *edge = if f as f64 > e { f.next_down() } else { f };
-                }
+                dz += 1;
             }
+            i += 1;
         }
-        QpTables {
-            div,
-            offset,
-            zero_max,
-            sad_gate,
-            proof_edge,
-        }
-    })
+        qp += 1;
+    }
+    t
+}
+
+/// The SAD gate of one coefficient position with zero bin `|c| ≤ z`,
+/// horizontal row peak `pu` and vertical row peak `pv`: the smallest
+/// residual SAD that could move the coefficient out of its bin.
+///
+/// With `S_x = Σ_y |r[y][x]|`, the first pass gives `|T[v][x]| ≤
+/// (pv·S_x + h1) / 2^s1` (`h1 = 2^(s1−1)`; the floor of `(s + h1) /
+/// 2^s1` is at most `h1/2^s1` further from zero than `s/2^s1`), so
+/// `Σ_x |T[v][x]| ≤ (pv·SAD + 8·h1) / 2^s1`, and the second pass's sum
+/// is at most `pu` times that. The coefficient `(s + h2) >> s2` stays
+/// in the bin while `|s| ≤ z·2^s2 + h2 − 1`. So every
+/// `SAD ≤ (2^s1·(z·2^s2 + h2 − 1) − 8·h1·pu) / (pu·pv)` quantises to
+/// zero at this position, and the gate is one past that.
+const fn sad_gate_at(z: i64, pu: i64, pv: i64) -> u32 {
+    let [s1, s2] = FORWARD_SHIFTS;
+    let (h1, h2) = (1i64 << (s1 - 1), 1i64 << (s2 - 1));
+    let reach = ((z << s2) + h2 - 1) << s1;
+    ((reach - 8 * h1 * pu) / (pu * pv) + 1) as u32
 }
 
 /// The all-zero-block SAD gate: an 8×8 residual whose sum of absolute
 /// values is **below** this bound quantises to all-zero levels at
 /// `(qp, deadzone)`, so the encoder may skip transforming it.
 ///
-/// Proof. The DCT basis is orthonormal and separable, so coefficient
-/// `(u, v)` of a residual `r` is `F = Σ r[x,y]·b_u[x]·b_v[y]` and
-/// `|F| ≤ Σ|r| · max|b_u| · max|b_v|`. [`crate::transform::forward`]
-/// returns `round(F)` as the `f64` reference computes it (error far
-/// below [`GATE_MARGIN`]), which lies in position `i`'s zero bin
-/// `|c| ≤ zero_max[i]` whenever `|F| < zero_max[i] + 1/2 − margin`.
-/// The bound is the smallest `Σ|r|` that could break that at any
-/// position; below it no position can produce a nonzero level.
+/// It is the smallest of the per-position gates (`sad_gate_at`),
+/// which bound each coefficient of [`crate::transform::forward`]
+/// through the integer matrix's row peaks
+/// ([`crate::transform::ROW_PEAKS`]) and the definition's rounding
+/// shifts. Below it no position can produce a nonzero level.
 pub fn zero_block_sad_bound(qp: u8, deadzone: bool) -> u32 {
     debug_assert!(qp <= QP_MAX);
-    tables().sad_gate[qp as usize][deadzone as usize]
-}
-
-/// The `f32` zero-block proof's edges at `(qp, deadzone)`, in
-/// [`crate::transform::forward_approx`]'s transposed layout (entry
-/// `u·8 + v` guards coefficient position `v·8 + u`): each is
-/// `zero_max + ½ − APPROX_ERROR − margin`, rounded down to `f32`. A
-/// residual whose approximate coefficients all lie strictly inside
-/// their edges ([`crate::transform::proves_all_zero`]) has every exact
-/// coefficient below `zero_max + ½ − margin`, which
-/// [`crate::transform::forward`] rounds into the zero bin — the same
-/// argument as the SAD gate's, with the approximate transform's error
-/// in place of the basis-peak bound.
-pub fn zero_proof_edges(qp: u8, deadzone: bool) -> &'static [f32; N * N] {
-    debug_assert!(qp <= QP_MAX);
-    &tables().proof_edge[qp as usize][deadzone as usize]
+    TABLES.sad_gate[qp as usize][deadzone as usize]
 }
 
 /// Quantises a coefficient block in place and returns how many levels
@@ -153,14 +147,12 @@ pub fn zero_proof_edges(qp: u8, deadzone: bool) -> &'static [f32; N * N] {
 /// must be clearly nonzero to survive (HEVC's RDOQ in spirit: rate for
 /// quality). So a level is zero **iff `|c|·64 + offset < div[i]`**,
 /// i.e. `|c| ≤ zero_max[i]`, and only coefficients past their zero bin
-/// are divided. Blocks that quantise to nothing seldom get here: the
-/// encoder's SAD gate and `f32` proof skip them before the transform.
+/// are divided.
 pub fn quantize(coeffs: &mut [i32; N * N], qp: u8, deadzone: bool) -> u32 {
     debug_assert!(qp <= QP_MAX);
-    let t = tables();
-    let zero_max = &t.zero_max[qp as usize][deadzone as usize];
-    let div = &t.div[qp as usize];
-    let offset = t.offset[qp as usize][deadzone as usize];
+    let zero_max = &TABLES.zero_max[qp as usize][deadzone as usize];
+    let div = &TABLES.div[qp as usize];
+    let offset = TABLES.offset[qp as usize][deadzone as usize];
     let mut nnz = 0;
     for ((c, &d), &z) in coeffs.iter_mut().zip(div).zip(zero_max) {
         let mag = c.unsigned_abs();
@@ -175,12 +167,18 @@ pub fn quantize(coeffs: &mut [i32; N * N], qp: u8, deadzone: bool) -> u32 {
     nnz
 }
 
-/// Reconstructs coefficients from quantised levels.
+/// Reconstructs coefficients from quantised levels, clipped to the
+/// `i16` range the inverse transform reads. A hostile level saturates
+/// instead of wrapping, and so can a real one: without the deadzone,
+/// from qp 29 up, the DC of a near-flat ±255 block (±32 640) can round
+/// to a level whose dequantised value passes it (qp 29: 32 775). The
+/// encoder reconstructs through this function too, so its reference
+/// frames stay the decoder's.
 pub fn dequantize(levels: &mut [i32; N * N], qp: u8) {
     debug_assert!(qp <= QP_MAX);
-    let div = &tables().div[qp as usize];
+    let div = &TABLES.div[qp as usize];
     for (l, &d) in levels.iter_mut().zip(div.iter()) {
-        *l = ((*l as i64 * d) / 64) as i32;
+        *l = ((*l as i64 * d) / 64).clamp(i16::MIN as i64, i16::MAX as i64) as i32;
     }
 }
 
@@ -192,9 +190,9 @@ mod tests {
 
     #[test]
     fn tables_match_direct_computation() {
-        let t = tables();
+        let t = &TABLES;
         for qp in 0..=QP_MAX {
-            let step = qstep_x64(qp) as i64;
+            let step = (qstep_x64(qp) as i64) << COEFF_FRAC_BITS;
             assert_eq!(t.offset[qp as usize], [step / 2, step / 6], "qp {qp}");
             for (i, &w) in WEIGHTS.iter().enumerate() {
                 assert_eq!(t.div[qp as usize][i], step * w as i64 / 16, "qp {qp} i {i}");
@@ -202,21 +200,12 @@ mod tests {
         }
     }
 
-    /// Every `f32` proof edge lies at or below its real-valued edge,
-    /// within one `f32` step of it, in the transposed layout.
+    /// The step table holds `round(40 · 2^(qp/6))` at every qp.
     #[test]
-    fn proof_edges_round_down_to_their_bins() {
-        let t = tables();
+    fn qstep_table_is_forty_times_two_to_the_qp_over_six() {
         for qp in 0..=QP_MAX {
-            for dz in [false, true] {
-                let edges = zero_proof_edges(qp, dz);
-                for (i, &z) in t.zero_max[qp as usize][dz as usize].iter().enumerate() {
-                    let exact = z as f64 + 0.5 - APPROX_ERROR - GATE_MARGIN;
-                    let edge = edges[i % N * N + i / N];
-                    assert!(edge as f64 <= exact, "qp {qp} dz {dz} i {i}");
-                    assert!(edge.next_up() as f64 > exact, "qp {qp} dz {dz} i {i}");
-                }
-            }
+            let exact = 40.0 * 2f64.powf(qp as f64 / 6.0);
+            assert_eq!(qstep_x64(qp), exact.round() as u32, "qp {qp}");
         }
     }
 

@@ -31,11 +31,8 @@ pub struct EncoderWork {
     pub blocks: u64,
     /// Blocks the SAD gate proved all-zero before the transform.
     pub blocks_sad_gated: u64,
-    /// Blocks the `f32` transform proved all-zero (past the SAD gate),
-    /// never transformed exactly.
-    pub blocks_zero_proved: u64,
-    /// Blocks exactly transformed, then quantised to all-zero: what
-    /// both proofs missed.
+    /// Blocks transformed, then quantised to all-zero: what the SAD
+    /// gate missed.
     pub blocks_zero_quant: u64,
     /// Motion candidates considered after the zero vector.
     pub mv_candidates: u64,

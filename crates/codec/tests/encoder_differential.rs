@@ -1,18 +1,17 @@
 //! The encoder's exact shortcuts against the paths they replaced
 //! (`oracle`): a division-free quantiser for zero levels, the all-zero
-//! block short-circuit with its SAD gate and its `f32` transform proof,
-//! and successive elimination in the motion search. Each must change no output bit; CI runs this file
-//! in release mode too, where the optimiser sees the same comparisons.
+//! block short-circuit with its SAD gate, and successive elimination
+//! in the motion search. Each must change no output bit; CI runs this
+//! file in release mode too, where the optimiser sees the same
+//! comparisons.
 
 mod oracle;
 
 use lightdb_codec::encoder::encode_tile_opts;
 use lightdb_codec::predict::{mb_sum, motion_search, sad_mb, BlockSums, MotionVector};
-use lightdb_codec::quant::{
-    qstep_x64, quantize, zero_block_sad_bound, zero_proof_edges, QP_MAX, WEIGHTS,
-};
+use lightdb_codec::quant::{qstep_x64, quantize, zero_block_sad_bound, QP_MAX, WEIGHTS};
 use lightdb_codec::scratch::EncoderWork;
-use lightdb_codec::transform::{forward, forward_approx, proves_all_zero, APPROX_ERROR};
+use lightdb_codec::transform::{forward, COEFF_FRAC_BITS};
 use lightdb_codec::{CodecKind, TileRect, MB_SIZE};
 use lightdb_frame::{Frame, PlaneKind};
 use proptest::prelude::*;
@@ -50,14 +49,15 @@ fn assert_quantize_agrees(block: &[i32; 64], qp: u8, deadzone: bool) {
     assert_eq!(nnz as usize, old.iter().filter(|&&l| l != 0).count());
 }
 
-/// Every coefficient a ±255 residual can produce (|c| ≤ 2040), at
+/// Every coefficient a ±255 residual can produce (|c| ≤ 32 640 at 16
+/// times the orthonormal scale; the sweep covers the `i16` range), at
 /// every position (a uniform block puts `c` on all 64 at once), for
 /// every quantiser.
 #[test]
 fn quantize_matches_oracle_over_the_reachable_range() {
     for qp in 0..=QP_MAX {
         for deadzone in [false, true] {
-            for c in -2100..=2100 {
+            for c in i16::MIN as i32..=i16::MAX as i32 {
                 assert_quantize_agrees(&[c; 64], qp, deadzone);
             }
         }
@@ -72,7 +72,7 @@ fn quantize_matches_oracle_over_the_reachable_range() {
 #[test]
 fn quantize_matches_oracle_at_bin_edges() {
     for qp in 0..=QP_MAX {
-        let step = qstep_x64(qp) as i64;
+        let step = (qstep_x64(qp) as i64) << COEFF_FRAC_BITS;
         for (deadzone, offset) in [(false, step / 2), (true, step / 6)] {
             for (i, &w) in WEIGHTS.iter().enumerate() {
                 let div = step * w as i64 / 16;
@@ -103,7 +103,9 @@ fn quantize_matches_oracle_at_bin_edges() {
 
 // ------------------------------------------------------------- SAD gate
 
-/// The DCT basis row `u`, as `transform` defines it.
+/// Basis row `u` of the orthonormal `f64` DCT. Its signs and its peak
+/// positions are those of the integer matrix's row `u`, so the worst
+/// cases below are the integer transform's too.
 fn basis_row(u: usize) -> [f64; 8] {
     let alpha = if u == 0 {
         (1.0f64 / 8.0).sqrt()
@@ -200,309 +202,6 @@ proptest! {
         let sad: u32 = residual.iter().map(|r| r.unsigned_abs()).sum();
         prop_assert!(sad < bound);
         prop_assert_eq!(nnz_via_oracle(&residual, qp, deadzone), 0);
-    }
-}
-
-// ------------------------------------------------------ f32 zero proof
-
-const E: f64 = APPROX_ERROR;
-
-/// `images[i][q]`: what one unit of residual at pixel `i = y·8 + x`
-/// adds to coefficient `q = v·8 + u`, i.e. `b_u[x]·b_v[y]`.
-fn basis_images() -> Vec<[f64; 64]> {
-    let rows: [[f64; 8]; 8] = std::array::from_fn(basis_row);
-    (0..64)
-        .map(|i| std::array::from_fn(|q| rows[q % 8][i % 8] * rows[q / 8][i / 8]))
-        .collect()
-}
-
-/// The test-only `f64` oracle: the exact DCT coefficients of a
-/// residual (error ~10⁻¹³), in `forward`'s layout `v·8 + u`.
-fn exact_coeffs(residual: &[i32; 64]) -> [f64; 64] {
-    let rows: [[f64; 8]; 8] = std::array::from_fn(basis_row);
-    let tmp: [[f64; 8]; 8] = std::array::from_fn(|y| {
-        std::array::from_fn(|u| {
-            (0..8)
-                .map(|x| residual[y * 8 + x] as f64 * rows[u][x])
-                .sum()
-        })
-    });
-    std::array::from_fn(|q| (0..8).map(|y| tmp[y][q % 8] * rows[q / 8][y]).sum())
-}
-
-/// The proof's edges moved to `forward`'s layout.
-fn proof_edges(qp: u8, deadzone: bool) -> [f64; 64] {
-    let t = zero_proof_edges(qp, deadzone);
-    std::array::from_fn(|q| t[q % 8 * 8 + q / 8] as f64)
-}
-
-/// How far the tightest coefficient lies past its edge:
-/// `max_q (|F_q| − edge_q)`, negative when all are inside.
-fn edge_gap(coeffs: &[f64; 64], edges: &[f64; 64]) -> f64 {
-    coeffs
-        .iter()
-        .zip(edges)
-        .map(|(c, e)| c.abs() - e)
-        .fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// A residual whose tightest coefficient lands near `target` past its
-/// edge: a random shape (dense, sparse, or one basis image with a
-/// little noise) is scaled so its tightest coefficient reaches
-/// `edge + target`, rounded to integers, and then the rounded block
-/// and its 128 one-pixel ±1 neighbours are screened (as rank-1
-/// updates of the oracle's coefficients). Returns the candidate whose
-/// gap is nearest `target`, with that gap; `None` when the scaled
-/// shape leaves `±255`.
-fn near_edge_residual(
-    shape: &[f64; 64],
-    edges: &[f64; 64],
-    images: &[[f64; 64]],
-    target: f64,
-) -> Option<([i32; 64], f64)> {
-    let probe = std::array::from_fn(|i| (shape[i] * 1024.0).round() as i32);
-    let f = exact_coeffs(&probe);
-    let (q, ratio) = f
-        .iter()
-        .zip(edges)
-        .map(|(c, e)| c.abs() / e)
-        .enumerate()
-        .fold(
-            (0, 0.0),
-            |best, (q, r)| if r > best.1 { (q, r) } else { best },
-        );
-    if ratio == 0.0 {
-        return None;
-    }
-    let scale = (edges[q] + target) / f[q].abs();
-    let base: [i32; 64] = std::array::from_fn(|i| (probe[i] as f64 * scale).round() as i32);
-    if base.iter().any(|r| r.abs() > 255) {
-        return None;
-    }
-    let f = exact_coeffs(&base);
-    let mut best = (base, edge_gap(&f, edges));
-    for (i, image) in images.iter().enumerate() {
-        for step in [-1, 1] {
-            if (base[i] + step).abs() > 255 {
-                continue;
-            }
-            let moved: [f64; 64] = std::array::from_fn(|k| f[k] + step as f64 * image[k]);
-            let gap = edge_gap(&moved, edges);
-            if (gap - target).abs() < (best.1 - target).abs() {
-                let mut r = base;
-                r[i] += step;
-                best = (r, gap);
-            }
-        }
-    }
-    // Recompute the winner directly rather than trust the updates.
-    Some((best.0, edge_gap(&exact_coeffs(&best.0), edges)))
-}
-
-/// One random shape for [`near_edge_residual`], from `kind`.
-fn random_shape(kind: usize, rng: &mut Rng, images: &[[f64; 64]]) -> [f64; 64] {
-    let unit = |rng: &mut Rng| rng.below(2001) as f64 / 1000.0 - 1.0;
-    match kind % 3 {
-        0 => std::array::from_fn(|_| unit(rng)),
-        1 => {
-            let mut s = [0.0; 64];
-            for _ in 0..1 + rng.below(6) {
-                s[rng.below(64)] = unit(rng);
-            }
-            s
-        }
-        _ => {
-            // The basis image of coefficient p, by the pixel-to-
-            // coefficient symmetry of an orthonormal separable basis.
-            let p = rng.below(64);
-            let noise = rng.below(4) as f64 / 40.0;
-            std::array::from_fn(|i| images[i][p] + noise * unit(rng))
-        }
-    }
-}
-
-/// Against the `f64` oracle, every coefficient of the `f32`
-/// transform is within `APPROX_ERROR` of exact: on uniform random
-/// residuals of four amplitudes, and on the 128 extremal blocks — each
-/// coefficient's basis sign pattern at ±255, which drives it (and the
-/// transform's intermediate sums) to its largest magnitude.
-#[test]
-fn forward_approx_stays_within_its_error_bound() {
-    let rows: [[f64; 8]; 8] = std::array::from_fn(basis_row);
-    let mut blocks: Vec<[i32; 64]> = Vec::new();
-    for v in 0..8 {
-        for u in 0..8 {
-            for sign in [255, -255] {
-                blocks.push(std::array::from_fn(|i| {
-                    if rows[u][i % 8] * rows[v][i / 8] < 0.0 {
-                        -sign
-                    } else {
-                        sign
-                    }
-                }));
-            }
-        }
-    }
-    let mut rng = Rng(0xf32);
-    for n in 0..20_000 {
-        let spread = [255, 255, 40, 3][n % 4];
-        blocks.push(std::array::from_fn(|_| {
-            rng.below(2 * spread + 1) as i32 - spread as i32
-        }));
-    }
-    let mut worst = 0.0f64;
-    for block in &blocks {
-        let exact = exact_coeffs(block);
-        let approx = forward_approx(block);
-        for (q, e) in exact.iter().enumerate() {
-            let err = (approx[q % 8 * 8 + q / 8] as f64 - e).abs();
-            assert!(err <= E, "coefficient {q} off by {err} on {block:?}");
-            worst = worst.max(err);
-        }
-    }
-    // The derived bound is loose; the measured worst case sits far
-    // inside it, which is what lets the edges stay tight.
-    assert!(worst < E / 8.0, "worst error {worst}");
-}
-
-/// Residuals whose tightest coefficient lies within `[lo, hi]` of its
-/// proof edge at `(qp, deadzone)`: up to `want` of them, from at most
-/// `tries` random shapes aimed at the middle of the window.
-fn residuals_near_edges(
-    qp: u8,
-    deadzone: bool,
-    lo: f64,
-    hi: f64,
-    want: usize,
-    rng: &mut Rng,
-) -> Vec<[i32; 64]> {
-    let images = basis_images();
-    let edges = proof_edges(qp, deadzone);
-    let mut found = Vec::new();
-    for kind in 0..600 {
-        let shape = random_shape(kind, rng, &images);
-        if let Some((r, gap)) = near_edge_residual(&shape, &edges, &images, (lo + hi) / 2.0) {
-            if (lo..=hi).contains(&gap) {
-                found.push(r);
-                if found.len() == want {
-                    break;
-                }
-            }
-        }
-    }
-    found
-}
-
-/// Soundness where it is tightest: at every quantiser, residuals
-/// whose tightest coefficient lies within ±2·`APPROX_ERROR` of its
-/// proof edge — inside, on and past it — are proved only when the
-/// exact path quantises them to nothing. Both outcomes occur.
-#[test]
-fn zero_proof_is_sound_next_to_every_edge() {
-    let mut rng = Rng(0x2e40);
-    let (mut proved, mut refused) = (0, 0);
-    for qp in 0..=QP_MAX {
-        for deadzone in [false, true] {
-            let edges = zero_proof_edges(qp, deadzone);
-            let near = residuals_near_edges(qp, deadzone, -2.0 * E, 2.0 * E, 6, &mut rng);
-            assert!(
-                !near.is_empty(),
-                "qp {qp} deadzone {deadzone}: no residual near an edge"
-            );
-            for r in &near {
-                if proves_all_zero(r, edges) {
-                    proved += 1;
-                    assert_eq!(
-                        nnz_via_oracle(r, qp, deadzone),
-                        0,
-                        "qp {qp} dz {deadzone} {r:?}"
-                    );
-                } else {
-                    refused += 1;
-                }
-            }
-        }
-    }
-    assert!(
-        proved > 0 && refused > 0,
-        "proved {proved} refused {refused}"
-    );
-}
-
-/// The proof is not slack: at every quantiser some residual whose
-/// tightest coefficient sits between 3 and 2 `APPROX_ERROR` inside
-/// its edge is proved all-zero.
-#[test]
-fn zero_proof_is_not_slack() {
-    let mut rng = Rng(0x5ac);
-    for qp in 0..=QP_MAX {
-        for deadzone in [false, true] {
-            let edges = zero_proof_edges(qp, deadzone);
-            let near = residuals_near_edges(qp, deadzone, -3.0 * E, -2.0 * E, 1, &mut rng);
-            assert!(
-                !near.is_empty(),
-                "qp {qp} deadzone {deadzone}: no residual at edge − 3E"
-            );
-            assert!(
-                proves_all_zero(&near[0], edges),
-                "qp {qp} deadzone {deadzone}: {:?} not proved",
-                near[0]
-            );
-        }
-    }
-}
-
-/// Residuals outside `±255` break the error bound's precondition
-/// and are never proved — not even where the exact path finds them
-/// all-zero, and not at the ends of `i32`.
-#[test]
-fn out_of_range_residuals_are_never_proved() {
-    let (qp, deadzone) = (QP_MAX, true);
-    let edges = zero_proof_edges(qp, deadzone);
-    for pixel in [0, 27, 63] {
-        let mut r = [0i32; 64];
-        r[pixel] = 255;
-        assert!(proves_all_zero(&r, edges), "±255 is in range");
-        r[pixel] = -255;
-        assert!(proves_all_zero(&r, edges), "±255 is in range");
-        for v in [256, -256, 1000, i32::MAX, i32::MIN, i32::MIN + 1] {
-            r[pixel] = v;
-            assert!(!proves_all_zero(&r, edges), "pixel {pixel} = {v}");
-        }
-        r[pixel] = 256;
-        assert_eq!(
-            nnz_via_oracle(&r, qp, deadzone),
-            0,
-            "256 alone quantises to nothing"
-        );
-    }
-    assert!(!proves_all_zero(&[i32::MIN; 64], edges));
-    assert!(!proves_all_zero(
-        &[256; 64],
-        zero_proof_edges(QP_MAX, false)
-    ));
-}
-
-proptest! {
-    /// Any proved residual quantises to nothing through the exact
-    /// path, at any quantiser — on residuals shaped and scaled so
-    /// their tightest coefficient lands within ±2·`APPROX_ERROR` of
-    /// its edge (a window `APPROX_ERROR/2` wide at `offset/4` of it),
-    /// where an error in the bound would show first.
-    #[test]
-    fn any_proved_residual_is_all_zero(
-        seed in any::<u64>(),
-        qp in 0u8..=QP_MAX,
-        deadzone in any::<bool>(),
-        offset in -7i32..=7,
-    ) {
-        let centre = offset as f64 * E / 4.0;
-        let (lo, hi) = (centre - E / 4.0, centre + E / 4.0);
-        let near = residuals_near_edges(qp, deadzone, lo, hi, 1, &mut Rng(seed));
-        prop_assume!(!near.is_empty());
-        if proves_all_zero(&near[0], zero_proof_edges(qp, deadzone)) {
-            prop_assert_eq!(nnz_via_oracle(&near[0], qp, deadzone), 0);
-        }
     }
 }
 

@@ -1,9 +1,9 @@
 //! The codec's kernels as they were before their overhauls, kept as
 //! differential oracles: bit-at-a-time bit I/O and Exp-Golomb codes,
-//! per-pixel SAD, block sum, intra cost and block extraction, and the
-//! separable `f64` DCT (the normative transform, which `transform`
-//! still runs privately as its fallback for near-tie and out-of-range
-//! blocks).
+//! per-pixel SAD, block sum, intra cost and block extraction; the
+//! integer transform as plain matrix products (the definition the
+//! butterflies must equal); and the separable `f64` DCT that defined
+//! the bitstream before it, kept as a quality oracle.
 //!
 //! Shared by this crate's unit tests (`lib.rs` includes it under
 //! `cfg(test)`) and, through `#[path]`, by `lightdb-bench`'s kernel
@@ -219,11 +219,110 @@ pub(crate) mod predict {
     }
 }
 
-/// The separable `f64` 8×8 DCT: the normative definition of the
-/// bitstream, before the fixed-point tiers.
+/// The integer 8×8 transform as plain matrix products in `i64`, the
+/// way `transform`'s module doc defines it: the oracle its butterflies
+/// must equal bit for bit (and, computed wide, the proof that their
+/// `i32` sums never wrap).
 pub(crate) mod transform {
     const N: usize = lightdb_codec::BLOCK_SIZE;
 
+    /// HEVC's 8-point core transform matrix: row `u` is basis
+    /// function `u` at `x = 0..8`.
+    pub(crate) const MATRIX: [[i32; N]; N] = [
+        [64, 64, 64, 64, 64, 64, 64, 64],
+        [89, 75, 50, 18, -18, -50, -75, -89],
+        [83, 36, -36, -83, -83, -36, 36, 83],
+        [75, -18, -89, -50, 50, 89, 18, -75],
+        [64, -64, -64, 64, 64, -64, -64, 64],
+        [50, -89, 18, 75, -75, -18, 89, -50],
+        [36, -83, 83, -36, -36, 83, -83, 36],
+        [18, -50, 75, -89, 89, -75, 50, -18],
+    ];
+
+    fn clip(v: i64, max: i64) -> i64 {
+        v.clamp(-max - 1, max)
+    }
+
+    fn round_shift(v: i64, s: u32) -> i64 {
+        (v + (1 << (s - 1))) >> s
+    }
+
+    fn m(u: usize, x: usize) -> i64 {
+        MATRIX[u][x] as i64
+    }
+
+    /// `T[v][x] = clip14((Σ_y M[v][y]·clip14(R[y][x]) + 8) >> 4)`,
+    /// then `C[v][u] = (Σ_x M[u][x]·T[v][x] + 64) >> 7`.
+    pub(crate) fn forward(block: &[i32; N * N]) -> [i32; N * N] {
+        let clip14 = |v: i64| v.clamp(-8191, 8191);
+        let r = |y: usize, x: usize| clip14(block[y * N + x] as i64);
+        let t: [[i64; N]; N] = std::array::from_fn(|v| {
+            std::array::from_fn(|x| {
+                clip14(round_shift((0..N).map(|y| m(v, y) * r(y, x)).sum(), 4))
+            })
+        });
+        std::array::from_fn(|i| {
+            let (v, u) = (i / N, i % N);
+            round_shift((0..N).map(|x| m(u, x) * t[v][x]).sum(), 7) as i32
+        })
+    }
+
+    /// `T[y][u] = clip16((Σ_v M[v][y]·clip16(C[v][u]) + 64) >> 7)`,
+    /// then `R[y][x] = (Σ_u M[u][x]·T[y][u] + 2048) >> 12`.
+    pub(crate) fn inverse(coeffs: &[i32; N * N]) -> [i32; N * N] {
+        let c = |v: usize, u: usize| clip(coeffs[v * N + u] as i64, i16::MAX as i64);
+        let t: [[i64; N]; N] = std::array::from_fn(|y| {
+            std::array::from_fn(|u| {
+                let sum = (0..N).map(|v| m(v, y) * c(v, u)).sum();
+                clip(round_shift(sum, 7), i16::MAX as i64)
+            })
+        });
+        std::array::from_fn(|i| {
+            let (y, x) = (i / N, i % N);
+            round_shift((0..N).map(|u| m(u, x) * t[y][u]).sum(), 12) as i32
+        })
+    }
+}
+
+/// The separable orthonormal `f64` 8×8 DCT, which defined the
+/// bitstream before the integer transform, with the quantiser it was
+/// paired with: now a quality oracle only, the definition the
+/// rate–distortion checks hold the integer one against.
+pub(crate) mod dct_f64 {
+    use lightdb_codec::quant::{qstep_x64, WEIGHTS};
+
+    const N: usize = lightdb_codec::BLOCK_SIZE;
+
+    /// The quantiser at the orthonormal scale: divisor `step·w/16`,
+    /// offset `step/2`, or `step/6` with `deadzone`.
+    pub(crate) fn quantize(coeffs: &mut [i32; N * N], qp: u8, deadzone: bool) {
+        let step = qstep_x64(qp) as i64;
+        let offset = if deadzone { step / 6 } else { step / 2 };
+        for (c, &w) in coeffs.iter_mut().zip(WEIGHTS.iter()) {
+            let q = (c.unsigned_abs() as i64 * 64 + offset) / (step * w as i64 / 16);
+            *c = (if *c < 0 { -q } else { q }) as i32;
+        }
+    }
+
+    /// `level · div / 64`, truncated toward zero: a reconstructed
+    /// coefficient shrinks by up to one unit of the orthonormal scale.
+    pub(crate) fn dequantize(levels: &mut [i32; N * N], qp: u8) {
+        let step = qstep_x64(qp) as i64;
+        for (l, &w) in levels.iter_mut().zip(WEIGHTS.iter()) {
+            *l = (*l as i64 * (step * w as i64 / 16) / 64) as i32;
+        }
+    }
+
+    /// [`dequantize`] rounded to the nearest unit instead of truncated.
+    pub(crate) fn dequantize_rounded(levels: &mut [i32; N * N], qp: u8) {
+        let step = qstep_x64(qp) as i64;
+        for (l, &w) in levels.iter_mut().zip(WEIGHTS.iter()) {
+            let q = ((*l as i64).abs() * (step * w as i64 / 16) + 32) / 64;
+            *l = (if *l < 0 { -q } else { q }) as i32;
+        }
+    }
+
+    /// `cos((2x+1)uπ/16) · α(u)`, row `u`, column `x`.
     fn basis() -> &'static [[f64; N]; N] {
         static BASIS: std::sync::OnceLock<[[f64; N]; N]> = std::sync::OnceLock::new();
         BASIS.get_or_init(|| {
@@ -245,7 +344,8 @@ pub(crate) mod transform {
         })
     }
 
-    pub(crate) fn forward(block: &[i32; N * N]) -> [i32; N * N] {
+    /// The unrounded coefficients, in `forward`'s layout `v·8 + u`.
+    fn forward_exact(block: &[i32; N * N]) -> [f64; N * N] {
         let b = basis();
         // Rows then columns (separable).
         let mut tmp = [0.0f64; N * N];
@@ -258,17 +358,21 @@ pub(crate) mod transform {
                 tmp[y * N + u] = acc;
             }
         }
-        let mut out = [0i32; N * N];
+        let mut out = [0.0f64; N * N];
         for u in 0..N {
             for v in 0..N {
                 let mut acc = 0.0;
                 for y in 0..N {
                     acc += tmp[y * N + u] * b[v][y];
                 }
-                out[v * N + u] = acc.round() as i32;
+                out[v * N + u] = acc;
             }
         }
         out
+    }
+
+    pub(crate) fn forward(block: &[i32; N * N]) -> [i32; N * N] {
+        forward_exact(block).map(|c| c.round() as i32)
     }
 
     pub(crate) fn inverse(coeffs: &[i32; N * N]) -> [i32; N * N] {

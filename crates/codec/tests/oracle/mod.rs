@@ -19,7 +19,7 @@ use lightdb_codec::bitio::{BitReader, BitWriter};
 use lightdb_codec::golomb::{read_se, read_ue, write_se, write_ue};
 use lightdb_codec::predict::{dc_predictor, extract_block, sad_mb, store_block, MotionVector};
 use lightdb_codec::quant::{dequantize, qstep_x64, QP_MAX, WEIGHTS};
-use lightdb_codec::transform::{forward, inverse, ZIGZAG};
+use lightdb_codec::transform::{forward, inverse, COEFF_FRAC_BITS, ZIGZAG};
 use lightdb_codec::{CodecError, CodecKind, FrameType, TileRect};
 use lightdb_frame::{Frame, PlaneKind};
 
@@ -29,7 +29,7 @@ const BLOCK_SIZE: usize = lightdb_codec::BLOCK_SIZE;
 /// `quant::quantize`, one `i64` division per coefficient, with `div`
 /// and `offset` computed in place the way `quant`'s tables are built.
 pub(crate) fn quantize(coeffs: &mut [i32; 64], qp: u8, deadzone: bool) {
-    let step = qstep_x64(qp) as i64;
+    let step = (qstep_x64(qp) as i64) << COEFF_FRAC_BITS;
     let offset = if deadzone { step / 6 } else { step / 2 };
     for (c, &w) in coeffs.iter_mut().zip(WEIGHTS.iter()) {
         let d = step * w as i64 / 16;
@@ -124,6 +124,24 @@ pub(crate) fn motion_search(
     (best, best_sad, measured)
 }
 
+/// A residual coding definition: a forward transform, a quantiser
+/// and its dequantiser, and an inverse transform.
+#[derive(Clone, Copy)]
+pub(crate) struct Definition {
+    pub(crate) forward: fn(&[i32; 64]) -> [i32; 64],
+    pub(crate) quantize: fn(&mut [i32; 64], u8, bool),
+    pub(crate) dequantize: fn(&mut [i32; 64], u8),
+    pub(crate) inverse: fn(&[i32; 64]) -> [i32; 64],
+}
+
+/// The codec's own definition, with this oracle's quantiser.
+pub(crate) const SHIPPED: Definition = Definition {
+    forward,
+    quantize,
+    dequantize,
+    inverse,
+};
+
 /// `encoder::encode_tile_opts`: payload and reconstruction of one
 /// tile-sized frame.
 pub(crate) fn encode_tile_opts(
@@ -132,6 +150,20 @@ pub(crate) fn encode_tile_opts(
     qp: u8,
     codec: CodecKind,
     search_range: i32,
+) -> (Vec<u8>, Frame) {
+    encode_tile_with(src, reference, qp, codec, search_range, SHIPPED)
+}
+
+/// [`encode_tile_opts`] with another residual coding definition: the
+/// same bitstream syntax, prediction and search around another
+/// transform and quantiser, for rate–distortion comparisons.
+pub(crate) fn encode_tile_with(
+    src: &Frame,
+    reference: Option<&Frame>,
+    qp: u8,
+    codec: CodecKind,
+    search_range: i32,
+    definition: Definition,
 ) -> (Vec<u8>, Frame) {
     let (w, h) = (src.width(), src.height());
     let rect = TileRect { x0: 0, y0: 0, w, h };
@@ -183,6 +215,7 @@ pub(crate) fn encode_tile_opts(
                     (&mode, 1),
                     (qp, deadzone),
                     &mut bits,
+                    definition,
                 );
             }
             let crect = TileRect {
@@ -203,6 +236,7 @@ pub(crate) fn encode_tile_opts(
                     (&mode, 2),
                     (qp, deadzone),
                     &mut bits,
+                    definition,
                 );
             }
         }
@@ -250,6 +284,7 @@ fn encode_block(
     (mode, mv_shift): (&MbMode, i32),
     (qp, deadzone): (u8, bool),
     bits: &mut BitWriter,
+    def: Definition,
 ) {
     let src_block: [i32; 64] = extract_block(src_plane, stride, x, y);
     let pred: [i32; 64] = match mode {
@@ -265,14 +300,14 @@ fn encode_block(
     for i in 0..64 {
         residual[i] = src_block[i] - pred[i];
     }
-    let mut coeffs = forward(&residual);
-    quantize(&mut coeffs, qp, deadzone);
+    let mut coeffs = (def.forward)(&residual);
+    (def.quantize)(&mut coeffs, qp, deadzone);
 
     write_coeff_block(bits, &coeffs);
 
     let mut levels = coeffs;
-    dequantize(&mut levels, qp);
-    let rec_res = inverse(&levels);
+    (def.dequantize)(&mut levels, qp);
+    let rec_res = (def.inverse)(&levels);
     let mut rec = [0i32; 64];
     for i in 0..64 {
         rec[i] = pred[i] + rec_res[i];

@@ -328,13 +328,9 @@ pub mod counters {
     /// Blocks whose residual SAD proved them all-zero before the
     /// transform ran.
     pub const ENCODE_BLOCKS_SAD_GATED: &str = "encode.blocks_sad_gated";
-    /// Blocks past the SAD gate that the `f32` transform proved
-    /// all-zero, so the exact transform never ran.
-    pub const ENCODE_BLOCKS_ZERO_PROVED: &str = "encode.blocks_zero_proved";
-    /// Blocks exactly transformed, then quantised to all-zero levels:
-    /// what both proofs missed. Gated plus proved plus zero-quant over
-    /// blocks is the share of blocks that cost no entropy coding and no
-    /// reconstruction.
+    /// Blocks transformed, then quantised to all-zero levels: what the
+    /// SAD gate missed. Gated plus zero-quant over blocks is the share
+    /// of blocks that cost no entropy coding and no reconstruction.
     pub const ENCODE_BLOCKS_ZERO_QUANT: &str = "encode.blocks_zero_quant";
     /// Motion candidates considered after the zero vector.
     pub const ENCODE_MV_CANDIDATES: &str = "encode.mv_candidates";

@@ -402,6 +402,29 @@ fn seeds() -> u64 {
     lightdb_core::envknob::read_u64("LIGHTDB_CLUSTER_SEEDS").unwrap_or(60)
 }
 
+/// A schedule beside the seeded ones whose degradation needs no
+/// timing: under `Degrade`, fragment 0's first holder is killed before
+/// the query starts and every connect to its other holder is refused
+/// for the whole run, so that fragment is lost on every run.
+fn certain_loss(fragments: &[Fragment]) -> ClusterScenario {
+    let holders = &fragments[0].holders;
+    assert_eq!(holders.len(), 2, "the soak ingests two replicas");
+    ClusterScenario {
+        // Not derived from a seed: failures name it as seed u64::MAX.
+        seed: u64::MAX,
+        fault: Some((
+            format!("{}.w{}", sites::CLUSTER_CONNECT, holders[1]),
+            Fault::Partition,
+            1_000,
+        )),
+        kill_worker: Some(holders[0]),
+        kill_after: Duration::ZERO,
+        deadline: None,
+        cancel_after: None,
+        read_policy: ReadPolicy::Degrade { max_degraded: 8 },
+    }
+}
+
 #[test]
 fn seeded_cluster_soak_holds_tri_state_and_leaks_nothing() {
     let root = temp_root("soak");
@@ -413,20 +436,29 @@ fn seeded_cluster_soak_holds_tri_state_and_leaks_nothing() {
     let mut identical = 0u64;
     let mut failed = 0u64;
     let mut degraded_runs = 0u64;
-    for seed in 0..seeds() {
-        let sc = ClusterScenario::from_seed(seed, WORKERS);
+    let schedules = (0..seeds())
+        .map(|seed| ClusterScenario::from_seed(seed, WORKERS))
+        .chain([certain_loss(&fragments)]);
+    for sc in schedules {
+        let seed = sc.seed;
         let cluster = spawn_cluster(&dirs, fragments.clone());
         faults::reset();
         if let Some((site, fault, hits)) = &sc.fault {
             faults::arm_n(site, fault.clone(), *hits);
         }
-        let killer = sc.kill_worker.map(|victim| {
+        // A zero delay kills before the query starts, on this thread;
+        // a later kill races the query from a thread of its own.
+        let killer = sc.kill_worker.and_then(|victim| {
+            if sc.kill_after.is_zero() {
+                cluster.kill_worker(victim);
+                return None;
+            }
             let handle = cluster.handles[victim].clone();
             let delay = sc.kill_after;
-            std::thread::spawn(move || {
+            Some(std::thread::spawn(move || {
                 std::thread::sleep(delay);
                 handle.lock().unwrap_or_else(|e| e.into_inner()).kill();
-            })
+            }))
         });
         let mut ctx = QueryCtx::unbounded();
         if let Some(budget) = sc.deadline {
