@@ -49,6 +49,34 @@
 //! has and the gap comes from demand serves, so a viewer whose gap falls
 //! back under the budget warms again at its next prefetch, and a
 //! viewer's first prefetch, which has no gap yet, always warms.
+//!
+//! ## Views already warm
+//!
+//! A synchronised crowd predicts the same few views: on a 4×4 grid at
+//! most 16 per second, for hundreds of viewers. The server keeps one
+//! stamp per view, `(GOP entry, focus tile)`, allocated at open. A warm
+//! whose every lookup succeeded stores `clock_before + published + 1`:
+//! the clock read before its lookups, plus what its own misses
+//! published. A later prefetch of the view whose stamp equals
+//! `clock() + 1` skips the warm, counts `tile_server.prefetch_resident`
+//! and returns 0, without a lookup or an allocation.
+//!
+//! The skip is exact. The LRU evicts only when a miss publishes, and
+//! every publication moves the clock, so an equal stamp means nothing
+//! was published since the warm but the warm's own tiles: the view is
+//! as resident as the warm left it, and a second warm would be all hits
+//! whose only effect is recency order. Recency matters only at the next
+//! publication, and that publication moves the clock and re-enables the
+//! warm. The stamp uses the clock read *before* the lookups, so a
+//! publication by another client during the warm is not in it and the
+//! stamp never matches; read after the warm, it would be folded in. Two
+//! cases stay best-effort as all of prefetch is. A publication is on the
+//! clock only once its call finishes, so a skip can pass a concurrent
+//! eviction by that window, and its tile misses at the serve as it would
+//! had the eviction come just after the warm. A view whose tiles
+//! outgrow a shard's share (or a tile larger than a shard, which is
+//! never kept) is never wholly resident, and a second warm would only
+//! extract again what the first could not keep.
 
 use crate::session::EngineShared;
 use crate::Result;
@@ -62,6 +90,7 @@ use lightdb_exec::{ExecError, Metrics};
 use lightdb_storage::bufferpool::GopKey;
 use lightdb_storage::{BufferPool, MediaStore};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -289,13 +318,17 @@ impl<'a> ViewFetch<'a> {
         self.fetch(true, tile)
     }
 
+    /// Bytes this call's misses published, both tiers together.
+    fn published(&self) -> u64 {
+        self.high.published + self.low.as_ref().map_or(0, |tier| tier.published)
+    }
+
     /// Adds the call's `tile_cache.*` counts and its own `tile_server.*`
     /// count to the session's metrics, and its misses' bytes to the tile
     /// cache's clock.
     fn finish(self, served: (&'static str, u64)) {
         if let Some(cache) = self.cache {
-            let low = self.low.as_ref().map_or(0, |tier| tier.published);
-            cache.advance_clock(self.high.published + low);
+            cache.advance_clock(self.published());
         }
         self.server.metrics.add_all(self.tally.counters().into_iter().chain([served]));
     }
@@ -332,6 +365,12 @@ pub struct TileServer {
     /// Viewer `v`'s track lives in table `v % VIEWER_TABLES`, so
     /// clients serving different viewers seldom meet on one mutex.
     viewers: [Mutex<HashMap<u64, ViewerTrack>>; VIEWER_TABLES],
+    /// One stamp per view `prefetch` can warm, at `entry * tiles +
+    /// focus`: the clock the view's last complete warm left had nobody
+    /// else published, plus one; 0 until a warm completes (module docs,
+    /// "Views already warm"). `Relaxed`: a stamp publishes no data, and
+    /// a stale one only costs a warm.
+    warm_stamps: Box<[AtomicU64]>,
 }
 
 const VIEWER_TABLES: usize = 16;
@@ -396,6 +435,9 @@ impl TileServer {
             config,
             grid,
             fps: header.fps,
+            warm_stamps: (0..hq.entries.len() * grid.tile_count())
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             hq,
             lq,
             viewers: Default::default(),
@@ -584,7 +626,13 @@ impl TileServer {
     ///   between the viewer's last two serves. An exact LRU would then
     ///   evict the warmed tiles before the viewer returned (module
     ///   docs), so the warm is skipped and counted in
-    ///   `tile_server.prefetch_skipped`.
+    ///   `tile_server.prefetch_skipped`. The warm is also skipped,
+    ///   and counted in `tile_server.prefetch_resident`, when the
+    ///   predicted view was warmed before with every lookup succeeding
+    ///   and the tile cache has published nothing since: its stamp
+    ///   equals the clock plus one, every tile of it is still resident,
+    ///   and a warm would only refresh recency (module docs, "Views
+    ///   already warm").
     ///
     /// Best-effort: individual failures are skipped (they would
     /// resurface on the demand `serve` anyway). Returns the number of
@@ -636,11 +684,24 @@ impl TileServer {
             return 0;
         }
         let focus = predicted.tile_on(self.grid);
+        // Nothing published since this view's last complete warm: every
+        // tile of it is still resident, and a warm would be all hits.
+        let stamp = &self.warm_stamps[next_idx * self.grid.tile_count() + focus];
+        let clock_before = cache.clock();
+        if stamp.load(Ordering::Relaxed) == clock_before + 1 {
+            self.metrics.bump(counters::TILE_PREFETCH_RESIDENT);
+            return 0;
+        }
         let mut view = ViewFetch::new(self, next_idx);
-        let ring = self.ring_of(focus).into_iter();
+        let ring = self.ring_of(focus);
+        let lookups = 1 + ring.len();
         let warmed = usize::from(view.focus(focus).is_ok())
-            + ring.filter(|&tile| view.neighbor(tile).is_ok()).count();
+            + ring.into_iter().filter(|&tile| view.neighbor(tile).is_ok()).count();
+        let published = view.published();
         view.finish((counters::TILE_PREFETCHED, warmed as u64));
+        if warmed == lookups {
+            stamp.store(clock_before + published + 1, Ordering::Relaxed);
+        }
         warmed
     }
 }

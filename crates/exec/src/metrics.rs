@@ -308,6 +308,10 @@ pub mod counters {
     /// published at least its budget between the viewer's last two
     /// serves, so warmed tiles would be evicted before the next serve.
     pub const TILE_PREFETCH_SKIPPED: &str = "tile_server.prefetch_skipped";
+    /// Prefetches that skipped the tile-cache warm because the view was
+    /// warmed before and the cache has published nothing since, so every
+    /// tile of it is still resident.
+    pub const TILE_PREFETCH_RESIDENT: &str = "tile_server.prefetch_resident";
     /// Latency histogram name for one served view (use with
     /// [`super::Metrics::observe`] / [`super::Metrics::percentile`]).
     pub const SERVE_LATENCY: &str = "tile_server.serve";

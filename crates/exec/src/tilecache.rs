@@ -322,8 +322,9 @@ impl TileCache {
         }
     }
 
-    /// Whether `key` is resident right now (no LRU touch; tests and
-    /// prefetch use this to avoid redundant warming).
+    /// Whether `key` is resident right now, without touching its LRU
+    /// order: for tests and diagnostics. (The tile server's prefetch
+    /// skips a redundant warm by the clock instead, without a lookup.)
     pub fn contains(&self, key: &TileKey) -> bool {
         self.lru.contains(key)
     }
