@@ -352,8 +352,10 @@ pub fn run_baseline(db: &LightDb, system: System, op: MicroOp) -> Result<(f64, u
     Ok((secs, frames_total))
 }
 
-/// Prints the Figure 13 table.
-pub fn print(db: &LightDb) {
+/// Prints the Figure 13 table and returns how many of its cells are
+/// errors (printed as `err:…`).
+pub fn print(db: &LightDb) -> usize {
+    let mut failed = 0;
     println!("\nFigure 13: 360TLF operator performance (Timelapse), frames per second");
     crate::row(
         "operator",
@@ -369,9 +371,14 @@ pub fn print(db: &LightDb) {
             };
             cells.push(match r {
                 Ok((secs, frames)) => crate::fmt_fps(crate::fps(frames, secs)),
-                Err(e) => format!("err:{}", &e[..e.len().min(8)]),
+                Err(e) => {
+                    failed += 1;
+                    eprintln!("{} on {}: {e}", op.name(), system.name());
+                    format!("err:{}", &e[..e.len().min(8)])
+                }
             });
         }
         crate::row(op.name(), &cells);
     }
+    failed
 }

@@ -126,6 +126,18 @@ impl Chunk {
         }
     }
 
+    /// The decoded frames, for operator `op` to read or rewrite in
+    /// place; a `Domain` error naming `op` when the payload is still
+    /// encoded (the planner decodes before every frame operator).
+    pub fn frames_mut(&mut self, op: &str) -> crate::Result<&mut Vec<Frame>> {
+        match &mut self.payload {
+            ChunkPayload::Decoded { frames, .. } => Ok(frames),
+            ChunkPayload::Encoded { .. } => {
+                Err(crate::ExecError::Domain(format!("{op} requires decoded input")))
+            }
+        }
+    }
+
     /// Encoded payload bytes (0 for decoded chunks).
     pub fn encoded_bytes(&self) -> usize {
         match &self.payload {

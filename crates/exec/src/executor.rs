@@ -4,7 +4,7 @@ use crate::chunk::{Chunk, ChunkPayload, TimeGrouped};
 use crate::frameops;
 use crate::hops;
 use crate::metrics::Metrics;
-use crate::parallel::Parallelism;
+use crate::parallel::{par_flat_map_chunks_ctx, Parallelism};
 use crate::plan::PhysicalPlan;
 use crate::query_ctx::QueryCtx;
 use crate::sources;
@@ -12,7 +12,7 @@ use crate::{ChunkStream, ExecError, ReadPolicy, Result};
 use lightdb_storage::AdmitPolicy;
 use lightdb_codec::{CodecKind, VideoStream};
 use lightdb_container::{SpherePoint, TlfBody, TlfDescriptor};
-use lightdb_core::udf::MapFunction;
+use lightdb_core::udf::InterpFunction;
 use lightdb_geom::projection::ProjectionKind;
 use lightdb_geom::{Dimension, Volume};
 use lightdb_index::persist::serialize_entries;
@@ -172,7 +172,12 @@ impl Executor {
 
     /// Builds the chunk pipeline for a plan. `sub` binds
     /// `SubqueryInput` leaves when compiling subquery bodies.
+    ///
+    /// Every operator that takes one chunk at a time runs through
+    /// [`Executor::drive`]: DECODE, ENCODE, MAP and SUBQUERY on the
+    /// query's threads, the rest at [`Parallelism::SERIAL`].
     fn build(&self, plan: &PhysicalPlan, sub: Option<&Chunk>) -> Result<ChunkStream> {
+        const SERIAL: Parallelism = Parallelism::SERIAL;
         let m = self.metrics.clone();
         Ok(match plan {
             PhysicalPlan::ScanTlf { .. } => self.scan(plan, None)?,
@@ -184,30 +189,29 @@ impl Executor {
                 })?;
                 Box::new(std::iter::once(Ok(c.clone())))
             }
-            PhysicalPlan::ToFrames { input, device } => frameops::decode_chunks(
-                self.build(input, sub)?,
-                *device,
-                m,
-                self.parallelism,
-                self.ctx.clone(),
-                self.shared_decode.clone(),
-            ),
+            PhysicalPlan::ToFrames { input, device } => {
+                let (device, ctx, shared) = (*device, self.ctx.clone(), self.shared_decode.clone());
+                self.drive(input, sub, self.parallelism, move |c, budget| {
+                    frameops::decode_chunk(c, device, &m, &ctx, shared.as_deref(), budget).map(Some)
+                })?
+            }
             PhysicalPlan::FromFrames { input, device, codec, qp } => {
-                frameops::encode_chunks_par(
-                    self.build(input, sub)?,
-                    *device,
-                    *codec,
-                    *qp,
-                    m,
-                    self.parallelism,
-                    self.ctx.clone(),
-                )
+                let (device, codec, qp) = (*device, *codec, *qp);
+                self.drive(input, sub, self.parallelism, move |c, _| {
+                    frameops::encode_chunk(c, device, codec, qp, &m).map(Some)
+                })?
             }
             PhysicalPlan::Transfer { input, to } => {
-                frameops::transfer(self.build(input, sub)?, *to, m)
+                let to = *to;
+                self.drive(input, sub, SERIAL, move |c, _| {
+                    Ok(Some(frameops::transfer_chunk(c, to, &m)))
+                })?
             }
             PhysicalPlan::GopSelect { input, t_frames } => {
-                hops::gop_select(self.build(input, sub)?, *t_frames, m)
+                let t_frames = *t_frames;
+                self.drive(input, sub, SERIAL, move |c, _| {
+                    Ok(hops::gop_select_chunk(c, t_frames, &m))
+                })?
             }
             PhysicalPlan::GopUnion { inputs } => {
                 let streams = self.build_all(inputs, sub)?;
@@ -218,74 +222,86 @@ impl Executor {
             // the requested tiles.
             PhysicalPlan::TileSelect { input, tiles } => self.scan(input, Some(tiles.clone()))?,
             PhysicalPlan::KeyframeSelect { input } => {
-                hops::keyframe_select(self.build(input, sub)?, m)
+                self.drive(input, sub, SERIAL, move |c, _| {
+                    hops::keyframe_select_chunk(c, &m).map(Some)
+                })?
             }
             PhysicalPlan::TileUnion { inputs, cols, rows } => {
-                if inputs.len() == 1 {
-                    tile_union_interleaved(self.build(&inputs[0], sub)?, *cols, *rows, m)
+                let (cols, rows) = (*cols, *rows);
+                if let [input] = inputs.as_slice() {
+                    per_time_step(self.build(input, sub)?, move |group| {
+                        hops::tile_union_group(group, cols, rows, &m)
+                    })
                 } else {
-                    let streams = self.build_all(inputs, sub)?;
-                    hops::tile_union(streams, *cols, *rows, m)
+                    hops::tile_union(self.build_all(inputs, sub)?, cols, rows, m)
                 }
             }
-            PhysicalPlan::SelectFrames { input, predicate, device } => {
-                frameops::select_frames(self.build(input, sub)?, *predicate, *device, m)
+            PhysicalPlan::SelectFrames { input, predicate, .. } => {
+                let predicate = *predicate;
+                self.drive(input, sub, SERIAL, move |c, _| {
+                    frameops::select_chunk(c, &predicate, &m)
+                })?
             }
-            PhysicalPlan::MapFrames { input, f, device } => match f {
-                MapFunction::Point(udf) => {
-                    let udf = udf.clone();
-                    let metrics = m.clone();
-                    let input = self.build(input, sub)?;
-                    crate::parallel::par_map_chunks_ctx(
-                        input,
-                        self.parallelism,
-                        self.ctx.clone(),
-                        move |c| {
-                            metrics.time("MAP", || frameops::apply_point_map(&c, udf.as_ref()))
-                        },
-                    )
+            PhysicalPlan::MapFrames { input, f, .. } => {
+                let f = f.clone();
+                self.drive(input, sub, self.parallelism, move |c, budget| {
+                    frameops::map_chunk(c, &f, &m, budget).map(Some)
+                })?
+            }
+            PhysicalPlan::InterpolateFrames { input, f, device } => match f {
+                InterpFunction::Builtin(kind) => {
+                    let kind = *kind;
+                    self.drive(input, sub, SERIAL, move |c, _| {
+                        frameops::interpolate_chunk(c, kind, &m).map(Some)
+                    })?
                 }
-                _ => frameops::map_frames_par(
-                    self.build(input, sub)?,
-                    f.clone(),
-                    *device,
-                    m,
-                    self.parallelism,
-                    self.ctx.clone(),
-                ),
+                InterpFunction::Custom(udf) => {
+                    let (udf, device) = (udf.clone(), *device);
+                    per_time_step(self.build(input, sub)?, move |group| {
+                        frameops::synthesize_group(group, udf.as_ref(), device, &m)
+                    })
+                }
             },
-            PhysicalPlan::InterpolateFrames { input, f, device } => {
-                frameops::interpolate_frames(self.build(input, sub)?, f.clone(), *device, m)
-            }
-            PhysicalPlan::DiscretizeFrames { input, steps, device } => {
-                frameops::discretize_frames(self.build(input, sub)?, steps.clone(), *device, m)
+            PhysicalPlan::DiscretizeFrames { input, steps, .. } => {
+                let steps = steps.clone();
+                self.drive(input, sub, SERIAL, move |c, _| {
+                    frameops::discretize_chunk(c, &steps, &m).map(Some)
+                })?
             }
             PhysicalPlan::PartitionChunks { input, spec } => {
-                frameops::partition_chunks(self.build(input, sub)?, spec.clone(), m)
+                let spec = spec.clone();
+                self.drive(input, sub, SERIAL, move |c, _| {
+                    frameops::partition_chunk(c, &spec, &m)
+                })?
             }
             PhysicalPlan::FlattenChunks { input } => {
-                frameops::flatten_chunks(self.build(input, sub)?, m)
+                per_time_step(self.build(input, sub)?, move |group| {
+                    frameops::flatten_group(group, &m)
+                })
             }
-            PhysicalPlan::UnionFrames { inputs, merge, device } => {
+            PhysicalPlan::UnionFrames { inputs, merge, .. } => {
                 let streams = self.build_all(inputs, sub)?;
-                frameops::union_frames(streams, merge.clone(), *device, m)
+                frameops::union_frames(streams, merge.clone(), m)
             }
             PhysicalPlan::TranslateChunks { input, dx, dy, dz, dt } => {
-                frameops::translate_chunks(self.build(input, sub)?, *dx, *dy, *dz, *dt, m)
+                let shift = (*dx, *dy, *dz, *dt);
+                self.drive(input, sub, SERIAL, move |c, _| {
+                    Ok(Some(frameops::translate_chunk(c, shift, &m)))
+                })?
             }
-            PhysicalPlan::RotateFrames { input, dtheta, dphi, device } => {
-                frameops::rotate_frames(self.build(input, sub)?, *dtheta, *dphi, *device, m)
+            PhysicalPlan::RotateFrames { input, dtheta, dphi, .. } => {
+                let (dtheta, dphi) = (*dtheta, *dphi);
+                self.drive(input, sub, SERIAL, move |c, _| {
+                    frameops::rotate_chunk(c, dtheta, dphi, &m).map(Some)
+                })?
             }
             PhysicalPlan::Subquery { input, body, label } => {
                 let exec = self.clone();
                 let body = body.clone();
                 let label = label.clone();
-                crate::parallel::par_flat_map_chunks_ctx(
-                    self.build(input, sub)?,
-                    self.parallelism,
-                    self.ctx.clone(),
-                    move |partition, budget| exec.subquery_body(&body, &label, partition, budget),
-                )
+                self.drive(input, sub, self.parallelism, move |partition, budget| {
+                    exec.subquery_body(&body, &label, partition, budget)
+                })?
             }
             PhysicalPlan::Store { .. }
             | PhysicalPlan::CreateTlf { .. }
@@ -298,6 +314,22 @@ impl Executor {
                 )))
             }
         })
+    }
+
+    /// Builds `input`'s pipeline and runs `f` over its chunks through
+    /// the one operator driver, [`par_flat_map_chunks_ctx`], on up to
+    /// `par` threads under the query's context.
+    fn drive<I>(
+        &self,
+        input: &PhysicalPlan,
+        sub: Option<&Chunk>,
+        par: Parallelism,
+        f: impl Fn(Chunk, Parallelism) -> Result<I> + Sync + 'static,
+    ) -> Result<ChunkStream>
+    where
+        I: IntoIterator<Item = Chunk> + Send + 'static,
+    {
+        Ok(par_flat_map_chunks_ctx(self.build(input, sub)?, par, self.ctx.clone(), f))
     }
 
     /// `SCAN`, or with `tiles` the `TILESELECT` over it; anything but a
@@ -406,21 +438,8 @@ impl Executor {
                 self.parallelism.threads(),
                 |_, c| {
                     self.ctx.check()?;
-                    match &c.payload {
-                        ChunkPayload::Encoded { .. } => Ok(c),
-                        ChunkPayload::Decoded { frames, device } => {
-                            self.metrics.time("ENCODE", || {
-                                frameops::encode_one_gop(
-                                    &c,
-                                    frames,
-                                    *device,
-                                    CodecKind::HevcSim,
-                                    20,
-                                    &self.metrics,
-                                )
-                            })
-                        }
-                    }
+                    let device = c.device();
+                    frameops::encode_chunk(c, device, CodecKind::HevcSim, 20, &self.metrics)
                 },
             )
             .into_iter()
@@ -585,27 +604,14 @@ fn assemble_stream(chunks: Vec<Chunk>) -> Result<VideoStream> {
     Ok(VideoStream { header, gops })
 }
 
-/// `TILEUNION` over a single interleaved stream: each time step's
-/// parts (in part order) are the row-major tiles.
-fn tile_union_interleaved(
+/// Runs `f` over each time step's chunks: the driver of the operators
+/// that see a whole time step at once (FLATTEN, UDF INTERPOLATE and
+/// single-input TILEUNION).
+fn per_time_step(
     input: ChunkStream,
-    cols: usize,
-    rows: usize,
-    metrics: Metrics,
+    f: impl Fn(Vec<Chunk>) -> Result<Chunk> + 'static,
 ) -> ChunkStream {
-    let grouped = TimeGrouped::new(input);
-    let expected = cols * rows;
-    Box::new(grouped.map(move |g| {
-        let mut group = g?;
-        group.sort_by_key(|c| c.part);
-        if group.len() != expected {
-            return Err(ExecError::Align(format!(
-                "TILEUNION expected {expected} tiles per time step, got {}",
-                group.len()
-            )));
-        }
-        metrics.time("TILEUNION", || hops::stitch(&group, cols, rows))
-    }))
+    Box::new(TimeGrouped::new(input).map(move |group| group.and_then(&f)))
 }
 
 #[cfg(test)]
@@ -615,7 +621,7 @@ mod tests {
     use lightdb_codec::{Encoder, EncoderConfig};
     use lightdb_container::TlfDescriptor;
     use lightdb_core::algebra::VolumePredicate;
-    use lightdb_core::udf::BuiltinMap;
+    use lightdb_core::udf::{BuiltinMap, MapFunction};
     use lightdb_frame::{Frame, Yuv};
     use lightdb_geom::{Interval, Point3};
     use std::fs;

@@ -1,18 +1,20 @@
 //! Decoded-domain physical operators.
 //!
-//! These operators work on chunks whose payload is device-resident
-//! frames. The device is a cost label: the GPU encoder uses a
-//! hardware-style narrow motion search, and nothing else here looks at
-//! it — every device decodes every GOP, tiled or not, through the one
-//! codec path. How many threads an operator runs on is the query's
-//! [`Parallelism`]: chunks fan out across it, and a chunk alone in its
-//! batch spends it on its own frames.
+//! Each operator here is a function of one chunk, or of one time
+//! step's chunks; the executor drives it over a pipeline (see
+//! [`crate::parallel::par_flat_map_chunks_ctx`]). UNION, which merges
+//! several inputs, is the one that takes streams. The device is a cost
+//! label: the GPU encoder uses a hardware-style narrow motion search,
+//! and nothing else here looks at it — every device decodes every GOP,
+//! tiled or not, through the one codec path. DECODE and MAP spend the
+//! thread `budget` the driver hands them on one chunk's frames.
 
 use crate::chunk::{is_omega, Chunk, ChunkPayload, TimeGrouped};
 use crate::device::{transfer_frames, Device};
 use crate::metrics::{counters, Metrics};
-use crate::parallel::{par_flat_map_chunks_ctx, par_map_chunks_ctx, scatter, Parallelism};
+use crate::parallel::{scatter, Parallelism};
 use crate::query_ctx::QueryCtx;
+use crate::sharedscan::SharedDecode;
 use crate::{ChunkStream, ExecError, Result};
 use lightdb_storage::faults::{fail_point, sites};
 use lightdb_codec::encoder::encode_gop_frame;
@@ -20,7 +22,7 @@ use lightdb_codec::gop::{EncodedFrame, EncodedGop, FrameType};
 use lightdb_codec::scratch::{DecoderScratch, EncoderScratch};
 use lightdb_codec::{CodecKind, Decoder, SequenceHeader, TileGrid};
 use lightdb_core::algebra::{MergeFunction, VolumePredicate};
-use lightdb_core::udf::{BuiltinInterp, InterpFunction, MapFunction};
+use lightdb_core::udf::{BuiltinInterp, InterpUdf, MapFunction, MapUdf, PointMapUdf};
 use lightdb_frame::{kernels, Frame, Yuv};
 use lightdb_geom::{Dimension, Interval, Volume};
 
@@ -29,7 +31,7 @@ use lightdb_geom::{Dimension, Interval, Volume};
 pub const GPU_SEARCH_RANGE: i32 = 4;
 
 thread_local! {
-    // Per-worker codec scratch arenas. `par_map_chunks_ctx` fans chunks
+    // Per-worker codec scratch arenas. The operator driver fans chunks
     // out across worker threads, so thread-locals give each worker its
     // own reusable buffers with no contention; scratch contents never
     // influence output bytes, so results stay identical at any thread
@@ -42,47 +44,41 @@ thread_local! {
 
 // ------------------------------------------------------------------ decode
 
-/// `DECODE`: encoded chunks → decoded frames labelled `device`.
-/// Independent GOPs decode on up to `par.threads()` workers, and a GOP
-/// alone in its batch decodes its own frames on all of them; output
-/// order (and bytes) match the serial path, whatever the device.
+/// `DECODE` of one chunk into frames labelled `device` (a no-op when
+/// already decoded), on up to `budget.threads()` threads; the bytes
+/// match a serial decode, whatever the device.
 ///
-/// When `ctx` reports its deadline at risk, decodes switch to the cheap
-/// prediction-only path ([`decode_one_degraded`]) so the query lands
-/// inside its budget instead of missing it. With a shared decoded-GOP
-/// cache (see [`crate::sharedscan::SharedDecode`]), concurrent queries
-/// decoding the same encoded bytes coalesce into one decode and
-/// trailing queries hit the cache. The `EXEC_DECODE_GOP` failpoint
-/// fires per chunk *before* any cache lookup, so fault-injection
-/// observes every would-be decode whether or not it is shared; and
-/// degraded decodes bypass the cache entirely — their output reflects
-/// this query's time pressure, not the bytes.
-pub fn decode_chunks(
-    input: ChunkStream,
+/// When `ctx` reports its deadline at risk, the decode switches to the
+/// cheap prediction-only path (one frame's decode per GOP) so the query
+/// lands inside its budget instead of missing it. With a shared
+/// decoded-GOP cache, concurrent queries decoding the same encoded
+/// bytes coalesce into one decode and trailing queries hit the cache.
+/// The `EXEC_DECODE_GOP` failpoint fires *before* any cache lookup, so
+/// fault-injection observes every would-be decode whether or not it is
+/// shared; and degraded decodes bypass the cache entirely — their
+/// output reflects this query's time pressure, not the bytes.
+pub fn decode_chunk(
+    c: Chunk,
     device: Device,
-    metrics: Metrics,
-    par: Parallelism,
-    ctx: QueryCtx,
-    shared: Option<std::sync::Arc<crate::sharedscan::SharedDecode>>,
-) -> ChunkStream {
-    let at_risk = ctx.clone();
-    par_flat_map_chunks_ctx(input, par, ctx, move |c, budget| {
-        fail_point(sites::EXEC_DECODE_GOP)?;
-        let decoded = if at_risk.deadline_at_risk() {
-            decode_one_degraded(c, device, &metrics)
-        } else if let Some(shared) = &shared {
-            shared.decode(c, device, &metrics, &at_risk, budget)
-        } else {
-            decode_one(c, device, &metrics, budget)
-        };
-        decoded.map(Some)
-    })
+    metrics: &Metrics,
+    ctx: &QueryCtx,
+    shared: Option<&SharedDecode>,
+    budget: Parallelism,
+) -> Result<Chunk> {
+    fail_point(sites::EXEC_DECODE_GOP)?;
+    if ctx.deadline_at_risk() {
+        decode_one_degraded(c, device, metrics)
+    } else if let Some(shared) = shared {
+        shared.decode(c, device, metrics, ctx, budget)
+    } else {
+        decode_one(c, device, metrics, budget)
+    }
 }
 
 /// Decodes one chunk (no-op when already decoded) on up to
 /// `budget.threads()` threads, adding the decoder's counts for it to
 /// `metrics` (the `decode.*` names).
-pub fn decode_one(
+pub(crate) fn decode_one(
     c: Chunk,
     device: Device,
     metrics: &Metrics,
@@ -131,7 +127,7 @@ pub(crate) fn decode_frames(
 /// frame's decode cost per GOP; used when a query's deadline is at
 /// risk. Each degraded GOP is counted in
 /// [`counters::DEGRADED_GOPS`].
-pub fn decode_one_degraded(c: Chunk, device: Device, metrics: &Metrics) -> Result<Chunk> {
+fn decode_one_degraded(c: Chunk, device: Device, metrics: &Metrics) -> Result<Chunk> {
     match c.payload {
         ChunkPayload::Decoded { .. } => Ok(c), // already decoded
         ChunkPayload::Encoded { header, ref gop } => {
@@ -149,26 +145,10 @@ pub fn decode_one_degraded(c: Chunk, device: Device, metrics: &Metrics) -> Resul
 
 // ------------------------------------------------------------------ encode
 
-/// `ENCODE`: decoded chunks → encoded chunks. Each chunk is one GOP
-/// (and, post-PARTITION, one tile), so chunks encode independently
-/// across up to `par.threads()` workers with byte-identical output.
-/// The GPU variant uses the narrow hardware-style motion search.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_chunks_par(
-    input: ChunkStream,
-    device: Device,
-    codec: CodecKind,
-    qp: u8,
-    metrics: Metrics,
-    par: Parallelism,
-    ctx: QueryCtx,
-) -> ChunkStream {
-    par_map_chunks_ctx(input, par, ctx, move |c| {
-        encode_chunk(c, device, codec, qp, &metrics)
-    })
-}
-
-/// Encodes one chunk (no-op when already encoded).
+/// `ENCODE` of one chunk (a no-op when already encoded). Each chunk is
+/// one GOP (and, post-PARTITION, one tile), so chunks encode
+/// independently, with byte-identical output on any thread. The GPU
+/// variant uses the narrow hardware-style motion search.
 pub fn encode_chunk(
     c: Chunk,
     device: Device,
@@ -185,9 +165,8 @@ pub fn encode_chunk(
 }
 
 /// Encodes one chunk's frames as a single GOP, adding the encoder's
-/// work counters for it to `metrics` (the `encode.*` names). Exposed
-/// for the executor's auto-encode at `STORE`.
-pub fn encode_one_gop(
+/// work counters for it to `metrics` (the `encode.*` names).
+fn encode_one_gop(
     c: &Chunk,
     frames: &[Frame],
     device: Device,
@@ -249,48 +228,31 @@ pub fn encode_one_gop(
 
 // ------------------------------------------------------------------ transfer
 
-/// `TRANSFER`: deep-copies decoded frames onto another device.
-pub fn transfer(input: ChunkStream, to: Device, metrics: Metrics) -> ChunkStream {
-    Box::new(input.map(move |c| {
-        let c = c?;
-        match c.payload {
-            ChunkPayload::Decoded { ref frames, device } if device != to => {
-                let copied = metrics.time("TRANSFER", || transfer_frames(frames));
-                Ok(Chunk {
-                    payload: ChunkPayload::Decoded {
-                        frames: copied,
-                        device: to,
-                    },
-                    ..c
-                })
-            }
-            _ => Ok(c),
+/// `TRANSFER` of one chunk: deep-copies decoded frames onto `to`.
+pub fn transfer_chunk(mut c: Chunk, to: Device, metrics: &Metrics) -> Chunk {
+    if let ChunkPayload::Decoded { frames, device } = &mut c.payload {
+        if *device != to {
+            *frames = metrics.time("TRANSFER", || transfer_frames(frames));
+            *device = to;
         }
-    }))
+    }
+    c
 }
 
 // ------------------------------------------------------------------ select
 
-/// `SELECT` over decoded chunks: temporal trim, angular crop, and
-/// spatial part filtering (including light-slab uv sampling).
-pub fn select_frames(
-    input: ChunkStream,
-    predicate: VolumePredicate,
-    _device: Device,
-    metrics: Metrics,
-) -> ChunkStream {
-    Box::new(input.filter_map(move |c| {
-        let c = match c {
-            Err(e) => return Some(Err(e)),
-            Ok(c) => c,
-        };
-        metrics
-            .time("SELECT", || select_one(c, &predicate))
-            .transpose()
-    }))
+/// `SELECT` of one decoded chunk: temporal trim, angular crop, and
+/// spatial part filtering (including light-slab uv sampling); `None`
+/// when the chunk holds nothing selected.
+pub fn select_chunk(
+    c: Chunk,
+    predicate: &VolumePredicate,
+    metrics: &Metrics,
+) -> Result<Option<Chunk>> {
+    metrics.time("SELECT", || select_one(c, predicate))
 }
 
-fn select_one(c: Chunk, predicate: &VolumePredicate) -> Result<Option<Chunk>> {
+fn select_one(mut c: Chunk, predicate: &VolumePredicate) -> Result<Option<Chunk>> {
     // Slab spatial sampling: a point selection on x/y picks uv samples.
     if let Some(slab) = c.info.slab {
         if let (Some(xi), yi) = (predicate.get(Dimension::X), predicate.get(Dimension::Y)) {
@@ -312,24 +274,20 @@ fn select_one(c: Chunk, predicate: &VolumePredicate) -> Result<Option<Chunk>> {
     if restricted == c.volume {
         return Ok(Some(c));
     }
-    let ChunkPayload::Decoded { frames, device } = c.payload else {
-        return Err(ExecError::Domain(
-            "frame-level SELECT requires decoded input (planner bug)".into(),
-        ));
-    };
-    // Temporal trim at frame granularity.
-    let t0 = c.volume.t().lo();
+    let (th, ph, t0) = (c.volume.theta(), c.volume.phi(), c.volume.t().lo());
     let fps = c.info.fps as f64;
+    let frames = c.frames_mut("frame-level SELECT")?;
+    // Temporal trim at frame granularity, keeping at least one frame of
+    // a chunk the selection overlaps.
     let lo_f = (((restricted.t().lo() - t0) * fps).round() as usize).min(frames.len());
     let hi_f = (((restricted.t().hi() - t0) * fps).round() as usize).clamp(lo_f, frames.len());
-    let mut frames: Vec<Frame> = frames[lo_f..hi_f.max(lo_f + 1).min(frames.len().max(1))].to_vec();
-    if frames.is_empty() {
+    frames.truncate(hi_f.max(lo_f + 1));
+    frames.drain(..lo_f);
+    let Some(first) = frames.first() else {
         return Ok(None);
-    }
+    };
     // Angular crop (equirectangular): θ→x, φ→y.
-    let (w, h) = (frames[0].width(), frames[0].height());
-    let th = c.volume.theta();
-    let ph = c.volume.phi();
+    let (w, h) = (first.width(), first.height());
     let fx0 = (restricted.theta().lo() - th.lo()) / th.length().max(1e-12);
     let fx1 = (restricted.theta().hi() - th.lo()) / th.length().max(1e-12);
     let fy0 = (restricted.phi().lo() - ph.lo()) / ph.length().max(1e-12);
@@ -349,11 +307,11 @@ fn select_one(c: Chunk, predicate: &VolumePredicate) -> Result<Option<Chunk>> {
         y1 = 2.min(h);
     }
     if (x0, x1, y0, y1) != (0, w, 0, h) {
-        frames = frames
-            .into_iter()
-            .map(|f| f.crop(x0, y0, x1 - x0, y1 - y0))
-            .collect();
+        for f in frames.iter_mut() {
+            *f = f.crop(x0, y0, x1 - x0, y1 - y0);
+        }
     }
+    let kept = frames.len();
     // Exact pixel-aligned angular coverage.
     let theta_iv = Interval::new(
         th.lo() + th.length() * x0 as f64 / w as f64,
@@ -363,25 +321,18 @@ fn select_one(c: Chunk, predicate: &VolumePredicate) -> Result<Option<Chunk>> {
         ph.lo() + ph.length() * y0 as f64 / h as f64,
         ph.lo() + ph.length() * y1 as f64 / h as f64,
     );
-    let t_iv = Interval::new(
-        t0 + lo_f as f64 / fps,
-        t0 + (lo_f + frames.len()) as f64 / fps,
-    );
-    let volume = restricted
+    let t_iv = Interval::new(t0 + lo_f as f64 / fps, t0 + (lo_f + kept) as f64 / fps);
+    c.volume = restricted
         .with(Dimension::Theta, theta_iv)
         .with(Dimension::Phi, phi_iv)
         .with(Dimension::T, t_iv);
-    Ok(Some(Chunk {
-        volume,
-        payload: ChunkPayload::Decoded { frames, device },
-        ..c
-    }))
+    Ok(Some(c))
 }
 
 /// Light-slab monoscopic point selection: pick the uv sample nearest
 /// the requested position; the chunk's frames collapse to one.
 fn slab_point_select(
-    c: Chunk,
+    mut c: Chunk,
     slab: crate::chunk::SlabInfo,
     x: f64,
     y: f64,
@@ -393,167 +344,113 @@ fn slab_point_select(
             return Ok(None);
         }
     }
-    let ChunkPayload::Decoded { frames, device } = c.payload else {
-        return Err(ExecError::Domain(
-            "slab SELECT requires decoded input".into(),
-        ));
-    };
     let idx = slab.nearest_sample(x, y);
-    let frame = frames
-        .get(idx)
-        .ok_or_else(|| ExecError::Other(format!("slab sample {idx} missing")))?
-        .clone();
-    let volume = c
+    let frames = c.frames_mut("slab SELECT")?;
+    if idx >= frames.len() {
+        return Err(ExecError::Other(format!("slab sample {idx} missing")));
+    }
+    frames.swap(0, idx);
+    frames.truncate(1);
+    c.volume = c
         .volume
         .with(Dimension::X, Interval::point(x))
         .with(Dimension::Y, Interval::point(y));
-    let mut info = c.info;
-    info.slab = None; // the result is a single view, not a slab
-    info.position = lightdb_geom::Point3::new(x, y, c.info.position.z);
-    Ok(Some(Chunk {
-        volume,
-        info,
-        payload: ChunkPayload::Decoded {
-            frames: vec![frame],
-            device,
-        },
-        ..c
-    }))
+    c.info.slab = None; // the result is a single view, not a slab
+    c.info.position = lightdb_geom::Point3::new(x, y, c.info.position.z);
+    Ok(Some(c))
 }
 
 // ------------------------------------------------------------------ map
 
-/// `MAP`: apply a UDF to every frame. Chunks fan out across up to
-/// `par.threads()` workers, and a chunk alone in its batch spends that
-/// budget on its own frames (UDFs are `Send + Sync` by trait bound).
-/// The device plays no part in either. Point UDFs are handled by the executor via
-/// [`apply_point_map`].
-pub fn map_frames_par(
-    input: ChunkStream,
-    f: MapFunction,
-    _device: Device,
-    metrics: Metrics,
-    par: Parallelism,
-    ctx: QueryCtx,
-) -> ChunkStream {
-    par_flat_map_chunks_ctx(input, par, ctx, move |c, budget| {
-        map_chunk(c, &f, &metrics, budget).map(Some)
-    })
-}
-
-/// Applies a map UDF to one chunk's frames, on up to
-/// `budget.threads()` threads: one fan-out over the frames, each
-/// transformed whole, none spawned under [`Parallelism::SERIAL`].
+/// `MAP` of one chunk: applies the UDF to every frame, on up to
+/// `budget.threads()` threads — one fan-out over the frames, each
+/// transformed whole, none spawned under [`Parallelism::SERIAL`] (UDFs
+/// are `Send + Sync` by trait bound). A point UDF sees each pixel's
+/// 6-D coordinates and runs on the calling thread.
 pub fn map_chunk(
-    c: Chunk,
+    mut c: Chunk,
     f: &MapFunction,
     metrics: &Metrics,
     budget: Parallelism,
 ) -> Result<Chunk> {
+    let udf: &dyn MapUdf = match f {
+        MapFunction::Builtin(b) => b,
+        MapFunction::Custom(u) => u.as_ref(),
+        MapFunction::Point(udf) => {
+            return metrics.time("MAP", || apply_point_map(c, udf.as_ref()))
+        }
+    };
     fail_point(sites::EXEC_CHUNK_MAP)?;
-    let ChunkPayload::Decoded { frames, device } = c.payload else {
-        return Err(ExecError::Domain(
-            "MAP requires decoded input (planner bug)".into(),
-        ));
-    };
-    let udf: Option<&dyn lightdb_core::udf::MapUdf> = match f {
-        MapFunction::Builtin(b) => Some(b),
-        MapFunction::Custom(u) => Some(u.as_ref()),
-        // Point UDFs are evaluated via apply_point_map by the executor,
-        // which knows the chunk volume; reaching here means the planner
-        // skipped that path.
-        MapFunction::Point(_) => None,
-    };
-    let frames = match udf {
-        Some(udf) => metrics.time("MAP", || {
-            scatter(frames, budget.threads(), |_, fr| udf.apply(&fr))
-        }),
-        None => frames,
-    };
-    Ok(Chunk {
-        payload: ChunkPayload::Decoded { frames, device },
-        ..c
-    })
+    let frames = c.frames_mut("MAP")?;
+    let input = std::mem::take(frames);
+    *frames = metrics.time("MAP", || scatter(input, budget.threads(), |_, fr| udf.apply(&fr)));
+    Ok(c)
 }
 
 /// Evaluates a point-granular UDF over a chunk, supplying each
 /// pixel's 6-D coordinates through the equirectangular mapping.
-pub fn apply_point_map(c: &Chunk, udf: &dyn lightdb_core::udf::PointMapUdf) -> Result<Chunk> {
+fn apply_point_map(mut c: Chunk, udf: &dyn PointMapUdf) -> Result<Chunk> {
     fail_point(sites::EXEC_CHUNK_MAP)?;
-    let ChunkPayload::Decoded { frames, device } = &c.payload else {
-        return Err(ExecError::Domain("point MAP requires decoded input".into()));
-    };
-    let th = c.volume.theta();
-    let ph = c.volume.phi();
-    let t0 = c.volume.t().lo();
+    let (th, ph, t0) = (c.volume.theta(), c.volume.phi(), c.volume.t().lo());
     let fps = c.info.fps as f64;
     let pos = c.info.position;
-    let out: Vec<Frame> = frames
-        .iter()
-        .enumerate()
-        .map(|(fi, fr)| {
-            let (w, h) = (fr.width(), fr.height());
-            let mut o = fr.clone();
-            let t = t0 + fi as f64 / fps;
-            for y in 0..h {
-                let phi = ph.lo() + ph.length() * (y as f64 + 0.5) / h as f64;
-                for x in 0..w {
-                    let theta = th.lo() + th.length() * (x as f64 + 0.5) / w as f64;
-                    let p = lightdb_geom::Point6::new(pos.x, pos.y, pos.z, t, theta, phi);
-                    o.set(x, y, udf.eval(&p, fr.get(x, y)));
-                }
+    // Each output pixel reads only its own input pixel, so the frames
+    // transform in place.
+    for (fi, fr) in c.frames_mut("point MAP")?.iter_mut().enumerate() {
+        let (w, h) = (fr.width(), fr.height());
+        let t = t0 + fi as f64 / fps;
+        for y in 0..h {
+            let phi = ph.lo() + ph.length() * (y as f64 + 0.5) / h as f64;
+            for x in 0..w {
+                let theta = th.lo() + th.length() * (x as f64 + 0.5) / w as f64;
+                let p = lightdb_geom::Point6::new(pos.x, pos.y, pos.z, t, theta, phi);
+                let v = udf.eval(&p, fr.get(x, y));
+                fr.set(x, y, v);
             }
-            o
-        })
-        .collect();
-    Ok(Chunk {
-        payload: ChunkPayload::Decoded {
-            frames: out,
-            device: *device,
-        },
-        ..c.clone()
-    })
+        }
+    }
+    Ok(c)
 }
 
 // ------------------------------------------------------------------ discretize
 
-/// `DISCRETIZE`: angular steps resample resolution; a temporal step
-/// decimates frames.
-pub fn discretize_frames(
-    input: ChunkStream,
-    steps: Vec<(Dimension, f64)>,
-    _device: Device,
-    metrics: Metrics,
-) -> ChunkStream {
-    Box::new(input.map(move |c| {
-        let c = c?;
-        metrics.time("DISCRETIZE", || discretize_one(c, &steps))
-    }))
+/// `DISCRETIZE` of one chunk: angular steps resample resolution; a
+/// temporal step decimates frames. Every step must be finite and
+/// positive: the steps arrive from queries and stored view subgraphs,
+/// and a zero θ step would ask for frames of infinite width.
+pub fn discretize_chunk(
+    c: Chunk,
+    steps: &[(Dimension, f64)],
+    metrics: &Metrics,
+) -> Result<Chunk> {
+    metrics.time("DISCRETIZE", || discretize_one(c, steps))
 }
 
-fn discretize_one(c: Chunk, steps: &[(Dimension, f64)]) -> Result<Chunk> {
-    let ChunkPayload::Decoded { mut frames, device } = c.payload else {
-        return Err(ExecError::Domain(
-            "DISCRETIZE requires decoded input".into(),
-        ));
-    };
-    let mut info = c.info;
+fn discretize_one(mut c: Chunk, steps: &[(Dimension, f64)]) -> Result<Chunk> {
+    if let Some((dim, step)) = steps.iter().find(|(_, s)| !(s.is_finite() && *s > 0.0)) {
+        return Err(ExecError::Domain(format!(
+            "DISCRETIZE step {step} along {dim} is not finite and positive"
+        )));
+    }
+    let (theta, phi) = (c.volume.theta().length(), c.volume.phi().length());
+    let mut fps = c.info.fps;
+    let frames = c.frames_mut("DISCRETIZE")?;
     let mut target_w: Option<usize> = None;
     let mut target_h: Option<usize> = None;
     for (dim, step) in steps {
         match dim {
             Dimension::Theta => {
-                let n = (c.volume.theta().length() / step).round().max(2.0) as usize;
+                let n = (theta / step).round().max(2.0) as usize;
                 target_w = Some(n & !1);
             }
             Dimension::Phi => {
-                let n = (c.volume.phi().length() / step).round().max(2.0) as usize;
+                let n = (phi / step).round().max(2.0) as usize;
                 target_h = Some(n & !1);
             }
             Dimension::T => {
-                let keep_every = (step * info.fps as f64).round().max(1.0) as usize;
-                frames = frames.into_iter().step_by(keep_every).collect();
-                info.fps = (info.fps as usize / keep_every).max(1) as u32;
+                let keep_every = (step * fps as f64).round().max(1.0) as usize;
+                *frames = std::mem::take(frames).into_iter().step_by(keep_every).collect();
+                fps = (fps as usize / keep_every).max(1) as u32;
             }
             _ => {
                 return Err(ExecError::Domain(format!(
@@ -563,52 +460,43 @@ fn discretize_one(c: Chunk, steps: &[(Dimension, f64)]) -> Result<Chunk> {
         }
     }
     if target_w.is_some() || target_h.is_some() {
-        let (w0, h0) = (frames[0].width(), frames[0].height());
-        let w = target_w.unwrap_or(w0).max(2);
-        let h = target_h.unwrap_or(h0).max(2);
-        if (w, h) != (w0, h0) {
-            frames = frames.into_iter().map(|f| f.resize(w, h)).collect();
+        // A chunk of no frames has nothing to resample.
+        if let Some(first) = frames.first() {
+            let (w0, h0) = (first.width(), first.height());
+            let w = target_w.unwrap_or(w0).max(2);
+            let h = target_h.unwrap_or(h0).max(2);
+            if (w, h) != (w0, h0) {
+                for f in frames.iter_mut() {
+                    *f = f.resize(w, h);
+                }
+            }
         }
     }
-    Ok(Chunk {
-        info,
-        payload: ChunkPayload::Decoded { frames, device },
-        ..c
-    })
+    c.info.fps = fps;
+    Ok(c)
 }
 
 // ------------------------------------------------------------------ partition / flatten
 
-/// `PARTITION` over decoded chunks: angular specs crop each chunk
-/// into a tile grid (tiles become parts); a temporal spec must align
-/// with the chunk (GOP) granularity, where it is a logical no-op.
-/// Encoded chunks pass through when only temporally partitioned.
-pub fn partition_chunks(
-    input: ChunkStream,
-    spec: Vec<(Dimension, f64)>,
-    metrics: Metrics,
-) -> ChunkStream {
-    let mut pending: Vec<Chunk> = Vec::new();
-    let mut input = input;
-    Box::new(std::iter::from_fn(move || loop {
-        if let Some(c) = pending.pop() {
-            return Some(Ok(c));
-        }
-        let c = match input.next()? {
-            Err(e) => return Some(Err(e)),
-            Ok(c) => c,
-        };
-        match metrics.time("PARTITION", || partition_one(c, &spec)) {
-            Err(e) => return Some(Err(e)),
-            Ok(mut chunks) => {
-                chunks.reverse();
-                pending = chunks;
-            }
-        }
-    }))
+/// `PARTITION` of one chunk: angular specs crop it into a tile grid
+/// (tiles become parts); a temporal spec must align with the chunk
+/// (GOP) granularity, where it is a logical no-op. Encoded chunks pass
+/// through when only temporally partitioned. Every step must be finite
+/// and positive, as for DISCRETIZE.
+pub fn partition_chunk(
+    c: Chunk,
+    spec: &[(Dimension, f64)],
+    metrics: &Metrics,
+) -> Result<Vec<Chunk>> {
+    metrics.time("PARTITION", || partition_one(c, spec))
 }
 
-fn partition_one(c: Chunk, spec: &[(Dimension, f64)]) -> Result<Vec<Chunk>> {
+fn partition_one(mut c: Chunk, spec: &[(Dimension, f64)]) -> Result<Vec<Chunk>> {
+    if let Some((dim, delta)) = spec.iter().find(|(_, d)| !(d.is_finite() && *d > 0.0)) {
+        return Err(ExecError::Domain(format!(
+            "PARTITION step {delta} along {dim} is not finite and positive"
+        )));
+    }
     let mut cols = 1usize;
     let mut rows = 1usize;
     for (dim, delta) in spec {
@@ -639,12 +527,9 @@ fn partition_one(c: Chunk, spec: &[(Dimension, f64)]) -> Result<Vec<Chunk>> {
     if cols == 1 && rows == 1 {
         return Ok(vec![c]);
     }
-    let ChunkPayload::Decoded { frames, device } = c.payload else {
-        return Err(ExecError::Domain(
-            "angular PARTITION requires decoded input (planner bug)".into(),
-        ));
-    };
-    let (w, h) = (frames[0].width(), frames[0].height());
+    let frames = std::mem::take(c.frames_mut("angular PARTITION")?);
+    // A chunk of no frames splits into tiles of no frames.
+    let (w, h) = frames.first().map_or((0, 0), |f| (f.width(), f.height()));
     if w % cols != 0
         || h % rows != 0
         || !(w / cols).is_multiple_of(2)
@@ -656,6 +541,7 @@ fn partition_one(c: Chunk, spec: &[(Dimension, f64)]) -> Result<Vec<Chunk>> {
     }
     let (tw, thh) = (w / cols, h / rows);
     let grid = TileGrid::new(cols, rows);
+    let device = c.device();
     let mut out = Vec::with_capacity(cols * rows);
     for tile in 0..cols * rows {
         let (col, row) = (tile % cols, tile / cols);
@@ -677,18 +563,14 @@ fn partition_one(c: Chunk, spec: &[(Dimension, f64)]) -> Result<Vec<Chunk>> {
     Ok(out)
 }
 
-/// `FLATTEN`: composite each time step's parts back into one part.
-pub fn flatten_chunks(input: ChunkStream, metrics: Metrics) -> ChunkStream {
-    let grouped = TimeGrouped::new(input);
-    Box::new(grouped.map(move |g| {
-        let group = g?;
-        metrics
-            .time("FLATTEN", || composite_group(group, &MergeFunction::Last))
-            .map(|mut parts| {
-                debug_assert!(!parts.is_empty());
-                parts.swap_remove(0)
-            })
-    }))
+/// `FLATTEN` of one time step: composites its parts back into one part.
+pub fn flatten_group(group: Vec<Chunk>, metrics: &Metrics) -> Result<Chunk> {
+    metrics
+        .time("FLATTEN", || composite_group(group, &MergeFunction::Last))
+        .map(|mut parts| {
+            debug_assert!(!parts.is_empty());
+            parts.swap_remove(0)
+        })
 }
 
 // ------------------------------------------------------------------ union
@@ -700,7 +582,6 @@ pub fn flatten_chunks(input: ChunkStream, metrics: Metrics) -> ChunkStream {
 pub fn union_frames(
     inputs: Vec<ChunkStream>,
     merge: MergeFunction,
-    _device: Device,
     metrics: Metrics,
 ) -> ChunkStream {
     let mut grouped: Vec<std::iter::Peekable<TimeGrouped>> = inputs
@@ -797,19 +678,15 @@ fn composite_bucket(mut bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chu
     let mut density_phi: f64 = 0.0;
     let mut frame_count = 0usize;
     let mut device = Device::Cpu;
-    for c in &bucket {
-        let ChunkPayload::Decoded { frames, device: d } = &c.payload else {
-            return Err(ExecError::Domain(
-                "UNION compositing requires decoded input".into(),
-            ));
-        };
+    for c in &mut bucket {
+        device = c.device();
+        let (theta, phi) = (c.volume.theta().length(), c.volume.phi().length());
+        let frames = c.frames_mut("UNION compositing")?;
         if let Some(f) = frames.first() {
-            density_theta =
-                density_theta.max(f.width() as f64 / c.volume.theta().length().max(1e-12));
-            density_phi = density_phi.max(f.height() as f64 / c.volume.phi().length().max(1e-12));
+            density_theta = density_theta.max(f.width() as f64 / theta.max(1e-12));
+            density_phi = density_phi.max(f.height() as f64 / phi.max(1e-12));
         }
         frame_count = frame_count.max(frames.len());
-        device = *d;
     }
     if frame_count == 0 {
         return Err(ExecError::Align("union of empty chunks".into()));
@@ -820,12 +697,10 @@ fn composite_bucket(mut bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chu
     // Empty until the first input lands: the canvas is still all ω.
     let mut frames: Vec<Frame> = Vec::new();
     for c in &mut bucket {
-        let ChunkPayload::Decoded { frames: ov, .. } = &mut c.payload else {
-            unreachable!("checked above");
-        };
         let Some((x0, y0, tw, th)) = overlay_rect(canvas_w, canvas_h, &hull, &c.volume) else {
             continue;
         };
+        let ov = c.frames_mut("UNION compositing")?;
         if ov.is_empty() {
             continue;
         }
@@ -939,91 +814,64 @@ fn merge_pixels(merge: &MergeFunction, first: Yuv, second: Yuv) -> Yuv {
 
 // ------------------------------------------------------------------ interpolate
 
-/// `INTERPOLATE`: built-ins fill ω pixels from neighbours; custom
-/// UDFs synthesise one part per time step from the group's parts
-/// (e.g. a depth map from a stereo pair).
-pub fn interpolate_frames(
-    input: ChunkStream,
-    f: InterpFunction,
+/// Built-in `INTERPOLATE` of one chunk: fills ω pixels from their
+/// neighbours.
+pub fn interpolate_chunk(mut c: Chunk, kind: BuiltinInterp, metrics: &Metrics) -> Result<Chunk> {
+    let frames = c.frames_mut("INTERPOLATE")?;
+    let filled =
+        metrics.time("INTERPOLATE", || frames.iter().map(|fr| fill_nulls(fr, kind)).collect());
+    *frames = filled;
+    Ok(c)
+}
+
+/// UDF `INTERPOLATE` of one time step: synthesises one part from the
+/// step's co-temporal parts (e.g. a depth map from a stereo pair).
+pub fn synthesize_group(
+    mut group: Vec<Chunk>,
+    udf: &dyn InterpUdf,
     device: Device,
-    metrics: Metrics,
-) -> ChunkStream {
-    match f {
-        InterpFunction::Builtin(b) => Box::new(input.map(move |c| {
-            let c = c?;
-            let ChunkPayload::Decoded { frames, device: d } = c.payload else {
-                return Err(ExecError::Domain(
-                    "INTERPOLATE requires decoded input".into(),
-                ));
-            };
-            let out = metrics.time("INTERPOLATE", || {
-                frames
-                    .iter()
-                    .map(|fr| fill_nulls(fr, b))
-                    .collect::<Vec<Frame>>()
-            });
-            Ok(Chunk {
-                payload: ChunkPayload::Decoded {
-                    frames: out,
-                    device: d,
-                },
-                ..c
-            })
-        })),
-        InterpFunction::Custom(udf) => {
-            let grouped = TimeGrouped::new(input);
-            let op: &'static str = if device == Device::Fpga {
-                "INTERPOLATE[FPGA]"
-            } else {
-                "INTERPOLATE"
-            };
-            Box::new(grouped.map(move |g| {
-                let group = g?;
-                if group.len() < 2 {
-                    return Err(ExecError::Align(format!(
-                        "{} synthesis needs ≥2 co-temporal parts, got {}",
-                        udf.name(),
-                        group.len()
-                    )));
-                }
-                let mut frame_sets: Vec<&Vec<Frame>> = Vec::with_capacity(group.len());
-                for c in &group {
-                    match &c.payload {
-                        ChunkPayload::Decoded { frames, .. } => frame_sets.push(frames),
-                        _ => {
-                            return Err(ExecError::Domain(
-                                "INTERPOLATE requires decoded input".into(),
-                            ))
-                        }
-                    }
-                }
-                let n = frame_sets.iter().map(|f| f.len()).min().unwrap_or(0);
-                let out: Vec<Frame> = metrics.time(op, || {
-                    (0..n)
-                        .map(|i| {
-                            let inputs: Vec<&Frame> = frame_sets.iter().map(|fs| &fs[i]).collect();
-                            udf.synthesize(&inputs)
-                        })
-                        .collect()
-                });
-                let volume = group
-                    .iter()
-                    .map(|c| c.volume)
-                    .reduce(|a, b| a.hull(&b))
-                    .ok_or_else(|| ExecError::Align("empty interpolation group".into()))?;
-                Ok(Chunk {
-                    t_index: group[0].t_index,
-                    part: 0,
-                    volume,
-                    info: group[0].info,
-                    payload: ChunkPayload::Decoded {
-                        frames: out,
-                        device: group[0].device(),
-                    },
-                })
-            }))
-        }
+    metrics: &Metrics,
+) -> Result<Chunk> {
+    if group.len() < 2 {
+        return Err(ExecError::Align(format!(
+            "{} synthesis needs ≥2 co-temporal parts, got {}",
+            udf.name(),
+            group.len()
+        )));
     }
+    let op: &'static str = if device == Device::Fpga {
+        "INTERPOLATE[FPGA]"
+    } else {
+        "INTERPOLATE"
+    };
+    let frame_sets = group
+        .iter_mut()
+        .map(|c| c.frames_mut("INTERPOLATE").map(|frames| &*frames))
+        .collect::<Result<Vec<&Vec<Frame>>>>()?;
+    let n = frame_sets.iter().map(|f| f.len()).min().unwrap_or(0);
+    let out: Vec<Frame> = metrics.time(op, || {
+        (0..n)
+            .map(|i| {
+                let inputs: Vec<&Frame> = frame_sets.iter().map(|fs| &fs[i]).collect();
+                udf.synthesize(&inputs)
+            })
+            .collect()
+    });
+    let volume = group
+        .iter()
+        .map(|c| c.volume)
+        .reduce(|a, b| a.hull(&b))
+        .ok_or_else(|| ExecError::Align("empty interpolation group".into()))?;
+    Ok(Chunk {
+        t_index: group[0].t_index,
+        part: 0,
+        volume,
+        info: group[0].info,
+        payload: ChunkPayload::Decoded {
+            frames: out,
+            device: group[0].device(),
+        },
+    })
 }
 
 /// Fills ω pixels from the nearest non-ω pixel on the same row
@@ -1086,59 +934,33 @@ fn lerp(a: Yuv, b: Yuv, t: f32) -> Yuv {
 
 // ------------------------------------------------------------------ translate / rotate
 
-/// `TRANSLATE`: shift the spatiotemporal extent of every chunk.
-pub fn translate_chunks(
-    input: ChunkStream,
-    dx: f64,
-    dy: f64,
-    dz: f64,
-    dt: f64,
-    metrics: Metrics,
-) -> ChunkStream {
-    Box::new(input.map(move |c| {
-        let mut c = c?;
-        metrics.time("TRANSLATE", || {
-            let dur = c.volume.t().length().max(1e-9);
-            let steps = (dt / dur).round() as isize;
-            c.t_index = (c.t_index as isize + steps).max(0) as usize;
-            c.volume = c.volume.translate(dx, dy, dz, dt);
-            c.info.position = c.info.position.translate(dx, dy, dz);
-        });
-        Ok(c)
-    }))
+/// `TRANSLATE` of one chunk: shifts its spatiotemporal extent by
+/// `(dx, dy, dz, dt)`.
+pub fn translate_chunk(
+    mut c: Chunk,
+    (dx, dy, dz, dt): (f64, f64, f64, f64),
+    metrics: &Metrics,
+) -> Chunk {
+    metrics.time("TRANSLATE", || {
+        let dur = c.volume.t().length().max(1e-9);
+        let steps = (dt / dur).round() as isize;
+        c.t_index = (c.t_index as isize + steps).max(0) as usize;
+        c.volume = c.volume.translate(dx, dy, dz, dt);
+        c.info.position = c.info.position.translate(dx, dy, dz);
+    });
+    c
 }
 
-/// `ROTATE`: rotate ray directions — an azimuthal pixel roll plus a
-/// clamped polar shift on equirectangular frames.
-pub fn rotate_frames(
-    input: ChunkStream,
-    dtheta: f64,
-    dphi: f64,
-    _device: Device,
-    metrics: Metrics,
-) -> ChunkStream {
-    let rotation = lightdb_geom::Rotation::new(dtheta, dphi);
-    Box::new(input.map(move |c| {
-        let c = c?;
-        let ChunkPayload::Decoded { frames, device } = c.payload else {
-            return Err(ExecError::Domain("ROTATE requires decoded input".into()));
-        };
-        let out = metrics.time("ROTATE", || {
-            frames
-                .iter()
-                .map(|f| rotate_equirect(f, dtheta, dphi))
-                .collect::<Vec<Frame>>()
-        });
-        let volume = rotation.rotate_volume(&c.volume);
-        Ok(Chunk {
-            volume,
-            payload: ChunkPayload::Decoded {
-                frames: out,
-                device,
-            },
-            ..c
-        })
-    }))
+/// `ROTATE` of one chunk: rotates ray directions — an azimuthal pixel
+/// roll plus a clamped polar shift on equirectangular frames.
+pub fn rotate_chunk(mut c: Chunk, dtheta: f64, dphi: f64, metrics: &Metrics) -> Result<Chunk> {
+    let frames = c.frames_mut("ROTATE")?;
+    let rotated = metrics.time("ROTATE", || {
+        frames.iter().map(|f| rotate_equirect(f, dtheta, dphi)).collect()
+    });
+    *frames = rotated;
+    c.volume = lightdb_geom::Rotation::new(dtheta, dphi).rotate_volume(&c.volume);
+    Ok(c)
 }
 
 fn rotate_equirect(f: &Frame, dtheta: f64, dphi: f64) -> Frame {
@@ -1204,6 +1026,17 @@ mod tests {
         s.map(|c| c.unwrap()).collect()
     }
 
+    fn decode(c: Chunk, device: Device, metrics: &Metrics, budget: Parallelism) -> Chunk {
+        decode_chunk(c, device, metrics, &QueryCtx::unbounded(), None, budget).unwrap()
+    }
+
+    fn frames_of(c: &Chunk) -> &[Frame] {
+        let ChunkPayload::Decoded { frames, .. } = &c.payload else {
+            panic!("decoded chunk expected")
+        };
+        frames
+    }
+
     #[test]
     fn degenerate_union_groups_error_instead_of_panicking() {
         // An empty time-step group must surface as an ExecError, not
@@ -1243,13 +1076,8 @@ mod tests {
             "broken input".into(),
         ))));
         let good = stream_of(vec![decoded_chunk(0, vec![textured(32, 32, 0)])]);
-        let results: Vec<_> = union_frames(
-            vec![bad, good],
-            MergeFunction::Last,
-            Device::Cpu,
-            Metrics::new(),
-        )
-        .collect();
+        let results: Vec<_> =
+            union_frames(vec![bad, good], MergeFunction::Last, Metrics::new()).collect();
         assert!(results.iter().any(|r| r.is_err()));
     }
 
@@ -1259,30 +1087,21 @@ mod tests {
     #[test]
     fn a_lone_gop_decodes_frames_ahead_on_its_budget() {
         let frames: Vec<Frame> = (0..30).map(|i| textured(128, 64, i)).collect();
-        let encoded = collect(encode_chunks_par(
-            stream_of(vec![decoded_chunk(0, frames)]),
-            Device::Cpu,
-            CodecKind::H264Sim,
-            20,
-            Metrics::new(),
-            Parallelism::SERIAL,
-            QueryCtx::unbounded(),
-        ));
-        let decode = |par: Parallelism| {
+        let m = Metrics::new();
+        let chunk = decoded_chunk(0, frames);
+        let encoded = encode_chunk(chunk, Device::Cpu, CodecKind::H264Sim, 20, &m).unwrap();
+        let run = |par: Parallelism| {
             let m = Metrics::new();
-            let input = stream_of(encoded.clone());
-            let ctx = QueryCtx::unbounded();
-            let out = collect(decode_chunks(input, Device::Cpu, m.clone(), par, ctx, None));
-            let ChunkPayload::Decoded { frames, .. } = &out[0].payload else { panic!() };
-            (frames.clone(), m.counter(counters::DECODE_FRAMES_AHEAD))
+            let out = decode(encoded.clone(), Device::Cpu, &m, par);
+            (out.payload, m.counter(counters::DECODE_FRAMES_AHEAD))
         };
-        let (serial, ahead) = decode(Parallelism::SERIAL);
+        let (serial, ahead) = run(Parallelism::SERIAL);
         assert_eq!(ahead, 0);
         // The helper races the caller for frames; a scheduler that keeps
         // it off the CPU for a whole GOP is retried, not failed.
         let ahead = (0..20)
             .map(|_| {
-                let (parallel, ahead) = decode(Parallelism::new(2));
+                let (parallel, ahead) = run(Parallelism::new(2));
                 assert!(parallel == serial, "the 2-thread decode differs");
                 ahead
             })
@@ -1295,27 +1114,9 @@ mod tests {
         let frames: Vec<Frame> = (0..4).map(|i| textured(64, 32, i)).collect();
         let m = Metrics::new();
         let c = decoded_chunk(0, frames.clone());
-        let enc = encode_chunks_par(
-            stream_of(vec![c]),
-            Device::Cpu,
-            CodecKind::H264Sim,
-            8,
-            m.clone(),
-            Parallelism::SERIAL,
-            QueryCtx::unbounded(),
-        );
-        let dec = collect(decode_chunks(
-            enc,
-            Device::Cpu,
-            m.clone(),
-            Parallelism::SERIAL,
-            QueryCtx::unbounded(),
-            None,
-        ));
-        assert_eq!(dec.len(), 1);
-        let ChunkPayload::Decoded { frames: out, .. } = &dec[0].payload else {
-            panic!()
-        };
+        let enc = encode_chunk(c, Device::Cpu, CodecKind::H264Sim, 8, &m).unwrap();
+        let dec = decode(enc, Device::Cpu, &m, Parallelism::SERIAL);
+        let out = frames_of(&dec);
         assert_eq!(out.len(), 4);
         for (a, b) in frames.iter().zip(out.iter()) {
             assert!(luma_psnr(a, b) > 32.0);
@@ -1346,19 +1147,9 @@ mod tests {
                 gop: enc.gops[0].clone(),
             },
         };
-        let decode = |chunk, device| {
-            let par = Parallelism::SERIAL;
-            let input = stream_of(vec![chunk]);
-            collect(decode_chunks(input, device, Metrics::new(), par, QueryCtx::unbounded(), None))
-        };
-        let cpu = decode(chunk.clone(), Device::Cpu);
-        let gpu = decode(chunk, Device::Gpu);
-        let (ChunkPayload::Decoded { frames: a, .. }, ChunkPayload::Decoded { frames: b, .. }) =
-            (&cpu[0].payload, &gpu[0].payload)
-        else {
-            panic!()
-        };
-        assert_eq!(a, b);
+        let cpu = decode(chunk.clone(), Device::Cpu, &Metrics::new(), Parallelism::SERIAL);
+        let gpu = decode(chunk, Device::Gpu, &Metrics::new(), Parallelism::SERIAL);
+        assert_eq!(frames_of(&cpu), frames_of(&gpu));
     }
 
     #[test]
@@ -1373,32 +1164,18 @@ mod tests {
             .with(Dimension::T, Interval::new(0.5, 1.0))
             .with(Dimension::Theta, Interval::new(PI, 2.0 * PI))
             .with(Dimension::Phi, Interval::new(0.0, PI / 2.0));
-        let out = collect(select_frames(
-            stream_of(vec![c]),
-            pred,
-            Device::Cpu,
-            Metrics::new(),
-        ));
-        assert_eq!(out.len(), 1);
-        let ChunkPayload::Decoded { frames, .. } = &out[0].payload else {
-            panic!()
-        };
+        let out = select_chunk(c, &pred, &Metrics::new()).unwrap().unwrap();
+        let frames = frames_of(&out);
         assert_eq!(frames.len(), 5);
         assert_eq!((frames[0].width(), frames[0].height()), (32, 16));
-        assert!((out[0].volume.theta().lo() - PI).abs() < 0.2);
+        assert!((out.volume.theta().lo() - PI).abs() < 0.2);
     }
 
     #[test]
     fn select_outside_volume_drops_chunk() {
         let c = decoded_chunk(0, vec![textured(32, 32, 0)]);
         let pred = VolumePredicate::any().with(Dimension::T, Interval::new(5.0, 6.0));
-        let out = collect(select_frames(
-            stream_of(vec![c]),
-            pred,
-            Device::Cpu,
-            Metrics::new(),
-        ));
-        assert!(out.is_empty());
+        assert_eq!(select_chunk(c, &pred, &Metrics::new()).unwrap(), None);
     }
 
     #[test]
@@ -1406,13 +1183,13 @@ mod tests {
         let frames: Vec<Frame> = (0..2).map(|i| textured(64, 64, i)).collect();
         let f = MapFunction::Builtin(BuiltinMap::Blur);
         let map = |frames, device| {
-            let input = stream_of(vec![decoded_chunk(0, frames)]);
-            let (par, ctx) = (Parallelism::SERIAL, QueryCtx::unbounded());
-            collect(map_frames_par(input, f.clone(), device, Metrics::new(), par, ctx))
+            let payload = ChunkPayload::Decoded { frames, device };
+            let c = Chunk { payload, ..decoded_chunk(0, vec![]) };
+            map_chunk(c, &f, &Metrics::new(), Parallelism::SERIAL).unwrap()
         };
         let cpu = map(frames.clone(), Device::Cpu);
         let gpu = map(frames, Device::Gpu);
-        assert_eq!(cpu[0].payload, gpu[0].payload);
+        assert_eq!(frames_of(&cpu), frames_of(&gpu));
     }
 
     #[test]
@@ -1427,18 +1204,11 @@ mod tests {
             (Dimension::Phi, lightdb_geom::PHI_MAX / 16.0),
             (Dimension::T, 0.1), // 10 samples per second
         ];
-        let out = collect(discretize_frames(
-            stream_of(vec![c]),
-            steps,
-            Device::Cpu,
-            Metrics::new(),
-        ));
-        let ChunkPayload::Decoded { frames, .. } = &out[0].payload else {
-            panic!()
-        };
+        let out = discretize_chunk(c, &steps, &Metrics::new()).unwrap();
+        let frames = frames_of(&out);
         assert_eq!(frames.len(), 10);
         assert_eq!((frames[0].width(), frames[0].height()), (32, 16));
-        assert_eq!(out[0].info.fps, 10);
+        assert_eq!(out.info.fps, 10);
     }
 
     #[test]
@@ -1450,12 +1220,9 @@ mod tests {
             (Dimension::Theta, PI),     // 2 columns
             (Dimension::Phi, PI / 2.0), // 2 rows
         ];
-        let out = collect(partition_chunks(stream_of(vec![c]), spec, Metrics::new()));
+        let out = partition_chunk(c, &spec, &Metrics::new()).unwrap();
         assert_eq!(out.len(), 4);
-        let ChunkPayload::Decoded { frames: tile0, .. } = &out[0].payload else {
-            panic!()
-        };
-        assert_eq!(tile0[0], frames[0].crop(0, 0, 32, 16));
+        assert_eq!(frames_of(&out[0])[0], frames[0].crop(0, 0, 32, 16));
         // Tile volumes tile the angular domain.
         assert!((out[3].volume.theta().lo() - PI).abs() < 1e-9);
         assert!((out[3].volume.phi().lo() - PI / 2.0).abs() < 1e-9);
@@ -1466,12 +1233,9 @@ mod tests {
         let frames: Vec<Frame> = (0..2).map(|i| textured(64, 32, i)).collect();
         let c = decoded_chunk(0, frames.clone());
         let spec = vec![(Dimension::Theta, PI / 2.0), (Dimension::Phi, PI / 2.0)];
-        let parted = partition_chunks(stream_of(vec![c]), spec, Metrics::new());
-        let flat = collect(flatten_chunks(parted, Metrics::new()));
-        assert_eq!(flat.len(), 1);
-        let ChunkPayload::Decoded { frames: out, .. } = &flat[0].payload else {
-            panic!()
-        };
+        let parted = partition_chunk(c, &spec, &Metrics::new()).unwrap();
+        let flat = flatten_group(parted, &Metrics::new()).unwrap();
+        let out = frames_of(&flat);
         // Compositing tiles back must reconstruct the original frames.
         for (a, b) in frames.iter().zip(out.iter()) {
             assert!(luma_psnr(a, b) > 45.0, "flatten lost content");
@@ -1498,7 +1262,6 @@ mod tests {
         let out = collect(union_frames(
             vec![stream_of(vec![base]), stream_of(vec![wm])],
             MergeFunction::Last,
-            Device::Cpu,
             Metrics::new(),
         ));
         assert_eq!(out.len(), 1);
@@ -1520,7 +1283,6 @@ mod tests {
         let out = collect(union_frames(
             vec![stream_of(vec![base]), stream_of(vec![ov])],
             MergeFunction::Last,
-            Device::Cpu,
             Metrics::new(),
         ));
         let ChunkPayload::Decoded { frames, .. } = &out[0].payload else {
@@ -1542,7 +1304,6 @@ mod tests {
         let out = collect(union_frames(
             vec![stream_of(vec![a]), stream_of(vec![b])],
             MergeFunction::Last,
-            Device::Cpu,
             Metrics::new(),
         ));
         assert_eq!(out.len(), 2);
@@ -1560,15 +1321,8 @@ mod tests {
             }
         }
         let c = decoded_chunk(0, vec![f]);
-        let out = collect(interpolate_frames(
-            stream_of(vec![c]),
-            InterpFunction::Builtin(BuiltinInterp::Linear),
-            Device::Cpu,
-            Metrics::new(),
-        ));
-        let ChunkPayload::Decoded { frames, .. } = &out[0].payload else {
-            panic!()
-        };
+        let out = interpolate_chunk(c, BuiltinInterp::Linear, &Metrics::new()).unwrap();
+        let frames = frames_of(&out);
         let mid = frames[0].get(8, 8);
         assert!(!is_omega(mid));
         assert!(
@@ -1585,30 +1339,18 @@ mod tests {
         let mut right = decoded_chunk(0, vec![textured(64, 64, 0)]);
         right.part = 1;
         right.info.position = lightdb_geom::Point3::new(0.064, 0.0, 0.0);
-        let merged: Vec<Chunk> = vec![left, right];
-        let out = collect(interpolate_frames(
-            stream_of(merged),
-            InterpFunction::Custom(std::sync::Arc::new(DepthMapFpga)),
-            Device::Fpga,
-            Metrics::new(),
-        ));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].frame_count(), 1);
+        let out =
+            synthesize_group(vec![left, right], &DepthMapFpga, Device::Fpga, &Metrics::new())
+                .unwrap();
+        assert_eq!(out.frame_count(), 1);
     }
 
     #[test]
     fn translate_shifts_time_steps() {
         let c = decoded_chunk(0, vec![textured(32, 32, 0)]);
-        let out = collect(translate_chunks(
-            stream_of(vec![c]),
-            0.0,
-            0.0,
-            0.0,
-            5.0,
-            Metrics::new(),
-        ));
-        assert_eq!(out[0].t_index, 5);
-        assert!((out[0].volume.t().lo() - 5.0).abs() < 1e-9);
+        let out = translate_chunk(c, (0.0, 0.0, 0.0, 5.0), &Metrics::new());
+        assert_eq!(out.t_index, 5);
+        assert!((out.volume.t().lo() - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1616,16 +1358,9 @@ mod tests {
         let mut f = Frame::filled(64, 32, Yuv::new(10, 128, 128));
         f.set(0, 16, Yuv::new(200, 128, 128));
         let c = decoded_chunk(0, vec![f]);
-        let out = collect(rotate_frames(
-            stream_of(vec![c]),
-            PI, // half turn: x shifts by w/2
-            0.0,
-            Device::Cpu,
-            Metrics::new(),
-        ));
-        let ChunkPayload::Decoded { frames, .. } = &out[0].payload else {
-            panic!()
-        };
+        // Half a turn: x shifts by w/2.
+        let out = rotate_chunk(c, PI, 0.0, &Metrics::new()).unwrap();
+        let frames = frames_of(&out);
         assert_eq!(frames[0].get(32, 16).y, 200);
         assert_eq!(frames[0].get(0, 16).y, 10);
     }
@@ -1657,31 +1392,23 @@ mod tests {
         let pred = VolumePredicate::any()
             .with(Dimension::X, Interval::point(0.9))
             .with(Dimension::Y, Interval::point(0.1));
-        let out = collect(select_frames(
-            stream_of(vec![c]),
-            pred,
-            Device::Cpu,
-            Metrics::new(),
-        ));
-        assert_eq!(out.len(), 1);
-        let ChunkPayload::Decoded { frames, .. } = &out[0].payload else {
-            panic!()
-        };
+        let out = select_chunk(c, &pred, &Metrics::new()).unwrap().unwrap();
+        let frames = frames_of(&out);
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].get(0, 0).y, 80);
-        assert!(out[0].info.slab.is_none());
+        assert!(out.info.slab.is_none());
     }
 
     #[test]
     fn transfer_changes_device() {
         let c = decoded_chunk(0, vec![textured(16, 16, 0)]);
         let m = Metrics::new();
-        let out = collect(transfer(stream_of(vec![c]), Device::Gpu, m.clone()));
-        assert_eq!(out[0].device(), Device::Gpu);
+        let out = transfer_chunk(c, Device::Gpu, &m);
+        assert_eq!(out.device(), Device::Gpu);
         assert_eq!(m.count("TRANSFER"), 1);
         // Transferring to the same device is free.
-        let out2 = collect(transfer(stream_of(out), Device::Gpu, m.clone()));
-        assert_eq!(out2[0].device(), Device::Gpu);
+        let out2 = transfer_chunk(out, Device::Gpu, &m);
+        assert_eq!(out2.device(), Device::Gpu);
         assert_eq!(m.count("TRANSFER"), 1);
     }
 }

@@ -18,31 +18,21 @@ use crate::{ChunkStream, ExecError, Result};
 use lightdb_codec::{EncodedGop, SequenceHeader, TileGrid};
 use lightdb_geom::{Dimension, Interval, Volume, PHI_MAX, THETA_PERIOD};
 
-/// `GOPSELECT`: pass through only the whole GOPs overlapping the
-/// frame range `[first, last]`. Valid when a temporal selection falls
-/// on GOP boundaries; the passed chunks are byte-identical.
-pub fn gop_select(
-    input: ChunkStream,
-    t_frames: (u64, u64),
-    metrics: Metrics,
-) -> ChunkStream {
-    let (first, last) = t_frames;
-    Box::new(input.filter(move |c| {
-        
-        match c {
-            Err(_) => true,
-            Ok(c) => metrics.time("GOPSELECT", || match &c.payload {
-                ChunkPayload::Encoded { header, gop } => {
-                    let start = (c.t_index * header.gop_length) as u64;
-                    let end = start + gop.frame_count() as u64;
-                    start <= last && end > first
-                }
-                // Decoded chunks pass through untouched (the planner
-                // should not have chosen GOPSELECT, but be lenient).
-                ChunkPayload::Decoded { .. } => true,
-            }),
+/// `GOPSELECT` of one chunk: passes it only when its whole GOP
+/// overlaps the frame range `[first, last]`. Valid when a temporal
+/// selection falls on GOP boundaries; a passed chunk is byte-identical.
+pub fn gop_select_chunk(c: Chunk, (first, last): (u64, u64), metrics: &Metrics) -> Option<Chunk> {
+    let keep = metrics.time("GOPSELECT", || match &c.payload {
+        ChunkPayload::Encoded { header, gop } => {
+            let start = (c.t_index * header.gop_length) as u64;
+            let end = start + gop.frame_count() as u64;
+            start <= last && end > first
         }
-    }))
+        // Decoded chunks pass through untouched (the planner should
+        // not have chosen GOPSELECT, but be lenient).
+        ChunkPayload::Decoded { .. } => true,
+    });
+    keep.then_some(c)
 }
 
 /// The angular sub-volume covered by tile `index` of `grid` within a
@@ -66,34 +56,31 @@ pub fn tile_volume(volume: &Volume, grid: &TileGrid, index: usize) -> Volume {
         )
 }
 
-/// `KEYFRAMESELECT` (an HOp the paper lists as future work): extract
-/// each GOP's keyframe as a one-frame GOP, byte-for-byte — thumbnail
-/// or preview extraction at GOP rate without any decoding.
-pub fn keyframe_select(input: ChunkStream, metrics: Metrics) -> ChunkStream {
-    Box::new(input.map(move |c| {
-        let c = c?;
-        metrics.time("KEYFRAMESELECT", || {
-            let ChunkPayload::Encoded { header, gop } = c.payload else {
-                return Err(ExecError::Domain("KEYFRAMESELECT requires encoded input".into()));
-            };
-            if gop.frame_count() == 0 {
-                return Err(ExecError::Align("empty GOP".into()));
-            }
-            // The keyframe's bytes as stored, under a frame count of one.
-            let gop = gop.first_frames(1);
-            let header = SequenceHeader { gop_length: 1, ..header };
-            let keyframe_instant = c.volume.t().lo();
-            let volume = c.volume.with(
-                Dimension::T,
-                Interval::new(keyframe_instant, keyframe_instant + 1.0 / header.fps as f64),
-            );
-            Ok(Chunk {
-                volume,
-                payload: ChunkPayload::Encoded { header, gop },
-                ..c
-            })
+/// `KEYFRAMESELECT` of one chunk (an HOp the paper lists as future
+/// work): its GOP's keyframe as a one-frame GOP, byte-for-byte —
+/// thumbnail or preview extraction at GOP rate without any decoding.
+pub fn keyframe_select_chunk(c: Chunk, metrics: &Metrics) -> Result<Chunk> {
+    metrics.time("KEYFRAMESELECT", || {
+        let ChunkPayload::Encoded { header, gop } = c.payload else {
+            return Err(ExecError::Domain("KEYFRAMESELECT requires encoded input".into()));
+        };
+        if gop.frame_count() == 0 {
+            return Err(ExecError::Align("empty GOP".into()));
+        }
+        // The keyframe's bytes as stored, under a frame count of one.
+        let gop = gop.first_frames(1);
+        let header = SequenceHeader { gop_length: 1, ..header };
+        let keyframe_instant = c.volume.t().lo();
+        let volume = c.volume.with(
+            Dimension::T,
+            Interval::new(keyframe_instant, keyframe_instant + 1.0 / header.fps as f64),
+        );
+        Ok(Chunk {
+            volume,
+            payload: ChunkPayload::Encoded { header, gop },
+            ..c
         })
-    }))
+    })
 }
 
 /// `GOPUNION`: concatenate encoded streams in time by re-basing the
@@ -197,9 +184,28 @@ pub fn tile_union(
     }))
 }
 
+/// Single-input `TILEUNION` of one time step: its parts, in part
+/// order, are the row-major tiles.
+pub fn tile_union_group(
+    mut group: Vec<Chunk>,
+    cols: usize,
+    rows: usize,
+    metrics: &Metrics,
+) -> Result<Chunk> {
+    group.sort_by_key(|c| c.part);
+    let expected = cols * rows;
+    if group.len() != expected {
+        return Err(ExecError::Align(format!(
+            "TILEUNION expected {expected} tiles per time step, got {}",
+            group.len()
+        )));
+    }
+    metrics.time("TILEUNION", || stitch(&group, cols, rows))
+}
+
 /// Stitches one time step's single-tile chunks, in row-major tile
 /// order, into one `cols × rows` tiled chunk without decoding.
-pub(crate) fn stitch(tiles: &[Chunk], cols: usize, rows: usize) -> Result<Chunk> {
+fn stitch(tiles: &[Chunk], cols: usize, rows: usize) -> Result<Chunk> {
     let mut gops = Vec::with_capacity(tiles.len());
     let mut first_header: Option<SequenceHeader> = None;
     let mut volume: Option<Volume> = None;
@@ -310,9 +316,8 @@ mod tests {
     fn gop_select_passes_only_overlapping_gops() {
         let chunks = encoded_chunks(30, 3, TileGrid::SINGLE);
         let m = Metrics::new();
-        let out: Vec<Chunk> = gop_select(to_stream(chunks), (60, 89), m.clone())
-            .map(|c| c.unwrap())
-            .collect();
+        let out: Vec<Chunk> =
+            chunks.into_iter().filter_map(|c| gop_select_chunk(c, (60, 89), &m)).collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].t_index, 2);
         assert!(m.count("GOPSELECT") >= 1);
@@ -321,9 +326,9 @@ mod tests {
     #[test]
     fn gop_select_range_spanning_boundary() {
         let chunks = encoded_chunks(30, 3, TileGrid::SINGLE);
-        let out: Vec<Chunk> = gop_select(to_stream(chunks), (29, 31), Metrics::new())
-            .map(|c| c.unwrap())
-            .collect();
+        let m = Metrics::new();
+        let out: Vec<Chunk> =
+            chunks.into_iter().filter_map(|c| gop_select_chunk(c, (29, 31), &m)).collect();
         assert_eq!(out.len(), 2);
     }
 

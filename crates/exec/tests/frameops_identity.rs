@@ -10,7 +10,8 @@ mod oracle;
 use lightdb_core::algebra::MergeFunction;
 use lightdb_core::udf::{BuiltinMap, MapFunction, MapUdf, MergeUdf};
 use lightdb_exec::chunk::{is_omega, OMEGA};
-use lightdb_exec::frameops::{composite_group, map_frames_par};
+use lightdb_exec::frameops::{composite_group, map_chunk};
+use lightdb_exec::parallel::par_flat_map_chunks_ctx;
 use lightdb_exec::{
     Chunk, ChunkPayload, ChunkStream, Device, Metrics, Parallelism, QueryCtx, StreamInfo,
 };
@@ -509,15 +510,22 @@ fn map_inputs() -> Vec<Chunk> {
         .collect()
 }
 
+/// `MAP` as the executor runs it: `map_chunk` through the operator
+/// driver, which hands a chunk alone in its batch the whole budget.
 fn run_map(f: &MapFunction, device: Device, chunks: Vec<Chunk>, threads: usize) -> u64 {
-    let input: ChunkStream = Box::new(chunks.into_iter().map(Ok));
-    let out = map_frames_par(
+    let on_device = move |c: Chunk| match c.payload {
+        ChunkPayload::Decoded { frames, .. } => {
+            Chunk { payload: ChunkPayload::Decoded { frames, device }, ..c }
+        }
+        ChunkPayload::Encoded { .. } => c,
+    };
+    let input: ChunkStream = Box::new(chunks.into_iter().map(on_device).map(Ok));
+    let (f, metrics) = (f.clone(), Metrics::new());
+    let out = par_flat_map_chunks_ctx(
         input,
-        f.clone(),
-        device,
-        Metrics::new(),
         Parallelism::new(threads),
         QueryCtx::unbounded(),
+        move |c, budget| map_chunk(c, &f, &metrics, budget).map(Some),
     );
     let mut h = 0;
     for c in out {

@@ -7,8 +7,9 @@
 //!    jobs from a shared queue and push `(index, result)` pairs in
 //!    completion order; reassembly must reproduce the serial output
 //!    byte-identically for *every* completion interleaving — also
-//!    when one job yields no, one or many outputs, as the `SUBQUERY`
-//!    bodies `par_flat_map_chunks_ctx` fans out do.
+//!    when one job yields no, one or many outputs, as `SELECT`,
+//!    `PARTITION` and `SUBQUERY` bodies do under the one operator
+//!    driver, `par_flat_map_chunks_ctx`.
 //! 2. **The single-flight LRU** (`storage::lru::SingleFlightLru`,
 //!    behind the buffer pool's GOP cache, `exec::tilecache`,
 //!    `exec::sharedscan` and the engine's plan cache): one lock per
@@ -146,9 +147,9 @@ pub struct ScatterState {
     /// (parallel.rs lines 88–90).
     queue: Vec<(usize, u32)>,
     /// `(index, f(item))` pushed in completion order (line 99). One
-    /// item yields any number of outputs: the chunk drivers built on
-    /// `scatter` are flat-maps (`par_flat_map_chunks_ctx`), with the
-    /// one-to-one operators as the single-output case.
+    /// item yields any number of outputs: the one operator driver
+    /// built on `scatter` is a flat-map (`par_flat_map_chunks_ctx`),
+    /// and a one-to-one operator returns a single output.
     results: Vec<(usize, ItemResult)>,
     jobs: usize,
 }

@@ -210,3 +210,69 @@ fn subquery_identity_roundtrips_partitions() {
     assert!(psnr > 28.0, "re-encoded partitions diverged: {psnr} dB");
     cleanup(&db);
 }
+
+/// `VideoStream::from_bytes` accepts a GOP of zero frames, so a file
+/// read by `decode(path)` can hand every frame operator an empty chunk.
+/// Each one returns well-formed output around it (or a classified
+/// error), never a panic.
+#[test]
+fn frame_operators_pass_over_a_zero_frame_gop() {
+    use lightdb::codec::{EncodedGop, Encoder, EncoderConfig};
+    use std::f64::consts::PI;
+    let db = temp_db("zero-gop");
+    let frames: Vec<Frame> = (0..8)
+        .map(|i| {
+            let mut f = Frame::new(64, 32);
+            for y in 0..32 {
+                for x in 0..64 {
+                    f.set(x, y, Yuv::new(((x * 3 + y * 5 + i * 7) % 256) as u8, 128, 128));
+                }
+            }
+            f
+        })
+        .collect();
+    let config = EncoderConfig { gop_length: 4, fps: 4, ..Default::default() };
+    let mut stream = Encoder::new(config).unwrap().encode(&frames).unwrap();
+    stream.gops.insert(1, EncodedGop::default());
+    let path = db.catalog().root().join("zero-gop.bin");
+    std::fs::write(&path, stream.to_bytes()).unwrap();
+    let source = || decode(path.to_str().unwrap());
+    let cases = [
+        ("SELECT", source() >> Select::along(Dimension::Theta, 0.0, PI), 8),
+        ("DISCRETIZE", source() >> Discretize::along(Dimension::Theta, PI / 16.0), 8),
+        ("PARTITION", source() >> Partition::along(Dimension::Theta, PI), 16),
+        ("MAP", source() >> Map::builtin(BuiltinMap::Grayscale), 8),
+    ];
+    for (op, q, frames) in cases {
+        let out = db.execute(&q).unwrap_or_else(|e| panic!("{op}: {e}"));
+        assert_eq!(out.frame_count(), frames, "{op}");
+    }
+    cleanup(&db);
+}
+
+/// A DISCRETIZE or PARTITION step that is not finite and positive is
+/// refused by the operator, before any frame is resampled or cropped: a
+/// zero θ step would ask for frames of infinite width, or for a tile
+/// grid of `usize::MAX` columns.
+#[test]
+fn discretize_and_partition_reject_steps_that_are_not_finite_and_positive() {
+    let db = temp_db("disc-step");
+    install(&db, Dataset::Timelapse, &tiny()).unwrap();
+    for dim in [Dimension::Theta, Dimension::Phi, Dimension::T] {
+        for step in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let queries = [
+                ("DISCRETIZE", scan("timelapse") >> Discretize::along(dim, step)),
+                ("PARTITION", scan("timelapse") >> Partition::along(dim, step)),
+            ];
+            for (op, q) in queries {
+                match db.execute(&q) {
+                    Err(lightdb::Error::Exec(lightdb::exec::ExecError::Domain(_))) => {}
+                    other => {
+                        panic!("{op} {dim} step {step}: {:?}", other.map(|o| o.frame_count()))
+                    }
+                }
+            }
+        }
+    }
+    cleanup(&db);
+}
