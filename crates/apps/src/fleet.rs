@@ -7,9 +7,9 @@
 //! how long, which [`ViewportPredictor`] family, one seed), a
 //! [`FleetTrace`] is the fully materialized deterministic gaze
 //! trace, and [`run_fleet`] replays it against a
-//! [`TileServer`](lightdb::tileserver::TileServer) from a bounded
+//! [`TileServer`] from a bounded
 //! worker pool, measuring per-serve latency into a
-//! [`Histogram`](lightdb::core::Histogram) and classifying every
+//! [`Histogram`] and classifying every
 //! error.
 //!
 //! Traces are generated up front (predictor state never races with

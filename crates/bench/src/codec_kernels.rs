@@ -20,11 +20,13 @@
 //! * the read side against what it replaced: whole-GOP decodes the way
 //!   `DECODE` runs them against the oracle's block path (with the
 //!   share of uncoded blocks), and `UNION … LAST` compositing against
-//!   the per-pixel compositor (`lightdb-exec`'s test oracle). Decodes
-//!   on two threads and `MAP` on two threads are checked equal to one
-//!   thread's output but not timed: on a shared host those ratios read
-//!   below 1 while the engine's second decode thread pays, so the
-//!   engine-level benchmark is where thread scaling is measured;
+//!   the per-pixel compositor (`lightdb-exec`'s test oracle), and the
+//!   `BLUR` and `SHARPEN` kernels against the per-tap convolution with
+//!   a run-time kernel (`lightdb-frame`'s test oracle). Decodes on two
+//!   threads are checked equal to one thread's output but not timed:
+//!   on a shared host that ratio reads below 1 while the engine's
+//!   second decode thread pays, so the engine-level benchmark is where
+//!   thread scaling is measured;
 //! * the serving side: `EncodedGop::extract_tile_bytes` on a serialised
 //!   4×4 GOP against the parsed GOP's parse → extract → serialise
 //!   (`lightdb-codec`'s GOP oracle, included below), µs and bytes
@@ -48,11 +50,10 @@ use lightdb_codec::{
     FrameType, TileGrid, TileRect, VideoStream,
 };
 use lightdb_core::algebra::MergeFunction;
-use lightdb_core::udf::{BuiltinMap, MapFunction};
 use lightdb_datasets::{Dataset, DatasetSpec};
-use lightdb_exec::frameops::{composite_group, map_chunk};
-use lightdb_exec::{Chunk, ChunkPayload, Device, Metrics, Parallelism, StreamInfo};
-use lightdb_frame::{Frame, PlaneKind, Yuv};
+use lightdb_exec::frameops::composite_group;
+use lightdb_exec::{Chunk, ChunkPayload, Device, StreamInfo};
+use lightdb_frame::{kernels as frame_kernels, Frame, PlaneKind, Yuv};
 use lightdb_geom::{Interval, Volume};
 use std::hint::black_box;
 use std::time::Instant;
@@ -80,6 +81,11 @@ use kernels::bitio::{RefBitReader, RefBitWriter};
 /// identity tests (likewise).
 #[path = "../../exec/tests/oracle/mod.rs"]
 mod union_oracle;
+
+/// The `MAP` kernels as per-tap and per-sample definitions, shared with
+/// `lightdb-frame`'s unit tests (likewise).
+#[path = "../../frame/tests/oracle/kernels.rs"]
+mod map_oracle;
 
 /// Measures two competing passes by strictly alternating them inside
 /// one window until `target_secs` elapse; each call returns the
@@ -835,8 +841,8 @@ fn whole_sphere_chunk(frames: Vec<Frame>) -> Chunk {
 /// The decoded-frame operators on one chunk of decoded Venice frames:
 /// `UNION … LAST` with a second clip of the same size and with the
 /// static 64×32 watermark (resized to the canvas), against the
-/// per-pixel compositor; and `MAP` grayscale and blur, whose output
-/// must not depend on the thread count.
+/// per-pixel compositor; and the `BLUR` and `SHARPEN` kernels on the
+/// same frames against the per-tap convolution with a run-time kernel.
 fn frame_ops(target: f64, n: usize) {
     let (_, base) = stored_gop(512, 256, n, TileGrid::SINGLE);
     let mut second = base.clone();
@@ -867,14 +873,27 @@ fn frame_ops(target: f64, n: usize) {
         );
         print_ms_row(&format!("union {what} (ms/frame)"), fast, refr, &format!("{:.2}x", fast / refr));
     }
-    for (what, b) in [("gray", BuiltinMap::Grayscale), ("blur", BuiltinMap::Blur)] {
-        let f = MapFunction::Builtin(b);
-        let metrics = Metrics::new();
-        let map = |threads| {
-            map_chunk(whole_sphere_chunk(base.clone()), &f, &metrics, Parallelism::new(threads))
-                .expect("map")
-        };
-        assert_eq!(map(1), map(2), "MAP {what} differs between one thread and two");
+    type Kernel = fn(&Frame) -> Frame;
+    let convolutions: [(&str, Kernel, Kernel); 2] = [
+        ("blur", frame_kernels::blur, map_oracle::blur),
+        ("sharpen", frame_kernels::sharpen, map_oracle::sharpen),
+    ];
+    for (what, fast, oracle) in convolutions {
+        for f in &base {
+            assert_eq!(fast(f), oracle(f), "fast and per-tap {what} diverge");
+        }
+        let (fast, refr) = rate2(
+            target,
+            || {
+                base.iter().for_each(|f| drop(black_box(fast(f))));
+                n as u64
+            },
+            || {
+                base.iter().for_each(|f| drop(black_box(oracle(f))));
+                n as u64
+            },
+        );
+        print_ms_row(&format!("{what} (ms/frame)"), fast, refr, &format!("{:.2}x", fast / refr));
     }
 }
 

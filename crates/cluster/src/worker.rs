@@ -3,8 +3,8 @@
 //!
 //! A worker hosts a full [`LightDb`] over its own data directory (its
 //! fragment subset ingested as ordinary local TLFs) behind a framed
-//! [`net::Listener`]. Each accepted connection gets a handler thread
-//! and its own engine [`Session`](lightdb::session::Session), so
+//! [`Listener`]. Each accepted connection gets a handler thread
+//! and its own engine [`Session`], so
 //! requests on one connection execute serially (matching the
 //! coordinator's one-connection-per-dispatch model) while separate
 //! connections run concurrently.
@@ -14,7 +14,7 @@
 //! * every `Execute` runs under the deadline the coordinator shipped
 //!   and registers its cancel token in an in-flight table, so an
 //!   out-of-band `Cancel` aborts it at the next chunk boundary;
-//! * failures are answered as [`proto::Response::Failed`] with the
+//! * failures are answered as [`Response::Failed`] with the
 //!   failure's [`ErrorClass`](lightdb_core::ErrorClass) preserved,
 //!   never as a torn connection;
 //! * the `Stats` request reports outstanding admission bytes and any

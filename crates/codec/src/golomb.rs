@@ -38,7 +38,7 @@ pub fn write_ue(w: &mut BitWriter, v: u32) {
 /// Reads an order-0 unsigned Exp-Golomb code.
 ///
 /// Rejects corrupt codewords *before* consuming their suffix: a zero
-/// run longer than [`MAX_UE_PREFIX`] errors from the prefix scan
+/// run longer than `MAX_UE_PREFIX` errors from the prefix scan
 /// itself, and a 32-zero prefix whose suffix is nonzero (a value that
 /// would overflow `u32`) is likewise refused.
 #[inline]

@@ -135,7 +135,7 @@ fn row_sad(a: &[u8], b: &[u8]) -> u16 {
 /// `(ax, ay)` in `a` and the one at `(bx, by)` in `b`. `early_exit`
 /// aborts once the partial sum reaches the bound.
 ///
-/// The bound is checked every [`SAD_EXIT_ROWS`] rows, not every row as
+/// The bound is checked every `SAD_EXIT_ROWS` rows, not every row as
 /// in the scalar reference; the caller-visible contract the motion
 /// search depends on is unchanged: a completed call returns the exact
 /// SAD, and an aborted call returns *some* value `≥ early_exit` — so

@@ -13,10 +13,10 @@
 //! ## Bucket layout
 //!
 //! Values are nanoseconds. Buckets are HDR-style: each power-of-two
-//! octave `[2^k, 2^(k+1))` is split into [`SUB_BUCKETS`] linear
+//! octave `[2^k, 2^(k+1))` is split into `SUB_BUCKETS` linear
 //! sub-buckets, so the relative quantization error is bounded by
 //! `1/SUB_BUCKETS` (12.5%) at every magnitude — from nanoseconds to
-//! hours with the same 496-slot table. Values below [`SUB_BUCKETS`]
+//! hours with the same 496-slot table. Values below `SUB_BUCKETS`
 //! get one bucket each (exact). `percentile` walks the table and
 //! returns the *midpoint* of the bucket holding the requested rank,
 //! so reported percentiles are within ~6% of the true sample — more

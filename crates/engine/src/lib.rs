@@ -137,7 +137,7 @@ pub const DEFAULT_SHARED_DECODE_BYTES: usize = lightdb_exec::sharedscan::DEFAULT
 pub const DEFAULT_TILE_CACHE_BYTES: usize = lightdb_exec::tilecache::DEFAULT_BUDGET_BYTES;
 
 /// A LightDB database handle: the engine plus one default
-/// [`Session`](session::Session).
+/// [`Session`].
 ///
 /// A `LightDb` doubles as a **server front-end**: call
 /// [`LightDb::session`] to mint independent sessions, one per client.
@@ -197,7 +197,7 @@ impl LightDb {
         })
     }
 
-    /// Mints a new independent [`Session`](session::Session) at the
+    /// Mints a new independent [`Session`] at the
     /// default settings with an empty UDF registry. Sessions share
     /// storage, the plan cache, and the shared-decode cache;
     /// everything else is per-session.

@@ -7,7 +7,7 @@
 //! per-client knob ([`SessionConfig`]), its own UDF registry, its own
 //! [`Metrics`], and a per-session statement budget
 //! ([`SessionBudget`]) — while sharing the engine-wide state
-//! ([`EngineShared`]: catalog, pool, plan cache, shared-decode
+//! (`EngineShared`: catalog, pool, plan cache, shared-decode
 //! cache) through an `Arc`. A [`LightDb`](crate::LightDb) is that
 //! shared state plus one default session; every statement, from the
 //! handle or from any session, runs through
@@ -24,7 +24,7 @@
 //!   surface on each session's `Metrics` as `plan_cache.*` counters.
 //! * **Shared scans.** Concurrent queries over the same TLF/GOP range
 //!   decode each GOP once through the engine-wide
-//!   [`SharedDecode`](lightdb_exec::sharedscan::SharedDecode) cache
+//!   [`SharedDecode`] cache
 //!   (`shared_scan.*` counters).
 
 use crate::Result;

@@ -11,7 +11,7 @@
 //! `(viewer, second, orientation)` with encoded tile bytes.
 //!
 //! Serving goes through the engine-wide
-//! [`TileCache`](lightdb_exec::tilecache::TileCache) (unless disabled
+//! [`TileCache`] (unless disabled
 //! by `LIGHTDB_TILE_CACHE_MB=0` or [`TileServerConfig::use_cache`]),
 //! so a fleet of viewers staring at the same hot region costs one
 //! extraction — everyone else hits cache or coalesces onto the

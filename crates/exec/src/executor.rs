@@ -244,8 +244,8 @@ impl Executor {
             }
             PhysicalPlan::MapFrames { input, f, .. } => {
                 let f = f.clone();
-                self.drive(input, sub, self.parallelism, move |c, budget| {
-                    frameops::map_chunk(c, &f, &m, budget).map(Some)
+                self.drive(input, sub, self.parallelism, move |c, _| {
+                    frameops::map_chunk(c, &f, &m).map(Some)
                 })?
             }
             PhysicalPlan::InterpolateFrames { input, f, device } => match f {

@@ -6,13 +6,14 @@
 //! several inputs, is the one that takes streams. The device is a cost
 //! label: the GPU encoder uses a hardware-style narrow motion search,
 //! and nothing else here looks at it — every device decodes every GOP,
-//! tiled or not, through the one codec path. DECODE and MAP spend the
-//! thread `budget` the driver hands them on one chunk's frames.
+//! tiled or not, through the one codec path. DECODE spends the thread
+//! `budget` the driver hands it on one chunk's frames; MAP transforms
+//! its chunk's frames on the driving thread.
 
 use crate::chunk::{is_omega, Chunk, ChunkPayload, TimeGrouped};
 use crate::device::{transfer_frames, Device};
 use crate::metrics::{counters, Metrics};
-use crate::parallel::{scatter, Parallelism};
+use crate::parallel::Parallelism;
 use crate::query_ctx::QueryCtx;
 use crate::sharedscan::SharedDecode;
 use crate::{ChunkStream, ExecError, Result};
@@ -23,7 +24,8 @@ use lightdb_codec::scratch::{DecoderScratch, EncoderScratch};
 use lightdb_codec::{CodecKind, Decoder, SequenceHeader, TileGrid};
 use lightdb_core::algebra::{MergeFunction, VolumePredicate};
 use lightdb_core::udf::{BuiltinInterp, InterpUdf, MapFunction, MapUdf, PointMapUdf};
-use lightdb_frame::{kernels, Frame, Yuv};
+use lightdb_frame::kernels::{self, KeyMask};
+use lightdb_frame::{Frame, Yuv};
 use lightdb_geom::{Dimension, Interval, Volume};
 
 /// Narrow motion-search range used by the simulated hardware (GPU)
@@ -362,17 +364,11 @@ fn slab_point_select(
 
 // ------------------------------------------------------------------ map
 
-/// `MAP` of one chunk: applies the UDF to every frame, on up to
-/// `budget.threads()` threads — one fan-out over the frames, each
-/// transformed whole, none spawned under [`Parallelism::SERIAL`] (UDFs
-/// are `Send + Sync` by trait bound). A point UDF sees each pixel's
-/// 6-D coordinates and runs on the calling thread.
-pub fn map_chunk(
-    mut c: Chunk,
-    f: &MapFunction,
-    metrics: &Metrics,
-    budget: Parallelism,
-) -> Result<Chunk> {
+/// `MAP` of one chunk: applies the UDF to every frame on the calling
+/// thread, so that each output is allocated, and its input freed, on
+/// the thread that drives the chunk; MAP is parallel across chunks,
+/// through the driver. A point UDF sees each pixel's 6-D coordinates.
+pub fn map_chunk(mut c: Chunk, f: &MapFunction, metrics: &Metrics) -> Result<Chunk> {
     let udf: &dyn MapUdf = match f {
         MapFunction::Builtin(b) => b,
         MapFunction::Custom(u) => u.as_ref(),
@@ -382,8 +378,7 @@ pub fn map_chunk(
     };
     fail_point(sites::EXEC_CHUNK_MAP)?;
     let frames = c.frames_mut("MAP")?;
-    let input = std::mem::take(frames);
-    *frames = metrics.time("MAP", || scatter(input, budget.threads(), |_, fr| udf.apply(&fr)));
+    metrics.time("MAP", || frames.iter_mut().for_each(|fr| *fr = udf.apply(fr)));
     Ok(c)
 }
 
@@ -761,10 +756,12 @@ fn overlay_rect(
 /// `(x0, y0, tw, th)`, resizing to it, skipping ω pixels, and resolving
 /// overlaps with the merge function. Overlay frame `i` pairs with base
 /// frame `i` (the last overlay frame broadcasts when the overlay is
-/// shorter — static watermarks), and an overlay frame equal to the one
-/// before it reuses that one's resize. `on_omega` says the base is
-/// still all ω, where — as under `LAST` — what is there cannot matter
-/// and the blit is a keyed copy.
+/// shorter — static watermarks). `on_omega` says the base is still all
+/// ω, where — as under `LAST` — what is there cannot matter and the
+/// blit is a keyed copy through the source's ω mask. An overlay frame
+/// reuses the resize and mask of the one before it when it has the
+/// same index, or — where there is a resize or a mask with samples to
+/// reuse — equal samples.
 fn blit_overlay(
     base: &mut [Frame],
     (x0, y0, tw, th): (usize, usize, usize, usize),
@@ -773,20 +770,25 @@ fn blit_overlay(
     on_omega: bool,
 ) {
     let keyed = on_omega || matches!(merge, MergeFunction::Last);
-    let mut scaled: Option<(usize, Frame)> = None;
+    // The overlay frame `scaled` and `mask` were built from.
+    let mut built: Option<usize> = None;
+    let (mut scaled, mut mask) = (None, None);
     for (i, bf) in base.iter_mut().enumerate() {
         let j = i.min(overlay.len() - 1);
         let ov = &overlay[j];
+        // A mask of row copies costs less to rebuild than a comparison.
+        let reusable = scaled.is_some() || mask.as_ref().is_some_and(|m: &KeyMask| !m.is_copy());
+        if !matches!(built, Some(k) if k == j || (reusable && overlay[k] == *ov)) {
+            (built, scaled, mask) = (Some(j), None, None);
+        }
         let src = if ov.width() == tw && ov.height() == th {
             ov
         } else {
-            if !matches!(&scaled, Some((k, _)) if *k == j || overlay[*k] == *ov) {
-                scaled = None;
-            }
-            &scaled.get_or_insert_with(|| (j, ov.resize(tw, th))).1
+            scaled.get_or_insert_with(|| ov.resize(tw, th))
         };
         if keyed {
-            kernels::blit_keyed(bf, src, x0, y0, crate::chunk::OMEGA);
+            let mask = mask.get_or_insert_with(|| KeyMask::new(src, crate::chunk::OMEGA));
+            kernels::blit_masked(bf, src, x0, y0, mask);
         } else {
             // A null ray leaves the base alone.
             kernels::merge_blocks(bf, src, x0, y0, |d, s| {
@@ -1185,7 +1187,7 @@ mod tests {
         let map = |frames, device| {
             let payload = ChunkPayload::Decoded { frames, device };
             let c = Chunk { payload, ..decoded_chunk(0, vec![]) };
-            map_chunk(c, &f, &Metrics::new(), Parallelism::SERIAL).unwrap()
+            map_chunk(c, &f, &Metrics::new()).unwrap()
         };
         let cpu = map(frames.clone(), Device::Cpu);
         let gpu = map(frames, Device::Gpu);

@@ -41,7 +41,7 @@ struct ScanPart {
 /// fails checksum verification or cannot be parsed.
 ///
 /// `tiles` is a `TILESELECT` over this scan: each GOP is emitted as the
-/// listed tiles instead of whole (see [`stream_parts`]).
+/// listed tiles instead of whole (see `stream_parts`).
 #[allow(clippy::too_many_arguments)]
 pub fn scan_tlf(
     catalog: &Catalog,

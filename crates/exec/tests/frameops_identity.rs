@@ -1,9 +1,10 @@
 //! Byte-identity of the decoded-frame operators across the rewrite of
 //! their inner loops: `UNION` compositing (2×2 block kernels on plane
-//! slices instead of `Frame::get`/`Frame::set` per pixel) and `MAP`
-//! (one fan-out per chunk on the query's thread budget instead of a
-//! thread pool per frame). Golden digests were recorded on the parent
-//! commit; the per-pixel compositor survives as `oracle`.
+//! slices instead of `Frame::get`/`Frame::set` per pixel, keyed blits
+//! through a mask reused across equal overlay frames) and `MAP` (each
+//! chunk's frames on the thread that drives it instead of a thread pool
+//! per frame). Golden digests were recorded on the parent commit; the
+//! per-pixel compositor survives as `oracle`.
 
 mod oracle;
 
@@ -307,6 +308,37 @@ fn union_last_matches_the_per_pixel_oracle() {
     }
 }
 
+/// Keyed `UNION`s whose overlay frames repeat by equality and change
+/// every frame, composited on one thread and on two at once, against
+/// the per-pixel oracle. The first overlay's frames are A, A′ (equal to
+/// A, another index), B, A, at the size of their rect: the ω mask built
+/// for A must serve A′ and be rebuilt for B and again for A. The
+/// second's same-size frames never repeat, so each builds its own mask.
+#[test]
+fn keyed_union_reuses_its_mask_by_equality_and_rebuilds_it_on_change() {
+    let rng = &mut Rng(0x3a5c);
+    let (a, b) = (frame(32, 16, 5, rng), frame(32, 16, 5, rng));
+    let cases = [
+        vec![
+            (sphere(), frames(4, 64, 32, 2, rng)),
+            (patch(2, 10, 1, 5), vec![a.clone(), a.clone(), b, a]),
+        ],
+        vec![
+            (sphere(), frames(4, 64, 32, 2, rng)),
+            (sphere(), frames(4, 64, 32, 6, rng)),
+        ],
+    ];
+    let last = &MergeFunction::Last;
+    let want: Vec<_> = cases.iter().map(|c| oracle::composite(c, last)).collect();
+    let one: Vec<_> = cases.iter().map(|c| composite(c, last)).collect();
+    assert_eq!(one, want, "one thread");
+    let two: Vec<_> = std::thread::scope(|s| {
+        let running: Vec<_> = cases.iter().map(|c| s.spawn(|| composite(c, last))).collect();
+        running.into_iter().map(|h| h.join().expect("composite")).collect()
+    });
+    assert_eq!(two, want, "two threads");
+}
+
 // ------------------------------------------------------------ merges
 
 const A: Yuv = Yuv {
@@ -511,7 +543,7 @@ fn map_inputs() -> Vec<Chunk> {
 }
 
 /// `MAP` as the executor runs it: `map_chunk` through the operator
-/// driver, which hands a chunk alone in its batch the whole budget.
+/// driver, which runs the chunks of a batch on up to `threads` threads.
 fn run_map(f: &MapFunction, device: Device, chunks: Vec<Chunk>, threads: usize) -> u64 {
     let on_device = move |c: Chunk| match c.payload {
         ChunkPayload::Decoded { frames, .. } => {
@@ -525,7 +557,7 @@ fn run_map(f: &MapFunction, device: Device, chunks: Vec<Chunk>, threads: usize) 
         input,
         Parallelism::new(threads),
         QueryCtx::unbounded(),
-        move |c, budget| map_chunk(c, &f, &metrics, budget).map(Some),
+        move |c, _| map_chunk(c, &f, &metrics).map(Some),
     );
     let mut h = 0;
     for c in out {

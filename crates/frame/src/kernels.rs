@@ -1,9 +1,9 @@
 //! Pixel kernels backing LightDB's built-in `MAP` / `UNION` functions.
 //!
-//! Every `MAP` kernel comes in a whole-frame form and a row-range form
-//! (`*_rows`) over `[row_lo, row_hi)` of the *luma* plane; chroma rows
-//! are derived (half rate). The whole-frame form is the row-range form
-//! over every row.
+//! Every `MAP` kernel builds its output planes directly from its
+//! input's. Blur and sharpen share one 3×3 convolution body that each
+//! calls with a constant kernel and divisor, so the compiler vectorises
+//! it and turns the division into shifts.
 //!
 //! The `UNION` kernels ([`blit_keyed`], [`merge_blocks`]) walk 2×2
 //! pixel blocks over plane slices: the four pixels of a block share
@@ -13,182 +13,84 @@
 use crate::color::Yuv;
 use crate::frame::{Frame, PlaneKind};
 
+/// `src` with its luma plane replaced by `luma` and its chroma copied.
+fn with_luma(src: &Frame, luma: Vec<u8>) -> Frame {
+    let chroma = |kind| src.plane(kind).to_vec();
+    Frame::from_planes(
+        src.width(),
+        src.height(),
+        luma,
+        chroma(PlaneKind::Cb),
+        chroma(PlaneKind::Cr),
+    )
+}
+
 /// Converts to grayscale by neutralising the chroma planes — the
 /// paper's `GRAYSCALE` built-in "drops the chroma signal".
 pub fn grayscale(src: &Frame) -> Frame {
-    let mut dst = src.clone();
-    grayscale_rows(src, &mut dst, 0, src.height());
-    dst
-}
-
-/// Row-range form of [`grayscale`].
-pub fn grayscale_rows(src: &Frame, dst: &mut Frame, row_lo: usize, row_hi: usize) {
-    debug_assert_eq!(src.width(), dst.width());
-    let w = src.width();
-    let y_src = src.plane(PlaneKind::Luma);
-    dst.plane_mut(PlaneKind::Luma)[row_lo * w..row_hi * w]
-        .copy_from_slice(&y_src[row_lo * w..row_hi * w]);
-    let cw = w / 2;
-    let (clo, chi) = (row_lo / 2, row_hi / 2);
-    for plane in [PlaneKind::Cb, PlaneKind::Cr] {
-        dst.plane_mut(plane)[clo * cw..chi * cw].fill(128);
-    }
+    let n = src.plane(PlaneKind::Cb).len();
+    let luma = src.plane(PlaneKind::Luma).to_vec();
+    Frame::from_planes(src.width(), src.height(), luma, vec![128; n], vec![128; n])
 }
 
 /// 3×3 truncated-Gaussian blur (kernel `[1 2 1; 2 4 2; 1 2 1] / 16`),
 /// the paper's `BLUR` built-in (a truncated Gaussian convolution).
 pub fn blur(src: &Frame) -> Frame {
-    let mut dst = src.clone();
-    blur_rows(src, &mut dst, 0, src.height());
-    dst
-}
-
-/// Row-range form of [`blur`].
-pub fn blur_rows(src: &Frame, dst: &mut Frame, row_lo: usize, row_hi: usize) {
-    convolve3x3_rows(
-        src,
-        dst,
-        row_lo,
-        row_hi,
-        &[1, 2, 1, 2, 4, 2, 1, 2, 1],
-        16,
-        0,
-    );
+    with_luma(src, convolve3x3(src, [1, 2, 1, 2, 4, 2, 1, 2, 1], 16, 0))
 }
 
 /// Unsharp-mask sharpen (kernel `[0 -1 0; -1 8 -1; 0 -1 0] / 4`),
 /// the paper's `SHARPEN` built-in.
 pub fn sharpen(src: &Frame) -> Frame {
-    let mut dst = src.clone();
-    sharpen_rows(src, &mut dst, 0, src.height());
-    dst
+    with_luma(src, convolve3x3(src, [0, -1, 0, -1, 8, -1, 0, -1, 0], 4, 0))
 }
 
-/// Row-range form of [`sharpen`].
-pub fn sharpen_rows(src: &Frame, dst: &mut Frame, row_lo: usize, row_hi: usize) {
-    convolve3x3_rows(
-        src,
-        dst,
-        row_lo,
-        row_hi,
-        &[0, -1, 0, -1, 8, -1, 0, -1, 0],
-        4,
-        0,
-    );
-}
-
-/// Applies a 3×3 integer convolution with divisor and bias to the luma
-/// plane rows `[row_lo, row_hi)`, clamping at the frame borders.
-/// Chroma planes are copied through unchanged for the matching rows.
-pub fn convolve3x3_rows(
-    src: &Frame,
-    dst: &mut Frame,
-    row_lo: usize,
-    row_hi: usize,
-    kernel: &[i32; 9],
-    divisor: i32,
-    bias: i32,
-) {
+/// The luma plane of `src` convolved with a 3×3 integer `kernel`,
+/// divided by `divisor` (truncating), offset by `bias` and clamped,
+/// with the frame's border samples replicated outward. Always inlined,
+/// so that at each call site the kernel and divisor are constants.
+#[inline(always)]
+fn convolve3x3(src: &Frame, k: [i32; 9], divisor: i32, bias: i32) -> Vec<u8> {
     debug_assert!(divisor != 0);
     let (w, h) = (src.width(), src.height());
-    let y_src = src.plane(PlaneKind::Luma);
-    {
-        let y_dst = dst.plane_mut(PlaneKind::Luma);
-        // lint: hot-loop — per-row convolution shared by blur/sharpen bands
-        for row in row_lo..row_hi {
-            // Border-replicated source rows as plain slices: all the
-            // clamping happens once per row / edge column, leaving the
-            // interior loop free of branches and index arithmetic.
-            let above = if row == 0 { 0 } else { row - 1 };
-            let below = (row + 1).min(h - 1);
-            let r0 = &y_src[above * w..above * w + w];
-            let r1 = &y_src[row * w..row * w + w];
-            let r2 = &y_src[below * w..below * w + w];
-            let out = &mut y_dst[row * w..row * w + w];
-            let clamped = |r: &[u8], c: isize| r[c.clamp(0, w as isize - 1) as usize] as i32;
-            for col in [0, w - 1] {
-                let c = col as isize;
-                let acc = kernel[0] * clamped(r0, c - 1)
-                    + kernel[1] * clamped(r0, c)
-                    + kernel[2] * clamped(r0, c + 1)
-                    + kernel[3] * clamped(r1, c - 1)
-                    + kernel[4] * clamped(r1, c)
-                    + kernel[5] * clamped(r1, c + 1)
-                    + kernel[6] * clamped(r2, c - 1)
-                    + kernel[7] * clamped(r2, c)
-                    + kernel[8] * clamped(r2, c + 1);
-                out[col] = ((acc / divisor) + bias).clamp(0, 255) as u8;
-            }
-            for col in 1..w.max(1) - 1 {
-                let acc = kernel[0] * r0[col - 1] as i32
-                    + kernel[1] * r0[col] as i32
-                    + kernel[2] * r0[col + 1] as i32
-                    + kernel[3] * r1[col - 1] as i32
-                    + kernel[4] * r1[col] as i32
-                    + kernel[5] * r1[col + 1] as i32
-                    + kernel[6] * r2[col - 1] as i32
-                    + kernel[7] * r2[col] as i32
-                    + kernel[8] * r2[col + 1] as i32;
-                out[col] = ((acc / divisor) + bias).clamp(0, 255) as u8;
-            }
+    let y = src.plane(PlaneKind::Luma);
+    let mut luma = vec![0u8; w * h];
+    let tap = |r: &[u8], c: usize| r[c] as i32;
+    let px = |acc: i32| ((acc / divisor) + bias).clamp(0, 255) as u8;
+    // lint: hot-loop — per-row convolution under BLUR and SHARPEN
+    for (row, out) in luma.chunks_exact_mut(w).enumerate() {
+        // Border-replicated source rows: the clamping happens once per
+        // row and edge column, leaving the interior loop free of
+        // branches and bounds checks.
+        let r0 = &y[row.saturating_sub(1) * w..][..w];
+        let r1 = &y[row * w..][..w];
+        let r2 = &y[(row + 1).min(h - 1) * w..][..w];
+        for col in [0, w - 1] {
+            let (l, r) = (col.saturating_sub(1), (col + 1).min(w - 1));
+            out[col] = px(k[0] * tap(r0, l) + k[1] * tap(r0, col) + k[2] * tap(r0, r)
+                + k[3] * tap(r1, l) + k[4] * tap(r1, col) + k[5] * tap(r1, r)
+                + k[6] * tap(r2, l) + k[7] * tap(r2, col) + k[8] * tap(r2, r));
         }
-        // lint: end-hot-loop
+        let n = w - 2;
+        let [a0, b0, c0] = [&r0[..n], &r0[1..][..n], &r0[2..][..n]];
+        let [a1, b1, c1] = [&r1[..n], &r1[1..][..n], &r1[2..][..n]];
+        let [a2, b2, c2] = [&r2[..n], &r2[1..][..n], &r2[2..][..n]];
+        for (i, o) in out[1..][..n].iter_mut().enumerate() {
+            *o = px(k[0] * a0[i] as i32 + k[1] * b0[i] as i32 + k[2] * c0[i] as i32
+                + k[3] * a1[i] as i32 + k[4] * b1[i] as i32 + k[5] * c1[i] as i32
+                + k[6] * a2[i] as i32 + k[7] * b2[i] as i32 + k[8] * c2[i] as i32);
+        }
     }
-    let cw = w / 2;
-    let (clo, chi) = (row_lo / 2, row_hi / 2);
-    for plane in [PlaneKind::Cb, PlaneKind::Cr] {
-        dst.plane_mut(plane)[clo * cw..chi * cw]
-            .copy_from_slice(&src.plane(plane)[clo * cw..chi * cw]);
-    }
+    // lint: end-hot-loop
+    luma
 }
 
 /// Adjusts contrast around mid-grey: `y' = (y - 128) · gain + 128`.
 pub fn contrast(src: &Frame, gain: f32) -> Frame {
-    let mut dst = src.clone();
-    contrast_rows(src, &mut dst, gain, 0, src.height());
-    dst
-}
-
-/// Row-range form of [`contrast`].
-pub fn contrast_rows(src: &Frame, dst: &mut Frame, gain: f32, row_lo: usize, row_hi: usize) {
-    let w = src.width();
-    let y_src = src.plane(PlaneKind::Luma);
-    let y_dst = dst.plane_mut(PlaneKind::Luma);
-    for i in row_lo * w..row_hi * w {
-        y_dst[i] = ((y_src[i] as f32 - 128.0) * gain + 128.0).clamp(0.0, 255.0) as u8;
-    }
-    let cw = w / 2;
-    let (clo, chi) = (row_lo / 2, row_hi / 2);
-    for plane in [PlaneKind::Cb, PlaneKind::Cr] {
-        dst.plane_mut(plane)[clo * cw..chi * cw]
-            .copy_from_slice(&src.plane(plane)[clo * cw..chi * cw]);
-    }
-}
-
-/// Alpha-blends `overlay` onto `base` at `(x0, y0)` with opacity
-/// `alpha ∈ [0, 1]` — the watermark union in the running example.
-pub fn overlay_blend(base: &mut Frame, overlay: &Frame, x0: usize, y0: usize, alpha: f32) {
-    let a = alpha.clamp(0.0, 1.0);
-    let w = overlay.width().min(base.width().saturating_sub(x0));
-    let h = overlay.height().min(base.height().saturating_sub(y0));
-    for row in 0..h {
-        for col in 0..w {
-            let s = overlay.get(col, row);
-            let d = base.get(x0 + col, y0 + row);
-            base.set(
-                x0 + col,
-                y0 + row,
-                Yuv::new(mix(d.y, s.y, a), mix(d.u, s.u, a), mix(d.v, s.v, a)),
-            );
-        }
-    }
-}
-
-#[inline]
-fn mix(dst: u8, src: u8, a: f32) -> u8 {
-    (dst as f32 * (1.0 - a) + src as f32 * a)
-        .round()
-        .clamp(0.0, 255.0) as u8
+    let lut: [u8; 256] =
+        std::array::from_fn(|y| ((y as f32 - 128.0) * gain + 128.0).clamp(0.0, 255.0) as u8);
+    let luma = src.plane(PlaneKind::Luma).iter().map(|&y| lut[y as usize]).collect();
+    with_luma(src, luma)
 }
 
 /// Draws an axis-aligned rectangle outline (thickness in pixels) —
@@ -222,15 +124,16 @@ pub fn draw_rect(
 type BlockRow<'a> = (&'a [u8], &'a [u8], &'a [u8], &'a [u8]);
 type BlockRowMut<'a> = (&'a mut [u8], &'a mut [u8], &'a mut [u8], &'a mut [u8]);
 
-/// Calls `f(src_rows, dst_rows)` for each row of 2×2 blocks of `src`
-/// and the rows of `dst` under it when `src`'s top-left corner sits at
-/// `(x0, y0)` (both even; `src` must fit). Every slice is `src`-wide.
+/// Calls `f(by, src_rows, dst_rows)` for each row `by` of 2×2 blocks
+/// of `src` and the rows of `dst` under it when `src`'s top-left corner
+/// sits at `(x0, y0)` (both even; `src` must fit). Every slice is
+/// `src`-wide.
 fn for_block_rows(
     dst: &mut Frame,
     src: &Frame,
     x0: usize,
     y0: usize,
-    mut f: impl FnMut(BlockRow<'_>, BlockRowMut<'_>),
+    mut f: impl FnMut(usize, BlockRow<'_>, BlockRowMut<'_>),
 ) {
     let (sw, sh, dw) = (src.width(), src.height(), dst.width());
     assert!(
@@ -254,6 +157,7 @@ fn for_block_rows(
         let sc = by * scw..(by + 1) * scw;
         let dc = (y0 / 2 + by) * dcw + x0 / 2..(y0 / 2 + by) * dcw + x0 / 2 + scw;
         f(
+            by,
             (s0, s1, &su[sc.clone()], &sv[sc]),
             (
                 &mut d0[x0..x0 + sw],
@@ -265,50 +169,144 @@ fn for_block_rows(
     }
 }
 
-/// Copies `src` onto `dst` at even `(x0, y0)`, skipping the pixels of
-/// `src` that equal `key`: luma is copied where the source pixel is
-/// not the key, a block's chroma is written iff any of its four source
-/// pixels is not. (What a raster walk of `get`/`set` leaves behind —
-/// the pixels of one source block share their chroma — at the cost of
-/// a row copy wherever no block of the row carries the key's chroma.)
-pub fn blit_keyed(dst: &mut Frame, src: &Frame, x0: usize, y0: usize, key: Yuv) {
-    for_block_rows(dst, src, x0, y0, |(s0, s1, su, sv), (d0, d1, du, dv)| {
+/// How a keyed blit treats one row of 2×2 source blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowKind {
+    /// No block of the row carries the key's chroma: a row copy.
+    Copy,
+    /// Every pixel of the row is the key: nothing is written.
+    Skip,
+    /// As the mask says.
+    Masked,
+}
+
+/// What a keyed blit of one source frame writes: `0xFF` for each luma
+/// sample whose pixel is not the key and for each chroma sample whose
+/// block has such a pixel, `0` elsewhere. That is what a raster walk of
+/// `get`/`set` leaves behind, because the pixels of one source block
+/// share their chroma. A mask depends only on the source frame's
+/// samples, so equal source frames can share one.
+#[derive(Debug, Clone)]
+pub struct KeyMask {
+    width: usize,
+    luma: Vec<u8>,
+    chroma: Vec<u8>,
+    /// One per row of blocks. The masks of [`RowKind::Copy`] rows are
+    /// left unfilled, and are empty when every row is one.
+    rows: Vec<RowKind>,
+}
+
+impl KeyMask {
+    /// The mask of `src` against `key`, built one row of blocks at a
+    /// time in passes the compiler vectorises.
+    pub fn new(src: &Frame, key: Yuv) -> KeyMask {
+        let (w, cw) = (src.width(), src.width() / 2);
+        let (sy, su, sv) = (
+            src.plane(PlaneKind::Luma),
+            src.plane(PlaneKind::Cb),
+            src.plane(PlaneKind::Cr),
+        );
+        let eq = |a: u8, b: u8| 0u8.wrapping_sub((a == b) as u8);
+        let chroma_rows = su.chunks_exact(cw).zip(sv.chunks_exact(cw));
         // A pixel can only be the key inside a block with its chroma.
-        if !su.iter().zip(sv).any(|(&u, &v)| u == key.u && v == key.v) {
-            d0.copy_from_slice(s0);
-            d1.copy_from_slice(s1);
-            du.copy_from_slice(su);
-            dv.copy_from_slice(sv);
-            return;
-        }
-        // lint: hot-loop — per-block keyed copy under UNION
-        for bx in 0..su.len() {
-            let x = 2 * bx;
-            if su[bx] != key.u || sv[bx] != key.v {
-                d0[x..x + 2].copy_from_slice(&s0[x..x + 2]);
-                d1[x..x + 2].copy_from_slice(&s1[x..x + 2]);
-            } else {
-                // (One loop per row: chaining the rows into one
-                // iterator measured half again as slow per UNION.)
-                let mut any = false;
-                for (d, &s) in d0[x..x + 2].iter_mut().zip(&s0[x..x + 2]) {
-                    if s != key.y {
-                        (*d, any) = (s, true);
-                    }
-                }
-                for (d, &s) in d1[x..x + 2].iter_mut().zip(&s1[x..x + 2]) {
-                    if s != key.y {
-                        (*d, any) = (s, true);
-                    }
-                }
-                if !any {
-                    continue;
-                }
+        // (The reductions here are `for` loops: as `fold`s they were
+        // not vectorised, and ran ten times slower.)
+        let mut rows = Vec::with_capacity(src.height() / 2);
+        // lint: hot-loop — per-row chroma scan under UNION
+        for (u, v) in chroma_rows.clone() {
+            let mut keyed = false;
+            for (&u, &v) in u.iter().zip(v) {
+                keyed |= (u == key.u) & (v == key.v);
             }
-            (du[bx], dv[bx]) = (su[bx], sv[bx]);
+            rows.push(if keyed { RowKind::Masked } else { RowKind::Copy });
         }
         // lint: end-hot-loop
+        // Copy rows read no mask, so a frame without the key's chroma
+        // needs none.
+        let len = |plane: &[u8]| if rows.contains(&RowKind::Masked) { plane.len() } else { 0 };
+        let (mut luma, mut chroma) = (vec![0u8; len(sy)], vec![0u8; len(su)]);
+        let luma_rows = luma.chunks_exact_mut(2 * w).zip(sy.chunks_exact(2 * w));
+        let masked = rows.iter_mut().zip(luma_rows).zip(chroma.chunks_exact_mut(cw).zip(chroma_rows));
+        // lint: hot-loop — per-row mask passes under UNION
+        for ((kind, (m, s)), (c, (u, v))) in masked.filter(|((k, _), _)| **k == RowKind::Masked) {
+            for ((c, &u), &v) in c.iter_mut().zip(u).zip(v) {
+                *c = eq(u, key.u) & eq(v, key.v);
+            }
+            let ((m0, m1), (s0, s1)) = (m.split_at_mut(w), s.split_at(w));
+            // Spread each block's flag over its two columns; a pixel is
+            // kept unless its luma is the key's too.
+            // (Pair copies and the `u16` reduction below are the forms
+            // the compiler vectorised; `fill` and a four-way byte `|`
+            // measured 3–6× slower.)
+            for (m, s) in [(&mut *m0, s0), (&mut *m1, s1)] {
+                for (p, &c) in m.chunks_exact_mut(2).zip(&*c) {
+                    p.copy_from_slice(&[c, c]);
+                }
+                for (m, &s) in m.iter_mut().zip(s) {
+                    *m = !(*m & eq(s, key.y));
+                }
+            }
+            // A block's chroma is written iff any of its pixels is.
+            for ((c, p0), p1) in c.iter_mut().zip(m0.chunks_exact(2)).zip(m1.chunks_exact(2)) {
+                let pair = u16::from_ne_bytes([p0[0], p0[1]]) | u16::from_ne_bytes([p1[0], p1[1]]);
+                *c = (pair | pair >> 8) as u8;
+            }
+            let mut kept = 0;
+            for &c in &*c {
+                kept |= c;
+            }
+            if kept == 0 {
+                *kind = RowKind::Skip;
+            }
+        }
+        // lint: end-hot-loop
+        KeyMask { width: w, luma, chroma, rows }
+    }
+
+    /// Whether every row of the mask is a row copy: the source has no
+    /// block with the key's chroma, and the mask holds no samples.
+    pub fn is_copy(&self) -> bool {
+        self.luma.is_empty()
+    }
+}
+
+/// Copies `src` onto `dst` at even `(x0, y0)` where `mask`, built from
+/// `src` (or a frame equal to it), says: three masked blends, one per
+/// plane, with rows of no key pixel copied and rows of nothing but key
+/// pixels skipped.
+pub fn blit_masked(dst: &mut Frame, src: &Frame, x0: usize, y0: usize, mask: &KeyMask) {
+    let (w, cw) = (mask.width, mask.width / 2);
+    assert!(
+        (src.width(), src.height() / 2) == (w, mask.rows.len()),
+        "mask built from a frame of another shape"
+    );
+    // lint: hot-loop — per-row masked copy under UNION
+    for_block_rows(dst, src, x0, y0, |by, (s0, s1, su, sv), (d0, d1, du, dv)| {
+        match mask.rows[by] {
+            RowKind::Copy => {
+                for (d, s) in [(d0, s0), (d1, s1), (du, su), (dv, sv)] {
+                    d.copy_from_slice(s);
+                }
+            }
+            RowKind::Skip => {}
+            RowKind::Masked => {
+                let (m0, m1) = mask.luma[2 * by * w..][..2 * w].split_at(w);
+                let mc = &mask.chroma[by * cw..][..cw];
+                for (d, s, m) in [(d0, s0, m0), (d1, s1, m1), (du, su, mc), (dv, sv, mc)] {
+                    for ((d, &s), &m) in d.iter_mut().zip(s).zip(m) {
+                        *d = (s & m) | (*d & !m);
+                    }
+                }
+            }
+        }
     });
+    // lint: end-hot-loop
+}
+
+/// Copies `src` onto `dst` at even `(x0, y0)`, skipping the pixels of
+/// `src` that equal `key` (see [`KeyMask`]).
+pub fn blit_keyed(dst: &mut Frame, src: &Frame, x0: usize, y0: usize, key: Yuv) {
+    blit_masked(dst, src, x0, y0, &KeyMask::new(src, key));
 }
 
 /// Composites `src` onto `dst` at even `(x0, y0)` one 2×2 block at a
@@ -324,7 +322,7 @@ pub fn merge_blocks(
     y0: usize,
     merge: impl Fn(Yuv, Yuv) -> Option<Yuv>,
 ) {
-    for_block_rows(dst, src, x0, y0, |(s0, s1, su, sv), (d0, d1, du, dv)| {
+    for_block_rows(dst, src, x0, y0, |_, (s0, s1, su, sv), (d0, d1, du, dv)| {
         // lint: hot-loop — per-block merge under UNION
         for bx in 0..su.len() {
             let x = 2 * bx;
@@ -350,20 +348,14 @@ pub fn merge_blocks(
 /// each pixel toward the blurred image weighted by luma gradient,
 /// emulating refocusing. Deterministic and cheap.
 pub fn focus(src: &Frame) -> Frame {
-    let blurred = blur(src);
-    let mut dst = src.clone();
-    let w = src.width();
-    for row in 0..src.height() {
-        for col in 0..w {
-            let orig = src.luma_at(col, row) as i32;
-            let soft = blurred.luma_at(col, row) as i32;
-            let gradient = (orig - soft).abs().min(32);
-            // High-gradient (in-focus) pixels keep the original; flat
-            // regions take the blurred value.
-            let blend = 32 - gradient;
-            let v = (orig * (32 - blend) + soft * blend) / 32;
-            dst.plane_mut(PlaneKind::Luma)[row * w + col] = v.clamp(0, 255) as u8;
-        }
+    let mut dst = blur(src);
+    for (d, &orig) in dst.plane_mut(PlaneKind::Luma).iter_mut().zip(src.plane(PlaneKind::Luma)) {
+        let (orig, soft) = (orig as i32, *d as i32);
+        let gradient = (orig - soft).abs().min(32);
+        // High-gradient (in-focus) pixels keep the original; flat
+        // regions take the blurred value.
+        let blend = 32 - gradient;
+        *d = ((orig * (32 - blend) + soft * blend) / 32).clamp(0, 255) as u8;
     }
     dst
 }
@@ -372,6 +364,7 @@ pub fn focus(src: &Frame) -> Frame {
 mod tests {
     use super::*;
     use crate::color::Rgb;
+    use crate::reference_kernels;
 
     fn gradient_frame(w: usize, h: usize) -> Frame {
         let mut f = Frame::new(w, h);
@@ -434,40 +427,10 @@ mod tests {
         assert!(s.luma_at(7, 8) < 100);
     }
 
-    /// The sliced interior/edge fast path must match the original
-    /// fully-clamped per-tap formulation exactly, for every pixel.
+    /// The constant-kernel body's sliced interior/edge paths must match
+    /// the per-tap formulation with every tap clamped, for every pixel.
     #[test]
     fn convolve_matches_clamped_reference() {
-        fn reference(src: &Frame, kernel: &[i32; 9], divisor: i32, bias: i32) -> Vec<u8> {
-            let (w, h) = (src.width(), src.height());
-            let y = src.plane(PlaneKind::Luma);
-            let mut out = vec![0u8; w * h];
-            for row in 0..h {
-                for col in 0..w {
-                    let mut acc = 0i32;
-                    for (ki, (dy, dx)) in [
-                        (-1i32, -1i32),
-                        (-1, 0),
-                        (-1, 1),
-                        (0, -1),
-                        (0, 0),
-                        (0, 1),
-                        (1, -1),
-                        (1, 0),
-                        (1, 1),
-                    ]
-                    .iter()
-                    .enumerate()
-                    {
-                        let sy = (row as i32 + dy).clamp(0, h as i32 - 1) as usize;
-                        let sx = (col as i32 + dx).clamp(0, w as i32 - 1) as usize;
-                        acc += kernel[ki] * y[sy * w + sx] as i32;
-                    }
-                    out[row * w + col] = ((acc / divisor) + bias).clamp(0, 255) as u8;
-                }
-            }
-            out
-        }
         let kernels: [(&[i32; 9], i32, i32); 3] = [
             (&[1, 2, 1, 2, 4, 2, 1, 2, 1], 16, 0),
             (&[0, -1, 0, -1, 8, -1, 0, -1, 0], 4, 0),
@@ -476,25 +439,32 @@ mod tests {
         for (w, h) in [(2, 2), (4, 8), (16, 16), (32, 6)] {
             let f = gradient_frame(w, h);
             for (k, div, bias) in kernels {
-                let mut dst = f.clone();
-                convolve3x3_rows(&f, &mut dst, 0, h, k, div, bias);
                 assert_eq!(
-                    dst.plane(PlaneKind::Luma),
-                    &reference(&f, k, div, bias)[..],
+                    convolve3x3(&f, *k, div, bias),
+                    reference_kernels::convolve(&f, k, div, bias),
                     "{w}x{h} kernel {k:?}"
                 );
             }
         }
     }
 
+    /// Each whole-frame `MAP` kernel, chroma included, equals its
+    /// per-tap or per-sample definition.
     #[test]
-    fn row_range_forms_compose_to_whole_frame() {
-        let f = gradient_frame(16, 16);
-        let whole = blur(&f);
-        let mut pieced = f.clone();
-        blur_rows(&f, &mut pieced, 0, 8);
-        blur_rows(&f, &mut pieced, 8, 16);
-        assert_eq!(whole, pieced);
+    fn whole_frame_kernels_match_per_sample_references() {
+        for (w, h) in [(2, 2), (4, 8), (16, 16), (32, 6), (38, 26)] {
+            let f = gradient_frame(w, h);
+            assert_eq!(blur(&f), reference_kernels::blur(&f), "blur {w}x{h}");
+            assert_eq!(sharpen(&f), reference_kernels::sharpen(&f), "sharpen {w}x{h}");
+            assert_eq!(grayscale(&f), reference_kernels::grayscale(&f), "grayscale {w}x{h}");
+            for gain in [0.0, 0.5, 1.0, 1.5, 3.7, -1.0] {
+                assert_eq!(
+                    contrast(&f, gain),
+                    reference_kernels::contrast(&f, gain),
+                    "contrast {gain} {w}x{h}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -512,23 +482,6 @@ mod tests {
                 assert_eq!(c.luma_at(x, y), 128);
             }
         }
-    }
-
-    #[test]
-    fn overlay_full_alpha_replaces() {
-        let mut base = Frame::filled(8, 8, Yuv::BLACK);
-        let mark = Frame::filled(4, 4, Yuv::WHITE);
-        overlay_blend(&mut base, &mark, 2, 2, 1.0);
-        assert_eq!(base.get(3, 3), Yuv::WHITE);
-        assert_eq!(base.get(0, 0), Yuv::BLACK);
-    }
-
-    #[test]
-    fn overlay_half_alpha_mixes() {
-        let mut base = Frame::filled(8, 8, Yuv::new(0, 128, 128));
-        let mark = Frame::filled(4, 4, Yuv::new(200, 128, 128));
-        overlay_blend(&mut base, &mark, 0, 0, 0.5);
-        assert_eq!(base.luma_at(0, 0), 100);
     }
 
     #[test]

@@ -203,7 +203,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length bound for [`vec`]: an exact size or a half-open range.
+    /// Length bound for [`vec()`]: an exact size or a half-open range.
     #[derive(Debug)]
     pub struct SizeRange {
         lo: usize,

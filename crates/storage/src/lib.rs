@@ -24,7 +24,7 @@
 //! ## Failure model
 //!
 //! Every durable file is published crash-consistently (module
-//! [`durable`]): contents go to a hidden `.<name>.tmp` file in the
+//! `durable`): contents go to a hidden `.<name>.tmp` file in the
 //! destination directory, are `sync_all`ed, then atomically renamed
 //! into place, and the directory itself is fsynced. During `STORE`,
 //! media files are published (and durable) *before* the commit point,

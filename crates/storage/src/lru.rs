@@ -22,7 +22,7 @@
 //!   shard's budget, takes the flight off the table and wakes its
 //!   followers (one atomic step, so a woken follower finds the entry).
 //! * **Follower** — waits outside the lock on the pool's timed
-//!   [`Flight`] (the workspace's one sanctioned condvar wait, lint rule
+//!   `Flight` (the workspace's one sanctioned condvar wait, lint rule
 //!   R6), polling its abort condition every step, then looks again. If
 //!   the leader failed, or the value was evicted or never kept, the
 //!   follower may lead. A leader that fails or unwinds retires its

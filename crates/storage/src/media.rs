@@ -1,7 +1,7 @@
 //! Encoded-media file access.
 //!
 //! Writes follow the crash-consistent publish protocol of
-//! [`crate::durable`] (temp file → `sync_all` → atomic rename →
+//! `crate::durable` (temp file → `sync_all` → atomic rename →
 //! directory fsync). Reads retry transient I/O errors with bounded
 //! backoff and verify per-GOP CRC-32 digests before returning bytes.
 

@@ -9,7 +9,7 @@
 //!
 //! 1. the query completes with output **byte-identical** to the
 //!    fault-free baseline, or
-//! 2. it fails with a **classified** error ([`lightdb_core::ErrorClass`]), or
+//! 2. it fails with a **classified** error ([`ErrorClass`](lightdb::core::ErrorClass)), or
 //! 3. it completes **degraded** and the degradation is counted in
 //!    metrics and the output stays well-formed —
 //!

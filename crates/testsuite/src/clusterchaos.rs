@@ -10,7 +10,7 @@
 //!
 //! 1. output **byte-identical** to the fault-free single-node
 //!    baseline (including runs that survived via failover), or
-//! 2. a **classified** error ([`lightdb_core::ErrorClass`]), or
+//! 2. a **classified** error ([`ErrorClass`](lightdb::core::ErrorClass)), or
 //! 3. a **well-formed degraded** stream (fewer GOPs from lost
 //!    fragments, or substituted GOPs) with the loss counted in the
 //!    coordinator's metrics —

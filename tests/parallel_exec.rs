@@ -581,8 +581,8 @@ impl MapUdf for FrameProbe {
 
 /// (g) MAP runs on the session's thread budget, whatever device the
 /// planner labels it with: a serial session applies the UDF on the
-/// caller's thread alone, and a lone chunk at two threads spreads its
-/// frames over exactly those two.
+/// caller's thread alone, and at two threads the UDF runs on at most
+/// two threads, each chunk's frames on the thread that drives it.
 #[test]
 fn map_runs_on_the_sessions_thread_budget() {
     let root = temp_root("mapbudget");
